@@ -14,11 +14,11 @@ from .bounds import (BoundError, BoundResult, FixedPointError, Speed,
                      teleport_hybrid_max_qubits)
 from .lattice import (LatticeError, LatticeSpec, LightConeScan, LRBoundParams,
                       NormalModes, SymplecticPropagator, WeylFunction,
-                      c_omega_lambda, coupling_matrix, dispersion,
+                      axis_signal, c_omega_lambda, coupling_matrix, dispersion,
                       longwave_speed, lr_bound_envelope, lr_bound_velocity,
                       max_group_velocity, measure_light_cone, normal_modes,
-                      propagate, propagate_ode, symplectic_form,
-                      weyl_commutator_norm)
+                      omega_squared, propagate, propagate_ode,
+                      symplectic_form, weyl_commutator_norm)
 from .gates import (BeamSplitter, ControlledPhase, ControlledSwap, GateError,
                     GateSpec, GaugeResult, ModeRegister, Swap, apply_gate,
                     bs_unitary, cswap_composite, cswap_duration, cswap_exact,

@@ -264,6 +264,9 @@ def _cmd_lightcone(args) -> int:
     print(f"group velocity max:  {gv.lattice_units:.6g} sites/s "
           f"({gv.physical:.6g} m/s)")
     print(f"commutator bound:    {bound:.6g} sites/s")
+    print(f"fit diagnostics:     intercept {scan.fit_intercept:.6g} sites, "
+          f"rms residual {scan.fit_residual:.3g} sites, "
+          f"{scan.n_no_arrival} of {len(scan.rows)} distances without arrival")
     ok = fitted <= bound
     print("PASS: fitted velocity below bound" if ok
           else "FAIL: fitted velocity exceeds bound")

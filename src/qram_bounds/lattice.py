@@ -18,7 +18,9 @@ reduce to the symplectic form of the evolved phase-space coefficient vectors:
 """
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -26,6 +28,8 @@ import numpy as np
 
 _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
+_WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
+_BLOCK_BYTES = 1 << 18      # working-array budget per time block or k-grid slab
 
 
 class LatticeError(ValueError):
@@ -88,17 +92,27 @@ class NormalModes:
         return float(self.omega.max())
 
 
+def omega_squared(spec: LatticeSpec,
+                  ks: Sequence[np.ndarray | float]) -> np.ndarray | float:
+    """omega^2 = (4/m) sum_beta sum_j lam_j sin^2(j k_beta / 2).
+
+    ``ks`` holds one wavevector component per axis (lattice units); array
+    components broadcast against each other, so sparse meshgrid axes give
+    the full grid.
+    """
+    w2 = 0.0
+    for kb in ks:
+        for j, lam in enumerate(spec.lam, start=1):
+            w2 = w2 + 4.0 * lam * np.sin(j * kb / 2.0) ** 2
+    return w2 / spec.m
+
+
 def normal_modes(spec: LatticeSpec) -> NormalModes:
     """Fourier diagonalization of the coupling matrix."""
     k = 2.0 * np.pi * np.arange(spec.L) / spec.L
-    w2 = np.zeros(spec.shape)
-    for axis in range(spec.d):
-        ax_shape = [1] * spec.d
-        ax_shape[axis] = spec.L
-        k_b = k.reshape(ax_shape)
-        for j, lam in enumerate(spec.lam, start=1):
-            w2 = w2 + 4.0 * lam * np.sin(j * k_b / 2.0) ** 2
-    return NormalModes(k_axis=k, omega=np.sqrt(w2 / spec.m), m=spec.m)
+    grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
+    return NormalModes(k_axis=k, omega=np.sqrt(omega_squared(spec, grids)),
+                       m=spec.m)
 
 
 def dispersion(spec: LatticeSpec, k: float | Sequence[float]) -> float:
@@ -107,11 +121,7 @@ def dispersion(spec: LatticeSpec, k: float | Sequence[float]) -> float:
     kv = np.atleast_1d(np.asarray(k, dtype=float))
     if kv.shape != (spec.d,):
         raise LatticeError(f"wavevector must have {spec.d} component(s)")
-    w2 = 0.0
-    for kb in kv:
-        for j, lam in enumerate(spec.lam, start=1):
-            w2 += 4.0 * lam * math.sin(j * kb / 2.0) ** 2
-    return math.sqrt(w2 / spec.m)
+    return math.sqrt(omega_squared(spec, kv))
 
 
 def longwave_speed(spec: LatticeSpec) -> float:
@@ -142,19 +152,21 @@ def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
     # approaching any boundary suprema to O((pi/n)^2)
     k = (np.arange(n_axis) + 0.5) * np.pi / n_axis
     grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
-    w2 = np.zeros((n_axis,) * spec.d)
-    for kb in grids:
-        for j, lam in enumerate(spec.lam, start=1):
-            w2 = w2 + 4.0 * lam * np.sin(j * kb / 2.0) ** 2
-    omega = np.sqrt(w2 / spec.m)
-    grad2 = np.zeros_like(omega)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for kb in grids:
-            comp = np.zeros_like(omega)
-            for j, lam in enumerate(spec.lam, start=1):
-                comp = comp + lam * j * np.sin(j * kb)
-            grad2 = grad2 + np.where(omega > 0, comp / (spec.m * omega), 0.0) ** 2
-    v_grid = float(np.sqrt(grad2.max()))
+    # slabs along axis 0 keep the working arrays within _BLOCK_BYTES each
+    rows = max(1, _BLOCK_BYTES // (8 * n_axis ** (spec.d - 1)))
+    grad2_max = 0.0
+    for start in range(0, n_axis, rows):
+        slab = [grids[0][start:start + rows], *grids[1:]]
+        omega = np.sqrt(omega_squared(spec, slab))
+        grad2 = 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for kb in slab:
+                comp = 0.0
+                for j, lam in enumerate(spec.lam, start=1):
+                    comp = comp + lam * j * np.sin(j * kb)
+                grad2 = grad2 + np.where(omega > 0, comp / (spec.m * omega), 0.0) ** 2
+        grad2_max = max(grad2_max, float(grad2.max()))
+    v_grid = math.sqrt(grad2_max)
     v_long = longwave_speed(spec)
     v = max(v_grid, v_long)
     return GroupVelocity(lattice_units=v, physical=spec.a * v,
@@ -393,6 +405,75 @@ class LightConeScan:
     threshold: float
     t_max: float
     dt: float
+    fit_intercept: float   # sites, r = v t + intercept
+    fit_residual: float    # RMS of r - (v t + intercept) over fitted points, sites
+    n_no_arrival: int      # distances whose peak stayed below the noise floor
+
+
+def _check_work(entries: float, what: str) -> None:
+    if not entries <= _WORK_ENTRY_CAP:
+        raise LatticeError(f"{what} needs {entries:.3g} array entries, "
+                           f"above the cap of {_WORK_ENTRY_CAP}")
+
+
+def _axis_orbits(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the wavevector grid under the symmetries that fix both
+    omega and cos(k_0 r): the reflection n -> L - n of every axis, and
+    permutations of the transverse axes 1..d-1.
+
+    Returns per orbit the folded axis-0 index, omega, and the orbit size.
+    """
+    L, d = spec.L, spec.d
+    n = np.arange(L // 2 + 1)
+    fold = np.where((n == 0) | (2 * n == L), 1.0, 2.0)  # |{n, L - n}|
+    tails = list(itertools.combinations_with_replacement(range(len(n)), d - 1))
+    perms = [math.factorial(d - 1)
+             / math.prod(math.factorial(c) for c in Counter(t).values())
+             for t in tails]
+    tails = np.array(tails, dtype=int).reshape(len(tails), d - 1)
+    tail_mult = np.array(perms) * fold[tails].prod(axis=1)
+    k = 2.0 * np.pi * n / L
+    ks = [k[:, None]] + [k[tails[:, b]][None, :] for b in range(d - 1)]
+    omega = np.sqrt(omega_squared(spec, ks)).ravel()
+    mult = (fold[:, None] * tail_mult[None, :]).ravel()
+    return np.repeat(n, len(tails)), omega, mult
+
+
+def axis_signal(spec: LatticeSpec, ts: np.ndarray, r_max: int) -> np.ndarray:
+    """On-axis entries of the cos(omega t) circulant,
+
+        c(t, r) = L^-d sum_k cos(omega_k t) cos(k_0 r),   r = 0..r_max,
+
+    as an array of shape (len(ts), r_max + 1). This is sigma(f_t, g) for a
+    unit q probe at the origin and a unit p probe at distance r along
+    axis 0.
+
+    The sum runs over the orbits of ``_axis_orbits`` with their sizes folded
+    into a weight matrix W (orbits x (r_max + 1)), built once; each block of
+    time steps is then one product cos(t omega_orbit) @ W. Blocks are sized
+    to ``_BLOCK_BYTES`` so memory stays flat in the number of steps.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1 or not np.isfinite(ts).all():
+        raise LatticeError("times must be a finite 1-D array")
+    if not 0 <= r_max < spec.L:
+        raise LatticeError("r_max must lie in 0..L-1")
+    half = spec.L // 2 + 1
+    n_orbits = half * math.comb(half + spec.d - 2, spec.d - 1)
+    _check_work(float(n_orbits) * (r_max + 1), "the orbit weight matrix")
+    _check_work(float(len(ts)) * (r_max + 1), "the time signal")
+    n0, omega, mult = _axis_orbits(spec)
+    # cos(k_0 r) with the phase reduced mod L first, as the FFT twiddles are
+    phase = np.outer(n0, np.arange(r_max + 1)) % spec.L
+    W = (mult / spec.n_sites)[:, None] * np.cos(2.0 * np.pi / spec.L * phase)
+    out = np.empty((len(ts), r_max + 1))
+    buf = np.empty((max(1, _BLOCK_BYTES // (8 * len(omega))), len(omega)))
+    for start in range(0, len(ts), len(buf)):
+        chunk = ts[start:start + len(buf)]
+        block = np.multiply.outer(chunk, omega, out=buf[:len(chunk)])
+        np.cos(block, out=block)
+        np.matmul(block, W, out=out[start:start + len(chunk)])
+    return out
 
 
 def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
@@ -415,22 +496,23 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
         raise LatticeError("r_max must be >= 1")
     if r_max > spec.L // 2 - spec.nu:
         raise LatticeError("r_max too large for lattice (wrap-around)")
+    if not math.isfinite(t_max):
+        raise LatticeError("t_max must be finite")
     if t_max <= 0:
         raise LatticeError("t_max must be positive")
-    modes = normal_modes(spec)
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise LatticeError("dt must be finite and positive")
     if dt is None:
-        dt = 0.2 / modes.omega_max if modes.omega_max > 0 else t_max / 100.0
+        w_max = normal_modes(spec).omega_max
+        dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
+    _check_work((t_max / dt + 2.0) * (r_max + 1), "the time signal")
     ts = np.arange(0.0, t_max + dt, dt)
     ts = ts[ts <= t_max + 1e-12]
-    w = modes.omega
-    # sigma(f_t, g) at distance r is the (r, 0, ..) entry of the cos(w t)
-    # circulant: evolve once per time step with a single inverse FFT
-    signal = np.empty((len(ts), r_max + 1))
-    for i, t in enumerate(ts):
-        col = np.fft.ifftn(np.cos(w * t)).real
-        col = col.reshape(spec.shape)
-        axis0 = col[(slice(0, r_max + 1),) + (0,) * (spec.d - 1)]
-        signal[i] = 2.0 * np.abs(np.sin(axis0 / 2.0))
+    # commutator norm 2|sin(sigma/2)|, in place to keep one steps x r array
+    signal = axis_signal(spec, ts, r_max)
+    signal *= 0.5
+    np.abs(np.sin(signal, out=signal), out=signal)
+    signal *= 2.0
 
     rows = []
     for r in range(1, r_max + 1):
@@ -448,8 +530,12 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     t_arr = np.array([p[0] for p in pts])
     r_arr = np.array([p[1] for p in pts], dtype=float)
     design = np.vstack([t_arr, np.ones_like(t_arr)]).T
-    slope, _ = np.linalg.lstsq(design, r_arr, rcond=None)[0]
+    slope, intercept = np.linalg.lstsq(design, r_arr, rcond=None)[0]
+    residual = r_arr - (slope * t_arr + intercept)
     return LightConeScan(rows=tuple(rows),
                          fitted_velocity_lattice=float(slope),
                          fitted_velocity_physical=float(slope) * spec.a,
-                         threshold=threshold, t_max=t_max, dt=dt)
+                         threshold=threshold, t_max=t_max, dt=dt,
+                         fit_intercept=float(intercept),
+                         fit_residual=float(np.sqrt(np.mean(residual ** 2))),
+                         n_no_arrival=sum(row.t_arrival is None for row in rows))

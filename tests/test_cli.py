@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,6 +166,48 @@ class TestLightconeCommand:
     def test_too_small_lattice_exits_2(self, capsys):
         assert main(["lightcone", "--L", "4", "--lam", "1,1"]) == 2
         assert "L too small for range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        (["--dt", "0.0"], "dt must be finite and positive"),
+        (["--dt", "-0.1"], "dt must be finite and positive"),
+        (["--dt", "nan"], "dt must be finite and positive"),
+        (["--t-max", "nan"], "t_max must be finite"),
+        (["--t-max", "1e9", "--dt", "1e-3"], "the time signal needs .* above the cap"),
+    ])
+    def test_bad_time_grid_exits_2(self, args, message, capsys):
+        assert main(["lightcone", "--L", "64", "--r-max", "10", *args]) == 2
+        captured = capsys.readouterr()
+        assert re.search("error: " + message, captured.err)
+        assert captured.out == ""
+
+    def test_prints_fit_diagnostics(self, capsys):
+        assert main(["lightcone", "--L", "64", "--r-max", "20", "--t-max", "6",
+                     "--dt", "0.01"]) == 0
+        line = re.search(r"fit diagnostics:\s+intercept (\S+) sites, "
+                         r"rms residual (\S+) sites, (\d+) of 20 distances "
+                         r"without arrival", capsys.readouterr().out)
+        assert line and float(line.group(2)) >= 0.0 and int(line.group(3)) > 0
+
+    @pytest.mark.parametrize("name,args", [
+        ("cone_1d_nn", ["--L", "400", "--lam", "1.0", "--threshold", "1e-3",
+                        "--t-max", "220", "--r-max", "190"]),
+        ("cone_1d_two_range", ["--L", "400", "--lam", "1.0,1.0",
+                               "--threshold", "1e-3", "--t-max", "110",
+                               "--r-max", "190"]),
+        ("cone_2d_axis", ["--d", "2", "--L", "64", "--lam", "1.0",
+                          "--threshold", "0.1", "--t-max", "45",
+                          "--r-max", "30"]),
+    ])
+    def test_regenerates_committed_cone_rows(self, name, args, tmp_path):
+        out = tmp_path / f"{name}.csv"
+        assert main(["lightcone", *args, "--dt", "0.02", "--out", str(out)]) == 0
+
+        def data_rows(path):
+            return [line for line in path.read_bytes().split(b"\n")
+                    if not line.startswith(b"#")]
+
+        committed = Path(__file__).resolve().parents[1] / "results" / f"{name}.csv"
+        assert data_rows(out) == data_rows(committed)
 
 
 class TestQramsimCommand:

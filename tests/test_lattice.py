@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qram_bounds import lattice
 from qram_bounds.lattice import (LatticeError, LatticeSpec, LRBoundParams,
-                                 WeylFunction, c_omega_lambda, dispersion,
-                                 longwave_speed, lr_bound_envelope,
+                                 WeylFunction, axis_signal, c_omega_lambda,
+                                 dispersion, longwave_speed, lr_bound_envelope,
                                  lr_bound_velocity, max_group_velocity,
                                  measure_light_cone, normal_modes, propagate,
                                  propagate_ode, symplectic_form,
@@ -76,6 +77,36 @@ def fock_commutator_norm(lam, m, f_amp, g_amp, t, trunc):
     vac = np.zeros(trunc * trunc, dtype=complex)
     vac[0] = 1.0
     return np.linalg.norm(Wf_t @ (Wg @ vac) - Wg @ (Wf_t @ vac))
+
+
+def ifftn_axis_signal(spec, ts, r_max):
+    """One full inverse FFT of cos(omega t) per time step, keeping the
+    on-axis entries r = 0..r_max."""
+    omega = normal_modes(spec).omega
+    out = np.empty((len(ts), r_max + 1))
+    for i, t in enumerate(ts):
+        col = np.fft.ifftn(np.cos(omega * t)).real
+        out[i] = col[(slice(0, r_max + 1),) + (0,) * (spec.d - 1)]
+    return out
+
+
+def full_grid_group_velocity(spec):
+    """max |grad omega| over the whole cell-centered grid at once, without
+    the k -> 0 candidate."""
+    n_axis = {1: 20001, 2: 301, 3: 101}[spec.d]
+    k = (np.arange(n_axis) + 0.5) * np.pi / n_axis
+    grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
+    w2 = np.zeros((n_axis,) * spec.d)
+    for kb in grids:
+        for j, lam in enumerate(spec.lam, start=1):
+            w2 = w2 + 4.0 * lam * np.sin(j * kb / 2.0) ** 2
+    omega = np.sqrt(w2 / spec.m)
+    grad2 = np.zeros_like(omega)
+    for kb in grids:
+        comp = sum(lam * j * np.sin(j * kb)
+                   for j, lam in enumerate(spec.lam, start=1))
+        grad2 = grad2 + (comp / (spec.m * omega)) ** 2
+    return float(np.sqrt(grad2.max()))
 
 
 # --- spec and modes ----------------------------------------------------------
@@ -173,6 +204,17 @@ class TestGroupVelocity:
         assert slopes[0] == pytest.approx(slopes[2], rel=1e-9)
         assert slopes[0] == pytest.approx(longwave_speed(
             LatticeSpec(d=1, L=8, lam=lam, m=m)), rel=1e-6)
+
+    @pytest.mark.parametrize("d,lam,m", [
+        (1, (1.0,), 1.0), (1, (1.0, 1.0), 0.7), (2, (0.8, 0.3), 1.1),
+        (3, (1.0,), 1.0), (3, (1.2, 0.4), 0.9),
+    ])
+    def test_slabs_match_full_grid(self, d, lam, m, monkeypatch):
+        # without the k -> 0 candidate the result is the grid maximum alone
+        monkeypatch.setattr(lattice, "longwave_speed", lambda spec: 0.0)
+        spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
+        assert max_group_velocity(spec).lattice_units == pytest.approx(
+            full_grid_group_velocity(spec), rel=1e-12)
 
     def test_bound_exceeds_measured_speed_by_factor_four_nn(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
@@ -343,6 +385,66 @@ class TestBoundEnvelope:
             assert measured <= C * bare * (1.0 + 1e-9)
 
 
+class TestAxisSignal:
+    @pytest.mark.parametrize("d,L,lam", [
+        (1, 16, (1.0,)), (1, 17, (1.0, 0.4)), (1, 400, (1.0,)),
+        (2, 9, (0.8,)), (2, 10, (1.0, 0.3)),
+        (3, 7, (1.1, 0.5)), (3, 8, (0.9,)),
+    ])
+    def test_matches_per_step_ifftn(self, d, L, lam):
+        spec = LatticeSpec(d=d, L=L, lam=lam, m=0.9)
+        ts = np.arange(0.0, 40.0, 0.13)
+        np.testing.assert_allclose(axis_signal(spec, ts, L - 1),
+                                   ifftn_axis_signal(spec, ts, L - 1),
+                                   rtol=0, atol=1e-12)
+
+    @given(d=st.integers(1, 3), nu=st.integers(1, 2), extra=st.integers(0, 4),
+           lam=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2),
+           m=st.floats(0.1, 10.0),
+           ts=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_step_ifftn_small_specs(self, d, nu, extra, lam, m, ts):
+        spec = LatticeSpec(d=d, L=2 * nu + 2 + extra, lam=tuple(lam[:nu]), m=m)
+        np.testing.assert_allclose(axis_signal(spec, ts, spec.L - 1),
+                                   ifftn_axis_signal(spec, ts, spec.L - 1),
+                                   rtol=0, atol=1e-12)
+
+    def test_bessel_oracle_nearest_neighbor_chain(self):
+        # infinite chain: c(t, r) = J_2r(2 t sqrt(lam/m)); at L = 400 the
+        # wrap-around images J_2(L-r) are far below double precision
+        special = pytest.importorskip("scipy.special")
+        spec = LatticeSpec(d=1, L=400, lam=(1.3,), m=0.7)
+        ts = np.linspace(0.0, 60.0, 301)
+        rs = np.arange(121)
+        oracle = special.jv(2 * rs[None, :],
+                            2.0 * ts[:, None] * math.sqrt(1.3 / 0.7))
+        np.testing.assert_allclose(axis_signal(spec, ts, 120), oracle,
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,L,orbits", [(1, 400, 201), (2, 64, 1089),
+                                            (3, 32, 2601), (3, 7, 40)])
+    def test_orbits_cover_the_grid_once(self, d, L, orbits):
+        spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
+        n0, omega, mult = lattice._axis_orbits(spec)
+        assert len(n0) == len(omega) == len(mult) == orbits
+        assert mult.sum() == spec.n_sites
+
+    def test_rejects_bad_arguments(self):
+        spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match="finite 1-D"):
+            axis_signal(spec, [0.0, math.nan], 4)
+        with pytest.raises(LatticeError, match="r_max"):
+            axis_signal(spec, [0.0], 16)
+        with pytest.raises(LatticeError, match="r_max"):
+            axis_signal(spec, [0.0], -1)
+
+    def test_weight_matrix_capped_before_building(self, monkeypatch):
+        spec = LatticeSpec(d=3, L=32, lam=(1.0,), m=1.0)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 2601 * 15 - 1)
+        with pytest.raises(LatticeError, match="orbit weight matrix"):
+            axis_signal(spec, [0.0], 14)
+
+
 class TestLightCone:
     def test_nearest_neighbor_velocity(self):
         spec = LatticeSpec(d=1, L=200, lam=(1.0,), m=1.0)
@@ -383,6 +485,47 @@ class TestLightCone:
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
         with pytest.raises(LatticeError, match="threshold"):
             measure_light_cone(spec, threshold=1.5, t_max=5.0, r_max=10)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        (dict(t_max=5.0, dt=0.0), "dt must be finite and positive"),
+        (dict(t_max=5.0, dt=-0.1), "dt must be finite and positive"),
+        (dict(t_max=5.0, dt=math.nan), "dt must be finite and positive"),
+        (dict(t_max=5.0, dt=math.inf), "dt must be finite and positive"),
+        (dict(t_max=math.nan, dt=0.1), "t_max must be finite"),
+        (dict(t_max=math.inf, dt=None), "t_max must be finite"),
+        (dict(t_max=1e9, dt=1e-3), "time signal needs .* above the cap"),
+        (dict(t_max=1.0, dt=5e-324), "time signal needs .* above the cap"),
+    ])
+    def test_rejects_bad_time_grid(self, kwargs, message):
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match=message):
+            measure_light_cone(spec, threshold=1e-3, r_max=10, **kwargs)
+
+    def test_work_cap_boundary(self, monkeypatch):
+        # t_max / dt + 2 = 42 steps at most, times r_max + 1 = 11 entries
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 42 * 11)
+        measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10, dt=0.125)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 42 * 11 - 1)
+        with pytest.raises(LatticeError, match="time signal needs"):
+            measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10,
+                               dt=0.125)
+
+    def test_fit_diagnostics(self):
+        # at t_max = 2 the far distances never leave the noise floor
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        scan = measure_light_cone(spec, threshold=1e-3, t_max=2.0, r_max=20,
+                                  dt=0.01)
+        missing = [row.r for row in scan.rows if row.t_arrival is None]
+        assert missing and missing[-1] == 20
+        assert scan.n_no_arrival == len(missing)
+        t = np.array([row.t_arrival for row in scan.rows if row.t_arrival is not None])
+        r = np.array([row.r for row in scan.rows if row.t_arrival is not None])
+        slope, intercept = np.polyfit(t, r, 1)
+        assert scan.fitted_velocity_lattice == pytest.approx(slope, rel=1e-9)
+        assert scan.fit_intercept == pytest.approx(intercept, rel=1e-9, abs=1e-9)
+        rms = math.sqrt(np.mean((r - slope * t - intercept) ** 2))
+        assert scan.fit_residual == pytest.approx(rms, rel=1e-9, abs=1e-12)
 
     def test_2d_axis_cone_below_2d_bound(self):
         spec = LatticeSpec(d=2, L=32, lam=(1.0,), m=1.0)

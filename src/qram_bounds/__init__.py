@@ -25,9 +25,8 @@ from .gates import (BeamSplitter, ControlledPhase, ControlledSwap, GateError,
                     cz_unitary, gauge_equivalent, swap_unitary,
                     t_beamsplitter, t_cphase, t_swap)
 from .qram import (ClassicalDatabase, QramError, QueryResult, RetrievalReport,
-                   RouterTree, Schedule, build_tree, classical_trace_read,
-                   random_database, read_database, schedule_initialization,
-                   schedule_query, simulate_query, total_time,
-                   verify_retrieval)
+                   Schedule, classical_trace_read, random_database,
+                   read_database, schedule_initialization, schedule_query,
+                   simulate_query, total_time, verify_retrieval)
 
 __version__ = "0.1.0"

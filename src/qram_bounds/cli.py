@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, lattice, qram, verify
+from . import bounds, gates, lattice, qram, verify
 from .params import (Conventions, HardwareParams, ParamsError, load_config,
                      tau0, validate, validate_conventions)
 
@@ -236,6 +236,18 @@ def _parse_axis(text: str) -> AxisSpec:
                     points=int(points), log=scale == "log")
 
 
+def write_cone_csv(path: str | Path, scan: lattice.LightConeScan,
+                   meta: dict) -> None:
+    """Write a light-cone scan as (r, t_arrival, commutator_peak) rows after
+    one ``# key=value ...`` comment line built from ``meta``."""
+    lines = ["# " + " ".join(f"{key}={value}" for key, value in meta.items()),
+             "r,t_arrival,commutator_peak"]
+    for row in scan.rows:
+        t_str = "" if row.t_arrival is None else f"{row.t_arrival:.10g}"
+        lines.append(f"{row.r},{t_str},{row.peak:.10g}")
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
 def _cmd_lightcone(args) -> int:
     try:
         lam = tuple(float(x) for x in args.lam.split(","))
@@ -251,13 +263,10 @@ def _cmd_lightcone(args) -> int:
     gv = lattice.max_group_velocity(spec)
     bound = lattice.lr_bound_velocity(spec)
     if args.out:
-        lines = [f"# threshold={scan.threshold:g} t_max={scan.t_max:g} "
-                 f"dt={scan.dt:g} d={spec.d} L={spec.L} lam={args.lam} m={spec.m:g}",
-                 "r,t_arrival,commutator_peak"]
-        for row in scan.rows:
-            t_str = "" if row.t_arrival is None else f"{row.t_arrival:.10g}"
-            lines.append(f"{row.r},{t_str},{row.peak:.10g}")
-        Path(args.out).write_text("\n".join(lines) + "\n")
+        write_cone_csv(args.out, scan, {
+            "threshold": f"{scan.threshold:g}", "t_max": f"{scan.t_max:g}",
+            "dt": f"{scan.dt:g}", "d": spec.d, "L": spec.L, "lam": args.lam,
+            "m": f"{spec.m:g}"})
     fitted = scan.fitted_velocity_lattice
     print(f"fitted velocity:     {fitted:.6g} sites/s "
           f"({scan.fitted_velocity_physical:.6g} m/s)")
@@ -285,8 +294,6 @@ def _cmd_qramsim(args) -> int:
             raise qram.QramError("need --db or --random-db with --N")
         if args.N is not None and db.N != args.N:
             raise qram.QramError(f"database length {db.N} != N={args.N}")
-        if db.N > qram.MAX_SIM_QUBITS:
-            raise qram.QramError(f"state-vector cap: N <= {qram.MAX_SIM_QUBITS}")
         if args.address != "all":
             address = int(args.address)
             if not 0 <= address < db.N:
@@ -294,19 +301,25 @@ def _cmd_qramsim(args) -> int:
     except (qram.QramError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    try:
+        if args.address != "all":
+            basis = np.zeros(db.N, dtype=complex)
+            basis[address] = 1.0
+            result = qram.simulate_query(db, basis, args.g1, args.g2)
+        else:
+            report = qram.verify_retrieval(db, g1=args.g1, g2=args.g2,
+                                           seed=args.seed)
+    except (qram.QramError, gates.GateError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
+    print("address expected read fidelity")
     if args.address != "all":
-        basis = np.zeros(db.N, dtype=complex)
-        basis[address] = 1.0
-        result = qram.simulate_query(db, basis, args.g1, args.g2)
         row = result.table[0]
-        print("address expected read fidelity")
         print(f"{row.address:7d} {row.expected:8d} {row.read:4d} {row.fidelity:.12f}")
         ok = row.read == row.expected and result.fidelity >= 1.0 - 1e-9
         return EXIT_OK if ok else EXIT_RETRIEVAL
 
-    report = qram.verify_retrieval(db, g1=args.g1, g2=args.g2, seed=args.seed)
-    print("address expected read fidelity")
     for row in report.rows:
         print(f"{row.address:7d} {row.expected:8d} {row.read:4d} {row.fidelity:.12f}")
     print(f"min fidelity: {report.min_fidelity:.12f}")

@@ -43,7 +43,6 @@ class LatticeSpec:
     lam: tuple[float, ...]   # couplings lam_1..lam_nu [kg/s^2]
     m: float                 # site mass [kg]
     a: float = 1.0           # spacing [m]
-    periodic: bool = True
     # allow_wrap permits L < 2*nu + 2 for closed-system cross checks
     # (e.g. exact diagonalization of a 2-site chain); light-cone scans
     # enforce their own wrap-around margin via r_max.
@@ -53,8 +52,12 @@ class LatticeSpec:
         object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
         if self.d not in (1, 2, 3):
             raise LatticeError("dimension must be 1, 2, or 3")
-        if not self.periodic:
-            raise LatticeError("only periodic boundaries are supported")
+        if not math.isfinite(self.m):
+            raise LatticeError("non-finite site mass m")
+        if not math.isfinite(self.a):
+            raise LatticeError("non-finite lattice spacing a")
+        if not all(math.isfinite(l) for l in self.lam):
+            raise LatticeError("non-finite spring constant in lam")
         if self.m <= 0:
             raise LatticeError("nonpositive site mass")
         if self.a <= 0:

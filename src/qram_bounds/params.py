@@ -79,6 +79,11 @@ def validate(params: HardwareParams) -> HardwareParams:
 
     Raises ParamsError naming the first violated invariant.
     """
+    for name in ("a", "delta_t", "g1", "g2", "m", "c_max"):
+        if not math.isfinite(getattr(params, name)):
+            raise ParamsError(f"non-finite {name}")
+    if not all(math.isfinite(l) for l in params.lam):
+        raise ParamsError("non-finite spring constant in lam")
     if params.a <= 0:
         raise ParamsError("nonpositive lattice spacing")
     if params.delta_t <= 0:

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gates
-from .gates import ControlledSwap, GateSpec, ModeRegister, Swap
+from .gates import ControlledSwap, ModeRegister, Swap
 
 MAX_SIM_QUBITS = 8  # state-vector cap for simulate_query
 
@@ -41,24 +41,6 @@ def _depth(N: int) -> int:
     if N < 2 or N & (N - 1):
         raise QramError(f"N must be a power of two >= 2, got {N}")
     return N.bit_length() - 1
-
-
-@dataclass(frozen=True)
-class RouterTree:
-    depth: int                            # n, with N = 2^n leaves
-    N: int
-    nodes: tuple[tuple[int, int], ...]    # (level, position) per router
-
-    @property
-    def n_routers(self) -> int:
-        return len(self.nodes)
-
-
-def build_tree(N: int) -> RouterTree:
-    """Binary router tree with 2^n - 1 routers for N = 2^n leaves."""
-    n = _depth(N)
-    nodes = tuple((level, pos) for level in range(n) for pos in range(2 ** level))
-    return RouterTree(depth=n, N=N, nodes=nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -143,17 +125,14 @@ class DataCopy:
         return tuple(range(self.n, _n_modes(self.n)))
 
 
-ScheduledOp = GateSpec | RoutingStage | BusRouting | DataCopy
-
-
 @dataclass(frozen=True)
 class Cycle:
     kind: str    # "route" | "swap" | "data_copy"
     phase: str   # "init" | "descend" | "copy" | "ascend" | "uncompute"
-    ops: tuple[ScheduledOp, ...]
+    op: Swap | RoutingStage | BusRouting | DataCopy
 
     def duration(self, g1: float, g2: float) -> float:
-        return max(op.duration(g1, g2) for op in self.ops)
+        return self.op.duration(g1, g2)
 
 
 @dataclass(frozen=True)
@@ -187,10 +166,10 @@ def _init_cycles(n: int, phase: str = "init") -> list[Cycle]:
     for k in range(1, n + 1):
         target_level = k - 1
         swap_op = Swap(targets=(k - 1, _router_mode(n, target_level, 0)))
-        cycles.append(Cycle(kind="swap", phase=phase, ops=(swap_op,)))
+        cycles.append(Cycle(kind="swap", phase=phase, op=swap_op))
         for j in range(k - 1):
             stage = RoutingStage(n=n, ctrl_level=j, target_level=target_level)
-            cycles.append(Cycle(kind="route", phase=phase, ops=(stage,)))
+            cycles.append(Cycle(kind="route", phase=phase, op=stage))
     return cycles
 
 
@@ -210,11 +189,11 @@ def schedule_query(n: int) -> Schedule:
     cycles: list[Cycle] = []
     for level in range(n):
         cycles.append(Cycle(kind="route", phase="descend",
-                            ops=(BusRouting(n=n, level=level),)))
-    cycles.append(Cycle(kind="data_copy", phase="copy", ops=(DataCopy(n=n),)))
+                            op=BusRouting(n=n, level=level)))
+    cycles.append(Cycle(kind="data_copy", phase="copy", op=DataCopy(n=n)))
     for level in reversed(range(n)):
         cycles.append(Cycle(kind="route", phase="ascend",
-                            ops=(BusRouting(n=n, level=level),)))
+                            op=BusRouting(n=n, level=level)))
     for cycle in reversed(_init_cycles(n, phase="uncompute")):
         cycles.append(cycle)
     return Schedule(n=n, cycles=tuple(cycles))
@@ -305,51 +284,39 @@ class QueryResult:
 
 
 def _apply_cycles(state: np.ndarray, cycles, register: ModeRegister,
-                  g1: float, g2: float, inverse: bool = False) -> np.ndarray:
-    swap_u = gates.swap_unitary(g1)
-    cswap_u = gates.cswap_composite(g1, g2)
-    if inverse:
-        swap_u, cswap_u = swap_u.conj().T, cswap_u.conj().T
-    seq = reversed(cycles) if inverse else cycles
-    for cycle in seq:
-        for op in cycle.ops:
-            if isinstance(op, RoutingStage):
-                for gate in op.expand():
-                    state = gates.apply_unitary(state, cswap_u, gate.modes(),
-                                                register)
-            elif isinstance(op, Swap):
-                state = gates.apply_unitary(state, swap_u, op.modes(), register)
-            else:
-                raise QramError(f"cannot simulate scheduled op {op!r}")
+                  swap_u: np.ndarray, cswap_u: np.ndarray) -> np.ndarray:
+    for cycle in cycles:
+        op = cycle.op
+        if isinstance(op, RoutingStage):
+            for gate in op.expand():
+                state = gates.apply_unitary(state, cswap_u, gate.modes(),
+                                            register)
+        elif isinstance(op, Swap):
+            state = gates.apply_unitary(state, swap_u, op.modes(), register)
+        else:
+            raise QramError(f"cannot simulate scheduled op {op!r}")
     return state
 
 
-def _walk_config(config: int, n: int) -> tuple[int, bool]:
-    """Leaf reached by a router basis configuration, and whether the
-    configuration is a valid path (all off-path routers in |0>)."""
+def _path_config(leaf: int, n: int) -> int:
+    """Router basis configuration that initialization leaves for address
+    ``leaf``: each router on the leaf's path holds its address bit, every
+    other router |0> (router ordinal o is bit 2^n - 2 - o of the index)."""
     n_routers = (1 << n) - 1
-    pos = 0
-    path_mask = 0
+    config = 0
     for level in range(n):
-        ordinal = _router_ordinal(level, pos)
-        bitpos = n_routers - 1 - ordinal
-        path_mask |= 1 << bitpos
-        bit = (config >> bitpos) & 1
-        pos = 2 * pos + bit
-    leaf = pos
-    valid = (config & ~path_mask) == 0
-    return leaf, valid
+        bit = (leaf >> (n - 1 - level)) & 1
+        ordinal = _router_ordinal(level, leaf >> (n - level))
+        config |= bit << (n_routers - 1 - ordinal)
+    return config
 
 
 def _apply_data_copy(state: np.ndarray, db: ClassicalDatabase, n: int) -> np.ndarray:
-    """Permutation flipping the bus on every valid router path whose leaf
+    """Permutation flipping the bus on the router path of every leaf that
     holds a 1; identity on configurations no initialization can produce."""
-    n_routers = (1 << n) - 1
-    view = state.reshape(1 << n, 1 << n_routers, 2).copy()
-    for config in range(1 << n_routers):
-        leaf, valid = _walk_config(config, n)
-        if valid and db.bits[leaf] == 1:
-            view[:, config, :] = view[:, config, ::-1]
+    view = state.reshape(1 << n, -1, 2).copy()
+    flip = [_path_config(leaf, n) for leaf, bit in enumerate(db.bits) if bit]
+    view[:, flip] = view[:, flip, ::-1]
     return view.reshape(-1)
 
 
@@ -366,14 +333,17 @@ def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
     if abs(np.linalg.norm(address_state) - 1.0) > 1e-12:
         raise QramError("address state must be normalized")
 
-    register = ModeRegister(dims=(2,) * _n_modes(n))
+    swap_u = gates.swap_unitary(g1)
+    cswap_u = gates.cswap_composite(g1, g2)
+    register = ModeRegister(_n_modes(n))
     state = np.zeros(register.total_dim, dtype=complex)
     state.reshape(db.N, -1)[:, 0] = address_state
 
     init = schedule_initialization(n)
-    state = _apply_cycles(state, init.cycles, register, g1, g2)
+    state = _apply_cycles(state, init.cycles, register, swap_u, cswap_u)
     state = _apply_data_copy(state, db, n)
-    state = _apply_cycles(state, init.cycles, register, g1, g2, inverse=True)
+    state = _apply_cycles(state, reversed(init.cycles), register,
+                          swap_u.conj().T, cswap_u.conj().T)
 
     n_routers = (1 << n) - 1
     view = state.reshape(db.N, 1 << n_routers, 2)

@@ -68,6 +68,23 @@ class TestBoundCommand:
         assert main(["bound", "--config", str(path)]) == 2
         assert "nonpositive lattice spacing" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line,message", [
+        ("g1 = inf", "non-finite g1"),
+        ("g1 = nan", "non-finite g1"),
+        ("m = inf", "non-finite m"),
+        ("lambda = nan", "non-finite spring constant in lam"),
+    ])
+    def test_non_finite_config_exits_2(self, tmp_path, capsys, line, message):
+        key = line.split()[0]
+        text = "\n".join(line if raw.split()[0] == key else raw
+                         for raw in GOOD_CONFIG.splitlines())
+        path = tmp_path / "bad.cfg"
+        path.write_text(text + "\n")
+        assert main(["bound", "--config", str(path), "--velocity", "6000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
 
 class TestSweepCommand:
     def test_fig3_preset_monotone_columns(self, tmp_path, capsys):
@@ -180,6 +197,18 @@ class TestLightconeCommand:
         assert re.search("error: " + message, captured.err)
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args,message", [
+        (["--m", "nan"], "non-finite site mass m"),
+        (["--a", "inf"], "non-finite lattice spacing a"),
+        (["--lam", "1,nan"], "non-finite spring constant in lam"),
+    ])
+    def test_non_finite_lattice_exits_2(self, args, message, capsys):
+        assert main(["lightcone", "--L", "64", "--r-max", "10", "--t-max", "5",
+                     "--dt", "0.05", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
     def test_prints_fit_diagnostics(self, capsys):
         assert main(["lightcone", "--L", "64", "--r-max", "20", "--t-max", "6",
                      "--dt", "0.01"]) == 0
@@ -233,6 +262,20 @@ class TestQramsimCommand:
     def test_oversized_database_exits_2(self, capsys):
         assert main(["qramsim", "--random-db", "--N", "16"]) == 2
         assert "state-vector cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args,message", [
+        (["--g1", "0"], "nonpositive coupling g1=0.0"),
+        (["--g1=-2"], "nonpositive coupling g1=-2.0"),
+        (["--g2=-1"], "nonpositive coupling g2=-1.0"),
+        (["--g1", "nan"], "non-finite coupling g1=nan"),
+        (["--g2", "inf"], "non-finite coupling g2=inf"),
+        (["--address", "1", "--g1=-inf"], "non-finite coupling g1=-inf"),
+    ])
+    def test_bad_coupling_exits_2(self, args, message, capsys):
+        assert main(["qramsim", "--random-db", "--N", "4", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_retrieval_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
         db = tmp_path / "db.txt"

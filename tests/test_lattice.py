@@ -126,6 +126,18 @@ class TestLatticeSpec:
         with pytest.raises(LatticeError, match="zero"):
             LatticeSpec(d=1, L=8, lam=(0.0,), m=1.0)
 
+    @pytest.mark.parametrize("fields,message", [
+        (dict(m=math.nan), "non-finite site mass m"),
+        (dict(m=math.inf), "non-finite site mass m"),
+        (dict(a=math.inf), "non-finite lattice spacing a"),
+        (dict(a=-math.inf), "non-finite lattice spacing a"),
+        (dict(lam=(math.nan,)), "non-finite spring constant in lam"),
+        (dict(lam=(1.0, math.inf)), "non-finite spring constant in lam"),
+    ])
+    def test_rejects_non_finite_fields(self, fields, message):
+        with pytest.raises(LatticeError, match=message):
+            LatticeSpec(**{**dict(d=1, L=8, lam=(1.0,), m=1.0), **fields})
+
 
 class TestDispersion:
     def test_zone_edge(self):

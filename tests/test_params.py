@@ -43,6 +43,17 @@ class TestValidate:
         with pytest.raises(ParamsError, match=message):
             validate(make_params(**{field: value}))
 
+    @pytest.mark.parametrize("field", ["a", "delta_t", "g1", "g2", "m", "c_max"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_field_named(self, field, value):
+        with pytest.raises(ParamsError, match=f"non-finite {field}$"):
+            validate(make_params(**{field: value}))
+
+    @pytest.mark.parametrize("lam", [(math.nan,), (1.0, math.inf)])
+    def test_non_finite_spring_constant_named(self, lam):
+        with pytest.raises(ParamsError, match="non-finite spring constant in lam"):
+            validate(make_params(lam=lam, nu=len(lam)))
+
     @given(a=st.floats(1e-9, 1e3), m=st.floats(1e-9, 1e3),
            lam1=st.floats(1e-9, 1e3), d=st.sampled_from([1, 2, 3]))
     def test_idempotent(self, a, m, lam1, d):

@@ -6,7 +6,7 @@ import pytest
 from qram_bounds import qram
 from qram_bounds.gates import t_cphase, t_swap, t_beamsplitter
 from qram_bounds.qram import (ClassicalDatabase, QramError, RoutingStage,
-                              build_tree, random_database, read_database,
+                              random_database, read_database,
                               schedule_initialization, schedule_query,
                               simulate_query, total_time, verify_retrieval)
 
@@ -33,26 +33,29 @@ def trace_oracle(bits, address):
     return bits[pos]
 
 
+def brute_force_data_copy(state, bits):
+    """Walk every router basis configuration: flip the bus where the
+    configuration is a valid path (all off-path routers |0>) ending on a
+    leaf that holds a 1. Router ordinal o = 2^level - 1 + pos is bit
+    2^n - 2 - o of the configuration index."""
+    n = len(bits).bit_length() - 1
+    n_routers = (1 << n) - 1
+    view = state.reshape(1 << n, 1 << n_routers, 2).copy()
+    for config in range(1 << n_routers):
+        pos, path_mask = 0, 0
+        for level in range(n):
+            bitpos = n_routers - 1 - ((1 << level) - 1 + pos)
+            path_mask |= 1 << bitpos
+            pos = 2 * pos + ((config >> bitpos) & 1)
+        if config & ~path_mask == 0 and bits[pos] == 1:
+            view[:, config, :] = view[:, config, ::-1]
+    return view.reshape(-1)
+
+
 def basis(N, x):
     v = np.zeros(N, dtype=complex)
     v[x] = 1.0
     return v
-
-
-class TestRouterTree:
-    def test_two_leaves_one_router(self):
-        tree = build_tree(2)
-        assert tree.n_routers == 1 and tree.depth == 1
-
-    def test_eight_leaves(self):
-        tree = build_tree(8)
-        assert tree.n_routers == 7 and tree.depth == 3
-        assert all(len([x for x in tree.nodes if x[0] == lvl]) == 2 ** lvl
-                   for lvl in range(3))
-
-    def test_rejects_non_power_of_two(self):
-        with pytest.raises(QramError, match="power of two"):
-            build_tree(6)
 
 
 class TestSchedules:
@@ -73,12 +76,11 @@ class TestSchedules:
             for sched in (schedule_initialization(n), schedule_query(n)):
                 for cycle in sched.cycles:
                     touched = []
-                    for op in cycle.ops:
-                        if isinstance(op, RoutingStage):
-                            for gate in op.expand():
-                                touched.extend(gate.modes())
-                        else:
-                            touched.extend(op.modes())
+                    if isinstance(cycle.op, RoutingStage):
+                        for gate in cycle.op.expand():
+                            touched.extend(gate.modes())
+                    else:
+                        touched.extend(cycle.op.modes())
                     assert len(touched) == len(set(touched))
 
     def test_query_core_is_linear_in_depth(self):
@@ -170,6 +172,19 @@ class TestClassicalTrace:
         db = ClassicalDatabase((0, 1, 1, 0, 1, 0, 0, 1))
         for x in range(8):
             assert qram.classical_trace_read(db, x) == db.bits[x]
+
+
+class TestDataCopy:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_walk_over_all_router_configurations(self, n):
+        N = 1 << n
+        rng = np.random.default_rng(n)
+        dim = N * 2 ** (N - 1) * 2
+        for code in range(1 << N):
+            bits = tuple((code >> (N - 1 - i)) & 1 for i in range(N))
+            state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            out = qram._apply_data_copy(state, ClassicalDatabase(bits), n)
+            assert np.array_equal(out, brute_force_data_copy(state, bits))
 
 
 class TestSimulateQuery:

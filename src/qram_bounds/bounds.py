@@ -10,7 +10,8 @@ import math
 from dataclasses import dataclass, replace
 
 from . import lattice as _lattice
-from .params import Conventions, HardwareParams, validate, validate_conventions, tau0
+from .params import (Conventions, HardwareParams, density, tau0, validate,
+                     validate_conventions)
 
 
 class BoundError(ValueError):
@@ -45,10 +46,11 @@ def lr_velocity(params: HardwareParams) -> Speed:
 
 
 def coarse_grain(params: HardwareParams) -> float:
-    """Long-wavelength continuum stiffness d * sum_j lam_j * a * j^2."""
+    """Long-wavelength continuum stiffness d * sum_j lam_j * j^2 * a^(2-d),
+    which with the density m / a^d gives the lattice's long-wave speed."""
     validate(params)
-    return params.d * sum(l * params.a * j * j
-                          for j, l in enumerate(params.lam, start=1))
+    return params.d * params.a ** (2 - params.d) * sum(
+        l * j * j for j, l in enumerate(params.lam, start=1))
 
 
 def qft_velocity(lambda_d: float, rho: float) -> float:
@@ -64,16 +66,21 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural",
                       max_iter: int = 10 ** 6) -> float:
     """Largest fixed point of N = R * log(N)^p.
 
-    Iterates N <- R * log(N)^p from N0 = max(R, base^2) until the relative
-    change drops below 1e-12. For p = 0 the answer is R itself. The largest
-    fixed point is the capacity (the small root of the transcendental
-    equation is not), and the iteration converges to it from above whenever
-    it exists strictly above the tangency point.
+    Iterates N <- R * log(N)^p from N0 = max(R, base^2, e^p) until the
+    relative change drops below 1e-12. For p = 0 the answer is R itself. The
+    largest fixed point is the capacity (the small root of the
+    transcendental equation is not). The tangency point e^p (in either log
+    base) lies between the two roots whenever they exist, so from N0 the
+    iteration converges to the largest one whenever it exists strictly
+    above the tangency point.
 
-    Raises FixedPointError when the iterate leaves the domain or fails to
-    converge within ``max_iter`` steps, which signals a pathological R
-    (R * log^p has no fixed point above 1, or only a tangency).
+    Raises FixedPointError when the iterate leaves the domain, overflows a
+    float, or fails to converge within ``max_iter`` steps, which signals a
+    pathological R (R * log^p has no fixed point above 1, or only a
+    tangency).
     """
+    if not math.isfinite(R):
+        raise BoundError(f"non-finite ratio R = {R}")
     if R <= 0:
         raise BoundError("nonpositive ratio R")
     if p < 0:
@@ -82,18 +89,19 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural",
         return R
     base = math.e if log_base == "natural" else 2.0
     logf = math.log if log_base == "natural" else math.log2
-    N = max(R, base * base)
-    for _ in range(max_iter):
-        if N <= 1.0 or not math.isfinite(N):
-            raise FixedPointError(
-                f"no fixed point above 1 for N = {R:g}*log^{p}(N)")
-        new = R * logf(N) ** p
-        if new <= 1.0 or not math.isfinite(new):
-            raise FixedPointError(
-                f"no fixed point above 1 for N = {R:g}*log^{p}(N)")
-        if abs(new - N) <= 1e-12 * new:
-            return new
-        N = new
+    try:
+        N = max(R, base * base, math.exp(p))
+        for _ in range(max_iter):
+            new = R * logf(N) ** p
+            if new <= 1.0 or not math.isfinite(new):
+                raise FixedPointError(
+                    f"no fixed point above 1 for N = {R:g}*log^{p}(N)")
+            if abs(new - N) <= 1e-12 * new:
+                return new
+            N = new
+    except OverflowError:
+        raise FixedPointError(f"fixed point of N = {R:g}*log^{p}(N) "
+                              "overflows a float") from None
     raise FixedPointError(
         f"no convergence after {max_iter} iterations for N = {R:g}*log^{p}(N)")
 
@@ -119,8 +127,7 @@ def _resolve_velocity(params: HardwareParams, conv: Conventions) -> float:
     if src == "lieb_robinson":
         return lr_velocity(params).physical
     if src == "qft":
-        rho = params.m / params.a ** params.d
-        return qft_velocity(coarse_grain(params), rho)
+        return qft_velocity(coarse_grain(params), density(params))
     if src == "group":
         spec = _lattice.LatticeSpec(d=params.d, L=2 * params.nu + 2,
                                     lam=params.lam, m=params.m, a=params.a)
@@ -138,8 +145,13 @@ def qram_max_qubits(params: HardwareParams, conventions: Conventions) -> BoundRe
     v = min(_resolve_velocity(params, conv), params.c_max)
     R = v * tau0(params.g1, params.g2) / params.a
     extent = fixed_point_solve(R, conv.depth_exponent, conv.log_base)
+    try:
+        total = extent ** params.d
+    except OverflowError:
+        raise BoundError(f"total capacity {extent:g}^{params.d} overflows "
+                         "a float") from None
     return BoundResult(
-        max_qubits_total=extent ** params.d,
+        max_qubits_total=total,
         max_linear_extent=extent,
         velocity_used=v,
         conventions=conv,
@@ -152,18 +164,7 @@ def teleport_hybrid_max_qubits(params: HardwareParams,
     """2D capacity bound when routing hops run at the absolute speed cap
     (teleportation-based routing) while only a vanishing fraction of the
     distance is covered at sound speed."""
-    validate(params)
-    if params.d != 2:
+    if validate(params).d != 2:
         raise BoundError("teleport-hybrid defined for d=2")
-    conv = validate_conventions(conventions)
-    conv = replace(conv, velocity_source="teleport-hybrid")
-    v = params.c_max
-    R = v * tau0(params.g1, params.g2) / params.a
-    extent = fixed_point_solve(R, conv.depth_exponent, conv.log_base)
-    return BoundResult(
-        max_qubits_total=extent ** 2,
-        max_linear_extent=extent,
-        velocity_used=v,
-        conventions=conv,
-        inputs_digest=params,
-    )
+    return qram_max_qubits(params, replace(validate_conventions(conventions),
+                                           velocity_source="teleport-hybrid"))

@@ -7,6 +7,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, gates, lattice, qram, verify
+from . import bounds, lattice, qram, verify
 from .params import (Conventions, HardwareParams, ParamsError, load_config,
                      tau0, validate, validate_conventions)
 
@@ -41,10 +42,11 @@ class AxisSpec:
     points: int
     log: bool = True
 
-    def values(self) -> np.ndarray:
-        if self.log:
-            return np.geomspace(self.lo, self.hi, self.points)
-        return np.linspace(self.lo, self.hi, self.points)
+    def values(self) -> list[float]:
+        """Grid points as Python floats, so that an overflow in the bound
+        raises instead of passing on a numpy inf."""
+        space = np.geomspace if self.log else np.linspace
+        return space(self.lo, self.hi, self.points).tolist()
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,8 @@ class SweepGrid:
         for ax in self.axes:
             if ax.points < 2:
                 raise ParamsError("points >= 2 per axis")
+            if not (math.isfinite(ax.lo) and math.isfinite(ax.hi)):
+                raise ParamsError(f"non-finite range for sweep axis {ax.name!r}")
             if ax.lo <= 0 or ax.hi <= ax.lo:
                 raise ParamsError("axis range must satisfy 0 < lo < hi")
             if ax.name not in ("velocity", "g", "v2"):
@@ -76,10 +80,36 @@ def _evaluate_point(grid: SweepGrid, values: dict[str, float], d: int) -> float:
     if "g" in values:
         params = replace(params, g1=values["g"], g2=values["g"])
     if "velocity" in values:
-        conv = replace(conv, velocity_source=float(values["velocity"]))
+        conv = replace(conv, velocity_source=values["velocity"])
     if "v2" in values:
-        conv = replace(conv, velocity_source=float(math.sqrt(values["v2"])))
+        conv = replace(conv, velocity_source=math.sqrt(values["v2"]))
     return bounds.qram_max_qubits(params, conv).max_qubits_total
+
+
+def _conventions_record(conv: Conventions, params: HardwareParams,
+                        velocity_swept: bool = False) -> dict:
+    """Conventions and scales behind a bound, as both the ``record`` line of
+    ``bound`` and the ``#`` line of a sweep CSV print them. A sweep whose
+    axis sets the velocity has no single velocity source."""
+    record = {"log_base": conv.log_base, "depth_exponent": conv.depth_exponent}
+    if not velocity_swept:
+        record["velocity_source"] = conv.velocity_source
+    record.update(a=params.a, tau0=tau0(params.g1, params.g2))
+    return record
+
+
+def write_csv(path: str | Path, meta: dict, header, rows) -> None:
+    """Write one ``# key=value ...`` comment line built from ``meta``, the
+    column header, and the rows. Floats print as ``:g`` in the comment and
+    as ``.10g`` in the rows; a None cell prints empty."""
+    def cell(value, spec):
+        if value is None:
+            return ""
+        return format(value, spec) if isinstance(value, float) else str(value)
+    lines = ["# " + " ".join(f"{k}={cell(v, 'g')}" for k, v in meta.items()),
+             ",".join(header)]
+    lines += [",".join(cell(v, ".10g") for v in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
@@ -89,28 +119,19 @@ def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
     grid = replace(grid, conventions=conv)
     validate(grid.fixed)
     axis_cols = [ax.name for ax in grid.axes]
-    out_cols = [f"max_qubits_d{d}" for d in grid.dims]
-    source = ("axis" if any(ax.name in ("velocity", "v2") for ax in grid.axes)
-              else conv.velocity_source)
-    meta = (f"# log_base={conv.log_base} depth_exponent={conv.depth_exponent}"
-            f" velocity_source={source}"
-            f" a={grid.fixed.a:g} tau0={tau0(grid.fixed.g1, grid.fixed.g2):g}"
-            f" dims={','.join(str(d) for d in grid.dims)}")
-    lines = [meta, ",".join(axis_cols + out_cols)]
-    grids = [ax.values() for ax in grid.axes]
-    points = ([(x,) for x in grids[0]] if len(grids) == 1
-              else [(x, y) for x in grids[0] for y in grids[1]])
-    for point in points:
+    meta = _conventions_record(
+        conv, grid.fixed, velocity_swept=bool({"velocity", "v2"} & set(axis_cols)))
+    meta["dims"] = ",".join(str(d) for d in grid.dims)
+    rows = []
+    for point in itertools.product(*(ax.values() for ax in grid.axes)):
         values = dict(zip(axis_cols, point))
-        row = [f"{v:.10g}" for v in point]
-        for d in grid.dims:
-            cell = _evaluate_point(grid, values, d)
-            if not math.isfinite(cell):
-                raise ParamsError("non-finite sweep value")
-            row.append(f"{cell:.10g}")
-        lines.append(",".join(row))
-    Path(out_path).write_text("\n".join(lines) + "\n")
-    return len(points)
+        cells = [_evaluate_point(grid, values, d) for d in grid.dims]
+        if not all(math.isfinite(cell) for cell in cells):
+            raise ParamsError("non-finite sweep value")
+        rows.append((*point, *cells))
+    write_csv(out_path, meta,
+              axis_cols + [f"max_qubits_d{d}" for d in grid.dims], rows)
+    return len(rows)
 
 
 def fig3_grid(depth_exponent: int = 2, log_base: str = "natural") -> SweepGrid:
@@ -136,27 +157,22 @@ def fig4_grid(depth_exponent: int = 2, log_base: str = "natural") -> SweepGrid:
     )
 
 
-def _print_bound(result: bounds.BoundResult, file=None) -> None:
-    file = file or sys.stdout
+def _print_bound(result: bounds.BoundResult) -> None:
     conv = result.conventions
-    print(f"max qubits (total):  {result.max_qubits_total:.6e}", file=file)
-    print(f"max linear extent:   {result.max_linear_extent:.6e}", file=file)
-    print(f"velocity used [m/s]: {result.velocity_used:.6g}", file=file)
+    print(f"max qubits (total):  {result.max_qubits_total:.6e}")
+    print(f"max linear extent:   {result.max_linear_extent:.6e}")
+    print(f"velocity used [m/s]: {result.velocity_used:.6g}")
     print(f"conventions: log_base={conv.log_base}"
           f" depth_exponent={conv.depth_exponent}"
-          f" velocity_source={conv.velocity_source}", file=file)
+          f" velocity_source={conv.velocity_source}")
     record = {
         "max_qubits_total": result.max_qubits_total,
         "max_linear_extent": result.max_linear_extent,
         "velocity_used": result.velocity_used,
-        "log_base": conv.log_base,
-        "depth_exponent": conv.depth_exponent,
-        "velocity_source": conv.velocity_source,
-        "a": result.inputs_digest.a,
-        "tau0": tau0(result.inputs_digest.g1, result.inputs_digest.g2),
+        **_conventions_record(conv, result.inputs_digest),
         "d": result.inputs_digest.d,
     }
-    print("record " + json.dumps(record), file=file)
+    print("record " + json.dumps(record))
 
 
 def _load_params(args) -> HardwareParams:
@@ -166,11 +182,7 @@ def _load_params(args) -> HardwareParams:
 
 
 def _conventions(args) -> Conventions:
-    source: str | float
-    if getattr(args, "velocity", None) is not None:
-        source = float(args.velocity)
-    else:
-        source = getattr(args, "velocity_source", "lieb_robinson")
+    source = args.velocity_source if args.velocity is None else args.velocity
     return validate_conventions(Conventions(
         log_base=args.log_base,
         depth_exponent=args.depth_exponent,
@@ -179,50 +191,39 @@ def _conventions(args) -> Conventions:
 
 
 def _cmd_bound(args) -> int:
-    try:
-        params = _load_params(args)
-        conv = _conventions(args)
-        if args.kind == "naive":
-            n_max = bounds.naive_max_qubits(params.a, params.delta_t,
-                                            params.c_max, conv.log_base)
-            print(f"naive causality bound: N <= {n_max:.6e} "
-                  f"(a={params.a:g} m, delta_t={params.delta_t:g} s, "
-                  f"c={params.c_max:g} m/s, log_base={conv.log_base})")
-            return EXIT_OK
-        if args.kind == "teleport":
-            result = bounds.teleport_hybrid_max_qubits(params, conv)
-        else:
-            result = bounds.qram_max_qubits(params, conv)
-        _print_bound(result)
+    params = _load_params(args)
+    conv = _conventions(args)
+    if args.kind == "naive":
+        n_max = bounds.naive_max_qubits(params.a, params.delta_t,
+                                        params.c_max, conv.log_base)
+        print(f"naive causality bound: N <= {n_max:.6e} "
+              f"(a={params.a:g} m, delta_t={params.delta_t:g} s, "
+              f"c={params.c_max:g} m/s, log_base={conv.log_base})")
         return EXIT_OK
-    except (ParamsError, bounds.BoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.kind == "teleport":
+        _print_bound(bounds.teleport_hybrid_max_qubits(params, conv))
+    else:
+        _print_bound(bounds.qram_max_qubits(params, conv))
+    return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    try:
-        if args.preset == "fig3":
-            grid = fig3_grid(args.depth_exponent, args.log_base)
-        elif args.preset == "fig4":
-            grid = fig4_grid(args.depth_exponent, args.log_base)
-        else:
-            if not args.axis:
-                raise ParamsError("custom sweep needs --axis")
-            axes = tuple(_parse_axis(a) for a in args.axis)
-            params = _load_params(args)
-            dims = tuple(int(x) for x in args.dims.split(","))
-            grid = SweepGrid(
-                axes=axes, fixed=params,
-                conventions=Conventions(log_base=args.log_base,
-                                        depth_exponent=args.depth_exponent),
-                dims=dims)
-        n = run_sweep(grid, args.out)
-        print(f"wrote {n} rows to {args.out}")
-        return EXIT_OK
-    except (ParamsError, bounds.BoundError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.preset == "fig3":
+        grid = fig3_grid(args.depth_exponent, args.log_base)
+    elif args.preset == "fig4":
+        grid = fig4_grid(args.depth_exponent, args.log_base)
+    else:
+        if not args.axis:
+            raise ParamsError("custom sweep needs --axis")
+        grid = SweepGrid(
+            axes=tuple(_parse_axis(a) for a in args.axis),
+            fixed=_load_params(args),
+            conventions=Conventions(log_base=args.log_base,
+                                    depth_exponent=args.depth_exponent),
+            dims=tuple(int(x) for x in args.dims.split(",")))
+    n = run_sweep(grid, args.out)
+    print(f"wrote {n} rows to {args.out}")
+    return EXIT_OK
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -236,37 +237,23 @@ def _parse_axis(text: str) -> AxisSpec:
                     points=int(points), log=scale == "log")
 
 
-def write_cone_csv(path: str | Path, scan: lattice.LightConeScan,
-                   meta: dict) -> None:
-    """Write a light-cone scan as (r, t_arrival, commutator_peak) rows after
-    one ``# key=value ...`` comment line built from ``meta``."""
-    lines = ["# " + " ".join(f"{key}={value}" for key, value in meta.items()),
-             "r,t_arrival,commutator_peak"]
-    for row in scan.rows:
-        t_str = "" if row.t_arrival is None else f"{row.t_arrival:.10g}"
-        lines.append(f"{row.r},{t_str},{row.peak:.10g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+CONE_HEADER = ("r", "t_arrival", "commutator_peak")
 
 
 def _cmd_lightcone(args) -> int:
-    try:
-        lam = tuple(float(x) for x in args.lam.split(","))
-        spec = lattice.LatticeSpec(d=args.d, L=args.L, lam=lam, m=args.m,
-                                   a=args.a)
-        r_max = args.r_max if args.r_max is not None else spec.L // 2 - spec.nu
-        scan = lattice.measure_light_cone(spec, threshold=args.threshold,
-                                          t_max=args.t_max, r_max=r_max,
-                                          dt=args.dt, fit_r_min=args.fit_r_min)
-    except (lattice.LatticeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    lam = tuple(float(x) for x in args.lam.split(","))
+    spec = lattice.LatticeSpec(d=args.d, L=args.L, lam=lam, m=args.m, a=args.a)
+    r_max = args.r_max if args.r_max is not None else spec.L // 2 - spec.nu
+    scan = lattice.measure_light_cone(spec, threshold=args.threshold,
+                                      t_max=args.t_max, r_max=r_max,
+                                      dt=args.dt, fit_r_min=args.fit_r_min)
     gv = lattice.max_group_velocity(spec)
     bound = lattice.lr_bound_velocity(spec)
     if args.out:
-        write_cone_csv(args.out, scan, {
-            "threshold": f"{scan.threshold:g}", "t_max": f"{scan.t_max:g}",
-            "dt": f"{scan.dt:g}", "d": spec.d, "L": spec.L, "lam": args.lam,
-            "m": f"{spec.m:g}"})
+        write_csv(args.out, {"threshold": scan.threshold, "t_max": scan.t_max,
+                             "dt": scan.dt, "d": spec.d, "L": spec.L,
+                             "lam": args.lam, "m": spec.m},
+                  CONE_HEADER, [(c.r, c.t_arrival, c.peak) for c in scan.rows])
     fitted = scan.fitted_velocity_lattice
     print(f"fitted velocity:     {fitted:.6g} sites/s "
           f"({scan.fitted_velocity_physical:.6g} m/s)")
@@ -283,43 +270,31 @@ def _cmd_lightcone(args) -> int:
 
 
 def _cmd_qramsim(args) -> int:
-    try:
-        if args.db is not None:
-            db = qram.read_database(args.db)
-        elif args.random_db:
-            if args.N is None:
-                raise qram.QramError("--random-db needs --N")
-            db = qram.random_database(args.N, seed=args.seed)
-        else:
-            raise qram.QramError("need --db or --random-db with --N")
-        if args.N is not None and db.N != args.N:
-            raise qram.QramError(f"database length {db.N} != N={args.N}")
-        if args.address != "all":
-            address = int(args.address)
-            if not 0 <= address < db.N:
-                raise qram.QramError(f"address {address} out of range for N={db.N}")
-    except (qram.QramError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
-        if args.address != "all":
-            basis = np.zeros(db.N, dtype=complex)
-            basis[address] = 1.0
-            result = qram.simulate_query(db, basis, args.g1, args.g2)
-        else:
-            report = qram.verify_retrieval(db, g1=args.g1, g2=args.g2,
-                                           seed=args.seed)
-    except (qram.QramError, gates.GateError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    print("address expected read fidelity")
+    if args.db is not None:
+        db = qram.read_database(args.db)
+    elif args.random_db:
+        if args.N is None:
+            raise qram.QramError("--random-db needs --N")
+        db = qram.random_database(args.N, seed=args.seed)
+    else:
+        raise qram.QramError("need --db or --random-db with --N")
+    if args.N is not None and db.N != args.N:
+        raise qram.QramError(f"database length {db.N} != N={args.N}")
     if args.address != "all":
+        address = int(args.address)
+        if not 0 <= address < db.N:
+            raise qram.QramError(f"address {address} out of range for N={db.N}")
+        basis = np.zeros(db.N, dtype=complex)
+        basis[address] = 1.0
+        result = qram.simulate_query(db, basis, args.g1, args.g2)
         row = result.table[0]
+        print("address expected read fidelity")
         print(f"{row.address:7d} {row.expected:8d} {row.read:4d} {row.fidelity:.12f}")
         ok = row.read == row.expected and result.fidelity >= 1.0 - 1e-9
         return EXIT_OK if ok else EXIT_RETRIEVAL
 
+    report = qram.verify_retrieval(db, g1=args.g1, g2=args.g2, seed=args.seed)
+    print("address expected read fidelity")
     for row in report.rows:
         print(f"{row.address:7d} {row.expected:8d} {row.read:4d} {row.fidelity:.12f}")
     print(f"min fidelity: {report.min_fidelity:.12f}")
@@ -397,8 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand. Every refusal of its input, whether a library
+    error (all subclass ValueError) or an unreadable or unwritable file,
+    ends here as one ``error:`` line and exit code 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

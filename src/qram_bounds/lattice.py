@@ -506,6 +506,7 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise LatticeError("dt must be finite and positive")
     if dt is None:
+        _check_work(float(spec.n_sites), "the mode grid of the automatic dt")
         w_max = normal_modes(spec).omega_max
         dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
     _check_work((t_max / dt + 2.0) * (r_max + 1), "the time signal")

@@ -68,6 +68,8 @@ def validate_conventions(conv: Conventions) -> Conventions:
             raise ParamsError(f"unknown velocity source {src!r}")
     else:
         src = float(src)
+        if not math.isfinite(src):
+            raise ParamsError(f"non-finite explicit velocity {src}")
         if src <= 0:
             raise ParamsError("nonpositive explicit velocity")
     return Conventions(log_base=base, depth_exponent=conv.depth_exponent,

@@ -264,11 +264,9 @@ SUITES = (
 )
 
 
-def run_verify(stream=None) -> int:
+def run_verify() -> int:
     """Run every suite; print one line per suite with timing; return 0 if
     everything passed, 1 otherwise."""
-    import sys
-    out = stream or sys.stdout
     failed = False
     for name, suite in SUITES:
         start = time.perf_counter()
@@ -277,8 +275,8 @@ def run_verify(stream=None) -> int:
         bad = [c for c in checks if not c[1]]
         status = "PASS" if not bad else "FAIL"
         print(f"{status} {name}: {len(checks) - len(bad)}/{len(checks)} checks "
-              f"({elapsed:.2f}s)", file=out)
+              f"({elapsed:.2f}s)")
         for cname, _, detail in bad:
-            print(f"  FAIL {name}.{cname}: {detail}", file=out)
+            print(f"  FAIL {name}.{cname}: {detail}")
             failed = True
     return 1 if failed else 0

@@ -22,9 +22,9 @@ def make_params(**overrides):
 # --- independent oracle: locate the largest root of N - R*log(N)^p by a
 # --- log-grid sign scan, then refine by bisection
 
-def scan_largest_root(R, p, log10_hi=40.0, grid=20000):
+def scan_largest_root(R, p, log10_hi=40.0, grid=20000, log10_lo=0.01):
     logf = math.log
-    Ns = np.logspace(0.01, log10_hi, grid)
+    Ns = np.logspace(log10_lo, log10_hi, grid)
     f = np.array([N - R * logf(N) ** p for N in Ns])
     sign_changes = np.nonzero(np.diff(np.sign(f)) != 0)[0]
     if len(sign_changes) == 0:
@@ -38,6 +38,12 @@ def scan_largest_root(R, p, log10_hi=40.0, grid=20000):
         else:
             lo = mid
     return math.sqrt(lo * hi)
+
+
+def root_threshold(p, log_base="natural"):
+    """Smallest R with a root of N = R log^p N: (e/p)^p, times (ln 2)^p for
+    log base 2."""
+    return (math.e / p) ** p * (math.log(2.0) ** p if log_base == "2" else 1.0)
 
 
 class TestLrVelocity:
@@ -74,6 +80,11 @@ class TestCoarseGrain:
 
     def test_dimension_factor(self):
         assert coarse_grain(make_params(lam=(3.0,), a=1.0, d=2)) == pytest.approx(6.0)
+
+    @pytest.mark.parametrize("d,expected", [(1, 2.0), (2, 2.0), (3, 1.5)])
+    def test_spacing_enters_as_a_to_the_two_minus_d(self, d, expected):
+        assert coarse_grain(make_params(lam=(1.0,), a=2.0, d=d)) == \
+            pytest.approx(expected, rel=1e-15)
 
 
 class TestQftVelocity:
@@ -135,6 +146,44 @@ class TestFixedPointSolve:
         with pytest.raises(FixedPointError):
             fixed_point_solve(math.e, 1)
 
+    @pytest.mark.parametrize("R,p,small,large", [
+        (0.8, 3, 10.9, 40.8), (0.9, 3, 7.8, 66.7), (0.3, 4, 13.0, 360.3)])
+    def test_root_above_the_tangency_point_found(self, R, p, small, large):
+        # base^2 lies below the small root here; the iteration starts at the
+        # tangency point e^p, between the roots, and climbs to the large one
+        N = fixed_point_solve(R, p)
+        assert N == pytest.approx(large, abs=0.05)
+        assert N == pytest.approx(scan_largest_root(R, p), rel=1e-9)
+        assert scan_largest_root(R, p, log10_hi=math.log10(small * 1.01)) \
+            == pytest.approx(small, abs=0.05)
+
+    @pytest.mark.parametrize("log_base", ["natural", "2"])
+    @pytest.mark.parametrize("p", [1, 4, 8])
+    def test_converges_just_above_the_root_threshold(self, p, log_base):
+        R = root_threshold(p, log_base) * (1 + 1e-9)
+        N = fixed_point_solve(R, p, log_base)
+        logf = math.log if log_base == "natural" else math.log2
+        assert abs(N - R * logf(N) ** p) <= 1e-10 * N
+        assert N >= math.exp(p)
+
+    @given(p=st.integers(1, 8), x=st.floats(0.0, 1.0))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scan_from_threshold_to_1e15(self, p, x):
+        # R from threshold * (1 + 1e-6) up to 1e15, log-spaced in R/threshold - 1
+        threshold = root_threshold(p)
+        R = threshold * (1 + 1e-6 * ((1e15 / threshold - 1) / 1e-6) ** x)
+        # the largest root lies at or above e^p, so the scan starts there;
+        # from its default start, two roots 0.3% apart just above the
+        # threshold could share one grid cell and show no sign change
+        oracle = scan_largest_root(R, p, log10_lo=p / math.log(10.0))
+        assert fixed_point_solve(R, p) == pytest.approx(oracle, rel=1e-8)
+
+    def test_overflowing_root_named(self):
+        with pytest.raises(FixedPointError, match="overflows a float"):
+            fixed_point_solve(1.0, 200)
+        with pytest.raises(FixedPointError, match="overflows a float"):
+            fixed_point_solve(1.0, 1000)
+
     def test_pathological_small_ratio(self):
         with pytest.raises(FixedPointError, match="no fixed point"):
             fixed_point_solve(1.0, 1)
@@ -142,6 +191,9 @@ class TestFixedPointSolve:
     def test_rejects_bad_inputs(self):
         with pytest.raises(BoundError):
             fixed_point_solve(-1.0, 1)
+        for R in (math.nan, math.inf):
+            with pytest.raises(BoundError, match="non-finite ratio R"):
+                fixed_point_solve(R, 2)
         with pytest.raises(BoundError):
             fixed_point_solve(1.0, -2)
 
@@ -284,3 +336,21 @@ class TestCrossModuleConsistency:
             slope_physical = a * lattice.dispersion(spec, q) / q
             v_qft = qft_velocity(coarse_grain(p), density(p))
             assert v_qft == pytest.approx(slope_physical, rel=1e-9)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_higher_dimensions_hold_at_any_spacing(self, d):
+        # slope per wavevector component along the diagonal, in m/s
+        for a in (1e-6, 0.5, 2.5):
+            p = make_params(lam=(1.0, 0.5), nu=2, m=1.3, d=d, a=a)
+            spec = lattice.LatticeSpec(d=d, L=12, lam=(1.0, 0.5), m=1.3, a=a)
+            q = 1e-7
+            slope_physical = a * lattice.dispersion(spec, (q,) * d) / q
+            v_qft = qft_velocity(coarse_grain(p), density(p))
+            assert v_qft == pytest.approx(slope_physical, rel=1e-9)
+
+    @pytest.mark.parametrize("d,expected", [(2, 44.72135955), (3, 54.77225575)])
+    def test_qft_source_matches_long_wave_slope(self, d, expected):
+        # a = 1 um, m = 1e-15 kg, lam = 1: long-wave slope sqrt(d) * 31.6 m/s
+        p = make_params(m=1e-15, d=d)
+        r = qram_max_qubits(p, Conventions(velocity_source="qft"))
+        assert r.velocity_used == pytest.approx(expected, rel=1e-9)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qram_bounds import cli, lattice, qram, verify
 from qram_bounds.cli import AxisSpec, SweepGrid, fig3_grid, fig4_grid, main, run_sweep
@@ -21,6 +22,15 @@ d = 1
 nu = 1
 c_max = 3e8
 """
+
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+
+
+def assert_one_error_line(captured, message=""):
+    """A refused input prints exactly one ``error:`` line and nothing else."""
+    assert captured.err.startswith("error: " + message)
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+    assert captured.out == ""
 
 
 @pytest.fixture
@@ -86,6 +96,28 @@ class TestBoundCommand:
         assert captured.out == ""
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_velocity_exits_2(self, value, capsys):
+        assert main(["bound", f"--velocity={value}"]) == 2
+        assert_one_error_line(capsys.readouterr(),
+                              f"non-finite explicit velocity {float(value)}")
+
+    def test_teleport_kind_runs_the_capacity_path_at_c_max(self, tmp_path, capsys):
+        path = tmp_path / "hw2d.cfg"
+        path.write_text(GOOD_CONFIG.replace("d = 1", "d = 2"))
+        assert main(["bound", "--kind", "teleport", "--config", str(path),
+                     "--depth-exponent", "0"]) == 0
+        record = json.loads(
+            capsys.readouterr().out.splitlines()[-1].removeprefix("record "))
+        assert record["velocity_source"] == "teleport-hybrid"
+        assert record["velocity_used"] == 3e8
+        assert record["max_qubits_total"] == pytest.approx(9e22, rel=1e-12)
+
+    def test_overflowing_depth_exponent_exits_2(self, capsys):
+        assert main(["bound", "--depth-exponent", "200"]) == 2
+        assert_one_error_line(capsys.readouterr(), "fixed point of N")
+
+
 class TestSweepCommand:
     def test_fig3_preset_monotone_columns(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"
@@ -149,6 +181,43 @@ class TestSweepCommand:
         data = np.genfromtxt(str(out), delimiter=",", skip_header=2)
         assert data.shape == (5, 3)
 
+    @pytest.mark.parametrize("lo,hi", [
+        (1.0, math.inf), (1.0, math.nan), (math.nan, 2.0), (-math.inf, 2.0)])
+    def test_non_finite_axis_range_rejected(self, lo, hi):
+        with pytest.raises(ParamsError,
+                           match="non-finite range for sweep axis 'velocity'"):
+            SweepGrid(axes=(AxisSpec("velocity", lo, hi, 3),),
+                      fixed=cli.PRESET_PARAMS, conventions=Conventions())
+
+    @pytest.mark.parametrize("axis", ["velocity:1:inf:3:log",
+                                      "velocity:1:nan:3:log", "g:nan:1:3:lin"])
+    def test_non_finite_axis_range_exits_2(self, axis, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", axis, "--out", str(out)]) == 2
+        name = axis.split(":")[0]
+        assert_one_error_line(capsys.readouterr(),
+                              f"non-finite range for sweep axis '{name}'")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("preset,name", [
+        ("fig3", "fig3_velocity_sweep.csv"), ("fig4", "fig4_coupling_heatmap.csv")])
+    def test_preset_regenerates_committed_csv(self, preset, name, tmp_path):
+        out = tmp_path / name
+        assert main(["sweep", "--preset", preset, "--out", str(out)]) == 0
+        assert out.read_bytes() == (RESULTS / name).read_bytes()
+
+    def test_overflowing_capacity_exits_2(self, tmp_path, capsys):
+        # g = 1e-300 puts the 1D extent near 4e301, whose cube overflows
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", "g:1e-300:1e4:2:log", "--dims", "3",
+                     "--depth-exponent", "0", "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(), "total capacity 4.35312e+301^3")
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert main(["sweep", "--axis", "g:1e-3:1:4:log", "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(), "[Errno 2]")
+
     def test_bad_axis_spec_exits_2(self, tmp_path, capsys):
         code = main(["sweep", "--axis", "velocity:100:1000:1:log",
                      "--out", str(tmp_path / "x.csv")])
@@ -208,6 +277,23 @@ class TestLightconeCommand:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
+
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "cone.csv"
+        assert main(["lightcone", "--L", "40", "--r-max", "10", "--t-max", "8",
+                     "--dt", "0.05", "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(), "[Errno 2]")
+
+    def test_automatic_dt_refuses_oversized_grid_before_building_it(
+            self, monkeypatch, capsys):
+        def no_grid(spec):
+            raise AssertionError("normal_modes called before the size check")
+
+        monkeypatch.setattr(lattice, "normal_modes", no_grid)
+        assert main(["lightcone", "--d", "3", "--L", "100000", "--t-max", "1"]) == 2
+        assert_one_error_line(
+            capsys.readouterr(),
+            "the mode grid of the automatic dt needs 1e+15 array entries")
 
     def test_prints_fit_diagnostics(self, capsys):
         assert main(["lightcone", "--L", "64", "--r-max", "20", "--t-max", "6",
@@ -309,3 +395,115 @@ class TestVerifyCommand:
             return [re.sub(r"\(\d+\.\d+s\)", "", line)
                     for line in out.splitlines()]
         assert status_lines() == status_lines()
+
+
+BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "abc", ""]
+FUZZ_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                         suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def pick(rnd, valid, bad=BAD_NUMBERS):
+    """A valid value nine times in ten, so that most runs get past the first
+    check and into the library, else a bad one."""
+    return rnd.choice(valid if rnd.random() < 0.9 else bad)
+
+
+def flags(rnd, **pools):
+    """``--flag=value`` for each flag, left out one time in four; a pool is
+    ``valid`` or ``(valid, bad)``."""
+    return [f"--{flag.replace('_', '-')}=" + pick(rnd, *(
+                pool if isinstance(pool, tuple) else (pool,)))
+            for flag, pool in pools.items() if rnd.random() < 0.75]
+
+
+class TestArgvFuzz:
+    """Whatever the argv, main returns an exit code in {0, 1, 2, 3} or argparse
+    exits with 2; no other exception escapes, and a refusal is one
+    ``error:`` line. Sizes stay below the caps: L <= 40, N <= 16, at most 5
+    sweep points per axis."""
+
+    def run(self, argv, capsys):
+        capsys.readouterr()   # drop what earlier examples printed
+        try:
+            code = main(argv)
+        except SystemExit as exc:   # argparse refused the argv
+            assert exc.code == 2
+            return
+        captured = capsys.readouterr()
+        assert code in (0, 1, 2, 3)
+        if code == 2:
+            assert_one_error_line(captured)
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        (tmp_path / "hw.cfg").write_text(GOOD_CONFIG)
+        (tmp_path / "hw2d.cfg").write_text(GOOD_CONFIG.replace("d = 1", "d = 2"))
+        (tmp_path / "tiny_g.cfg").write_text(
+            GOOD_CONFIG.replace("g1 = 6283.185307179586", "g1 = 5e-324"))
+        for name, bits in (("db4", "0110"), ("db8", "01101001"),
+                           ("db16", "0110" * 4), ("db3", "012"), ("db0", "")):
+            (tmp_path / f"{name}.txt").write_text(bits)
+        return tmp_path
+
+    @given(rnd=st.randoms(use_true_random=False))
+    @FUZZ_SETTINGS
+    def test_bound(self, rnd, paths, capsys):
+        argv = ["bound", *flags(
+            rnd, kind=(["naive", "qram", "teleport"], ["bogus"]),
+            velocity=["6000", "1", "2.5"],
+            velocity_source=(["lieb_robinson", "qft", "group"], ["warp"]),
+            depth_exponent=(["0", "1", "2", "8"], ["-1", "200", "1000", "1e308"]),
+            log_base=(["natural", "2"], ["10"]),
+            config=([str(paths / "hw.cfg"), str(paths / "hw2d.cfg")],
+                    [str(paths / "tiny_g.cfg"), str(paths / "missing.cfg")]))]
+        self.run(argv, capsys)
+
+    @given(rnd=st.randoms(use_true_random=False))
+    @FUZZ_SETTINGS
+    def test_sweep(self, rnd, paths, capsys):
+        argv = ["sweep", "--out=" + rnd.choice([str(paths / "s.csv"),
+                                                str(paths / "missing" / "s.csv")])]
+        for _ in range(rnd.choice([0, 1, 1, 2])):
+            axis = ":".join([pick(rnd, ["velocity", "g", "v2"], ["mass"]),
+                             pick(rnd, ["1e-300", "1e-3", "1"]),
+                             pick(rnd, ["100", "1e4", "1e308"]),
+                             pick(rnd, ["2", "5"], ["-1", "0", "1", "x"]),
+                             pick(rnd, ["lin", "log"], ["cubic"])])
+            argv.append("--axis=" + pick(rnd, [axis], [
+                "", "velocity", "velocity:1:2:3", "g:1:2:3:log:extra"]))
+        argv += flags(rnd, dims=(["1", "1,2,3", "3"], ["0", "4", "x", ""]),
+                      depth_exponent=(["0", "2"], ["-1", "200"]),
+                      log_base=(["natural", "2"], ["10"]),
+                      config=([str(paths / "hw.cfg")],
+                              [str(paths / "tiny_g.cfg"),
+                               str(paths / "missing.cfg")]))
+        self.run(argv, capsys)
+
+    @given(rnd=st.randoms(use_true_random=False))
+    @FUZZ_SETTINGS
+    def test_lightcone(self, rnd, paths, capsys):
+        # L and t_max are always given, so that no run takes the default
+        # t_max = 220 on a 3D lattice
+        argv = ["lightcone", "--L=" + pick(rnd, ["16", "40"], ["0", "-1", "4", "abc"]),
+                "--t-max=" + pick(rnd, ["2", "4"])]
+        argv += flags(
+            rnd, d=(["1", "2", "3"], ["0", "4"]),
+            lam=(["1.0", "1,0.5"], ["0", "-1", "nan", "inf", "x", ""]),
+            m=["1", "2.5"], a=["1", "1e-6"], threshold=["1e-3", "0.1"],
+            dt=["0.05", "0.1"], r_max=(["1", "4"], ["0", "-1", "100", "abc"]),
+            fit_r_min=(["1", "3"], ["0", "50"]),
+            out=[str(paths / "c.csv"), str(paths / "missing" / "c.csv")])
+        self.run(argv, capsys)
+
+    @given(rnd=st.randoms(use_true_random=False))
+    @FUZZ_SETTINGS
+    def test_qramsim(self, rnd, paths, capsys):
+        argv = ["qramsim"] + (["--random-db"] if rnd.random() < 0.5 else [])
+        argv += flags(
+            rnd, N=(["2", "4", "8"], ["0", "-1", "1", "3", "16", "abc"]),
+            db=([str(paths / "db4.txt"), str(paths / "db8.txt")],
+                [str(paths / f"{n}.txt") for n in ("db16", "db3", "db0", "missing")]),
+            address=(["all", "0", "3"], ["-1", "100", "x"]),
+            g1=["3.14", "1.3"], g2=["3.14", "0.7"],
+            seed=(["0", "7"], ["-1", "abc"]))
+        self.run(argv, capsys)

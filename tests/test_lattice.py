@@ -523,6 +523,16 @@ class TestLightCone:
             measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10,
                                dt=0.125)
 
+    def test_automatic_dt_checks_the_mode_grid_before_building_it(self, monkeypatch):
+        def no_grid(spec):
+            raise AssertionError("normal_modes called before the size check")
+
+        monkeypatch.setattr(lattice, "normal_modes", no_grid)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 40 ** 3 - 1)
+        spec = LatticeSpec(d=3, L=40, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match="mode grid .* needs 6.4e\\+04"):
+            measure_light_cone(spec, threshold=1e-3, t_max=1.0, r_max=10)
+
     def test_fit_diagnostics(self):
         # at t_max = 2 the far distances never leave the noise floor
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)

@@ -121,6 +121,11 @@ class TestConventions:
         conv = validate_conventions(Conventions(velocity_source=6000.0))
         assert conv.velocity_source == 6000.0
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_explicit_velocity(self, value):
+        with pytest.raises(ParamsError, match="non-finite explicit velocity"):
+            validate_conventions(Conventions(velocity_source=value))
+
     def test_rejects_unknown_source(self):
         with pytest.raises(ParamsError, match="velocity source"):
             validate_conventions(Conventions(velocity_source="warp"))

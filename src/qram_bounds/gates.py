@@ -1,6 +1,6 @@
 """Primitive router gates (beam splitter, controlled phase) with their
-physical time scales, the controlled-SWAP composite, and phase-gauge
-comparison of unitaries.
+physical time scales, the controlled-SWAP composite, the (permutation,
+phases) form of monomial gates, and phase-gauge comparison of unitaries.
 
 All modes are two-level. Generators: excitation exchange
 (sigma+ sigma- + h.c., strength g1) for beam splitter/SWAP, number-number
@@ -139,6 +139,25 @@ def cswap_composite(g1: float, g2: float, cz_arm: str = "a",
     CZ = _embed(cz_unitary(g2, t_cphase(g2)), (0, 1 if cz_arm == "a" else 2))
     closing = BS.conj().T if second_bs_inverse else BS
     return closing @ CZ @ BS
+
+
+def monomial(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split a monomial matrix into (perm, phases) with U|j> = phases[j] |perm[j]>.
+
+    Raises GateError when some column has a second entry above 1e-12 or
+    two columns share their nonzero row.
+    """
+    U = np.asarray(U)
+    if U.ndim != 2 or U.shape[0] != U.shape[1]:
+        raise GateError("monomial form needs a square matrix")
+    cols = np.arange(U.shape[1])
+    perm = np.argmax(np.abs(U), axis=0)
+    phases = U[perm, cols]
+    rest = np.abs(U)
+    rest[perm, cols] = 0.0
+    if rest.max() > 1e-12 or len(set(perm.tolist())) != len(perm):
+        raise GateError("gate is not monomial (tolerance 1e-12)")
+    return perm, phases
 
 
 def cswap_duration(g1: float, g2: float) -> float:

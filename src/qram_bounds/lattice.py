@@ -499,6 +499,9 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
         raise LatticeError("r_max must be >= 1")
     if r_max > spec.L // 2 - spec.nu:
         raise LatticeError("r_max too large for lattice (wrap-around)")
+    if fit_r_min > r_max - 1:
+        raise LatticeError(f"fit_r_min = {fit_r_min} leaves fewer than two "
+                           f"distances to fit (r_max = {r_max})")
     if not math.isfinite(t_max):
         raise LatticeError("t_max must be finite")
     if t_max <= 0:

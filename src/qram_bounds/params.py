@@ -92,6 +92,7 @@ def validate(params: HardwareParams) -> HardwareParams:
         raise ParamsError("nonpositive clock cycle time")
     if params.g1 <= 0 or params.g2 <= 0:
         raise ParamsError("nonpositive coupling")
+    tau0(params.g1, params.g2)
     if params.m <= 0:
         raise ParamsError("nonpositive site mass")
     if params.c_max <= 0:
@@ -110,10 +111,15 @@ def validate(params: HardwareParams) -> HardwareParams:
 
 
 def tau0(g1: float, g2: float) -> float:
-    """Per-stage gate-time scale pi/g1 + pi/g2 [s]."""
+    """Per-stage gate-time scale pi/g1 + pi/g2 [s]; refuses a coupling so
+    small that it overflows."""
     if g1 <= 0 or g2 <= 0:
         raise ParamsError("nonpositive coupling")
-    return math.pi / g1 + math.pi / g2
+    t1, t2 = math.pi / g1, math.pi / g2
+    if not math.isfinite(t1 + t2):
+        name, g = ("g1", g1) if not math.isfinite(t1) or t1 > t2 else ("g2", g2)
+        raise ParamsError(f"non-finite tau0 = pi/g1 + pi/g2 from coupling {name}={g!r}")
+    return t1 + t2
 
 
 def density(params: HardwareParams) -> float:

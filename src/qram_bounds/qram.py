@@ -1,5 +1,5 @@
 """Bucket-brigade routing tree: initialization/query schedules with
-clock-cycle accounting, and full state-vector simulation for small N.
+clock-cycle accounting, and a monomial simulator of the query circuit.
 
 Register layout used by the simulator (all two-level modes):
 
@@ -18,6 +18,9 @@ running initialization in reverse.
 Scheduling counts one routing operation per clock cycle per level (gates on
 disjoint subtrees at the same level share a cycle); wall time charges each
 cycle its slowest gate.
+
+Every router gate is monomial, so the simulator carries each basis address
+(N <= 2^12) as one bit row and one phase through init, leaf copy and init^-1.
 """
 from __future__ import annotations
 
@@ -30,7 +33,7 @@ import numpy as np
 from . import gates
 from .gates import ControlledSwap, ModeRegister, Swap
 
-MAX_SIM_QUBITS = 8  # state-vector cap for simulate_query
+MAX_LEAVES = 1 << 12  # leaf cap of the simulator
 
 
 class QramError(ValueError):
@@ -46,12 +49,8 @@ def _depth(N: int) -> int:
 # ---------------------------------------------------------------------------
 # register layout helpers
 
-def _router_ordinal(level: int, pos: int) -> int:
-    return (1 << level) - 1 + pos
-
-
 def _router_mode(n: int, level: int, pos: int) -> int:
-    return n + _router_ordinal(level, pos)
+    return n + (1 << level) - 1 + pos
 
 
 def _bus_mode(n: int) -> int:
@@ -90,12 +89,6 @@ class RoutingStage:
             ops.append(ControlledSwap(targets=(ctrl, left, right)))
         return tuple(ops)
 
-    def modes(self) -> tuple[int, ...]:
-        out: list[int] = []
-        for op in self.expand():
-            out.extend(op.modes())
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class BusRouting:
@@ -131,9 +124,6 @@ class Cycle:
     phase: str   # "init" | "descend" | "copy" | "ascend" | "uncompute"
     op: Swap | RoutingStage | BusRouting | DataCopy
 
-    def duration(self, g1: float, g2: float) -> float:
-        return self.op.duration(g1, g2)
-
 
 @dataclass(frozen=True)
 class Schedule:
@@ -158,7 +148,11 @@ class Schedule:
         return sum(1 for c in self.cycles if c.phase in phases)
 
     def wall_time(self, g1: float, g2: float) -> float:
-        return sum(c.duration(g1, g2) for c in self.cycles)
+        """Sum of cycle durations in cycle order; each op class's duration
+        is computed once."""
+        kinds = dict.fromkeys(type(c.op) for c in self.cycles)
+        durations = {kind: kind.duration(g1, g2) for kind in kinds}
+        return sum(durations[type(c.op)] for c in self.cycles)
 
 
 def _init_cycles(n: int, phase: str = "init") -> list[Cycle]:
@@ -194,8 +188,7 @@ def schedule_query(n: int) -> Schedule:
     for level in reversed(range(n)):
         cycles.append(Cycle(kind="route", phase="ascend",
                             op=BusRouting(n=n, level=level)))
-    for cycle in reversed(_init_cycles(n, phase="uncompute")):
-        cycles.append(cycle)
+    cycles.extend(reversed(_init_cycles(n, phase="uncompute")))
     return Schedule(n=n, cycles=tuple(cycles))
 
 
@@ -264,7 +257,7 @@ def classical_trace_read(db: ClassicalDatabase, address: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# state-vector simulation
+# monomial simulation
 
 @dataclass(frozen=True)
 class RetrievalRow:
@@ -276,96 +269,102 @@ class RetrievalRow:
 
 @dataclass(frozen=True)
 class QueryResult:
-    state: np.ndarray                 # over (addresses, routers, bus)
-    n: int
+    bits: np.ndarray                  # output basis states (addresses, routers, bus)
+    amplitudes: np.ndarray            # one per row of bits
     table: tuple[RetrievalRow, ...]
     fidelity: float                   # vs sum_x alpha_x |x>|0_routers>|D_x>
     routers_restored: float           # weight of the routers-all-zero sector
 
+    def state_vector(self) -> np.ndarray:
+        """Dense state; the register cap limits it to N <= 8."""
+        register = ModeRegister(self.bits.shape[1])
+        state = np.zeros(register.total_dim, dtype=complex)
+        state[self.bits @ (1 << np.arange(register.n_modes)[::-1])] = self.amplitudes
+        return state
 
-def _apply_cycles(state: np.ndarray, cycles, register: ModeRegister,
-                  swap_u: np.ndarray, cswap_u: np.ndarray) -> np.ndarray:
+
+def _run_cycles(bits: np.ndarray, phase: np.ndarray, cycles, tables) -> None:
+    """Apply the cycles in place to every row; the gates of a routing stage
+    act on disjoint modes and go in one indexed step."""
     for cycle in cycles:
         op = cycle.op
-        if isinstance(op, RoutingStage):
-            for gate in op.expand():
-                state = gates.apply_unitary(state, cswap_u, gate.modes(),
-                                            register)
-        elif isinstance(op, Swap):
-            state = gates.apply_unitary(state, swap_u, op.modes(), register)
-        else:
+        if not isinstance(op, (RoutingStage, Swap)):
             raise QramError(f"cannot simulate scheduled op {op!r}")
-    return state
+        ops = op.expand() if isinstance(op, RoutingStage) else (op,)
+        modes = np.array([gate.modes() for gate in ops])
+        perm, phases = tables[type(op)]
+        shifts = np.arange(modes.shape[1])[::-1]
+        local = (bits[:, modes] << shifts).sum(axis=2)
+        phase *= phases[local].prod(axis=1)
+        bits[:, modes] = (perm[local][..., None] >> shifts) & 1
 
 
-def _path_config(leaf: int, n: int) -> int:
-    """Router basis configuration that initialization leaves for address
-    ``leaf``: each router on the leaf's path holds its address bit, every
-    other router |0> (router ordinal o is bit 2^n - 2 - o of the index)."""
-    n_routers = (1 << n) - 1
-    config = 0
+def _copy_data(bits: np.ndarray, db: ClassicalDatabase, n: int) -> None:
+    """Flip the bus where the routers hold exactly the path to a leaf that
+    stores a 1: as many routers set in all as on the walk to the leaf."""
+    rows = np.arange(len(bits))
+    leaf = on_path = np.zeros(len(bits), dtype=np.int64)
     for level in range(n):
-        bit = (leaf >> (n - 1 - level)) & 1
-        ordinal = _router_ordinal(level, leaf >> (n - level))
-        config |= bit << (n_routers - 1 - ordinal)
-    return config
+        bit = bits[rows, _router_mode(n, level, 0) + leaf]
+        leaf, on_path = 2 * leaf + bit, on_path + bit
+    is_path = bits[:, n:_bus_mode(n)].sum(axis=1) == on_path
+    bits[is_path & (np.asarray(db.bits)[leaf] == 1), _bus_mode(n)] ^= 1
 
 
-def _apply_data_copy(state: np.ndarray, db: ClassicalDatabase, n: int) -> np.ndarray:
-    """Permutation flipping the bus on the router path of every leaf that
-    holds a 1; identity on configurations no initialization can produce."""
-    view = state.reshape(1 << n, -1, 2).copy()
-    flip = [_path_config(leaf, n) for leaf, bit in enumerate(db.bits) if bit]
-    view[:, flip] = view[:, flip, ::-1]
-    return view.reshape(-1)
+def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
+           g2: float) -> tuple[np.ndarray, np.ndarray]:
+    """Run init, data copy and init in reverse on basis addresses; every
+    gate is monomial, so each stays one basis state: (bit rows, phases)."""
+    if db.N > MAX_LEAVES:
+        raise QramError(f"leaf cap: N <= {MAX_LEAVES}, got {db.N}")
+    n = db.depth
+    units = {Swap: gates.swap_unitary(g1), RoutingStage: gates.cswap_composite(g1, g2)}
+    forward = {kind: gates.monomial(U) for kind, U in units.items()}
+    inverse = {kind: gates.monomial(U.conj().T) for kind, U in units.items()}
+    bits = np.zeros((len(addresses), _n_modes(n)), dtype=np.uint8)
+    bits[:, :n] = (addresses[:, None] >> np.arange(n)[::-1]) & 1
+    phase = np.ones(len(addresses), dtype=complex)
+    init = schedule_initialization(n)
+    _run_cycles(bits, phase, init.cycles, forward)
+    _copy_data(bits, db, n)
+    _run_cycles(bits, phase, reversed(init.cycles), inverse)
+    return bits, phase
+
+
+def _read_out(alpha: np.ndarray, bits: np.ndarray, amplitudes: np.ndarray,
+              stored: np.ndarray, expected) -> QueryResult:
+    """Read out an output of distinct basis states ``bits``; ``stored`` are
+    the database bits and ``expected(x)`` the oracle read of address x."""
+    N, n = len(stored), _depth(len(stored))
+    address = bits[:, :n] @ (1 << np.arange(n)[::-1])
+    routers_zero = ~bits[:, n:_bus_mode(n)].any(axis=1)
+    bus = bits[:, _bus_mode(n)]
+    ideal = routers_zero & (bus == stored[address])
+    prob = np.abs(amplitudes) ** 2
+    weight, p_one, hit = (np.bincount(address, prob * w, minlength=N)
+                          for w in (1.0, bus, ideal))
+    rows = tuple(RetrievalRow(address=x, expected=expected(x),
+                              read=int(p_one[x] / weight[x] > 0.5),
+                              fidelity=float(hit[x] / weight[x]))
+                 for x in np.flatnonzero(weight >= 1e-12).tolist())
+    return QueryResult(
+        bits=bits, amplitudes=amplitudes, table=rows,
+        fidelity=float(abs(np.vdot(alpha[address[ideal]], amplitudes[ideal])) ** 2),
+        routers_restored=float(np.sum(prob[routers_zero])))
 
 
 def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
                    g1: float, g2: float) -> QueryResult:
-    """Run initialization, bus round trip with data copy, and address
-    uncomputation on the full register through the gate layer."""
-    n = db.depth
-    if db.N > MAX_SIM_QUBITS:
-        raise QramError(f"state-vector cap: N <= {MAX_SIM_QUBITS}")
+    """Route the addresses in ``address_state``; superpose their outputs."""
     address_state = np.asarray(address_state, dtype=complex)
     if address_state.shape != (db.N,):
         raise QramError(f"address state must have length {db.N}")
     if abs(np.linalg.norm(address_state) - 1.0) > 1e-12:
         raise QramError("address state must be normalized")
-
-    swap_u = gates.swap_unitary(g1)
-    cswap_u = gates.cswap_composite(g1, g2)
-    register = ModeRegister(_n_modes(n))
-    state = np.zeros(register.total_dim, dtype=complex)
-    state.reshape(db.N, -1)[:, 0] = address_state
-
-    init = schedule_initialization(n)
-    state = _apply_cycles(state, init.cycles, register, swap_u, cswap_u)
-    state = _apply_data_copy(state, db, n)
-    state = _apply_cycles(state, reversed(init.cycles), register,
-                          swap_u.conj().T, cswap_u.conj().T)
-
-    n_routers = (1 << n) - 1
-    view = state.reshape(db.N, 1 << n_routers, 2)
-
-    ideal = np.zeros_like(view)
-    for x in range(db.N):
-        ideal[x, 0, db.bits[x]] = address_state[x]
-    fidelity = float(abs(np.vdot(ideal.reshape(-1), state)) ** 2)
-    routers_restored = float(np.sum(np.abs(view[:, 0, :]) ** 2))
-
-    rows = []
-    for x in range(db.N):
-        weight = float(np.sum(np.abs(view[x]) ** 2))
-        if weight < 1e-12:
-            continue
-        p_one = float(np.sum(np.abs(view[x, :, 1]) ** 2)) / weight
-        expected = classical_trace_read(db, x)
-        row_fid = float(abs(view[x, 0, db.bits[x]]) ** 2) / weight
-        rows.append(RetrievalRow(address=x, expected=expected,
-                                 read=int(p_one > 0.5), fidelity=row_fid))
-    return QueryResult(state=state, n=n, table=tuple(rows),
-                       fidelity=fidelity, routers_restored=routers_restored)
+    support = np.flatnonzero(address_state)
+    bits, phase = _route(db, support, g1, g2)
+    return _read_out(address_state, bits, address_state[support] * phase,
+                     np.asarray(db.bits), lambda x: classical_trace_read(db, x))
 
 
 @dataclass(frozen=True)
@@ -383,18 +382,19 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
                      g2: float = math.pi, n_superpositions: int = 10,
                      seed: int = 7) -> RetrievalReport:
     """Exhaustive correctness harness: every basis address plus random
-    superpositions, checked against the classical-trace semantics."""
-    rows: list[RetrievalRow] = []
-    failures: list[str] = []
-    min_fid = 1.0
+    superpositions (from the same route map, by linearity), checked
+    against the classical-trace semantics."""
+    rows, failures, min_fid = [], [], 1.0
+    bits, phase = _route(db, np.arange(db.N), g1, g2)
+    stored = np.asarray(db.bits)
+    oracle = [classical_trace_read(db, x) for x in range(db.N)]
     for x in range(db.N):
-        basis = np.zeros(db.N, dtype=complex)
-        basis[x] = 1.0
-        result = simulate_query(db, basis, g1, g2)
+        result = _read_out(np.eye(1, db.N, x)[0], bits[x:x + 1], phase[x:x + 1],
+                           stored, oracle.__getitem__)
         row = result.table[0]
         rows.append(row)
         min_fid = min(min_fid, result.fidelity, row.fidelity)
-        if row.read != classical_trace_read(db, x):
+        if row.read != oracle[x]:
             failures.append(f"address {x}: read {row.read} != oracle")
         if result.fidelity < 1.0 - 1e-9:
             failures.append(f"address {x}: fidelity {result.fidelity:.12f}")
@@ -402,7 +402,7 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     for i in range(n_superpositions):
         alpha = rng.standard_normal(db.N) + 1j * rng.standard_normal(db.N)
         alpha /= np.linalg.norm(alpha)
-        result = simulate_query(db, alpha, g1, g2)
+        result = _read_out(alpha, bits, alpha * phase, stored, oracle.__getitem__)
         min_fid = min(min_fid, result.fidelity)
         if result.fidelity < 1.0 - 1e-9:
             failures.append(f"superposition {i}: fidelity {result.fidelity:.12f}")

@@ -96,6 +96,15 @@ class TestBoundCommand:
         assert captured.out == ""
 
 
+    def test_coupling_too_small_for_tau0_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny.cfg"
+        path.write_text(GOOD_CONFIG.replace("g1 = 6283.185307179586", "g1 = 5e-324"))
+        assert main(["bound", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: non-finite tau0 = pi/g1 + pi/g2 from "
+                                "coupling g1=5e-324\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_velocity_exits_2(self, value, capsys):
         assert main(["bound", f"--velocity={value}"]) == 2
@@ -295,6 +304,18 @@ class TestLightconeCommand:
             capsys.readouterr(),
             "the mode grid of the automatic dt needs 1e+15 array entries")
 
+    def test_fit_r_min_beyond_r_max_exits_2(self, monkeypatch, capsys):
+        def no_scan(*args):
+            raise AssertionError("scan ran before the fit_r_min check")
+
+        monkeypatch.setattr(lattice, "axis_signal", no_scan)
+        assert main(["lightcone", "--L", "40", "--t-max", "4", "--r-max", "4",
+                     "--fit-r-min", "50", "--dt", "0.05"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: fit_r_min = 50 leaves fewer than two "
+                                "distances to fit (r_max = 4)\n")
+        assert captured.out == ""
+
     def test_prints_fit_diagnostics(self, capsys):
         assert main(["lightcone", "--L", "64", "--r-max", "20", "--t-max", "6",
                      "--dt", "0.01"]) == 0
@@ -346,8 +367,17 @@ class TestQramsimCommand:
         assert re.search(r"^\s*2\s+1\s+1\s+1\.0", out, re.MULTILINE)
 
     def test_oversized_database_exits_2(self, capsys):
-        assert main(["qramsim", "--random-db", "--N", "16"]) == 2
-        assert "state-vector cap" in capsys.readouterr().err
+        assert main(["qramsim", "--random-db", "--N", "8192"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: leaf cap: N <= 4096, got 8192\n"
+        assert captured.out == ""
+
+    def test_sixteen_leaves_retrieved(self, capsys):
+        assert main(["qramsim", "--random-db", "--N", "16", "--seed", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "PASS: all addresses retrieved" in out
+        assert len(re.findall(r"^\s*\d+\s+[01]\s+[01]\s+1\.0+$", out,
+                              re.MULTILINE)) == 16
 
     @pytest.mark.parametrize("args,message", [
         (["--g1", "0"], "nonpositive coupling g1=0.0"),

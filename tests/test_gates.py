@@ -258,6 +258,41 @@ class TestApplyGate:
             apply_gate(state, Swap(targets=(1, 1)), reg)
 
 
+class TestMonomial:
+    @pytest.mark.parametrize("g1,g2", [(math.pi, math.pi), (1.3, 0.7), (3e4, 7e2)])
+    def test_router_gates_rebuild_from_their_tables(self, g1, g2):
+        for U in (swap_unitary(g1), cswap_composite(g1, g2)):
+            perm, phases = gates.monomial(U)
+            rebuilt = np.zeros_like(U)
+            rebuilt[perm, np.arange(len(perm))] = phases
+            assert np.abs(U - rebuilt).max() <= 1e-12
+            np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
+
+    def test_exact_cswap_is_its_permutation(self):
+        perm, phases = gates.monomial(cswap_exact())
+        assert perm.tolist() == [0, 1, 2, 3, 4, 6, 5, 7]
+        assert np.array_equal(phases, np.ones(8))
+
+    def test_refuses_balanced_beam_splitter(self):
+        g1 = 1.3
+        with pytest.raises(GateError, match="not monomial"):
+            gates.monomial(bs_unitary(g1, t_beamsplitter(g1)))
+
+    def test_refuses_entry_above_tolerance(self):
+        U = np.eye(4, dtype=complex)
+        U[1, 0] = 2e-12
+        with pytest.raises(GateError, match="not monomial"):
+            gates.monomial(U)
+        U[1, 0] = 5e-13
+        assert gates.monomial(U)[0].tolist() == [0, 1, 2, 3]
+
+    def test_refuses_repeated_row_and_non_square(self):
+        with pytest.raises(GateError, match="not monomial"):
+            gates.monomial(np.array([[1.0, 1.0], [0.0, 0.0]]))
+        with pytest.raises(GateError, match="square"):
+            gates.monomial(np.ones((2, 4)))
+
+
 class TestModeRegister:
     def test_total_dimension(self):
         assert ModeRegister(3).total_dim == 8

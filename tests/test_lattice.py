@@ -493,6 +493,25 @@ class TestLightCone:
         with pytest.raises(LatticeError, match="wrap-around"):
             measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=40)
 
+    @pytest.mark.parametrize("fit_r_min", [10, 50])
+    def test_fit_r_min_checked_against_r_max_before_the_scan(
+            self, fit_r_min, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scan ran before the fit_r_min check")
+
+        monkeypatch.setattr(lattice, "axis_signal", no_scan)
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match=f"fit_r_min = {fit_r_min} leaves "
+                                               "fewer than two distances"):
+            measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10,
+                               dt=0.05, fit_r_min=fit_r_min)
+
+    def test_fit_r_min_at_limit_fits_two_distances(self):
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        scan = measure_light_cone(spec, threshold=1e-3, t_max=12.0, r_max=10,
+                                  dt=0.05, fit_r_min=9)
+        assert scan.fitted_velocity_lattice > 0
+
     def test_threshold_domain(self):
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
         with pytest.raises(LatticeError, match="threshold"):

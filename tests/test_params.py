@@ -54,6 +54,12 @@ class TestValidate:
         with pytest.raises(ParamsError, match="non-finite spring constant in lam"):
             validate(make_params(lam=lam, nu=len(lam)))
 
+    @pytest.mark.parametrize("field", ["g1", "g2"])
+    def test_coupling_too_small_for_tau0_named(self, field):
+        with pytest.raises(ParamsError, match=f"non-finite tau0 .* coupling "
+                                              f"{field}=5e-324$"):
+            validate(make_params(**{field: 5e-324}))
+
     @given(a=st.floats(1e-9, 1e3), m=st.floats(1e-9, 1e3),
            lam1=st.floats(1e-9, 1e3), d=st.sampled_from([1, 2, 3]))
     def test_idempotent(self, a, m, lam1, d):
@@ -84,6 +90,24 @@ class TestTau0:
     def test_rejects_nonpositive(self):
         with pytest.raises(ParamsError, match="nonpositive coupling"):
             tau0(0.0, 1.0)
+
+    @pytest.mark.parametrize("g1,g2,named", [
+        (5e-324, 1.0, "g1=5e-324"),
+        (1.0, 5e-324, "g2=5e-324"),
+        (3e-308, 2e-308, "g2=2e-308"),     # each term finite, their sum not
+        (math.nan, 1.0, "g1=nan"),
+        (1.0, math.nan, "g2=nan"),
+    ])
+    def test_non_finite_result_names_the_coupling(self, g1, g2, named):
+        with pytest.raises(ParamsError, match=f"non-finite tau0 .* {named}$"):
+            tau0(g1, g2)
+
+    def test_config_with_tiny_coupling_names_it(self, tmp_path):
+        path = tmp_path / "hw.cfg"
+        path.write_text(TestConfigFile.GOOD.replace("g1 = 3141.592653589793",
+                                                    "g1 = 5e-324"))
+        with pytest.raises(ParamsError, match="coupling g1=5e-324"):
+            load_config(path)
 
 
 class TestDensity:

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qram_bounds import qram
-from qram_bounds.gates import t_cphase, t_swap, t_beamsplitter
+from qram_bounds import gates, qram
+from qram_bounds.gates import ModeRegister, t_cphase, t_swap, t_beamsplitter
 from qram_bounds.qram import (ClassicalDatabase, QramError, RoutingStage,
                               random_database, read_database,
                               schedule_initialization, schedule_query,
@@ -50,6 +50,63 @@ def brute_force_data_copy(state, bits):
         if config & ~path_mask == 0 and bits[pos] == 1:
             view[:, config, :] = view[:, config, ::-1]
     return view.reshape(-1)
+
+
+# --- dense oracle: the full state vector through the gate layer -------------
+
+MAX_SIM_QUBITS = 8  # the dense register holds 2^(n + 2^n) amplitudes
+
+
+def dense_apply_cycles(state, cycles, register, swap_u, cswap_u):
+    """Apply every gate of every cycle as a dense unitary on its modes."""
+    for cycle in cycles:
+        op = cycle.op
+        if isinstance(op, RoutingStage):
+            for gate in op.expand():
+                state = gates.apply_unitary(state, cswap_u, gate.modes(),
+                                            register)
+        else:
+            state = gates.apply_unitary(state, swap_u, op.modes(), register)
+    return state
+
+
+def path_config(leaf, n):
+    """Router configuration that initialization leaves for address ``leaf``:
+    each router on the leaf's path holds its address bit, every other router
+    |0> (router ordinal o is bit 2^n - 2 - o of the index)."""
+    n_routers = (1 << n) - 1
+    config = 0
+    for level in range(n):
+        bit = (leaf >> (n - 1 - level)) & 1
+        ordinal = (1 << level) - 1 + (leaf >> (n - level))
+        config |= bit << (n_routers - 1 - ordinal)
+    return config
+
+
+def dense_data_copy(state, bits, n):
+    """Flip the bus on the router path of every leaf that holds a 1;
+    identity on configurations no initialization can produce."""
+    view = state.reshape(1 << n, -1, 2).copy()
+    flip = [path_config(leaf, n) for leaf, bit in enumerate(bits) if bit]
+    view[:, flip] = view[:, flip, ::-1]
+    return view.reshape(-1)
+
+
+def dense_query(db, alpha, g1, g2):
+    """Initialization, data copy and reversed initialization on the full
+    register state; the amplitude-by-amplitude oracle for simulate_query."""
+    assert db.N <= MAX_SIM_QUBITS
+    n = db.depth
+    swap_u = gates.swap_unitary(g1)
+    cswap_u = gates.cswap_composite(g1, g2)
+    register = ModeRegister(n + db.N)
+    state = np.zeros(register.total_dim, dtype=complex)
+    state.reshape(db.N, -1)[:, 0] = alpha
+    cycles = schedule_initialization(n).cycles
+    state = dense_apply_cycles(state, cycles, register, swap_u, cswap_u)
+    state = dense_data_copy(state, db.bits, n)
+    return dense_apply_cycles(state, reversed(cycles), register,
+                              swap_u.conj().T, cswap_u.conj().T)
 
 
 def basis(N, x):
@@ -183,8 +240,27 @@ class TestDataCopy:
         for code in range(1 << N):
             bits = tuple((code >> (N - 1 - i)) & 1 for i in range(N))
             state = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            out = qram._apply_data_copy(state, ClassicalDatabase(bits), n)
+            out = dense_data_copy(state, bits, n)
             assert np.array_equal(out, brute_force_data_copy(state, bits))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_bit_table_flips_match_walk(self, n):
+        # one row per router configuration, address 0, bus |0>
+        N = 1 << n
+        n_routers = N - 1
+        configs = np.arange(1 << n_routers)
+        table = np.zeros((len(configs), n + N), dtype=np.uint8)
+        table[:, n:n + n_routers] = (configs[:, None]
+                                     >> np.arange(n_routers)[::-1]) & 1
+        state = np.zeros(N * len(configs) * 2, dtype=complex)
+        state.reshape(N, -1, 2)[0, :, 0] = 1.0
+        for code in range(1 << N):
+            bits = tuple((code >> (N - 1 - i)) & 1 for i in range(N))
+            out = table.copy()
+            qram._copy_data(out, ClassicalDatabase(bits), n)
+            walked = brute_force_data_copy(state, bits).reshape(N, -1, 2)
+            assert np.array_equal(out[:, -1], walked[0, :, 1].real.astype(np.uint8))
+            assert np.array_equal(out[:, :-1], table[:, :-1])
 
 
 class TestSimulateQuery:
@@ -206,7 +282,7 @@ class TestSimulateQuery:
         result = simulate_query(db, bell, G, G)
         assert result.fidelity >= 1.0 - 1e-9
         # D_0 = D_3 = 0: the bus stays |0> on both branches
-        view = result.state.reshape(4, 8, 2)
+        view = result.state_vector().reshape(4, 8, 2)
         assert np.sum(np.abs(view[:, :, 1]) ** 2) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("N", [2, 4, 8])
@@ -222,8 +298,8 @@ class TestSimulateQuery:
         rng = np.random.default_rng(2)
         alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         alpha /= np.linalg.norm(alpha)
-        combined = simulate_query(db, alpha, G, G).state
-        parts = sum(alpha[x] * simulate_query(db, basis(4, x), G, G).state
+        combined = simulate_query(db, alpha, G, G).state_vector()
+        parts = sum(alpha[x] * simulate_query(db, basis(4, x), G, G).state_vector()
                     for x in range(4))
         np.testing.assert_allclose(combined, parts, atol=1e-9)
 
@@ -233,7 +309,7 @@ class TestSimulateQuery:
         alpha = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         alpha /= np.linalg.norm(alpha)
         result = simulate_query(db, alpha, G, G)
-        assert np.linalg.norm(result.state) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(result.state_vector()) == pytest.approx(1.0, abs=1e-10)
 
     def test_routers_and_addresses_restored(self):
         db = random_database(8, seed=5)
@@ -243,7 +319,7 @@ class TestSimulateQuery:
         result = simulate_query(db, alpha, G, G)
         assert result.routers_restored >= 1.0 - 1e-9
         # address marginal is preserved through the round trip
-        view = result.state.reshape(8, -1)
+        view = result.state_vector().reshape(8, -1)
         marginal = np.sum(np.abs(view) ** 2, axis=1)
         np.testing.assert_allclose(marginal, np.abs(alpha) ** 2, atol=1e-9)
 
@@ -256,8 +332,15 @@ class TestSimulateQuery:
             assert result.fidelity >= 1.0 - 1e-9
 
     def test_rejects_oversized_database(self):
-        with pytest.raises(QramError, match="state-vector cap"):
-            simulate_query(random_database(16, seed=1), basis(16, 0), G, G)
+        N = 2 * qram.MAX_LEAVES
+        with pytest.raises(QramError, match=f"leaf cap: N <= 4096, got {N}"):
+            simulate_query(random_database(N, seed=1), basis(N, 0), G, G)
+
+    def test_dense_vector_beyond_register_cap_refused(self):
+        result = simulate_query(random_database(16, seed=1), basis(16, 5), G, G)
+        assert result.table[0].read == result.table[0].expected
+        with pytest.raises(gates.GateError, match="mode cap"):
+            result.state_vector()
 
     def test_rejects_unnormalized_address(self):
         db = ClassicalDatabase((0, 1))
@@ -284,3 +367,77 @@ class TestVerifyRetrieval:
         report = verify_retrieval(ClassicalDatabase((1, 1, 1, 1)))
         assert report.passed
         assert all(row.read == 1 for row in report.rows)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("g1,g2", [(G, G), (1.3, 0.7), (3e4, 7e2)])
+    @pytest.mark.parametrize("N", [2, 4, 8])
+    def test_monomial_matches_dense_amplitudes(self, N, g1, g2):
+        db = random_database(N, seed=N + 17)
+        rng = np.random.default_rng(N)
+        inputs = [basis(N, x) for x in range(N)]
+        for _ in range(4):
+            alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            inputs.append(alpha / np.linalg.norm(alpha))
+        for alpha in inputs:
+            sparse = simulate_query(db, alpha, g1, g2).state_vector()
+            assert np.abs(sparse - dense_query(db, alpha, g1, g2)).max() <= 1e-12
+
+    @pytest.mark.parametrize("g1,g2", [(G, G), (1.3, 0.7), (3e4, 7e2)])
+    @pytest.mark.parametrize("N", [2, 4, 8])
+    def test_initialization_phases_match_dense(self, N, g1, g2):
+        # the query's phases cancel between init and its reverse, so check
+        # the phase each address carries after initialization alone
+        n = N.bit_length() - 1
+        swap_u, cswap_u = gates.swap_unitary(g1), gates.cswap_composite(g1, g2)
+        tables = {gates.Swap: gates.monomial(swap_u),
+                  RoutingStage: gates.monomial(cswap_u)}
+        cycles = schedule_initialization(n).cycles
+        bits = np.zeros((N, n + N), dtype=np.uint8)
+        bits[:, :n] = (np.arange(N)[:, None] >> np.arange(n)[::-1]) & 1
+        phase = np.ones(N, dtype=complex)
+        qram._run_cycles(bits, phase, cycles, tables)
+        register = ModeRegister(n + N)
+        place = 1 << np.arange(n + N)[::-1]
+        for x in range(N):
+            state = np.zeros(register.total_dim, dtype=complex)
+            state.reshape(N, -1)[x, 0] = 1.0
+            dense = dense_apply_cycles(state, cycles, register, swap_u, cswap_u)
+            sparse = np.zeros_like(dense)
+            sparse[bits[x] @ place] = phase[x]
+            assert np.abs(sparse - dense).max() <= 1e-12
+        assert np.abs(phase - 1.0).max() > 0.1    # the phases are not trivial
+
+    def test_dense_oracle_retrieves(self):
+        db = ClassicalDatabase((0, 1, 1, 0, 1, 0, 0, 1))
+        for x in range(8):
+            view = dense_query(db, basis(8, x), 1.3, 0.7).reshape(8, -1, 2)
+            assert abs(view[x, 0, db.bits[x]]) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+class TestWallTime:
+    @pytest.mark.parametrize("g1,g2", [(G, G), (1.3, 0.7), (3e4, 7e2)])
+    def test_equals_per_cycle_sum(self, g1, g2):
+        for n in range(1, 21):
+            for sched in (schedule_initialization(n), schedule_query(n)):
+                per_cycle = sum(c.op.duration(g1, g2) for c in sched.cycles)
+                assert sched.wall_time(g1, g2) == per_cycle
+
+
+class TestLargeTrees:
+    def test_exhaustive_retrieval_at_1024_leaves(self):
+        db = random_database(1024, seed=3)
+        report = verify_retrieval(db, g1=1.3, g2=0.7)
+        assert report.passed, report.failures[:3]
+        assert [row.address for row in report.rows] == list(range(1024))
+        assert all(row.read == db.bits[row.address] for row in report.rows)
+        assert report.min_fidelity >= 1.0 - 1e-9
+
+    def test_leaf_cap_checked_before_routing(self, monkeypatch):
+        def no_gates(*args):
+            raise AssertionError("gates built before the cap check")
+
+        monkeypatch.setattr(gates, "swap_unitary", no_gates)
+        db = random_database(2 * qram.MAX_LEAVES, seed=2)
+        with pytest.raises(QramError, match="leaf cap"):
+            verify_retrieval(db)

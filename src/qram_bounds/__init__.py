@@ -19,11 +19,9 @@ from .lattice import (LatticeError, LatticeSpec, LightConeScan, LRBoundParams,
                       max_group_velocity, measure_light_cone, normal_modes,
                       omega_squared, propagate, propagate_ode,
                       symplectic_form, weyl_commutator_norm)
-from .gates import (BeamSplitter, ControlledPhase, ControlledSwap, GateError,
-                    GateSpec, GaugeResult, ModeRegister, Swap, apply_gate,
-                    bs_unitary, cswap_composite, cswap_duration, cswap_exact,
-                    cz_unitary, gauge_equivalent, swap_unitary,
-                    t_beamsplitter, t_cphase, t_swap)
+from .gates import (GateError, GaugeResult, bs_unitary, cswap_composite,
+                    cswap_duration, cswap_exact, cz_unitary, gauge_equivalent,
+                    swap_unitary, t_beamsplitter, t_cphase, t_swap)
 from .qram import (ClassicalDatabase, QramError, QueryResult, RetrievalReport,
                    Schedule, classical_trace_read, random_database,
                    read_database, schedule_initialization, schedule_query,

@@ -13,6 +13,8 @@ from . import lattice as _lattice
 from .params import (Conventions, HardwareParams, density, tau0, validate,
                      validate_conventions)
 
+SOLVER_STEPS = 10 ** 6  # iteration cap of fixed_point_solve
+
 
 class BoundError(ValueError):
     pass
@@ -62,8 +64,7 @@ def qft_velocity(lambda_d: float, rho: float) -> float:
     return math.sqrt(lambda_d / rho)
 
 
-def fixed_point_solve(R: float, p: int, log_base: str = "natural",
-                      max_iter: int = 10 ** 6) -> float:
+def fixed_point_solve(R: float, p: int, log_base: str = "natural") -> float:
     """Largest fixed point of N = R * log(N)^p.
 
     Iterates N <- R * log(N)^p from N0 = max(R, base^2, e^p) until the
@@ -75,7 +76,7 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural",
     above the tangency point.
 
     Raises FixedPointError when the iterate leaves the domain, overflows a
-    float, or fails to converge within ``max_iter`` steps, which signals a
+    float, or fails to converge within SOLVER_STEPS steps, which signals a
     pathological R (R * log^p has no fixed point above 1, or only a
     tangency).
     """
@@ -91,7 +92,7 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural",
     logf = math.log if log_base == "natural" else math.log2
     try:
         N = max(R, base * base, math.exp(p))
-        for _ in range(max_iter):
+        for _ in range(SOLVER_STEPS):
             new = R * logf(N) ** p
             if new <= 1.0 or not math.isfinite(new):
                 raise FixedPointError(
@@ -103,7 +104,7 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural",
         raise FixedPointError(f"fixed point of N = {R:g}*log^{p}(N) "
                               "overflows a float") from None
     raise FixedPointError(
-        f"no convergence after {max_iter} iterations for N = {R:g}*log^{p}(N)")
+        f"no convergence after {SOLVER_STEPS} iterations for N = {R:g}*log^{p}(N)")
 
 
 def naive_max_qubits(a: float, delta_t: float, c: float,

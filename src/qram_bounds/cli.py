@@ -72,6 +72,9 @@ class SweepGrid:
             total *= ax.points
         if total > 10 ** 6:
             raise ParamsError("sweep grid exceeds 10^6 points")
+        for d in self.dims:
+            if self.dims.count(d) > 1:
+                raise ParamsError(f"dimension {d} repeated in dims {self.dims}")
 
 
 def _evaluate_point(grid: SweepGrid, values: dict[str, float], d: int) -> float:
@@ -270,6 +273,8 @@ def _cmd_lightcone(args) -> int:
 
 
 def _cmd_qramsim(args) -> int:
+    if args.seed < 0:
+        raise qram.QramError(f"seed must be >= 0, got {args.seed}")
     if args.db is not None:
         db = qram.read_database(args.db)
     elif args.random_db:
@@ -281,7 +286,11 @@ def _cmd_qramsim(args) -> int:
     if args.N is not None and db.N != args.N:
         raise qram.QramError(f"database length {db.N} != N={args.N}")
     if args.address != "all":
-        address = int(args.address)
+        try:
+            address = int(args.address)
+        except ValueError:
+            raise qram.QramError("address must be 'all' or an integer, "
+                                 f"got {args.address!r}") from None
         if not 0 <= address < db.N:
             raise qram.QramError(f"address {address} out of range for N={db.N}")
         basis = np.zeros(db.N, dtype=complex)

@@ -13,26 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_REGISTER_MODES = 14  # state dimension 2^14
+GAUGE_ROUNDS = 50  # alternating phase alignments in gauge_equivalent
 
 
 class GateError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ModeRegister:
-    """Ordered register of two-level modes."""
-    n_modes: int
-
-    def __post_init__(self):
-        if self.n_modes > MAX_REGISTER_MODES:
-            raise GateError(f"register of {self.n_modes} modes exceeds the "
-                            f"{MAX_REGISTER_MODES}-mode cap")
-
-    @property
-    def total_dim(self) -> int:
-        return 1 << self.n_modes
 
 
 def _coupling(name: str, g: float) -> float:
@@ -122,23 +107,16 @@ def _embed(U2: np.ndarray, pair: tuple[int, int], n_modes: int = 3) -> np.ndarra
     return full.transpose(order).reshape(dim, dim)
 
 
-def cswap_composite(g1: float, g2: float, cz_arm: str = "a",
-                    second_bs_inverse: bool = True) -> np.ndarray:
+def cswap_composite(g1: float, g2: float) -> np.ndarray:
     """Controlled SWAP on (ctrl, a, b) from beam splitter + CZ + beam splitter.
 
-    The interferometer encloses a controlled phase on one arm: with the
-    closing beam splitter inverted (the default) the composite acts as the
-    controlled-SWAP on populations, up to a diagonal phase gauge. The
-    same-orientation closing splitter does not (kept behind the flag for
-    comparison). ``cz_arm`` selects which arm carries the controlled phase;
-    the choice only moves the gauge.
+    The interferometer encloses a controlled phase on arm a and closes with
+    the inverse beam splitter, so the composite acts as the controlled-SWAP
+    on populations, up to a diagonal phase gauge.
     """
-    if cz_arm not in ("a", "b"):
-        raise GateError("cz_arm must be 'a' or 'b'")
     BS = _embed(bs_unitary(g1, t_beamsplitter(g1)), (1, 2))
-    CZ = _embed(cz_unitary(g2, t_cphase(g2)), (0, 1 if cz_arm == "a" else 2))
-    closing = BS.conj().T if second_bs_inverse else BS
-    return closing @ CZ @ BS
+    CZ = _embed(cz_unitary(g2, t_cphase(g2)), (0, 1))
+    return BS.conj().T @ CZ @ BS
 
 
 def monomial(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,13 +149,12 @@ class GaugeResult:
     fidelity: float
 
 
-def gauge_equivalent(U: np.ndarray, V: np.ndarray,
-                     max_iter: int = 50) -> GaugeResult:
+def gauge_equivalent(U: np.ndarray, V: np.ndarray) -> GaugeResult:
     """Compare unitaries up to diagonal phase gauges.
 
     Maximizes |Tr(D1 U D2 V^dag)| / dim over unit-modulus diagonal D1, D2 by
     alternating exact phase alignment; each half-step is optimal given the
-    other, so the fidelity increases monotonically. Stops after ``max_iter``
+    other, so the fidelity increases monotonically. Stops after GAUGE_ROUNDS
     rounds or when the gain stalls below 1e-12.
     """
     if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
@@ -192,7 +169,7 @@ def gauge_equivalent(U: np.ndarray, V: np.ndarray,
 
     d2 = np.ones(dim, dtype=complex)
     fidelity = -1.0
-    for _ in range(max_iter):
+    for _ in range(GAUGE_ROUNDS):
         d1 = align(np.diag((U * d2[None, :]) @ V.conj().T))
         diag2 = np.diag(V.conj().T @ (d1[:, None] * U))
         d2 = align(diag2)
@@ -202,103 +179,3 @@ def gauge_equivalent(U: np.ndarray, V: np.ndarray,
             break
         fidelity = new_fidelity
     return GaugeResult(equivalent=fidelity >= 1.0 - 1e-9, fidelity=fidelity)
-
-
-@dataclass(frozen=True)
-class BeamSplitter:
-    targets: tuple[int, int]
-    duration: float  # seconds
-
-    def unitary(self, g1: float, g2: float) -> np.ndarray:
-        return bs_unitary(g1, self.duration)
-
-    def modes(self) -> tuple[int, ...]:
-        return self.targets
-
-
-@dataclass(frozen=True)
-class Swap:
-    targets: tuple[int, int]
-
-    @staticmethod
-    def duration(g1: float, g2: float) -> float:
-        return t_swap(g1)
-
-    def unitary(self, g1: float, g2: float) -> np.ndarray:
-        return swap_unitary(g1)
-
-    def modes(self) -> tuple[int, ...]:
-        return self.targets
-
-
-@dataclass(frozen=True)
-class ControlledPhase:
-    targets: tuple[int, int]  # (ctrl, tgt)
-
-    @staticmethod
-    def duration(g1: float, g2: float) -> float:
-        return t_cphase(g2)
-
-    def unitary(self, g1: float, g2: float) -> np.ndarray:
-        return cz_unitary(g2, t_cphase(g2))
-
-    def modes(self) -> tuple[int, ...]:
-        return self.targets
-
-
-@dataclass(frozen=True)
-class ControlledSwap:
-    targets: tuple[int, int, int]  # (ctrl, a, b)
-
-    @staticmethod
-    def duration(g1: float, g2: float) -> float:
-        return cswap_duration(g1, g2)
-
-    def unitary(self, g1: float, g2: float) -> np.ndarray:
-        return cswap_composite(g1, g2)
-
-    def modes(self) -> tuple[int, ...]:
-        return self.targets
-
-
-GateSpec = BeamSplitter | Swap | ControlledPhase | ControlledSwap
-
-
-def _check_targets(gate: GateSpec, register: ModeRegister) -> None:
-    modes = gate.modes()
-    if len(set(modes)) != len(modes):
-        raise GateError("gate targets must be distinct")
-    if any(not 0 <= m < register.n_modes for m in modes):
-        raise GateError("gate target out of range")
-
-
-def apply_gate(state: np.ndarray, gate: GateSpec, register: ModeRegister,
-               g1: float = 1.0, g2: float = 1.0) -> np.ndarray:
-    """Apply the gate's unitary on its target tensor factors of ``state``."""
-    state = np.asarray(state, dtype=complex)
-    if state.shape != (register.total_dim,):
-        raise GateError("state dimension does not match register")
-    norm = np.linalg.norm(state)
-    if abs(norm - 1.0) > 1e-12:
-        raise GateError("state is not normalized")
-    _check_targets(gate, register)
-    return apply_unitary(state, gate.unitary(g1, g2), gate.modes(), register)
-
-
-def apply_unitary(state: np.ndarray, U: np.ndarray, modes: tuple[int, ...],
-                  register: ModeRegister) -> np.ndarray:
-    """Apply a dense unitary acting on ``modes`` to the full register state."""
-    k = len(modes)
-    psi = state.reshape((2,) * register.n_modes)
-    T = U.reshape((2,) * (2 * k))
-    psi = np.tensordot(T, psi, axes=(list(range(k, 2 * k)), list(modes)))
-    # tensordot moved the acted-on axes to the front; put them back
-    order = [0] * register.n_modes
-    src = k
-    for axis in range(register.n_modes):
-        if axis in modes:
-            order[axis] = modes.index(axis)
-        else:
-            order[axis] = src
-            src += 1
-    return psi.transpose(order).reshape(-1)

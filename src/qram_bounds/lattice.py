@@ -209,18 +209,14 @@ class SymplecticPropagator:
     evolves Weyl coefficient vectors (the S^T action).
     """
 
-    def __init__(self, spec: LatticeSpec, t: float, *,
-                 dense: np.ndarray | None = None):
+    def __init__(self, spec: LatticeSpec, t: float):
         self.spec = spec
         self.t = float(t)
-        self._dense = dense
-        if dense is None:
-            modes = normal_modes(spec)
-            w = modes.omega
-            self._cos = np.cos(w * self.t)
-            # sin(wt)/(m w) via sinc: exact t/m limit at w = 0
-            self._b = self.t / spec.m * np.sinc(w * self.t / np.pi)
-            self._c = -spec.m * w * np.sin(w * self.t)
+        w = normal_modes(spec).omega
+        self._cos = np.cos(w * self.t)
+        # sin(wt)/(m w) via sinc: exact t/m limit at w = 0
+        self._b = self.t / spec.m * np.sinc(w * self.t / np.pi)
+        self._c = -spec.m * w * np.sin(w * self.t)
 
     @property
     def n_sites(self) -> int:
@@ -238,16 +234,12 @@ class SymplecticPropagator:
         return np.fft.ifftn(mult * np.fft.fftn(shaped)).real.ravel()
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense @ np.asarray(u, dtype=float)
         q, p = self._split(u)
         q_new = self._conv(self._cos, q) + self._conv(self._b, p)
         p_new = self._conv(self._c, q) + self._conv(self._cos, p)
         return np.concatenate([q_new, p_new])
 
     def apply_observable(self, u: np.ndarray) -> np.ndarray:
-        if self._dense is not None:
-            return self._dense.T @ np.asarray(u, dtype=float)
         # blocks are symmetric circulants, so S^T swaps the off-diagonals
         q, p = self._split(u)
         q_new = self._conv(self._cos, q) + self._conv(self._c, p)
@@ -256,8 +248,6 @@ class SymplecticPropagator:
 
     def matrix(self) -> np.ndarray:
         """Materialize S(t) as a dense (2n, 2n) array."""
-        if self._dense is not None:
-            return self._dense
         n = self.n_sites
         if n > _DENSE_SITE_CAP:
             raise LatticeError(f"dense propagator capped at {_DENSE_SITE_CAP} sites")
@@ -283,9 +273,9 @@ def propagate(spec: LatticeSpec, t: float) -> SymplecticPropagator:
     return SymplecticPropagator(spec, t)
 
 
-def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> SymplecticPropagator:
+def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
     """Independent cross-check integrator: classical RK4 on the full linear
-    system q_dot = p/m, p_dot = -K q, assembled into a dense propagator.
+    system q_dot = p/m, p_dot = -K q; returns S(t) as a dense (2n, 2n) array.
 
     Requires dt <= 0.01/omega_max for comfortable stability margin.
     """
@@ -312,7 +302,7 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> SymplecticPropagato
         k3 = rhs(S + 0.5 * h * k2)
         k4 = rhs(S + h * k3)
         S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SymplecticPropagator(spec, t, dense=S)
+    return S
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ from pathlib import Path
 import numpy as np
 
 from . import gates
-from .gates import ControlledSwap, ModeRegister, Swap
 
 MAX_LEAVES = 1 << 12  # leaf cap of the simulator
 
@@ -65,6 +64,19 @@ def _n_modes(n: int) -> int:
 # schedules
 
 @dataclass(frozen=True)
+class Swap:
+    """One clock cycle moving an address qubit into a router."""
+    targets: tuple[int, int]
+
+    @staticmethod
+    def duration(g1: float, g2: float) -> float:
+        return gates.t_swap(g1)
+
+    def modes(self) -> tuple[int, ...]:
+        return self.targets
+
+
+@dataclass(frozen=True)
 class RoutingStage:
     """One clock cycle of address routing: the whole level-`ctrl_level`
     router layer shuffles the payload within level `target_level` in
@@ -78,16 +90,14 @@ class RoutingStage:
     def duration(g1: float, g2: float) -> float:
         return gates.cswap_duration(g1, g2)
 
-    def expand(self) -> tuple[ControlledSwap, ...]:
+    def modes(self) -> np.ndarray:
+        """(ctrl, left, right) modes of each controlled-SWAP, one row per
+        level-`ctrl_level` router."""
+        p = np.arange(1 << self.ctrl_level)
         block = 1 << (self.target_level - self.ctrl_level)
-        ops = []
-        for p in range(1 << self.ctrl_level):
-            ctrl = _router_mode(self.n, self.ctrl_level, p)
-            left = _router_mode(self.n, self.target_level, p * block)
-            right = _router_mode(self.n, self.target_level,
-                                 p * block + block // 2)
-            ops.append(ControlledSwap(targets=(ctrl, left, right)))
-        return tuple(ops)
+        left = _router_mode(self.n, self.target_level, p * block)
+        return np.stack([_router_mode(self.n, self.ctrl_level, p),
+                         left, left + block // 2], axis=1)
 
 
 @dataclass(frozen=True)
@@ -275,13 +285,6 @@ class QueryResult:
     fidelity: float                   # vs sum_x alpha_x |x>|0_routers>|D_x>
     routers_restored: float           # weight of the routers-all-zero sector
 
-    def state_vector(self) -> np.ndarray:
-        """Dense state; the register cap limits it to N <= 8."""
-        register = ModeRegister(self.bits.shape[1])
-        state = np.zeros(register.total_dim, dtype=complex)
-        state[self.bits @ (1 << np.arange(register.n_modes)[::-1])] = self.amplitudes
-        return state
-
 
 def _run_cycles(bits: np.ndarray, phase: np.ndarray, cycles, tables) -> None:
     """Apply the cycles in place to every row; the gates of a routing stage
@@ -290,8 +293,7 @@ def _run_cycles(bits: np.ndarray, phase: np.ndarray, cycles, tables) -> None:
         op = cycle.op
         if not isinstance(op, (RoutingStage, Swap)):
             raise QramError(f"cannot simulate scheduled op {op!r}")
-        ops = op.expand() if isinstance(op, RoutingStage) else (op,)
-        modes = np.array([gate.modes() for gate in ops])
+        modes = np.atleast_2d(op.modes())
         perm, phases = tables[type(op)]
         shifts = np.arange(modes.shape[1])[::-1]
         local = (bits[:, modes] << shifts).sum(axis=2)

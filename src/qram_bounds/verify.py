@@ -143,7 +143,7 @@ def lattice_suite() -> list[Check]:
     w_max = lattice.normal_modes(sp8).omega_max
     t = 10.0 / w_max
     diff = np.abs(lattice.propagate(sp8, t).matrix()
-                  - lattice.propagate_ode(sp8, t, 0.01 / w_max).matrix()).max()
+                  - lattice.propagate_ode(sp8, t, 0.01 / w_max)).max()
     checks.append(("spectral vs RK4 propagator", diff < 1e-6, f"{diff:.2e}"))
     # causality tail outside the bound cone
     sp = lattice.LatticeSpec(d=1, L=200, lam=(1.0,), m=1.0)

@@ -182,6 +182,20 @@ class TestSweepCommand:
             SweepGrid(axes=(AxisSpec("mass", 1.0, 2.0, 5),),
                       fixed=cli.PRESET_PARAMS, conventions=Conventions())
 
+    def test_repeated_dimension_rejected(self):
+        with pytest.raises(ParamsError, match=r"dimension 1 repeated in dims \(1, 2, 1\)"):
+            SweepGrid(axes=(AxisSpec("velocity", 1.0, 2.0, 3),),
+                      fixed=cli.PRESET_PARAMS, conventions=Conventions(),
+                      dims=(1, 2, 1))
+
+    def test_repeated_dimension_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--axis", "velocity:1:10:3:log", "--dims", "1,1",
+                     "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(),
+                              "dimension 1 repeated in dims (1, 1)")
+        assert not out.exists()
+
     def test_custom_axis_cli(self, tmp_path, capsys):
         out = tmp_path / "custom.csv"
         code = main(["sweep", "--axis", "velocity:100:1000:5:log",
@@ -393,6 +407,15 @@ class TestQramsimCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_negative_seed_exits_2(self, capsys):
+        assert main(["qramsim", "--random-db", "--N", "8", "--seed", "-1"]) == 2
+        assert_one_error_line(capsys.readouterr(), "seed must be >= 0, got -1")
+
+    def test_non_integer_address_exits_2(self, capsys):
+        assert main(["qramsim", "--random-db", "--N", "8", "--address", "abc"]) == 2
+        assert_one_error_line(capsys.readouterr(),
+                              "address must be 'all' or an integer, got 'abc'")
+
     def test_retrieval_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
         db = tmp_path / "db.txt"
         db.write_text("0110")
@@ -409,6 +432,17 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         for suite in ("params", "bounds", "lattice", "gates", "qram"):
             assert f"PASS {suite}" in out
+
+    def test_check_counts(self, capsys):
+        assert main(["verify"]) == 0
+        out = re.sub(r"\(\d+\.\d\ds\)", "(T)", capsys.readouterr().out)
+        assert out.splitlines() == [
+            "PASS params: 7/7 checks (T)",
+            "PASS bounds: 13/13 checks (T)",
+            "PASS lattice: 7/7 checks (T)",
+            "PASS gates: 12/12 checks (T)",
+            "PASS qram: 7/7 checks (T)",
+        ]
 
     def test_corrupted_dispersion_names_lattice_suite(self, capsys, monkeypatch):
         true_dispersion = lattice.dispersion

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dense_oracle import apply_unitary
 from qram_bounds import gates
-from qram_bounds.gates import (BeamSplitter, ControlledSwap, GateError,
-                               ModeRegister, Swap, apply_gate, bs_unitary,
-                               cswap_composite, cswap_duration, cswap_exact,
-                               cz_unitary, gauge_equivalent, swap_unitary,
-                               t_beamsplitter, t_cphase, t_swap)
+from qram_bounds.gates import (GateError, bs_unitary, cswap_composite,
+                               cswap_duration, cswap_exact, cz_unitary,
+                               gauge_equivalent, swap_unitary, t_beamsplitter,
+                               t_cphase, t_swap)
+from qram_bounds.qram import RoutingStage, Swap
 
 RNG = np.random.default_rng(11)
 
@@ -18,6 +19,20 @@ def random_unitary(dim, rng=RNG):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def embed(U, modes, n_modes=3):
+    """Dense matrix of U on ``modes``: the oracle applied to each basis column."""
+    return np.column_stack([apply_unitary(col, U, modes, n_modes)
+                            for col in np.eye(1 << n_modes)])
+
+
+def interferometer(g1, g2, cz_modes, closing_inverse):
+    """Beam splitter on (a, b) = modes (1, 2), CZ on ``cz_modes``, and a
+    closing beam splitter, inverted or in the same orientation."""
+    bs = embed(bs_unitary(g1, t_beamsplitter(g1)), (1, 2))
+    cz = embed(cz_unitary(g2, t_cphase(g2)), cz_modes)
+    return (bs.conj().T if closing_inverse else bs) @ cz @ bs
 
 
 # basis order on two modes: |00>, |01>, |10>, |11>
@@ -115,14 +130,16 @@ class TestControlledSwapComposite:
         assert probs[0b101] == pytest.approx(0.5, abs=1e-12)
 
     def test_same_orientation_closing_splitter_fails(self):
-        res = gauge_equivalent(
-            cswap_composite(1.3, 0.7, second_bs_inverse=False), cswap_exact())
+        res = gauge_equivalent(interferometer(1.3, 0.7, (0, 1), False),
+                               cswap_exact())
         assert not res.equivalent
         assert res.fidelity < 0.9
 
     def test_either_interferometer_arm_works(self):
-        for arm in ("a", "b"):
-            res = gauge_equivalent(cswap_composite(1.3, 0.7, cz_arm=arm),
+        np.testing.assert_allclose(interferometer(1.3, 0.7, (0, 1), True),
+                                   cswap_composite(1.3, 0.7), atol=1e-12)
+        for arm in ((0, 1), (0, 2)):
+            res = gauge_equivalent(interferometer(1.3, 0.7, arm, True),
                                    cswap_exact())
             assert res.equivalent
 
@@ -150,8 +167,7 @@ class TestDurations:
     def test_gate_spec_durations(self):
         g1, g2 = 1.7, 0.6
         assert Swap((0, 1)).duration(g1, g2) == t_swap(g1)
-        assert ControlledSwap((0, 1, 2)).duration(g1, g2) == cswap_duration(g1, g2)
-        assert BeamSplitter((0, 1), duration=0.25).duration == 0.25
+        assert RoutingStage(2, 0, 1).duration(g1, g2) == cswap_duration(g1, g2)
 
 
 class TestGaugeEquivalent:
@@ -192,70 +208,40 @@ class TestGaugeEquivalent:
 
 
 class TestApplyGate:
-    def test_zero_duration_beam_splitter_is_identity(self):
-        reg = ModeRegister(3)
-        state = np.zeros(8, dtype=complex)
-        state[0b110] = 1.0
-        out = apply_gate(state, BeamSplitter(targets=(0, 1), duration=0.0), reg)
-        np.testing.assert_allclose(out, state, atol=1e-14)
+    """The dense oracle's gate application, each unitary given explicitly."""
 
     def test_swap_moves_population(self):
-        reg = ModeRegister(2)
         state = np.zeros(4, dtype=complex)
         state[0b10] = 1.0
-        out = apply_gate(state, Swap(targets=(0, 1)), reg, g1=1.3)
+        out = apply_unitary(state, swap_unitary(1.3), (0, 1), 2)
         assert abs(out[0b01]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_preserved_on_random_state(self):
-        reg = ModeRegister(4)
         state = RNG.standard_normal(16) + 1j * RNG.standard_normal(16)
         state /= np.linalg.norm(state)
-        out = apply_gate(state, ControlledSwap(targets=(0, 2, 3)), reg,
-                         g1=1.1, g2=0.9)
+        out = apply_unitary(state, cswap_composite(1.1, 0.9), (0, 2, 3), 4)
         assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
 
     def test_embedding_matches_kron_for_adjacent_targets(self):
-        reg = ModeRegister(3)
         U = bs_unitary(1.0, 0.37)
         full = np.kron(U, np.eye(2))
         state = RNG.standard_normal(8) + 1j * RNG.standard_normal(8)
         state /= np.linalg.norm(state)
-        out = apply_gate(state, BeamSplitter(targets=(0, 1), duration=0.37), reg)
+        out = apply_unitary(state, U, (0, 1), 3)
         np.testing.assert_allclose(out, full @ state, atol=1e-12)
 
-    def test_rejects_dimension_mismatch(self):
-        reg = ModeRegister(2)
-        with pytest.raises(GateError, match="dimension"):
-            apply_gate(np.zeros(8, dtype=complex), Swap(targets=(0, 1)), reg)
-
-    def test_rejects_unnormalized_state(self):
-        reg = ModeRegister(2)
-        with pytest.raises(GateError, match="normalized"):
-            apply_gate(np.full(4, 0.9, dtype=complex), Swap(targets=(0, 1)), reg)
-
     def test_controlled_phase_flips_doubly_occupied_sign(self):
-        from qram_bounds.gates import ControlledPhase
-        reg = ModeRegister(3)
         state = np.zeros(8, dtype=complex)
         state[0b011] = 1.0  # modes 1 and 2 occupied
-        out = apply_gate(state, ControlledPhase(targets=(1, 2)), reg, g2=0.7)
+        out = apply_unitary(state, cz_unitary(0.7, t_cphase(0.7)), (1, 2), 3)
         assert out[0b011] == pytest.approx(-1.0, abs=1e-12)
 
     def test_control_on_last_mode(self):
         # gate targets need not be in register order: ctrl on mode 2
-        reg = ModeRegister(3)
         state = np.zeros(8, dtype=complex)
         state[0b101] = 1.0  # a=1, b=0, ctrl=1
-        out = apply_gate(state, ControlledSwap(targets=(2, 0, 1)), reg,
-                         g1=1.3, g2=0.7)
+        out = apply_unitary(state, cswap_composite(1.3, 0.7), (2, 0, 1), 3)
         assert abs(out[0b011]) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_duplicate_targets(self):
-        reg = ModeRegister(2)
-        state = np.zeros(4, dtype=complex)
-        state[0] = 1.0
-        with pytest.raises(GateError, match="distinct"):
-            apply_gate(state, Swap(targets=(1, 1)), reg)
 
 
 class TestMonomial:
@@ -292,11 +278,3 @@ class TestMonomial:
         with pytest.raises(GateError, match="square"):
             gates.monomial(np.ones((2, 4)))
 
-
-class TestModeRegister:
-    def test_total_dimension(self):
-        assert ModeRegister(3).total_dim == 8
-
-    def test_rejects_oversized_register(self):
-        with pytest.raises(GateError, match="exceeds"):
-            ModeRegister(15)

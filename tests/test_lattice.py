@@ -285,13 +285,13 @@ class TestPropagator:
 class TestOdePropagator:
     def test_identity_at_zero_time(self):
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
-        np.testing.assert_allclose(propagate_ode(spec, 0.0, 1e-3).matrix(),
+        np.testing.assert_allclose(propagate_ode(spec, 0.0, 1e-3),
                                    np.eye(8), atol=1e-14)
 
     def test_matches_spectral_small_lattice(self):
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
         S_spec = propagate(spec, 0.1).matrix()
-        S_ode = propagate_ode(spec, 0.1, 1e-4).matrix()
+        S_ode = propagate_ode(spec, 0.1, 1e-4)
         assert np.abs(S_spec - S_ode).max() < 1e-6
 
     def test_matches_spectral_l8_long_time(self):
@@ -299,7 +299,7 @@ class TestOdePropagator:
         w_max = normal_modes(spec).omega_max
         t = 10.0 / w_max
         S_spec = propagate(spec, t).matrix()
-        S_ode = propagate_ode(spec, t, 0.01 / w_max).matrix()
+        S_ode = propagate_ode(spec, t, 0.01 / w_max)
         assert np.abs(S_spec - S_ode).max() < 1e-6
 
     def test_rejects_large_step(self):

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from dense_oracle import apply_unitary, dense_state
 from qram_bounds import gates, qram
-from qram_bounds.gates import ModeRegister, t_cphase, t_swap, t_beamsplitter
-from qram_bounds.qram import (ClassicalDatabase, QramError, RoutingStage,
+from qram_bounds.gates import t_cphase, t_swap, t_beamsplitter
+from qram_bounds.qram import (ClassicalDatabase, QramError, RoutingStage, Swap,
                               random_database, read_database,
                               schedule_initialization, schedule_query,
                               simulate_query, total_time, verify_retrieval)
@@ -57,16 +58,12 @@ def brute_force_data_copy(state, bits):
 MAX_SIM_QUBITS = 8  # the dense register holds 2^(n + 2^n) amplitudes
 
 
-def dense_apply_cycles(state, cycles, register, swap_u, cswap_u):
+def dense_apply_cycles(state, cycles, n_modes, swap_u, cswap_u):
     """Apply every gate of every cycle as a dense unitary on its modes."""
     for cycle in cycles:
-        op = cycle.op
-        if isinstance(op, RoutingStage):
-            for gate in op.expand():
-                state = gates.apply_unitary(state, cswap_u, gate.modes(),
-                                            register)
-        else:
-            state = gates.apply_unitary(state, swap_u, op.modes(), register)
+        U = cswap_u if isinstance(cycle.op, RoutingStage) else swap_u
+        for modes in np.atleast_2d(cycle.op.modes()):
+            state = apply_unitary(state, U, modes, n_modes)
     return state
 
 
@@ -99,13 +96,13 @@ def dense_query(db, alpha, g1, g2):
     n = db.depth
     swap_u = gates.swap_unitary(g1)
     cswap_u = gates.cswap_composite(g1, g2)
-    register = ModeRegister(n + db.N)
-    state = np.zeros(register.total_dim, dtype=complex)
+    n_modes = n + db.N
+    state = np.zeros(1 << n_modes, dtype=complex)
     state.reshape(db.N, -1)[:, 0] = alpha
     cycles = schedule_initialization(n).cycles
-    state = dense_apply_cycles(state, cycles, register, swap_u, cswap_u)
+    state = dense_apply_cycles(state, cycles, n_modes, swap_u, cswap_u)
     state = dense_data_copy(state, db.bits, n)
-    return dense_apply_cycles(state, reversed(cycles), register,
+    return dense_apply_cycles(state, reversed(cycles), n_modes,
                               swap_u.conj().T, cswap_u.conj().T)
 
 
@@ -132,12 +129,7 @@ class TestSchedules:
         for n in (2, 3, 5):
             for sched in (schedule_initialization(n), schedule_query(n)):
                 for cycle in sched.cycles:
-                    touched = []
-                    if isinstance(cycle.op, RoutingStage):
-                        for gate in cycle.op.expand():
-                            touched.extend(gate.modes())
-                    else:
-                        touched.extend(cycle.op.modes())
+                    touched = np.ravel(cycle.op.modes()).tolist()
                     assert len(touched) == len(set(touched))
 
     def test_query_core_is_linear_in_depth(self):
@@ -282,7 +274,7 @@ class TestSimulateQuery:
         result = simulate_query(db, bell, G, G)
         assert result.fidelity >= 1.0 - 1e-9
         # D_0 = D_3 = 0: the bus stays |0> on both branches
-        view = result.state_vector().reshape(4, 8, 2)
+        view = dense_state(result).reshape(4, 8, 2)
         assert np.sum(np.abs(view[:, :, 1]) ** 2) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("N", [2, 4, 8])
@@ -298,8 +290,8 @@ class TestSimulateQuery:
         rng = np.random.default_rng(2)
         alpha = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         alpha /= np.linalg.norm(alpha)
-        combined = simulate_query(db, alpha, G, G).state_vector()
-        parts = sum(alpha[x] * simulate_query(db, basis(4, x), G, G).state_vector()
+        combined = dense_state(simulate_query(db, alpha, G, G))
+        parts = sum(alpha[x] * dense_state(simulate_query(db, basis(4, x), G, G))
                     for x in range(4))
         np.testing.assert_allclose(combined, parts, atol=1e-9)
 
@@ -309,7 +301,7 @@ class TestSimulateQuery:
         alpha = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         alpha /= np.linalg.norm(alpha)
         result = simulate_query(db, alpha, G, G)
-        assert np.linalg.norm(result.state_vector()) == pytest.approx(1.0, abs=1e-10)
+        assert np.linalg.norm(dense_state(result)) == pytest.approx(1.0, abs=1e-10)
 
     def test_routers_and_addresses_restored(self):
         db = random_database(8, seed=5)
@@ -319,7 +311,7 @@ class TestSimulateQuery:
         result = simulate_query(db, alpha, G, G)
         assert result.routers_restored >= 1.0 - 1e-9
         # address marginal is preserved through the round trip
-        view = result.state_vector().reshape(8, -1)
+        view = dense_state(result).reshape(8, -1)
         marginal = np.sum(np.abs(view) ** 2, axis=1)
         np.testing.assert_allclose(marginal, np.abs(alpha) ** 2, atol=1e-9)
 
@@ -339,8 +331,8 @@ class TestSimulateQuery:
     def test_dense_vector_beyond_register_cap_refused(self):
         result = simulate_query(random_database(16, seed=1), basis(16, 5), G, G)
         assert result.table[0].read == result.table[0].expected
-        with pytest.raises(gates.GateError, match="mode cap"):
-            result.state_vector()
+        with pytest.raises(ValueError, match="mode cap"):
+            dense_state(result)
 
     def test_rejects_unnormalized_address(self):
         db = ClassicalDatabase((0, 1))
@@ -380,7 +372,7 @@ class TestDenseOracle:
             alpha = rng.standard_normal(N) + 1j * rng.standard_normal(N)
             inputs.append(alpha / np.linalg.norm(alpha))
         for alpha in inputs:
-            sparse = simulate_query(db, alpha, g1, g2).state_vector()
+            sparse = dense_state(simulate_query(db, alpha, g1, g2))
             assert np.abs(sparse - dense_query(db, alpha, g1, g2)).max() <= 1e-12
 
     @pytest.mark.parametrize("g1,g2", [(G, G), (1.3, 0.7), (3e4, 7e2)])
@@ -390,19 +382,18 @@ class TestDenseOracle:
         # the phase each address carries after initialization alone
         n = N.bit_length() - 1
         swap_u, cswap_u = gates.swap_unitary(g1), gates.cswap_composite(g1, g2)
-        tables = {gates.Swap: gates.monomial(swap_u),
+        tables = {Swap: gates.monomial(swap_u),
                   RoutingStage: gates.monomial(cswap_u)}
         cycles = schedule_initialization(n).cycles
         bits = np.zeros((N, n + N), dtype=np.uint8)
         bits[:, :n] = (np.arange(N)[:, None] >> np.arange(n)[::-1]) & 1
         phase = np.ones(N, dtype=complex)
         qram._run_cycles(bits, phase, cycles, tables)
-        register = ModeRegister(n + N)
         place = 1 << np.arange(n + N)[::-1]
         for x in range(N):
-            state = np.zeros(register.total_dim, dtype=complex)
+            state = np.zeros(1 << (n + N), dtype=complex)
             state.reshape(N, -1)[x, 0] = 1.0
-            dense = dense_apply_cycles(state, cycles, register, swap_u, cswap_u)
+            dense = dense_apply_cycles(state, cycles, n + N, swap_u, cswap_u)
             sparse = np.zeros_like(dense)
             sparse[bits[x] @ place] = phase[x]
             assert np.abs(sparse - dense).max() <= 1e-12

@@ -33,6 +33,8 @@ PRESET_PARAMS = HardwareParams(a=1e-6, delta_t=1e-3, g1=2000.0 * math.pi,
 
 SOUND_SPEED = 6000.0  # m/s, typical solid
 
+AXIS_QUANTITY = {"velocity": "velocity", "v2": "velocity", "g": "coupling"}
+
 
 @dataclass(frozen=True)
 class AxisSpec:
@@ -67,11 +69,16 @@ class SweepGrid:
                 raise ParamsError(f"non-finite range for sweep axis {ax.name!r}")
             if ax.lo <= 0 or ax.hi <= ax.lo:
                 raise ParamsError("axis range must satisfy 0 < lo < hi")
-            if ax.name not in ("velocity", "g", "v2"):
+            if ax.name not in AXIS_QUANTITY:
                 raise ParamsError(f"unknown sweep axis {ax.name!r}")
             total *= ax.points
         if total > 10 ** 6:
             raise ParamsError("sweep grid exceeds 10^6 points")
+        if len(self.axes) == 2:
+            a, b = self.axes
+            if AXIS_QUANTITY[a.name] == AXIS_QUANTITY[b.name]:
+                raise ParamsError(f"sweep axes {a.name!r} and {b.name!r} both "
+                                  f"set the {AXIS_QUANTITY[a.name]}")
         for d in self.dims:
             if self.dims.count(d) > 1:
                 raise ParamsError(f"dimension {d} repeated in dims {self.dims}")
@@ -122,8 +129,8 @@ def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
     grid = replace(grid, conventions=conv)
     validate(grid.fixed)
     axis_cols = [ax.name for ax in grid.axes]
-    meta = _conventions_record(
-        conv, grid.fixed, velocity_swept=bool({"velocity", "v2"} & set(axis_cols)))
+    meta = _conventions_record(conv, grid.fixed, velocity_swept=any(
+        AXIS_QUANTITY[name] == "velocity" for name in axis_cols))
     meta["dims"] = ",".join(str(d) for d in grid.dims)
     rows = []
     for point in itertools.product(*(ax.values() for ax in grid.axes)):

@@ -206,7 +206,8 @@ class SymplecticPropagator:
         p_k(t) = -m w sin(w t) q_k + cos(w t) p_k
     with the zero mode handled by its analytic limit sin(w t)/(m w) -> t/m.
     ``apply`` evolves phase-space points (the S action); ``apply_observable``
-    evolves Weyl coefficient vectors (the S^T action).
+    evolves Weyl coefficient vectors (the S^T action). Both take one vector
+    (2n,) or a batch of rows (k, 2n).
     """
 
     def __init__(self, spec: LatticeSpec, t: float):
@@ -222,48 +223,39 @@ class SymplecticPropagator:
     def n_sites(self) -> int:
         return self.spec.n_sites
 
-    def _split(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _evolve(self, u: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """Apply the mode blocks (cos, b; c, cos) to one phase-space vector
+        (2n,) or a batch (k, 2n): one FFT over the lattice axes carries both
+        quadratures of every row."""
         u = np.asarray(u, dtype=float)
-        n = self.n_sites
-        if u.shape != (2 * n,):
-            raise LatticeError(f"phase-space vector must have length {2 * n}")
-        return u[:n], u[n:]
-
-    def _conv(self, mult: np.ndarray, x: np.ndarray) -> np.ndarray:
-        shaped = x.reshape(self.spec.shape)
-        return np.fft.ifftn(mult * np.fft.fftn(shaped)).real.ravel()
+        n, d = self.n_sites, self.spec.d
+        if u.ndim not in (1, 2) or u.shape[-1] != 2 * n:
+            raise LatticeError(f"phase-space input must have shape ({2 * n},) "
+                               f"or (k, {2 * n}), got {u.shape}")
+        if not np.isfinite(u).all():
+            raise LatticeError("phase-space vector has non-finite entries")
+        axes = tuple(range(-d, 0))
+        x = np.fft.fftn(u.reshape(u.shape[:-1] + (2,) + self.spec.shape), axes=axes)
+        q, p = np.moveaxis(x, -d - 1, 0)
+        x = np.stack([self._cos * q + b * p, c * q + self._cos * p], axis=-d - 1)
+        return np.fft.ifftn(x, axes=axes).real.reshape(u.shape)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        q, p = self._split(u)
-        q_new = self._conv(self._cos, q) + self._conv(self._b, p)
-        p_new = self._conv(self._c, q) + self._conv(self._cos, p)
-        return np.concatenate([q_new, p_new])
+        return self._evolve(u, self._b, self._c)
 
     def apply_observable(self, u: np.ndarray) -> np.ndarray:
         # blocks are symmetric circulants, so S^T swaps the off-diagonals
-        q, p = self._split(u)
-        q_new = self._conv(self._cos, q) + self._conv(self._c, p)
-        p_new = self._conv(self._b, q) + self._conv(self._cos, p)
-        return np.concatenate([q_new, p_new])
+        return self._evolve(u, self._c, self._b)
 
     def matrix(self) -> np.ndarray:
         """Materialize S(t) as a dense (2n, 2n) array."""
-        n = self.n_sites
-        if n > _DENSE_SITE_CAP:
+        if self.n_sites > _DENSE_SITE_CAP:
             raise LatticeError(f"dense propagator capped at {_DENSE_SITE_CAP} sites")
-        shape = self.spec.shape
-        cols = {name: np.fft.ifftn(mult).real
-                for name, mult in (("A", self._cos), ("B", self._b), ("C", self._c))}
-        coords = np.array(list(np.ndindex(shape)))  # (n, d)
+        cols = [np.fft.ifftn(mult).real for mult in (self._cos, self._b, self._c)]
+        coords = np.array(list(np.ndindex(self.spec.shape)))  # (n, d)
         diff = (coords[:, None, :] - coords[None, :, :]) % self.spec.L
-        idx = tuple(diff[:, :, ax] for ax in range(self.spec.d))
-        A, B, C = cols["A"][idx], cols["B"][idx], cols["C"][idx]
-        S = np.zeros((2 * n, 2 * n))
-        S[:n, :n] = A
-        S[:n, n:] = B
-        S[n:, :n] = C
-        S[n:, n:] = A
-        return S
+        A, B, C = (col[tuple(np.moveaxis(diff, -1, 0))] for col in cols)
+        return np.block([[A, B], [C, A]])
 
 
 def propagate(spec: LatticeSpec, t: float) -> SymplecticPropagator:
@@ -277,31 +269,29 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
     """Independent cross-check integrator: classical RK4 on the full linear
     system q_dot = p/m, p_dot = -K q; returns S(t) as a dense (2n, 2n) array.
 
-    Requires dt <= 0.01/omega_max for comfortable stability margin.
+    On this linear system x_dot = A x an RK4 step is x <- T x, with T =
+    I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once. Requires
+    dt <= 0.01/omega_max for comfortable stability margin.
     """
-    if dt <= 0:
-        raise LatticeError("nonpositive step")
+    if not math.isfinite(t):
+        raise LatticeError("time must be finite")
+    if not (math.isfinite(dt) and dt > 0):
+        raise LatticeError("step must be finite and positive")
     w_max = normal_modes(spec).omega_max
     if w_max > 0 and dt > 0.01 / w_max:
         raise LatticeError("step too large")
     n = spec.n_sites
-    K = coupling_matrix(spec)
-
-    def rhs(S: np.ndarray) -> np.ndarray:
-        out = np.empty_like(S)
-        out[:n] = S[n:] / spec.m
-        out[n:] = -K @ S[:n]
-        return out
-
     steps = max(1, math.ceil(abs(t) / dt)) if t != 0 else 0
     h = t / steps if steps else 0.0
+    hA = np.zeros((2 * n, 2 * n))
+    hA[:n, n:] = np.eye(n) * (h / spec.m)
+    hA[n:, :n] = -h * coupling_matrix(spec)
+    T = np.eye(2 * n)
+    for order in (4, 3, 2, 1):  # Horner form of the Taylor polynomial
+        T = np.eye(2 * n) + (hA @ T) / order
     S = np.eye(2 * n)
     for _ in range(steps):
-        k1 = rhs(S)
-        k2 = rhs(S + 0.5 * h * k1)
-        k3 = rhs(S + 0.5 * h * k2)
-        k4 = rhs(S + h * k3)
-        S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        S = T @ S
     return S
 
 
@@ -334,9 +324,11 @@ class WeylFunction:
 
 
 def symplectic_form(uq: np.ndarray, up: np.ndarray,
-                    vq: np.ndarray, vp: np.ndarray) -> float:
-    """sigma(u, v) = sum_n (uq_n vp_n - up_n vq_n)."""
-    return float(np.sum(uq * vp - up * vq))
+                    vq: np.ndarray, vp: np.ndarray) -> float | np.ndarray:
+    """sigma(u, v) = sum_n (uq_n vp_n - up_n vq_n), summed over the last
+    axis: a float for vectors, one value per row for batches."""
+    sigma = np.sum(uq * vp - up * vq, axis=-1)
+    return float(sigma) if np.ndim(sigma) == 0 else sigma
 
 
 def weyl_commutator_norm(spec: LatticeSpec, f: WeylFunction, g: WeylFunction,

@@ -125,17 +125,17 @@ def lattice_suite() -> list[Check]:
         n = sp.n_sites
         t1, t2 = 0.7, 0.4
         P1, P2, P12 = (lattice.propagate(sp, t) for t in (t1, t2, t1 + t2))
-        for _ in range(25):
-            u = rng.standard_normal(2 * n)
-            v = rng.standard_normal(2 * n)
-            su, sv = P1.apply(u), P1.apply(v)
-            s0 = lattice.symplectic_form(u[:n], u[n:], v[:n], v[n:])
-            s1 = lattice.symplectic_form(su[:n], su[n:], sv[:n], sv[n:])
-            worst_s = max(worst_s, abs(s1 - s0))
-            sympl_ok = sympl_ok and abs(s1 - s0) < 1e-10 * max(1.0, abs(s0))
-            diff = np.abs(P12.apply(u) - P1.apply(P2.apply(u))).max()
-            worst_g = max(worst_g, float(diff))
-            group_ok = group_ok and diff < 1e-9
+        # rows of u and v are the draws of 25 (u, v) pairs, in order
+        u, v = rng.standard_normal((25, 2, 2 * n)).transpose(1, 0, 2)
+        su, sv = P1.apply(u), P1.apply(v)
+        s0 = lattice.symplectic_form(u[:, :n], u[:, n:], v[:, :n], v[:, n:])
+        s1 = lattice.symplectic_form(su[:, :n], su[:, n:], sv[:, :n], sv[:, n:])
+        worst_s = max(worst_s, float(np.abs(s1 - s0).max()))
+        sympl_ok = sympl_ok and bool(
+            (np.abs(s1 - s0) < 1e-10 * np.maximum(1.0, np.abs(s0))).all())
+        diff = float(np.abs(P12.apply(u) - P1.apply(P2.apply(u))).max())
+        worst_g = max(worst_g, diff)
+        group_ok = group_ok and diff < 1e-9
     checks.append(("symplectic form preserved", sympl_ok, f"worst {worst_s:.2e}"))
     checks.append(("group property S(t+s)=S(t)S(s)", group_ok, f"worst {worst_g:.2e}"))
     # spectral vs RK4 propagator

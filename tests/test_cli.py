@@ -196,6 +196,33 @@ class TestSweepCommand:
                               "dimension 1 repeated in dims (1, 1)")
         assert not out.exists()
 
+    @pytest.mark.parametrize("first,second,quantity", [
+        ("velocity", "v2", "velocity"), ("v2", "velocity", "velocity"),
+        ("velocity", "velocity", "velocity"), ("v2", "v2", "velocity"),
+        ("g", "g", "coupling")])
+    def test_axes_setting_one_quantity_rejected(self, first, second, quantity):
+        with pytest.raises(ParamsError, match=f"sweep axes '{first}' and "
+                           f"'{second}' both set the {quantity}"):
+            SweepGrid(axes=(AxisSpec(first, 1.0, 10.0, 2),
+                            AxisSpec(second, 100.0, 1000.0, 2)),
+                      fixed=cli.PRESET_PARAMS, conventions=Conventions())
+
+    @pytest.mark.parametrize("axes,message", [
+        (["velocity:1:10:2:log", "v2:100:1000:2:log"],
+         "sweep axes 'velocity' and 'v2' both set the velocity"),
+        (["velocity:1:10:2:log", "velocity:100:1000:2:log"],
+         "sweep axes 'velocity' and 'velocity' both set the velocity"),
+        (["g:1:10:2:log", "g:100:1000:2:log"],
+         "sweep axes 'g' and 'g' both set the coupling")])
+    def test_axes_setting_one_quantity_exit_2(self, axes, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["sweep", "--out", str(out)]
+        for axis in axes:
+            argv += ["--axis", axis]
+        assert main(argv) == 2
+        assert_one_error_line(capsys.readouterr(), message)
+        assert not out.exists()
+
     def test_custom_axis_cli(self, tmp_path, capsys):
         out = tmp_path / "custom.csv"
         code = main(["sweep", "--axis", "velocity:100:1000:5:log",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qram_bounds import lattice
+from qram_bounds import lattice, verify
 from qram_bounds.lattice import (LatticeError, LatticeSpec, LRBoundParams,
                                  WeylFunction, axis_signal, c_omega_lambda,
                                  dispersion, longwave_speed, lr_bound_envelope,
@@ -88,6 +88,27 @@ def ifftn_axis_signal(spec, ts, r_max):
         col = np.fft.ifftn(np.cos(omega * t)).real
         out[i] = col[(slice(0, r_max + 1),) + (0,) * (spec.d - 1)]
     return out
+
+
+def rk4_step_loop(spec, t, dt):
+    """Classical RK4 on q_dot = p/m, p_dot = -K q, one right-hand side per
+    stage and four stages per step, starting from the identity."""
+    n = spec.n_sites
+    K = bond_coupling_matrix(spec)
+
+    def rhs(S):
+        return np.vstack([S[n:] / spec.m, -K @ S[:n]])
+
+    steps = max(1, math.ceil(abs(t) / dt)) if t != 0 else 0
+    h = t / steps if steps else 0.0
+    S = np.eye(2 * n)
+    for _ in range(steps):
+        k1 = rhs(S)
+        k2 = rhs(S + 0.5 * h * k1)
+        k3 = rhs(S + 0.5 * h * k2)
+        k4 = rhs(S + h * k3)
+        S = S + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return S
 
 
 def full_grid_group_velocity(spec):
@@ -281,6 +302,61 @@ class TestPropagator:
         u = RNG.standard_normal(32)
         np.testing.assert_allclose(prop.matrix() @ u, prop.apply(u), atol=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 7])
+    @pytest.mark.parametrize("L", [7, 8])
+    @pytest.mark.parametrize("nu", [1, 2])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_batch_matches_row_by_row(self, d, nu, L, k):
+        rng = np.random.default_rng(1000 * d + 100 * nu + 10 * L + k)
+        spec = LatticeSpec(d=d, L=L, lam=tuple(rng.uniform(0.2, 1.5, nu)),
+                           m=float(rng.uniform(0.5, 2.0)))
+        prop = propagate(spec, float(rng.uniform(0.1, 3.0)))
+        U = rng.standard_normal((k, 2 * spec.n_sites))
+        for action in (prop.apply, prop.apply_observable):
+            batched = action(U)
+            assert batched.shape == U.shape
+            rows = np.stack([action(row) for row in U])
+            np.testing.assert_allclose(batched, rows, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d,L,lam", [(1, 7, (1.0, 0.4)), (2, 4, (1.3,)),
+                                         (3, 4, (0.8,))])
+    def test_matrix_matches_batch(self, d, L, lam):
+        spec = LatticeSpec(d=d, L=L, lam=lam, m=0.9)
+        prop = propagate(spec, 1.7)
+        S = prop.matrix()
+        U = RNG.standard_normal((5, 2 * spec.n_sites))
+        np.testing.assert_allclose(S @ U.T, prop.apply(U).T, atol=1e-12)
+        np.testing.assert_allclose(S.T @ U.T, prop.apply_observable(U).T,
+                                   atol=1e-12)
+
+    def test_symplectic_form_row_wise_on_batches(self):
+        u, v = RNG.standard_normal((2, 6, 10))
+        sigma = symplectic_form(u[:, :5], u[:, 5:], v[:, :5], v[:, 5:])
+        assert sigma.shape == (6,)
+        for row, value in enumerate(sigma):
+            one = symplectic_form(u[row, :5], u[row, 5:], v[row, :5], v[row, 5:])
+            assert isinstance(one, float) and one == value
+
+    @pytest.mark.parametrize("shape", [(15,), (17,), (3, 15), (2, 3, 16), ()])
+    def test_rejects_wrong_shape(self, shape):
+        prop = propagate(LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0), 0.3)
+        for action in (prop.apply, prop.apply_observable):
+            with pytest.raises(LatticeError, match="phase-space input must have "
+                               r"shape \(16,\) or \(k, 16\)"):
+                action(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        prop = propagate(LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0), 0.3)
+        one = np.full(16, bad)
+        batch = np.zeros((3, 16))
+        batch[2, 5] = bad
+        for action in (prop.apply, prop.apply_observable):
+            for u in (one, batch):
+                with pytest.raises(LatticeError,
+                                   match="phase-space vector has non-finite entries"):
+                    action(u)
+
 
 class TestOdePropagator:
     def test_identity_at_zero_time(self):
@@ -307,6 +383,55 @@ class TestOdePropagator:
         w_max = normal_modes(spec).omega_max
         with pytest.raises(LatticeError, match="step too large"):
             propagate_ode(spec, 1.0, 1.0 / w_max)
+
+    @pytest.mark.parametrize("d,L,lam,t", [(1, 8, (1.0,), 10.0), (1, 7, (1.0, 0.4), -3.0),
+                                           (2, 4, (1.3,), 2.5), (1, 4, (0.6,), 1e-3)])
+    def test_transfer_matrix_matches_step_loop(self, d, L, lam, t):
+        spec = LatticeSpec(d=d, L=L, lam=lam, m=1.2)
+        w_max = normal_modes(spec).omega_max
+        t, dt = t / w_max, 0.01 / w_max
+        S_ode = propagate_ode(spec, t, dt)
+        assert np.abs(S_ode - rk4_step_loop(spec, t, dt)).max() <= 1e-12
+        assert np.abs(S_ode - propagate(spec, t).matrix()).max() < 1e-6
+
+    @pytest.mark.parametrize("t,dt,message", [
+        (1.0, math.nan, "step must be finite and positive"),
+        (1.0, math.inf, "step must be finite and positive"),
+        (1.0, 0.0, "step must be finite and positive"),
+        (1.0, -1e-3, "step must be finite and positive"),
+        (math.inf, 1e-3, "time must be finite"),
+        (-math.inf, 1e-3, "time must be finite"),
+        (math.nan, 1e-3, "time must be finite"),
+    ])
+    def test_rejects_non_finite_inputs(self, t, dt, message):
+        spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match=message):
+            propagate_ode(spec, t, dt)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_spectral_propagator_rejects_non_finite_time(self, t):
+        spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match="time must be finite"):
+            propagate(spec, t)
+
+
+class TestVerifyLatticeSuite:
+    def test_batched_apply_calls_and_verdicts(self, monkeypatch):
+        """The suite's symplectic and group-law checks make one batched call
+        per action: 5 per lattice on 4 lattices, never one per vector."""
+        shapes = []
+        apply = lattice.SymplecticPropagator.apply
+
+        def counted(self, u):
+            shapes.append(np.shape(u))
+            return apply(self, u)
+
+        monkeypatch.setattr(lattice.SymplecticPropagator, "apply", counted)
+        checks = verify.lattice_suite()
+        assert len(shapes) == 20
+        assert all(len(shape) == 2 and shape[0] == 25 for shape in shapes)
+        assert len(checks) == 7
+        assert [name for name, ok, _ in checks if not ok] == []
 
 
 class TestWeylCommutator:

@@ -7,7 +7,7 @@ Three layers of verification around the closed-form bounds:
 * a functional bucket-brigade simulator with clock-cycle accounting.
 """
 from .params import (Conventions, HardwareParams, ParamsError, density,
-                     load_config, tau0, validate, validate_conventions)
+                     load_config, tau0)
 from .bounds import (BoundError, BoundResult, FixedPointError, Speed,
                      coarse_grain, fixed_point_solve, lr_velocity,
                      naive_max_qubits, qft_velocity, qram_max_qubits,

@@ -10,8 +10,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import lattice as _lattice
-from .params import (Conventions, HardwareParams, density, tau0, validate,
-                     validate_conventions)
+from .params import Conventions, HardwareParams, density, tau0
 
 SOLVER_STEPS = 10 ** 6  # iteration cap of fixed_point_solve
 
@@ -42,7 +41,6 @@ class BoundResult:
 def lr_velocity(params: HardwareParams) -> Speed:
     """Commutator-growth speed limit 4*sqrt(d * sum(lam)/m) of the harmonic
     lattice, in sites/s and m/s."""
-    validate(params)
     v_lat = 4.0 * math.sqrt(params.d * sum(params.lam) / params.m)
     return Speed(lattice_units=v_lat, physical=params.a * v_lat)
 
@@ -50,9 +48,12 @@ def lr_velocity(params: HardwareParams) -> Speed:
 def coarse_grain(params: HardwareParams) -> float:
     """Long-wavelength continuum stiffness d * sum_j lam_j * j^2 * a^(2-d),
     which with the density m / a^d gives the lattice's long-wave speed."""
-    validate(params)
-    return params.d * params.a ** (2 - params.d) * sum(
-        l * j * j for j, l in enumerate(params.lam, start=1))
+    try:
+        scale = params.a ** (2 - params.d)
+    except OverflowError:
+        raise BoundError(f"a^(2-d) = {params.a:g}^{2 - params.d} overflows "
+                         "a float in the continuum stiffness") from None
+    return params.d * scale * sum(l * j * j for j, l in enumerate(params.lam, start=1))
 
 
 def qft_velocity(lambda_d: float, rho: float) -> float:
@@ -141,11 +142,10 @@ def _resolve_velocity(params: HardwareParams, conv: Conventions) -> float:
 def qram_max_qubits(params: HardwareParams, conventions: Conventions) -> BoundResult:
     """Capacity bound from N/log^p(N) <= v*tau0/a along one axis; the total
     across d dimensions is the linear extent raised to the d-th power."""
-    validate(params)
-    conv = validate_conventions(conventions)
-    v = min(_resolve_velocity(params, conv), params.c_max)
+    v = min(_resolve_velocity(params, conventions), params.c_max)
     R = v * tau0(params.g1, params.g2) / params.a
-    extent = fixed_point_solve(R, conv.depth_exponent, conv.log_base)
+    extent = fixed_point_solve(R, conventions.depth_exponent,
+                               conventions.log_base)
     try:
         total = extent ** params.d
     except OverflowError:
@@ -155,7 +155,7 @@ def qram_max_qubits(params: HardwareParams, conventions: Conventions) -> BoundRe
         max_qubits_total=total,
         max_linear_extent=extent,
         velocity_used=v,
-        conventions=conv,
+        conventions=conventions,
         inputs_digest=params,
     )
 
@@ -165,7 +165,7 @@ def teleport_hybrid_max_qubits(params: HardwareParams,
     """2D capacity bound when routing hops run at the absolute speed cap
     (teleportation-based routing) while only a vanishing fraction of the
     distance is covered at sound speed."""
-    if validate(params).d != 2:
+    if params.d != 2:
         raise BoundError("teleport-hybrid defined for d=2")
-    return qram_max_qubits(params, replace(validate_conventions(conventions),
+    return qram_max_qubits(params, replace(conventions,
                                            velocity_source="teleport-hybrid"))

@@ -17,8 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, lattice, qram, verify
-from .params import (Conventions, HardwareParams, ParamsError, load_config,
-                     tau0, validate, validate_conventions)
+from .params import Conventions, HardwareParams, ParamsError, load_config, tau0
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -85,10 +84,10 @@ class SweepGrid:
 
 
 def _evaluate_point(grid: SweepGrid, values: dict[str, float], d: int) -> float:
-    params = replace(grid.fixed, d=d)
+    fixed = grid.fixed
+    params = replace(fixed, d=d, g1=values.get("g", fixed.g1),
+                     g2=values.get("g", fixed.g2))
     conv = grid.conventions
-    if "g" in values:
-        params = replace(params, g1=values["g"], g2=values["g"])
     if "velocity" in values:
         conv = replace(conv, velocity_source=values["velocity"])
     if "v2" in values:
@@ -125,11 +124,8 @@ def write_csv(path: str | Path, meta: dict, header, rows) -> None:
 def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
     """Evaluate the grid and write a CSV with a conventions comment line;
     returns the number of data rows."""
-    conv = validate_conventions(grid.conventions)
-    grid = replace(grid, conventions=conv)
-    validate(grid.fixed)
     axis_cols = [ax.name for ax in grid.axes]
-    meta = _conventions_record(conv, grid.fixed, velocity_swept=any(
+    meta = _conventions_record(grid.conventions, grid.fixed, velocity_swept=any(
         AXIS_QUANTITY[name] == "velocity" for name in axis_cols))
     meta["dims"] = ",".join(str(d) for d in grid.dims)
     rows = []
@@ -188,16 +184,14 @@ def _print_bound(result: bounds.BoundResult) -> None:
 def _load_params(args) -> HardwareParams:
     if args.config is not None:
         return load_config(args.config)
-    return validate(PRESET_PARAMS)
+    return PRESET_PARAMS
 
 
 def _conventions(args) -> Conventions:
     source = args.velocity_source if args.velocity is None else args.velocity
-    return validate_conventions(Conventions(
-        log_base=args.log_base,
-        depth_exponent=args.depth_exponent,
-        velocity_source=source,
-    ))
+    return Conventions(log_base=args.log_base,
+                       depth_exponent=args.depth_exponent,
+                       velocity_source=source)
 
 
 def _cmd_bound(args) -> int:

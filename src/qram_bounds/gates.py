@@ -84,29 +84,6 @@ def cswap_exact() -> np.ndarray:
     return U
 
 
-def _embed(U2: np.ndarray, pair: tuple[int, int], n_modes: int = 3) -> np.ndarray:
-    """Embed a two-mode unitary on the given mode pair of an n-mode register."""
-    dim = 2 ** n_modes
-    T = U2.reshape(2, 2, 2, 2)
-    full = np.eye(dim, dtype=complex).reshape([2] * (2 * n_modes))
-    # contract the identity's output legs for the pair with U2
-    out_axes = list(pair)
-    full = np.tensordot(T, full, axes=([2, 3], out_axes))
-    # tensordot left the pair's new output legs in front; restore ordering
-    order = []
-    src = 2
-    for axis in range(n_modes):
-        if axis == pair[0]:
-            order.append(0)
-        elif axis == pair[1]:
-            order.append(1)
-        else:
-            order.append(src)
-            src += 1
-    order += list(range(src, src + n_modes))
-    return full.transpose(order).reshape(dim, dim)
-
-
 def cswap_composite(g1: float, g2: float) -> np.ndarray:
     """Controlled SWAP on (ctrl, a, b) from beam splitter + CZ + beam splitter.
 
@@ -114,8 +91,8 @@ def cswap_composite(g1: float, g2: float) -> np.ndarray:
     the inverse beam splitter, so the composite acts as the controlled-SWAP
     on populations, up to a diagonal phase gauge.
     """
-    BS = _embed(bs_unitary(g1, t_beamsplitter(g1)), (1, 2))
-    CZ = _embed(cz_unitary(g2, t_cphase(g2)), (0, 1))
+    BS = np.kron(np.eye(2), bs_unitary(g1, t_beamsplitter(g1)))   # on (a, b)
+    CZ = np.kron(cz_unitary(g2, t_cphase(g2)), np.eye(2))   # on (ctrl, a)
     return BS.conj().T @ CZ @ BS
 
 

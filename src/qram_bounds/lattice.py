@@ -211,6 +211,8 @@ class SymplecticPropagator:
     """
 
     def __init__(self, spec: LatticeSpec, t: float):
+        if not math.isfinite(t):
+            raise LatticeError("time must be finite")
         self.spec = spec
         self.t = float(t)
         w = normal_modes(spec).omega
@@ -260,8 +262,6 @@ class SymplecticPropagator:
 
 def propagate(spec: LatticeSpec, t: float) -> SymplecticPropagator:
     """Exact Heisenberg propagator of the harmonic lattice at time t."""
-    if not math.isfinite(t):
-        raise LatticeError("time must be finite")
     return SymplecticPropagator(spec, t)
 
 
@@ -270,13 +270,17 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
     system q_dot = p/m, p_dot = -K q; returns S(t) as a dense (2n, 2n) array.
 
     On this linear system x_dot = A x an RK4 step is x <- T x, with T =
-    I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once. Requires
-    dt <= 0.01/omega_max for comfortable stability margin.
+    I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once, and S(t) = T^steps
+    by repeated squaring. Requires dt <= 0.01/omega_max for comfortable
+    stability margin; like ``matrix()``, refuses more than _DENSE_SITE_CAP
+    sites.
     """
     if not math.isfinite(t):
         raise LatticeError("time must be finite")
     if not (math.isfinite(dt) and dt > 0):
         raise LatticeError("step must be finite and positive")
+    if spec.n_sites > _DENSE_SITE_CAP:
+        raise LatticeError(f"dense propagator capped at {_DENSE_SITE_CAP} sites")
     w_max = normal_modes(spec).omega_max
     if w_max > 0 and dt > 0.01 / w_max:
         raise LatticeError("step too large")
@@ -289,10 +293,7 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
     T = np.eye(2 * n)
     for order in (4, 3, 2, 1):  # Horner form of the Taylor polynomial
         T = np.eye(2 * n) + (hA @ T) / order
-    S = np.eye(2 * n)
-    for _ in range(steps):
-        S = T @ S
-    return S
+    return np.linalg.matrix_power(T, steps)
 
 
 @dataclass(frozen=True)

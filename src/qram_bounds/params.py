@@ -1,4 +1,4 @@
-"""Validated hardware configuration shared by all modules, plus unit conventions.
+"""Self-checking hardware configuration shared by all modules, plus unit conventions.
 
 All public quantities are strict SI (meters, seconds, kilograms, rad/s).
 Lattice-unit values appear only where explicitly labeled.
@@ -6,7 +6,7 @@ Lattice-unit values appear only where explicitly labeled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
@@ -29,7 +29,34 @@ class HardwareParams:
     c_max: float = SPEED_OF_LIGHT  # absolute speed cap [m/s]
 
     def __post_init__(self):
+        """Raise ParamsError naming the first violated invariant."""
         object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
+        for name in ("a", "delta_t", "g1", "g2", "m", "c_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ParamsError(f"non-finite {name}")
+        if not all(math.isfinite(l) for l in self.lam):
+            raise ParamsError("non-finite spring constant in lam")
+        if self.a <= 0:
+            raise ParamsError("nonpositive lattice spacing")
+        if self.delta_t <= 0:
+            raise ParamsError("nonpositive clock cycle time")
+        if self.g1 <= 0 or self.g2 <= 0:
+            raise ParamsError("nonpositive coupling")
+        tau0(self.g1, self.g2)
+        if self.m <= 0:
+            raise ParamsError("nonpositive site mass")
+        if self.c_max <= 0:
+            raise ParamsError("nonpositive speed cap")
+        if any(l < 0 for l in self.lam):
+            raise ParamsError("negative spring constant")
+        if not any(l > 0 for l in self.lam):
+            raise ParamsError("all spring constants zero")
+        if self.d not in (1, 2, 3):
+            raise ParamsError("dimension must be 1, 2, or 3")
+        if self.nu < 1:
+            raise ParamsError("nonpositive interaction range")
+        if len(self.lam) != self.nu:
+            raise ParamsError("range/coupling length mismatch")
 
 
 @dataclass(frozen=True)
@@ -46,68 +73,30 @@ class Conventions:
     # "lieb_robinson" | "qft" | "group" | explicit value in m/s
     # (the teleport-hybrid path stamps "teleport-hybrid" on its results)
 
-    def log(self, x: float) -> float:
-        if self.log_base == "natural":
-            return math.log(x)
-        return math.log2(x)
-
-
-def validate_conventions(conv: Conventions) -> Conventions:
-    base = str(conv.log_base).lower()
-    if base in ("natural", "e"):
-        base = "natural"
-    elif base in ("2", "two"):
-        base = "2"
-    else:
-        raise ParamsError(f"unknown log base {conv.log_base!r} (use 'natural' or '2')")
-    if not (isinstance(conv.depth_exponent, int) and conv.depth_exponent >= 0):
-        raise ParamsError("depth exponent must be an integer >= 0")
-    src = conv.velocity_source
-    if isinstance(src, str):
-        if src not in ("lieb_robinson", "qft", "group", "teleport-hybrid"):
-            raise ParamsError(f"unknown velocity source {src!r}")
-    else:
-        src = float(src)
-        if not math.isfinite(src):
-            raise ParamsError(f"non-finite explicit velocity {src}")
-        if src <= 0:
-            raise ParamsError("nonpositive explicit velocity")
-    return Conventions(log_base=base, depth_exponent=conv.depth_exponent,
-                       velocity_source=src)
-
-
-def validate(params: HardwareParams) -> HardwareParams:
-    """Return ``params`` unchanged if every invariant holds.
-
-    Raises ParamsError naming the first violated invariant.
-    """
-    for name in ("a", "delta_t", "g1", "g2", "m", "c_max"):
-        if not math.isfinite(getattr(params, name)):
-            raise ParamsError(f"non-finite {name}")
-    if not all(math.isfinite(l) for l in params.lam):
-        raise ParamsError("non-finite spring constant in lam")
-    if params.a <= 0:
-        raise ParamsError("nonpositive lattice spacing")
-    if params.delta_t <= 0:
-        raise ParamsError("nonpositive clock cycle time")
-    if params.g1 <= 0 or params.g2 <= 0:
-        raise ParamsError("nonpositive coupling")
-    tau0(params.g1, params.g2)
-    if params.m <= 0:
-        raise ParamsError("nonpositive site mass")
-    if params.c_max <= 0:
-        raise ParamsError("nonpositive speed cap")
-    if any(l < 0 for l in params.lam):
-        raise ParamsError("negative spring constant")
-    if not any(l > 0 for l in params.lam):
-        raise ParamsError("all spring constants zero")
-    if params.d not in (1, 2, 3):
-        raise ParamsError("dimension must be 1, 2, or 3")
-    if params.nu < 1:
-        raise ParamsError("nonpositive interaction range")
-    if len(params.lam) != params.nu:
-        raise ParamsError("range/coupling length mismatch")
-    return params
+    def __post_init__(self):
+        """Refuse unknown or out-of-range conventions; spell the log base
+        "natural" or "2" and store an explicit velocity as a float."""
+        base = str(self.log_base).lower()
+        if base in ("natural", "e"):
+            base = "natural"
+        elif base in ("2", "two"):
+            base = "2"
+        else:
+            raise ParamsError(f"unknown log base {self.log_base!r} (use 'natural' or '2')")
+        if not (isinstance(self.depth_exponent, int) and self.depth_exponent >= 0):
+            raise ParamsError("depth exponent must be an integer >= 0")
+        src = self.velocity_source
+        if isinstance(src, str):
+            if src not in ("lieb_robinson", "qft", "group", "teleport-hybrid"):
+                raise ParamsError(f"unknown velocity source {src!r}")
+        else:
+            src = float(src)
+            if not math.isfinite(src):
+                raise ParamsError(f"non-finite explicit velocity {src}")
+            if src <= 0:
+                raise ParamsError("nonpositive explicit velocity")
+        object.__setattr__(self, "log_base", base)
+        object.__setattr__(self, "velocity_source", src)
 
 
 def tau0(g1: float, g2: float) -> float:
@@ -123,9 +112,13 @@ def tau0(g1: float, g2: float) -> float:
 
 
 def density(params: HardwareParams) -> float:
-    """Mass density m / a^d [kg/m^d] of the discrete lattice."""
-    validate(params)
-    return params.m / params.a ** params.d
+    """Mass density m / a^d [kg/m^d] of the discrete lattice; refuses a
+    spacing whose d-th power leaves the float range."""
+    try:
+        return params.m / params.a ** params.d
+    except (OverflowError, ZeroDivisionError):
+        raise ParamsError(f"a^d = {params.a:g}^{params.d} leaves the float "
+                          "range in the density m/a^d") from None
 
 
 # Configuration files are flat "key = value" text; `lambda` is a
@@ -136,7 +129,7 @@ _REQUIRED_KEYS = ("a", "delta_t", "g1", "g2", "lambda", "m", "d", "nu")
 
 
 def load_config(path: str | Path) -> HardwareParams:
-    """Parse a hardware configuration file and validate it."""
+    """Parse a hardware configuration file into a checked record."""
     path = Path(path)
     if not path.exists():
         raise ParamsError(f"config not found: {path}")
@@ -159,7 +152,7 @@ def load_config(path: str | Path) -> HardwareParams:
         raise ParamsError(f"missing config keys: {', '.join(missing)}")
     try:
         lam = tuple(float(x) for x in raw["lambda"].split(","))
-        params = HardwareParams(
+        return HardwareParams(
             a=float(raw["a"]),
             delta_t=float(raw["delta_t"]),
             g1=float(raw["g1"]),
@@ -174,4 +167,3 @@ def load_config(path: str | Path) -> HardwareParams:
         if isinstance(exc, ParamsError):
             raise
         raise ParamsError(f"malformed config value: {exc}") from exc
-    return validate(params)

@@ -130,7 +130,6 @@ class DataCopy:
 
 @dataclass(frozen=True)
 class Cycle:
-    kind: str    # "route" | "swap" | "data_copy"
     phase: str   # "init" | "descend" | "copy" | "ascend" | "uncompute"
     op: Swap | RoutingStage | BusRouting | DataCopy
 
@@ -148,11 +147,12 @@ class Schedule:
     def cswap_count(self) -> int:
         """Routing operations, one counted per cycle per the active-path
         accounting (off-path companions share the cycle as identities)."""
-        return sum(1 for c in self.cycles if c.kind == "route")
+        return sum(1 for c in self.cycles
+                   if isinstance(c.op, (RoutingStage, BusRouting)))
 
     @property
     def swap_count(self) -> int:
-        return sum(1 for c in self.cycles if c.kind == "swap")
+        return sum(1 for c in self.cycles if isinstance(c.op, Swap))
 
     def phase_cycle_count(self, *phases: str) -> int:
         return sum(1 for c in self.cycles if c.phase in phases)
@@ -170,10 +170,10 @@ def _init_cycles(n: int, phase: str = "init") -> list[Cycle]:
     for k in range(1, n + 1):
         target_level = k - 1
         swap_op = Swap(targets=(k - 1, _router_mode(n, target_level, 0)))
-        cycles.append(Cycle(kind="swap", phase=phase, op=swap_op))
+        cycles.append(Cycle(phase=phase, op=swap_op))
         for j in range(k - 1):
             stage = RoutingStage(n=n, ctrl_level=j, target_level=target_level)
-            cycles.append(Cycle(kind="route", phase=phase, op=stage))
+            cycles.append(Cycle(phase=phase, op=stage))
     return cycles
 
 
@@ -192,12 +192,10 @@ def schedule_query(n: int) -> Schedule:
         raise QramError("empty tree")
     cycles: list[Cycle] = []
     for level in range(n):
-        cycles.append(Cycle(kind="route", phase="descend",
-                            op=BusRouting(n=n, level=level)))
-    cycles.append(Cycle(kind="data_copy", phase="copy", op=DataCopy(n=n)))
+        cycles.append(Cycle(phase="descend", op=BusRouting(n=n, level=level)))
+    cycles.append(Cycle(phase="copy", op=DataCopy(n=n)))
     for level in reversed(range(n)):
-        cycles.append(Cycle(kind="route", phase="ascend",
-                            op=BusRouting(n=n, level=level)))
+        cycles.append(Cycle(phase="ascend", op=BusRouting(n=n, level=level)))
     cycles.extend(reversed(_init_cycles(n, phase="uncompute")))
     return Schedule(n=n, cycles=tuple(cycles))
 

@@ -126,6 +126,20 @@ class TestBoundCommand:
         assert main(["bound", "--depth-exponent", "200"]) == 2
         assert_one_error_line(capsys.readouterr(), "fixed point of N")
 
+    @pytest.mark.parametrize("a,d,message", [
+        ("1e308", 2, "a^d = 1e+308^2 leaves the float range"),
+        ("1e308", 3, "a^d = 1e+308^3 leaves the float range"),
+        ("5e-324", 2, "a^d = 4.94066e-324^2 leaves the float range"),
+        ("5e-324", 3, "a^(2-d) = 4.94066e-324^-1 overflows a float"),
+    ])
+    def test_qft_spacing_out_of_float_range_exits_2(self, tmp_path, capsys,
+                                                      a, d, message):
+        path = tmp_path / "hw.cfg"
+        path.write_text(GOOD_CONFIG.replace("a = 1e-6", f"a = {a}")
+                        .replace("d = 1", f"d = {d}"))
+        assert main(["bound", "--config", str(path), "--velocity-source", "qft"]) == 2
+        assert_one_error_line(capsys.readouterr(), message)
+
 
 class TestSweepCommand:
     def test_fig3_preset_monotone_columns(self, tmp_path, capsys):
@@ -547,6 +561,28 @@ class TestArgvFuzz:
             log_base=(["natural", "2"], ["10"]),
             config=([str(paths / "hw.cfg"), str(paths / "hw2d.cfg")],
                     [str(paths / "tiny_g.cfg"), str(paths / "missing.cfg")]))]
+        self.run(argv, capsys)
+
+    @given(rnd=st.randoms(use_true_random=False))
+    @FUZZ_SETTINGS
+    def test_bound_config(self, rnd, paths, capsys):
+        # each config value is replaced by a bad one a quarter of the time;
+        # d is otherwise 1, 2 or 3
+        bad = ["0", "-1", "nan", "inf", "-inf", "1e308", "5e-324", "abc", ""]
+        bad_lam = bad + ["1,nan", "1,-1", "0,0"]
+        lines = []
+        for line in GOOD_CONFIG.splitlines():
+            key, _, value = line.partition(" = ")
+            if key == "d":
+                value = rnd.choice(["1", "2", "3"])
+            if rnd.random() < 0.25:
+                value = rnd.choice(bad_lam if key == "lambda" else bad)
+            lines.append(f"{key} = {value}")
+        (paths / "fuzz.cfg").write_text("\n".join(lines) + "\n")
+        argv = ["bound", "--config=" + str(paths / "fuzz.cfg"), *flags(
+            rnd, kind=["naive", "qram", "teleport"],
+            velocity_source=["lieb_robinson", "qft", "group"],
+            depth_exponent=["0", "1", "2"], log_base=["natural", "2"])]
         self.run(argv, capsys)
 
     @given(rnd=st.randoms(use_true_random=False))

@@ -414,6 +414,29 @@ class TestOdePropagator:
         with pytest.raises(LatticeError, match="time must be finite"):
             propagate(spec, t)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_propagator_class_rejects_non_finite_time(self, t):
+        spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match="time must be finite"):
+            lattice.SymplecticPropagator(spec, t)
+
+    def test_step_count_is_not_a_loop(self):
+        # 10^12 RK4 steps: T^steps by repeated squaring returns at once
+        spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
+        S = propagate_ode(spec, 1e9, 1e-3)
+        assert S.shape == (8, 8)
+        assert np.isfinite(S).all()
+
+    @pytest.mark.parametrize("d,L", [(1, 513), (2, 23), (3, 9)])
+    def test_rejects_more_sites_than_dense_cap(self, d, L, monkeypatch):
+        def never(spec):
+            raise AssertionError("built before the size check")
+        monkeypatch.setattr(lattice, "coupling_matrix", never)
+        monkeypatch.setattr(lattice, "normal_modes", never)
+        spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match="dense propagator capped at 512 sites"):
+            propagate_ode(spec, 1.0, 1e-3)
+
 
 class TestVerifyLatticeSuite:
     def test_batched_apply_calls_and_verdicts(self, monkeypatch):

@@ -1,11 +1,12 @@
 import math
+import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qram_bounds.params import (Conventions, HardwareParams, ParamsError,
-                                density, load_config, tau0, validate,
-                                validate_conventions)
+                                density, load_config, tau0)
 
 
 def make_params(**overrides):
@@ -18,15 +19,15 @@ def make_params(**overrides):
 class TestValidate:
     def test_valid_params_returned_unchanged(self):
         p = make_params()
-        assert validate(p) is p
+        assert (p.a, p.g1, p.lam, p.d, p.nu) == (1e-6, math.pi * 1e3, (1.0,), 1, 1)
 
     def test_zero_spacing(self):
         with pytest.raises(ParamsError, match="nonpositive lattice spacing"):
-            validate(make_params(a=0.0))
+            make_params(a=0.0)
 
     def test_length_mismatch(self):
         with pytest.raises(ParamsError, match="range/coupling length mismatch"):
-            validate(make_params(lam=(1.0, 2.0), nu=1))
+            make_params(lam=(1.0, 2.0), nu=1)
 
     @pytest.mark.parametrize("field,value,message", [
         ("delta_t", -1.0, "nonpositive clock cycle"),
@@ -41,30 +42,30 @@ class TestValidate:
     ])
     def test_first_violation_named(self, field, value, message):
         with pytest.raises(ParamsError, match=message):
-            validate(make_params(**{field: value}))
+            make_params(**{field: value})
 
     @pytest.mark.parametrize("field", ["a", "delta_t", "g1", "g2", "m", "c_max"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_field_named(self, field, value):
         with pytest.raises(ParamsError, match=f"non-finite {field}$"):
-            validate(make_params(**{field: value}))
+            make_params(**{field: value})
 
     @pytest.mark.parametrize("lam", [(math.nan,), (1.0, math.inf)])
     def test_non_finite_spring_constant_named(self, lam):
         with pytest.raises(ParamsError, match="non-finite spring constant in lam"):
-            validate(make_params(lam=lam, nu=len(lam)))
+            make_params(lam=lam, nu=len(lam))
 
     @pytest.mark.parametrize("field", ["g1", "g2"])
     def test_coupling_too_small_for_tau0_named(self, field):
         with pytest.raises(ParamsError, match=f"non-finite tau0 .* coupling "
                                               f"{field}=5e-324$"):
-            validate(make_params(**{field: 5e-324}))
+            make_params(**{field: 5e-324})
 
     @given(a=st.floats(1e-9, 1e3), m=st.floats(1e-9, 1e3),
            lam1=st.floats(1e-9, 1e3), d=st.sampled_from([1, 2, 3]))
     def test_idempotent(self, a, m, lam1, d):
         p = make_params(a=a, m=m, lam=(lam1,), d=d)
-        assert validate(validate(p)) == validate(p)
+        assert replace(p) == p
 
 
 class TestTau0:
@@ -122,37 +123,106 @@ class TestDensity:
 
 class TestConventions:
     def test_defaults_validate(self):
-        conv = validate_conventions(Conventions())
+        conv = Conventions()
         assert conv.log_base == "natural"
         assert conv.depth_exponent == 2
 
     def test_log_base_2(self):
-        conv = validate_conventions(Conventions(log_base="2"))
-        assert conv.log(8.0) == pytest.approx(3.0)
+        assert Conventions(log_base="2").log_base == "2"
+        assert Conventions(log_base="two").log_base == "2"
 
     def test_natural_log(self):
-        assert Conventions().log(math.e) == pytest.approx(1.0)
+        assert Conventions(log_base="natural").log_base == "natural"
+        assert Conventions(log_base="e").log_base == "natural"
 
     def test_rejects_unknown_base(self):
         with pytest.raises(ParamsError, match="log base"):
-            validate_conventions(Conventions(log_base="10"))
+            Conventions(log_base="10")
 
     def test_rejects_negative_exponent(self):
         with pytest.raises(ParamsError, match="depth exponent"):
-            validate_conventions(Conventions(depth_exponent=-1))
+            Conventions(depth_exponent=-1)
 
     def test_explicit_velocity_accepted(self):
-        conv = validate_conventions(Conventions(velocity_source=6000.0))
+        conv = Conventions(velocity_source=6000.0)
         assert conv.velocity_source == 6000.0
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_explicit_velocity(self, value):
         with pytest.raises(ParamsError, match="non-finite explicit velocity"):
-            validate_conventions(Conventions(velocity_source=value))
+            Conventions(velocity_source=value)
 
     def test_rejects_unknown_source(self):
         with pytest.raises(ParamsError, match="velocity source"):
-            validate_conventions(Conventions(velocity_source="warp"))
+            Conventions(velocity_source="warp")
+
+
+class TestConstructionBoundary:
+    """A record is checked whenever it is built, ``dataclasses.replace``
+    included, and the message names the first violated invariant."""
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(a=math.nan), "non-finite a"),
+        (dict(delta_t=math.inf), "non-finite delta_t"),
+        (dict(g1=-math.inf), "non-finite g1"),
+        (dict(g2=math.nan), "non-finite g2"),
+        (dict(m=math.inf), "non-finite m"),
+        (dict(c_max=math.nan), "non-finite c_max"),
+        (dict(lam=(math.inf,)), "non-finite spring constant in lam"),
+        (dict(a=0.0), "nonpositive lattice spacing"),
+        (dict(delta_t=0.0), "nonpositive clock cycle time"),
+        (dict(g1=-1.0), "nonpositive coupling"),
+        (dict(g2=0.0), "nonpositive coupling"),
+        (dict(g1=5e-324), "non-finite tau0 = pi/g1 + pi/g2 from coupling g1=5e-324"),
+        (dict(g2=5e-324), "non-finite tau0 = pi/g1 + pi/g2 from coupling g2=5e-324"),
+        (dict(m=-1.0), "nonpositive site mass"),
+        (dict(c_max=0.0), "nonpositive speed cap"),
+        (dict(lam=(-1.0,)), "negative spring constant"),
+        (dict(lam=(0.0,)), "all spring constants zero"),
+        (dict(d=0), "dimension must be 1, 2, or 3"),
+        (dict(d=4), "dimension must be 1, 2, or 3"),
+        (dict(nu=0), "nonpositive interaction range"),
+        (dict(lam=(1.0, 2.0)), "range/coupling length mismatch"),
+        (dict(nu=2), "range/coupling length mismatch"),
+        # two faults: the earlier invariant is the one named
+        (dict(a=0.0, m=0.0), "nonpositive lattice spacing"),
+        (dict(m=math.nan, a=0.0), "non-finite m"),
+        (dict(d=4, nu=0), "dimension must be 1, 2, or 3"),
+    ])
+    def test_replace_refuses_every_params_invariant(self, changes, message):
+        valid = make_params()
+        with pytest.raises(ParamsError, match=f"^{re.escape(message)}$"):
+            replace(valid, **changes)
+
+    @pytest.mark.parametrize("changes,message", [
+        (dict(log_base="10"), "unknown log base '10' (use 'natural' or '2')"),
+        (dict(log_base=2.5), "unknown log base 2.5 (use 'natural' or '2')"),
+        (dict(depth_exponent=-1), "depth exponent must be an integer >= 0"),
+        (dict(depth_exponent=1.5), "depth exponent must be an integer >= 0"),
+        (dict(velocity_source=math.nan), "non-finite explicit velocity nan"),
+        (dict(velocity_source=-math.inf), "non-finite explicit velocity -inf"),
+        (dict(velocity_source=-6000.0), "nonpositive explicit velocity"),
+        (dict(velocity_source=0), "nonpositive explicit velocity"),
+        (dict(velocity_source="warp"), "unknown velocity source 'warp'"),
+        (dict(depth_exponent=-1, velocity_source="warp"),
+         "depth exponent must be an integer >= 0"),
+    ])
+    def test_replace_refuses_every_conventions_invariant(self, changes, message):
+        with pytest.raises(ParamsError, match=f"^{re.escape(message)}$"):
+            replace(Conventions(), **changes)
+
+    @pytest.mark.parametrize("spelling,base", [
+        ("natural", "natural"), ("e", "natural"), ("E", "natural"),
+        ("2", "2"), ("two", "2"), ("Two", "2"),
+    ])
+    def test_log_base_spelled_one_way(self, spelling, base):
+        assert Conventions(log_base=spelling).log_base == base
+        assert replace(Conventions(log_base="2"), log_base=spelling).log_base == base
+
+    def test_explicit_velocity_stored_as_float(self):
+        conv = replace(Conventions(), velocity_source=6000)
+        assert conv.velocity_source == 6000.0
+        assert type(conv.velocity_source) is float
 
 
 class TestConfigFile:

@@ -30,6 +30,7 @@ _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
 _WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
 _BLOCK_BYTES = 1 << 18      # working-array budget per time block or k-grid slab
+_ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
 
 
 class LatticeError(ValueError):
@@ -68,6 +69,9 @@ class LatticeSpec:
             raise LatticeError("negative spring constant")
         if not any(l > 0 for l in self.lam):
             raise LatticeError("all spring constants zero")
+        if not math.isfinite(4.0 * self.d * sum(self.lam) / self.m):
+            raise LatticeError("omega^2 bound 4*d*sum(lam)/m overflows at "
+                               f"m={self.m!r}")
         if self.L < 2 * self.nu + 2 and not self.allow_wrap:
             raise LatticeError("L too small for range")
 
@@ -273,7 +277,7 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
     I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once, and S(t) = T^steps
     by repeated squaring. Requires dt <= 0.01/omega_max for comfortable
     stability margin; like ``matrix()``, refuses more than _DENSE_SITE_CAP
-    sites.
+    sites, and refuses more than _ODE_STEP_CAP steps.
     """
     if not math.isfinite(t):
         raise LatticeError("time must be finite")
@@ -281,6 +285,9 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
         raise LatticeError("step must be finite and positive")
     if spec.n_sites > _DENSE_SITE_CAP:
         raise LatticeError(f"dense propagator capped at {_DENSE_SITE_CAP} sites")
+    if abs(t) / dt > _ODE_STEP_CAP:
+        raise LatticeError(f"RK4 capped at {_ODE_STEP_CAP} steps, "
+                           f"got |t|/dt = {abs(t) / dt:.3g}")
     w_max = normal_modes(spec).omega_max
     if w_max > 0 and dt > 0.01 / w_max:
         raise LatticeError("step too large")

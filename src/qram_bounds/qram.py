@@ -20,7 +20,9 @@ disjoint subtrees at the same level share a cycle); wall time charges each
 cycle its slowest gate.
 
 Every router gate is monomial, so the simulator carries each basis address
-(N <= 2^12) as one bit row and one phase through init, leaf copy and init^-1.
+(N <= 2^12) as one bit row and one phase through every cycle of both
+schedules: only on-path gates act (an off-path gate fixes its |000> with
+phase 1), and the bus is one mode whose position moves with no phase.
 """
 from __future__ import annotations
 
@@ -110,10 +112,6 @@ class BusRouting:
     def duration(g1: float, g2: float) -> float:
         return gates.cswap_duration(g1, g2)
 
-    def modes(self) -> tuple[int, ...]:
-        return tuple(_router_mode(self.n, self.level, p)
-                     for p in range(1 << self.level)) + (_bus_mode(self.n),)
-
 
 @dataclass(frozen=True)
 class DataCopy:
@@ -123,9 +121,6 @@ class DataCopy:
     @staticmethod
     def duration(g1: float, g2: float) -> float:
         return gates.t_swap(g1)
-
-    def modes(self) -> tuple[int, ...]:
-        return tuple(range(self.n, _n_modes(self.n)))
 
 
 @dataclass(frozen=True)
@@ -284,64 +279,66 @@ class QueryResult:
     routers_restored: float           # weight of the routers-all-zero sector
 
 
-def _run_cycles(bits: np.ndarray, phase: np.ndarray, cycles, tables) -> None:
-    """Apply the cycles in place to every row; the gates of a routing stage
-    act on disjoint modes and go in one indexed step."""
+def _run_cycles(bits: np.ndarray, phase: np.ndarray, cycles, tables,
+                stored: np.ndarray) -> None:
+    """Run the cycles in place on every row: each gate whose control is on
+    the row's path (``tables[kind]`` is (forward, adjoint), the adjoint for
+    uncompute cycles), and the bus as a position that moves a level a cycle."""
+    rows = np.arange(len(bits))
+    pos = np.zeros(len(bits), dtype=np.intp)   # bus position within its level
     for cycle in cycles:
         op = cycle.op
-        if not isinstance(op, (RoutingStage, Swap)):
-            raise QramError(f"cannot simulate scheduled op {op!r}")
-        modes = np.atleast_2d(op.modes())
-        perm, phases = tables[type(op)]
-        shifts = np.arange(modes.shape[1])[::-1]
-        local = (bits[:, modes] << shifts).sum(axis=2)
-        phase *= phases[local].prod(axis=1)
-        bits[:, modes] = (perm[local][..., None] >> shifts) & 1
-
-
-def _copy_data(bits: np.ndarray, db: ClassicalDatabase, n: int) -> None:
-    """Flip the bus where the routers hold exactly the path to a leaf that
-    stores a 1: as many routers set in all as on the walk to the leaf."""
-    rows = np.arange(len(bits))
-    leaf = on_path = np.zeros(len(bits), dtype=np.int64)
-    for level in range(n):
-        bit = bits[rows, _router_mode(n, level, 0) + leaf]
-        leaf, on_path = 2 * leaf + bit, on_path + bit
-    is_path = bits[:, n:_bus_mode(n)].sum(axis=1) == on_path
-    bits[is_path & (np.asarray(db.bits)[leaf] == 1), _bus_mode(n)] ^= 1
+        if isinstance(op, BusRouting):
+            pos = (2 * pos + bits[rows, _router_mode(op.n, op.level, pos)]
+                   if cycle.phase == "descend" else pos >> 1)
+        elif isinstance(op, DataCopy):
+            bits[stored[pos] == 1, _bus_mode(op.n)] ^= 1
+        else:
+            modes = np.asarray(op.modes())
+            if isinstance(op, RoutingStage):   # walk to the on-path control
+                at = np.zeros(len(bits), dtype=np.intp)
+                for level in range(op.ctrl_level):
+                    at = 2 * at + bits[rows, _router_mode(op.n, level, at)]
+                modes = modes[at]
+            perm, phases = tables[type(op)][cycle.phase == "uncompute"]
+            shifts = np.arange(modes.shape[-1])[::-1]
+            local = (bits[rows[:, None], modes] << shifts).sum(axis=1)
+            phase *= phases[local]
+            bits[rows[:, None], modes] = (perm[local][:, None] >> shifts) & 1
 
 
 def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
            g2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Run init, data copy and init in reverse on basis addresses; every
-    gate is monomial, so each stays one basis state: (bit rows, phases)."""
+    """Run the cycles of schedule_initialization(n) and schedule_query(n) on
+    basis addresses; every gate is monomial, so each stays one basis state:
+    (bit rows, phases)."""
     if db.N > MAX_LEAVES:
         raise QramError(f"leaf cap: N <= {MAX_LEAVES}, got {db.N}")
     n = db.depth
     units = {Swap: gates.swap_unitary(g1), RoutingStage: gates.cswap_composite(g1, g2)}
-    forward = {kind: gates.monomial(U) for kind, U in units.items()}
-    inverse = {kind: gates.monomial(U.conj().T) for kind, U in units.items()}
+    tables = {kind: (gates.monomial(U), gates.monomial(U.conj().T))
+              for kind, U in units.items()}
     bits = np.zeros((len(addresses), _n_modes(n)), dtype=np.uint8)
     bits[:, :n] = (addresses[:, None] >> np.arange(n)[::-1]) & 1
     phase = np.ones(len(addresses), dtype=complex)
-    init = schedule_initialization(n)
-    _run_cycles(bits, phase, init.cycles, forward)
-    _copy_data(bits, db, n)
-    _run_cycles(bits, phase, reversed(init.cycles), inverse)
+    for schedule in (schedule_initialization(n), schedule_query(n)):
+        _run_cycles(bits, phase, schedule.cycles, tables, np.asarray(db.bits))
     return bits, phase
 
 
 def _read_out(alpha: np.ndarray, bits: np.ndarray, amplitudes: np.ndarray,
-              stored: np.ndarray, expected) -> QueryResult:
-    """Read out an output of distinct basis states ``bits``; ``stored`` are
-    the database bits and ``expected(x)`` the oracle read of address x."""
+              stored: np.ndarray, expected, key=None) -> QueryResult:
+    """Read out an output of distinct basis states ``bits``, one table row
+    per ``key`` (default: each state's address); ``stored`` are the database
+    bits and ``expected(x)`` the oracle read of address x."""
     N, n = len(stored), _depth(len(stored))
     address = bits[:, :n] @ (1 << np.arange(n)[::-1])
+    key = address if key is None else key
     routers_zero = ~bits[:, n:_bus_mode(n)].any(axis=1)
     bus = bits[:, _bus_mode(n)]
-    ideal = routers_zero & (bus == stored[address])
+    ideal = routers_zero & (address == key) & (bus == stored[key])
     prob = np.abs(amplitudes) ** 2
-    weight, p_one, hit = (np.bincount(address, prob * w, minlength=N)
+    weight, p_one, hit = (np.bincount(key, prob * w, minlength=N)
                           for w in (1.0, bus, ideal))
     rows = tuple(RetrievalRow(address=x, expected=expected(x),
                               read=int(p_one[x] / weight[x] > 0.5),
@@ -349,7 +346,7 @@ def _read_out(alpha: np.ndarray, bits: np.ndarray, amplitudes: np.ndarray,
                  for x in np.flatnonzero(weight >= 1e-12).tolist())
     return QueryResult(
         bits=bits, amplitudes=amplitudes, table=rows,
-        fidelity=float(abs(np.vdot(alpha[address[ideal]], amplitudes[ideal])) ** 2),
+        fidelity=float(abs(np.vdot(alpha[key[ideal]], amplitudes[ideal])) ** 2),
         routers_restored=float(np.sum(prob[routers_zero])))
 
 
@@ -384,20 +381,19 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     """Exhaustive correctness harness: every basis address plus random
     superpositions (from the same route map, by linearity), checked
     against the classical-trace semantics."""
-    rows, failures, min_fid = [], [], 1.0
     bits, phase = _route(db, np.arange(db.N), g1, g2)
     stored = np.asarray(db.bits)
     oracle = [classical_trace_read(db, x) for x in range(db.N)]
-    for x in range(db.N):
-        result = _read_out(np.eye(1, db.N, x)[0], bits[x:x + 1], phase[x:x + 1],
-                           stored, oracle.__getitem__)
-        row = result.table[0]
-        rows.append(row)
-        min_fid = min(min_fid, result.fidelity, row.fidelity)
-        if row.read != oracle[x]:
-            failures.append(f"address {x}: read {row.read} != oracle")
-        if result.fidelity < 1.0 - 1e-9:
-            failures.append(f"address {x}: fidelity {result.fidelity:.12f}")
+    rows = _read_out(np.zeros(db.N), bits, phase, stored, oracle.__getitem__,
+                     key=np.arange(db.N)).table
+    overlaps = [row.fidelity * abs(p) ** 2 for row, p in zip(rows, phase.tolist())]
+    failures = []
+    for row, overlap in zip(rows, overlaps):
+        if row.read != row.expected:
+            failures.append(f"address {row.address}: read {row.read} != oracle")
+        if overlap < 1.0 - 1e-9:
+            failures.append(f"address {row.address}: fidelity {overlap:.12f}")
+    min_fid = min([1.0, *overlaps, *(row.fidelity for row in rows)])
     rng = np.random.default_rng(seed)
     for i in range(n_superpositions):
         alpha = rng.standard_normal(db.N) + 1j * rng.standard_normal(db.N)
@@ -408,5 +404,5 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
             failures.append(f"superposition {i}: fidelity {result.fidelity:.12f}")
         if result.routers_restored < 1.0 - 1e-9:
             failures.append(f"superposition {i}: routers not restored")
-    return RetrievalReport(rows=tuple(rows), min_fidelity=min_fid,
+    return RetrievalReport(rows=rows, min_fidelity=min_fid,
                            failures=tuple(failures))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -104,6 +105,24 @@ class TestBoundCommand:
         assert captured.err == ("error: non-finite tau0 = pi/g1 + pi/g2 from "
                                 "coupling g1=5e-324\n")
         assert captured.out == ""
+
+    def test_group_velocity_of_overflowing_lattice_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "tiny_m.cfg"
+        path.write_text(GOOD_CONFIG.replace("m = 1.0", "m = 5e-324"))
+        assert main(["bound", "--config", str(path),
+                     "--velocity-source", "group"]) == 2
+        assert_one_error_line(capsys.readouterr(), "omega^2 bound "
+                              "4*d*sum(lam)/m overflows at m=5e-324")
+
+    @pytest.mark.parametrize("source", ["lieb_robinson", "qft"])
+    def test_closed_form_velocity_of_tiny_mass_is_capped(self, source, tmp_path,
+                                                         capsys):
+        # the closed forms build no lattice: their velocity is capped at c_max
+        path = tmp_path / "tiny_m.cfg"
+        path.write_text(GOOD_CONFIG.replace("m = 1.0", "m = 5e-324"))
+        assert main(["bound", "--config", str(path),
+                     "--velocity-source", source]) == 0
+        assert "velocity used [m/s]: 3e+08" in capsys.readouterr().out
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_velocity_exits_2(self, value, capsys):
@@ -342,6 +361,11 @@ class TestLightconeCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_mass_whose_omega_squared_overflows_exits_2(self, capsys):
+        assert main(["lightcone", "--m", "5e-324"]) == 2
+        assert_one_error_line(capsys.readouterr(), "omega^2 bound "
+                              "4*d*sum(lam)/m overflows at m=5e-324")
+
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "cone.csv"
         assert main(["lightcone", "--L", "40", "--r-max", "10", "--t-max", "8",
@@ -465,6 +489,59 @@ class TestQramsimCommand:
                             lambda database, x: 1 - database.bits[x])
         assert main(["qramsim", "--db", str(db)]) == 3
         assert "MISMATCH" in capsys.readouterr().out
+
+
+QRAMSIM_HEADER = "address expected read fidelity\n"
+QRAMSIM_FOOTER = ("min fidelity: 1.000000000000\n"
+                  "PASS: all addresses retrieved\n")
+QRAMSIM_GOLDEN = {   # stdout of `qramsim --random-db --N N --seed 7`
+    2: QRAMSIM_HEADER + """\
+      0        1    1 1.000000000000
+      1        1    1 1.000000000000
+""" + QRAMSIM_FOOTER,
+    4: QRAMSIM_HEADER + """\
+      0        1    1 1.000000000000
+      1        1    1 1.000000000000
+      2        1    1 1.000000000000
+      3        1    1 1.000000000000
+""" + QRAMSIM_FOOTER,
+    8: QRAMSIM_HEADER + """\
+      0        1    1 1.000000000000
+      1        1    1 1.000000000000
+      2        1    1 1.000000000000
+      3        1    1 1.000000000000
+      4        1    1 1.000000000000
+      5        1    1 1.000000000000
+      6        1    1 1.000000000000
+      7        0    0 1.000000000000
+""" + QRAMSIM_FOOTER,
+}
+QRAMSIM_SHA256 = {
+    64: "04206e6ada865c555020990f7490bceb34e8fdb59e916cb1f6c2be8a34cf2751",
+    1024: "d495dee78c09f0385f8a981e165e4bdca1a227eb80eb740f062a7c9adf305bc5",
+}
+
+
+class TestQramsimGolden:
+    """The qramsim contract, pinned byte for byte: stdout and exit code of
+    random databases at seed 7, independent of the couplings."""
+
+    @pytest.mark.parametrize("g1,g2", [(math.pi, math.pi), (1.3, 0.7)])
+    @pytest.mark.parametrize("N", sorted(QRAMSIM_GOLDEN))
+    def test_small_trees_print_golden_table(self, N, g1, g2, capsys):
+        argv = ["qramsim", "--random-db", "--N", str(N), "--seed", "7",
+                "--g1", repr(g1), "--g2", repr(g2)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == QRAMSIM_GOLDEN[N]
+
+    @pytest.mark.parametrize("g1,g2", [(math.pi, math.pi), (1.3, 0.7)])
+    @pytest.mark.parametrize("N", sorted(QRAMSIM_SHA256))
+    def test_large_trees_print_golden_digest(self, N, g1, g2, capsys):
+        argv = ["qramsim", "--random-db", "--N", str(N), "--seed", "7",
+                "--g1", repr(g1), "--g2", repr(g2)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == QRAMSIM_SHA256[N]
 
 
 class TestVerifyCommand:

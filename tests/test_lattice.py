@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,18 @@ class TestLatticeSpec:
     def test_rejects_non_finite_fields(self, fields, message):
         with pytest.raises(LatticeError, match=message):
             LatticeSpec(**{**dict(d=1, L=8, lam=(1.0,), m=1.0), **fields})
+
+    @pytest.mark.parametrize("d,lam,m", [(1, (1.0,), 5e-324), (1, (1.0,), 1e-308),
+                                         (3, (1.0,), 3e-308), (1, (1e308,), 1.0)])
+    def test_rejects_overflowing_omega_squared(self, d, lam, m):
+        with pytest.raises(LatticeError, match=re.escape(
+                f"omega^2 bound 4*d*sum(lam)/m overflows at m={m!r}")):
+            LatticeSpec(d=d, L=8, lam=lam, m=m)
+
+    def test_smallest_mass_below_overflow_is_finite(self):
+        spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=3e-308)
+        assert math.isfinite(normal_modes(spec).omega_max)
+        assert math.isfinite(max_group_velocity(spec).lattice_units)
 
 
 class TestDispersion:
@@ -420,12 +433,25 @@ class TestOdePropagator:
         with pytest.raises(LatticeError, match="time must be finite"):
             lattice.SymplecticPropagator(spec, t)
 
-    def test_step_count_is_not_a_loop(self):
-        # 10^12 RK4 steps: T^steps by repeated squaring returns at once
+    def test_step_count_is_not_a_loop(self, monkeypatch):
+        # 10^12 RK4 steps are refused at once, before anything is built:
+        # T^steps drifts from the spectral propagator past 1e-6 beyond 10^6
+        def never(spec):
+            raise AssertionError("built before the step check")
+        monkeypatch.setattr(lattice, "coupling_matrix", never)
+        monkeypatch.setattr(lattice, "normal_modes", never)
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
-        S = propagate_ode(spec, 1e9, 1e-3)
-        assert S.shape == (8, 8)
-        assert np.isfinite(S).all()
+        with pytest.raises(LatticeError, match=r"RK4 capped at 1000000 steps, "
+                                               r"got \|t\|/dt = 1e\+12"):
+            propagate_ode(spec, 1e9, 1e-3)
+        with pytest.raises(LatticeError, match="RK4 capped at 1000000 steps"):
+            propagate_ode(spec, -1e9, 1e-3)
+
+    def test_step_cap_itself_stays_accurate(self):
+        # 10^6 steps at L = 4, dt = 1e-3: still within the 1e-6 verify bound
+        spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
+        S_ode = propagate_ode(spec, 1e3, 1e-3)
+        assert np.abs(S_ode - propagate(spec, 1e3).matrix()).max() < 1e-6
 
     @pytest.mark.parametrize("d,L", [(1, 513), (2, 23), (3, 9)])
     def test_rejects_more_sites_than_dense_cap(self, d, L, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from dense_oracle import apply_unitary, dense_state
 from qram_bounds import gates, qram
+from qram_bounds.cli import main
 from qram_bounds.gates import t_cphase, t_swap, t_beamsplitter
 from qram_bounds.qram import (ClassicalDatabase, QramError, RoutingStage, Swap,
                               random_database, read_database,
@@ -12,6 +13,7 @@ from qram_bounds.qram import (ClassicalDatabase, QramError, RoutingStage, Swap,
                               simulate_query, total_time, verify_retrieval)
 
 G = math.pi
+COUPLINGS = [(G, G), (1.3, 0.7), (3e4, 7e2)]
 
 
 # --- independent oracle: walk the routing rules bit by bit ------------------
@@ -106,6 +108,40 @@ def dense_query(db, alpha, g1, g2):
                               swap_u.conj().T, cswap_u.conj().T)
 
 
+def gate_tables(g1, g2):
+    """(forward, adjoint) monomial tables of both router gates."""
+    units = {Swap: gates.swap_unitary(g1), RoutingStage: gates.cswap_composite(g1, g2)}
+    return {kind: (gates.monomial(U), gates.monomial(U.conj().T))
+            for kind, U in units.items()}
+
+
+def all_gates_route(db, g1, g2):
+    """The route map with every controlled-SWAP of a stage applied to every
+    row, off-path gates included, the bus flipped at the leaf the routers
+    point to, and initialization reversed with the adjoint tables."""
+    n, N = db.depth, db.N
+    rows = np.arange(N)
+    tables = gate_tables(g1, g2)
+    bits = np.zeros((N, n + N), dtype=np.uint8)
+    bits[:, :n] = (rows[:, None] >> np.arange(n)[::-1]) & 1
+    phase = np.ones(N, dtype=complex)
+    cycles = schedule_initialization(n).cycles
+    for order, adjoint in ((cycles, False), (cycles[::-1], True)):
+        for cycle in order:
+            modes = np.atleast_2d(cycle.op.modes())
+            perm, phases = tables[type(cycle.op)][adjoint]
+            shifts = np.arange(modes.shape[1])[::-1]
+            local = (bits[:, modes] << shifts).sum(axis=2)
+            phase *= phases[local].prod(axis=1)
+            bits[:, modes] = (perm[local][..., None] >> shifts) & 1
+        if not adjoint:
+            leaf = np.zeros(N, dtype=np.intp)
+            for level in range(n):
+                leaf = 2 * leaf + bits[rows, n + (1 << level) - 1 + leaf]
+            bits[np.asarray(db.bits)[leaf] == 1, -1] ^= 1
+    return bits, phase
+
+
 def basis(N, x):
     v = np.zeros(N, dtype=complex)
     v[x] = 1.0
@@ -129,6 +165,8 @@ class TestSchedules:
         for n in (2, 3, 5):
             for sched in (schedule_initialization(n), schedule_query(n)):
                 for cycle in sched.cycles:
+                    if not isinstance(cycle.op, (Swap, RoutingStage)):
+                        continue   # the bus ops move a position, not modes
                     touched = np.ravel(cycle.op.modes()).tolist()
                     assert len(touched) == len(set(touched))
 
@@ -237,22 +275,27 @@ class TestDataCopy:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_bit_table_flips_match_walk(self, n):
-        # one row per router configuration, address 0, bus |0>
+        # one row per router configuration initialization can reach (the
+        # path to each leaf), address 0, bus |0>; run descend, copy, ascend
         N = 1 << n
         n_routers = N - 1
-        configs = np.arange(1 << n_routers)
-        table = np.zeros((len(configs), n + N), dtype=np.uint8)
+        configs = np.array([path_config(leaf, n) for leaf in range(N)])
+        table = np.zeros((N, n + N), dtype=np.uint8)
         table[:, n:n + n_routers] = (configs[:, None]
                                      >> np.arange(n_routers)[::-1]) & 1
-        state = np.zeros(N * len(configs) * 2, dtype=complex)
-        state.reshape(N, -1, 2)[0, :, 0] = 1.0
+        bus_cycles = schedule_query(n).cycles[:2 * n + 1]
+        assert {c.phase for c in bus_cycles} == {"descend", "copy", "ascend"}
+        state = np.zeros(N * (1 << n_routers) * 2, dtype=complex)
+        state.reshape(N, -1, 2)[0, configs, 0] = 1.0
         for code in range(1 << N):
             bits = tuple((code >> (N - 1 - i)) & 1 for i in range(N))
-            out = table.copy()
-            qram._copy_data(out, ClassicalDatabase(bits), n)
+            out, phase = table.copy(), np.ones(N, dtype=complex)
+            qram._run_cycles(out, phase, bus_cycles, {}, np.array(bits))
             walked = brute_force_data_copy(state, bits).reshape(N, -1, 2)
-            assert np.array_equal(out[:, -1], walked[0, :, 1].real.astype(np.uint8))
+            assert np.array_equal(out[:, -1],
+                                  walked[0, configs, 1].real.astype(np.uint8))
             assert np.array_equal(out[:, :-1], table[:, :-1])
+            assert np.array_equal(phase, np.ones(N))   # the bus has no phase
 
 
 class TestSimulateQuery:
@@ -382,13 +425,11 @@ class TestDenseOracle:
         # the phase each address carries after initialization alone
         n = N.bit_length() - 1
         swap_u, cswap_u = gates.swap_unitary(g1), gates.cswap_composite(g1, g2)
-        tables = {Swap: gates.monomial(swap_u),
-                  RoutingStage: gates.monomial(cswap_u)}
         cycles = schedule_initialization(n).cycles
         bits = np.zeros((N, n + N), dtype=np.uint8)
         bits[:, :n] = (np.arange(N)[:, None] >> np.arange(n)[::-1]) & 1
         phase = np.ones(N, dtype=complex)
-        qram._run_cycles(bits, phase, cycles, tables)
+        qram._run_cycles(bits, phase, cycles, gate_tables(g1, g2), np.zeros(N))
         place = 1 << np.arange(n + N)[::-1]
         for x in range(N):
             state = np.zeros(1 << (n + N), dtype=complex)
@@ -404,6 +445,78 @@ class TestDenseOracle:
         for x in range(8):
             view = dense_query(db, basis(8, x), 1.3, 0.7).reshape(8, -1, 2)
             assert abs(view[x, 0, db.bits[x]]) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+class TestExecutedSchedule:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_route_runs_exactly_the_timed_cycles(self, n, monkeypatch):
+        received = []
+        run = qram._run_cycles
+
+        def spy(bits, phase, cycles, tables, stored):
+            received.append(tuple(cycles))
+            run(bits, phase, cycles, tables, stored)
+
+        monkeypatch.setattr(qram, "_run_cycles", spy)
+        qram._route(random_database(1 << n, seed=n), np.arange(1 << n), G, G)
+        init, query = schedule_initialization(n), schedule_query(n)
+        assert received == [init.cycles, query.cycles]
+        assert sum(map(len, received)) == init.cycle_count + query.cycle_count
+
+    @pytest.mark.parametrize("g1,g2", COUPLINGS + [
+        (1e-3, 1e-3), (1e-3, 1e6), (1e6, 1e-3), (1e6, 1e6),
+        *(tuple(g) for g in 10.0 ** np.random.default_rng(0).uniform(-3, 6, (40, 2)))])
+    def test_gates_fix_all_zero_input(self, g1, g2):
+        # an off-path gate sees |0..0>; skipping it is exact only if every
+        # table maps that input to itself with phase exactly 1
+        for forward, adjoint in gate_tables(g1, g2).values():
+            for perm, phases in (forward, adjoint):
+                assert perm[0] == 0 and phases[0] == 1.0
+
+    @pytest.mark.parametrize("g1,g2", COUPLINGS)
+    @pytest.mark.parametrize("N", [16, 64, 1024])
+    def test_on_path_gates_match_all_gates(self, N, g1, g2):
+        db = random_database(N, seed=N + 5)
+        bits, phase = qram._route(db, np.arange(N), g1, g2)
+        oracle_bits, oracle_phase = all_gates_route(db, g1, g2)
+        assert np.array_equal(bits, oracle_bits)
+        assert np.array_equal(phase, oracle_phase)
+
+    def test_rows_stay_keyed_by_input_address(self, monkeypatch):
+        # a route map that sends address 1 to address 0 must fail address 1,
+        # not merge it into row 0
+        route = qram._route
+
+        def misroute(db, addresses, g1, g2):
+            bits, phase = route(db, addresses, g1, g2)
+            bits[1, :db.depth] = bits[0, :db.depth]
+            return bits, phase
+
+        monkeypatch.setattr(qram, "_route", misroute)
+        report = verify_retrieval(random_database(8, seed=4))
+        assert [row.address for row in report.rows] == list(range(8))
+        assert report.rows[1].fidelity == 0.0
+        assert "address 1: fidelity 0.000000000000" in report.failures
+        assert type(report.min_fidelity) is float and report.min_fidelity == 0.0
+
+    def test_min_fidelity_is_a_float(self):
+        report = verify_retrieval(random_database(16, seed=2), 1.3, 0.7)
+        assert type(report.min_fidelity) is float
+
+    def test_uncomputing_with_forward_tables_fails(self, tmp_path, monkeypatch,
+                                                   capsys):
+        run = qram._run_cycles
+
+        def forward_only(bits, phase, cycles, tables, stored):
+            tables = {kind: (fwd, fwd) for kind, (fwd, _) in tables.items()}
+            run(bits, phase, cycles, tables, stored)
+
+        monkeypatch.setattr(qram, "_run_cycles", forward_only)
+        assert not verify_retrieval(ClassicalDatabase((0, 1, 1, 0))).passed
+        db = tmp_path / "db.txt"
+        db.write_text("0110")
+        assert main(["qramsim", "--db", str(db)]) == 3
+        assert "MISMATCH" in capsys.readouterr().out
 
 
 class TestWallTime:

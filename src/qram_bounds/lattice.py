@@ -69,9 +69,10 @@ class LatticeSpec:
             raise LatticeError("negative spring constant")
         if not any(l > 0 for l in self.lam):
             raise LatticeError("all spring constants zero")
-        if not math.isfinite(4.0 * self.d * sum(self.lam) / self.m):
-            raise LatticeError("omega^2 bound 4*d*sum(lam)/m overflows at "
-                               f"m={self.m!r}")
+        weight = sum(max(4, j * j) * l for j, l in enumerate(self.lam, start=1))
+        if not math.isfinite(self.d * weight / self.m):  # bounds omega^2, |grad omega|^2
+            raise LatticeError("dispersion bound d*sum_j max(4, j^2)*lam_j/m "
+                               f"overflows at lam={self.lam!r}, m={self.m!r}")
         if self.L < 2 * self.nu + 2 and not self.allow_wrap:
             raise LatticeError("L too small for range")
 
@@ -275,9 +276,8 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
 
     On this linear system x_dot = A x an RK4 step is x <- T x, with T =
     I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24 built once, and S(t) = T^steps
-    by repeated squaring. Requires dt <= 0.01/omega_max for comfortable
-    stability margin; like ``matrix()``, refuses more than _DENSE_SITE_CAP
-    sites, and refuses more than _ODE_STEP_CAP steps.
+    by repeated squaring. Requires dt <= 0.01/omega_max; refuses more than
+    _DENSE_SITE_CAP sites (like ``matrix()``) or _ODE_STEP_CAP steps.
     """
     if not math.isfinite(t):
         raise LatticeError("time must be finite")

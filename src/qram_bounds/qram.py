@@ -327,13 +327,12 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
 
 
 def _read_out(alpha: np.ndarray, bits: np.ndarray, amplitudes: np.ndarray,
-              stored: np.ndarray, expected, key=None) -> QueryResult:
-    """Read out an output of distinct basis states ``bits``, one table row
-    per ``key`` (default: each state's address); ``stored`` are the database
+              stored: np.ndarray, expected, key: np.ndarray) -> QueryResult:
+    """Read out the basis states ``bits`` routed from the input addresses
+    ``key``, one table row per input address; ``stored`` are the database
     bits and ``expected(x)`` the oracle read of address x."""
     N, n = len(stored), _depth(len(stored))
     address = bits[:, :n] @ (1 << np.arange(n)[::-1])
-    key = address if key is None else key
     routers_zero = ~bits[:, n:_bus_mode(n)].any(axis=1)
     bus = bits[:, _bus_mode(n)]
     ideal = routers_zero & (address == key) & (bus == stored[key])
@@ -361,7 +360,8 @@ def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
     support = np.flatnonzero(address_state)
     bits, phase = _route(db, support, g1, g2)
     return _read_out(address_state, bits, address_state[support] * phase,
-                     np.asarray(db.bits), lambda x: classical_trace_read(db, x))
+                     np.asarray(db.bits), lambda x: classical_trace_read(db, x),
+                     support)
 
 
 @dataclass(frozen=True)
@@ -381,11 +381,11 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     """Exhaustive correctness harness: every basis address plus random
     superpositions (from the same route map, by linearity), checked
     against the classical-trace semantics."""
-    bits, phase = _route(db, np.arange(db.N), g1, g2)
+    inputs = np.arange(db.N)
+    bits, phase = _route(db, inputs, g1, g2)
     stored = np.asarray(db.bits)
     oracle = [classical_trace_read(db, x) for x in range(db.N)]
-    rows = _read_out(np.zeros(db.N), bits, phase, stored, oracle.__getitem__,
-                     key=np.arange(db.N)).table
+    rows = _read_out(np.zeros(db.N), bits, phase, stored, oracle.__getitem__, inputs).table
     overlaps = [row.fidelity * abs(p) ** 2 for row, p in zip(rows, phase.tolist())]
     failures = []
     for row, overlap in zip(rows, overlaps):
@@ -398,7 +398,7 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     for i in range(n_superpositions):
         alpha = rng.standard_normal(db.N) + 1j * rng.standard_normal(db.N)
         alpha /= np.linalg.norm(alpha)
-        result = _read_out(alpha, bits, alpha * phase, stored, oracle.__getitem__)
+        result = _read_out(alpha, bits, alpha * phase, stored, oracle.__getitem__, inputs)
         min_fid = min(min_fid, result.fidelity)
         if result.fidelity < 1.0 - 1e-9:
             failures.append(f"superposition {i}: fidelity {result.fidelity:.12f}")

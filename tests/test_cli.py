@@ -106,13 +106,21 @@ class TestBoundCommand:
                                 "coupling g1=5e-324\n")
         assert captured.out == ""
 
-    def test_group_velocity_of_overflowing_lattice_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("edit,lam,m", [
+        ({"m = 1.0": "m = 5e-324"}, "(1.0,)", "5e-324"),
+        ({"m = 1.0": "m = 3e-308", "lambda = 1.0": "lambda = 0,0,1",
+          "nu = 1": "nu = 3"}, "(0.0, 0.0, 1.0)", "3e-308")])
+    def test_group_velocity_of_overflowing_lattice_exits_2(self, edit, lam, m,
+                                                           tmp_path, capsys):
+        text = GOOD_CONFIG
+        for old, new in edit.items():
+            text = text.replace(old, new)
         path = tmp_path / "tiny_m.cfg"
-        path.write_text(GOOD_CONFIG.replace("m = 1.0", "m = 5e-324"))
+        path.write_text(text)
         assert main(["bound", "--config", str(path),
                      "--velocity-source", "group"]) == 2
-        assert_one_error_line(capsys.readouterr(), "omega^2 bound "
-                              "4*d*sum(lam)/m overflows at m=5e-324")
+        assert_one_error_line(capsys.readouterr(), "dispersion bound d*sum_j "
+                              f"max(4, j^2)*lam_j/m overflows at lam={lam}, m={m}")
 
     @pytest.mark.parametrize("source", ["lieb_robinson", "qft"])
     def test_closed_form_velocity_of_tiny_mass_is_capped(self, source, tmp_path,
@@ -361,10 +369,12 @@ class TestLightconeCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
-    def test_mass_whose_omega_squared_overflows_exits_2(self, capsys):
-        assert main(["lightcone", "--m", "5e-324"]) == 2
-        assert_one_error_line(capsys.readouterr(), "omega^2 bound "
-                              "4*d*sum(lam)/m overflows at m=5e-324")
+    @pytest.mark.parametrize("lam,m,shown", [("1.0", "5e-324", "(1.0,)"),
+                                             ("0,0,1", "3e-308", "(0.0, 0.0, 1.0)")])
+    def test_mass_whose_dispersion_overflows_exits_2(self, lam, m, shown, capsys):
+        assert main(["lightcone", "--lam", lam, "--m", m]) == 2
+        assert_one_error_line(capsys.readouterr(), "dispersion bound d*sum_j "
+                              f"max(4, j^2)*lam_j/m overflows at lam={shown}, m={m}")
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "cone.csv"

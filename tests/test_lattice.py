@@ -160,17 +160,25 @@ class TestLatticeSpec:
         with pytest.raises(LatticeError, match=message):
             LatticeSpec(**{**dict(d=1, L=8, lam=(1.0,), m=1.0), **fields})
 
-    @pytest.mark.parametrize("d,lam,m", [(1, (1.0,), 5e-324), (1, (1.0,), 1e-308),
-                                         (3, (1.0,), 3e-308), (1, (1e308,), 1.0)])
-    def test_rejects_overflowing_omega_squared(self, d, lam, m):
+    @pytest.mark.parametrize("d,lam,m", [
+        (1, (1.0,), 5e-324), (1, (1.0,), 1e-308), (3, (1.0,), 3e-308),
+        (1, (1e308,), 1.0), (1, (0.0, 0.0, 1.0), 3e-308), (2, (0.0, 1.0), 4e-308)])
+    def test_rejects_overflowing_dispersion_bound(self, d, lam, m):
+        # the bound covers omega^2 and the group velocity, whose square grows
+        # like j^2 lam_j / m for a range-j coupling
         with pytest.raises(LatticeError, match=re.escape(
-                f"omega^2 bound 4*d*sum(lam)/m overflows at m={m!r}")):
+                "dispersion bound d*sum_j max(4, j^2)*lam_j/m overflows at "
+                f"lam={lam!r}, m={m!r}")):
             LatticeSpec(d=d, L=8, lam=lam, m=m)
 
-    def test_smallest_mass_below_overflow_is_finite(self):
-        spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=3e-308)
-        assert math.isfinite(normal_modes(spec).omega_max)
-        assert math.isfinite(max_group_velocity(spec).lattice_units)
+    @pytest.mark.parametrize("d,lam,m", [
+        (1, (1.0,), 3e-308), (1, (0.0, 0.0, 1.0), 1e-307), (3, (1.0, 2.0, 3.0), 7e-307),
+        (1, (1e-300,), 5e-324)])
+    def test_smallest_mass_below_overflow_is_finite(self, d, lam, m):
+        spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
+        with np.errstate(over="raise"):
+            assert math.isfinite(normal_modes(spec).omega_max)
+            assert math.isfinite(max_group_velocity(spec).lattice_units)
 
 
 class TestDispersion:

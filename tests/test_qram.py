@@ -482,26 +482,31 @@ class TestExecutedSchedule:
         assert np.array_equal(bits, oracle_bits)
         assert np.array_equal(phase, oracle_phase)
 
-    def test_rows_stay_keyed_by_input_address(self, monkeypatch):
+    def test_rows_stay_keyed_by_input_address(self, monkeypatch, capsys):
         # a route map that sends address 1 to address 0 must fail address 1,
-        # not merge it into row 0
+        # not merge it into row 0: in the exhaustive harness, in a
+        # single-address query and in `qramsim --address`
         route = qram._route
 
         def misroute(db, addresses, g1, g2):
             bits, phase = route(db, addresses, g1, g2)
-            bits[1, :db.depth] = bits[0, :db.depth]
+            bits[addresses == 1, :db.depth] = 0
             return bits, phase
 
         monkeypatch.setattr(qram, "_route", misroute)
-        report = verify_retrieval(random_database(8, seed=4))
+        db = random_database(8, seed=4)
+        report = verify_retrieval(db)
         assert [row.address for row in report.rows] == list(range(8))
         assert report.rows[1].fidelity == 0.0
         assert "address 1: fidelity 0.000000000000" in report.failures
         assert type(report.min_fidelity) is float and report.min_fidelity == 0.0
-
-    def test_min_fidelity_is_a_float(self):
-        report = verify_retrieval(random_database(16, seed=2), 1.3, 0.7)
-        assert type(report.min_fidelity) is float
+        result = simulate_query(db, basis(8, 1), G, G)
+        assert [row.address for row in result.table] == [1]
+        assert result.table[0].fidelity == 0.0 and result.fidelity == 0.0
+        assert main(["qramsim", "--random-db", "--N", "8", "--seed", "4",
+                     "--address", "1"]) == 3
+        row = capsys.readouterr().out.splitlines()[1].split()
+        assert (row[0], row[3]) == ("1", "0.000000000000")
 
     def test_uncomputing_with_forward_tables_fails(self, tmp_path, monkeypatch,
                                                    capsys):
@@ -535,6 +540,7 @@ class TestLargeTrees:
         assert report.passed, report.failures[:3]
         assert [row.address for row in report.rows] == list(range(1024))
         assert all(row.read == db.bits[row.address] for row in report.rows)
+        assert type(report.min_fidelity) is float
         assert report.min_fidelity >= 1.0 - 1e-9
 
     def test_leaf_cap_checked_before_routing(self, monkeypatch):

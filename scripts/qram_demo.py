@@ -10,6 +10,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qram_bounds import qram
+from qram_bounds.cli import print_retrieval_table
 from qram_bounds.params import tau0
 
 
@@ -17,10 +18,7 @@ def main() -> None:
     db = qram.random_database(8, seed=42)
     print(f"database: {''.join(str(b) for b in db.bits)}")
     report = qram.verify_retrieval(db)
-    print("address expected read fidelity")
-    for row in report.rows:
-        print(f"{row.address:7d} {row.expected:8d} {row.read:4d} "
-              f"{row.fidelity:.12f}")
+    print_retrieval_table(report.rows)
     print(f"min fidelity (incl. superpositions): {report.min_fidelity:.12f}")
     print(f"all checks passed: {report.passed}")
 

@@ -7,6 +7,7 @@ mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -187,16 +188,11 @@ def _load_params(args) -> HardwareParams:
     return PRESET_PARAMS
 
 
-def _conventions(args) -> Conventions:
-    source = args.velocity_source if args.velocity is None else args.velocity
-    return Conventions(log_base=args.log_base,
-                       depth_exponent=args.depth_exponent,
-                       velocity_source=source)
-
-
 def _cmd_bound(args) -> int:
     params = _load_params(args)
-    conv = _conventions(args)
+    source = args.velocity_source if args.velocity is None else args.velocity
+    conv = Conventions(log_base=args.log_base, depth_exponent=args.depth_exponent,
+                       velocity_source=source)
     if args.kind == "naive":
         n_max = bounds.naive_max_qubits(params.a, params.delta_t,
                                         params.c_max, conv.log_base)
@@ -273,6 +269,13 @@ def _cmd_lightcone(args) -> int:
     return EXIT_OK if ok else EXIT_VERIFY
 
 
+def print_retrieval_table(rows) -> None:
+    """The ``address expected read fidelity`` table of retrieval rows."""
+    print("address expected read fidelity")
+    for row in rows:
+        print(f"{row.address:7d} {row.expected:8d} {row.read:4d} {row.fidelity:.12f}")
+
+
 def _cmd_qramsim(args) -> int:
     if args.seed < 0:
         raise qram.QramError(f"seed must be >= 0, got {args.seed}")
@@ -298,15 +301,12 @@ def _cmd_qramsim(args) -> int:
         basis[address] = 1.0
         result = qram.simulate_query(db, basis, args.g1, args.g2)
         row = result.table[0]
-        print("address expected read fidelity")
-        print(f"{row.address:7d} {row.expected:8d} {row.read:4d} {row.fidelity:.12f}")
+        print_retrieval_table([row])
         ok = row.read == row.expected and result.fidelity >= 1.0 - 1e-9
         return EXIT_OK if ok else EXIT_RETRIEVAL
 
     report = qram.verify_retrieval(db, g1=args.g1, g2=args.g2, seed=args.seed)
-    print("address expected read fidelity")
-    for row in report.rows:
-        print(f"{row.address:7d} {row.expected:8d} {row.read:4d} {row.fidelity:.12f}")
+    print_retrieval_table(report.rows)
     print(f"min fidelity: {report.min_fidelity:.12f}")
     if report.failures:
         for failure in report.failures:
@@ -316,10 +316,7 @@ def _cmd_qramsim(args) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    return verify.run_verify()
-
-
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qram-bounds",
@@ -377,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_qramsim)
 
     p = sub.add_parser("verify", help="run all module property suites")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=lambda args: verify.run_verify())
     return parser
 
 

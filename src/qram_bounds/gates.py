@@ -25,6 +25,9 @@ def _coupling(name: str, g: float) -> float:
         raise GateError(f"non-finite coupling {name}={g!r}")
     if g <= 0:
         raise GateError(f"nonpositive coupling {name}={g!r}")
+    if math.isinf(4.0 * g) or math.isinf(math.pi / g):
+        raise GateError(f"coupling {name}={g!r} out of range: "
+                        f"4*{name} or pi/{name} overflows")
     return g
 
 

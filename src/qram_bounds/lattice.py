@@ -44,10 +44,6 @@ class LatticeSpec:
     lam: tuple[float, ...]   # couplings lam_1..lam_nu [kg/s^2]
     m: float                 # site mass [kg]
     a: float = 1.0           # spacing [m]
-    # allow_wrap permits L < 2*nu + 2 for closed-system cross checks
-    # (e.g. exact diagonalization of a 2-site chain); light-cone scans
-    # enforce their own wrap-around margin via r_max.
-    allow_wrap: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
@@ -73,7 +69,7 @@ class LatticeSpec:
         if not math.isfinite(self.d * weight / self.m):  # bounds omega^2, |grad omega|^2
             raise LatticeError("dispersion bound d*sum_j max(4, j^2)*lam_j/m "
                                f"overflows at lam={self.lam!r}, m={self.m!r}")
-        if self.L < 2 * self.nu + 2 and not self.allow_wrap:
+        if self.L < 1:
             raise LatticeError("L too small for range")
 
     @property
@@ -145,7 +141,6 @@ class GroupVelocity:
     lattice_units: float           # max_k |grad omega|, sites/s
     physical: float                # m/s
     longwave_lattice_units: float  # k -> 0 slope (may be below the max)
-    longwave_physical: float
 
 
 def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
@@ -177,9 +172,10 @@ def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
     v_grid = math.sqrt(grad2_max)
     v_long = longwave_speed(spec)
     v = max(v_grid, v_long)
+    if not math.isfinite(spec.a * v):
+        raise LatticeError(f"physical group velocity overflows at a={spec.a!r}")
     return GroupVelocity(lattice_units=v, physical=spec.a * v,
-                         longwave_lattice_units=v_long,
-                         longwave_physical=spec.a * v_long)
+                         longwave_lattice_units=v_long)
 
 
 def coupling_matrix(spec: LatticeSpec) -> np.ndarray:
@@ -483,6 +479,8 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     velocity). The fitted velocity is the least-squares slope of r against
     arrival time over r >= fit_r_min.
     """
+    if spec.L < 2 * spec.nu + 2:
+        raise LatticeError("L too small for range")
     if not 0.0 < threshold < 1.0:
         raise LatticeError("threshold must lie in (0, 1)")
     if r_max < 1:
@@ -529,6 +527,8 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     design = np.vstack([t_arr, np.ones_like(t_arr)]).T
     slope, intercept = np.linalg.lstsq(design, r_arr, rcond=None)[0]
     residual = r_arr - (slope * t_arr + intercept)
+    if not math.isfinite(float(slope) * spec.a):
+        raise LatticeError(f"physical fitted velocity overflows at a={spec.a!r}")
     return LightConeScan(rows=tuple(rows),
                          fitted_velocity_lattice=float(slope),
                          fitted_velocity_physical=float(slope) * spec.a,

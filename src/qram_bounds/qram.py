@@ -26,6 +26,7 @@ phase 1), and the bus is one mode whose position moves with no phase.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -56,10 +57,6 @@ def _router_mode(n: int, level: int, pos: int) -> int:
 
 def _bus_mode(n: int) -> int:
     return n + (1 << n) - 1
-
-
-def _n_modes(n: int) -> int:
-    return n + (1 << n)
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +315,7 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
     units = {Swap: gates.swap_unitary(g1), RoutingStage: gates.cswap_composite(g1, g2)}
     tables = {kind: (gates.monomial(U), gates.monomial(U.conj().T))
               for kind, U in units.items()}
-    bits = np.zeros((len(addresses), _n_modes(n)), dtype=np.uint8)
+    bits = np.zeros((len(addresses), _bus_mode(n) + 1), dtype=np.uint8)
     bits[:, :n] = (addresses[:, None] >> np.arange(n)[::-1]) & 1
     phase = np.ones(len(addresses), dtype=complex)
     for schedule in (schedule_initialization(n), schedule_query(n)):
@@ -326,32 +323,31 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
     return bits, phase
 
 
-def _read_out(alpha: np.ndarray, bits: np.ndarray, amplitudes: np.ndarray,
-              stored: np.ndarray, expected, key: np.ndarray) -> QueryResult:
-    """Read out the basis states ``bits`` routed from the input addresses
-    ``key``, one table row per input address; ``stored`` are the database
-    bits and ``expected(x)`` the oracle read of address x."""
-    N, n = len(stored), _depth(len(stored))
-    address = bits[:, :n] @ (1 << np.arange(n)[::-1])
+def _read_out(db: ClassicalDatabase, bits: np.ndarray, key: np.ndarray, expected):
+    """One pass over the rows ``bits`` routed from the input addresses ``key``
+    (``expected``: their oracle reads): the table rows, and per row the ideal
+    flag (routers zero, address kept, bus = stored bit) and routers-zero flag."""
+    n = db.depth
     routers_zero = ~bits[:, n:_bus_mode(n)].any(axis=1)
     bus = bits[:, _bus_mode(n)]
-    ideal = routers_zero & (address == key) & (bus == stored[key])
-    prob = np.abs(amplitudes) ** 2
-    weight, p_one, hit = (np.bincount(key, prob * w, minlength=N)
-                          for w in (1.0, bus, ideal))
-    rows = tuple(RetrievalRow(address=x, expected=expected(x),
-                              read=int(p_one[x] / weight[x] > 0.5),
-                              fidelity=float(hit[x] / weight[x]))
-                 for x in np.flatnonzero(weight >= 1e-12).tolist())
-    return QueryResult(
-        bits=bits, amplitudes=amplitudes, table=rows,
-        fidelity=float(abs(np.vdot(alpha[key[ideal]], amplitudes[ideal])) ** 2),
-        routers_restored=float(np.sum(prob[routers_zero])))
+    kept = bits[:, :n] @ (1 << np.arange(n)[::-1]) == key
+    ideal = routers_zero & kept & (bus == np.asarray(db.bits)[key])
+    rows = map(RetrievalRow, key.tolist(), expected, bus.tolist(),
+               ideal.astype(float).tolist())
+    return tuple(rows), ideal, routers_zero
+
+
+def _score(alpha, amplitudes, ideal, routers_zero) -> tuple[float, float]:
+    """(fidelity, routers_restored) of the rows with input amplitudes
+    ``alpha`` and output amplitudes ``amplitudes``, by linearity."""
+    return (float(abs(np.vdot(alpha[ideal], amplitudes[ideal])) ** 2),
+            float(np.sum((np.abs(amplitudes) ** 2)[routers_zero])))
 
 
 def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
                    g1: float, g2: float) -> QueryResult:
-    """Route the addresses in ``address_state``; superpose their outputs."""
+    """Route the addresses in ``address_state``; superpose their outputs.
+    The table keeps the rows of weight >= 1e-12."""
     address_state = np.asarray(address_state, dtype=complex)
     if address_state.shape != (db.N,):
         raise QramError(f"address state must have length {db.N}")
@@ -359,9 +355,13 @@ def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
         raise QramError("address state must be normalized")
     support = np.flatnonzero(address_state)
     bits, phase = _route(db, support, g1, g2)
-    return _read_out(address_state, bits, address_state[support] * phase,
-                     np.asarray(db.bits), lambda x: classical_trace_read(db, x),
-                     support)
+    alpha = address_state[support]
+    oracle = [classical_trace_read(db, x) for x in support.tolist()]
+    rows, ideal, routers_zero = _read_out(db, bits, support, oracle)
+    amplitudes = alpha * phase
+    heavy = (np.abs(amplitudes) ** 2 >= 1e-12).tolist()
+    return QueryResult(bits, amplitudes, tuple(itertools.compress(rows, heavy)),
+                       *_score(alpha, amplitudes, ideal, routers_zero))
 
 
 @dataclass(frozen=True)
@@ -383,9 +383,8 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     against the classical-trace semantics."""
     inputs = np.arange(db.N)
     bits, phase = _route(db, inputs, g1, g2)
-    stored = np.asarray(db.bits)
     oracle = [classical_trace_read(db, x) for x in range(db.N)]
-    rows = _read_out(np.zeros(db.N), bits, phase, stored, oracle.__getitem__, inputs).table
+    rows, ideal, routers_zero = _read_out(db, bits, inputs, oracle)
     overlaps = [row.fidelity * abs(p) ** 2 for row, p in zip(rows, phase.tolist())]
     failures = []
     for row, overlap in zip(rows, overlaps):
@@ -398,11 +397,11 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     for i in range(n_superpositions):
         alpha = rng.standard_normal(db.N) + 1j * rng.standard_normal(db.N)
         alpha /= np.linalg.norm(alpha)
-        result = _read_out(alpha, bits, alpha * phase, stored, oracle.__getitem__, inputs)
-        min_fid = min(min_fid, result.fidelity)
-        if result.fidelity < 1.0 - 1e-9:
-            failures.append(f"superposition {i}: fidelity {result.fidelity:.12f}")
-        if result.routers_restored < 1.0 - 1e-9:
+        fidelity, restored = _score(alpha, alpha * phase, ideal, routers_zero)
+        min_fid = min(min_fid, fidelity)
+        if fidelity < 1.0 - 1e-9:
+            failures.append(f"superposition {i}: fidelity {fidelity:.12f}")
+        if restored < 1.0 - 1e-9:
             failures.append(f"superposition {i}: routers not restored")
     return RetrievalReport(rows=rows, min_fidelity=min_fid,
                            failures=tuple(failures))

@@ -145,7 +145,7 @@ def test_criterion_07_symplectic_propagator():
 
 
 def test_criterion_08_weyl_commutator_oracle():
-    spec = lattice.LatticeSpec(d=1, L=2, lam=(1.0,), m=1.0, allow_wrap=True)
+    spec = lattice.LatticeSpec(d=1, L=2, lam=(1.0,), m=1.0)
     cases = [
         ((1.0 + 0j, 0j), (1j, 0j), 0.0),
         ((0.5 + 0j, 0j), (0j, 0.5j), 0.3),

@@ -122,6 +122,21 @@ class TestBoundCommand:
         assert_one_error_line(capsys.readouterr(), "dispersion bound d*sum_j "
                               f"max(4, j^2)*lam_j/m overflows at lam={lam}, m={m}")
 
+    def test_group_velocity_out_of_float_range_exits_2(self, tmp_path, capsys):
+        # a*v = 1e160 * 1e150 overflows; it was capped at c_max in silence
+        text = GOOD_CONFIG.replace("a = 1e-6", "a = 1e160").replace(
+            "lambda = 1.0", "lambda = 1e300").replace("c_max = 3e8", "c_max = 1e300")
+        path = tmp_path / "wide.cfg"
+        path.write_text(text)
+        assert main(["bound", "--config", str(path),
+                     "--velocity-source", "group"]) == 2
+        assert_one_error_line(capsys.readouterr(),
+                              "physical group velocity overflows at a=1e+160")
+        path.write_text(text.replace("a = 1e160", "a = 1e150"))
+        assert main(["bound", "--config", str(path),
+                     "--velocity-source", "group"]) == 0
+        assert "velocity used [m/s]: 1e+300" in capsys.readouterr().out
+
     @pytest.mark.parametrize("source", ["lieb_robinson", "qft"])
     def test_closed_form_velocity_of_tiny_mass_is_capped(self, source, tmp_path,
                                                          capsys):
@@ -344,6 +359,19 @@ class TestLightconeCommand:
         assert main(["lightcone", "--L", "4", "--lam", "1,1"]) == 2
         assert "L too small for range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("L", ["0", "-4", "3"])
+    def test_lattice_below_scan_margin_exits_2(self, L, capsys):
+        # L < 1 is refused by LatticeSpec, 1 <= L < 2*nu + 2 by the scan
+        assert main(["lightcone", "--L", L]) == 2
+        assert capsys.readouterr().err == "error: L too small for range\n"
+
+    @pytest.mark.parametrize("lam", ["1.0", "4"])
+    def test_physical_velocity_out_of_float_range_exits_2(self, lam, capsys):
+        assert main(["lightcone", "--L", "16", "--a", "1e308", "--t-max", "5",
+                     "--lam", lam]) == 2
+        assert_one_error_line(capsys.readouterr(),
+                              "physical fitted velocity overflows at a=1e+308")
+
     @pytest.mark.parametrize("args,message", [
         (["--dt", "0.0"], "dt must be finite and positive"),
         (["--dt", "-0.1"], "dt must be finite and positive"),
@@ -482,6 +510,20 @@ class TestQramsimCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("args,named", [
+        (["--g1", "1e308", "--g2", "1e308"], "g1=1e+308"),
+        (["--g1", "5e307"], "g1=5e+307"),
+        (["--g1", "1e-320"], "g1=1e-320"),
+        (["--g2", "1e-320"], "g2=1e-320"),
+    ])
+    def test_coupling_whose_durations_overflow_exits_2(self, args, named, capsys):
+        # 4*g overflowed to a zero beam-splitter time (exit 3 with MISMATCH
+        # lines), and pi/g to an infinite one (a RuntimeWarning)
+        assert main(["qramsim", "--random-db", "--N", "8", *args]) == 2
+        name = named.split("=")[0]
+        assert capsys.readouterr().err == (f"error: coupling {named} out of range: "
+                                           f"4*{name} or pi/{name} overflows\n")
+
     def test_negative_seed_exits_2(self, capsys):
         assert main(["qramsim", "--random-db", "--N", "8", "--seed", "-1"]) == 2
         assert_one_error_line(capsys.readouterr(), "seed must be >= 0, got -1")
@@ -552,6 +594,27 @@ class TestQramsimGolden:
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == QRAMSIM_SHA256[N]
+
+
+class TestParserBuiltOnce:
+    def test_second_run_inherits_nothing(self, tmp_path, capsys):
+        assert cli.build_parser() is cli.build_parser()
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        assert main(["sweep", "--axis", "g:1e-3:1:3:log", "--axis",
+                     "velocity:1e2:1e3:2:log", "--dims", "1,2",
+                     "--out", str(first)]) == 0
+        assert main(["qramsim", "--random-db", "--N", "2"]) == 0
+        assert main(["sweep", "--axis", "v2:1e2:1e4:4:lin",
+                     "--out", str(second)]) == 0
+        header, *rows = second.read_text().splitlines()[1:]
+        assert header == "v2,max_qubits_d1" and len(rows) == 4
+        parse = cli.build_parser().parse_args
+        args = parse(["sweep", "--out", str(second)])
+        assert (args.axis, args.dims, args.preset) == (None, "1", None)
+        assert args.func is cli._cmd_sweep
+        args = parse(["bound"])
+        assert args.func is cli._cmd_bound and not hasattr(args, "axis")
+        assert (args.velocity, args.velocity_source) == (None, "lieb_robinson")
 
 
 class TestVerifyCommand:

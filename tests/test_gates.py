@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +87,21 @@ class TestBeamSplitter:
     def test_rejects_non_finite_coupling(self, make, g):
         with pytest.raises(GateError, match="non-finite coupling g[12]="):
             make(g)
+
+    @pytest.mark.parametrize("make", [
+        lambda g: bs_unitary(g, 1.0), lambda g: cz_unitary(g, 1.0),
+        swap_unitary, t_swap, t_beamsplitter, t_cphase])
+    @pytest.mark.parametrize("g", [5e307, 1e308, 1e-320, 5e-324])
+    def test_rejects_coupling_whose_durations_overflow(self, make, g):
+        # 4*g overflows (a zero beam-splitter time) or pi/g does
+        with pytest.raises(GateError, match=re.escape(f"={g!r} out of range")):
+            make(g)
+
+    @pytest.mark.parametrize("g", [4.4e307, 2e-308])
+    def test_extreme_couplings_in_range_keep_the_composite(self, g):
+        assert math.isfinite(t_beamsplitter(g)) and t_beamsplitter(g) > 0
+        assert math.isfinite(t_cphase(g))
+        assert gauge_equivalent(cswap_composite(g, g), cswap_exact()).equivalent
 
 
 class TestControlledPhase:

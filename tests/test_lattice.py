@@ -134,12 +134,14 @@ def full_grid_group_velocity(spec):
 # --- spec and modes ----------------------------------------------------------
 
 class TestLatticeSpec:
-    def test_rejects_small_lattice(self):
+    @pytest.mark.parametrize("L", [0, -4])
+    def test_rejects_empty_lattice(self, L):
         with pytest.raises(LatticeError, match="L too small for range"):
-            LatticeSpec(d=1, L=4, lam=(1.0, 1.0), m=1.0)
+            LatticeSpec(d=1, L=L, lam=(1.0,), m=1.0)
 
-    def test_allow_wrap_permits_closed_systems(self):
-        spec = LatticeSpec(d=1, L=2, lam=(1.0,), m=1.0, allow_wrap=True)
+    def test_permits_closed_systems(self):
+        # the wrap-around margin belongs to the light-cone scan
+        spec = LatticeSpec(d=1, L=2, lam=(1.0, 1.0), m=1.0)
         assert spec.n_sites == 2
 
     def test_rejects_bad_couplings(self):
@@ -274,6 +276,15 @@ class TestGroupVelocity:
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
         assert lr_bound_velocity(spec) == pytest.approx(4.0, rel=1e-15)
         assert max_group_velocity(spec).lattice_units < lr_bound_velocity(spec)
+
+    def test_rejects_infinite_physical_velocity(self):
+        # 2 sites/s times a = 1e308 leaves the float range
+        spec = LatticeSpec(d=1, L=16, lam=(4.0,), m=1.0, a=1e308)
+        with pytest.raises(LatticeError, match=re.escape(
+                "physical group velocity overflows at a=1e+308")):
+            max_group_velocity(spec)
+        gv = max_group_velocity(LatticeSpec(d=1, L=16, lam=(4.0,), m=1.0, a=5e307))
+        assert gv.physical == 2.0 * 5e307
 
 
 class TestPropagator:
@@ -530,7 +541,7 @@ class TestWeylCommutator:
         ((0.3 + 0.2j, 0j), (0j, 0.4j), 0.4),
     ])
     def test_matches_fock_truncation_oracle(self, f_amp, g_amp, t):
-        spec = LatticeSpec(d=1, L=2, lam=(1.0,), m=1.0, allow_wrap=True)
+        spec = LatticeSpec(d=1, L=2, lam=(1.0,), m=1.0)
         closed = weyl_commutator_norm(spec,
                                       WeylFunction({0: f_amp[0], 1: f_amp[1]}),
                                       WeylFunction({0: g_amp[0], 1: g_amp[1]}), t)
@@ -640,6 +651,23 @@ class TestAxisSignal:
 
 
 class TestLightCone:
+    def test_rejects_small_lattice(self, monkeypatch):
+        # the wrap-around margin L >= 2*nu + 2, checked before anything else
+        monkeypatch.setattr(lattice, "axis_signal", None)
+        for L, lam in ((4, (1.0, 1.0)), (3, (1.0,)), (2, (1.0,))):
+            spec = LatticeSpec(d=1, L=L, lam=lam, m=1.0)
+            with pytest.raises(LatticeError, match="L too small for range"):
+                measure_light_cone(spec, threshold=2.0, t_max=-1.0, r_max=0)
+
+    def test_rejects_infinite_physical_velocity(self):
+        spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0, a=1e308)
+        with pytest.raises(LatticeError, match=re.escape(
+                "physical fitted velocity overflows at a=1e+308")):
+            measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=7)
+        spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0, a=1e300)
+        scan = measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=7)
+        assert scan.fitted_velocity_physical == scan.fitted_velocity_lattice * 1e300
+
     def test_nearest_neighbor_velocity(self):
         spec = LatticeSpec(d=1, L=200, lam=(1.0,), m=1.0)
         scan = measure_light_cone(spec, threshold=1e-3, t_max=100.0,

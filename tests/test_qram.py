@@ -524,6 +524,82 @@ class TestExecutedSchedule:
         assert "MISMATCH" in capsys.readouterr().out
 
 
+def spy_scores(monkeypatch):
+    """Record (alpha, fidelity) of every superposition ``_score`` scores."""
+    scored = []
+    score = qram._score
+
+    def spy(alpha, amplitudes, ideal, routers_zero):
+        result = score(alpha, amplitudes, ideal, routers_zero)
+        scored.append((alpha.copy(), result[0]))
+        return result
+
+    monkeypatch.setattr(qram, "_score", spy)
+    return scored
+
+
+class TestReadOut:
+    @pytest.mark.parametrize("g1,g2", COUPLINGS)
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_superpositions_scored_as_simulate_query_routes_them(
+            self, N, g1, g2, monkeypatch):
+        scored = spy_scores(monkeypatch)
+        db = random_database(N, seed=N + 9)
+        assert verify_retrieval(db, g1, g2, n_superpositions=5, seed=11).passed
+        rng = np.random.default_rng(11)
+        superpositions = scored[:]   # simulate_query below scores as well
+        assert len(superpositions) == 5
+        for alpha, fidelity in superpositions:
+            drawn = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            np.testing.assert_array_equal(alpha, drawn / np.linalg.norm(drawn))
+            assert simulate_query(db, alpha, g1, g2).fidelity == fidelity
+
+    def test_misrouted_superpositions_scored_as_simulate_query_routes_them(
+            self, monkeypatch):
+        # a route map that sends address 1 to 0 loses that branch: the scores
+        # fall below 1, and still agree
+        route = qram._route
+
+        def misroute(db, addresses, g1, g2):
+            bits, phase = route(db, addresses, g1, g2)
+            bits[addresses == 1, :db.depth] = 0
+            return bits, phase
+
+        monkeypatch.setattr(qram, "_route", misroute)
+        scored = spy_scores(monkeypatch)
+        db = random_database(8, seed=4)
+        report = verify_retrieval(db, 1.3, 0.7, n_superpositions=4)
+        superpositions = scored[:]
+        assert [f for f in report.failures if f.startswith("superposition")] == [
+            f"superposition {i}: fidelity {fid:.12f}"
+            for i, (_, fid) in enumerate(superpositions)]
+        for alpha, fidelity in superpositions:
+            assert fidelity < 1.0 - 1e-3
+            assert simulate_query(db, alpha, 1.3, 0.7).fidelity == fidelity
+
+    @pytest.mark.parametrize("N", [2, 8, 64])
+    def test_verify_routes_once_and_reads_once(self, N, monkeypatch):
+        calls = {"route": 0, "read": 0}
+        route, read = qram._route, qram._read_out
+
+        def route_spy(*args):
+            calls["route"] += 1
+            return route(*args)
+
+        def read_spy(*args):
+            calls["read"] += 1
+            return read(*args)
+
+        monkeypatch.setattr(qram, "_route", route_spy)
+        monkeypatch.setattr(qram, "_read_out", read_spy)
+        assert verify_retrieval(random_database(N, seed=N)).passed
+        assert calls == {"route": 1, "read": 1}
+
+    @pytest.mark.parametrize("g", [4.4e307, 2e-308])
+    def test_extreme_couplings_in_range_retrieve(self, g):
+        assert verify_retrieval(random_database(8, seed=42), g, g).passed
+
+
 class TestWallTime:
     @pytest.mark.parametrize("g1,g2", [(G, G), (1.3, 0.7), (3e4, 7e2)])
     def test_equals_per_cycle_sum(self, g1, g2):

@@ -118,9 +118,17 @@ def monomial(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return perm, phases
 
 
+def checked_duration(what: str, t: float, g1: float, g2: float) -> float:
+    """t [s], refused by name when couplings near the float floor sum to inf."""
+    if not math.isfinite(t):
+        raise GateError(f"{what} overflows a float at g1={g1!r}, g2={g2!r}")
+    return t
+
+
 def cswap_duration(g1: float, g2: float) -> float:
     """2 t_bs + t_cz [s]."""
-    return 2.0 * t_beamsplitter(g1) + t_cphase(g2)
+    return checked_duration("controlled-SWAP duration",
+                            2.0 * t_beamsplitter(g1) + t_cphase(g2), g1, g2)
 
 
 @dataclass(frozen=True)

@@ -87,8 +87,7 @@ class LatticeSpec:
 
 @dataclass(frozen=True)
 class NormalModes:
-    k_axis: np.ndarray   # per-axis wavevectors 2*pi*n/L, FFT ordering
-    omega: np.ndarray    # frequencies, shape (L,)*d, omega >= 0
+    omega: np.ndarray    # frequencies, shape (L,)*d, FFT ordering, omega >= 0
     m: float
 
     @property
@@ -115,8 +114,19 @@ def normal_modes(spec: LatticeSpec) -> NormalModes:
     """Fourier diagonalization of the coupling matrix."""
     k = 2.0 * np.pi * np.arange(spec.L) / spec.L
     grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
-    return NormalModes(k_axis=k, omega=np.sqrt(omega_squared(spec, grids)),
-                       m=spec.m)
+    return NormalModes(omega=np.sqrt(omega_squared(spec, grids)), m=spec.m)
+
+
+def omega_max(spec: LatticeSpec) -> float:
+    """``normal_modes(spec).omega_max`` without the L^d grid. omega^2 sums
+    one nonnegative term per axis, so the maximum needs only the axis
+    entries within rounding of the largest; combined with the grid's float
+    operations, they give its maximum bit for bit."""
+    k = 2.0 * np.pi * np.arange(spec.L) / spec.L
+    axis = omega_squared(spec, [k])
+    k = k[axis >= axis.max() * (1.0 - 1e-12)]
+    grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
+    return float(np.sqrt(omega_squared(spec, grids).max()))
 
 
 def dispersion(spec: LatticeSpec, k: float | Sequence[float]) -> float:
@@ -172,10 +182,17 @@ def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
     v_grid = math.sqrt(grad2_max)
     v_long = longwave_speed(spec)
     v = max(v_grid, v_long)
-    if not math.isfinite(spec.a * v):
-        raise LatticeError(f"physical group velocity overflows at a={spec.a!r}")
-    return GroupVelocity(lattice_units=v, physical=spec.a * v,
+    return GroupVelocity(lattice_units=v,
+                         physical=physical_velocity(spec, v, "group velocity"),
                          longwave_lattice_units=v_long)
+
+
+def physical_velocity(spec: LatticeSpec, v: float, what: str) -> float:
+    """a * v [m/s]; refuses a finite v [sites/s] whose a * v overflows. An
+    infinite v (the closed form as m -> 0) passes on to the c_max cap."""
+    if math.isfinite(v) and not math.isfinite(spec.a * v):
+        raise LatticeError(f"physical {what} overflows at a={spec.a!r}")
+    return spec.a * v
 
 
 def coupling_matrix(spec: LatticeSpec) -> np.ndarray:
@@ -284,7 +301,7 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
     if abs(t) / dt > _ODE_STEP_CAP:
         raise LatticeError(f"RK4 capped at {_ODE_STEP_CAP} steps, "
                            f"got |t|/dt = {abs(t) / dt:.3g}")
-    w_max = normal_modes(spec).omega_max
+    w_max = omega_max(spec)
     if w_max > 0 and dt > 0.01 / w_max:
         raise LatticeError("step too large")
     n = spec.n_sites
@@ -359,13 +376,13 @@ class LRBoundParams:
 
 
 def c_omega_lambda(spec: LatticeSpec) -> float:
-    """Cone-slope constant sqrt(d * sum_j lam_j / m) in lattice units."""
+    """Cone-slope constant sqrt(d * sum_j lam_j / m), lattice units; reads only d, lam, m."""
     return math.sqrt(spec.d * sum(spec.lam) / spec.m)
 
 
 def lr_bound_velocity(spec: LatticeSpec) -> float:
-    """Commutator-growth speed limit 4 * sqrt(d * sum_j lam_j / m),
-    lattice units."""
+    """Commutator-growth speed limit 4 * sqrt(d * sum_j lam_j / m), lattice
+    units (Nachtergaele, Raz, Schlein & Sims, CMP 286, 1073 (2009))."""
     return 4.0 * c_omega_lambda(spec)
 
 
@@ -405,64 +422,62 @@ def _check_work(entries: float, what: str) -> None:
                            f"above the cap of {_WORK_ENTRY_CAP}")
 
 
-def _axis_orbits(spec: LatticeSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orbits of the wavevector grid under the symmetries that fix both
-    omega and cos(k_0 r): the reflection n -> L - n of every axis, and
-    permutations of the transverse axes 1..d-1.
-
-    Returns per orbit the folded axis-0 index, omega, and the orbit size.
+def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbits of the wavevector grid under the reflections n -> L - n and
+    all axis permutations, which fix omega: one per sorted index d-tuple t
+    in 0..L//2. Returns omega and the weight matrix W (orbits x r_max + 1),
+    W[o, r] = fold(t) perms(t) / (d L^d) sum_b cos(2 pi t_b r / L), since
+    each t_b sits on axis 0 in 1/d of the orbit's fold(t) perms(t) points.
     """
     L, d = spec.L, spec.d
     n = np.arange(L // 2 + 1)
     fold = np.where((n == 0) | (2 * n == L), 1.0, 2.0)  # |{n, L - n}|
-    tails = list(itertools.combinations_with_replacement(range(len(n)), d - 1))
-    perms = [math.factorial(d - 1)
-             / math.prod(math.factorial(c) for c in Counter(t).values())
-             for t in tails]
-    tails = np.array(tails, dtype=int).reshape(len(tails), d - 1)
-    tail_mult = np.array(perms) * fold[tails].prod(axis=1)
-    k = 2.0 * np.pi * n / L
-    ks = [k[:, None]] + [k[tails[:, b]][None, :] for b in range(d - 1)]
-    omega = np.sqrt(omega_squared(spec, ks)).ravel()
-    mult = (fold[:, None] * tail_mult[None, :]).ravel()
-    return np.repeat(n, len(tails)), omega, mult
+    tuples = list(itertools.combinations_with_replacement(range(len(n)), d))
+    perms = [math.factorial(d) / math.prod(map(math.factorial, Counter(t).values()))
+             for t in tuples]
+    tuples = np.array(tuples, dtype=int)
+    omega = np.sqrt(omega_squared(spec, [2.0 * np.pi * t / L for t in tuples.T]))
+    r = np.arange(r_max + 1)  # phases reduced mod L first, as the FFT twiddles are
+    cos_r = sum(np.cos(2.0 * np.pi / L * (np.outer(t, r) % L)) for t in tuples.T)
+    mult = np.array(perms) * fold[tuples].prod(axis=1)
+    return omega, (mult / (d * spec.n_sites))[:, None] * cos_r
 
 
-def axis_signal(spec: LatticeSpec, ts: np.ndarray, r_max: int) -> np.ndarray:
-    """On-axis entries of the cos(omega t) circulant,
+def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndarray:
+    """On-axis entries c(t_i, r) = L^-d sum_k cos(omega_k t_i) cos(k_0 r) of
+    the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
+    as a (steps, r_max + 1) array stored distance-major. This is
+    sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
+    distance r along axis 0.
 
-        c(t, r) = L^-d sum_k cos(omega_k t) cos(k_0 r),   r = 0..r_max,
-
-    as an array of shape (len(ts), r_max + 1). This is sigma(f_t, g) for a
-    unit q probe at the origin and a unit p probe at distance r along
-    axis 0.
-
-    The sum runs over the orbits of ``_axis_orbits`` with their sizes folded
-    into a weight matrix W (orbits x (r_max + 1)), built once; each block of
-    time steps is then one product cos(t omega_orbit) @ W. Blocks are sized
-    to ``_BLOCK_BYTES`` so memory stays flat in the number of steps.
+    The sum runs over the orbits of ``_axis_orbits``. One step table
+    C, S = cos, sin(j dt omega), j < B, serves every block of B steps:
+    block rows are cos(t_0 omega) C - sin(t_0 omega) S from the block's own
+    base angle (no recurrence, so no drift), then one product with W. The
+    tables and two block arrays share one ``_BLOCK_BYTES`` budget.
     """
-    ts = np.asarray(ts, dtype=float)
-    if ts.ndim != 1 or not np.isfinite(ts).all():
-        raise LatticeError("times must be a finite 1-D array")
+    if not math.isfinite(dt) or steps < 0:
+        raise LatticeError("dt must be finite and steps >= 0")
     if not 0 <= r_max < spec.L:
         raise LatticeError("r_max must lie in 0..L-1")
-    half = spec.L // 2 + 1
-    n_orbits = half * math.comb(half + spec.d - 2, spec.d - 1)
-    _check_work(float(n_orbits) * (r_max + 1), "the orbit weight matrix")
-    _check_work(float(len(ts)) * (r_max + 1), "the time signal")
-    n0, omega, mult = _axis_orbits(spec)
-    # cos(k_0 r) with the phase reduced mod L first, as the FFT twiddles are
-    phase = np.outer(n0, np.arange(r_max + 1)) % spec.L
-    W = (mult / spec.n_sites)[:, None] * np.cos(2.0 * np.pi / spec.L * phase)
-    out = np.empty((len(ts), r_max + 1))
-    buf = np.empty((max(1, _BLOCK_BYTES // (8 * len(omega))), len(omega)))
-    for start in range(0, len(ts), len(buf)):
-        chunk = ts[start:start + len(buf)]
-        block = np.multiply.outer(chunk, omega, out=buf[:len(chunk)])
-        np.cos(block, out=block)
-        np.matmul(block, W, out=out[start:start + len(chunk)])
-    return out
+    _check_work(float(math.comb(spec.L // 2 + spec.d, spec.d)) * (r_max + 1),
+                "the orbit weight matrix")
+    _check_work(float(steps) * (r_max + 1), "the time signal")
+    omega, W = _axis_orbits(spec, r_max)
+    rows = max(1, _BLOCK_BYTES // (32 * len(omega)))
+    C, S, block, work = np.empty((4, rows, len(omega)))
+    angle = np.multiply.outer(np.arange(rows) * dt, omega, out=block)
+    np.cos(angle, out=C)
+    np.sin(angle, out=S)
+    out = np.empty((r_max + 1, steps))
+    for start in range(0, steps, rows):
+        b = min(rows, steps - start)
+        base = start * dt * omega
+        np.multiply(C[:b], np.cos(base), out=block[:b])
+        np.multiply(S[:b], np.sin(base), out=work[:b])
+        np.subtract(block[:b], work[:b], out=block[:b])
+        np.matmul(W.T, block[:b].T, out=out[:, start:start + b])
+    return out.T
 
 
 def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
@@ -497,25 +512,24 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise LatticeError("dt must be finite and positive")
     if dt is None:
-        _check_work(float(spec.n_sites), "the mode grid of the automatic dt")
-        w_max = normal_modes(spec).omega_max
+        w_max = omega_max(spec)
         dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
     _check_work((t_max / dt + 2.0) * (r_max + 1), "the time signal")
-    ts = np.arange(0.0, t_max + dt, dt)
+    ts = np.arange(0.0, t_max + dt, dt)   # bitwise t_i = i * dt
     ts = ts[ts <= t_max + 1e-12]
     # commutator norm 2|sin(sigma/2)|, in place to keep one steps x r array
-    signal = axis_signal(spec, ts, r_max)
+    signal = axis_signal(spec, dt, len(ts), r_max)
     signal *= 0.5
     np.abs(np.sin(signal, out=signal), out=signal)
     signal *= 2.0
 
     rows = []
-    for r in range(1, r_max + 1):
-        peak = float(signal[:, r].max())
+    for r, column in enumerate(signal.T[1:], start=1):  # contiguous per r
+        peak = float(column.max())
         if peak < _PEAK_NOISE_FLOOR:
             rows.append(ConeArrival(r=r, t_arrival=None, peak=peak))
             continue
-        hit = int(np.argmax(signal[:, r] >= threshold * peak))
+        hit = int(np.argmax(column >= threshold * peak))
         rows.append(ConeArrival(r=r, t_arrival=float(ts[hit]), peak=peak))
 
     pts = [(row.t_arrival, row.r) for row in rows
@@ -527,11 +541,10 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     design = np.vstack([t_arr, np.ones_like(t_arr)]).T
     slope, intercept = np.linalg.lstsq(design, r_arr, rcond=None)[0]
     residual = r_arr - (slope * t_arr + intercept)
-    if not math.isfinite(float(slope) * spec.a):
-        raise LatticeError(f"physical fitted velocity overflows at a={spec.a!r}")
     return LightConeScan(rows=tuple(rows),
                          fitted_velocity_lattice=float(slope),
-                         fitted_velocity_physical=float(slope) * spec.a,
+                         fitted_velocity_physical=physical_velocity(
+                             spec, float(slope), "fitted velocity"),
                          threshold=threshold, t_max=t_max, dt=dt,
                          fit_intercept=float(intercept),
                          fit_residual=float(np.sqrt(np.mean(residual ** 2))),

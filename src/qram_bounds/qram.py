@@ -154,7 +154,8 @@ class Schedule:
         is computed once."""
         kinds = dict.fromkeys(type(c.op) for c in self.cycles)
         durations = {kind: kind.duration(g1, g2) for kind in kinds}
-        return sum(durations[type(c.op)] for c in self.cycles)
+        total = sum(durations[type(c.op)] for c in self.cycles)
+        return gates.checked_duration(f"wall time of the depth-{self.n} schedule", total, g1, g2)
 
 
 def _init_cycles(n: int, phase: str = "init") -> list[Cycle]:
@@ -197,7 +198,8 @@ def total_time(init: Schedule, query: Schedule, g1: float, g2: float) -> float:
     gate per cycle."""
     if init.n != query.n:
         raise QramError("schedules built for different tree depths")
-    return init.wall_time(g1, g2) + query.wall_time(g1, g2)
+    return gates.checked_duration("total time", init.wall_time(g1, g2)
+                                  + query.wall_time(g1, g2), g1, g2)
 
 
 # ---------------------------------------------------------------------------

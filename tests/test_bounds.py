@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,27 @@ class TestLrVelocity:
     def test_physical_scales_with_spacing(self):
         s = lr_velocity(make_params(a=2.0))
         assert s.physical == pytest.approx(2.0 * s.lattice_units, rel=1e-15)
+
+    @pytest.mark.parametrize("d,lam,m", [(1, (1.0,), 1.0), (2, (0.7, 1.3), 0.9),
+                                         (3, (0.3, 1.1, 0.7), 2.1)])
+    def test_one_formula_with_the_lattice_bound(self, d, lam, m):
+        params = make_params(lam=lam, nu=len(lam), m=m, d=d)
+        spec = lattice.LatticeSpec(d=d, L=8, lam=lam, m=m)
+        assert lr_velocity(params).lattice_units == lattice.lr_bound_velocity(spec)
+
+    def test_refuses_physical_velocity_out_of_float_range(self):
+        # 4e150 sites/s is finite; times a = 1e160 it is not
+        params = make_params(a=1e160, lam=(1e300,), c_max=1e300)
+        with pytest.raises(lattice.LatticeError, match=re.escape(
+                "physical Lieb-Robinson velocity overflows at a=1e+160")):
+            lr_velocity(params)
+        s = lr_velocity(make_params(a=1e150, lam=(1e300,), c_max=1e300))
+        assert s.physical == 1e150 * s.lattice_units
+
+    def test_unbounded_velocity_of_vanishing_mass_passes_to_the_cap(self):
+        # d * sum(lam) / m overflows: the closed form is inf, which
+        # qram_max_qubits caps at c_max rather than refusing
+        assert lr_velocity(make_params(m=5e-324)).physical == math.inf
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sqrt_d_scaling(self, d):

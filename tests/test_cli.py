@@ -137,6 +137,22 @@ class TestBoundCommand:
                      "--velocity-source", "group"]) == 0
         assert "velocity used [m/s]: 1e+300" in capsys.readouterr().out
 
+    def test_lieb_robinson_velocity_out_of_float_range_exits_2(self, tmp_path,
+                                                              capsys):
+        # a*v = 1e160 * 4e150 overflows; it was capped at c_max in silence
+        text = GOOD_CONFIG.replace("a = 1e-6", "a = 1e160").replace(
+            "lambda = 1.0", "lambda = 1e300").replace("c_max = 3e8", "c_max = 1e300")
+        path = tmp_path / "wide.cfg"
+        path.write_text(text)
+        assert main(["bound", "--config", str(path),
+                     "--velocity-source", "lieb_robinson"]) == 2
+        assert_one_error_line(capsys.readouterr(), "physical Lieb-Robinson "
+                              "velocity overflows at a=1e+160")
+        path.write_text(text.replace("a = 1e160", "a = 1e150"))
+        assert main(["bound", "--config", str(path),
+                     "--velocity-source", "lieb_robinson"]) == 0
+        assert "velocity used [m/s]: 1e+300" in capsys.readouterr().out
+
     @pytest.mark.parametrize("source", ["lieb_robinson", "qft"])
     def test_closed_form_velocity_of_tiny_mass_is_capped(self, source, tmp_path,
                                                          capsys):
@@ -412,14 +428,17 @@ class TestLightconeCommand:
 
     def test_automatic_dt_refuses_oversized_grid_before_building_it(
             self, monkeypatch, capsys):
-        def no_grid(spec):
-            raise AssertionError("normal_modes called before the size check")
+        # the automatic dt reads one axis of 10^5 points; neither the 10^15
+        # mode grid nor the orbits are built before the scan refuses
+        def no_grid(*args):
+            raise AssertionError("mode grid or orbits built before the size check")
 
         monkeypatch.setattr(lattice, "normal_modes", no_grid)
+        monkeypatch.setattr(lattice, "_axis_orbits", no_grid)
         assert main(["lightcone", "--d", "3", "--L", "100000", "--t-max", "1"]) == 2
         assert_one_error_line(
             capsys.readouterr(),
-            "the mode grid of the automatic dt needs 1e+15 array entries")
+            "the orbit weight matrix needs 1.04e+18 array entries")
 
     def test_fit_r_min_beyond_r_max_exits_2(self, monkeypatch, capsys):
         def no_scan(*args):
@@ -461,6 +480,61 @@ class TestLightconeCommand:
 
         committed = Path(__file__).resolve().parents[1] / "results" / f"{name}.csv"
         assert data_rows(out) == data_rows(committed)
+
+
+LIGHTCONE_GOLDEN = {   # stdout of `lightcone` with these arguments
+    (): (
+        'fitted velocity:     1.04206 sites/s (1.04206 m/s)\n'
+        'group velocity max:  1 sites/s (1 m/s)\n'
+        'commutator bound:    4 sites/s\n'
+        'fit diagnostics:     intercept 5.14838 sites, rms residual 0.831 sites, '
+        '0 of 199 distances without arrival\n'
+        'PASS: fitted velocity below bound\n'
+    ),
+    ("--d", "3", "--L", "64", "--t-max", "20"): (
+        'fitted velocity:     1.48412 sites/s (1.48412 m/s)\n'
+        'group velocity max:  1 sites/s (1 m/s)\n'
+        'commutator bound:    6.9282 sites/s\n'
+        'fit diagnostics:     intercept 1.61314 sites, rms residual 1.34 sites, '
+        '0 of 31 distances without arrival\n'
+        'PASS: fitted velocity below bound\n'
+    ),
+}
+
+CONE_3D_GOLDEN = (   # CSV rows of a 3D L=32 scan after its "#" line
+    'r,t_arrival,commutator_peak',
+    '1,0.02,0.2296672228',
+    '2,0.04,0.07869767882',
+    '3,0.22,0.08218284815',
+    '4,0.36,0.07434562483',
+    '5,0.68,0.05231922083',
+    '6,0.96,0.04223486991',
+    '7,1.42,0.04389400772',
+    '8,1.9,0.0390692231',
+    '9,2.42,0.03179060364',
+    '10,2.94,0.02462988314',
+    '11,3.46,0.01800655348',
+    '12,3.88,0.01179039947',
+    '13,4.24,0.007177240363',
+    '14,4.62,0.004528844435',
+)
+
+
+class TestLightconeGolden:
+    """Pinned from the orbit-per-axis-0-index engine, before the orbit merge
+    and the step table: the scan must print the same bytes."""
+
+    @pytest.mark.parametrize("args", sorted(LIGHTCONE_GOLDEN))
+    def test_prints_golden_stdout(self, args, capsys):
+        assert main(["lightcone", *args]) == 0
+        assert capsys.readouterr().out == LIGHTCONE_GOLDEN[args]
+
+    def test_3d_scan_writes_golden_rows(self, tmp_path, capsys):
+        out = tmp_path / "cone_3d.csv"
+        assert main(["lightcone", "--d", "3", "--L", "32", "--lam", "1.0,0.3",
+                     "--m", "0.8", "--t-max", "20", "--r-max", "14",
+                     "--dt", "0.02", "--out", str(out)]) == 0
+        assert tuple(out.read_text().splitlines()[1:]) == CONE_3D_GOLDEN
 
 
 class TestQramsimCommand:

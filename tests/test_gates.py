@@ -180,6 +180,14 @@ class TestDurations:
         g1, g2 = 1.7, 0.6
         assert cswap_duration(g1, g2) == 2.0 * t_beamsplitter(g1) + t_cphase(g2)
 
+    def test_refuses_duration_out_of_float_range(self):
+        # both couplings pass _coupling, but pi/(2g) + pi/g overflows
+        with pytest.raises(GateError, match=re.escape(
+                "controlled-SWAP duration overflows a float at "
+                "g1=2e-308, g2=2e-308")):
+            cswap_duration(2e-308, 2e-308)
+        assert math.isfinite(cswap_duration(4e-308, 4e-308))
+
     def test_gate_spec_durations(self):
         g1, g2 = 1.7, 0.6
         assert Swap((0, 1)).duration(g1, g2) == t_swap(g1)

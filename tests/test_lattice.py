@@ -10,8 +10,8 @@ from qram_bounds.lattice import (LatticeError, LatticeSpec, LRBoundParams,
                                  WeylFunction, axis_signal, c_omega_lambda,
                                  dispersion, longwave_speed, lr_bound_envelope,
                                  lr_bound_velocity, max_group_velocity,
-                                 measure_light_cone, normal_modes, propagate,
-                                 propagate_ode, symplectic_form,
+                                 measure_light_cone, normal_modes, omega_max,
+                                 propagate, propagate_ode, symplectic_form,
                                  weyl_commutator_norm)
 
 RNG = np.random.default_rng(20240808)
@@ -80,11 +80,12 @@ def fock_commutator_norm(lam, m, f_amp, g_amp, t, trunc):
     return np.linalg.norm(Wf_t @ (Wg @ vac) - Wg @ (Wf_t @ vac))
 
 
-def ifftn_axis_signal(spec, ts, r_max):
-    """One full inverse FFT of cos(omega t) per time step, keeping the
-    on-axis entries r = 0..r_max."""
+def ifftn_axis_signal(spec, dt, steps, r_max):
+    """One full inverse FFT of cos(omega t) per time step t = i * dt,
+    keeping the on-axis entries r = 0..r_max."""
     omega = normal_modes(spec).omega
-    out = np.empty((len(ts), r_max + 1))
+    ts = np.arange(steps) * dt
+    out = np.empty((steps, r_max + 1))
     for i, t in enumerate(ts):
         col = np.fft.ifftn(np.cos(omega * t)).real
         out[i] = col[(slice(0, r_max + 1),) + (0,) * (spec.d - 1)]
@@ -218,6 +219,18 @@ class TestDispersion:
         spec = LatticeSpec(d=1, L=16, lam=(1.0, 0.4), m=1.2)
         for k in (0.3, 1.1, 2.9):
             assert dispersion(spec, k) == pytest.approx(dispersion(spec, -k))
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_omega_max_is_the_mode_grid_maximum_bitwise(self, d):
+        # (0.3, 1.1, 0.7) at d = 2, L = 9: the largest diagonal entry of the
+        # grid sits one ulp below its maximum, so the off-diagonal
+        # candidates matter
+        for L in range(2, 65):
+            for lam in ((1.0,), (1.0, 0.4), (0.3, 1.1, 0.7),
+                        (2.91, 1.553, 0.356), (0.41, 1.215, 0.618, 0.794)):
+                for m in (0.37, 1.0, 7.3):
+                    spec = LatticeSpec(d=d, L=L, lam=lam, m=m)
+                    assert omega_max(spec) == normal_modes(spec).omega_max
 
     def test_normal_modes_nonnegative_and_symmetric(self):
         spec = LatticeSpec(d=2, L=8, lam=(0.8, 0.3), m=1.1)
@@ -458,7 +471,7 @@ class TestOdePropagator:
         def never(spec):
             raise AssertionError("built before the step check")
         monkeypatch.setattr(lattice, "coupling_matrix", never)
-        monkeypatch.setattr(lattice, "normal_modes", never)
+        monkeypatch.setattr(lattice, "omega_max", never)
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
         with pytest.raises(LatticeError, match=r"RK4 capped at 1000000 steps, "
                                                r"got \|t\|/dt = 1e\+12"):
@@ -477,7 +490,7 @@ class TestOdePropagator:
         def never(spec):
             raise AssertionError("built before the size check")
         monkeypatch.setattr(lattice, "coupling_matrix", never)
-        monkeypatch.setattr(lattice, "normal_modes", never)
+        monkeypatch.setattr(lattice, "omega_max", never)
         spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
         with pytest.raises(LatticeError, match="dense propagator capped at 512 sites"):
             propagate_ode(spec, 1.0, 1e-3)
@@ -598,20 +611,31 @@ class TestAxisSignal:
     ])
     def test_matches_per_step_ifftn(self, d, L, lam):
         spec = LatticeSpec(d=d, L=L, lam=lam, m=0.9)
-        ts = np.arange(0.0, 40.0, 0.13)
-        np.testing.assert_allclose(axis_signal(spec, ts, L - 1),
-                                   ifftn_axis_signal(spec, ts, L - 1),
+        np.testing.assert_allclose(axis_signal(spec, 0.13, 308, L - 1),
+                                   ifftn_axis_signal(spec, 0.13, 308, L - 1),
                                    rtol=0, atol=1e-12)
 
     @given(d=st.integers(1, 3), nu=st.integers(1, 2), extra=st.integers(0, 4),
            lam=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2),
-           m=st.floats(0.1, 10.0),
-           ts=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+           m=st.floats(0.1, 10.0), dt=st.floats(-6.0, 6.0),
+           steps=st.integers(0, 9))
     @settings(max_examples=40, deadline=None)
-    def test_matches_per_step_ifftn_small_specs(self, d, nu, extra, lam, m, ts):
+    def test_matches_per_step_ifftn_small_specs(self, d, nu, extra, lam, m, dt, steps):
         spec = LatticeSpec(d=d, L=2 * nu + 2 + extra, lam=tuple(lam[:nu]), m=m)
-        np.testing.assert_allclose(axis_signal(spec, ts, spec.L - 1),
-                                   ifftn_axis_signal(spec, ts, spec.L - 1),
+        np.testing.assert_allclose(axis_signal(spec, dt, steps, spec.L - 1),
+                                   ifftn_axis_signal(spec, dt, steps, spec.L - 1),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,L,lam,steps", [(2, 64, (1.0, 0.3), 100),
+                                               (3, 32, (1.0,), 60)])
+    def test_many_blocks_match_per_step_ifftn(self, d, L, lam, steps):
+        # each block restarts from its own base angle: steps far past one
+        # block (14 rows at 2D L=64, 8 at 3D L=32) keep the oracle's accuracy
+        spec = LatticeSpec(d=d, L=L, lam=lam, m=0.8)
+        orbits = math.comb(L // 2 + d, d)
+        assert steps > 3 * (lattice._BLOCK_BYTES // (32 * orbits))
+        np.testing.assert_allclose(axis_signal(spec, 0.37, steps, L // 2),
+                                   ifftn_axis_signal(spec, 0.37, steps, L // 2),
                                    rtol=0, atol=1e-12)
 
     def test_bessel_oracle_nearest_neighbor_chain(self):
@@ -623,31 +647,74 @@ class TestAxisSignal:
         rs = np.arange(121)
         oracle = special.jv(2 * rs[None, :],
                             2.0 * ts[:, None] * math.sqrt(1.3 / 0.7))
-        np.testing.assert_allclose(axis_signal(spec, ts, 120), oracle,
+        np.testing.assert_allclose(axis_signal(spec, 0.2, 301, 120), oracle,
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("d,L,orbits", [(1, 400, 201), (2, 64, 1089),
-                                            (3, 32, 2601), (3, 7, 40)])
+    def test_bessel_oracle_long_horizon_many_blocks(self):
+        # out to t = 220 in 28 blocks of 40 steps; the images J_2(L-r) have
+        # order >= 560 at argument <= 440, still far below double precision
+        special = pytest.importorskip("scipy.special")
+        spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
+        ts = np.arange(1101) * 0.2
+        rs = np.arange(121)
+        oracle = special.jv(2 * rs[None, :], 2.0 * ts[:, None])
+        np.testing.assert_allclose(axis_signal(spec, 0.2, 1101, 120), oracle,
+                                   rtol=0, atol=1e-12)
+
+    def test_time_grid_is_the_arange_grid(self):
+        # t_i = i * dt is bitwise np.arange(0, t_max + dt, dt): one step of the
+        # scan grid at a time, c(t_i, r) equals the one-step signal at t_i
+        spec = LatticeSpec(d=2, L=12, lam=(1.0, 0.2), m=1.1)
+        ts = np.arange(0.0, 9.0 + 0.3, 0.3)
+        np.testing.assert_array_equal(np.arange(len(ts)) * 0.3, ts)
+        signal = axis_signal(spec, 0.3, len(ts), 5)
+        for i, t in enumerate(ts):
+            np.testing.assert_allclose(signal[i], axis_signal(spec, t, 2, 5)[1],
+                                       rtol=0, atol=1e-14)
+
+    def test_signal_is_stored_distance_major(self):
+        spec = LatticeSpec(d=1, L=40, lam=(1.0,), m=1.0)
+        signal = axis_signal(spec, 0.1, 50, 10)
+        assert signal.shape == (50, 11)
+        assert signal[:, 3].flags.c_contiguous
+
+    @pytest.mark.parametrize("d,L,orbits", [(1, 400, 201), (2, 64, 561),
+                                            (3, 32, 969), (3, 7, 20)])
     def test_orbits_cover_the_grid_once(self, d, L, orbits):
-        spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
-        n0, omega, mult = lattice._axis_orbits(spec)
-        assert len(n0) == len(omega) == len(mult) == orbits
-        assert mult.sum() == spec.n_sites
+        spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=1.0)
+        omega, W = lattice._axis_orbits(spec, 3)
+        assert len(omega) == W.shape[0] == math.comb(L // 2 + d, d) == orbits
+        assert W[:, 0].sum() == pytest.approx(1.0, rel=0, abs=1e-14)
+        # the orbit sizes n_sites * W[:, 0] repeat each omega over the grid
+        sizes = np.rint(W[:, 0] * spec.n_sites).astype(int)
+        assert sizes.sum() == spec.n_sites
+        np.testing.assert_allclose(np.sort(np.repeat(omega, sizes)),
+                                   np.sort(normal_modes(spec).omega.ravel()),
+                                   rtol=0, atol=1e-14)
 
     def test_rejects_bad_arguments(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
-        with pytest.raises(LatticeError, match="finite 1-D"):
-            axis_signal(spec, [0.0, math.nan], 4)
+        for dt, steps in ((math.nan, 2), (math.inf, 2), (-math.inf, 2), (0.1, -1)):
+            with pytest.raises(LatticeError, match="dt must be finite and steps >= 0"):
+                axis_signal(spec, dt, steps, 4)
         with pytest.raises(LatticeError, match="r_max"):
-            axis_signal(spec, [0.0], 16)
+            axis_signal(spec, 0.1, 1, 16)
         with pytest.raises(LatticeError, match="r_max"):
-            axis_signal(spec, [0.0], -1)
+            axis_signal(spec, 0.1, 1, -1)
 
     def test_weight_matrix_capped_before_building(self, monkeypatch):
+        # C(L//2 + d, d) = C(19, 3) = 969 orbits times r_max + 1 = 15 entries
         spec = LatticeSpec(d=3, L=32, lam=(1.0,), m=1.0)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 2601 * 15 - 1)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 969 * 15)
+        assert axis_signal(spec, 1.0, 1, 14).shape == (1, 15)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 969 * 15 - 1)
+
+        def no_orbits(*args):
+            raise AssertionError("orbits built before the size check")
+
+        monkeypatch.setattr(lattice, "_axis_orbits", no_orbits)
         with pytest.raises(LatticeError, match="orbit weight matrix"):
-            axis_signal(spec, [0.0], 14)
+            axis_signal(spec, 1.0, 1, 14)
 
 
 class TestLightCone:
@@ -753,13 +820,20 @@ class TestLightCone:
                                dt=0.125)
 
     def test_automatic_dt_checks_the_mode_grid_before_building_it(self, monkeypatch):
-        def no_grid(spec):
-            raise AssertionError("normal_modes called before the size check")
+        # the automatic dt reads omega_max from one axis: the L^d mode grid is
+        # never built, and the orbit check still refuses before any orbit is
+        spec = LatticeSpec(d=3, L=40, lam=(1.0, 0.3), m=1.0)
+        dt = 0.2 / normal_modes(spec).omega_max
+
+        def no_grid(*args):
+            raise AssertionError("mode grid or orbits built before the size check")
 
         monkeypatch.setattr(lattice, "normal_modes", no_grid)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 40 ** 3 - 1)
-        spec = LatticeSpec(d=3, L=40, lam=(1.0,), m=1.0)
-        with pytest.raises(LatticeError, match="mode grid .* needs 6.4e\\+04"):
+        scan = measure_light_cone(spec, threshold=1e-3, t_max=1.0, r_max=10)
+        assert scan.dt == dt
+        monkeypatch.setattr(lattice, "_axis_orbits", no_grid)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", math.comb(23, 3) * 11 - 1)
+        with pytest.raises(LatticeError, match="orbit weight matrix needs 1.95e\\+04"):
             measure_light_cone(spec, threshold=1e-3, t_max=1.0, r_max=10)
 
     def test_fit_diagnostics(self):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dense_oracle import apply_unitary, dense_state
 from qram_bounds import gates, qram
 from qram_bounds.cli import main
-from qram_bounds.gates import t_cphase, t_swap, t_beamsplitter
+from qram_bounds.gates import GateError, t_cphase, t_swap, t_beamsplitter
 from qram_bounds.qram import (ClassicalDatabase, QramError, RoutingStage, Swap,
                               random_database, read_database,
                               schedule_initialization, schedule_query,
@@ -222,6 +223,18 @@ class TestTotalTime:
             total = total_time(schedule_initialization(n), schedule_query(n), g, g)
             ratios.append(total / (tau * n * n))
         assert abs(ratios[-1] / ratios[-2] - 1.0) < 0.05
+
+    @pytest.mark.parametrize("g,what", [
+        (2e-308, "controlled-SWAP duration"),        # one gate already inf
+        (4e-308, "wall time of the depth-1 schedule"),  # the query's sum
+        (7.5e-308, "total time"),                    # init + query only
+    ])
+    def test_refuses_time_out_of_float_range(self, g, what):
+        with pytest.raises(GateError, match=re.escape(
+                f"{what} overflows a float at g1={g!r}, g2={g!r}")):
+            total_time(schedule_initialization(1), schedule_query(1), g, g)
+        with pytest.raises(GateError, match=re.escape(f"g1={g!r}, g2={g!r}")):
+            total_time(schedule_initialization(3), schedule_query(3), g, g)
 
     def test_rejects_mismatched_depths(self):
         with pytest.raises(QramError, match="different tree depths"):

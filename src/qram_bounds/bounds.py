@@ -39,10 +39,10 @@ class BoundResult:
 
 
 def lr_velocity(params: HardwareParams) -> Speed:
-    """Commutator-growth speed limit ``lattice.lr_bound_velocity`` of the
-    harmonic lattice, in sites/s and m/s."""
-    v_lat = _lattice.lr_bound_velocity(params)
-    return Speed(v_lat, _lattice.physical_velocity(params, v_lat, "Lieb-Robinson velocity"))
+    """Commutator-growth speed limit ``lattice.lr_speed`` of the harmonic
+    lattice, in sites/s and m/s."""
+    v_lat = _lattice.lr_speed(params.d, params.lam, params.m)
+    return Speed(v_lat, _lattice.physical_velocity(params.a, v_lat, "Lieb-Robinson velocity"))
 
 
 def coarse_grain(params: HardwareParams) -> float:

@@ -183,16 +183,16 @@ def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
     v_long = longwave_speed(spec)
     v = max(v_grid, v_long)
     return GroupVelocity(lattice_units=v,
-                         physical=physical_velocity(spec, v, "group velocity"),
+                         physical=physical_velocity(spec.a, v, "group velocity"),
                          longwave_lattice_units=v_long)
 
 
-def physical_velocity(spec: LatticeSpec, v: float, what: str) -> float:
+def physical_velocity(a: float, v: float, what: str) -> float:
     """a * v [m/s]; refuses a finite v [sites/s] whose a * v overflows. An
     infinite v (the closed form as m -> 0) passes on to the c_max cap."""
-    if math.isfinite(v) and not math.isfinite(spec.a * v):
-        raise LatticeError(f"physical {what} overflows at a={spec.a!r}")
-    return spec.a * v
+    if math.isfinite(v) and not math.isfinite(a * v):
+        raise LatticeError(f"physical {what} overflows at a={a!r}")
+    return a * v
 
 
 def coupling_matrix(spec: LatticeSpec) -> np.ndarray:
@@ -375,15 +375,20 @@ class LRBoundParams:
             raise LatticeError("envelope constants must be positive")
 
 
+def lr_speed(d: int, lam: Sequence[float], m: float) -> float:
+    """Commutator-growth speed limit 4 * sqrt(d * sum_j lam_j / m), lattice
+    units (Nachtergaele, Raz, Schlein & Sims, CMP 286, 1073 (2009))."""
+    return 4.0 * math.sqrt(d * sum(lam) / m)
+
+
 def c_omega_lambda(spec: LatticeSpec) -> float:
-    """Cone-slope constant sqrt(d * sum_j lam_j / m), lattice units; reads only d, lam, m."""
-    return math.sqrt(spec.d * sum(spec.lam) / spec.m)
+    """Cone-slope constant sqrt(d * sum_j lam_j / m), lattice units."""
+    return lr_speed(spec.d, spec.lam, spec.m) / 4.0  # exact: a power of two
 
 
 def lr_bound_velocity(spec: LatticeSpec) -> float:
-    """Commutator-growth speed limit 4 * sqrt(d * sum_j lam_j / m), lattice
-    units (Nachtergaele, Raz, Schlein & Sims, CMP 286, 1073 (2009))."""
-    return 4.0 * c_omega_lambda(spec)
+    """``lr_speed`` of the spec's couplings."""
+    return lr_speed(spec.d, spec.lam, spec.m)
 
 
 def lr_bound_envelope(spec: LatticeSpec, bp: LRBoundParams,
@@ -420,6 +425,11 @@ def _check_work(entries: float, what: str) -> None:
     if not entries <= _WORK_ENTRY_CAP:
         raise LatticeError(f"{what} needs {entries:.3g} array entries, "
                            f"above the cap of {_WORK_ENTRY_CAP}")
+
+
+def _check_orbits(spec: LatticeSpec, r_max: int) -> None:
+    _check_work(float(math.comb(spec.L // 2 + spec.d, spec.d)) * (r_max + 1),
+                "the orbit weight matrix")
 
 
 def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]:
@@ -460,8 +470,7 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
         raise LatticeError("dt must be finite and steps >= 0")
     if not 0 <= r_max < spec.L:
         raise LatticeError("r_max must lie in 0..L-1")
-    _check_work(float(math.comb(spec.L // 2 + spec.d, spec.d)) * (r_max + 1),
-                "the orbit weight matrix")
+    _check_orbits(spec, r_max)
     _check_work(float(steps) * (r_max + 1), "the time signal")
     omega, W = _axis_orbits(spec, r_max)
     rows = max(1, _BLOCK_BYTES // (32 * len(omega)))
@@ -511,6 +520,7 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
         raise LatticeError("t_max must be positive")
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise LatticeError("dt must be finite and positive")
+    _check_orbits(spec, r_max)  # > L//2 orbits: bounds L before omega_max
     if dt is None:
         w_max = omega_max(spec)
         dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
@@ -544,7 +554,7 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     return LightConeScan(rows=tuple(rows),
                          fitted_velocity_lattice=float(slope),
                          fitted_velocity_physical=physical_velocity(
-                             spec, float(slope), "fitted velocity"),
+                             spec.a, float(slope), "fitted velocity"),
                          threshold=threshold, t_max=t_max, dt=dt,
                          fit_intercept=float(intercept),
                          fit_residual=float(np.sqrt(np.mean(residual ** 2))),

@@ -68,7 +68,9 @@ class TestLrVelocity:
     def test_one_formula_with_the_lattice_bound(self, d, lam, m):
         params = make_params(lam=lam, nu=len(lam), m=m, d=d)
         spec = lattice.LatticeSpec(d=d, L=8, lam=lam, m=m)
-        assert lr_velocity(params).lattice_units == lattice.lr_bound_velocity(spec)
+        v = lr_velocity(params).lattice_units
+        assert v == lattice.lr_bound_velocity(spec) == lattice.lr_speed(d, lam, m)
+        assert lattice.c_omega_lambda(spec) == math.sqrt(d * sum(lam) / m)
 
     def test_refuses_physical_velocity_out_of_float_range(self):
         # 4e150 sites/s is finite; times a = 1e160 it is not

@@ -440,6 +440,21 @@ class TestLightconeCommand:
             capsys.readouterr(),
             "the orbit weight matrix needs 1.04e+18 array entries")
 
+    def test_automatic_dt_refuses_long_axis_before_reading_it(
+            self, monkeypatch, capsys):
+        # d = 1, L = 10^9: the 5e8 + 1 orbits refuse the scan before
+        # omega_max reads the 10^9-point axis for the automatic dt
+        def no_axis(*args):
+            raise AssertionError("axis or orbits built before the size check")
+
+        monkeypatch.setattr(lattice, "omega_max", no_axis)
+        monkeypatch.setattr(lattice, "_axis_orbits", no_axis)
+        assert main(["lightcone", "--L", "1000000000", "--r-max", "2",
+                     "--t-max", "1"]) == 2
+        assert_one_error_line(
+            capsys.readouterr(),
+            "the orbit weight matrix needs 1.5e+09 array entries")
+
     def test_fit_r_min_beyond_r_max_exits_2(self, monkeypatch, capsys):
         def no_scan(*args):
             raise AssertionError("scan ran before the fit_r_min check")

@@ -821,7 +821,8 @@ class TestLightCone:
 
     def test_automatic_dt_checks_the_mode_grid_before_building_it(self, monkeypatch):
         # the automatic dt reads omega_max from one axis: the L^d mode grid is
-        # never built, and the orbit check still refuses before any orbit is
+        # never built, and the orbit check refuses before that axis or any
+        # orbit is
         spec = LatticeSpec(d=3, L=40, lam=(1.0, 0.3), m=1.0)
         dt = 0.2 / normal_modes(spec).omega_max
 
@@ -831,6 +832,7 @@ class TestLightCone:
         monkeypatch.setattr(lattice, "normal_modes", no_grid)
         scan = measure_light_cone(spec, threshold=1e-3, t_max=1.0, r_max=10)
         assert scan.dt == dt
+        monkeypatch.setattr(lattice, "omega_max", no_grid)
         monkeypatch.setattr(lattice, "_axis_orbits", no_grid)
         monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", math.comb(23, 3) * 11 - 1)
         with pytest.raises(LatticeError, match="orbit weight matrix needs 1.95e\\+04"):

@@ -53,11 +53,17 @@ def coarse_grain(params: HardwareParams) -> float:
     except OverflowError:
         raise BoundError(f"a^(2-d) = {params.a:g}^{2 - params.d} overflows "
                          "a float in the continuum stiffness") from None
-    return params.d * scale * sum(l * j * j for j, l in enumerate(params.lam, start=1))
+    stiffness = params.d * scale * sum(l * j * j for j, l in enumerate(params.lam, start=1))
+    if math.isinf(stiffness):
+        raise BoundError(f"continuum stiffness overflows a float at "
+                         f"a={params.a!r}, lam={params.lam!r}")
+    return stiffness
 
 
 def qft_velocity(lambda_d: float, rho: float) -> float:
-    """Continuum propagation speed sqrt(lambda_d / rho)."""
+    """Continuum speed sqrt(lambda_d / rho), +inf past the float range."""
+    if not (math.isfinite(lambda_d) and math.isfinite(rho)):
+        raise BoundError(f"non-finite stiffness {lambda_d!r} or density {rho!r}")
     if rho <= 0:
         raise BoundError("nonpositive density")
     if lambda_d < 0:
@@ -69,26 +75,19 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural") -> float:
     """Largest fixed point of N = R * log(N)^p.
 
     Iterates N <- R * log(N)^p from N0 = max(R, base^2, e^p) until the
-    relative change drops below 1e-12. For p = 0 the answer is R itself. The
-    largest fixed point is the capacity (the small root of the
-    transcendental equation is not). The tangency point e^p (in either log
-    base) lies between the two roots whenever they exist, so from N0 the
-    iteration converges to the largest one whenever it exists strictly
-    above the tangency point.
-
-    Raises FixedPointError when the iterate leaves the domain, overflows a
-    float, or fails to converge within SOLVER_STEPS steps, which signals a
-    pathological R (R * log^p has no fixed point above 1, or only a
-    tangency).
+    relative change drops below 1e-12; for p = 0 that is R itself. The
+    largest fixed point is the capacity. The tangency point e^p (in either
+    log base) lies between the two roots whenever they exist, so from N0
+    the iteration reaches the largest one whenever it lies strictly above
+    the tangency point. Raises FixedPointError, at every p, when the iterate
+    leaves N > 1, overflows a float, or fails to converge within
+    SOLVER_STEPS steps: R * log^p has no fixed point above 1, or only a
+    tangency.
     """
     if not math.isfinite(R):
         raise BoundError(f"non-finite ratio R = {R}")
-    if R <= 0:
-        raise BoundError("nonpositive ratio R")
     if p < 0:
         raise BoundError("negative depth exponent")
-    if p == 0:
-        return R
     base = math.e if log_base == "natural" else 2.0
     logf = math.log if log_base == "natural" else math.log2
     try:
@@ -139,18 +138,28 @@ def _resolve_velocity(params: HardwareParams, conv: Conventions) -> float:
     return math.sqrt(params.d) * float(src)
 
 
+def capacity(v: float, tau: float, a: float, d: int,
+             conventions: Conventions) -> tuple[float, float]:
+    """(extent N, total N^d) qubits from N / log^p(N) = R = v*tau/a; refuses by
+    name an R outside the float range, an R with no fixed point above one
+    qubit (FixedPointError, at every p) and an overflowing total."""
+    R = v * tau / a
+    if not 0.0 < R < math.inf:
+        raise BoundError(f"ratio R = v*tau0/a leaves the float range at "
+                         f"v={v!r}, tau0={tau!r}, a={a!r}")
+    extent = fixed_point_solve(R, conventions.depth_exponent, conventions.log_base)
+    try:
+        return extent, extent ** d
+    except OverflowError:
+        raise BoundError(f"total capacity {extent:g}^{d} overflows a float") from None
+
+
 def qram_max_qubits(params: HardwareParams, conventions: Conventions) -> BoundResult:
     """Capacity bound from N/log^p(N) <= v*tau0/a along one axis; the total
     across d dimensions is the linear extent raised to the d-th power."""
     v = min(_resolve_velocity(params, conventions), params.c_max)
-    R = v * tau0(params.g1, params.g2) / params.a
-    extent = fixed_point_solve(R, conventions.depth_exponent,
-                               conventions.log_base)
-    try:
-        total = extent ** params.d
-    except OverflowError:
-        raise BoundError(f"total capacity {extent:g}^{params.d} overflows "
-                         "a float") from None
+    extent, total = capacity(v, tau0(params.g1, params.g2), params.a,
+                             params.d, conventions)
     return BoundResult(
         max_qubits_total=total,
         max_linear_extent=extent,

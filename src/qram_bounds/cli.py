@@ -132,10 +132,7 @@ def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
     rows = []
     for point in itertools.product(*(ax.values() for ax in grid.axes)):
         values = dict(zip(axis_cols, point))
-        cells = [_evaluate_point(grid, values, d) for d in grid.dims]
-        if not all(math.isfinite(cell) for cell in cells):
-            raise ParamsError("non-finite sweep value")
-        rows.append((*point, *cells))
+        rows.append((*point, *(_evaluate_point(grid, values, d) for d in grid.dims)))
     write_csv(out_path, meta,
               axis_cols + [f"max_qubits_d{d}" for d in grid.dims], rows)
     return len(rows)
@@ -200,18 +197,16 @@ def _cmd_bound(args) -> int:
               f"(a={params.a:g} m, delta_t={params.delta_t:g} s, "
               f"c={params.c_max:g} m/s, log_base={conv.log_base})")
         return EXIT_OK
-    if args.kind == "teleport":
-        _print_bound(bounds.teleport_hybrid_max_qubits(params, conv))
-    else:
-        _print_bound(bounds.qram_max_qubits(params, conv))
+    bound = (bounds.teleport_hybrid_max_qubits if args.kind == "teleport"
+             else bounds.qram_max_qubits)
+    _print_bound(bound(params, conv))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    if args.preset == "fig3":
-        grid = fig3_grid(args.depth_exponent, args.log_base)
-    elif args.preset == "fig4":
-        grid = fig4_grid(args.depth_exponent, args.log_base)
+    if args.preset is not None:
+        preset = fig3_grid if args.preset == "fig3" else fig4_grid
+        grid = preset(args.depth_exponent, args.log_base)
     else:
         if not args.axis:
             raise ParamsError("custom sweep needs --axis")

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .params import checked_phase
+
 GAUGE_ROUNDS = 50  # alternating phase alignments in gauge_equivalent
 
 
@@ -65,13 +67,14 @@ def bs_unitary(g1: float, t: float) -> np.ndarray:
     Transfer probability |<01|U|10>|^2 = sin^2(g1 t): full transfer at
     t = pi/(2 g1), 50/50 at t = pi/(4 g1). The transfer carries -i phases.
     """
-    return _expm_herm(_EXCHANGE, _coupling("g1", g1) * t)
+    phase = checked_phase(GateError, "g1*t of the beam splitter", _coupling("g1", g1), t)
+    return _expm_herm(_EXCHANGE, phase)
 
 
 def cz_unitary(g2: float, t: float) -> np.ndarray:
     """Controlled phase exp(-i t g2 n x n); diag(1, 1, 1, -1) at t = pi/g2."""
-    return np.diag(np.exp(-1j * _coupling("g2", g2) * t
-                          * np.diag(np.kron(_NUM, _NUM))))
+    phase = checked_phase(GateError, "g2*t of the controlled phase", _coupling("g2", g2), t)
+    return np.diag(np.exp(-1j * phase * np.diag(np.kron(_NUM, _NUM))))
 
 
 def swap_unitary(g1: float) -> np.ndarray:
@@ -80,11 +83,8 @@ def swap_unitary(g1: float) -> np.ndarray:
 
 
 def cswap_exact() -> np.ndarray:
-    """Textbook controlled-SWAP permutation on (ctrl, a, b)."""
-    U = np.eye(8, dtype=complex)
-    U[[5, 6], [5, 6]] = 0.0
-    U[5, 6] = U[6, 5] = 1.0
-    return U
+    """Textbook controlled-SWAP permutation on (ctrl, a, b): |101> <-> |110>."""
+    return np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
 
 
 def cswap_composite(g1: float, g2: float) -> np.ndarray:

@@ -26,6 +26,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .params import checked_phase
+
 _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
 _WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
@@ -85,16 +87,6 @@ class LatticeSpec:
         return (self.L,) * self.d
 
 
-@dataclass(frozen=True)
-class NormalModes:
-    omega: np.ndarray    # frequencies, shape (L,)*d, FFT ordering, omega >= 0
-    m: float
-
-    @property
-    def omega_max(self) -> float:
-        return float(self.omega.max())
-
-
 def omega_squared(spec: LatticeSpec,
                   ks: Sequence[np.ndarray | float]) -> np.ndarray | float:
     """omega^2 = (4/m) sum_beta sum_j lam_j sin^2(j k_beta / 2).
@@ -110,15 +102,15 @@ def omega_squared(spec: LatticeSpec,
     return w2 / spec.m
 
 
-def normal_modes(spec: LatticeSpec) -> NormalModes:
-    """Fourier diagonalization of the coupling matrix."""
+def normal_modes(spec: LatticeSpec) -> np.ndarray:
+    """Mode frequencies omega >= 0, shape (L,)*d in FFT ordering."""
     k = 2.0 * np.pi * np.arange(spec.L) / spec.L
     grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
-    return NormalModes(omega=np.sqrt(omega_squared(spec, grids)), m=spec.m)
+    return np.sqrt(omega_squared(spec, grids))
 
 
 def omega_max(spec: LatticeSpec) -> float:
-    """``normal_modes(spec).omega_max`` without the L^d grid. omega^2 sums
+    """``normal_modes(spec).max()`` without the L^d grid. omega^2 sums
     one nonnegative term per axis, so the maximum needs only the axis
     entries within rounding of the largest; combined with the grid's float
     operations, they give its maximum bit for bit."""
@@ -135,6 +127,7 @@ def dispersion(spec: LatticeSpec, k: float | Sequence[float]) -> float:
     kv = np.atleast_1d(np.asarray(k, dtype=float))
     if kv.shape != (spec.d,):
         raise LatticeError(f"wavevector must have {spec.d} component(s)")
+    checked_phase(LatticeError, "j*k of the dispersion", spec.nu, np.abs(kv).max())
     return math.sqrt(omega_squared(spec, kv))
 
 
@@ -179,9 +172,8 @@ def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
                     comp = comp + lam * j * np.sin(j * kb)
                 grad2 = grad2 + np.where(omega > 0, comp / (spec.m * omega), 0.0) ** 2
         grad2_max = max(grad2_max, float(grad2.max()))
-    v_grid = math.sqrt(grad2_max)
     v_long = longwave_speed(spec)
-    v = max(v_grid, v_long)
+    v = max(math.sqrt(grad2_max), v_long)
     return GroupVelocity(lattice_units=v,
                          physical=physical_velocity(spec.a, v, "group velocity"),
                          longwave_lattice_units=v_long)
@@ -205,8 +197,6 @@ def coupling_matrix(spec: LatticeSpec) -> np.ndarray:
         s = int(np.ravel_multi_index(idx, shape))
         for axis in range(spec.d):
             for j, lam in enumerate(spec.lam, start=1):
-                if lam == 0.0:
-                    continue
                 for sign in (+1, -1):
                     nb = list(idx)
                     nb[axis] = (nb[axis] + sign * j) % spec.L
@@ -225,7 +215,8 @@ class SymplecticPropagator:
     with the zero mode handled by its analytic limit sin(w t)/(m w) -> t/m.
     ``apply`` evolves phase-space points (the S action); ``apply_observable``
     evolves Weyl coefficient vectors (the S^T action). Both take one vector
-    (2n,) or a batch of rows (k, 2n).
+    (2n,) or a batch of rows (k, 2n). A t*omega_max or t/m outside the float
+    range is refused.
     """
 
     def __init__(self, spec: LatticeSpec, t: float):
@@ -233,22 +224,21 @@ class SymplecticPropagator:
             raise LatticeError("time must be finite")
         self.spec = spec
         self.t = float(t)
-        w = normal_modes(spec).omega
+        w = normal_modes(spec)
+        checked_phase(LatticeError, "omega_max*t of the propagator", w.max(), t)
+        if math.isinf(self.t / spec.m):   # zero-mode entry; LatticeSpec bounds m*omega
+            raise LatticeError(f"propagator entry t/m overflows at t={t!r}, m={spec.m!r}")
         self._cos = np.cos(w * self.t)
         # sin(wt)/(m w) via sinc: exact t/m limit at w = 0
         self._b = self.t / spec.m * np.sinc(w * self.t / np.pi)
         self._c = -spec.m * w * np.sin(w * self.t)
-
-    @property
-    def n_sites(self) -> int:
-        return self.spec.n_sites
 
     def _evolve(self, u: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
         """Apply the mode blocks (cos, b; c, cos) to one phase-space vector
         (2n,) or a batch (k, 2n): one FFT over the lattice axes carries both
         quadratures of every row."""
         u = np.asarray(u, dtype=float)
-        n, d = self.n_sites, self.spec.d
+        n, d = self.spec.n_sites, self.spec.d
         if u.ndim not in (1, 2) or u.shape[-1] != 2 * n:
             raise LatticeError(f"phase-space input must have shape ({2 * n},) "
                                f"or (k, {2 * n}), got {u.shape}")
@@ -269,18 +259,13 @@ class SymplecticPropagator:
 
     def matrix(self) -> np.ndarray:
         """Materialize S(t) as a dense (2n, 2n) array."""
-        if self.n_sites > _DENSE_SITE_CAP:
+        if self.spec.n_sites > _DENSE_SITE_CAP:
             raise LatticeError(f"dense propagator capped at {_DENSE_SITE_CAP} sites")
         cols = [np.fft.ifftn(mult).real for mult in (self._cos, self._b, self._c)]
         coords = np.array(list(np.ndindex(self.spec.shape)))  # (n, d)
         diff = (coords[:, None, :] - coords[None, :, :]) % self.spec.L
         A, B, C = (col[tuple(np.moveaxis(diff, -1, 0))] for col in cols)
         return np.block([[A, B], [C, A]])
-
-
-def propagate(spec: LatticeSpec, t: float) -> SymplecticPropagator:
-    """Exact Heisenberg propagator of the harmonic lattice at time t."""
-    return SymplecticPropagator(spec, t)
 
 
 def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
@@ -358,7 +343,7 @@ def weyl_commutator_norm(spec: LatticeSpec, f: WeylFunction, g: WeylFunction,
     quadratic lattice (value in [0, 2])."""
     fq, fp = f.vectors(spec)
     gq, gp = g.vectors(spec)
-    prop = propagate(spec, t)
+    prop = SymplecticPropagator(spec, t)
     evolved = prop.apply_observable(np.concatenate([fq, fp]))
     n = spec.n_sites
     sigma = symplectic_form(evolved[:n], evolved[n:], gq, gp)
@@ -371,8 +356,8 @@ class LRBoundParams:
     mu: float   # decay rate, dimensionless
 
     def __post_init__(self):
-        if self.C <= 0 or self.mu <= 0:
-            raise LatticeError("envelope constants must be positive")
+        if not (0.0 < self.C < math.inf and 0.0 < self.mu < math.inf):
+            raise LatticeError("envelope constants must be positive and finite")
 
 
 def lr_speed(d: int, lam: Sequence[float], m: float) -> float:
@@ -394,11 +379,18 @@ def lr_bound_velocity(spec: LatticeSpec) -> float:
 def lr_bound_envelope(spec: LatticeSpec, bp: LRBoundParams,
                       dist: float, t: float) -> float:
     """Exponential suppression envelope for unit-amplitude single-site
-    probes: C * exp(-mu * m * [dist - c * max(2/mu, e^(mu/2 + 1)) * |t|])."""
+    probes: C * exp(-mu * m * [dist - c * max(2/mu, e^(mu/2 + 1)) * |t|]),
+    refused by name where it leaves the float range."""
     if dist < 0:
         raise LatticeError("negative distance")
-    cone = c_omega_lambda(spec) * max(2.0 / bp.mu, math.exp(bp.mu / 2.0 + 1.0))
-    return bp.C * math.exp(-bp.mu * spec.m * (dist - cone * abs(t)))
+    try:
+        cone = c_omega_lambda(spec) * max(2.0 / bp.mu, math.exp(bp.mu / 2.0 + 1.0))
+        value = bp.C * math.exp(-bp.mu * spec.m * (dist - cone * abs(t)))
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise LatticeError(f"bound envelope at dist={dist!r}, t={t!r} leaves the float range")
 
 
 @dataclass(frozen=True)
@@ -464,7 +456,8 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     C, S = cos, sin(j dt omega), j < B, serves every block of B steps:
     block rows are cos(t_0 omega) C - sin(t_0 omega) S from the block's own
     base angle (no recurrence, so no drift), then one product with W. The
-    tables and two block arrays share one ``_BLOCK_BYTES`` budget.
+    tables and two block arrays share one ``_BLOCK_BYTES`` budget. Refuses
+    a scan whose phase steps*|dt|*omega_max leaves the float range.
     """
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
@@ -473,7 +466,9 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     _check_orbits(spec, r_max)
     _check_work(float(steps) * (r_max + 1), "the time signal")
     omega, W = _axis_orbits(spec, r_max)
-    rows = max(1, _BLOCK_BYTES // (32 * len(omega)))
+    checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
+                  omega.max(), steps * abs(dt))
+    rows = max(1, min(steps, _BLOCK_BYTES // (32 * len(omega))))
     C, S, block, work = np.empty((4, rows, len(omega)))
     angle = np.multiply.outer(np.arange(rows) * dt, omega, out=block)
     np.cos(angle, out=C)
@@ -524,6 +519,8 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     if dt is None:
         w_max = omega_max(spec)
         dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
+    if math.isinf(t_max + dt):
+        raise LatticeError(f"t_max + dt = {t_max!r} + {dt!r} overflows a float")
     _check_work((t_max / dt + 2.0) * (r_max + 1), "the time signal")
     ts = np.arange(0.0, t_max + dt, dt)   # bitwise t_i = i * dt
     ts = ts[ts <= t_max + 1e-12]
@@ -536,18 +533,15 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     rows = []
     for r, column in enumerate(signal.T[1:], start=1):  # contiguous per r
         peak = float(column.max())
-        if peak < _PEAK_NOISE_FLOOR:
-            rows.append(ConeArrival(r=r, t_arrival=None, peak=peak))
-            continue
-        hit = int(np.argmax(column >= threshold * peak))
-        rows.append(ConeArrival(r=r, t_arrival=float(ts[hit]), peak=peak))
+        arrival = (None if peak < _PEAK_NOISE_FLOOR
+                   else float(ts[np.argmax(column >= threshold * peak)]))
+        rows.append(ConeArrival(r=r, t_arrival=arrival, peak=peak))
 
-    pts = [(row.t_arrival, row.r) for row in rows
-           if row.t_arrival is not None and row.r >= fit_r_min]
+    pts = np.array([(row.t_arrival, row.r) for row in rows
+                    if row.t_arrival is not None and row.r >= fit_r_min], dtype=float)
     if len(pts) < 2:
         raise LatticeError("not enough arrivals to fit a velocity")
-    t_arr = np.array([p[0] for p in pts])
-    r_arr = np.array([p[1] for p in pts], dtype=float)
+    t_arr, r_arr = pts.T
     design = np.vstack([t_arr, np.ones_like(t_arr)]).T
     slope, intercept = np.linalg.lstsq(design, r_arr, rcond=None)[0]
     residual = r_arr - (slope * t_arr + intercept)

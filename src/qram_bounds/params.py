@@ -40,9 +40,7 @@ class HardwareParams:
             raise ParamsError("nonpositive lattice spacing")
         if self.delta_t <= 0:
             raise ParamsError("nonpositive clock cycle time")
-        if self.g1 <= 0 or self.g2 <= 0:
-            raise ParamsError("nonpositive coupling")
-        tau0(self.g1, self.g2)
+        tau0(self.g1, self.g2)   # refuses a nonpositive or overflowing coupling
         if self.m <= 0:
             raise ParamsError("nonpositive site mass")
         if self.c_max <= 0:
@@ -112,13 +110,25 @@ def tau0(g1: float, g2: float) -> float:
 
 
 def density(params: HardwareParams) -> float:
-    """Mass density m / a^d [kg/m^d] of the discrete lattice; refuses a
-    spacing whose d-th power leaves the float range."""
+    """Mass density m / a^d [kg/m^d] of the discrete lattice; refuses an
+    a^d or a density that leaves the float range."""
     try:
-        return params.m / params.a ** params.d
+        rho = params.m / params.a ** params.d
     except (OverflowError, ZeroDivisionError):
         raise ParamsError(f"a^d = {params.a:g}^{params.d} leaves the float "
                           "range in the density m/a^d") from None
+    if math.isinf(rho):
+        raise ParamsError(f"density m/a^d = {params.m:g}/{params.a:g}^{params.d} "
+                          "overflows a float")
+    return rho
+
+
+def checked_phase(error: type[ValueError], what: str, w: float, t: float) -> float:
+    """The phase ``what`` = w * t [rad], refused by name outside the float range."""
+    phase = float(w) * float(t)
+    if not math.isfinite(phase):
+        raise error(f"phase {what} = {float(w)!r}*{float(t)!r} leaves the float range")
+    return phase
 
 
 # Configuration files are flat "key = value" text; `lambda` is a

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qram_bounds import bounds, lattice
-from qram_bounds.bounds import (BoundError, FixedPointError, coarse_grain,
+from qram_bounds.bounds import (BoundError, FixedPointError, capacity, coarse_grain,
                                 fixed_point_solve, lr_velocity,
                                 naive_max_qubits, qft_velocity,
                                 qram_max_qubits, teleport_hybrid_max_qubits)
@@ -110,6 +110,12 @@ class TestCoarseGrain:
         assert coarse_grain(make_params(lam=(1.0,), a=2.0, d=d)) == \
             pytest.approx(expected, rel=1e-15)
 
+    def test_refuses_stiffness_out_of_float_range(self):
+        # 2 * 1 * 1e308 overflows although a^(2-d) = 1 does not
+        with pytest.raises(BoundError, match="continuum stiffness overflows a "
+                           r"float at a=5e-324, lam=\(1e\+308,\)"):
+            coarse_grain(make_params(lam=(1e308,), a=5e-324, d=2))
+
 
 class TestQftVelocity:
     def test_direct(self):
@@ -125,6 +131,13 @@ class TestQftVelocity:
     def test_rejects_nonpositive_density(self):
         with pytest.raises(BoundError, match="density"):
             qft_velocity(1.0, 0.0)
+
+    @pytest.mark.parametrize("lambda_d,rho", [(math.inf, 1.0), (1.0, math.nan),
+                                              (math.nan, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite_inputs(self, lambda_d, rho):
+        # nan and inf passed the sign checks and came back as nan or inf
+        with pytest.raises(BoundError, match="non-finite stiffness"):
+            qft_velocity(lambda_d, rho)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sqrt_d_scaling(self, d):
@@ -211,6 +224,13 @@ class TestFixedPointSolve:
     def test_pathological_small_ratio(self):
         with pytest.raises(FixedPointError, match="no fixed point"):
             fixed_point_solve(1.0, 1)
+        # one rule at every p: at p = 0 the fixed point is R itself, so an
+        # R at or below one qubit has none above 1
+        for R in (1.0, 0.004, 5e-324, 0.0, -1.0):
+            with pytest.raises(FixedPointError, match=re.escape(
+                    f"no fixed point above 1 for N = {R:g}*log^0(N)")):
+                fixed_point_solve(R, 0)
+        assert fixed_point_solve(1.0 + 2.0 ** -52, 0) == 1.0 + 2.0 ** -52
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(BoundError):
@@ -272,7 +292,9 @@ class TestQramMaxQubits:
             assert r.max_linear_extent >= 1.0
 
     def test_velocity_sources_resolve(self):
-        p = make_params(a=1.0)
+        # g1 = g2 = pi gives tau0 = 2 s, so that every source's capacity
+        # exceeds one qubit at p = 0
+        p = make_params(a=1.0, g1=math.pi, g2=math.pi)
         for source in ("lieb_robinson", "qft", "group"):
             r = qram_max_qubits(p, Conventions(depth_exponent=0,
                                                velocity_source=source))
@@ -283,6 +305,32 @@ class TestQramMaxQubits:
         r_g = qram_max_qubits(p, Conventions(depth_exponent=0,
                                              velocity_source="group"))
         assert r_g.velocity_used == pytest.approx(1.0, rel=1e-9)
+        # at tau0 = 1 ms the same velocities give R = 0.004 and 0.001: below
+        # one qubit, refused at p = 0 as at every other p
+        for source in ("lieb_robinson", "group"):
+            for depth in (0, 1, 2):
+                with pytest.raises(FixedPointError, match="no fixed point above 1"):
+                    qram_max_qubits(make_params(a=1.0), Conventions(
+                        depth_exponent=depth, velocity_source=source))
+
+    def test_capacity_refusals_name_their_inputs(self):
+        conv = Conventions(depth_exponent=0)
+        assert capacity(6000.0, 1e-3, 1e-6, 2, conv) == pytest.approx((6e6, 3.6e13),
+                                                                   rel=1e-12)
+        with pytest.raises(BoundError, match=re.escape(
+                "ratio R = v*tau0/a leaves the float range at v=2e-323, "
+                "tau0=0.001, a=5e-324")):
+            capacity(2e-323, 1e-3, 5e-324, 1, conv)
+        with pytest.raises(BoundError, match=re.escape(
+                "ratio R = v*tau0/a leaves the float range at v=3e+300, "
+                "tau0=1e+300, a=1.0")):
+            capacity(3e300, 1e300, 1.0, 1, conv)
+        with pytest.raises(BoundError, match=re.escape(
+                "total capacity 1e+200^2 overflows a float")):
+            capacity(1e200, 1.0, 1.0, 2, conv)
+        with pytest.raises(FixedPointError, match=re.escape(
+                "no fixed point above 1 for N = 0.5*log^0(N)")):
+            capacity(0.5, 1.0, 1.0, 1, conv)
 
     def test_velocity_capped_at_c_max(self):
         r = qram_max_qubits(make_params(),

@@ -180,6 +180,28 @@ class TestBoundCommand:
         assert record["velocity_used"] == 3e8
         assert record["max_qubits_total"] == pytest.approx(9e22, rel=1e-12)
 
+    @pytest.mark.parametrize("edits,argv,message", [
+        # p = 0 at the preset: R = 4e-6 m/s * 1e-3 s / 1e-6 m = 0.004 qubits
+        # printed "max qubits (total): 4.000000e-03" and exited 0
+        (None, ["--depth-exponent", "0"],
+         "no fixed point above 1 for N = 0.004*log^0(N)"),
+        # v*tau0 = 2e-323 * 1e-3 underflows: R was 0, "nonpositive ratio R"
+        ({"a = 1e-6": "a = 5e-324", "lambda = 1.0": "lambda = 5e-324",
+          "m = 1.0": "m = 5e-324"}, [],
+         "ratio R = v*tau0/a leaves the float range at v=2e-323, "
+         "tau0=0.001, a=5e-324"),
+    ])
+    def test_capacity_below_one_qubit_or_out_of_float_range_exits_2(
+            self, edits, argv, message, tmp_path, capsys):
+        if edits is not None:
+            text = GOOD_CONFIG
+            for old, new in edits.items():
+                text = text.replace(old, new)
+            (tmp_path / "hw.cfg").write_text(text)
+            argv = ["--config", str(tmp_path / "hw.cfg"), *argv]
+        assert main(["bound", *argv]) == 2
+        assert_one_error_line(capsys.readouterr(), message)
+
     def test_overflowing_depth_exponent_exits_2(self, capsys):
         assert main(["bound", "--depth-exponent", "200"]) == 2
         assert_one_error_line(capsys.readouterr(), "fixed point of N")
@@ -394,6 +416,12 @@ class TestLightconeCommand:
         (["--dt", "nan"], "dt must be finite and positive"),
         (["--t-max", "nan"], "t_max must be finite"),
         (["--t-max", "1e9", "--dt", "1e-3"], "the time signal needs .* above the cap"),
+        # printed RuntimeWarnings and "PASS: fitted velocity below bound"
+        (["--t-max", "1e308", "--dt", "4e307"], r"phase omega_max\*steps\*\|dt\| "
+                                                "of the time signal = .* leaves"),
+        # numpy's "Maximum allowed size exceeded"
+        (["--t-max", "1.7e308", "--dt", "1e308"], r"t_max \+ dt = 1\.7e\+308 \+ "
+                                                  r"1e\+308 overflows a float"),
     ])
     def test_bad_time_grid_exits_2(self, args, message, capsys):
         assert main(["lightcone", "--L", "64", "--r-max", "10", *args]) == 2

@@ -97,6 +97,15 @@ class TestBeamSplitter:
         with pytest.raises(GateError, match=re.escape(f"={g!r} out of range")):
             make(g)
 
+    @pytest.mark.parametrize("make,name", [(bs_unitary, "g1*t of the beam splitter"),
+                                           (cz_unitary, "g2*t of the controlled phase")])
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 1e308])
+    def test_refuses_time_whose_phase_leaves_the_float_range(self, make, name, t):
+        # a non-finite g*t gave a matrix of nan
+        with pytest.raises(GateError, match=re.escape(f"phase {name} = 2.0*{t!r}")):
+            make(2.0, t)
+        assert np.isfinite(make(1.0, 1e308)).all()
+
     @pytest.mark.parametrize("g", [4.4e307, 2e-308])
     def test_extreme_couplings_in_range_keep_the_composite(self, g):
         assert math.isfinite(t_beamsplitter(g)) and t_beamsplitter(g) > 0

@@ -7,11 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from qram_bounds import lattice, verify
 from qram_bounds.lattice import (LatticeError, LatticeSpec, LRBoundParams,
-                                 WeylFunction, axis_signal, c_omega_lambda,
-                                 dispersion, longwave_speed, lr_bound_envelope,
+                                 SymplecticPropagator, WeylFunction,
+                                 axis_signal, c_omega_lambda, dispersion,
+                                 longwave_speed, lr_bound_envelope,
                                  lr_bound_velocity, max_group_velocity,
                                  measure_light_cone, normal_modes, omega_max,
-                                 propagate, propagate_ode, symplectic_form,
+                                 propagate_ode, symplectic_form,
                                  weyl_commutator_norm)
 
 RNG = np.random.default_rng(20240808)
@@ -83,7 +84,7 @@ def fock_commutator_norm(lam, m, f_amp, g_amp, t, trunc):
 def ifftn_axis_signal(spec, dt, steps, r_max):
     """One full inverse FFT of cos(omega t) per time step t = i * dt,
     keeping the on-axis entries r = 0..r_max."""
-    omega = normal_modes(spec).omega
+    omega = normal_modes(spec)
     ts = np.arange(steps) * dt
     out = np.empty((steps, r_max + 1))
     for i, t in enumerate(ts):
@@ -180,7 +181,7 @@ class TestLatticeSpec:
     def test_smallest_mass_below_overflow_is_finite(self, d, lam, m):
         spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
         with np.errstate(over="raise"):
-            assert math.isfinite(normal_modes(spec).omega_max)
+            assert math.isfinite(normal_modes(spec).max())
             assert math.isfinite(max_group_velocity(spec).lattice_units)
 
 
@@ -198,6 +199,14 @@ class TestDispersion:
         spec = LatticeSpec(d=2, L=8, lam=(1.0,), m=1.0)
         assert dispersion(spec, (math.pi, math.pi)) == pytest.approx(
             math.sqrt(8.0), rel=1e-15)
+
+    @pytest.mark.parametrize("k", [math.inf, -math.inf, math.nan, 1e308])
+    def test_refuses_wavevector_whose_phase_leaves_the_float_range(self, k):
+        # sin(j k / 2) of an infinite k was nan; j k overflows at k = 1e308
+        spec = LatticeSpec(d=2, L=8, lam=(1.0, 0.5), m=1.0)
+        with pytest.raises(LatticeError, match=re.escape("phase j*k of the dispersion")):
+            dispersion(spec, (0.5, k))
+        assert math.isfinite(dispersion(LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0), 1e308))
 
     @pytest.mark.parametrize("spec", [
         LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0),
@@ -230,15 +239,15 @@ class TestDispersion:
                         (2.91, 1.553, 0.356), (0.41, 1.215, 0.618, 0.794)):
                 for m in (0.37, 1.0, 7.3):
                     spec = LatticeSpec(d=d, L=L, lam=lam, m=m)
-                    assert omega_max(spec) == normal_modes(spec).omega_max
+                    assert omega_max(spec) == normal_modes(spec).max()
 
     def test_normal_modes_nonnegative_and_symmetric(self):
         spec = LatticeSpec(d=2, L=8, lam=(0.8, 0.3), m=1.1)
-        modes = normal_modes(spec)
-        assert (modes.omega >= 0).all()
-        flipped = modes.omega[tuple(slice(None, None, -1) for _ in range(2))]
+        omega = normal_modes(spec)
+        assert (omega >= 0).all()
+        flipped = omega[tuple(slice(None, None, -1) for _ in range(2))]
         np.testing.assert_allclose(np.roll(np.roll(flipped, 1, 0), 1, 1),
-                                   modes.omega, atol=1e-12)
+                                   omega, atol=1e-12)
 
 
 class TestGroupVelocity:
@@ -304,14 +313,15 @@ class TestPropagator:
     def test_identity_at_zero_time(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
         u = RNG.standard_normal(16)
-        np.testing.assert_allclose(propagate(spec, 0.0).apply(u), u, atol=1e-14)
+        np.testing.assert_allclose(SymplecticPropagator(spec, 0.0).apply(u), u,
+                                   atol=1e-14)
 
     def test_symplectic_form_preserved(self):
         for d, nu in ((1, 1), (1, 2), (2, 1), (2, 2)):
             lam = tuple(RNG.uniform(0.2, 1.5, nu))
             spec = LatticeSpec(d=d, L=8, lam=lam, m=float(RNG.uniform(0.5, 2.0)))
             n = spec.n_sites
-            prop = propagate(spec, float(RNG.uniform(0.1, 3.0)))
+            prop = SymplecticPropagator(spec, float(RNG.uniform(0.1, 3.0)))
             for _ in range(25):
                 u = RNG.standard_normal(2 * n)
                 v = RNG.standard_normal(2 * n)
@@ -324,26 +334,28 @@ class TestPropagator:
         spec = LatticeSpec(d=1, L=12, lam=(1.0, 0.3), m=0.8)
         u = RNG.standard_normal(24)
         for t1, t2 in ((0.3, 0.5), (1.1, -0.4), (2.0, 2.0)):
-            lhs = propagate(spec, t1 + t2).apply(u)
-            rhs = propagate(spec, t1).apply(propagate(spec, t2).apply(u))
+            lhs = SymplecticPropagator(spec, t1 + t2).apply(u)
+            rhs = SymplecticPropagator(spec, t1).apply(
+                SymplecticPropagator(spec, t2).apply(u))
             np.testing.assert_allclose(lhs, rhs, atol=1e-9)
 
     def test_time_reversal(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
         u = RNG.standard_normal(16)
-        back = propagate(spec, -0.7).apply(propagate(spec, 0.7).apply(u))
+        back = SymplecticPropagator(spec, -0.7).apply(
+            SymplecticPropagator(spec, 0.7).apply(u))
         np.testing.assert_allclose(back, u, atol=1e-9)
 
     def test_observable_action_is_transpose(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0, 0.5), m=1.0)
-        prop = propagate(spec, 0.9)
+        prop = SymplecticPropagator(spec, 0.9)
         S = prop.matrix()
         u = RNG.standard_normal(16)
         np.testing.assert_allclose(prop.apply_observable(u), S.T @ u, atol=1e-12)
 
     def test_matrix_matches_apply(self):
         spec = LatticeSpec(d=2, L=4, lam=(1.0,), m=1.3)
-        prop = propagate(spec, 1.2)
+        prop = SymplecticPropagator(spec, 1.2)
         u = RNG.standard_normal(32)
         np.testing.assert_allclose(prop.matrix() @ u, prop.apply(u), atol=1e-12)
 
@@ -355,7 +367,7 @@ class TestPropagator:
         rng = np.random.default_rng(1000 * d + 100 * nu + 10 * L + k)
         spec = LatticeSpec(d=d, L=L, lam=tuple(rng.uniform(0.2, 1.5, nu)),
                            m=float(rng.uniform(0.5, 2.0)))
-        prop = propagate(spec, float(rng.uniform(0.1, 3.0)))
+        prop = SymplecticPropagator(spec, float(rng.uniform(0.1, 3.0)))
         U = rng.standard_normal((k, 2 * spec.n_sites))
         for action in (prop.apply, prop.apply_observable):
             batched = action(U)
@@ -367,7 +379,7 @@ class TestPropagator:
                                          (3, 4, (0.8,))])
     def test_matrix_matches_batch(self, d, L, lam):
         spec = LatticeSpec(d=d, L=L, lam=lam, m=0.9)
-        prop = propagate(spec, 1.7)
+        prop = SymplecticPropagator(spec, 1.7)
         S = prop.matrix()
         U = RNG.standard_normal((5, 2 * spec.n_sites))
         np.testing.assert_allclose(S @ U.T, prop.apply(U).T, atol=1e-12)
@@ -384,15 +396,26 @@ class TestPropagator:
 
     @pytest.mark.parametrize("shape", [(15,), (17,), (3, 15), (2, 3, 16), ()])
     def test_rejects_wrong_shape(self, shape):
-        prop = propagate(LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0), 0.3)
+        prop = SymplecticPropagator(LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0), 0.3)
         for action in (prop.apply, prop.apply_observable):
             with pytest.raises(LatticeError, match="phase-space input must have "
                                r"shape \(16,\) or \(k, 16\)"):
                 action(np.zeros(shape))
 
+    @pytest.mark.parametrize("t,m,lam,message", [
+        (1e308, 1.0, 1.0, r"phase omega_max\*t of the propagator = 2\.0\*1e\+308"),
+        (-1e308, 1.0, 1.0, r"phase omega_max\*t of the propagator"),
+        (1.0, 5e-324, 5e-324, r"entry t/m overflows at t=1\.0, m=5e-324"),
+        (-1e300, 1e-10, 1e-20, r"entry t/m overflows at t=-1e\+300, m=1e-10"),
+    ])
+    def test_refuses_time_or_mass_out_of_float_range(self, t, m, lam, message):
+        # each returned nan entries from apply
+        with pytest.raises(LatticeError, match=message):
+            SymplecticPropagator(LatticeSpec(d=1, L=8, lam=(lam,), m=m), t)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
-        prop = propagate(LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0), 0.3)
+        prop = SymplecticPropagator(LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0), 0.3)
         one = np.full(16, bad)
         batch = np.zeros((3, 16))
         batch[2, 5] = bad
@@ -411,21 +434,21 @@ class TestOdePropagator:
 
     def test_matches_spectral_small_lattice(self):
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
-        S_spec = propagate(spec, 0.1).matrix()
+        S_spec = SymplecticPropagator(spec, 0.1).matrix()
         S_ode = propagate_ode(spec, 0.1, 1e-4)
         assert np.abs(S_spec - S_ode).max() < 1e-6
 
     def test_matches_spectral_l8_long_time(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
-        w_max = normal_modes(spec).omega_max
+        w_max = normal_modes(spec).max()
         t = 10.0 / w_max
-        S_spec = propagate(spec, t).matrix()
+        S_spec = SymplecticPropagator(spec, t).matrix()
         S_ode = propagate_ode(spec, t, 0.01 / w_max)
         assert np.abs(S_spec - S_ode).max() < 1e-6
 
     def test_rejects_large_step(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
-        w_max = normal_modes(spec).omega_max
+        w_max = normal_modes(spec).max()
         with pytest.raises(LatticeError, match="step too large"):
             propagate_ode(spec, 1.0, 1.0 / w_max)
 
@@ -433,11 +456,11 @@ class TestOdePropagator:
                                            (2, 4, (1.3,), 2.5), (1, 4, (0.6,), 1e-3)])
     def test_transfer_matrix_matches_step_loop(self, d, L, lam, t):
         spec = LatticeSpec(d=d, L=L, lam=lam, m=1.2)
-        w_max = normal_modes(spec).omega_max
+        w_max = normal_modes(spec).max()
         t, dt = t / w_max, 0.01 / w_max
         S_ode = propagate_ode(spec, t, dt)
         assert np.abs(S_ode - rk4_step_loop(spec, t, dt)).max() <= 1e-12
-        assert np.abs(S_ode - propagate(spec, t).matrix()).max() < 1e-6
+        assert np.abs(S_ode - SymplecticPropagator(spec, t).matrix()).max() < 1e-6
 
     @pytest.mark.parametrize("t,dt,message", [
         (1.0, math.nan, "step must be finite and positive"),
@@ -457,7 +480,7 @@ class TestOdePropagator:
     def test_spectral_propagator_rejects_non_finite_time(self, t):
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
         with pytest.raises(LatticeError, match="time must be finite"):
-            propagate(spec, t)
+            SymplecticPropagator(spec, t)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_propagator_class_rejects_non_finite_time(self, t):
@@ -483,7 +506,7 @@ class TestOdePropagator:
         # 10^6 steps at L = 4, dt = 1e-3: still within the 1e-6 verify bound
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
         S_ode = propagate_ode(spec, 1e3, 1e-3)
-        assert np.abs(S_ode - propagate(spec, 1e3).matrix()).max() < 1e-6
+        assert np.abs(S_ode - SymplecticPropagator(spec, 1e3).matrix()).max() < 1e-6
 
     @pytest.mark.parametrize("d,L", [(1, 513), (2, 23), (3, 9)])
     def test_rejects_more_sites_than_dense_cap(self, d, L, monkeypatch):
@@ -567,6 +590,25 @@ class TestBoundEnvelope:
     def test_unit_at_origin(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
         assert lr_bound_envelope(spec, LRBoundParams(1.0, 1.0), 0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("C,mu", [(math.nan, 1.0), (math.inf, 1.0),
+                                      (1.0, math.nan), (1.0, math.inf),
+                                      (0.0, 1.0), (1.0, -1.0)])
+    def test_constants_must_be_positive_and_finite(self, C, mu):
+        with pytest.raises(LatticeError, match="envelope constants must be "
+                           "positive and finite"):
+            LRBoundParams(C, mu)
+
+    @pytest.mark.parametrize("mu,dist,t", [
+        (1e308, 1.0, 1.0),        # e^(mu/2 + 1) overflowed with OverflowError
+        (1.0, 1.0, 1e308),        # exp of the cone term is inf
+        (1.0, math.nan, 1.0),     # nan passed the distance check
+        (1.0, 1.0, math.inf)])
+    def test_refuses_envelope_out_of_float_range(self, mu, dist, t):
+        spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match=re.escape(
+                f"bound envelope at dist={dist!r}, t={t!r} leaves the float range")):
+            lr_bound_envelope(spec, LRBoundParams(1.0, mu), dist, t)
 
     def test_cone_constant(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
@@ -689,7 +731,7 @@ class TestAxisSignal:
         sizes = np.rint(W[:, 0] * spec.n_sites).astype(int)
         assert sizes.sum() == spec.n_sites
         np.testing.assert_allclose(np.sort(np.repeat(omega, sizes)),
-                                   np.sort(normal_modes(spec).omega.ravel()),
+                                   np.sort(normal_modes(spec).ravel()),
                                    rtol=0, atol=1e-14)
 
     def test_rejects_bad_arguments(self):
@@ -697,6 +739,12 @@ class TestAxisSignal:
         for dt, steps in ((math.nan, 2), (math.inf, 2), (-math.inf, 2), (0.1, -1)):
             with pytest.raises(LatticeError, match="dt must be finite and steps >= 0"):
                 axis_signal(spec, dt, steps, 4)
+        # 3 steps of 1e308 at omega_max = 2 were nan rows after row 0
+        for dt in (1e308, -1e308, 4e307):
+            with pytest.raises(LatticeError, match=re.escape(
+                    "phase omega_max*steps*|dt| of the time signal = 2.0*")):
+                axis_signal(spec, dt, 3, 4)
+        assert np.isfinite(axis_signal(spec, 2e307, 3, 4)).all()
         with pytest.raises(LatticeError, match="r_max"):
             axis_signal(spec, 0.1, 1, 16)
         with pytest.raises(LatticeError, match="r_max"):
@@ -803,6 +851,10 @@ class TestLightCone:
         (dict(t_max=math.inf, dt=None), "t_max must be finite"),
         (dict(t_max=1e9, dt=1e-3), "time signal needs .* above the cap"),
         (dict(t_max=1.0, dt=5e-324), "time signal needs .* above the cap"),
+        (dict(t_max=1e308, dt=4e307), r"phase omega_max\*steps\*\|dt\| of the "
+                                      "time signal = .* leaves the float range"),
+        (dict(t_max=1.7e308, dt=1e308), r"t_max \+ dt = 1\.7e\+308 \+ 1e\+308 "
+                                        "overflows a float"),
     ])
     def test_rejects_bad_time_grid(self, kwargs, message):
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
@@ -824,7 +876,7 @@ class TestLightCone:
         # never built, and the orbit check refuses before that axis or any
         # orbit is
         spec = LatticeSpec(d=3, L=40, lam=(1.0, 0.3), m=1.0)
-        dt = 0.2 / normal_modes(spec).omega_max
+        dt = 0.2 / normal_modes(spec).max()
 
         def no_grid(*args):
             raise AssertionError("mode grid or orbits built before the size check")
@@ -868,10 +920,10 @@ class TestCausalityTail:
     def test_commutator_negligible_outside_bound_cone(self, d, L, lam):
         spec = LatticeSpec(d=d, L=L, lam=lam, m=1.0)
         v_bound = lr_bound_velocity(spec)
-        modes = normal_modes(spec)
+        omega = normal_modes(spec)
         r_cap = L // 2 - spec.nu
         for t in (0.5, 2.0, 5.0):
-            col = np.fft.ifftn(np.cos(modes.omega * t)).real.reshape(spec.shape)
+            col = np.fft.ifftn(np.cos(omega * t)).real.reshape(spec.shape)
             sig = 2.0 * np.abs(np.sin(
                 col[(slice(0, r_cap + 1),) + (0,) * (d - 1)] / 2.0))
             rs = np.arange(r_cap + 1, dtype=float)

@@ -120,6 +120,12 @@ class TestDensity:
     def test_values(self, m, a, d, expected):
         assert density(make_params(m=m, a=a, d=d)) == pytest.approx(expected, rel=1e-12)
 
+    def test_refuses_density_out_of_float_range(self):
+        # a^1 = 5e-324 is in range; 1 / 5e-324 is not
+        with pytest.raises(ParamsError, match=re.escape(
+                "density m/a^d = 1/4.94066e-324^1 overflows a float")):
+            density(make_params(m=1.0, a=5e-324, d=1))
+
 
 class TestConventions:
     def test_defaults_validate(self):

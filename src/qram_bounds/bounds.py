@@ -53,7 +53,7 @@ def coarse_grain(params: HardwareParams) -> float:
     except OverflowError:
         raise BoundError(f"a^(2-d) = {params.a:g}^{2 - params.d} overflows "
                          "a float in the continuum stiffness") from None
-    stiffness = params.d * scale * sum(l * j * j for j, l in enumerate(params.lam, start=1))
+    stiffness = params.d * scale * _lattice.second_moment(params.lam)
     if math.isinf(stiffness):
         raise BoundError(f"continuum stiffness overflows a float at "
                          f"a={params.a!r}, lam={params.lam!r}")
@@ -61,14 +61,21 @@ def coarse_grain(params: HardwareParams) -> float:
 
 
 def qft_velocity(lambda_d: float, rho: float) -> float:
-    """Continuum speed sqrt(lambda_d / rho), +inf past the float range."""
+    """Continuum speed sqrt(lambda_d / rho); where lambda_d / rho overflows
+    the roots are taken apart, and a speed past the float range is refused."""
     if not (math.isfinite(lambda_d) and math.isfinite(rho)):
         raise BoundError(f"non-finite stiffness {lambda_d!r} or density {rho!r}")
     if rho <= 0:
         raise BoundError("nonpositive density")
     if lambda_d < 0:
         raise BoundError("negative stiffness")
-    return math.sqrt(lambda_d / rho)
+    v = math.sqrt(lambda_d / rho)
+    if math.isinf(v):
+        v = math.sqrt(lambda_d) / math.sqrt(rho)
+    if math.isinf(v):
+        raise BoundError(f"continuum speed overflows a float at stiffness "
+                         f"{lambda_d!r}, density {rho!r}")
+    return v
 
 
 def fixed_point_solve(R: float, p: int, log_base: str = "natural") -> float:

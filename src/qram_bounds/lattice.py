@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -33,6 +32,7 @@ _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
 _WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
 _BLOCK_BYTES = 1 << 18      # working-array budget per time block or k-grid slab
 _ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
+_WINDOW = 8                 # entries per exact-norm check of a light-cone arrival
 
 
 class LatticeError(ValueError):
@@ -131,12 +131,16 @@ def dispersion(spec: LatticeSpec, k: float | Sequence[float]) -> float:
     return math.sqrt(omega_squared(spec, kv))
 
 
+def second_moment(lam: Sequence[float]) -> float:
+    """sum_j lam_j * j^2, the coupling weight of the long-wavelength limit."""
+    return sum(l * j * j for j, l in enumerate(lam, start=1))
+
+
 def longwave_speed(spec: LatticeSpec) -> float:
     """k -> 0 slope of omega along any direction, sqrt(sum_j lam_j j^2 / m)
     in lattice units. The long-wavelength dispersion is isotropic, so this
     is independent of d."""
-    return math.sqrt(sum(l * j * j for j, l in enumerate(spec.lam, start=1))
-                     / spec.m)
+    return math.sqrt(second_moment(spec.lam) / spec.m)
 
 
 @dataclass(frozen=True)
@@ -146,43 +150,72 @@ class GroupVelocity:
     longwave_lattice_units: float  # k -> 0 slope (may be below the max)
 
 
+def _slope(spec: LatticeSpec, kb: np.ndarray) -> np.ndarray:
+    """sum_j lam_j j sin(j k_b) = (m/2) d(omega^2)/dk_b along one axis."""
+    comp = 0.0
+    for j, lam in enumerate(spec.lam, start=1):
+        comp = comp + lam * j * np.sin(j * kb)
+    return comp
+
+
+def _grad2_max(spec: LatticeSpec, k: np.ndarray) -> float:
+    """Largest |grad omega|^2 on the grid k^d, in slabs along axis 0 that
+    keep the working arrays within _BLOCK_BYTES each."""
+    grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
+    rows = max(1, _BLOCK_BYTES // (8 * len(k) ** (spec.d - 1)))
+    grad2_max = 0.0
+    for start in range(0, len(k), rows):
+        slab = [grids[0][start:start + rows], *grids[1:]]
+        omega = np.sqrt(omega_squared(spec, slab))
+        grad2 = 0.0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for kb in slab:
+                comp = _slope(spec, kb)
+                grad2 = grad2 + np.where(omega > 0, comp / (spec.m * omega), 0.0) ** 2
+        grad2_max = max(grad2_max, float(grad2.max()))
+    return grad2_max
+
+
 def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
     """Maximum of |grad_k omega| over a dense wavevector grid.
 
     The gradient is evaluated analytically from the closed-form dispersion;
     the k -> 0 limit is added as an explicit candidate since the gradient
     formula is 0/0 there.
+
+    |grad omega|^2 = sum_b f_b rho_b / sum_b f_b, with f_b = m omega_b^2 the
+    axis-b term of m omega^2 and rho_b = (comp_b / (m omega_b))^2, is an
+    f-weighted mean of per-axis values. Off S^d, S the axis points with
+    rho >= max rho (1 - delta), it falls short of max rho by at least
+    max rho delta f_min / (d f_max) = 1e-12 nu max rho, far above rounding;
+    so the grid's float operations replayed on S^d give its maximum bit for
+    bit. S is the whole axis where a replayed value could leave the normal
+    float range.
     """
     n_axis = {1: 20001, 2: 301, 3: 101}[spec.d]
     # cell-centered grid in (0, pi): avoids the k = 0 singular point while
     # approaching any boundary suprema to O((pi/n)^2)
     k = (np.arange(n_axis) + 0.5) * np.pi / n_axis
-    grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
-    # slabs along axis 0 keep the working arrays within _BLOCK_BYTES each
-    rows = max(1, _BLOCK_BYTES // (8 * n_axis ** (spec.d - 1)))
-    grad2_max = 0.0
-    for start in range(0, n_axis, rows):
-        slab = [grids[0][start:start + rows], *grids[1:]]
-        omega = np.sqrt(omega_squared(spec, slab))
-        grad2 = 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for kb in slab:
-                comp = 0.0
-                for j, lam in enumerate(spec.lam, start=1):
-                    comp = comp + lam * j * np.sin(j * kb)
-                grad2 = grad2 + np.where(omega > 0, comp / (spec.m * omega), 0.0) ** 2
-        grad2_max = max(grad2_max, float(grad2.max()))
+    w2 = omega_squared(spec, [k])          # the axis tables omega_b^2 ...
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rho = (_slope(spec, k) / (spec.m * np.sqrt(w2))) ** 2   # ... and rho_b
+        w2_lo, w2_hi, rho_hi = w2.min(), w2.max(), rho.max()
+        # f_min, omega_min^2, m omega_min, max rho, 1/(m omega_max), 1/max rho
+        scales = np.array([spec.m * w2_lo, w2_lo, spec.m * np.sqrt(w2_lo), rho_hi,
+                           1.0 / (spec.m * np.sqrt(spec.d * w2_hi)), 1.0 / rho_hi])
+        delta = (1e-12 * spec.d * spec.nu * w2_hi / w2_lo
+                 if (scales > 2.0 ** -1000).all() else math.inf)
+        keep = ~(rho < rho_hi * (1.0 - delta))
     v_long = longwave_speed(spec)
-    v = max(math.sqrt(grad2_max), v_long)
+    v = max(math.sqrt(_grad2_max(spec, k[keep])), v_long)
     return GroupVelocity(lattice_units=v,
                          physical=physical_velocity(spec.a, v, "group velocity"),
                          longwave_lattice_units=v_long)
 
 
 def physical_velocity(a: float, v: float, what: str) -> float:
-    """a * v [m/s]; refuses a finite v [sites/s] whose a * v overflows. An
-    infinite v (the closed form as m -> 0) passes on to the c_max cap."""
-    if math.isfinite(v) and not math.isfinite(a * v):
+    """a * v [m/s]; refuses a v [sites/s] whose a * v overflows."""
+    if not math.isfinite(a * v):
         raise LatticeError(f"physical {what} overflows at a={a!r}")
     return a * v
 
@@ -362,8 +395,16 @@ class LRBoundParams:
 
 def lr_speed(d: int, lam: Sequence[float], m: float) -> float:
     """Commutator-growth speed limit 4 * sqrt(d * sum_j lam_j / m), lattice
-    units (Nachtergaele, Raz, Schlein & Sims, CMP 286, 1073 (2009))."""
-    return 4.0 * math.sqrt(d * sum(lam) / m)
+    units (Nachtergaele, Raz, Schlein & Sims, CMP 286, 1073 (2009)). Where
+    d * sum_j lam_j / m overflows the roots are taken apart; a speed past
+    the float range is refused."""
+    v = 4.0 * math.sqrt(d * sum(lam) / m)
+    if math.isinf(v):
+        v = 4.0 * math.sqrt(d) * math.hypot(*map(math.sqrt, lam)) / math.sqrt(m)
+    if math.isinf(v):
+        raise LatticeError(f"Lieb-Robinson speed overflows a float at "
+                           f"d={d}, lam={tuple(lam)!r}, m={m!r}")
+    return v
 
 
 def c_omega_lambda(spec: LatticeSpec) -> float:
@@ -434,14 +475,20 @@ def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]
     L, d = spec.L, spec.d
     n = np.arange(L // 2 + 1)
     fold = np.where((n == 0) | (2 * n == L), 1.0, 2.0)  # |{n, L - n}|
-    tuples = list(itertools.combinations_with_replacement(range(len(n)), d))
-    perms = [math.factorial(d) / math.prod(map(math.factorial, Counter(t).values()))
-             for t in tuples]
-    tuples = np.array(tuples, dtype=int)
+    tuples = np.array(list(itertools.combinations_with_replacement(range(len(n)), d)),
+                      dtype=int).reshape(-1, d)
+    # perms(t) = d! / prod(run lengths!): a sorted entry equal to the one
+    # before it is the run's c-th element and adds a factor c
+    run = np.ones(len(tuples))
+    div = np.ones(len(tuples))
+    for b in range(1, d):
+        run = np.where(tuples[:, b] == tuples[:, b - 1], run + 1.0, 1.0)
+        div *= run
+    perms = math.factorial(d) / div
     omega = np.sqrt(omega_squared(spec, [2.0 * np.pi * t / L for t in tuples.T]))
     r = np.arange(r_max + 1)  # phases reduced mod L first, as the FFT twiddles are
     cos_r = sum(np.cos(2.0 * np.pi / L * (np.outer(t, r) % L)) for t in tuples.T)
-    mult = np.array(perms) * fold[tuples].prod(axis=1)
+    mult = perms * fold[tuples].prod(axis=1)
     return omega, (mult / (d * spec.n_sites))[:, None] * cos_r
 
 
@@ -484,6 +531,18 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     return out.T
 
 
+def _commutator_norm(sigma: np.ndarray) -> np.ndarray:
+    """2|sin(sigma/2)|, the Weyl commutator norm of symplectic-form values.
+    sin is odd, so |sigma| gives the same bits as sigma."""
+    return 2.0 * np.abs(np.sin(sigma * 0.5))
+
+
+def _below(x: float) -> float:
+    """A cut under x by more than the rounding of the commutator norm:
+    relative 1e-12, and 1e-290 absolute where floats are coarser."""
+    return x * (1.0 - 1e-12) - 1e-290
+
+
 def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
                        r_max: int, dt: float | None = None,
                        fit_r_min: int = 1) -> LightConeScan:
@@ -524,17 +583,24 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     _check_work((t_max / dt + 2.0) * (r_max + 1), "the time signal")
     ts = np.arange(0.0, t_max + dt, dt)   # bitwise t_i = i * dt
     ts = ts[ts <= t_max + 1e-12]
-    # commutator norm 2|sin(sigma/2)|, in place to keep one steps x r array
+    # 2|sin(x/2)| increases with |x| on |x| <= 1 < pi: the peak and the
+    # arrival are located on |sigma| (no signal-sized temporary) and read
+    # from the exact norm of the few entries that could hold them
     signal = axis_signal(spec, dt, len(ts), r_max)
-    signal *= 0.5
-    np.abs(np.sin(signal, out=signal), out=signal)
-    signal *= 2.0
-
+    np.abs(signal, out=signal)
+    mask = np.empty(len(ts), dtype=bool)
     rows = []
     for r, column in enumerate(signal.T[1:], start=1):  # contiguous per r
-        peak = float(column.max())
-        arrival = (None if peak < _PEAK_NOISE_FLOOR
-                   else float(ts[np.argmax(column >= threshold * peak)]))
+        np.greater_equal(column, _below(column.max()), out=mask)
+        peak = float(_commutator_norm(column[mask]).max())
+        arrival = None
+        if peak >= _PEAK_NOISE_FLOOR:
+            level = threshold * peak
+            np.greater_equal(column, _below(2.0 * math.asin(level / 2.0)), out=mask)
+            i = int(np.argmax(mask))   # no earlier entry reaches level
+            while not (hit := _commutator_norm(column[i:i + _WINDOW]) >= level).any():
+                i += _WINDOW + int(np.argmax(mask[i + _WINDOW:]))
+            arrival = float(ts[i + int(np.argmax(hit))])
         rows.append(ConeArrival(r=r, t_arrival=arrival, peak=peak))
 
     pts = np.array([(row.t_arrival, row.r) for row in rows

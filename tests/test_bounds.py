@@ -82,9 +82,25 @@ class TestLrVelocity:
         assert s.physical == 1e150 * s.lattice_units
 
     def test_unbounded_velocity_of_vanishing_mass_passes_to_the_cap(self):
-        # d * sum(lam) / m overflows: the closed form is inf, which
-        # qram_max_qubits caps at c_max rather than refusing
-        assert lr_velocity(make_params(m=5e-324)).physical == math.inf
+        # d * sum(lam) / m overflows, but 4 / sqrt(5e-324) ~ 1.8e162 does not:
+        # the roots are taken apart (it was +inf), and qram_max_qubits caps
+        # the finite velocity at c_max
+        s = lr_velocity(make_params(m=5e-324))
+        assert s.lattice_units == 4.0 / math.sqrt(5e-324)
+        assert s.physical == 1e-6 * s.lattice_units
+        assert qram_max_qubits(make_params(m=5e-324), Conventions()).velocity_used == 3e8
+        # lam = 1e308 at d = 2: d * sum(lam) overflows before the division
+        s = lr_velocity(make_params(lam=(1e308,), d=2))
+        assert s.lattice_units == pytest.approx(4.0 * math.sqrt(2.0) * 1e154, rel=1e-15)
+
+    @pytest.mark.parametrize("d,lam,m", [(1, (1e308,), 5e-324),
+                                         (3, (1e308, 1e308), 1e-310)])
+    def test_refuses_speed_past_the_float_range(self, d, lam, m):
+        with pytest.raises(lattice.LatticeError, match=re.escape(
+                f"Lieb-Robinson speed overflows a float at d={d}, lam={lam!r}")):
+            lr_velocity(make_params(lam=lam, nu=len(lam), m=m, d=d))
+        with pytest.raises(lattice.LatticeError, match="Lieb-Robinson speed"):
+            lattice.lr_speed(d, lam, m)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sqrt_d_scaling(self, d):
@@ -127,6 +143,15 @@ class TestQftVelocity:
     def test_unit_chain_matches_group_velocity(self):
         p = make_params(a=1.0)
         assert qft_velocity(coarse_grain(p), density(p)) == pytest.approx(1.0, rel=1e-12)
+
+    def test_overflowing_quotient_takes_the_roots_apart(self):
+        # 1 / 5e-324 overflows; sqrt(1) / sqrt(5e-324) ~ 4.5e161 does not
+        assert qft_velocity(1.0, 5e-324) == 1.0 / math.sqrt(5e-324)
+        assert qft_velocity(4.0, 1.0) == 2.0     # the direct form where it is finite
+        with pytest.raises(BoundError, match=re.escape(
+                "continuum speed overflows a float at stiffness 1e+308, "
+                "density 5e-324")):
+            qft_velocity(1e308, 5e-324)
 
     def test_rejects_nonpositive_density(self):
         with pytest.raises(BoundError, match="density"):

@@ -163,6 +163,26 @@ class TestBoundCommand:
                      "--velocity-source", source]) == 0
         assert "velocity used [m/s]: 3e+08" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source,edits,message", [
+        # 4 / sqrt(5e-324) ~ 1.8e162 sites/s is finite; times a = 1e150 it is not
+        ("lieb_robinson", {"a = 1e-6": "a = 1e150"},
+         "physical Lieb-Robinson velocity overflows at a=1e+150"),
+        ("lieb_robinson", {"lambda = 1.0": "lambda = 1e308"},
+         "Lieb-Robinson speed overflows a float at d=1, lam=(1e+308,), m=5e-324"),
+        ("qft", {"a = 1e-6": "a = 1.0", "lambda = 1.0": "lambda = 1e308"},
+         "continuum speed overflows a float at stiffness 1e+308, density 5e-324"),
+    ])
+    def test_closed_form_velocity_past_the_float_range_exits_2(
+            self, source, edits, message, tmp_path, capsys):
+        # these velocities were +inf and capped at c_max (exit 0)
+        text = GOOD_CONFIG.replace("m = 1.0", "m = 5e-324")
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "wide.cfg"
+        path.write_text(text)
+        assert main(["bound", "--config", str(path), "--velocity-source", source]) == 2
+        assert_one_error_line(capsys.readouterr(), message)
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_velocity_exits_2(self, value, capsys):
         assert main(["bound", f"--velocity={value}"]) == 2

@@ -1,9 +1,10 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from qram_bounds import lattice, verify
 from qram_bounds.lattice import (LatticeError, LatticeSpec, LRBoundParams,
@@ -129,8 +130,26 @@ def full_grid_group_velocity(spec):
     for kb in grids:
         comp = sum(lam * j * np.sin(j * kb)
                    for j, lam in enumerate(spec.lam, start=1))
-        grad2 = grad2 + (comp / (spec.m * omega)) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):  # 0 where omega is
+            grad2 = grad2 + np.where(omega > 0, comp / (spec.m * omega), 0.0) ** 2
     return float(np.sqrt(grad2.max()))
+
+
+def full_signal_rows(spec, threshold, t_max, r_max, dt):
+    """Light-cone rows (r, t_arrival, peak) from the commutator norm
+    2|sin(sigma/2)| of every entry of the time signal: each distance's peak
+    is the maximum of its norms, its arrival the first time the norm
+    reaches threshold * peak."""
+    ts = np.arange(0.0, t_max + dt, dt)
+    ts = ts[ts <= t_max + 1e-12]
+    norm = 2.0 * np.abs(np.sin(lattice.axis_signal(spec, dt, len(ts), r_max) * 0.5))
+    rows = []
+    for r in range(1, r_max + 1):
+        peak = float(norm[:, r].max())
+        arrival = (None if peak < lattice._PEAK_NOISE_FLOOR
+                   else float(ts[np.argmax(norm[:, r] >= threshold * peak)]))
+        rows.append(lattice.ConeArrival(r=r, t_arrival=arrival, peak=peak))
+    return tuple(rows)
 
 
 # --- spec and modes ----------------------------------------------------------
@@ -291,8 +310,43 @@ class TestGroupVelocity:
         # without the k -> 0 candidate the result is the grid maximum alone
         monkeypatch.setattr(lattice, "longwave_speed", lambda spec: 0.0)
         spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
-        assert max_group_velocity(spec).lattice_units == pytest.approx(
-            full_grid_group_velocity(spec), rel=1e-12)
+        assert max_group_velocity(spec).lattice_units == full_grid_group_velocity(spec)
+
+    @given(d=st.sampled_from([1, 2, 3]),
+           lam=st.lists(st.one_of(st.just(0.0), st.integers(-200, 200)),
+                        min_size=1, max_size=3),
+           m=st.integers(-200, 200), mantissa=st.floats(1.0, 9.99))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_axis_selection_matches_full_grid(self, d, lam, m, mantissa):
+        # couplings 0 or mantissa * 10^e, e in -200..200, and m = 10^e
+        lam = tuple(0.0 if e == 0.0 else mantissa * 10.0 ** e for e in lam)
+        assume(any(lam) and d * sum(max(4, j * j) * l for j, l in enumerate(lam, 1))
+               / 10.0 ** m < 1e300)
+        spec = LatticeSpec(d=d, L=8, lam=lam, m=10.0 ** m)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "longwave_speed", lambda spec: 0.0)
+            assert max_group_velocity(spec).lattice_units == full_grid_group_velocity(spec)
+
+    @pytest.mark.parametrize("d,lam,m,axis", [
+        (3, (1.0, 0.3), 1.1, (1, 2)),        # S is the maximum alone ...
+        (2, (0.0, 1.0, 0.0, 0.5), 0.8, (1, 2)),
+        (1, (1e-300,), 1.0, (20001, 20001)),  # ... or the whole axis, where
+        (3, (1e-300,), 1e10, (101, 101)),      # a replayed value leaves the
+        (2, (1e305,), 1e305, (301, 301)),     # normal float range
+    ])
+    def test_replay_runs_on_the_selected_axis_points(self, d, lam, m, axis, monkeypatch):
+        sizes = []
+        replay = lattice._grad2_max
+
+        def spy(spec, k):
+            sizes.append(len(k))
+            return replay(spec, k)
+
+        monkeypatch.setattr(lattice, "_grad2_max", spy)
+        monkeypatch.setattr(lattice, "longwave_speed", lambda spec: 0.0)
+        spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
+        assert max_group_velocity(spec).lattice_units == full_grid_group_velocity(spec)
+        assert axis[0] <= sizes[0] <= axis[1]
 
     def test_bound_exceeds_measured_speed_by_factor_four_nn(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
@@ -478,9 +532,11 @@ class TestOdePropagator:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_spectral_propagator_rejects_non_finite_time(self, t):
+        # the commutator norm evolves its probe with the spectral propagator
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
+        f, g = WeylFunction({0: 1.0}), WeylFunction({1: 1j})
         with pytest.raises(LatticeError, match="time must be finite"):
-            SymplecticPropagator(spec, t)
+            weyl_commutator_norm(spec, f, g, t)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_propagator_class_rejects_non_finite_time(self, t):
@@ -913,6 +969,112 @@ class TestLightCone:
         assert scan.fitted_velocity_lattice < lr_bound_velocity(spec)
         assert lr_bound_velocity(spec) == pytest.approx(4.0 * math.sqrt(2.0),
                                                         rel=1e-12)
+
+
+class TestLightConeRows:
+    """Rows of ``measure_light_cone`` against ``full_signal_rows``, which
+    takes the commutator norm of every signal entry, compared with ==."""
+
+    @pytest.mark.parametrize("d,L,lam,m,threshold,t_max,r_max,dt", [
+        (1, 400, (1.0,), 1.0, 1e-3, 220.0, 190, 0.02),
+        (1, 400, (1.0, 1.0), 1.0, 1e-3, 110.0, 190, 0.02),
+        (2, 64, (1.0,), 1.0, 0.1, 45.0, 30, 0.02),
+        (3, 32, (0.8, 0.3), 1.1, 1e-3, 20.0, 14, 0.02),
+    ])
+    def test_committed_scans(self, d, L, lam, m, threshold, t_max, r_max, dt):
+        spec = LatticeSpec(d=d, L=L, lam=lam, m=m)
+        scan = measure_light_cone(spec, threshold, t_max, r_max, dt)
+        assert scan.rows == full_signal_rows(spec, threshold, t_max, r_max, dt)
+
+    @given(d=st.integers(1, 3), nu=st.integers(1, 3), extra=st.integers(0, 12),
+           lam=st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3),
+           m=st.floats(0.1, 10.0), threshold=st.sampled_from([1e-6, 1e-3, 0.1, 0.5, 0.99]),
+           t_max=st.floats(0.5, 30.0), dt=st.floats(0.01, 0.5))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_seeded_specs(self, d, nu, extra, lam, m, threshold, t_max, dt):
+        spec = LatticeSpec(d=d, L=2 * nu + 4 + extra, lam=tuple(lam[:nu]), m=m)
+        r_max = spec.L // 2 - nu
+        try:
+            rows = measure_light_cone(spec, threshold, t_max, r_max, dt).rows
+        except LatticeError as exc:  # too few arrivals to fit
+            assert "not enough arrivals" in str(exc)
+            return
+        assert rows == full_signal_rows(spec, threshold, t_max, r_max, dt)
+
+    @staticmethod
+    def scan_of(columns, threshold, monkeypatch):
+        """Scan of a signal whose distances 1.. hold ``columns`` (steps 0.5 apart)."""
+        columns = np.array(columns, dtype=float)
+        base = np.vstack([np.zeros(columns.shape[1]), columns])
+
+        def signal(spec, dt, steps, r_max):
+            assert base.shape == (r_max + 1, steps)
+            return base.copy().T      # distance-major, as axis_signal stores it
+
+        monkeypatch.setattr(lattice, "axis_signal", signal)
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        args = (spec, threshold, 0.5 * (columns.shape[1] - 1), len(columns), 0.5)
+        rows = measure_light_cone(*args).rows
+        assert rows == full_signal_rows(*args)
+        return rows
+
+    def test_tied_and_signed_peaks(self, monkeypatch):
+        top = 0.7
+        rows = self.scan_of([[0.1, top, -top, 0.2, 0.0, 0.0],
+                             [0.1, -top, np.nextafter(top, 0.0), top, 0.0, 0.0],
+                             [0.0, 0.3, top * (1 - 5e-13), -top * (1 - 5e-13), top, 0.0]],
+                            0.1, monkeypatch)
+        assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 3
+
+    def test_arrival_one_step_from_threshold(self, monkeypatch):
+        # sigma_hit is the least float whose norm reaches threshold * peak,
+        # sigma_miss the float below it; a miss may precede the hit by any
+        # gap. At this threshold sigma_hit lies one float below
+        # 2 asin(threshold * peak / 2), so a cut at that value misses it
+        peak_sigma, threshold = 0.9, 0.850256191055818
+        level = threshold * 2.0 * math.sin(peak_sigma / 2.0)
+        hit = 2.0 * math.asin(level / 2.0)
+        norm = lambda x: 2.0 * np.abs(np.sin(np.float64(x) * 0.5))
+        while norm(np.nextafter(hit, 0.0)) >= level:
+            hit = np.nextafter(hit, 0.0)
+        while norm(hit) < level:
+            hit = np.nextafter(hit, 1.0)
+        miss = np.nextafter(hit, 0.0)
+        assert norm(miss) < level <= norm(hit) and hit < 2.0 * math.asin(level / 2.0)
+        gap = [0.01] * 20
+        rows = self.scan_of([[0.0, miss, hit, peak_sigma] + gap,
+                             [0.0, -miss, -miss, -hit, peak_sigma] + gap[1:],
+                             [miss] + gap + [hit, miss, peak_sigma, 0.0, 0.0][:3]],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [1.0, 1.5, 10.5]
+
+    def test_zero_subnormal_and_tiny_threshold_columns(self, monkeypatch):
+        # a zero or subnormal column has no arrival; a threshold of 1e-300
+        # puts threshold * peak below the normal range
+        rows = self.scan_of([[0.0] * 6, [5e-324, -3e-310, 0.0, 1e-320, 0.0, 0.0],
+                             [0.0, 3e-323, 1e-300, 0.5, -0.2, 0.1],
+                             [0.0, 0.0, 1e-305, 9e-301, 0.8, 0.1]],
+                            1e-300, monkeypatch)
+        assert [row.t_arrival for row in rows] == [None, None, 1.0, 1.5]
+        # threshold * peak = 3 * 2^-1074, and 2 asin of it rounds up to
+        # 4 * 2^-1074, while an entry 3 * 2^-1074 already has that norm
+        threshold = 1.5e-323 / (2.0 * math.sin(0.45))
+        rows = self.scan_of([[0.0, 1.5e-323, 0.9], [0.0, 1e-323, 0.9]],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [0.5, 1.0]
+
+    def test_scan_allocates_no_signal_sized_temporary(self):
+        # the norm pass works in the signal itself and per-distance masks: a
+        # second signal-sized array (16.8 MB here) or a 2D mask fails this
+        spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
+        steps = len(np.arange(0.0, 220.0 + 0.02, 0.02))
+        tracemalloc.start()
+        try:
+            measure_light_cone(spec, 1e-3, 220.0, 190, dt=0.02)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= steps * 191 * 8 + 2 ** 20
 
 
 class TestCausalityTail:

@@ -11,7 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qram_bounds import lattice
-from qram_bounds.cli import CONE_HEADER, write_csv
+from qram_bounds.cli import _write_cone_csv
 
 CASES = [
     ("cone_1d_nn", lattice.LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0),
@@ -32,11 +32,10 @@ def main() -> None:
         oracle = lattice.max_group_velocity(spec).lattice_units
         bound = lattice.lr_bound_velocity(spec)
         path = out_dir / f"{name}.csv"
-        write_csv(path, {"threshold": scan.threshold, "dt": scan.dt,
-                         "d": spec.d, "L": spec.L,
-                         "fitted": scan.fitted_velocity_lattice,
-                         "group_velocity": oracle, "bound": bound},
-                  CONE_HEADER, [(c.r, c.t_arrival, c.peak) for c in scan.rows])
+        _write_cone_csv(path, scan, {
+            "threshold": scan.threshold, "dt": scan.dt, "d": spec.d,
+            "L": spec.L, "fitted": scan.fitted_velocity_lattice,
+            "group_velocity": oracle, "bound": bound})
         verdict = "OK" if scan.fitted_velocity_lattice < bound else "VIOLATION"
         print(f"{name}: fitted {scan.fitted_velocity_lattice:.4f} sites/s, "
               f"group velocity {oracle:.4f}, bound {bound:.4f} [{verdict}] "

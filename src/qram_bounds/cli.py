@@ -215,10 +215,19 @@ def _cmd_sweep(args) -> int:
             fixed=_load_params(args),
             conventions=Conventions(log_base=args.log_base,
                                     depth_exponent=args.depth_exponent),
-            dims=tuple(int(x) for x in args.dims.split(",")))
+            dims=tuple(_parse_item("--dims", int, x) for x in args.dims.split(",")))
     n = run_sweep(grid, args.out)
     print(f"wrote {n} rows to {args.out}")
     return EXIT_OK
+
+
+def _parse_item(flag: str, kind: type, item: str):
+    """``kind(item)`` (float or int), refused by naming the flag and the item."""
+    try:
+        return kind(item)
+    except ValueError:
+        raise ParamsError(f"{flag} needs {'an int' if kind is int else 'a float'}"
+                          f", got {item!r}") from None
 
 
 def _parse_axis(text: str) -> AxisSpec:
@@ -228,15 +237,22 @@ def _parse_axis(text: str) -> AxisSpec:
     name, lo, hi, points, scale = parts
     if scale not in ("lin", "log"):
         raise ParamsError("axis scale must be lin or log")
-    return AxisSpec(name=name, lo=float(lo), hi=float(hi),
-                    points=int(points), log=scale == "log")
+    return AxisSpec(name=name, lo=_parse_item("--axis lo", float, lo),
+                    hi=_parse_item("--axis hi", float, hi),
+                    points=_parse_item("--axis points", int, points),
+                    log=scale == "log")
 
 
-CONE_HEADER = ("r", "t_arrival", "commutator_peak")
+def _write_cone_csv(path: str | Path, scan: lattice.LightConeScan,
+                    meta: dict) -> None:
+    """The light-cone CSV: the caller's ``#`` meta line, then one
+    (r, t_arrival, commutator_peak) row per distance of the scan."""
+    write_csv(path, meta, ("r", "t_arrival", "commutator_peak"),
+              [(c.r, c.t_arrival, c.peak) for c in scan.rows])
 
 
 def _cmd_lightcone(args) -> int:
-    lam = tuple(float(x) for x in args.lam.split(","))
+    lam = tuple(_parse_item("--lam", float, x) for x in args.lam.split(","))
     spec = lattice.LatticeSpec(d=args.d, L=args.L, lam=lam, m=args.m, a=args.a)
     r_max = args.r_max if args.r_max is not None else spec.L // 2 - spec.nu
     scan = lattice.measure_light_cone(spec, threshold=args.threshold,
@@ -245,10 +261,9 @@ def _cmd_lightcone(args) -> int:
     gv = lattice.max_group_velocity(spec)
     bound = lattice.lr_bound_velocity(spec)
     if args.out:
-        write_csv(args.out, {"threshold": scan.threshold, "t_max": scan.t_max,
-                             "dt": scan.dt, "d": spec.d, "L": spec.L,
-                             "lam": args.lam, "m": spec.m},
-                  CONE_HEADER, [(c.r, c.t_arrival, c.peak) for c in scan.rows])
+        _write_cone_csv(args.out, scan, {
+            "threshold": scan.threshold, "t_max": scan.t_max, "dt": scan.dt,
+            "d": spec.d, "L": spec.L, "lam": args.lam, "m": spec.m})
     fitted = scan.fitted_velocity_lattice
     print(f"fitted velocity:     {fitted:.6g} sites/s "
           f"({scan.fitted_velocity_physical:.6g} m/s)")

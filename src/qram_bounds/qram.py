@@ -30,6 +30,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,68 +63,42 @@ def _bus_mode(n: int) -> int:
 # ---------------------------------------------------------------------------
 # schedules
 
-@dataclass(frozen=True)
-class Swap:
-    """One clock cycle moving an address qubit into a router."""
-    targets: tuple[int, int]
+class Cycle(NamedTuple):
+    """One clock cycle of a schedule; ``op`` names what it runs:
 
-    @staticmethod
-    def duration(g1: float, g2: float) -> float:
-        return gates.t_swap(g1)
-
-    def modes(self) -> tuple[int, ...]:
-        return self.targets
-
-
-@dataclass(frozen=True)
-class RoutingStage:
-    """One clock cycle of address routing: the whole level-`ctrl_level`
-    router layer shuffles the payload within level `target_level` in
-    parallel (one controlled-SWAP per subtree, acting on disjoint modes;
-    only the active-path gate does work on any branch)."""
-    n: int
-    ctrl_level: int
-    target_level: int
-
-    @staticmethod
-    def duration(g1: float, g2: float) -> float:
-        return gates.cswap_duration(g1, g2)
-
-    def modes(self) -> np.ndarray:
-        """(ctrl, left, right) modes of each controlled-SWAP, one row per
-        level-`ctrl_level` router."""
-        p = np.arange(1 << self.ctrl_level)
-        block = 1 << (self.target_level - self.ctrl_level)
-        left = _router_mode(self.n, self.target_level, p * block)
-        return np.stack([_router_mode(self.n, self.ctrl_level, p),
-                         left, left + block // 2], axis=1)
-
-
-@dataclass(frozen=True)
-class BusRouting:
-    """One clock cycle routing the bus through a whole tree level."""
-    n: int
-    level: int
-
-    @staticmethod
-    def duration(g1: float, g2: float) -> float:
-        return gates.cswap_duration(g1, g2)
-
-
-@dataclass(frozen=True)
-class DataCopy:
-    """Classically controlled bit flip of the bus at the addressed leaf."""
-    n: int
-
-    @staticmethod
-    def duration(g1: float, g2: float) -> float:
-        return gates.t_swap(g1)
-
-
-@dataclass(frozen=True)
-class Cycle:
+    - "swap": address qubit ``ctrl`` moves into the leftmost level-``level``
+      router;
+    - "route": the whole level-``ctrl`` router layer shuffles the payload
+      within level ``level`` in parallel (one controlled-SWAP per subtree, on
+      disjoint modes; only the active-path gate does work on any branch);
+    - "bus": the bus moves through level ``level``;
+    - "copy": classically controlled bit flip of the bus at the addressed leaf.
+    """
     phase: str   # "init" | "descend" | "copy" | "ascend" | "uncompute"
-    op: Swap | RoutingStage | BusRouting | DataCopy
+    op: str
+    level: int = 0
+    ctrl: int = 0
+
+
+def _op_duration(op: str, g1: float, g2: float) -> float:
+    """A swap or the data copy takes a full transfer; a routing stage or a
+    bus step takes one controlled-SWAP."""
+    if op in ("swap", "copy"):
+        return gates.t_swap(g1)
+    return gates.cswap_duration(g1, g2)
+
+
+def _gate_modes(n: int, cycle: Cycle) -> np.ndarray:
+    """Modes of each gate of a swap or route cycle, one row per gate:
+    (address, router) of a swap; (ctrl, left, right) of each controlled-SWAP
+    of a route, one per level-``ctrl`` router."""
+    if cycle.op == "swap":
+        return np.array([[cycle.ctrl, _router_mode(n, cycle.level, 0)]])
+    p = np.arange(1 << cycle.ctrl)
+    block = 1 << (cycle.level - cycle.ctrl)
+    left = _router_mode(n, cycle.level, p * block)
+    return np.stack([_router_mode(n, cycle.ctrl, p), left, left + block // 2],
+                    axis=1)
 
 
 @dataclass(frozen=True)
@@ -139,34 +114,29 @@ class Schedule:
     def cswap_count(self) -> int:
         """Routing operations, one counted per cycle per the active-path
         accounting (off-path companions share the cycle as identities)."""
-        return sum(1 for c in self.cycles
-                   if isinstance(c.op, (RoutingStage, BusRouting)))
+        return sum(1 for c in self.cycles if c.op in ("route", "bus"))
 
     @property
     def swap_count(self) -> int:
-        return sum(1 for c in self.cycles if isinstance(c.op, Swap))
+        return sum(1 for c in self.cycles if c.op == "swap")
 
     def phase_cycle_count(self, *phases: str) -> int:
         return sum(1 for c in self.cycles if c.phase in phases)
 
     def wall_time(self, g1: float, g2: float) -> float:
-        """Sum of cycle durations in cycle order; each op class's duration
-        is computed once."""
-        kinds = dict.fromkeys(type(c.op) for c in self.cycles)
-        durations = {kind: kind.duration(g1, g2) for kind in kinds}
-        total = sum(durations[type(c.op)] for c in self.cycles)
+        """Sum of cycle durations in cycle order; each op's duration is
+        computed once."""
+        durations = {op: _op_duration(op, g1, g2)
+                     for op in dict.fromkeys(c.op for c in self.cycles)}
+        total = sum(durations[c.op] for c in self.cycles)
         return gates.checked_duration(f"wall time of the depth-{self.n} schedule", total, g1, g2)
 
 
 def _init_cycles(n: int, phase: str = "init") -> list[Cycle]:
     cycles: list[Cycle] = []
-    for k in range(1, n + 1):
-        target_level = k - 1
-        swap_op = Swap(targets=(k - 1, _router_mode(n, target_level, 0)))
-        cycles.append(Cycle(phase=phase, op=swap_op))
-        for j in range(k - 1):
-            stage = RoutingStage(n=n, ctrl_level=j, target_level=target_level)
-            cycles.append(Cycle(phase=phase, op=stage))
+    for level in range(n):   # swap address level + 1 in, route it level times
+        cycles.append(Cycle(phase, "swap", level, level))
+        cycles.extend(Cycle(phase, "route", level, j) for j in range(level))
     return cycles
 
 
@@ -183,12 +153,9 @@ def schedule_query(n: int) -> Schedule:
     followed by address uncomputation mirroring initialization in reverse."""
     if n < 1:
         raise QramError("empty tree")
-    cycles: list[Cycle] = []
-    for level in range(n):
-        cycles.append(Cycle(phase="descend", op=BusRouting(n=n, level=level)))
-    cycles.append(Cycle(phase="copy", op=DataCopy(n=n)))
-    for level in reversed(range(n)):
-        cycles.append(Cycle(phase="ascend", op=BusRouting(n=n, level=level)))
+    cycles = [Cycle("descend", "bus", level) for level in range(n)]
+    cycles.append(Cycle("copy", "copy"))
+    cycles.extend(Cycle("ascend", "bus", level) for level in reversed(range(n)))
     cycles.extend(reversed(_init_cycles(n, phase="uncompute")))
     return Schedule(n=n, cycles=tuple(cycles))
 
@@ -278,28 +245,29 @@ class QueryResult:
     routers_restored: float           # weight of the routers-all-zero sector
 
 
-def _run_cycles(bits: np.ndarray, phase: np.ndarray, cycles, tables,
+def _run_cycles(bits: np.ndarray, phase: np.ndarray, n: int, cycles, tables,
                 stored: np.ndarray) -> None:
-    """Run the cycles in place on every row: each gate whose control is on
-    the row's path (``tables[kind]`` is (forward, adjoint), the adjoint for
-    uncompute cycles), and the bus as a position that moves a level a cycle."""
+    """Run the cycles of a depth-``n`` tree in place on every row: each gate
+    whose control is on the row's path (``tables[op]`` is (forward, adjoint),
+    the adjoint for uncompute cycles), and the bus as a position that moves a
+    level a cycle."""
     rows = np.arange(len(bits))
     pos = np.zeros(len(bits), dtype=np.intp)   # bus position within its level
     for cycle in cycles:
         op = cycle.op
-        if isinstance(op, BusRouting):
-            pos = (2 * pos + bits[rows, _router_mode(op.n, op.level, pos)]
+        if op == "bus":
+            pos = (2 * pos + bits[rows, _router_mode(n, cycle.level, pos)]
                    if cycle.phase == "descend" else pos >> 1)
-        elif isinstance(op, DataCopy):
-            bits[stored[pos] == 1, _bus_mode(op.n)] ^= 1
+        elif op == "copy":
+            bits[stored[pos] == 1, _bus_mode(n)] ^= 1
         else:
-            modes = np.asarray(op.modes())
-            if isinstance(op, RoutingStage):   # walk to the on-path control
+            modes = _gate_modes(n, cycle)
+            if op == "route":   # walk to the on-path control
                 at = np.zeros(len(bits), dtype=np.intp)
-                for level in range(op.ctrl_level):
-                    at = 2 * at + bits[rows, _router_mode(op.n, level, at)]
+                for level in range(cycle.ctrl):
+                    at = 2 * at + bits[rows, _router_mode(n, level, at)]
                 modes = modes[at]
-            perm, phases = tables[type(op)][cycle.phase == "uncompute"]
+            perm, phases = tables[op][cycle.phase == "uncompute"]
             shifts = np.arange(modes.shape[-1])[::-1]
             local = (bits[rows[:, None], modes] << shifts).sum(axis=1)
             phase *= phases[local]
@@ -314,14 +282,14 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
     if db.N > MAX_LEAVES:
         raise QramError(f"leaf cap: N <= {MAX_LEAVES}, got {db.N}")
     n = db.depth
-    units = {Swap: gates.swap_unitary(g1), RoutingStage: gates.cswap_composite(g1, g2)}
-    tables = {kind: (gates.monomial(U), gates.monomial(U.conj().T))
-              for kind, U in units.items()}
+    units = {"swap": gates.swap_unitary(g1), "route": gates.cswap_composite(g1, g2)}
+    tables = {op: (gates.monomial(U), gates.monomial(U.conj().T))
+              for op, U in units.items()}
     bits = np.zeros((len(addresses), _bus_mode(n) + 1), dtype=np.uint8)
     bits[:, :n] = (addresses[:, None] >> np.arange(n)[::-1]) & 1
     phase = np.ones(len(addresses), dtype=complex)
     for schedule in (schedule_initialization(n), schedule_query(n)):
-        _run_cycles(bits, phase, schedule.cycles, tables, np.asarray(db.bits))
+        _run_cycles(bits, phase, n, schedule.cycles, tables, np.asarray(db.bits))
     return bits, phase
 
 

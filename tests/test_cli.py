@@ -382,11 +382,22 @@ class TestSweepCommand:
         assert main(["sweep", "--axis", "g:1e-3:1:4:log", "--out", str(out)]) == 2
         assert_one_error_line(capsys.readouterr(), "[Errno 2]")
 
-    def test_bad_axis_spec_exits_2(self, tmp_path, capsys):
-        code = main(["sweep", "--axis", "velocity:100:1000:1:log",
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "points >= 2" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,message", [
+        (["sweep", "--axis", "velocity:100:1000:1:log"], "points >= 2"),
+        # an unreadable list item or axis field is named with its flag
+        (["lightcone", "--lam", "1,x"], "--lam needs a float, got 'x'"),
+        (["sweep", "--axis", "velocity:1:10:3:log", "--dims", "1,,2"],
+         "--dims needs an int, got ''"),
+        (["sweep", "--axis", "velocity:1:10:x:log"],
+         "--axis points needs an int, got 'x'"),
+        (["sweep", "--axis", "velocity:a:10:3:log"],
+         "--axis lo needs a float, got 'a'"),
+    ])
+    def test_bad_axis_spec_exits_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(), message)
+        assert not out.exists()
 
 
 class TestLightconeCommand:

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dense_oracle import apply_unitary
-from qram_bounds import gates
+from qram_bounds import gates, qram
 from qram_bounds.gates import (GateError, bs_unitary, cswap_composite,
                                cswap_duration, cswap_exact, cz_unitary,
                                gauge_equivalent, swap_unitary, t_beamsplitter,
                                t_cphase, t_swap)
-from qram_bounds.qram import RoutingStage, Swap
 
 RNG = np.random.default_rng(11)
 
@@ -198,9 +197,16 @@ class TestDurations:
         assert math.isfinite(cswap_duration(4e-308, 4e-308))
 
     def test_gate_spec_durations(self):
+        # every op a schedule holds: the address swap, the routing stage,
+        # the bus step and the data copy
         g1, g2 = 1.7, 0.6
-        assert Swap((0, 1)).duration(g1, g2) == t_swap(g1)
-        assert RoutingStage(2, 0, 1).duration(g1, g2) == cswap_duration(g1, g2)
+        ops = {c.op for n in (1, 2) for c in (*qram.schedule_initialization(n).cycles,
+                                              *qram.schedule_query(n).cycles)}
+        assert ops == {"swap", "route", "bus", "copy"}
+        assert qram._op_duration("swap", g1, g2) == t_swap(g1)
+        assert qram._op_duration("route", g1, g2) == cswap_duration(g1, g2)
+        assert qram._op_duration("bus", g1, g2) == cswap_duration(g1, g2)
+        assert qram._op_duration("copy", g1, g2) == t_swap(g1)
 
 
 class TestGaugeEquivalent:

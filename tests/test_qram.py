@@ -8,13 +8,40 @@ from dense_oracle import apply_unitary, dense_state
 from qram_bounds import gates, qram
 from qram_bounds.cli import main
 from qram_bounds.gates import GateError, t_cphase, t_swap, t_beamsplitter
-from qram_bounds.qram import (ClassicalDatabase, QramError, RoutingStage, Swap,
+from qram_bounds.qram import (ClassicalDatabase, QramError,
                               random_database, read_database,
                               schedule_initialization, schedule_query,
                               simulate_query, total_time, verify_retrieval)
 
 G = math.pi
 COUPLINGS = [(G, G), (1.3, 0.7), (3e4, 7e2)]
+
+TOTAL_TIME_HEX = {   # total_time(schedule_initialization(n), schedule_query(n))
+    (G, G): [
+        '0x1.2000000000000p+2', '0x1.7000000000000p+3', '0x1.5800000000000p+4',
+        '0x1.1400000000000p+5', '0x1.9400000000000p+5', '0x1.1600000000000p+6',
+        '0x1.6e00000000000p+6', '0x1.d200000000000p+6', '0x1.2100000000000p+7',
+        '0x1.5f00000000000p+7', '0x1.a300000000000p+7', '0x1.ed00000000000p+7',
+        '0x1.1e80000000000p+8', '0x1.4980000000000p+8', '0x1.7780000000000p+8',
+        '0x1.a880000000000p+8', '0x1.dc80000000000p+8', '0x1.09c0000000000p+9',
+        '0x1.26c0000000000p+9', '0x1.4540000000000p+9'],
+    (1.3, 0.7): [
+        '0x1.e08f632c4d09dp+3', '0x1.41c11b696e6e4p+5', '0x1.334131cc822cdp+6',
+        '0x1.f333d8acea827p+6', '0x1.705c412af81c0p+7', '0x1.fde79763c9a68p+7',
+        '0x1.511df78074f08p+8', '0x1.aeaca4012c65ap+8', '0x1.0bcfe89a05998p+9',
+        '0x1.45fbbf8c88ac4p+9', '0x1.85d9d6d81f6b1p+9', '0x1.cb6a2e7cc9d5cp+9',
+        '0x1.0b56633d43f64p+10', '0x1.33d0cf68acd7ap+10', '0x1.5f245bc09f8f0p+10',
+        '0x1.8d5108451c1c6p+10', '0x1.be56d4f6227fcp+10', '0x1.f235c1d3b2b91p+10',
+        '0x1.1476e76ee6644p+11', '0x1.313f7e0a3856ep+11'],
+    (3e4, 7e2): [
+        '0x1.2eb41a0dbd770p-7', '0x1.c29fb31e6778ap-6', '0x1.c15647a213b2ep-5',
+        '0x1.75e0285e07a0cp-4', '0x1.18237d37499a0p-3', '0x1.87efcd015649ap-3',
+        '0x1.052a81c694efap-2', '0x1.4fa9906d622d8p-2', '0x1.a375127512de4p-2',
+        '0x1.004683eed380fp-1', '0x1.3378b8538f4c6p-1', '0x1.6b512668bcd14p-1',
+        '0x1.a7cfce2e5c0f9p-1', '0x1.e8f4afa46d077p-1', '0x1.175fe56577dc6p+0',
+        '0x1.3c988fd0f211ep+0', '0x1.64245714a5240p+0', '0x1.8e033b3091130p+0',
+        '0x1.ba353c24b5deap+0', '0x1.e8ba59f113874p+0'],
+}
 
 
 # --- independent oracle: walk the routing rules bit by bit ------------------
@@ -61,11 +88,12 @@ def brute_force_data_copy(state, bits):
 MAX_SIM_QUBITS = 8  # the dense register holds 2^(n + 2^n) amplitudes
 
 
-def dense_apply_cycles(state, cycles, n_modes, swap_u, cswap_u):
-    """Apply every gate of every cycle as a dense unitary on its modes."""
+def dense_apply_cycles(state, n, cycles, n_modes, swap_u, cswap_u):
+    """Apply every gate of every cycle of a depth-``n`` tree as a dense
+    unitary on its modes."""
     for cycle in cycles:
-        U = cswap_u if isinstance(cycle.op, RoutingStage) else swap_u
-        for modes in np.atleast_2d(cycle.op.modes()):
+        U = cswap_u if cycle.op == "route" else swap_u
+        for modes in qram._gate_modes(n, cycle):
             state = apply_unitary(state, U, modes, n_modes)
     return state
 
@@ -103,17 +131,17 @@ def dense_query(db, alpha, g1, g2):
     state = np.zeros(1 << n_modes, dtype=complex)
     state.reshape(db.N, -1)[:, 0] = alpha
     cycles = schedule_initialization(n).cycles
-    state = dense_apply_cycles(state, cycles, n_modes, swap_u, cswap_u)
+    state = dense_apply_cycles(state, n, cycles, n_modes, swap_u, cswap_u)
     state = dense_data_copy(state, db.bits, n)
-    return dense_apply_cycles(state, reversed(cycles), n_modes,
+    return dense_apply_cycles(state, n, reversed(cycles), n_modes,
                               swap_u.conj().T, cswap_u.conj().T)
 
 
 def gate_tables(g1, g2):
     """(forward, adjoint) monomial tables of both router gates."""
-    units = {Swap: gates.swap_unitary(g1), RoutingStage: gates.cswap_composite(g1, g2)}
-    return {kind: (gates.monomial(U), gates.monomial(U.conj().T))
-            for kind, U in units.items()}
+    units = {"swap": gates.swap_unitary(g1), "route": gates.cswap_composite(g1, g2)}
+    return {op: (gates.monomial(U), gates.monomial(U.conj().T))
+            for op, U in units.items()}
 
 
 def all_gates_route(db, g1, g2):
@@ -129,8 +157,8 @@ def all_gates_route(db, g1, g2):
     cycles = schedule_initialization(n).cycles
     for order, adjoint in ((cycles, False), (cycles[::-1], True)):
         for cycle in order:
-            modes = np.atleast_2d(cycle.op.modes())
-            perm, phases = tables[type(cycle.op)][adjoint]
+            modes = qram._gate_modes(n, cycle)
+            perm, phases = tables[cycle.op][adjoint]
             shifts = np.arange(modes.shape[1])[::-1]
             local = (bits[:, modes] << shifts).sum(axis=2)
             phase *= phases[local].prod(axis=1)
@@ -166,10 +194,20 @@ class TestSchedules:
         for n in (2, 3, 5):
             for sched in (schedule_initialization(n), schedule_query(n)):
                 for cycle in sched.cycles:
-                    if not isinstance(cycle.op, (Swap, RoutingStage)):
+                    if cycle.op not in ("swap", "route"):
                         continue   # the bus ops move a position, not modes
-                    touched = np.ravel(cycle.op.modes()).tolist()
+                    touched = np.ravel(qram._gate_modes(n, cycle)).tolist()
                     assert len(touched) == len(set(touched))
+
+    def test_gate_modes_of_depth_3_initialization(self):
+        # register [A1 A2 A3 | R(0,0)=3 R(1,0..1)=4,5 R(2,0..3)=6..9 | bus=10];
+        # a swap is (address, router), a route (ctrl, left, right) per gate
+        cycles = schedule_initialization(3).cycles
+        assert [(c.op, qram._gate_modes(3, c).tolist()) for c in cycles] == [
+            ("swap", [[0, 3]]),
+            ("swap", [[1, 4]]), ("route", [[3, 4, 5]]),
+            ("swap", [[2, 6]]), ("route", [[3, 6, 8]]),
+            ("route", [[4, 6, 7], [5, 8, 9]])]
 
     def test_query_core_is_linear_in_depth(self):
         for n in (1, 2, 5, 9):
@@ -208,6 +246,13 @@ class TestTotalTime:
             total = total_time(schedule_initialization(n), schedule_query(n),
                                g1, g2)
             assert total == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("g1,g2", COUPLINGS)
+    def test_total_time_bits(self, g1, g2):
+        # float.hex of the full load-and-read time for n = 1..20
+        assert [float.hex(total_time(schedule_initialization(n),
+                                     schedule_query(n), g1, g2))
+                for n in range(1, 21)] == TOTAL_TIME_HEX[g1, g2]
 
     def test_monotone_in_depth(self):
         times = [total_time(schedule_initialization(n), schedule_query(n), G, G)
@@ -303,7 +348,7 @@ class TestDataCopy:
         for code in range(1 << N):
             bits = tuple((code >> (N - 1 - i)) & 1 for i in range(N))
             out, phase = table.copy(), np.ones(N, dtype=complex)
-            qram._run_cycles(out, phase, bus_cycles, {}, np.array(bits))
+            qram._run_cycles(out, phase, n, bus_cycles, {}, np.array(bits))
             walked = brute_force_data_copy(state, bits).reshape(N, -1, 2)
             assert np.array_equal(out[:, -1],
                                   walked[0, configs, 1].real.astype(np.uint8))
@@ -442,12 +487,12 @@ class TestDenseOracle:
         bits = np.zeros((N, n + N), dtype=np.uint8)
         bits[:, :n] = (np.arange(N)[:, None] >> np.arange(n)[::-1]) & 1
         phase = np.ones(N, dtype=complex)
-        qram._run_cycles(bits, phase, cycles, gate_tables(g1, g2), np.zeros(N))
+        qram._run_cycles(bits, phase, n, cycles, gate_tables(g1, g2), np.zeros(N))
         place = 1 << np.arange(n + N)[::-1]
         for x in range(N):
             state = np.zeros(1 << (n + N), dtype=complex)
             state.reshape(N, -1)[x, 0] = 1.0
-            dense = dense_apply_cycles(state, cycles, n + N, swap_u, cswap_u)
+            dense = dense_apply_cycles(state, n, cycles, n + N, swap_u, cswap_u)
             sparse = np.zeros_like(dense)
             sparse[bits[x] @ place] = phase[x]
             assert np.abs(sparse - dense).max() <= 1e-12
@@ -466,9 +511,10 @@ class TestExecutedSchedule:
         received = []
         run = qram._run_cycles
 
-        def spy(bits, phase, cycles, tables, stored):
+        def spy(bits, phase, depth, cycles, tables, stored):
+            assert depth == n
             received.append(tuple(cycles))
-            run(bits, phase, cycles, tables, stored)
+            run(bits, phase, depth, cycles, tables, stored)
 
         monkeypatch.setattr(qram, "_run_cycles", spy)
         qram._route(random_database(1 << n, seed=n), np.arange(1 << n), G, G)
@@ -525,9 +571,9 @@ class TestExecutedSchedule:
                                                    capsys):
         run = qram._run_cycles
 
-        def forward_only(bits, phase, cycles, tables, stored):
-            tables = {kind: (fwd, fwd) for kind, (fwd, _) in tables.items()}
-            run(bits, phase, cycles, tables, stored)
+        def forward_only(bits, phase, n, cycles, tables, stored):
+            tables = {op: (fwd, fwd) for op, (fwd, _) in tables.items()}
+            run(bits, phase, n, cycles, tables, stored)
 
         monkeypatch.setattr(qram, "_run_cycles", forward_only)
         assert not verify_retrieval(ClassicalDatabase((0, 1, 1, 0))).passed
@@ -618,7 +664,8 @@ class TestWallTime:
     def test_equals_per_cycle_sum(self, g1, g2):
         for n in range(1, 21):
             for sched in (schedule_initialization(n), schedule_query(n)):
-                per_cycle = sum(c.op.duration(g1, g2) for c in sched.cycles)
+                per_cycle = sum(qram._op_duration(c.op, g1, g2)
+                                for c in sched.cycles)
                 assert sched.wall_time(g1, g2) == per_cycle
 
 

@@ -1,8 +1,12 @@
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 
 QRAM_DEMO_STDOUT = """\
 database: 01100101
@@ -32,3 +36,22 @@ def test_qram_demo_runs_end_to_end():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == QRAM_DEMO_STDOUT
+
+
+@pytest.mark.parametrize("script,written", [
+    ("capacity_sweeps.py", {"fig3_velocity_sweep.csv", "fig4_coupling_heatmap.csv"}),
+    ("lightcone_scan.py", {"cone_1d_nn.csv", "cone_1d_two_range.csv",
+                           "cone_2d_axis.csv"}),
+])
+def test_script_regenerates_committed_results(script, written, tmp_path):
+    # the scripts write to results/ beside their own directory, so run a copy
+    for part in ("scripts", "src"):
+        shutil.copytree(ROOT / part, tmp_path / part,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    proc = subprocess.run([sys.executable, str(tmp_path / "scripts" / script)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    out = tmp_path / "results"
+    assert {path.name for path in out.iterdir()} == written
+    for name in written:
+        assert (out / name).read_bytes() == (ROOT / "results" / name).read_bytes()

@@ -29,8 +29,8 @@ def main() -> None:
     for name, spec, kwargs in CASES:
         start = time.time()
         scan = lattice.measure_light_cone(spec, **kwargs)
-        oracle = lattice.max_group_velocity(spec).lattice_units
-        bound = lattice.lr_bound_velocity(spec)
+        oracle = lattice.max_group_velocity(spec)
+        bound = lattice.lr_speed(spec.d, spec.lam, spec.m)
         path = out_dir / f"{name}.csv"
         _write_cone_csv(path, scan, {
             "threshold": scan.threshold, "dt": scan.dt, "d": spec.d,

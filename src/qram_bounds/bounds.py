@@ -1,8 +1,9 @@
 """Closed-form velocity and capacity-bound formulas, and the fixed-point
 solver for maximum qubit counts.
 
-Velocities come in two unit systems: "lattice units" count sites per second
-(spacing a = 1); multiplying by the spacing a gives m/s.
+The lattice velocities count sites per second; ``_resolve_velocity`` turns
+them into m/s through ``lattice.physical_velocity``, the one product with
+the spacing a.
 """
 from __future__ import annotations
 
@@ -24,25 +25,12 @@ class FixedPointError(BoundError):
 
 
 @dataclass(frozen=True)
-class Speed:
-    lattice_units: float  # sites/s
-    physical: float       # m/s
-
-
-@dataclass(frozen=True)
 class BoundResult:
     max_qubits_total: float    # real-valued; callers may floor
     max_linear_extent: float   # qubits along one axis
     velocity_used: float       # m/s, after the c_max cap
     conventions: Conventions
     inputs_digest: HardwareParams
-
-
-def lr_velocity(params: HardwareParams) -> Speed:
-    """Commutator-growth speed limit ``lattice.lr_speed`` of the harmonic
-    lattice, in sites/s and m/s."""
-    v_lat = _lattice.lr_speed(params.d, params.lam, params.m)
-    return Speed(v_lat, _lattice.physical_velocity(params.a, v_lat, "Lieb-Robinson velocity"))
 
 
 def coarse_grain(params: HardwareParams) -> float:
@@ -133,13 +121,16 @@ def _resolve_velocity(params: HardwareParams, conv: Conventions) -> float:
     """
     src = conv.velocity_source
     if src == "lieb_robinson":
-        return lr_velocity(params).physical
+        return _lattice.physical_velocity(
+            params.a, _lattice.lr_speed(params.d, params.lam, params.m),
+            "Lieb-Robinson velocity")
     if src == "qft":
         return qft_velocity(coarse_grain(params), density(params))
     if src == "group":
         spec = _lattice.LatticeSpec(d=params.d, L=2 * params.nu + 2,
-                                    lam=params.lam, m=params.m, a=params.a)
-        return _lattice.max_group_velocity(spec).physical
+                                    lam=params.lam, m=params.m)
+        return _lattice.physical_velocity(
+            params.a, _lattice.max_group_velocity(spec), "group velocity")
     if src == "teleport-hybrid":
         return params.c_max
     return math.sqrt(params.d) * float(src)

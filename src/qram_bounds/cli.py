@@ -28,8 +28,7 @@ EXIT_RETRIEVAL = 3
 # Default operating point: micron spacing, millisecond stage time
 # (g1 = g2 = 2000*pi so tau0 = 1e-3 s), unit couplings.
 PRESET_PARAMS = HardwareParams(a=1e-6, delta_t=1e-3, g1=2000.0 * math.pi,
-                               g2=2000.0 * math.pi, lam=(1.0,), m=1.0,
-                               d=1, nu=1)
+                               g2=2000.0 * math.pi, lam=(1.0,), m=1.0, d=1)
 
 SOUND_SPEED = 6000.0  # m/s, typical solid
 
@@ -258,17 +257,17 @@ def _cmd_lightcone(args) -> int:
     scan = lattice.measure_light_cone(spec, threshold=args.threshold,
                                       t_max=args.t_max, r_max=r_max,
                                       dt=args.dt, fit_r_min=args.fit_r_min)
+    fitted = scan.fitted_velocity_lattice
+    fitted_m_s = lattice.physical_velocity(spec.a, fitted, "fitted velocity")
     gv = lattice.max_group_velocity(spec)
-    bound = lattice.lr_bound_velocity(spec)
+    gv_m_s = lattice.physical_velocity(spec.a, gv, "group velocity")
+    bound = lattice.lr_speed(spec.d, spec.lam, spec.m)
     if args.out:
         _write_cone_csv(args.out, scan, {
             "threshold": scan.threshold, "t_max": scan.t_max, "dt": scan.dt,
             "d": spec.d, "L": spec.L, "lam": args.lam, "m": spec.m})
-    fitted = scan.fitted_velocity_lattice
-    print(f"fitted velocity:     {fitted:.6g} sites/s "
-          f"({scan.fitted_velocity_physical:.6g} m/s)")
-    print(f"group velocity max:  {gv.lattice_units:.6g} sites/s "
-          f"({gv.physical:.6g} m/s)")
+    print(f"fitted velocity:     {fitted:.6g} sites/s ({fitted_m_s:.6g} m/s)")
+    print(f"group velocity max:  {gv:.6g} sites/s ({gv_m_s:.6g} m/s)")
     print(f"commutator bound:    {bound:.6g} sites/s")
     print(f"fit diagnostics:     intercept {scan.fit_intercept:.6g} sites, "
           f"rms residual {scan.fit_residual:.3g} sites, "

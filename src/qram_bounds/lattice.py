@@ -143,13 +143,6 @@ def longwave_speed(spec: LatticeSpec) -> float:
     return math.sqrt(second_moment(spec.lam) / spec.m)
 
 
-@dataclass(frozen=True)
-class GroupVelocity:
-    lattice_units: float           # max_k |grad omega|, sites/s
-    physical: float                # m/s
-    longwave_lattice_units: float  # k -> 0 slope (may be below the max)
-
-
 def _slope(spec: LatticeSpec, kb: np.ndarray) -> np.ndarray:
     """sum_j lam_j j sin(j k_b) = (m/2) d(omega^2)/dk_b along one axis."""
     comp = 0.0
@@ -176,8 +169,8 @@ def _grad2_max(spec: LatticeSpec, k: np.ndarray) -> float:
     return grad2_max
 
 
-def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
-    """Maximum of |grad_k omega| over a dense wavevector grid.
+def max_group_velocity(spec: LatticeSpec) -> float:
+    """Maximum of |grad_k omega| over a dense wavevector grid, sites/s.
 
     The gradient is evaluated analytically from the closed-form dispersion;
     the k -> 0 limit is added as an explicit candidate since the gradient
@@ -206,11 +199,7 @@ def max_group_velocity(spec: LatticeSpec) -> GroupVelocity:
         delta = (1e-12 * spec.d * spec.nu * w2_hi / w2_lo
                  if (scales > 2.0 ** -1000).all() else math.inf)
         keep = ~(rho < rho_hi * (1.0 - delta))
-    v_long = longwave_speed(spec)
-    v = max(math.sqrt(_grad2_max(spec, k[keep])), v_long)
-    return GroupVelocity(lattice_units=v,
-                         physical=physical_velocity(spec.a, v, "group velocity"),
-                         longwave_lattice_units=v_long)
+    return max(math.sqrt(_grad2_max(spec, k[keep])), longwave_speed(spec))
 
 
 def physical_velocity(a: float, v: float, what: str) -> float:
@@ -407,25 +396,17 @@ def lr_speed(d: int, lam: Sequence[float], m: float) -> float:
     return v
 
 
-def c_omega_lambda(spec: LatticeSpec) -> float:
-    """Cone-slope constant sqrt(d * sum_j lam_j / m), lattice units."""
-    return lr_speed(spec.d, spec.lam, spec.m) / 4.0  # exact: a power of two
-
-
-def lr_bound_velocity(spec: LatticeSpec) -> float:
-    """``lr_speed`` of the spec's couplings."""
-    return lr_speed(spec.d, spec.lam, spec.m)
-
-
 def lr_bound_envelope(spec: LatticeSpec, bp: LRBoundParams,
                       dist: float, t: float) -> float:
     """Exponential suppression envelope for unit-amplitude single-site
     probes: C * exp(-mu * m * [dist - c * max(2/mu, e^(mu/2 + 1)) * |t|]),
-    refused by name where it leaves the float range."""
+    c = sqrt(d * sum_j lam_j / m) = lr_speed / 4, refused by name where it
+    leaves the float range."""
     if dist < 0:
         raise LatticeError("negative distance")
     try:
-        cone = c_omega_lambda(spec) * max(2.0 / bp.mu, math.exp(bp.mu / 2.0 + 1.0))
+        cone = lr_speed(spec.d, spec.lam, spec.m) / 4.0 * max(
+            2.0 / bp.mu, math.exp(bp.mu / 2.0 + 1.0))
         value = bp.C * math.exp(-bp.mu * spec.m * (dist - cone * abs(t)))
         if math.isfinite(value):
             return value
@@ -445,7 +426,6 @@ class ConeArrival:
 class LightConeScan:
     rows: tuple[ConeArrival, ...]
     fitted_velocity_lattice: float  # sites/s
-    fitted_velocity_physical: float  # m/s
     threshold: float
     t_max: float
     dt: float
@@ -613,8 +593,6 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     residual = r_arr - (slope * t_arr + intercept)
     return LightConeScan(rows=tuple(rows),
                          fitted_velocity_lattice=float(slope),
-                         fitted_velocity_physical=physical_velocity(
-                             spec.a, float(slope), "fitted velocity"),
                          threshold=threshold, t_max=t_max, dt=dt,
                          fit_intercept=float(intercept),
                          fit_residual=float(np.sqrt(np.mean(residual ** 2))),

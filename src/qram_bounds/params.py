@@ -25,7 +25,6 @@ class HardwareParams:
     lam: tuple[float, ...]   # spring constants lambda_1..lambda_nu [kg/s^2]
     m: float                 # site mass [kg]
     d: int                   # spatial dimension, 1 | 2 | 3
-    nu: int                  # interaction range cutoff (== len(lam))
     c_max: float = SPEED_OF_LIGHT  # absolute speed cap [m/s]
 
     def __post_init__(self):
@@ -51,10 +50,11 @@ class HardwareParams:
             raise ParamsError("all spring constants zero")
         if self.d not in (1, 2, 3):
             raise ParamsError("dimension must be 1, 2, or 3")
-        if self.nu < 1:
-            raise ParamsError("nonpositive interaction range")
-        if len(self.lam) != self.nu:
-            raise ParamsError("range/coupling length mismatch")
+
+    @property
+    def nu(self) -> int:
+        """Interaction range cutoff: the number of couplings."""
+        return len(self.lam)
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,8 @@ def checked_phase(error: type[ValueError], what: str, w: float, t: float) -> flo
 
 # Configuration files are flat "key = value" text; `lambda` is a
 # comma-separated list. Keys match the field names above except that the
-# reserved word `lambda` maps onto the `lam` attribute.
+# reserved word `lambda` maps onto the `lam` attribute, and `nu`, the range
+# that the file states, must equal the number of couplings.
 _CONFIG_KEYS = ("a", "delta_t", "g1", "g2", "lambda", "m", "d", "nu", "c_max")
 _REQUIRED_KEYS = ("a", "delta_t", "g1", "g2", "lambda", "m", "d", "nu")
 
@@ -162,18 +163,16 @@ def load_config(path: str | Path) -> HardwareParams:
         raise ParamsError(f"missing config keys: {', '.join(missing)}")
     try:
         lam = tuple(float(x) for x in raw["lambda"].split(","))
-        return HardwareParams(
-            a=float(raw["a"]),
-            delta_t=float(raw["delta_t"]),
-            g1=float(raw["g1"]),
-            g2=float(raw["g2"]),
-            lam=lam,
-            m=float(raw["m"]),
-            d=int(raw["d"]),
-            nu=int(raw["nu"]),
-            c_max=float(raw.get("c_max", SPEED_OF_LIGHT)),
-        )
+        a, delta_t, g1, g2, m = (float(raw[k]) for k in ("a", "delta_t", "g1", "g2", "m"))
+        d, nu = int(raw["d"]), int(raw["nu"])
+        params = HardwareParams(a=a, delta_t=delta_t, g1=g1, g2=g2, lam=lam, m=m, d=d,
+                                c_max=float(raw.get("c_max", SPEED_OF_LIGHT)))
     except ValueError as exc:
         if isinstance(exc, ParamsError):
             raise
         raise ParamsError(f"malformed config value: {exc}") from exc
+    if nu < 1:
+        raise ParamsError("nonpositive interaction range")
+    if nu != params.nu:
+        raise ParamsError("range/coupling length mismatch")
+    return params

@@ -7,21 +7,23 @@ timing and returns a process exit code.
 from __future__ import annotations
 
 import math
+import tempfile
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 from . import bounds, gates, lattice, qram
-from .params import Conventions, HardwareParams, ParamsError, density, tau0
+from .params import (Conventions, HardwareParams, ParamsError, density,
+                     load_config, tau0)
 
 Check = tuple[str, bool, str]
 
 
 def _params(d: int = 1, lam=(1.0,), m: float = 1.0, a: float = 1.0,
             g: float = math.pi) -> HardwareParams:
-    return HardwareParams(a=a, delta_t=1e-3, g1=g, g2=g, lam=tuple(lam),
-                          m=m, d=d, nu=len(lam))
+    return HardwareParams(a=a, delta_t=1e-3, g1=g, g2=g, lam=tuple(lam), m=m, d=d)
 
 
 def params_suite() -> list[Check]:
@@ -29,14 +31,18 @@ def params_suite() -> list[Check]:
     p = _params()
     checks.append(("log base 'e' read as natural",
                    Conventions(log_base="e").log_base == "natural", ""))
-    for name, change, named in (
-            ("zero spacing rejected", {"a": 0.0}, "lattice spacing"),
-            ("length mismatch rejected", {"lam": (1.0, 2.0)}, "mismatch")):
-        try:
-            replace(p, **change)
-            checks.append((name, False, "no error raised"))
-        except ParamsError as exc:
-            checks.append((name, named in str(exc), str(exc)))
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "hw.cfg"
+        config.write_text("a = 1\ndelta_t = 1\ng1 = 1\ng2 = 1\nlambda = 1, 2\n"
+                          "m = 1\nd = 1\nnu = 1\n")
+        for name, build, named in (
+                ("zero spacing rejected", lambda: replace(p, a=0.0), "lattice spacing"),
+                ("length mismatch rejected", lambda: load_config(config), "mismatch")):
+            try:
+                build()
+                checks.append((name, False, "no error raised"))
+            except ParamsError as exc:
+                checks.append((name, named in str(exc), str(exc)))
     checks.append(("tau0 value", abs(tau0(math.pi, math.pi) - 2.0) < 1e-15, ""))
     checks.append(("tau0 symmetric",
                    tau0(2.0, 5.0) == tau0(5.0, 2.0), ""))
@@ -49,10 +55,10 @@ def params_suite() -> list[Check]:
 
 def bounds_suite() -> list[Check]:
     checks: list[Check] = []
-    v1 = bounds.lr_velocity(_params(d=1)).lattice_units
+    v1 = lattice.lr_speed(1, (1.0,), 1.0)
     checks.append(("lr velocity 1d", abs(v1 - 4.0) < 1e-12, f"{v1}"))
     for d in (2, 3):
-        ratio = bounds.lr_velocity(_params(d=d)).lattice_units / v1
+        ratio = lattice.lr_speed(d, (1.0,), 1.0) / v1
         checks.append((f"lr sqrt(d) scaling d={d}",
                        abs(ratio - math.sqrt(d)) < 1e-12 * math.sqrt(d), f"{ratio}"))
         q1 = bounds.qft_velocity(bounds.coarse_grain(_params(d=1)), 1.0)
@@ -168,7 +174,7 @@ def lattice_suite() -> list[Check]:
     # quick light cone
     scan = lattice.measure_light_cone(sp, threshold=1e-3, t_max=100.0, r_max=90, dt=0.05)
     gv = lattice.max_group_velocity(sp)
-    ok = (abs(scan.fitted_velocity_lattice / gv.lattice_units - 1.0) < 0.10
+    ok = (abs(scan.fitted_velocity_lattice / gv - 1.0) < 0.10
           and scan.fitted_velocity_lattice < 4.0)
     checks.append(("light cone velocity", ok,
                    f"fitted {scan.fitted_velocity_lattice:.4f}"))

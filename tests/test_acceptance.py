@@ -23,7 +23,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 
 def make_params(**overrides):
-    base = dict(a=1e-6, delta_t=1e-3, g1=G1, g2=G2, lam=(1.0,), m=1.0, d=1, nu=1)
+    base = dict(a=1e-6, delta_t=1e-3, g1=G1, g2=G2, lam=(1.0,), m=1.0, d=1)
     base.update(overrides)
     return HardwareParams(**base)
 
@@ -82,8 +82,8 @@ def test_criterion_04_light_cone_vs_commutator_bound():
         start = time.perf_counter()
         scan = lattice.measure_light_cone(spec, **kwargs)
         elapsed = time.perf_counter() - start
-        oracle = lattice.max_group_velocity(spec).lattice_units
-        bound = lattice.lr_bound_velocity(spec)
+        oracle = lattice.max_group_velocity(spec)
+        bound = lattice.lr_speed(spec.d, spec.lam, spec.m)
         fitted = scan.fitted_velocity_lattice
         case_ok = (abs(fitted / oracle - 1.0) <= 0.10 and fitted < bound
                    and elapsed < 60.0)
@@ -97,10 +97,10 @@ def test_criterion_05_sqrt_d_scaling():
     lam, m = (0.7, 1.3), 0.9
     worst = 0.0
     for d in (2, 3):
-        p1 = make_params(lam=lam, nu=2, m=m, d=1, a=1.0)
-        pd = make_params(lam=lam, nu=2, m=m, d=d, a=1.0)
-        lr_ratio = (bounds.lr_velocity(pd).lattice_units
-                    / bounds.lr_velocity(p1).lattice_units)
+        p1 = make_params(lam=lam, m=m, d=1, a=1.0)
+        pd = make_params(lam=lam, m=m, d=d, a=1.0)
+        lr_ratio = (lattice.lr_speed(pd.d, pd.lam, pd.m)
+                    / lattice.lr_speed(p1.d, p1.lam, p1.m))
         qft_ratio = (bounds.qft_velocity(bounds.coarse_grain(pd), density(pd))
                      / bounds.qft_velocity(bounds.coarse_grain(p1), density(p1)))
         worst = max(worst, abs(lr_ratio / math.sqrt(d) - 1.0),
@@ -112,7 +112,7 @@ def test_criterion_06_discrete_continuum_consistency():
     worst = 0.0
     for d in (1, 2, 3):
         for lam in ((1.0,), (1.0, 0.5), (0.3, 1.1, 0.7)):
-            p = make_params(lam=lam, nu=len(lam), m=1.3, d=d, a=1.0)
+            p = make_params(lam=lam, m=1.3, d=d, a=1.0)
             spec = lattice.LatticeSpec(d=d, L=4 * len(lam) + 4, lam=lam, m=1.3)
             q = 1e-7
             slope = lattice.dispersion(spec, (q,) * d) / q
@@ -234,7 +234,7 @@ def test_criterion_12_causality_tail():
     worst = 0.0
     for d, L in ((1, 400), (2, 64)):
         spec = lattice.LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
-        v_bound = lattice.lr_bound_velocity(spec)
+        v_bound = lattice.lr_speed(spec.d, spec.lam, spec.m)
         omega = lattice.normal_modes(spec)
         r_cap = L // 2 - spec.nu
         for t in np.arange(0.5, 10.5, 0.5):

@@ -7,15 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from qram_bounds import bounds, lattice
 from qram_bounds.bounds import (BoundError, FixedPointError, capacity, coarse_grain,
-                                fixed_point_solve, lr_velocity,
-                                naive_max_qubits, qft_velocity,
+                                fixed_point_solve, naive_max_qubits, qft_velocity,
                                 qram_max_qubits, teleport_hybrid_max_qubits)
+from qram_bounds.lattice import lr_speed, physical_velocity
 from qram_bounds.params import Conventions, HardwareParams, density
 
 
 def make_params(**overrides):
     base = dict(a=1e-6, delta_t=1e-3, g1=2000 * math.pi, g2=2000 * math.pi,
-                lam=(1.0,), m=1.0, d=1, nu=1)
+                lam=(1.0,), m=1.0, d=1)
     base.update(overrides)
     return HardwareParams(**base)
 
@@ -47,67 +47,73 @@ def root_threshold(p, log_base="natural"):
     return (math.e / p) ** p * (math.log(2.0) ** p if log_base == "2" else 1.0)
 
 
+def lr_physical(params):
+    """The m/s Lieb-Robinson velocity that the bound reads for ``params``."""
+    return bounds._resolve_velocity(params, Conventions())
+
+
 class TestLrVelocity:
     def test_1d_unit(self):
-        assert lr_velocity(make_params()).lattice_units == pytest.approx(4.0, rel=1e-15)
+        assert lr_speed(1, (1.0,), 1.0) == pytest.approx(4.0, rel=1e-15)
 
     def test_3d_sqrt3(self):
-        v = lr_velocity(make_params(d=3)).lattice_units
+        v = lr_speed(3, (1.0,), 1.0)
         assert v == pytest.approx(4 * math.sqrt(3), rel=1e-12)
 
     def test_decoupled_limit(self):
-        v = lr_velocity(make_params(lam=(1e-30,))).lattice_units
+        v = lr_speed(1, (1e-30,), 1.0)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_physical_scales_with_spacing(self):
-        s = lr_velocity(make_params(a=2.0))
-        assert s.physical == pytest.approx(2.0 * s.lattice_units, rel=1e-15)
+        v = lr_speed(1, (1.0,), 1.0)
+        assert lr_physical(make_params(a=2.0)) == pytest.approx(2.0 * v, rel=1e-15)
+        assert physical_velocity(2.0, v, "Lieb-Robinson velocity") == 2.0 * v
 
     @pytest.mark.parametrize("d,lam,m", [(1, (1.0,), 1.0), (2, (0.7, 1.3), 0.9),
                                          (3, (0.3, 1.1, 0.7), 2.1)])
     def test_one_formula_with_the_lattice_bound(self, d, lam, m):
-        params = make_params(lam=lam, nu=len(lam), m=m, d=d)
-        spec = lattice.LatticeSpec(d=d, L=8, lam=lam, m=m)
-        v = lr_velocity(params).lattice_units
-        assert v == lattice.lr_bound_velocity(spec) == lattice.lr_speed(d, lam, m)
-        assert lattice.c_omega_lambda(spec) == math.sqrt(d * sum(lam) / m)
+        params = make_params(lam=lam, m=m, d=d)
+        v = lr_speed(d, lam, m)
+        assert lr_physical(params) == physical_velocity(
+            params.a, v, "Lieb-Robinson velocity") == params.a * v
+        # the cone slope of lr_bound_envelope
+        assert v / 4.0 == math.sqrt(d * sum(lam) / m)
 
     def test_refuses_physical_velocity_out_of_float_range(self):
         # 4e150 sites/s is finite; times a = 1e160 it is not
         params = make_params(a=1e160, lam=(1e300,), c_max=1e300)
         with pytest.raises(lattice.LatticeError, match=re.escape(
                 "physical Lieb-Robinson velocity overflows at a=1e+160")):
-            lr_velocity(params)
-        s = lr_velocity(make_params(a=1e150, lam=(1e300,), c_max=1e300))
-        assert s.physical == 1e150 * s.lattice_units
+            lr_physical(params)
+        v = lr_physical(make_params(a=1e150, lam=(1e300,), c_max=1e300))
+        assert v == 1e150 * lr_speed(1, (1e300,), 1.0)
 
     def test_unbounded_velocity_of_vanishing_mass_passes_to_the_cap(self):
         # d * sum(lam) / m overflows, but 4 / sqrt(5e-324) ~ 1.8e162 does not:
         # the roots are taken apart (it was +inf), and qram_max_qubits caps
         # the finite velocity at c_max
-        s = lr_velocity(make_params(m=5e-324))
-        assert s.lattice_units == 4.0 / math.sqrt(5e-324)
-        assert s.physical == 1e-6 * s.lattice_units
+        v = lr_speed(1, (1.0,), 5e-324)
+        assert v == 4.0 / math.sqrt(5e-324)
+        assert lr_physical(make_params(m=5e-324)) == 1e-6 * v
         assert qram_max_qubits(make_params(m=5e-324), Conventions()).velocity_used == 3e8
         # lam = 1e308 at d = 2: d * sum(lam) overflows before the division
-        s = lr_velocity(make_params(lam=(1e308,), d=2))
-        assert s.lattice_units == pytest.approx(4.0 * math.sqrt(2.0) * 1e154, rel=1e-15)
+        v = lr_speed(2, (1e308,), 1.0)
+        assert v == pytest.approx(4.0 * math.sqrt(2.0) * 1e154, rel=1e-15)
 
     @pytest.mark.parametrize("d,lam,m", [(1, (1e308,), 5e-324),
                                          (3, (1e308, 1e308), 1e-310)])
     def test_refuses_speed_past_the_float_range(self, d, lam, m):
         with pytest.raises(lattice.LatticeError, match=re.escape(
                 f"Lieb-Robinson speed overflows a float at d={d}, lam={lam!r}")):
-            lr_velocity(make_params(lam=lam, nu=len(lam), m=m, d=d))
+            lr_physical(make_params(lam=lam, m=m, d=d))
         with pytest.raises(lattice.LatticeError, match="Lieb-Robinson speed"):
-            lattice.lr_speed(d, lam, m)
+            lr_speed(d, lam, m)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_sqrt_d_scaling(self, d):
         lam, m = (0.7, 1.3), 0.9
-        v1 = lr_velocity(make_params(lam=lam, nu=2, m=m, d=1)).lattice_units
-        vd = lr_velocity(make_params(lam=lam, nu=2, m=m, d=d)).lattice_units
-        assert vd / v1 == pytest.approx(math.sqrt(d), rel=1e-12)
+        assert lr_speed(d, lam, m) / lr_speed(1, lam, m) == pytest.approx(
+            math.sqrt(d), rel=1e-12)
 
 
 class TestCoarseGrain:
@@ -115,7 +121,7 @@ class TestCoarseGrain:
         assert coarse_grain(make_params(lam=(2.0,), a=0.5)) == pytest.approx(1.0)
 
     def test_two_couplings_weighted_j_squared(self):
-        p = make_params(lam=(1.0, 1.0), nu=2, a=1.0)
+        p = make_params(lam=(1.0, 1.0), a=1.0)
         assert coarse_grain(p) == pytest.approx(5.0, rel=1e-15)
 
     def test_dimension_factor(self):
@@ -167,8 +173,8 @@ class TestQftVelocity:
     @pytest.mark.parametrize("d", [2, 3])
     def test_sqrt_d_scaling(self, d):
         lam, m = (0.7, 1.3), 0.9
-        p1 = make_params(lam=lam, nu=2, m=m, d=1, a=1.0)
-        pd = make_params(lam=lam, nu=2, m=m, d=d, a=1.0)
+        p1 = make_params(lam=lam, m=m, d=1, a=1.0)
+        pd = make_params(lam=lam, m=m, d=d, a=1.0)
         v1 = qft_velocity(coarse_grain(p1), density(p1))
         vd = qft_velocity(coarse_grain(pd), density(pd))
         assert vd / v1 == pytest.approx(math.sqrt(d), rel=1e-12)
@@ -304,8 +310,7 @@ class TestQramMaxQubits:
         assert r.max_linear_extent == pytest.approx(math.sqrt(3) * 6e6, rel=1e-12)
         assert r.max_qubits_total == pytest.approx(1.122e21, rel=1e-3)
         # consistent with the lattice-bound scaling between dimensions
-        v3 = lr_velocity(make_params(d=3)).lattice_units
-        v1 = lr_velocity(make_params(d=1)).lattice_units
+        v3, v1 = lr_speed(3, (1.0,), 1.0), lr_speed(1, (1.0,), 1.0)
         assert r.max_linear_extent / 6e6 == pytest.approx(v3 / v1, rel=1e-12)
 
     def test_total_is_extent_power_d(self):
@@ -418,7 +423,7 @@ class TestCrossModuleConsistency:
     @pytest.mark.parametrize("lam", [(1.0,), (1.0, 0.5), (0.3, 1.1, 0.7)])
     def test_continuum_matches_dispersion_slope(self, d, lam):
         m = 1.3
-        p = make_params(lam=lam, nu=len(lam), m=m, d=d, a=1.0)
+        p = make_params(lam=lam, m=m, d=d, a=1.0)
         spec = lattice.LatticeSpec(d=d, L=4 * len(lam) + 4, lam=lam, m=m)
         q = 1e-7
         slope = lattice.dispersion(spec, (q,) * d) / q
@@ -427,7 +432,7 @@ class TestCrossModuleConsistency:
 
     def test_one_dimensional_case_holds_at_any_spacing(self):
         for a in (0.5, 1.0, 2.5):
-            p = make_params(lam=(1.0, 0.5), nu=2, m=1.3, d=1, a=a)
+            p = make_params(lam=(1.0, 0.5), m=1.3, d=1, a=a)
             spec = lattice.LatticeSpec(d=1, L=12, lam=(1.0, 0.5), m=1.3, a=a)
             q = 1e-7
             slope_physical = a * lattice.dispersion(spec, q) / q
@@ -438,7 +443,7 @@ class TestCrossModuleConsistency:
     def test_higher_dimensions_hold_at_any_spacing(self, d):
         # slope per wavevector component along the diagonal, in m/s
         for a in (1e-6, 0.5, 2.5):
-            p = make_params(lam=(1.0, 0.5), nu=2, m=1.3, d=d, a=a)
+            p = make_params(lam=(1.0, 0.5), m=1.3, d=d, a=a)
             spec = lattice.LatticeSpec(d=d, L=12, lam=(1.0, 0.5), m=1.3, a=a)
             q = 1e-7
             slope_physical = a * lattice.dispersion(spec, (q,) * d) / q

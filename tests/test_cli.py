@@ -26,6 +26,26 @@ c_max = 3e8
 
 RESULTS = Path(__file__).resolve().parents[1] / "results"
 
+# A 2D two-range lattice where every closed-form velocity source gives a
+# finite capacity; BOUND_RECORD_GOLDEN holds the ``record`` line of each.
+CONFIG_2D_TWO_RANGE = GOOD_CONFIG.replace("lambda = 1.0", "lambda = 2250, 300").replace(
+    "m = 1.0", "m = 1e-15").replace("d = 1", "d = 2").replace("nu = 1", "nu = 2")
+
+BOUND_RECORD_GOLDEN = {
+    "lieb_robinson": 'record {"max_qubits_total": 1.9885194046353183e+19, '
+    '"max_linear_extent": 4459281785.93293, "velocity_used": 9033.271832508972, '
+    '"log_base": "natural", "depth_exponent": 2, "velocity_source": "lieb_robinson", '
+    '"a": 1e-06, "tau0": 0.001, "d": 2}',
+    "group": 'record {"max_qubits_total": 6.060894497833612e+17, '
+    '"max_linear_extent": 778517469.1574757, "velocity_used": 1857.4175621006707, '
+    '"log_base": "natural", "depth_exponent": 2, "velocity_source": "group", '
+    '"a": 1e-06, "tau0": 0.001, "d": 2}',
+    "qft": 'record {"max_qubits_total": 1.3056424407701312e+18, '
+    '"max_linear_extent": 1142647119.9675477, "velocity_used": 2626.7851073127395, '
+    '"log_base": "natural", "depth_exponent": 2, "velocity_source": "qft", '
+    '"a": 1e-06, "tau0": 0.001, "d": 2}',
+}
+
 
 def assert_one_error_line(captured, message=""):
     """A refused input prints exactly one ``error:`` line and nothing else."""
@@ -188,6 +208,31 @@ class TestBoundCommand:
         assert main(["bound", f"--velocity={value}"]) == 2
         assert_one_error_line(capsys.readouterr(),
                               f"non-finite explicit velocity {float(value)}")
+
+    @pytest.mark.parametrize("source", sorted(BOUND_RECORD_GOLDEN))
+    def test_two_range_2d_record_golden(self, source, tmp_path, capsys):
+        path = tmp_path / "hw2d.cfg"
+        path.write_text(CONFIG_2D_TWO_RANGE)
+        assert main(["bound", "--config", str(path), "--velocity-source", source]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == BOUND_RECORD_GOLDEN[source]
+
+    @pytest.mark.parametrize("edits,message", [
+        ({"nu = 1": "nu = 0"}, "nonpositive interaction range"),
+        ({"nu = 1": "nu = -3"}, "nonpositive interaction range"),
+        ({"nu = 1": "nu = 2"}, "range/coupling length mismatch"),
+        ({"lambda = 1.0": "lambda = 1.0, 0.5"}, "range/coupling length mismatch"),
+        ({"nu = 1": "nu = 0", "d = 1": "d = 4"}, "dimension must be 1, 2, or 3"),
+    ])
+    def test_config_range_refused_exits_2(self, edits, message, tmp_path, capsys):
+        text = GOOD_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "hw.cfg"
+        path.write_text(text)
+        assert main(["bound", "--config", str(path), "--velocity", "6000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
 
     def test_teleport_kind_runs_the_capacity_path_at_c_max(self, tmp_path, capsys):
         path = tmp_path / "hw2d.cfg"
@@ -565,6 +610,15 @@ LIGHTCONE_GOLDEN = {   # stdout of `lightcone` with these arguments
         '0 of 199 distances without arrival\n'
         'PASS: fitted velocity below bound\n'
     ),
+    # a spacing other than 1: the m/s columns are a * (sites/s)
+    ("--a", "1e-6", "--lam", "1.0,0.3", "--m", "1.7", "--L", "120", "--t-max", "40"): (
+        'fitted velocity:     1.43457 sites/s (1.43457e-06 m/s)\n'
+        'group velocity max:  1.13759 sites/s (1.13759e-06 m/s)\n'
+        'commutator bound:    3.4979 sites/s\n'
+        'fit diagnostics:     intercept 3.10078 sites, rms residual 1.55 sites, '
+        '0 of 58 distances without arrival\n'
+        'PASS: fitted velocity below bound\n'
+    ),
     ("--d", "3", "--L", "64", "--t-max", "20"): (
         'fitted velocity:     1.48412 sites/s (1.48412 m/s)\n'
         'group velocity max:  1 sites/s (1 m/s)\n'
@@ -596,7 +650,8 @@ CONE_3D_GOLDEN = (   # CSV rows of a 3D L=32 scan after its "#" line
 
 class TestLightconeGolden:
     """Pinned from the orbit-per-axis-0-index engine, before the orbit merge
-    and the step table: the scan must print the same bytes."""
+    and the step table (the a = 1e-6 entry from the engine that still formed
+    m/s inside the lattice layer): the scan must print the same bytes."""
 
     @pytest.mark.parametrize("args", sorted(LIGHTCONE_GOLDEN))
     def test_prints_golden_stdout(self, args, capsys):

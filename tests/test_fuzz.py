@@ -51,8 +51,15 @@ def hardware(draw, d):
     lam = draw(LAMS)
     return finite_or_refused(lambda: params.HardwareParams(
         a=draw(FLOATS), delta_t=draw(FLOATS), g1=draw(FLOATS), g2=draw(FLOATS),
-        lam=lam, m=draw(FLOATS), d=d, nu=len(lam),
+        lam=lam, m=draw(FLOATS), d=d,
         c_max=draw(st.sampled_from([params.SPEED_OF_LIGHT, 1e308, 5e-324]))))
+
+
+def lieb_robinson_speeds(hw):
+    """The Lieb-Robinson speed of a record in sites/s, and in m/s."""
+    v = finite_or_refused(lattice.lr_speed, hw.d, hw.lam, hw.m)
+    if v is not None:
+        finite_or_refused(lattice.physical_velocity, hw.a, v, "Lieb-Robinson velocity")
 
 
 @given(data=st.data(), d=st.sampled_from([1, 2, 3]))
@@ -80,7 +87,7 @@ def test_bounds(data, d, p, log_base, source):
     conv = finite_or_refused(params.Conventions, log_base, p, source)
     if hw is None or conv is None:
         return
-    finite_or_refused(bounds.lr_velocity, hw)
+    lieb_robinson_speeds(hw)
     finite_or_refused(bounds.coarse_grain, hw)
     finite_or_refused(bounds.qram_max_qubits, hw, conv)
     if d == 2:
@@ -93,9 +100,9 @@ def test_bounds(data, d, p, log_base, source):
 def test_closed_form_velocities(d, lam, m, a, stiffness, rho):
     # the few inputs of the closed forms alone, so that their edges meet
     finite_or_refused(bounds.qft_velocity, stiffness, rho)
-    hw = finite_or_refused(params.HardwareParams, a, 1e-3, 1.0, 1.0, lam, m, d, len(lam))
+    hw = finite_or_refused(params.HardwareParams, a, 1e-3, 1.0, 1.0, lam, m, d)
     if hw is not None:
-        finite_or_refused(bounds.lr_velocity, hw)
+        lieb_robinson_speeds(hw)
 
 
 @given(data=st.data(), d=st.sampled_from([1, 2, 3]), L=st.sampled_from([4, 8]))
@@ -109,8 +116,10 @@ def test_lattice(data, d, L):
     finite_or_refused(lattice.dispersion, spec, [draw(FLOATS)] * d)
     finite_or_refused(lattice.omega_max, spec)
     finite_or_refused(lattice.longwave_speed, spec)
-    finite_or_refused(lattice.lr_bound_velocity, spec)
-    finite_or_refused(lattice.max_group_velocity, spec)
+    finite_or_refused(lattice.lr_speed, spec.d, spec.lam, spec.m)
+    v = finite_or_refused(lattice.max_group_velocity, spec)
+    if v is not None:
+        finite_or_refused(lattice.physical_velocity, spec.a, v, "group velocity")
     bp = finite_or_refused(lattice.LRBoundParams, draw(FLOATS), draw(FLOATS))
     if bp is not None:
         finite_or_refused(lattice.lr_bound_envelope, spec, bp, draw(FLOATS),
@@ -130,6 +139,7 @@ def test_lattice(data, d, L):
     if L == 8 and spec.nu == 1:
         dt = draw(st.one_of(st.none(), FLOATS))
         finite_or_refused(lattice.measure_light_cone, spec, 0.1, draw(FLOATS), 2, dt)
+    finite_or_refused(lattice.physical_velocity, draw(FLOATS), draw(FLOATS), "velocity")
 
 
 @given(data=st.data())

@@ -9,12 +9,11 @@ from hypothesis import assume, given, settings, strategies as st
 from qram_bounds import lattice, verify
 from qram_bounds.lattice import (LatticeError, LatticeSpec, LRBoundParams,
                                  SymplecticPropagator, WeylFunction,
-                                 axis_signal, c_omega_lambda, dispersion,
-                                 longwave_speed, lr_bound_envelope,
-                                 lr_bound_velocity, max_group_velocity,
+                                 axis_signal, dispersion, longwave_speed,
+                                 lr_bound_envelope, lr_speed, max_group_velocity,
                                  measure_light_cone, normal_modes, omega_max,
-                                 propagate_ode, symplectic_form,
-                                 weyl_commutator_norm)
+                                 physical_velocity, propagate_ode,
+                                 symplectic_form, weyl_commutator_norm)
 
 RNG = np.random.default_rng(20240808)
 
@@ -201,7 +200,7 @@ class TestLatticeSpec:
         spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
         with np.errstate(over="raise"):
             assert math.isfinite(normal_modes(spec).max())
-            assert math.isfinite(max_group_velocity(spec).lattice_units)
+            assert math.isfinite(max_group_velocity(spec))
 
 
 class TestDispersion:
@@ -272,13 +271,12 @@ class TestDispersion:
 class TestGroupVelocity:
     def test_nearest_neighbor_unit(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
-        gv = max_group_velocity(spec)
-        assert gv.lattice_units == pytest.approx(1.0, rel=1e-9)
-        assert gv.longwave_lattice_units == pytest.approx(1.0, rel=1e-12)
+        assert max_group_velocity(spec) == pytest.approx(1.0, rel=1e-9)
+        assert longwave_speed(spec) == pytest.approx(1.0, rel=1e-12)
 
     def test_decoupled_limit(self):
         spec = LatticeSpec(d=1, L=16, lam=(1e-30,), m=1.0)
-        assert max_group_velocity(spec).lattice_units == pytest.approx(0.0, abs=1e-12)
+        assert max_group_velocity(spec) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_range_chain_against_numerical_gradient(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0, 1.0), m=1.0)
@@ -286,9 +284,9 @@ class TestGroupVelocity:
         omega = np.sqrt(4.0 * (np.sin(k / 2) ** 2 + np.sin(k) ** 2))
         oracle = np.abs(np.gradient(omega, k)).max()
         gv = max_group_velocity(spec)
-        assert gv.lattice_units == pytest.approx(oracle, rel=1e-5)
-        assert gv.longwave_lattice_units == pytest.approx(math.sqrt(5.0), rel=1e-12)
-        assert gv.lattice_units >= gv.longwave_lattice_units - 1e-12
+        assert gv == pytest.approx(oracle, rel=1e-5)
+        assert longwave_speed(spec) == pytest.approx(math.sqrt(5.0), rel=1e-12)
+        assert gv >= longwave_speed(spec) - 1e-12
 
     def test_longwave_slope_independent_of_d(self):
         lam, m = (0.8, 0.3), 1.1
@@ -310,7 +308,7 @@ class TestGroupVelocity:
         # without the k -> 0 candidate the result is the grid maximum alone
         monkeypatch.setattr(lattice, "longwave_speed", lambda spec: 0.0)
         spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
-        assert max_group_velocity(spec).lattice_units == full_grid_group_velocity(spec)
+        assert max_group_velocity(spec) == full_grid_group_velocity(spec)
 
     @given(d=st.sampled_from([1, 2, 3]),
            lam=st.lists(st.one_of(st.just(0.0), st.integers(-200, 200)),
@@ -325,7 +323,7 @@ class TestGroupVelocity:
         spec = LatticeSpec(d=d, L=8, lam=lam, m=10.0 ** m)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lattice, "longwave_speed", lambda spec: 0.0)
-            assert max_group_velocity(spec).lattice_units == full_grid_group_velocity(spec)
+            assert max_group_velocity(spec) == full_grid_group_velocity(spec)
 
     @pytest.mark.parametrize("d,lam,m,axis", [
         (3, (1.0, 0.3), 1.1, (1, 2)),        # S is the maximum alone ...
@@ -345,22 +343,22 @@ class TestGroupVelocity:
         monkeypatch.setattr(lattice, "_grad2_max", spy)
         monkeypatch.setattr(lattice, "longwave_speed", lambda spec: 0.0)
         spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
-        assert max_group_velocity(spec).lattice_units == full_grid_group_velocity(spec)
+        assert max_group_velocity(spec) == full_grid_group_velocity(spec)
         assert axis[0] <= sizes[0] <= axis[1]
 
     def test_bound_exceeds_measured_speed_by_factor_four_nn(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
-        assert lr_bound_velocity(spec) == pytest.approx(4.0, rel=1e-15)
-        assert max_group_velocity(spec).lattice_units < lr_bound_velocity(spec)
+        assert lr_speed(spec.d, spec.lam, spec.m) == pytest.approx(4.0, rel=1e-15)
+        assert max_group_velocity(spec) < lr_speed(spec.d, spec.lam, spec.m)
 
     def test_rejects_infinite_physical_velocity(self):
         # 2 sites/s times a = 1e308 leaves the float range
-        spec = LatticeSpec(d=1, L=16, lam=(4.0,), m=1.0, a=1e308)
+        gv = max_group_velocity(LatticeSpec(d=1, L=16, lam=(4.0,), m=1.0))
+        assert gv == 2.0
         with pytest.raises(LatticeError, match=re.escape(
                 "physical group velocity overflows at a=1e+308")):
-            max_group_velocity(spec)
-        gv = max_group_velocity(LatticeSpec(d=1, L=16, lam=(4.0,), m=1.0, a=5e307))
-        assert gv.physical == 2.0 * 5e307
+            physical_velocity(1e308, gv, "group velocity")
+        assert physical_velocity(5e307, gv, "group velocity") == 2.0 * 5e307
 
 
 class TestPropagator:
@@ -668,9 +666,12 @@ class TestBoundEnvelope:
 
     def test_cone_constant(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
-        assert c_omega_lambda(spec) == pytest.approx(1.0, rel=1e-15)
+        assert lr_speed(spec.d, spec.lam, spec.m) / 4.0 == pytest.approx(1.0, rel=1e-15)
         spec3 = LatticeSpec(d=3, L=8, lam=(1.0, 2.0), m=1.0)
-        assert c_omega_lambda(spec3) == pytest.approx(3.0, rel=1e-15)
+        assert lr_speed(spec3.d, spec3.lam, spec3.m) / 4.0 == pytest.approx(3.0, rel=1e-15)
+        # the envelope's cone: c * max(2/mu, e^(mu/2 + 1)) * |t| = 3 * e^2 at mu = 2
+        assert lr_bound_envelope(spec3, LRBoundParams(1.0, 2.0), 0.0, -1.0) == \
+            pytest.approx(math.exp(2.0 * 3.0 * math.exp(2.0)), rel=1e-12)
 
     def test_pure_distance_decay(self):
         spec = LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
@@ -831,21 +832,23 @@ class TestLightCone:
                 measure_light_cone(spec, threshold=2.0, t_max=-1.0, r_max=0)
 
     def test_rejects_infinite_physical_velocity(self):
+        # the scan speaks sites/s whatever the spacing; its m/s is one product
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0, a=1e308)
+        fitted = measure_light_cone(spec, threshold=1e-3, t_max=5.0,
+                                    r_max=7).fitted_velocity_lattice
+        assert fitted > 1.8
         with pytest.raises(LatticeError, match=re.escape(
                 "physical fitted velocity overflows at a=1e+308")):
-            measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=7)
-        spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0, a=1e300)
-        scan = measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=7)
-        assert scan.fitted_velocity_physical == scan.fitted_velocity_lattice * 1e300
+            physical_velocity(spec.a, fitted, "fitted velocity")
+        assert physical_velocity(1e300, fitted, "fitted velocity") == fitted * 1e300
 
     def test_nearest_neighbor_velocity(self):
         spec = LatticeSpec(d=1, L=200, lam=(1.0,), m=1.0)
         scan = measure_light_cone(spec, threshold=1e-3, t_max=100.0,
                                   r_max=90, dt=0.05)
-        gv = max_group_velocity(spec).lattice_units
+        gv = max_group_velocity(spec)
         assert scan.fitted_velocity_lattice == pytest.approx(gv, rel=0.10)
-        assert scan.fitted_velocity_lattice < lr_bound_velocity(spec)
+        assert scan.fitted_velocity_lattice < lr_speed(spec.d, spec.lam, spec.m)
 
     def test_velocity_scales_as_sqrt_coupling(self):
         spec1 = LatticeSpec(d=1, L=200, lam=(1.0,), m=1.0)
@@ -966,8 +969,8 @@ class TestLightCone:
         spec = LatticeSpec(d=2, L=32, lam=(1.0,), m=1.0)
         scan = measure_light_cone(spec, threshold=0.1, t_max=20.0,
                                   r_max=12, dt=0.05)
-        assert scan.fitted_velocity_lattice < lr_bound_velocity(spec)
-        assert lr_bound_velocity(spec) == pytest.approx(4.0 * math.sqrt(2.0),
+        assert scan.fitted_velocity_lattice < lr_speed(spec.d, spec.lam, spec.m)
+        assert lr_speed(spec.d, spec.lam, spec.m) == pytest.approx(4.0 * math.sqrt(2.0),
                                                         rel=1e-12)
 
 
@@ -1081,7 +1084,7 @@ class TestCausalityTail:
     @pytest.mark.parametrize("d,L,lam", [(1, 200, (1.0,)), (2, 32, (1.0,))])
     def test_commutator_negligible_outside_bound_cone(self, d, L, lam):
         spec = LatticeSpec(d=d, L=L, lam=lam, m=1.0)
-        v_bound = lr_bound_velocity(spec)
+        v_bound = lr_speed(spec.d, spec.lam, spec.m)
         omega = normal_modes(spec)
         r_cap = L // 2 - spec.nu
         for t in (0.5, 2.0, 5.0):

@@ -11,9 +11,28 @@ from qram_bounds.params import (Conventions, HardwareParams, ParamsError,
 
 def make_params(**overrides):
     base = dict(a=1e-6, delta_t=1e-3, g1=math.pi * 1e3, g2=math.pi * 1e3,
-                lam=(1.0,), m=1.0, d=1, nu=1)
+                lam=(1.0,), m=1.0, d=1)
     base.update(overrides)
     return HardwareParams(**base)
+
+
+# Edits of TestConfigFile.GOOD (lambda = 1.0, 0.5 and nu = 2) and the one
+# error each load names (nu = 1 is test_mismatch_reported). A config states
+# nu; the record derives it from lam.
+RANGE_REFUSALS = [
+    ({"nu = 2": "nu = 0"}, "nonpositive interaction range"),
+    ({"nu = 2": "nu = -1"}, "nonpositive interaction range"),
+    ({"nu = 2": "nu = 3"}, "range/coupling length mismatch"),
+    ({"lambda = 1.0, 0.5": "lambda = 1.0"}, "range/coupling length mismatch"),
+    # two faults: the earlier invariant is the one named
+    ({"nu = 2": "nu = 0", "lambda = 1.0, 0.5": "lambda = 1.0"},
+     "nonpositive interaction range"),
+    ({"nu = 2": "nu = 0", "a = 1e-6": "a = 0"}, "nonpositive lattice spacing"),
+    ({"nu = 2": "nu = 0", "d = 2": "d = 4"}, "dimension must be 1, 2, or 3"),
+    ({"nu = 2": "nu = 3", "m = 1.0": "m = nan"}, "non-finite m"),
+    ({"nu = 2": "nu = two"},
+     "malformed config value: invalid literal for int() with base 10: 'two'"),
+]
 
 
 class TestValidate:
@@ -26,8 +45,12 @@ class TestValidate:
             make_params(a=0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(ParamsError, match="range/coupling length mismatch"):
-            make_params(lam=(1.0, 2.0), nu=1)
+        # the range is the number of couplings, so no record can mismatch
+        # them; a config file that states another nu is refused on loading
+        assert make_params(lam=(1.0, 2.0)).nu == 2
+        assert replace(make_params(), lam=(1.0, 0.0, 3.0)).nu == 3
+        with pytest.raises(TypeError):
+            make_params(nu=1)
 
     @pytest.mark.parametrize("field,value,message", [
         ("delta_t", -1.0, "nonpositive clock cycle"),
@@ -38,7 +61,6 @@ class TestValidate:
         ("lam", (-1.0,), "negative spring constant"),
         ("lam", (0.0,), "all spring constants zero"),
         ("d", 4, "dimension must be"),
-        ("nu", 0, "nonpositive interaction range"),
     ])
     def test_first_violation_named(self, field, value, message):
         with pytest.raises(ParamsError, match=message):
@@ -53,7 +75,7 @@ class TestValidate:
     @pytest.mark.parametrize("lam", [(math.nan,), (1.0, math.inf)])
     def test_non_finite_spring_constant_named(self, lam):
         with pytest.raises(ParamsError, match="non-finite spring constant in lam"):
-            make_params(lam=lam, nu=len(lam))
+            make_params(lam=lam)
 
     @pytest.mark.parametrize("field", ["g1", "g2"])
     def test_coupling_too_small_for_tau0_named(self, field):
@@ -187,13 +209,13 @@ class TestConstructionBoundary:
         (dict(lam=(0.0,)), "all spring constants zero"),
         (dict(d=0), "dimension must be 1, 2, or 3"),
         (dict(d=4), "dimension must be 1, 2, or 3"),
-        (dict(nu=0), "nonpositive interaction range"),
-        (dict(lam=(1.0, 2.0)), "range/coupling length mismatch"),
-        (dict(nu=2), "range/coupling length mismatch"),
+        # a bad coupling after the first is named, with no range field to match
+        (dict(lam=(1.0, -2.0)), "negative spring constant"),
+        (dict(lam=(0.0, 0.0, 0.0)), "all spring constants zero"),
+        (dict(lam=(1.0, 0.5, math.inf)), "non-finite spring constant in lam"),
         # two faults: the earlier invariant is the one named
         (dict(a=0.0, m=0.0), "nonpositive lattice spacing"),
         (dict(m=math.nan, a=0.0), "non-finite m"),
-        (dict(d=4, nu=0), "dimension must be 1, 2, or 3"),
     ])
     def test_replace_refuses_every_params_invariant(self, changes, message):
         valid = make_params()
@@ -286,3 +308,19 @@ c_max = 3e8
         path.write_text(self.GOOD.replace("nu = 2", "nu = 1"))
         with pytest.raises(ParamsError, match="range/coupling length mismatch"):
             load_config(path)
+
+    @pytest.mark.parametrize("edits,message", RANGE_REFUSALS)
+    def test_range_refused_by_name(self, edits, message, tmp_path):
+        text = self.GOOD
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        path = tmp_path / "hw.cfg"
+        path.write_text(text)
+        with pytest.raises(ParamsError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+
+    def test_range_is_the_number_of_couplings(self, tmp_path):
+        path = tmp_path / "hw.cfg"
+        path.write_text(self.GOOD.replace("lambda = 1.0, 0.5", "lambda = 1, 0, 2")
+                        .replace("nu = 2", "nu = 3"))
+        assert load_config(path).nu == 3

@@ -1,3 +1,4 @@
+import importlib.util
 import shutil
 import subprocess
 import sys
@@ -55,3 +56,29 @@ def test_script_regenerates_committed_results(script, written, tmp_path):
     assert {path.name for path in out.iterdir()} == written
     for name in written:
         assert (out / name).read_bytes() == (ROOT / "results" / name).read_bytes()
+
+
+# float.hex of the (fitted, group_velocity, bound) velocities, in sites/s,
+# that scripts/lightcone_scan.py writes at :g into the "#" line of each
+# results/cone_*.csv; the files alone pin them only to 1e-6 relative
+CONE_VELOCITIES = {
+    "cone_1d_nn": ("0x1.0b4e76e0453c6p+0", "0x1.0000000000000p+0",
+                   "0x1.0000000000000p+2"),
+    "cone_1d_two_range": ("0x1.31c201378dcf5p+1", "0x1.1e3779b97f4a8p+1",
+                          "0x1.6a09e667f3bcdp+2"),
+    "cone_2d_axis": ("0x1.0e51a9450e859p+0", "0x1.0000000000000p+0",
+                     "0x1.6a09e667f3bcdp+2"),
+}
+
+
+def test_lightcone_script_velocities_bit_for_bit(monkeypatch):
+    module_spec = importlib.util.spec_from_file_location(
+        "lightcone_scan", SCRIPTS / "lightcone_scan.py")
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    written = {}   # the "#" line values main() hands to the CSV writer, by case
+    monkeypatch.setattr(script, "_write_cone_csv", lambda path, scan, meta:
+                        written.__setitem__(Path(path).stem, meta))
+    script.main()
+    assert {name: tuple(meta[key].hex() for key in ("fitted", "group_velocity", "bound"))
+            for name, meta in written.items()} == CONE_VELOCITIES

@@ -46,10 +46,12 @@ class HardwareParams:
             raise ParamsError("nonpositive speed cap")
         if any(l < 0 for l in self.lam):
             raise ParamsError("negative spring constant")
-        if not any(l > 0 for l in self.lam):
+        if self.lam and not any(l > 0 for l in self.lam):
             raise ParamsError("all spring constants zero")
         if self.d not in (1, 2, 3):
             raise ParamsError("dimension must be 1, 2, or 3")
+        if self.nu < 1:
+            raise ParamsError("nonpositive interaction range")
 
     @property
     def nu(self) -> int:

@@ -61,6 +61,7 @@ class TestValidate:
         ("lam", (-1.0,), "negative spring constant"),
         ("lam", (0.0,), "all spring constants zero"),
         ("d", 4, "dimension must be"),
+        ("lam", (), "nonpositive interaction range"),
     ])
     def test_first_violation_named(self, field, value, message):
         with pytest.raises(ParamsError, match=message):
@@ -209,13 +210,17 @@ class TestConstructionBoundary:
         (dict(lam=(0.0,)), "all spring constants zero"),
         (dict(d=0), "dimension must be 1, 2, or 3"),
         (dict(d=4), "dimension must be 1, 2, or 3"),
+        # no couplings: the range nu = len(lam) is 0
+        (dict(lam=()), "nonpositive interaction range"),
         # a bad coupling after the first is named, with no range field to match
         (dict(lam=(1.0, -2.0)), "negative spring constant"),
         (dict(lam=(0.0, 0.0, 0.0)), "all spring constants zero"),
-        (dict(lam=(1.0, 0.5, math.inf)), "non-finite spring constant in lam"),
         # two faults: the earlier invariant is the one named
         (dict(a=0.0, m=0.0), "nonpositive lattice spacing"),
         (dict(m=math.nan, a=0.0), "non-finite m"),
+        (dict(d=4, lam=()), "dimension must be 1, 2, or 3"),
+        # after the two-fault cases so that their ids keep their index
+        (dict(lam=(1.0, 0.5, math.inf)), "non-finite spring constant in lam"),
     ])
     def test_replace_refuses_every_params_invariant(self, changes, message):
         valid = make_params()

@@ -108,7 +108,7 @@ def naive_max_qubits(a: float, delta_t: float, c: float,
     per depth unit, saturates signal speed ``c``: N = (c*delta_t/a) * log N."""
     if a <= 0 or delta_t <= 0 or c <= 0:
         raise BoundError("all inputs must be positive")
-    return fixed_point_solve(c * delta_t / a, p=1, log_base=log_base)
+    return capacity(c, delta_t, a, 1, Conventions(log_base=log_base, depth_exponent=1))[0]
 
 
 def _resolve_velocity(params: HardwareParams, conv: Conventions) -> float:

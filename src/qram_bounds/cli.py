@@ -252,15 +252,19 @@ def _write_cone_csv(path: str | Path, scan: lattice.LightConeScan,
 
 def _cmd_lightcone(args) -> int:
     lam = tuple(_parse_item("--lam", float, x) for x in args.lam.split(","))
-    spec = lattice.LatticeSpec(d=args.d, L=args.L, lam=lam, m=args.m, a=args.a)
+    spec = lattice.LatticeSpec(d=args.d, L=args.L, lam=lam, m=args.m)
+    if not math.isfinite(args.a):
+        raise lattice.LatticeError("non-finite lattice spacing a")
+    if args.a <= 0:
+        raise lattice.LatticeError("nonpositive lattice spacing")
     r_max = args.r_max if args.r_max is not None else spec.L // 2 - spec.nu
     scan = lattice.measure_light_cone(spec, threshold=args.threshold,
                                       t_max=args.t_max, r_max=r_max,
                                       dt=args.dt, fit_r_min=args.fit_r_min)
     fitted = scan.fitted_velocity_lattice
-    fitted_m_s = lattice.physical_velocity(spec.a, fitted, "fitted velocity")
+    fitted_m_s = lattice.physical_velocity(args.a, fitted, "fitted velocity")
     gv = lattice.max_group_velocity(spec)
-    gv_m_s = lattice.physical_velocity(spec.a, gv, "group velocity")
+    gv_m_s = lattice.physical_velocity(args.a, gv, "group velocity")
     bound = lattice.lr_speed(spec.d, spec.lam, spec.m)
     if args.out:
         _write_cone_csv(args.out, scan, {

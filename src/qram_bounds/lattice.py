@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .params import checked_phase
+from .params import checked_couplings, checked_phase
 
 _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
@@ -45,34 +45,16 @@ class LatticeSpec:
     L: int                   # sites per axis (n_sites = L^d)
     lam: tuple[float, ...]   # couplings lam_1..lam_nu [kg/s^2]
     m: float                 # site mass [kg]
-    a: float = 1.0           # spacing [m]
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
-        if self.d not in (1, 2, 3):
-            raise LatticeError("dimension must be 1, 2, or 3")
-        if not math.isfinite(self.m):
-            raise LatticeError("non-finite site mass m")
-        if not math.isfinite(self.a):
-            raise LatticeError("non-finite lattice spacing a")
-        if not all(math.isfinite(l) for l in self.lam):
-            raise LatticeError("non-finite spring constant in lam")
-        if self.m <= 0:
-            raise LatticeError("nonpositive site mass")
-        if self.a <= 0:
-            raise LatticeError("nonpositive lattice spacing")
-        if len(self.lam) < 1:
-            raise LatticeError("empty coupling list")
-        if any(l < 0 for l in self.lam):
-            raise LatticeError("negative spring constant")
-        if not any(l > 0 for l in self.lam):
-            raise LatticeError("all spring constants zero")
+        object.__setattr__(self, "lam",
+                           checked_couplings(LatticeError, self.d, self.lam, self.m))
         weight = sum(max(4, j * j) * l for j, l in enumerate(self.lam, start=1))
         if not math.isfinite(self.d * weight / self.m):  # bounds omega^2, |grad omega|^2
             raise LatticeError("dispersion bound d*sum_j max(4, j^2)*lam_j/m "
                                f"overflows at lam={self.lam!r}, m={self.m!r}")
-        if self.L < 1:
-            raise LatticeError("L too small for range")
+        if type(self.L) is not int or self.L < 1:
+            raise LatticeError("L must be an int >= 1")
 
     @property
     def nu(self) -> int:

@@ -28,30 +28,19 @@ class HardwareParams:
     c_max: float = SPEED_OF_LIGHT  # absolute speed cap [m/s]
 
     def __post_init__(self):
-        """Raise ParamsError naming the first violated invariant."""
-        object.__setattr__(self, "lam", tuple(float(x) for x in self.lam))
-        for name in ("a", "delta_t", "g1", "g2", "m", "c_max"):
+        """Raise ParamsError naming the first violated invariant, couplings first."""
+        object.__setattr__(self, "lam",
+                           checked_couplings(ParamsError, self.d, self.lam, self.m))
+        for name in ("a", "delta_t", "g1", "g2", "c_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ParamsError(f"non-finite {name}")
-        if not all(math.isfinite(l) for l in self.lam):
-            raise ParamsError("non-finite spring constant in lam")
         if self.a <= 0:
             raise ParamsError("nonpositive lattice spacing")
         if self.delta_t <= 0:
             raise ParamsError("nonpositive clock cycle time")
         tau0(self.g1, self.g2)   # refuses a nonpositive or overflowing coupling
-        if self.m <= 0:
-            raise ParamsError("nonpositive site mass")
         if self.c_max <= 0:
             raise ParamsError("nonpositive speed cap")
-        if any(l < 0 for l in self.lam):
-            raise ParamsError("negative spring constant")
-        if self.lam and not any(l > 0 for l in self.lam):
-            raise ParamsError("all spring constants zero")
-        if self.d not in (1, 2, 3):
-            raise ParamsError("dimension must be 1, 2, or 3")
-        if self.nu < 1:
-            raise ParamsError("nonpositive interaction range")
 
     @property
     def nu(self) -> int:
@@ -97,6 +86,28 @@ class Conventions:
                 raise ParamsError("nonpositive explicit velocity")
         object.__setattr__(self, "log_base", base)
         object.__setattr__(self, "velocity_source", src)
+
+
+def checked_couplings(error: type[ValueError], d: int, lam, m: float) -> tuple:
+    """The couplings ``lam`` as a tuple of floats, refused by ``error`` at the
+    first violated lattice invariant: d is the int 1, 2 or 3, m is finite and
+    positive, and lam holds one or more finite couplings >= 0, not all zero."""
+    lam = tuple(map(float, lam))
+    if type(d) is not int or d not in (1, 2, 3):
+        raise error("dimension must be 1, 2, or 3")
+    if not math.isfinite(m):
+        raise error("non-finite site mass m")
+    if not all(map(math.isfinite, lam)):
+        raise error("non-finite spring constant in lam")
+    if m <= 0:
+        raise error("nonpositive site mass")
+    if not lam:
+        raise error("nonpositive interaction range")
+    if min(lam) < 0:
+        raise error("negative spring constant")
+    if max(lam) == 0:
+        raise error("all spring constants zero")
+    return lam
 
 
 def tau0(g1: float, g2: float) -> float:

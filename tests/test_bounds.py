@@ -10,7 +10,7 @@ from qram_bounds.bounds import (BoundError, FixedPointError, capacity, coarse_gr
                                 fixed_point_solve, naive_max_qubits, qft_velocity,
                                 qram_max_qubits, teleport_hybrid_max_qubits)
 from qram_bounds.lattice import lr_speed, physical_velocity
-from qram_bounds.params import Conventions, HardwareParams, density
+from qram_bounds.params import Conventions, HardwareParams, ParamsError, density
 
 
 def make_params(**overrides):
@@ -289,6 +289,26 @@ class TestNaiveMaxQubits:
     def test_rejects_nonpositive(self):
         with pytest.raises(BoundError, match="positive"):
             naive_max_qubits(0.0, 1.0, 1.0)
+        # two negative inputs give a positive R, so the R check alone would pass them
+        with pytest.raises(BoundError, match="^all inputs must be positive$"):
+            naive_max_qubits(-1e-6, -1e-3, 3e8)
+
+    @pytest.mark.parametrize("log_base", ["natural", "e", "2", "two"])
+    def test_is_the_capacity_at_p1(self, log_base):
+        # one capacity rule: the log base is spelled as in Conventions ("e"
+        # was read as base 2), and R is refused by the capacity's message
+        conv = Conventions(log_base=log_base, depth_exponent=1)
+        assert (naive_max_qubits(1e-6, 1e-3, 3e8, log_base)
+                == capacity(3e8, 1e-3, 1e-6, 1, conv)[0]
+                == fixed_point_solve(3e8 * 1e-3 / 1e-6, 1, conv.log_base))
+        with pytest.raises(ParamsError, match="^unknown log base '10'"):
+            naive_max_qubits(1e-6, 1e-3, 3e8, "10")
+        for a, delta_t, c in ((1e-300, 1e300, 1e300), (1e300, 1e-300, 1e-300),
+                              (math.nan, 1.0, 1.0)):
+            with pytest.raises(BoundError, match=re.escape(
+                    "ratio R = v*tau0/a leaves the float range at "
+                    f"v={c!r}, tau0={delta_t!r}, a={a!r}")):
+                naive_max_qubits(a, delta_t, c, log_base)
 
 
 class TestQramMaxQubits:
@@ -433,7 +453,7 @@ class TestCrossModuleConsistency:
     def test_one_dimensional_case_holds_at_any_spacing(self):
         for a in (0.5, 1.0, 2.5):
             p = make_params(lam=(1.0, 0.5), m=1.3, d=1, a=a)
-            spec = lattice.LatticeSpec(d=1, L=12, lam=(1.0, 0.5), m=1.3, a=a)
+            spec = lattice.LatticeSpec(d=1, L=12, lam=(1.0, 0.5), m=1.3)
             q = 1e-7
             slope_physical = a * lattice.dispersion(spec, q) / q
             v_qft = qft_velocity(coarse_grain(p), density(p))
@@ -444,7 +464,7 @@ class TestCrossModuleConsistency:
         # slope per wavevector component along the diagonal, in m/s
         for a in (1e-6, 0.5, 2.5):
             p = make_params(lam=(1.0, 0.5), m=1.3, d=d, a=a)
-            spec = lattice.LatticeSpec(d=d, L=12, lam=(1.0, 0.5), m=1.3, a=a)
+            spec = lattice.LatticeSpec(d=d, L=12, lam=(1.0, 0.5), m=1.3)
             q = 1e-7
             slope_physical = a * lattice.dispersion(spec, (q,) * d) / q
             v_qft = qft_velocity(coarse_grain(p), density(p))

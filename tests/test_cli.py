@@ -1,7 +1,11 @@
 import hashlib
 import json
 import math
+import os
+import platform
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +106,7 @@ class TestBoundCommand:
     @pytest.mark.parametrize("line,message", [
         ("g1 = inf", "non-finite g1"),
         ("g1 = nan", "non-finite g1"),
-        ("m = inf", "non-finite m"),
+        ("m = inf", "non-finite site mass m"),
         ("lambda = nan", "non-finite spring constant in lam"),
     ])
     def test_non_finite_config_exits_2(self, tmp_path, capsys, line, message):
@@ -477,7 +481,8 @@ class TestLightconeCommand:
     def test_lattice_below_scan_margin_exits_2(self, L, capsys):
         # L < 1 is refused by LatticeSpec, 1 <= L < 2*nu + 2 by the scan
         assert main(["lightcone", "--L", L]) == 2
-        assert capsys.readouterr().err == "error: L too small for range\n"
+        message = "L must be an int >= 1" if int(L) < 1 else "L too small for range"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("lam", ["1.0", "4"])
     def test_physical_velocity_out_of_float_range_exits_2(self, lam, capsys):
@@ -513,6 +518,26 @@ class TestLightconeCommand:
     def test_non_finite_lattice_exits_2(self, args, message, capsys):
         assert main(["lightcone", "--L", "64", "--r-max", "10", "--t-max", "5",
                      "--dt", "0.05", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args,message", [
+        (["--a", "0"], "nonpositive lattice spacing"),
+        (["--a=-1e-6"], "nonpositive lattice spacing"),
+        (["--a", "nan"], "non-finite lattice spacing a"),
+        (["--a=-inf"], "non-finite lattice spacing a"),
+        # the lattice is checked first, then the spacing
+        (["--a", "0", "--lam", "-1"], "negative spring constant"),
+        (["--a", "inf", "--m", "nan"], "non-finite site mass m"),
+        (["--a", "0", "--L", "0"], "L must be an int >= 1"),
+    ])
+    def test_bad_spacing_exits_2_before_the_scan(self, args, message, monkeypatch,
+                                                 capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("scanned before the spacing check")
+        monkeypatch.setattr(lattice, "measure_light_cone", never)
+        assert main(["lightcone", *args]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
@@ -820,7 +845,72 @@ class TestParserBuiltOnce:
         assert (args.velocity, args.velocity_source) == (None, "lieb_robinson")
 
 
+class TestRefusalLines:
+    """One argv per refusal that no other test pins by its words: each
+    exits 2 with one exact ``error:`` line and prints nothing to stdout."""
+
+    CONFIGS = {"no_equals.cfg": GOOD_CONFIG.replace("delta_t = 1e-3", "delta_t 1e-3"),
+               "duplicate.cfg": GOOD_CONFIG.replace("a = 1e-6", "a = 1e-6\na = 2e-6")}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["lightcone", "--r-max", "0"], "r_max must be >= 1"),
+        (["lightcone", "--t-max", "0"], "t_max must be positive"),
+        (["lightcone", "--d", "4"], "dimension must be 1, 2, or 3"),
+        (["sweep", "--out", "{tmp}/s.csv", "--axis", "velocity:1:10:2:log",
+          "--axis", "g:1:10:2:log", "--axis", "v2:1:10:2:log"],
+         "sweep needs 1 or 2 axes"),
+        (["sweep", "--out", "{tmp}/s.csv", "--axis", "velocity:10:1:5:log"],
+         "axis range must satisfy 0 < lo < hi"),
+        (["bound", "--config", "{tmp}/no_equals.cfg"], "line 2: expected 'key = value'"),
+        (["bound", "--config", "{tmp}/duplicate.cfg"], "duplicate config key 'a'"),
+        (["qramsim", "--random-db", "--N", "8", "--address", "8"],
+         "address 8 out of range for N=8"),
+    ])
+    def test_exits_2_with_one_exact_line(self, argv, message, tmp_path, capsys):
+        for name, text in self.CONFIGS.items():
+            (tmp_path / name).write_text(text)
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert not (tmp_path / "s.csv").exists()
+
+
+def openblas_kernel_skip_reason(kernel):
+    """Why ``OPENBLAS_CORETYPE=kernel`` cannot be tried here, or None."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return "numpy does not report its BLAS"
+    if "openblas" not in blas.lower():
+        return f"numpy's BLAS is {blas}, not OpenBLAS"
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        return "OpenBLAS x86 kernels need an x86-64 CPU"
+    if kernel == "Haswell":
+        cpuinfo = Path("/proc/cpuinfo")
+        if not cpuinfo.exists() or " avx2" not in cpuinfo.read_text():
+            return "the Haswell kernel needs AVX2"
+    return None
+
+
 class TestVerifyCommand:
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_verdicts_independent_of_openblas_kernel(self, kernel):
+        # the kernel is chosen when OpenBLAS loads, so only a child process
+        # can run under another one
+        reason = openblas_kernel_skip_reason(kernel)
+        if reason:
+            pytest.skip(reason)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+               "PYTHONPATH": os.pathsep.join(filter(None, [
+                   src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "qram_bounds.cli", "verify"],
+                              capture_output=True, text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert "FAIL" not in proc.stdout
+        assert len(proc.stdout.splitlines()) == 5
+
     def test_clean_build_exits_0(self, capsys):
         assert main(["verify"]) == 0
         out = capsys.readouterr().out

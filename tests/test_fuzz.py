@@ -109,8 +109,7 @@ def test_closed_form_velocities(d, lam, m, a, stiffness, rho):
 @FUZZ
 def test_lattice(data, d, L):
     draw = data.draw
-    spec = finite_or_refused(lattice.LatticeSpec, d, L, draw(LAMS),
-                             draw(FLOATS), draw(FLOATS))
+    spec = finite_or_refused(lattice.LatticeSpec, d, L, draw(LAMS), draw(FLOATS))
     if spec is None:
         return
     finite_or_refused(lattice.dispersion, spec, [draw(FLOATS)] * d)
@@ -119,7 +118,7 @@ def test_lattice(data, d, L):
     finite_or_refused(lattice.lr_speed, spec.d, spec.lam, spec.m)
     v = finite_or_refused(lattice.max_group_velocity, spec)
     if v is not None:
-        finite_or_refused(lattice.physical_velocity, spec.a, v, "group velocity")
+        finite_or_refused(lattice.physical_velocity, draw(FLOATS), v, "group velocity")
     bp = finite_or_refused(lattice.LRBoundParams, draw(FLOATS), draw(FLOATS))
     if bp is not None:
         finite_or_refused(lattice.lr_bound_envelope, spec, bp, draw(FLOATS),

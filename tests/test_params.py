@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, strategies as st
 
+from qram_bounds.lattice import LatticeError, LatticeSpec
 from qram_bounds.params import (Conventions, HardwareParams, ParamsError,
                                 density, load_config, tau0)
 
@@ -29,7 +30,7 @@ RANGE_REFUSALS = [
      "nonpositive interaction range"),
     ({"nu = 2": "nu = 0", "a = 1e-6": "a = 0"}, "nonpositive lattice spacing"),
     ({"nu = 2": "nu = 0", "d = 2": "d = 4"}, "dimension must be 1, 2, or 3"),
-    ({"nu = 2": "nu = 3", "m = 1.0": "m = nan"}, "non-finite m"),
+    ({"nu = 2": "nu = 3", "m = 1.0": "m = nan"}, "non-finite site mass m"),
     ({"nu = 2": "nu = two"},
      "malformed config value: invalid literal for int() with base 10: 'two'"),
 ]
@@ -70,7 +71,9 @@ class TestValidate:
     @pytest.mark.parametrize("field", ["a", "delta_t", "g1", "g2", "m", "c_max"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_field_named(self, field, value):
-        with pytest.raises(ParamsError, match=f"non-finite {field}$"):
+        # the mass is checked with the couplings, in the lattice's words
+        name = "site mass m" if field == "m" else field
+        with pytest.raises(ParamsError, match=f"^non-finite {name}$"):
             make_params(**{field: value})
 
     @pytest.mark.parametrize("lam", [(math.nan,), (1.0, math.inf)])
@@ -195,7 +198,7 @@ class TestConstructionBoundary:
         (dict(delta_t=math.inf), "non-finite delta_t"),
         (dict(g1=-math.inf), "non-finite g1"),
         (dict(g2=math.nan), "non-finite g2"),
-        (dict(m=math.inf), "non-finite m"),
+        (dict(m=math.inf), "non-finite site mass m"),
         (dict(c_max=math.nan), "non-finite c_max"),
         (dict(lam=(math.inf,)), "non-finite spring constant in lam"),
         (dict(a=0.0), "nonpositive lattice spacing"),
@@ -215,9 +218,10 @@ class TestConstructionBoundary:
         # a bad coupling after the first is named, with no range field to match
         (dict(lam=(1.0, -2.0)), "negative spring constant"),
         (dict(lam=(0.0, 0.0, 0.0)), "all spring constants zero"),
-        # two faults: the earlier invariant is the one named
-        (dict(a=0.0, m=0.0), "nonpositive lattice spacing"),
-        (dict(m=math.nan, a=0.0), "non-finite m"),
+        # two faults: the earlier invariant is the one named, and the
+        # couplings and mass are checked first
+        (dict(a=0.0, m=0.0), "nonpositive site mass"),
+        (dict(m=math.nan, a=0.0), "non-finite site mass m"),
         (dict(d=4, lam=()), "dimension must be 1, 2, or 3"),
         # after the two-fault cases so that their ids keep their index
         (dict(lam=(1.0, 0.5, math.inf)), "non-finite spring constant in lam"),
@@ -226,6 +230,30 @@ class TestConstructionBoundary:
         valid = make_params()
         with pytest.raises(ParamsError, match=f"^{re.escape(message)}$"):
             replace(valid, **changes)
+
+    @pytest.mark.parametrize("d,lam,m,message", [
+        (0, (1.0,), 1.0, "dimension must be 1, 2, or 3"),
+        (2.0, (1.0,), 1.0, "dimension must be 1, 2, or 3"),
+        (True, (1.0,), 1.0, "dimension must be 1, 2, or 3"),
+        (1, (1.0,), math.nan, "non-finite site mass m"),
+        (1, (1.0, -math.inf), 1.0, "non-finite spring constant in lam"),
+        (1, (1.0,), -1.0, "nonpositive site mass"),
+        (1, (), 1.0, "nonpositive interaction range"),
+        (1, (1.0, -2.0), 1.0, "negative spring constant"),
+        (1, (0.0, -0.0), 1.0, "all spring constants zero"),
+        # several faults: the first of the list above is named
+        (4, (), math.nan, "dimension must be 1, 2, or 3"),
+        (1, (math.nan, -1.0), 0.0, "non-finite spring constant in lam"),
+        (1, (), -1.0, "nonpositive site mass"),
+        (1, (-1.0, 0.0), 1.0, "negative spring constant"),
+    ])
+    def test_both_records_share_the_coupling_check(self, d, lam, m, message):
+        # one check per invariant: a hardware record and a lattice spec
+        # refuse the same couplings with the same words
+        with pytest.raises(ParamsError, match=f"^{re.escape(message)}$"):
+            make_params(d=d, lam=lam, m=m)
+        with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+            LatticeSpec(d=d, L=8, lam=lam, m=m)
 
     @pytest.mark.parametrize("changes,message", [
         (dict(log_base="10"), "unknown log base '10' (use 'natural' or '2')"),

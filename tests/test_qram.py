@@ -302,6 +302,11 @@ class TestClassicalDatabase:
         with pytest.raises(QramError, match="power of two"):
             ClassicalDatabase((0, 1, 1))
 
+    @pytest.mark.parametrize("bits", [(0, 2), (1, 0, -1, 1), (0, 1, 1, 0, 1, 0, 0, 7)])
+    def test_rejects_entries_that_are_not_bits(self, bits):
+        with pytest.raises(QramError, match="^database entries must be bits$"):
+            ClassicalDatabase(bits)
+
     def test_random_database_deterministic(self):
         assert random_database(8, seed=3).bits == random_database(8, seed=3).bits
 
@@ -317,6 +322,11 @@ class TestClassicalTrace:
         db = ClassicalDatabase((0, 1, 1, 0, 1, 0, 0, 1))
         for x in range(8):
             assert qram.classical_trace_read(db, x) == db.bits[x]
+
+    @pytest.mark.parametrize("N,address", [(2, -1), (2, 2), (8, 8), (8, -8)])
+    def test_rejects_address_out_of_range(self, N, address):
+        with pytest.raises(QramError, match="^address out of range$"):
+            qram.classical_trace_read(random_database(N, seed=1), address)
 
 
 class TestDataCopy:

@@ -1,7 +1,7 @@
 """Closed-form velocity and capacity-bound formulas, and the fixed-point
 solver for maximum qubit counts.
 
-The lattice velocities count sites per second; ``_resolve_velocity`` turns
+The lattice velocities count sites per second; ``capped_velocity`` turns
 them into m/s through ``lattice.physical_velocity``, the one product with
 the spacing a.
 """
@@ -111,29 +111,31 @@ def naive_max_qubits(a: float, delta_t: float, c: float,
     return capacity(c, delta_t, a, 1, Conventions(log_base=log_base, depth_exponent=1))[0]
 
 
-def _resolve_velocity(params: HardwareParams, conv: Conventions) -> float:
-    """Physical velocity [m/s] selected by ``conv.velocity_source``.
+def capped_velocity(params: HardwareParams, src: str | float) -> float:
+    """Velocity [m/s] that the bound uses for the velocity source ``src``
+    (a ``Conventions.velocity_source``), capped at ``params.c_max``.
 
     An explicit numeric source is the per-axis (1D-form) speed scale; the
     d-dimensional limit picks up the sqrt(d) enhancement, mirroring the
     closed forms for the lattice and continuum limits. The "group" source
     is the actual maximal group velocity of the dispersion (no sqrt(d)).
     """
-    src = conv.velocity_source
     if src == "lieb_robinson":
-        return _lattice.physical_velocity(
+        v = _lattice.physical_velocity(
             params.a, _lattice.lr_speed(params.d, params.lam, params.m),
             "Lieb-Robinson velocity")
-    if src == "qft":
-        return qft_velocity(coarse_grain(params), density(params))
-    if src == "group":
+    elif src == "qft":
+        v = qft_velocity(coarse_grain(params), density(params))
+    elif src == "group":
         spec = _lattice.LatticeSpec(d=params.d, L=2 * params.nu + 2,
                                     lam=params.lam, m=params.m)
-        return _lattice.physical_velocity(
+        v = _lattice.physical_velocity(
             params.a, _lattice.max_group_velocity(spec), "group velocity")
-    if src == "teleport-hybrid":
-        return params.c_max
-    return math.sqrt(params.d) * float(src)
+    elif src == "teleport-hybrid":
+        v = params.c_max
+    else:
+        v = math.sqrt(params.d) * float(src)
+    return min(v, params.c_max)
 
 
 def capacity(v: float, tau: float, a: float, d: int,
@@ -155,7 +157,7 @@ def capacity(v: float, tau: float, a: float, d: int,
 def qram_max_qubits(params: HardwareParams, conventions: Conventions) -> BoundResult:
     """Capacity bound from N/log^p(N) <= v*tau0/a along one axis; the total
     across d dimensions is the linear extent raised to the d-th power."""
-    v = min(_resolve_velocity(params, conventions), params.c_max)
+    v = capped_velocity(params, conventions.velocity_source)
     extent, total = capacity(v, tau0(params.g1, params.g2), params.a,
                              params.d, conventions)
     return BoundResult(

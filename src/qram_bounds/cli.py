@@ -83,18 +83,6 @@ class SweepGrid:
                 raise ParamsError(f"dimension {d} repeated in dims {self.dims}")
 
 
-def _evaluate_point(grid: SweepGrid, values: dict[str, float], d: int) -> float:
-    fixed = grid.fixed
-    params = replace(fixed, d=d, g1=values.get("g", fixed.g1),
-                     g2=values.get("g", fixed.g2))
-    conv = grid.conventions
-    if "velocity" in values:
-        conv = replace(conv, velocity_source=values["velocity"])
-    if "v2" in values:
-        conv = replace(conv, velocity_source=math.sqrt(values["v2"]))
-    return bounds.qram_max_qubits(params, conv).max_qubits_total
-
-
 def _conventions_record(conv: Conventions, params: HardwareParams,
                         velocity_swept: bool = False) -> dict:
     """Conventions and scales behind a bound, as both the ``record`` line of
@@ -123,15 +111,30 @@ def write_csv(path: str | Path, meta: dict, header, rows) -> None:
 
 def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
     """Evaluate the grid and write a CSV with a conventions comment line;
-    returns the number of data rows."""
+    returns the number of data rows. Each cell is one ``bounds.capacity``
+    call. A dimension's record and named-source velocity, and the last
+    coupling's tau0, are made when a cell first needs them, so that a cell
+    meets the refusals of ``bounds.qram_max_qubits`` in the same order:
+    dimension, tau0, velocity, capacity."""
+    fixed, conv = grid.fixed, grid.conventions
     axis_cols = [ax.name for ax in grid.axes]
-    meta = _conventions_record(grid.conventions, grid.fixed, velocity_swept=any(
+    meta = _conventions_record(conv, fixed, velocity_swept=any(
         AXIS_QUANTITY[name] == "velocity" for name in axis_cols))
     meta["dims"] = ",".join(str(d) for d in grid.dims)
+    record = functools.cache(lambda d: replace(fixed, d=d))
+    stage = functools.lru_cache(maxsize=1)(tau0)  # memory stays flat on a long g axis
+    named = functools.cache(lambda d: bounds.capped_velocity(record(d), conv.velocity_source))
     rows = []
     for point in itertools.product(*(ax.values() for ax in grid.axes)):
         values = dict(zip(axis_cols, point))
-        rows.append((*point, *(_evaluate_point(grid, values, d) for d in grid.dims)))
+        g1, g2 = values.get("g", fixed.g1), values.get("g", fixed.g2)
+        v = math.sqrt(values["v2"]) if "v2" in values else values.get("velocity")
+        cells = []
+        for d in grid.dims:
+            params, tau = record(d), stage(g1, g2)
+            speed = named(d) if v is None else bounds.capped_velocity(params, v)
+            cells.append(bounds.capacity(speed, tau, params.a, d, conv)[1])
+        rows.append((*point, *cells))
     write_csv(out_path, meta,
               axis_cols + [f"max_qubits_d{d}" for d in grid.dims], rows)
     return len(rows)

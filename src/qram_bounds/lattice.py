@@ -565,17 +565,40 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
             arrival = float(ts[i + int(np.argmax(hit))])
         rows.append(ConeArrival(r=r, t_arrival=arrival, peak=peak))
 
-    pts = np.array([(row.t_arrival, row.r) for row in rows
-                    if row.t_arrival is not None and row.r >= fit_r_min], dtype=float)
-    if len(pts) < 2:
-        raise LatticeError("not enough arrivals to fit a velocity")
-    t_arr, r_arr = pts.T
-    design = np.vstack([t_arr, np.ones_like(t_arr)]).T
-    slope, intercept = np.linalg.lstsq(design, r_arr, rcond=None)[0]
-    residual = r_arr - (slope * t_arr + intercept)
-    return LightConeScan(rows=tuple(rows),
-                         fitted_velocity_lattice=float(slope),
+    slope, intercept, residual = _fit_line(
+        [(row.t_arrival, row.r) for row in rows
+         if row.t_arrival is not None and row.r >= fit_r_min])
+    return LightConeScan(rows=tuple(rows), fitted_velocity_lattice=slope,
                          threshold=threshold, t_max=t_max, dt=dt,
-                         fit_intercept=float(intercept),
-                         fit_residual=float(np.sqrt(np.mean(residual ** 2))),
+                         fit_intercept=intercept, fit_residual=residual,
                          n_no_arrival=sum(row.t_arrival is None for row in rows))
+
+
+def _fit_line(points: list[tuple[float, int]]) -> tuple[float, float, float]:
+    """Least-squares (slope, intercept, RMS residual) of r = slope*t + intercept
+    over the (t, r) points, in closed form from centred ``math.fsum`` sums:
+    no BLAS, so the same bits under every kernel. The times are scaled by
+    the power of two 2^-e that brings the largest below 1, which leaves
+    every rounding as it was and keeps the squares inside the float range.
+
+    When every time is the same c, any line through (c, mean r) fits; the
+    one returned is the least-norm one, c*mean(r), mean(r) over c^2 + 1, as
+    a least-squares solver returns it for that rank-one design."""
+    if len(points) < 2:
+        raise LatticeError("not enough arrivals to fit a velocity")
+    e = math.frexp(max(t for t, _ in points))[1]
+    t = [math.ldexp(t, -e) for t, _ in points]
+    r = [float(r) for _, r in points]
+    n = len(points)
+    t_mean, r_mean = math.fsum(t) / n, math.fsum(r) / n
+    stt = math.fsum((ti - t_mean) * (ti - t_mean) for ti in t)
+    if stt > 0.0:
+        slope = math.ldexp(math.fsum((ti - t_mean) * (ri - r_mean)
+                                     for ti, ri in zip(t, r)) / stt, -e)
+        intercept = r_mean - slope * math.ldexp(t_mean, e)
+    else:
+        c, h = points[0][0], math.hypot(points[0][0], 1.0)   # h^2 = c^2 + 1
+        slope, intercept = c / h * (r_mean / h), r_mean / h / h
+    residual = math.sqrt(math.fsum((ri - (slope * ti + intercept)) ** 2
+                                   for (ti, _), ri in zip(points, r)) / n)
+    return slope, intercept, residual

@@ -177,10 +177,11 @@ class ClassicalDatabase:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        _depth(len(self.bits))
-        if any(b not in (0, 1) for b in self.bits):
+        bits = tuple(self.bits)
+        _depth(len(bits))
+        if any(b not in (0, 1) for b in bits):  # before int() truncates 0.5 or 1.9
             raise QramError("database entries must be bits")
+        object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @property
     def N(self) -> int:

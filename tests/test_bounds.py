@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,8 +50,10 @@ def root_threshold(p, log_base="natural"):
 
 
 def lr_physical(params):
-    """The m/s Lieb-Robinson velocity that the bound reads for ``params``."""
-    return bounds._resolve_velocity(params, Conventions())
+    """The m/s Lieb-Robinson velocity that the bound reads for ``params``,
+    with the c_max cap lifted to the largest float."""
+    return bounds.capped_velocity(replace(params, c_max=sys.float_info.max),
+                                  "lieb_robinson")
 
 
 class TestLrVelocity:
@@ -397,7 +401,6 @@ class TestQramMaxQubits:
             for g in gs:
                 for inv_a in inv_as:
                     p = make_params(a=1.0 / inv_a, g1=g, g2=g)
-                    from dataclasses import replace
                     r = qram_max_qubits(p, replace(conv, velocity_source=v))
                     grid[(v, g, inv_a)] = r.max_qubits_total
         for i, v in enumerate(velocities[:-1]):

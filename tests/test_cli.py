@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -6,15 +7,16 @@ import platform
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qram_bounds import cli, lattice, qram, verify
+from qram_bounds import bounds, cli, lattice, qram, verify
 from qram_bounds.cli import AxisSpec, SweepGrid, fig3_grid, fig4_grid, main, run_sweep
-from qram_bounds.params import Conventions, ParamsError
+from qram_bounds.params import Conventions, HardwareParams, ParamsError
 
 GOOD_CONFIG = """\
 a = 1e-6
@@ -447,6 +449,120 @@ class TestSweepCommand:
         assert main([*argv, "--out", str(out)]) == 2
         assert_one_error_line(capsys.readouterr(), message)
         assert not out.exists()
+
+
+def per_cell_sweep(grid, out_path):
+    """The sweep as each cell alone would give it: a record and conventions
+    rebuilt per cell and one ``bounds.qram_max_qubits`` call, written as
+    ``run_sweep`` writes its CSV. This is the oracle for ``run_sweep``."""
+    fixed = grid.fixed
+    axis_cols = [ax.name for ax in grid.axes]
+    meta = cli._conventions_record(grid.conventions, fixed, velocity_swept=any(
+        cli.AXIS_QUANTITY[name] == "velocity" for name in axis_cols))
+    meta["dims"] = ",".join(str(d) for d in grid.dims)
+    rows = []
+    for point in itertools.product(*(ax.values() for ax in grid.axes)):
+        values = dict(zip(axis_cols, point))
+        cells = []
+        for d in grid.dims:
+            params = replace(fixed, d=d, g1=values.get("g", fixed.g1),
+                             g2=values.get("g", fixed.g2))
+            conv = grid.conventions
+            if "velocity" in values:
+                conv = replace(conv, velocity_source=values["velocity"])
+            if "v2" in values:
+                conv = replace(conv, velocity_source=math.sqrt(values["v2"]))
+            cells.append(bounds.qram_max_qubits(params, conv).max_qubits_total)
+        rows.append((*point, *cells))
+    cli.write_csv(out_path, meta,
+                  axis_cols + [f"max_qubits_d{d}" for d in grid.dims], rows)
+
+
+def sweep_outcome(sweep, grid, path):
+    """(0, CSV bytes), or (2, the ``error:`` line that ``main`` would print)."""
+    try:
+        sweep(grid, path)
+    except (ValueError, OSError) as exc:
+        return 2, f"error: {exc}"
+    return 0, path.read_bytes()
+
+
+# decades, one draw in four at an edge that reaches a refusal of a cell: a
+# velocity too slow for a root, a coupling whose tau0 overflows, an R or a
+# total past the float range
+DECADES = st.one_of(*[st.integers(0, 5)] * 3,
+                    st.sampled_from([-323, -310, -300, -150, 150, 300, 308]))
+
+
+@st.composite
+def sweep_axes(draw):
+    # a coupling axis alone leaves the named velocity source in use
+    names = draw(st.sampled_from([("velocity",), ("v2",), ("g",), ("g",), ("g",),
+                                  ("velocity", "g"), ("g", "velocity"),
+                                  ("v2", "g"), ("g", "v2")]))
+    axes = []
+    for name in names:
+        lo, hi = sorted(draw(st.lists(DECADES, min_size=2, max_size=2, unique=True)))
+        axes.append(AxisSpec(name, 10.0 ** lo, 10.0 ** hi,
+                             draw(st.integers(2, 4)), log=draw(st.booleans())))
+    return tuple(axes)
+
+
+@st.composite
+def sweep_grids(draw):
+    # mostly records whose capacities exist, as in the 2D two-range golden;
+    # the edges reach the refusals of each velocity source
+    fixed = HardwareParams(
+        a=draw(st.sampled_from([1e-6, 1e-6, 1e-3, 1.0, 1e-150, 1e150])),
+        delta_t=1e-3,
+        g1=draw(st.sampled_from([2000.0 * math.pi, 2000.0 * math.pi, 1.0, 1e-300])),
+        g2=draw(st.sampled_from([2000.0 * math.pi, 1.0])),
+        lam=tuple(draw(st.lists(st.sampled_from([2250.0, 300.0, 1.0, 1e-30, 1e300]),
+                                min_size=1, max_size=2))),
+        m=draw(st.sampled_from([1e-15, 1e-15, 1.0, 1e-300])), d=1,
+        c_max=draw(st.sampled_from([3e8, 3e8, 1e308, 1.0])))
+    conventions = Conventions(
+        log_base=draw(st.sampled_from(["natural", "2"])),
+        depth_exponent=draw(st.integers(0, 3)),
+        velocity_source=draw(st.sampled_from(["lieb_robinson", "qft", "group"])))
+    dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3,
+                         unique=True))
+    if draw(st.integers(0, 3)) == 0:   # d = 4 is refused by its record
+        dims.insert(draw(st.integers(0, len(dims))), 4)
+    return SweepGrid(axes=draw(sweep_axes()), fixed=fixed,
+                     conventions=conventions, dims=tuple(dims))
+
+
+class TestSweepAgainstPerCellPath:
+    @given(grid=sweep_grids())
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_csv_or_same_first_refusal(self, grid, tmp_path):
+        # the refusal must be the one of the first cell that the per-cell
+        # path refuses: dimension, then tau0, then velocity, then capacity
+        expected = sweep_outcome(per_cell_sweep, grid, tmp_path / "oracle.csv")
+        assert sweep_outcome(run_sweep, grid, tmp_path / "sweep.csv") == expected
+
+    @pytest.mark.parametrize("preset", [fig3_grid, fig4_grid])
+    def test_one_record_per_dimension_and_one_capacity_call_per_cell(
+            self, preset, tmp_path, monkeypatch):
+        grid = preset()
+        built, calls = [], []
+        check_record, capacity = HardwareParams.__post_init__, bounds.capacity
+
+        def counted_check(record):
+            built.append(record.d)
+            check_record(record)
+
+        def counted_capacity(*args):
+            calls.append(args)
+            return capacity(*args)
+
+        monkeypatch.setattr(HardwareParams, "__post_init__", counted_check)
+        monkeypatch.setattr(bounds, "capacity", counted_capacity)
+        rows = run_sweep(grid, tmp_path / "sweep.csv")
+        assert len(built) <= len(grid.dims)
+        assert len(calls) == rows * len(grid.dims)
 
 
 class TestLightconeCommand:

@@ -984,6 +984,30 @@ class TestLightCone:
         with pytest.raises(LatticeError, match="orbit weight matrix needs 1.95e\\+04"):
             measure_light_cone(spec, threshold=1e-3, t_max=1.0, r_max=10)
 
+    def test_fit_is_exact_under_power_of_two_time_scales(self):
+        # the closed-form fit scales the times by a power of two, which
+        # changes no rounding: times 2^k apart give the slope 2^-k apart,
+        # bit for bit, even where the unscaled squares would overflow
+        points = [(0.3, 1), (0.71, 2), (1.13, 3), (1.6, 4), (1.9, 5)]
+        slope, intercept, residual = lattice._fit_line(points)
+        t, r = np.array(points).T
+        assert (slope, intercept) == pytest.approx(tuple(np.polyfit(t, r, 1)), rel=1e-12)
+        for k in (-1000, -3, 7, 1000):
+            scaled = [(math.ldexp(ti, k), ri) for ti, ri in points]
+            assert lattice._fit_line(scaled) == (math.ldexp(slope, -k), intercept,
+                                                 residual)
+
+    @pytest.mark.parametrize("c", [0.0, 0.02, 20.0, 1e200])
+    def test_fit_of_arrivals_at_one_time_is_the_least_norm_line(self, c):
+        # every line through (c, mean r) fits; lstsq returns the least-norm one
+        points = [(c, r) for r in (1, 2, 3, 5)]
+        t, r = np.array(points).T
+        design = np.vstack([t, np.ones_like(t)]).T
+        slope, intercept = np.linalg.lstsq(design, r, rcond=None)[0]
+        fit = lattice._fit_line(points)
+        assert fit[:2] == pytest.approx((slope, intercept), rel=1e-12, abs=1e-300)
+        assert fit[2] == pytest.approx(math.sqrt(np.mean((r - r.mean()) ** 2)), rel=1e-12)
+
     def test_fit_diagnostics(self):
         # at t_max = 2 the far distances never leave the noise floor
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)

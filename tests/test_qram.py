@@ -302,10 +302,18 @@ class TestClassicalDatabase:
         with pytest.raises(QramError, match="power of two"):
             ClassicalDatabase((0, 1, 1))
 
-    @pytest.mark.parametrize("bits", [(0, 2), (1, 0, -1, 1), (0, 1, 1, 0, 1, 0, 0, 7)])
+    @pytest.mark.parametrize("bits", [(0, 2), (1, 0, -1, 1), (0, 1, 1, 0, 1, 0, 0, 7),
+                                      # int() would truncate these to bits
+                                      (0.5, 1), (True, 1.9)])
     def test_rejects_entries_that_are_not_bits(self, bits):
         with pytest.raises(QramError, match="^database entries must be bits$"):
             ClassicalDatabase(bits)
+
+    @pytest.mark.parametrize("bits", [(0, 1), (False, True), (np.int64(1), np.uint8(0))])
+    def test_stores_bits_as_python_ints(self, bits):
+        db = ClassicalDatabase(bits)
+        assert db.bits == (int(bits[0]), int(bits[1]))
+        assert all(type(b) is int for b in db.bits)
 
     def test_random_database_deterministic(self):
         assert random_database(8, seed=3).bits == random_database(8, seed=3).bits

@@ -1,10 +1,14 @@
 import importlib.util
+import json
+import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from test_cli import openblas_kernel_skip_reason
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -62,11 +66,11 @@ def test_script_regenerates_committed_results(script, written, tmp_path):
 # that scripts/lightcone_scan.py writes at :g into the "#" line of each
 # results/cone_*.csv; the files alone pin them only to 1e-6 relative
 CONE_VELOCITIES = {
-    "cone_1d_nn": ("0x1.0b4e76e0453c6p+0", "0x1.0000000000000p+0",
+    "cone_1d_nn": ("0x1.0b4e76e0453c3p+0", "0x1.0000000000000p+0",
                    "0x1.0000000000000p+2"),
-    "cone_1d_two_range": ("0x1.31c201378dcf5p+1", "0x1.1e3779b97f4a8p+1",
+    "cone_1d_two_range": ("0x1.31c201378dcf6p+1", "0x1.1e3779b97f4a8p+1",
                           "0x1.6a09e667f3bcdp+2"),
-    "cone_2d_axis": ("0x1.0e51a9450e859p+0", "0x1.0000000000000p+0",
+    "cone_2d_axis": ("0x1.0e51a9450e85ap+0", "0x1.0000000000000p+0",
                      "0x1.6a09e667f3bcdp+2"),
 }
 
@@ -82,3 +86,34 @@ def test_lightcone_script_velocities_bit_for_bit(monkeypatch):
     script.main()
     assert {name: tuple(meta[key].hex() for key in ("fitted", "group_velocity", "bound"))
             for name, meta in written.items()} == CONE_VELOCITIES
+
+
+# runs scripts/lightcone_scan.py with the CSV writer swapped for one that
+# keeps the "#" line velocities, and prints their float.hex as JSON
+HEX_VELOCITIES_CHILD = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("lightcone_scan", sys.argv[1])
+script = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(script)
+written = {}
+script._write_cone_csv = lambda path, scan, meta: written.__setitem__(
+    path.stem, [meta[key].hex() for key in ("fitted", "group_velocity", "bound")])
+script.main()
+print(json.dumps(written))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_lightcone_script_velocities_independent_of_openblas_kernel(kernel):
+    # the kernel is chosen when OpenBLAS loads, so only a child process
+    # can run under another one
+    reason = openblas_kernel_skip_reason(kernel)
+    if reason:
+        pytest.skip(reason)
+    proc = subprocess.run(
+        [sys.executable, "-c", HEX_VELOCITIES_CHILD, str(SCRIPTS / "lightcone_scan.py")],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "OPENBLAS_CORETYPE": kernel})
+    assert proc.returncode == 0, proc.stderr
+    written = json.loads(proc.stdout.splitlines()[-1])
+    assert {name: tuple(hexes) for name, hexes in written.items()} == CONE_VELOCITIES

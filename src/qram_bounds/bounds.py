@@ -74,7 +74,9 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural") -> float:
     largest fixed point is the capacity. The tangency point e^p (in either
     log base) lies between the two roots whenever they exist, so from N0
     the iteration reaches the largest one whenever it lies strictly above
-    the tangency point. Raises FixedPointError, at every p, when the iterate
+    the tangency point. For p >= 1 a root exists exactly when R reaches
+    (e/p)^p, times (ln 2)^p in base 2, and a smaller R is refused before
+    iterating. Raises FixedPointError, at every p, when the iterate
     leaves N > 1, overflows a float, or fails to converge within
     SOLVER_STEPS steps: R * log^p has no fixed point above 1, or only a
     tangency.
@@ -86,6 +88,11 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural") -> float:
     base = math.e if log_base == "natural" else 2.0
     logf = math.log if log_base == "natural" else math.log2
     try:
+        # the threshold is at most e, and ln e is 1.0 exactly: (e/p)^p in base e
+        if p >= 1 and R < math.e and R < (
+                threshold := (math.e / p) ** p * math.log(base) ** p):
+            raise FixedPointError(f"no fixed point above 1 for N = {R:g}*log^{p}(N): "
+                                  f"R is below the root threshold {threshold:.10g}")
         N = max(R, base * base, math.exp(p))
         for _ in range(SOLVER_STEPS):
             new = R * logf(N) ** p

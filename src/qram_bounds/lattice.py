@@ -30,7 +30,8 @@ from .params import checked_couplings, checked_phase
 _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
 _WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
-_BLOCK_BYTES = 1 << 18      # working-array budget per time block or k-grid slab
+_BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile or k-grid slab
+_BLOCK_ROWS = 64            # time steps per light-cone block
 _ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
 _WINDOW = 8                 # entries per exact-norm check of a light-cone arrival
 
@@ -454,6 +455,13 @@ def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]
     return omega, (mult / (d * spec.n_sites))[:, None] * cos_r
 
 
+def _block_shape(steps: int, orbits: int) -> tuple[int, int]:
+    """(rows, tile): steps per block and orbits per tile of ``axis_signal``,
+    whose four rows x tile arrays (32 B per orbit and row) fit _BLOCK_BYTES."""
+    rows = max(1, min(steps, _BLOCK_ROWS))
+    return rows, min(orbits, _BLOCK_BYTES // (32 * rows))
+
+
 def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndarray:
     """On-axis entries c(t_i, r) = L^-d sum_k cos(omega_k t_i) cos(k_0 r) of
     the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
@@ -461,12 +469,13 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
     distance r along axis 0.
 
-    The sum runs over the orbits of ``_axis_orbits``. One step table
-    C, S = cos, sin(j dt omega), j < B, serves every block of B steps:
-    block rows are cos(t_0 omega) C - sin(t_0 omega) S from the block's own
-    base angle (no recurrence, so no drift), then one product with W. The
-    tables and two block arrays share one ``_BLOCK_BYTES`` budget. Refuses
-    a scan whose phase steps*|dt|*omega_max leaves the float range.
+    The sum runs over tiles of the orbits of ``_axis_orbits``. A tile's
+    step table C, S = cos, sin(j dt omega), j < B, serves every block of B
+    steps: block rows are cos(t_0 omega) C - sin(t_0 omega) S from the
+    block's own base angle (no recurrence, so no drift), then one product
+    with the tile's rows of W, which the first tile writes and the others
+    add to. Refuses a scan whose phase steps*|dt|*omega_max leaves the
+    float range.
     """
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
@@ -477,19 +486,26 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     omega, W = _axis_orbits(spec, r_max)
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
                   omega.max(), steps * abs(dt))
-    rows = max(1, min(steps, _BLOCK_BYTES // (32 * len(omega))))
-    C, S, block, work = np.empty((4, rows, len(omega)))
-    angle = np.multiply.outer(np.arange(rows) * dt, omega, out=block)
-    np.cos(angle, out=C)
-    np.sin(angle, out=S)
+    rows, tile = _block_shape(steps, len(omega))
+    arrays = np.empty(4 * rows * tile)
     out = np.empty((r_max + 1, steps))
-    for start in range(0, steps, rows):
-        b = min(rows, steps - start)
-        base = start * dt * omega
-        np.multiply(C[:b], np.cos(base), out=block[:b])
-        np.multiply(S[:b], np.sin(base), out=work[:b])
-        np.subtract(block[:b], work[:b], out=block[:b])
-        np.matmul(W.T, block[:b].T, out=out[:, start:start + b])
+    part = np.empty((r_max + 1, rows)) if tile < len(omega) else None
+    for first in range(0, len(omega), tile):
+        w, Wt = omega[first:first + tile], W[first:first + tile].T
+        C, S, block, work = arrays[:4 * rows * len(w)].reshape(4, rows, len(w))
+        angle = np.multiply.outer(np.arange(rows) * dt, w, out=block)
+        np.cos(angle, out=C)
+        np.sin(angle, out=S)
+        for start in range(0, steps, rows):
+            b = min(rows, steps - start)
+            base = start * dt * w
+            np.multiply(C[:b], np.cos(base), out=block[:b])
+            np.multiply(S[:b], np.sin(base), out=work[:b])
+            np.subtract(block[:b], work[:b], out=block[:b])
+            product = part[:, :b] if first else out[:, start:start + b]
+            np.matmul(Wt, block[:b].T, out=product)
+            if first:
+                out[:, start:start + b] += product
     return out.T
 
 

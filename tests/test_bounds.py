@@ -238,6 +238,29 @@ class TestFixedPointSolve:
         assert abs(N - R * logf(N) ** p) <= 1e-10 * N
         assert N >= math.exp(p)
 
+    @pytest.mark.parametrize("log_base", ["natural", "2"])
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_refuses_below_the_root_threshold_before_iterating(
+            self, p, log_base, monkeypatch):
+        # just below the threshold, p = 3 returned the tangency point e^3 =
+        # 20.0855 as a root, and p = 1 ran all SOLVER_STEPS (~0.4 s) first;
+        # with no steps allowed, only the refusal can name the threshold
+        monkeypatch.setattr(bounds, "SOLVER_STEPS", 0)
+        threshold = root_threshold(p, log_base)
+        R = threshold * (1 - 1e-12)
+        with pytest.raises(FixedPointError, match=re.escape(
+                f"no fixed point above 1 for N = {R:g}*log^{p}(N): "
+                f"R is below the root threshold {threshold:.10g}")):
+            fixed_point_solve(R, p, log_base)
+
+    @pytest.mark.parametrize("log_base", ["natural", "2"])
+    @pytest.mark.parametrize("p", [1, 3, 8])
+    def test_iterates_from_the_root_threshold_up(self, p, log_base, monkeypatch):
+        # the threshold itself is not refused: it reaches the iteration
+        monkeypatch.setattr(bounds, "SOLVER_STEPS", 0)
+        with pytest.raises(FixedPointError, match="^no convergence after 0 iterations"):
+            fixed_point_solve(root_threshold(p, log_base), p, log_base)
+
     @given(p=st.integers(1, 8), x=st.floats(0.0, 1.0))
     @settings(max_examples=80, deadline=None)
     def test_matches_scan_from_threshold_to_1e15(self, p, x):

@@ -240,6 +240,14 @@ class TestBoundCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
+    def test_plain_bound_refuses_below_the_root_threshold(self, capsys):
+        # the preset's Lieb-Robinson velocity (4e-6 m/s) gives R = 0.004
+        assert main(["bound"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: no fixed point above 1 for N = 0.004*log^2(N): "
+                                "R is below the root threshold 1.847264025\n")
+        assert captured.out == ""
+
     def test_teleport_kind_runs_the_capacity_path_at_c_max(self, tmp_path, capsys):
         path = tmp_path / "hw2d.cfg"
         path.write_text(GOOD_CONFIG.replace("d = 1", "d = 2"))
@@ -806,6 +814,19 @@ class TestLightconeGolden:
                      "--dt", "0.02", "--out", str(out)]) == 0
         assert tuple(out.read_text().splitlines()[1:]) == CONE_3D_GOLDEN
 
+    @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+    def test_multi_tile_scan_independent_of_openblas_kernel(self, kernel, tmp_path,
+                                                           capsys):
+        # 969 orbits in 4 tiles whose products add into the signal, summed
+        # in each kernel's own order: the printed scan and its rows stay put
+        argv = ["lightcone", "--d", "3", "--L", "32", "--t-max", "20",
+                "--r-max", "14", "--dt", "0.02", "--out"]
+        proc = run_cli_under_openblas_kernel(kernel, [*argv, str(tmp_path / "k.csv")])
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert main([*argv, str(tmp_path / "default.csv")]) == 0
+        assert proc.stdout == capsys.readouterr().out
+        assert (tmp_path / "k.csv").read_bytes() == (tmp_path / "default.csv").read_bytes()
+
 
 class TestQramsimCommand:
     def test_database_file_all_addresses(self, tmp_path, capsys):
@@ -1009,20 +1030,25 @@ def openblas_kernel_skip_reason(kernel):
     return None
 
 
+def run_cli_under_openblas_kernel(kernel, argv):
+    """``qram-bounds argv`` in a child process under ``OPENBLAS_CORETYPE=kernel``,
+    or a skip where that kernel cannot be tried. The kernel is chosen when
+    OpenBLAS loads, so only a child process can run under another one."""
+    reason = openblas_kernel_skip_reason(kernel)
+    if reason:
+        pytest.skip(reason)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "qram_bounds.cli", *argv],
+                          capture_output=True, text=True, timeout=120, env=env)
+
+
 class TestVerifyCommand:
     @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
     def test_verdicts_independent_of_openblas_kernel(self, kernel):
-        # the kernel is chosen when OpenBLAS loads, so only a child process
-        # can run under another one
-        reason = openblas_kernel_skip_reason(kernel)
-        if reason:
-            pytest.skip(reason)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "OPENBLAS_CORETYPE": kernel,
-               "PYTHONPATH": os.pathsep.join(filter(None, [
-                   src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-m", "qram_bounds.cli", "verify"],
-                              capture_output=True, text=True, timeout=120, env=env)
+        proc = run_cli_under_openblas_kernel(kernel, ["verify"])
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "FAIL" not in proc.stdout
         assert len(proc.stdout.splitlines()) == 5

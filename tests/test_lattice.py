@@ -760,17 +760,50 @@ class TestAxisSignal:
                                    ifftn_axis_signal(spec, dt, steps, spec.L - 1),
                                    rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("d,L,lam,steps", [(2, 64, (1.0, 0.3), 100),
-                                               (3, 32, (1.0,), 60)])
+    @pytest.mark.parametrize("d,L,lam,steps", [(2, 64, (1.0, 0.3), 200),
+                                               (3, 32, (1.0,), 200)])
     def test_many_blocks_match_per_step_ifftn(self, d, L, lam, steps):
-        # each block restarts from its own base angle: steps far past one
-        # block (14 rows at 2D L=64, 8 at 3D L=32) keep the oracle's accuracy
+        # each block restarts from its own base angle and each orbit tile
+        # adds its share: steps far past one block, over 3 tiles at 2D L=64
+        # and 4 at 3D L=32, keep the oracle's accuracy
         spec = LatticeSpec(d=d, L=L, lam=lam, m=0.8)
         orbits = math.comb(L // 2 + d, d)
-        assert steps > 3 * (lattice._BLOCK_BYTES // (32 * orbits))
+        rows, tile = lattice._block_shape(steps, orbits)
+        assert steps > 3 * rows and orbits > tile
         np.testing.assert_allclose(axis_signal(spec, 0.37, steps, L // 2),
                                    ifftn_axis_signal(spec, 0.37, steps, L // 2),
                                    rtol=0, atol=1e-12)
+
+    def test_above_4096_orbits_matches_per_step_ifftn(self):
+        # 6,545 orbits at 3D L=64, where a block was one row: now 26 tiles
+        # of two blocks, 64 rows and the last 6
+        spec = LatticeSpec(d=3, L=64, lam=(1.0, 0.3), m=0.8)
+        orbits = math.comb(32 + 3, 3)
+        rows, tile = lattice._block_shape(70, orbits)
+        assert orbits > 4096 and rows == lattice._BLOCK_ROWS and orbits > 25 * tile
+        np.testing.assert_allclose(axis_signal(spec, 0.37, 70, 6),
+                                   ifftn_axis_signal(spec, 0.37, 70, 6),
+                                   rtol=0, atol=1e-12)
+
+    def test_blocks_keep_full_height_at_every_orbit_count(self):
+        # the height was _BLOCK_BYTES // (32 * orbits): one row above 4,096
+        # orbits. Now only the orbit tile narrows: a block is full height
+        # unless the scan is shorter, and a tile is as wide as the budget lets
+        budget = lattice._BLOCK_BYTES
+        for steps in (1, 63, 64, 65, 693):
+            for orbits in range(1, 50_001):
+                rows, tile = lattice._block_shape(steps, orbits)
+                assert rows == min(steps, lattice._BLOCK_ROWS)
+                assert 1 <= tile <= orbits and 32 * rows * tile <= budget
+                assert tile == orbits or 32 * rows * (tile + 1) > budget
+        # 3D L=64 and L=128 at the step counts of `lightcone --t-max 20` and
+        # `--t-max 40` with the automatic dt: only the last block is short
+        for orbits, steps in ((6545, 347), (45760, 693)):
+            rows, tile = lattice._block_shape(steps, orbits)
+            heights = [min(rows, steps - start) for start in range(0, steps, rows)]
+            assert set(heights[:-1]) == {lattice._BLOCK_ROWS} and tile < orbits
+        # the 201 orbits of 1D L=400 stay one tile
+        assert lattice._block_shape(11001, 201) == (lattice._BLOCK_ROWS, 201)
 
     def test_bessel_oracle_nearest_neighbor_chain(self):
         # infinite chain: c(t, r) = J_2r(2 t sqrt(lam/m)); at L = 400 the
@@ -785,7 +818,7 @@ class TestAxisSignal:
                                    rtol=0, atol=1e-12)
 
     def test_bessel_oracle_long_horizon_many_blocks(self):
-        # out to t = 220 in 28 blocks of 40 steps; the images J_2(L-r) have
+        # out to t = 220 in 18 blocks of 64 steps; the images J_2(L-r) have
         # order >= 560 at argument <= 440, still far below double precision
         special = pytest.importorskip("scipy.special")
         spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
@@ -1137,6 +1170,30 @@ class TestLightConeRows:
         finally:
             tracemalloc.stop()
         assert peak <= steps * 191 * 8 + 2 ** 20
+
+    def test_3d_scan_allocates_signal_weights_and_one_block_budget(self, monkeypatch):
+        # 6,545 orbits in 26 tiles that share one _BLOCK_BYTES buffer: once
+        # omega and W are built (their own temporaries come first, so the
+        # peak restarts there), the scan adds the signal and that budget.
+        # The slack of 512 KB holds omega (52 KB), a tile's product, numpy's
+        # 64 KB ufunc buffer and Python's free list of the orbit tuples
+        build_orbits = lattice._axis_orbits
+
+        def orbits_then_reset_peak(*args):
+            built = build_orbits(*args)
+            tracemalloc.reset_peak()
+            return built
+
+        monkeypatch.setattr(lattice, "_axis_orbits", orbits_then_reset_peak)
+        spec = LatticeSpec(d=3, L=64, lam=(1.0,), m=1.0)
+        steps, r_max, orbits = 2000, 31, math.comb(32 + 3, 3)
+        tracemalloc.start()
+        try:
+            axis_signal(spec, 0.05, steps, r_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (steps + orbits) * (r_max + 1) * 8 + lattice._BLOCK_BYTES + 2 ** 19
 
 
 class TestCausalityTail:

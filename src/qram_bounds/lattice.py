@@ -32,6 +32,7 @@ _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
 _WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
 _BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile or k-grid slab
 _BLOCK_ROWS = 64            # time steps per light-cone block
+_MAXIMA_ROWS = 4 * _BLOCK_ROWS  # time steps per row of a scan's max |sigma| table
 _ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
 _WINDOW = 8                 # entries per exact-norm check of a light-cone arrival
 
@@ -438,8 +439,9 @@ def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]
     L, d = spec.L, spec.d
     n = np.arange(L // 2 + 1)
     fold = np.where((n == 0) | (2 * n == L), 1.0, 2.0)  # |{n, L - n}|
-    tuples = np.array(list(itertools.combinations_with_replacement(range(len(n)), d)),
-                      dtype=int).reshape(-1, d)
+    tuples = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations_with_replacement(range(len(n)), d)),
+        dtype=int).reshape(-1, d)
     # perms(t) = d! / prod(run lengths!): a sorted entry equal to the one
     # before it is the run's c-th element and adds a factor c
     run = np.ones(len(tuples))
@@ -449,33 +451,45 @@ def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]
         div *= run
     perms = math.factorial(d) / div
     omega = np.sqrt(omega_squared(spec, [2.0 * np.pi * t / L for t in tuples.T]))
-    r = np.arange(r_max + 1)  # phases reduced mod L first, as the FFT twiddles are
-    cos_r = sum(np.cos(2.0 * np.pi / L * (np.outer(t, r) % L)) for t in tuples.T)
-    mult = perms * fold[tuples].prod(axis=1)
-    return omega, (mult / (d * spec.n_sites))[:, None] * cos_r
+    # phases reduced mod L first, as the FFT twiddles are, so cos(2 pi k / L)
+    # is read from one L-entry table at k = t_b r mod L
+    table = np.cos(2.0 * np.pi / L * np.arange(L))
+    W = np.empty((len(tuples), r_max + 1))
+    k = np.empty(W.shape, dtype=int)   # above W, so freeing it leaves no hole
+    for b, t in enumerate(tuples.T):
+        np.remainder(np.multiply.outer(t, np.arange(r_max + 1), out=k), L, out=k)
+        if b:
+            W += table[k]
+        else:
+            np.take(table, k, out=W, mode="clip")   # unbuffered; k < L
+    W *= (perms * fold[tuples].prod(axis=1) / (d * spec.n_sites))[:, None]
+    return omega, W
 
 
 def _block_shape(steps: int, orbits: int) -> tuple[int, int]:
-    """(rows, tile): steps per block and orbits per tile of ``axis_signal``,
-    whose four rows x tile arrays (32 B per orbit and row) fit _BLOCK_BYTES."""
+    """(rows, tile): steps per block and orbits per tile of the signal's
+    block loop, whose four rows x tile arrays (32 B per orbit and row) fit
+    _BLOCK_BYTES."""
     rows = max(1, min(steps, _BLOCK_ROWS))
     return rows, min(orbits, _BLOCK_BYTES // (32 * rows))
 
 
-def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndarray:
-    """On-axis entries c(t_i, r) = L^-d sum_k cos(omega_k t_i) cos(k_0 r) of
-    the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
-    as a (steps, r_max + 1) array stored distance-major. This is
-    sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
-    distance r along axis 0.
+def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
+                   r_max: int) -> tuple[np.ndarray, np.ndarray]:
+    """The block loop behind ``axis_signal`` and ``measure_light_cone``:
+    the signal c(t_i, r) as a time-major (steps, r_max + 1) array, and the
+    table of max |c| over each _MAXIMA_ROWS steps, one row per
+    _MAXIMA_ROWS steps and one column per distance.
 
     The sum runs over tiles of the orbits of ``_axis_orbits``. A tile's
     step table C, S = cos, sin(j dt omega), j < B, serves every block of B
     steps: block rows are cos(t_0 omega) C - sin(t_0 omega) S from the
     block's own base angle (no recurrence, so no drift), then one product
-    with the tile's rows of W, which the first tile writes and the others
-    add to. Refuses a scan whose phase steps*|dt|*omega_max leaves the
-    float range.
+    with the tile's rows of W into the block's rows of the signal, which
+    the first tile writes and the others add to. On the last tile each
+    block is final, and its |c| is folded into the table while the block is
+    still in cache. Refuses a scan whose phase steps*|dt|*omega_max leaves
+    the float range.
     """
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
@@ -488,10 +502,11 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
                   omega.max(), steps * abs(dt))
     rows, tile = _block_shape(steps, len(omega))
     arrays = np.empty(4 * rows * tile)
-    out = np.empty((r_max + 1, steps))
-    part = np.empty((r_max + 1, rows)) if tile < len(omega) else None
+    maxima = np.zeros((-(-steps // _MAXIMA_ROWS), r_max + 1))
+    part = np.empty((rows, r_max + 1))   # a later tile's product, then |block|
+    out = np.empty((steps, r_max + 1))
     for first in range(0, len(omega), tile):
-        w, Wt = omega[first:first + tile], W[first:first + tile].T
+        w, Wt = omega[first:first + tile], W[first:first + tile]
         C, S, block, work = arrays[:4 * rows * len(w)].reshape(4, rows, len(w))
         angle = np.multiply.outer(np.arange(rows) * dt, w, out=block)
         np.cos(angle, out=C)
@@ -502,23 +517,98 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
             np.multiply(C[:b], np.cos(base), out=block[:b])
             np.multiply(S[:b], np.sin(base), out=work[:b])
             np.subtract(block[:b], work[:b], out=block[:b])
-            product = part[:, :b] if first else out[:, start:start + b]
-            np.matmul(Wt, block[:b].T, out=product)
+            sigma = out[start:start + b]
             if first:
-                out[:, start:start + b] += product
-    return out.T
+                sigma += np.matmul(block[:b], Wt, out=part[:b])
+            else:
+                np.matmul(block[:b], Wt, out=sigma)
+            if first + tile >= len(omega):
+                top = maxima[start // _MAXIMA_ROWS]
+                np.maximum(top, np.abs(sigma, out=part[:b]).max(axis=0), out=top)
+    return out, maxima
+
+
+def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndarray:
+    """On-axis entries c(t_i, r) = L^-d sum_k cos(omega_k t_i) cos(k_0 r) of
+    the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
+    as a (steps, r_max + 1) array stored time-major. This is
+    sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
+    distance r along axis 0. Built block by block (``_signal_blocks``)."""
+    return _signal_blocks(spec, dt, steps, r_max)[0]
 
 
 def _commutator_norm(sigma: np.ndarray) -> np.ndarray:
-    """2|sin(sigma/2)|, the Weyl commutator norm of symplectic-form values.
-    sin is odd, so |sigma| gives the same bits as sigma."""
-    return 2.0 * np.abs(np.sin(sigma * 0.5))
+    """2|sin(sigma/2)|, the Weyl commutator norm of symplectic-form values,
+    in one new array. sin is odd, so |sigma| gives the same bits as sigma."""
+    norm = np.multiply(sigma, 0.5)
+    np.sin(norm, out=norm)
+    np.abs(norm, out=norm)
+    norm *= 2.0
+    return norm
 
 
 def _below(x: float) -> float:
     """A cut under x by more than the rounding of the commutator norm:
     relative 1e-12, and 1e-290 absolute where floats are coarser."""
     return x * (1.0 - 1e-12) - 1e-290
+
+
+def _block_windows(signal: np.ndarray, blocks: np.ndarray, cols: np.ndarray):
+    """Yield (part, starts, windows) for each group ``part`` of the pairs:
+    row k of windows holds the _MAXIMA_ROWS entries of column cols[k] from
+    starts[k], the first step of block blocks[k], moved back where the
+    signal ends sooner. A group's windows take _BLOCK_BYTES / 16 at most,
+    little beside the signal they are read from."""
+    width = min(_MAXIMA_ROWS, len(signal))
+    view = np.lib.stride_tricks.sliding_window_view(signal, width, axis=0)
+    starts = np.minimum(blocks * _MAXIMA_ROWS, len(signal) - width)
+    group = _BLOCK_BYTES // (128 * width)
+    for first in range(0, len(cols), group):
+        part = slice(first, first + group)
+        yield part, starts[part], view[starts[part], cols[part]]
+
+
+def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
+                threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Peak norm and arrival step (-1 for none) of each distance r >= 1 of a
+    time-major signal, read only in the blocks of _MAXIMA_ROWS steps whose
+    max |sigma| in ``maxima`` can hold them.
+
+    2|sin(x/2)| increases with |x| on |x| <= 1 < pi, so the peak and the
+    arrival lie on entries at or above a cut _below the largest |sigma| and
+    _below 2 asin(level/2), and only those need the exact norm. The peak is
+    the largest norm in the blocks that reach its cut (an entry under the cut
+    has a smaller norm). The arrival is the first entry in the first block
+    that reaches its cut, or else one of the _WINDOW entries from there; on a
+    miss the walk goes on along the column, window by window.
+    """
+    steps, cols = len(signal), np.arange(1, signal.shape[1])
+    maxima = maxima[:, 1:]
+    blocks, at = np.nonzero(maxima >= _below(maxima.max(axis=0)))
+    peaks = np.zeros(len(cols))
+    for part, _, windows in _block_windows(signal, blocks, cols[at]):
+        np.maximum.at(peaks, at[part], _commutator_norm(windows).max(axis=1))
+
+    live = np.flatnonzero(peaks >= _PEAK_NOISE_FLOOR)
+    level = threshold * peaks[live]
+    cut = _below(2.0 * np.arcsin(level / 2.0))
+    first = np.empty(len(live), dtype=int)   # no earlier entry reaches level
+    for part, starts, windows in _block_windows(
+            signal, np.argmax(maxima[:, live] >= cut, axis=0), cols[live]):
+        np.abs(windows, out=windows)
+        first[part] = starts + np.argmax(windows >= cut[part, None], axis=1)
+    near = np.minimum(first[:, None] + np.arange(_WINDOW), steps - 1)
+    hit = _commutator_norm(signal[near, cols[live, None]]) >= level[:, None]
+    arrivals = np.full(len(cols), -1)
+    arrivals[live] = first + np.argmax(hit, axis=1)
+    for k in np.flatnonzero(~hit.any(axis=1)):
+        column = np.abs(signal[:, cols[live[k]]])
+        mask = column >= cut[k]
+        i = first[k]
+        while not (found := _commutator_norm(column[i:i + _WINDOW]) >= level[k]).any():
+            i += _WINDOW + int(np.argmax(mask[i + _WINDOW:]))
+        arrivals[live[k]] = i + int(np.argmax(found))
+    return peaks, arrivals
 
 
 def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
@@ -559,27 +649,11 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     if math.isinf(t_max + dt):
         raise LatticeError(f"t_max + dt = {t_max!r} + {dt!r} overflows a float")
     _check_work((t_max / dt + 2.0) * (r_max + 1), "the time signal")
-    ts = np.arange(0.0, t_max + dt, dt)   # bitwise t_i = i * dt
-    ts = ts[ts <= t_max + 1e-12]
-    # 2|sin(x/2)| increases with |x| on |x| <= 1 < pi: the peak and the
-    # arrival are located on |sigma| (no signal-sized temporary) and read
-    # from the exact norm of the few entries that could hold them
-    signal = axis_signal(spec, dt, len(ts), r_max)
-    np.abs(signal, out=signal)
-    mask = np.empty(len(ts), dtype=bool)
-    rows = []
-    for r, column in enumerate(signal.T[1:], start=1):  # contiguous per r
-        np.greater_equal(column, _below(column.max()), out=mask)
-        peak = float(_commutator_norm(column[mask]).max())
-        arrival = None
-        if peak >= _PEAK_NOISE_FLOOR:
-            level = threshold * peak
-            np.greater_equal(column, _below(2.0 * math.asin(level / 2.0)), out=mask)
-            i = int(np.argmax(mask))   # no earlier entry reaches level
-            while not (hit := _commutator_norm(column[i:i + _WINDOW]) >= level).any():
-                i += _WINDOW + int(np.argmax(mask[i + _WINDOW:]))
-            arrival = float(ts[i + int(np.argmax(hit))])
-        rows.append(ConeArrival(r=r, t_arrival=arrival, peak=peak))
+    # the grid np.arange(0, t_max + dt, dt) up to t_max, whose t_i is i * dt bitwise
+    steps = int(np.count_nonzero(np.arange(0.0, t_max + dt, dt) <= t_max + 1e-12))
+    peaks, arrivals = _cone_reads(*_signal_blocks(spec, dt, steps, r_max), threshold)
+    rows = [ConeArrival(r=r, t_arrival=None if i < 0 else i * dt, peak=peak)
+            for r, peak, i in zip(range(1, r_max + 1), peaks.tolist(), arrivals.tolist())]
 
     slope, intercept, residual = _fit_line(
         [(row.t_arrival, row.r) for row in rows

@@ -712,7 +712,7 @@ class TestLightconeCommand:
         def no_scan(*args):
             raise AssertionError("scan ran before the fit_r_min check")
 
-        monkeypatch.setattr(lattice, "axis_signal", no_scan)
+        monkeypatch.setattr(lattice, "_signal_blocks", no_scan)
         assert main(["lightcone", "--L", "40", "--t-max", "4", "--r-max", "4",
                      "--fit-r-min", "50", "--dt", "0.05"]) == 2
         captured = capsys.readouterr()

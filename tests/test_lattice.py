@@ -1,6 +1,8 @@
+import itertools
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -839,11 +841,41 @@ class TestAxisSignal:
             np.testing.assert_allclose(signal[i], axis_signal(spec, t, 2, 5)[1],
                                        rtol=0, atol=1e-14)
 
-    def test_signal_is_stored_distance_major(self):
+    def test_signal_is_stored_time_major(self):
         spec = LatticeSpec(d=1, L=40, lam=(1.0,), m=1.0)
         signal = axis_signal(spec, 0.1, 50, 10)
         assert signal.shape == (50, 11)
-        assert signal[:, 3].flags.c_contiguous
+        assert signal.flags.c_contiguous
+
+    @pytest.mark.parametrize("d,L,steps", [(1, 40, 50), (1, 400, 600),
+                                           (2, 64, 513), (3, 32, 300)])
+    def test_block_maxima_are_the_plain_reduce(self, d, L, steps):
+        # one block or many, one orbit tile (1D) or several that add into
+        # the block before its maximum is taken, and a short last block
+        spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
+        signal, maxima = lattice._signal_blocks(spec, 0.37, steps, L // 2 - 2)
+        np.testing.assert_array_equal(signal, axis_signal(spec, 0.37, steps, L // 2 - 2))
+        np.testing.assert_array_equal(maxima, np.maximum.reduceat(
+            np.abs(signal), np.arange(0, steps, lattice._MAXIMA_ROWS), axis=0))
+
+    @pytest.mark.parametrize("d,L,r_max", [(1, 400, 190), (1, 9, 8), (2, 64, 30),
+                                           (2, 10, 4), (3, 32, 14), (3, 64, 31),
+                                           (3, 7, 6)])
+    def test_orbit_weights_take_one_cos_per_entry_bit_for_bit(self, d, L, r_max):
+        # oracle: the cos of each entry's phase 2 pi (t_b r mod L) / L, as W
+        # was built before the L-entry cos table, with the orbit size from
+        # exact integers: d! / prod(run lengths!) perms times fold(t)
+        spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
+        tuples = np.array(list(itertools.combinations_with_replacement(
+            range(L // 2 + 1), d))).reshape(-1, d)
+        r = np.arange(r_max + 1)
+        cos_r = sum(np.cos(2.0 * np.pi / L * (np.outer(t, r) % L)) for t in tuples.T)
+        mult = np.array([math.factorial(d)
+                         // math.prod(map(math.factorial, Counter(t).values()))
+                         * math.prod(1 if 2 * n % L == 0 else 2 for n in t)
+                         for t in tuples.tolist()], dtype=float)
+        W = lattice._axis_orbits(spec, r_max)[1]
+        assert np.array_equal(W, (mult / (d * spec.n_sites))[:, None] * cos_r)
 
     @pytest.mark.parametrize("d,L,orbits", [(1, 400, 201), (2, 64, 561),
                                             (3, 32, 969), (3, 7, 20)])
@@ -893,7 +925,7 @@ class TestAxisSignal:
 class TestLightCone:
     def test_rejects_small_lattice(self, monkeypatch):
         # the wrap-around margin L >= 2*nu + 2, checked before anything else
-        monkeypatch.setattr(lattice, "axis_signal", None)
+        monkeypatch.setattr(lattice, "_signal_blocks", None)
         for L, lam in ((4, (1.0, 1.0)), (3, (1.0,)), (2, (1.0,))):
             spec = LatticeSpec(d=1, L=L, lam=lam, m=1.0)
             with pytest.raises(LatticeError, match="L too small for range"):
@@ -951,7 +983,7 @@ class TestLightCone:
         def no_scan(*args):
             raise AssertionError("scan ran before the fit_r_min check")
 
-        monkeypatch.setattr(lattice, "axis_signal", no_scan)
+        monkeypatch.setattr(lattice, "_signal_blocks", no_scan)
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
         with pytest.raises(LatticeError, match=f"fit_r_min = {fit_r_min} leaves "
                                                "fewer than two distances"):
@@ -1098,20 +1130,46 @@ class TestLightConeRows:
 
     @staticmethod
     def scan_of(columns, threshold, monkeypatch):
-        """Scan of a signal whose distances 1.. hold ``columns`` (steps 0.5 apart)."""
+        """Scan of a signal whose distances 1.. hold ``columns`` (steps 0.5
+        apart), with the block maxima of that signal taken by a plain reduce."""
         columns = np.array(columns, dtype=float)
-        base = np.vstack([np.zeros(columns.shape[1]), columns])
+        signal = np.vstack([np.zeros(columns.shape[1]), columns]).T.copy()
 
-        def signal(spec, dt, steps, r_max):
-            assert base.shape == (r_max + 1, steps)
-            return base.copy().T      # distance-major, as axis_signal stores it
+        def signal_blocks(spec, dt, steps, r_max):
+            assert signal.shape == (steps, r_max + 1)
+            starts = np.arange(0, steps, lattice._MAXIMA_ROWS)
+            return signal.copy(), np.maximum.reduceat(np.abs(signal), starts, axis=0)
 
-        monkeypatch.setattr(lattice, "axis_signal", signal)
+        monkeypatch.setattr(lattice, "_signal_blocks", signal_blocks)
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
         args = (spec, threshold, 0.5 * (columns.shape[1] - 1), len(columns), 0.5)
         rows = measure_light_cone(*args).rows
         assert rows == full_signal_rows(*args)
         return rows
+
+    @staticmethod
+    def miss_and_hit(peak_sigma, threshold):
+        """(sigma_miss, sigma_hit): sigma_hit is the least float whose norm
+        reaches threshold * 2 sin(peak_sigma / 2), sigma_miss the float
+        below it."""
+        level = threshold * 2.0 * math.sin(peak_sigma / 2.0)
+        hit = 2.0 * math.asin(level / 2.0)
+        norm = lambda x: 2.0 * np.abs(np.sin(np.float64(x) * 0.5))
+        while norm(np.nextafter(hit, 0.0)) >= level:
+            hit = np.nextafter(hit, 0.0)
+        while norm(hit) < level:
+            hit = np.nextafter(hit, 1.0)
+        miss = np.nextafter(hit, 0.0)
+        assert norm(miss) < level <= norm(hit)
+        return miss, hit
+
+    @staticmethod
+    def spikes(steps, entries):
+        """A column of ``steps`` zeros but for {step: sigma} ``entries``."""
+        column = [0.0] * steps
+        for step, sigma in entries.items():
+            column[step] = sigma
+        return column
 
     def test_tied_and_signed_peaks(self, monkeypatch):
         top = 0.7
@@ -1122,26 +1180,61 @@ class TestLightConeRows:
         assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 3
 
     def test_arrival_one_step_from_threshold(self, monkeypatch):
-        # sigma_hit is the least float whose norm reaches threshold * peak,
-        # sigma_miss the float below it; a miss may precede the hit by any
-        # gap. At this threshold sigma_hit lies one float below
-        # 2 asin(threshold * peak / 2), so a cut at that value misses it
+        # a miss may precede the hit by any gap. At this threshold sigma_hit
+        # lies one float below 2 asin(threshold * peak / 2), so a cut at
+        # that value misses it
         peak_sigma, threshold = 0.9, 0.850256191055818
+        miss, hit = self.miss_and_hit(peak_sigma, threshold)
         level = threshold * 2.0 * math.sin(peak_sigma / 2.0)
-        hit = 2.0 * math.asin(level / 2.0)
-        norm = lambda x: 2.0 * np.abs(np.sin(np.float64(x) * 0.5))
-        while norm(np.nextafter(hit, 0.0)) >= level:
-            hit = np.nextafter(hit, 0.0)
-        while norm(hit) < level:
-            hit = np.nextafter(hit, 1.0)
-        miss = np.nextafter(hit, 0.0)
-        assert norm(miss) < level <= norm(hit) and hit < 2.0 * math.asin(level / 2.0)
+        assert hit < 2.0 * math.asin(level / 2.0)
         gap = [0.01] * 20
         rows = self.scan_of([[0.0, miss, hit, peak_sigma] + gap,
                              [0.0, -miss, -miss, -hit, peak_sigma] + gap[1:],
                              [miss] + gap + [hit, miss, peak_sigma, 0.0, 0.0][:3]],
                             threshold, monkeypatch)
         assert [row.t_arrival for row in rows] == [1.0, 1.5, 10.5]
+
+    def test_peaks_tied_across_blocks(self, monkeypatch):
+        # every block whose maximum reaches the cut is read: the largest norm
+        # may sit in a later block than a near-tie, or in an earlier one
+        top, steps = 0.7, 600
+        near = top * (1 - 5e-13)
+        rows = self.scan_of([self.spikes(steps, {100: top, 300: -top, 520: near}),
+                             self.spikes(steps, {10: -near, 511: top, 512: -near}),
+                             self.spikes(steps, {255: np.nextafter(top, 0.0), 256: -top}),
+                             self.spikes(steps, {0: near, 599: top})],
+                            0.1, monkeypatch)
+        assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 4
+
+    def test_arrival_windows_across_block_ends(self, monkeypatch):
+        # the first entry past the cut on a block's last row (255): its
+        # window of 8 runs into the next block, to row 262; a hit at 263 is
+        # found by the walk. In the last, short block (512..599) the window
+        # stops at the signal's end
+        peak_sigma, threshold = 0.9, 0.850256191055818
+        miss, hit = self.miss_and_hit(peak_sigma, threshold)
+        steps = 600
+        rows = self.scan_of([self.spikes(steps, {255: hit, 400: peak_sigma}),
+                             self.spikes(steps, {255: miss, 257: -hit, 400: peak_sigma}),
+                             self.spikes(steps, {255: -miss, 262: hit, 400: peak_sigma}),
+                             self.spikes(steps, {255: miss, 263: hit, 400: peak_sigma}),
+                             self.spikes(steps, {595: miss, 599: peak_sigma}),
+                             self.spikes(steps, {599: -peak_sigma})],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [127.5, 128.5, 131.0, 131.5,
+                                                   299.5, 299.5]
+
+    def test_miss_whose_next_entry_past_the_cut_lies_blocks_later(self, monkeypatch):
+        # the cut admits a miss in block 0; the next entry past it, a hit,
+        # is in block 2, and the peak in block 3
+        peak_sigma, threshold = 0.9, 0.850256191055818
+        miss, hit = self.miss_and_hit(peak_sigma, threshold)
+        steps = 900
+        rows = self.scan_of([self.spikes(steps, {10: miss, 700: hit, 800: peak_sigma}),
+                             self.spikes(steps, {10: miss, 14: miss, 520: -miss,
+                                                 700: -hit, 899: peak_sigma})],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [350.0, 350.0]
 
     def test_zero_subnormal_and_tiny_threshold_columns(self, monkeypatch):
         # a zero or subnormal column has no arrival; a threshold of 1e-300
@@ -1157,6 +1250,18 @@ class TestLightConeRows:
         rows = self.scan_of([[0.0, 1.5e-323, 0.9], [0.0, 1e-323, 0.9]],
                             threshold, monkeypatch)
         assert [row.t_arrival for row in rows] == [0.5, 1.0]
+
+    def test_zero_and_subnormal_columns_over_many_blocks(self, monkeypatch):
+        # a zero or subnormal column reads every block and has no arrival;
+        # a level below the normal range is found blocks after a subnormal
+        steps = 700
+        rows = self.scan_of([[0.0] * steps,
+                             self.spikes(steps, {3: 5e-324, 300: -3e-310, 650: 1e-320}),
+                             self.spikes(steps, {1: 3e-323, 280: 1e-300, 600: 0.5}),
+                             self.spikes(steps, {255: 1e-305, 256: 9e-301, 699: -0.8})],
+                            1e-300, monkeypatch)
+        assert [row.t_arrival for row in rows] == [None, None, 140.0, 128.0]
+        assert [row.peak for row in rows][:2] == [0.0, 2.0 * math.sin(3e-310 / 2.0)]
 
     def test_scan_allocates_no_signal_sized_temporary(self):
         # the norm pass works in the signal itself and per-distance masks: a

@@ -89,31 +89,44 @@ def test_lightcone_script_velocities_bit_for_bit(monkeypatch):
 
 
 # runs scripts/lightcone_scan.py with the CSV writer swapped for one that
-# keeps the "#" line velocities, and prints their float.hex as JSON
+# keeps the "#" line velocities and the scans, then prints as JSON the
+# velocities' float.hex and whether the 1D nearest-neighbour scan's rows equal
+# full_signal_rows, the norm of its whole signal
 HEX_VELOCITIES_CHILD = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("lightcone_scan", sys.argv[1])
 script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
-written = {}
-script._write_cone_csv = lambda path, scan, meta: written.__setitem__(
-    path.stem, [meta[key].hex() for key in ("fitted", "group_velocity", "bound")])
+written, scans = {}, {}
+def record(path, scan, meta):
+    written[path.stem] = [meta[key].hex() for key in ("fitted", "group_velocity", "bound")]
+    scans[path.stem] = scan
+script._write_cone_csv = record
 script.main()
-print(json.dumps(written))
+sys.path.insert(0, sys.argv[2])
+from test_lattice import full_signal_rows
+name, lattice_spec, kwargs = script.CASES[0]
+assert name == "cone_1d_nn" and lattice_spec.L == 400
+rows_equal = scans[name].rows == full_signal_rows(lattice_spec, **kwargs)
+print(json.dumps({"velocities": written, "rows_equal": rows_equal}))
 """
 
 
 @pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
 def test_lightcone_script_velocities_independent_of_openblas_kernel(kernel):
     # the kernel is chosen when OpenBLAS loads, so only a child process
-    # can run under another one
+    # can run under another one; the signal's GEMM bits differ between
+    # kernels, and the scan must still read its rows exactly
     reason = openblas_kernel_skip_reason(kernel)
     if reason:
         pytest.skip(reason)
     proc = subprocess.run(
-        [sys.executable, "-c", HEX_VELOCITIES_CHILD, str(SCRIPTS / "lightcone_scan.py")],
+        [sys.executable, "-c", HEX_VELOCITIES_CHILD, str(SCRIPTS / "lightcone_scan.py"),
+         str(Path(__file__).resolve().parent)],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "OPENBLAS_CORETYPE": kernel})
     assert proc.returncode == 0, proc.stderr
-    written = json.loads(proc.stdout.splitlines()[-1])
-    assert {name: tuple(hexes) for name, hexes in written.items()} == CONE_VELOCITIES
+    result = json.loads(proc.stdout.splitlines()[-1])
+    velocities = result["velocities"]
+    assert {name: tuple(hexes) for name, hexes in velocities.items()} == CONE_VELOCITIES
+    assert result["rows_equal"] is True

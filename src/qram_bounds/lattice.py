@@ -35,6 +35,8 @@ _BLOCK_ROWS = 64            # time steps per light-cone block
 _MAXIMA_ROWS = 4 * _BLOCK_ROWS  # time steps per row of a scan's max |sigma| table
 _ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
 _WINDOW = 8                 # entries per exact-norm check of a light-cone arrival
+_FOLD_COLUMNS = 48          # narrowest signal whose orbits fold into mirror pairs
+                            # (narrower, the fold costs more than it saves)
 
 
 class LatticeError(ValueError):
@@ -424,17 +426,41 @@ def _check_work(entries: float, what: str) -> None:
                            f"above the cap of {_WORK_ENTRY_CAP}")
 
 
+def _orbit_rows(L: int, d: int, r_max: int) -> int:
+    """Rows of ``_axis_orbits``' W, in closed form: comb(L//2 + d, d)
+    orbits, or where they fold (even L, signal _FOLD_COLUMNS wide) one per
+    mirror pair plus the self-mirrored t = reverse(L/2 - t): t_0 <= L/4
+    with t_{d-1} = L/2 - t_0, and for odd d t_1 = L/4, so L/2 even."""
+    orbits, h = math.comb(L // 2 + d, d), L // 2
+    if L % 2 or r_max + 1 < _FOLD_COLUMNS:
+        return orbits
+    return (orbits + {1: 1 - h % 2, 2: h // 2 + 1, 3: (h // 2 + 1) * (1 - h % 2)}[d]) // 2
+
+
 def _check_orbits(spec: LatticeSpec, r_max: int) -> None:
-    _check_work(float(math.comb(spec.L // 2 + spec.d, spec.d)) * (r_max + 1),
+    _check_work(float(_orbit_rows(spec.L, spec.d, r_max)) * (r_max + 1),
                 "the orbit weight matrix")
 
 
-def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _signal_columns(r_max: int) -> np.ndarray:
+    """The r of each column of the block loop's W and signal: even, then odd."""
+    r = np.arange(r_max + 1)
+    return np.concatenate([r[::2], r[1::2]])
+
+
+def _axis_orbits(spec: LatticeSpec,
+                 r_max: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Orbits of the wavevector grid under the reflections n -> L - n and
     all axis permutations, which fix omega: one per sorted index d-tuple t
-    in 0..L//2. Returns omega and the weight matrix W (orbits x r_max + 1),
-    W[o, r] = fold(t) perms(t) / (d L^d) sum_b cos(2 pi t_b r / L), since
-    each t_b sits on axis 0 in 1/d of the orbit's fold(t) perms(t) points.
+    in 0..L//2, weighted at distance r by fold(t) perms(t) / (d L^d)
+    sum_b cos(2 pi t_b r / L), since each t_b sits on axis 0 in 1/d of the
+    orbit's fold(t) perms(t) points. For even L the mirror
+    t' = reverse(L/2 - t) has the same fold and perms and (-1)^r times the
+    weights of t; folded (``_orbit_rows``), W keeps the lesser t of each
+    pair, then the self-mirrored t. Returns (omega, W, pairs): omega[0] of
+    W's rows and, folded, omega[1] of their mirrors; W, its columns in
+    ``_signal_columns`` order, built in slabs whose index and cos-term
+    arrays fit _BLOCK_BYTES; and the number of leading rows with a mirror.
     """
     L, d = spec.L, spec.d
     n = np.arange(L // 2 + 1)
@@ -442,6 +468,19 @@ def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]
     tuples = np.fromiter(itertools.chain.from_iterable(
         itertools.combinations_with_replacement(range(len(n)), d)),
         dtype=int).reshape(-1, d)
+    members, pairs, kept = tuples[None], 0, _orbit_rows(L, d, r_max)
+    if kept < len(tuples):
+        mirror = L // 2 - tuples[:, ::-1]
+        # 1 where t precedes its mirror in lexicographic order, 0 where t is its own
+        side = np.sign((mirror - tuples) @ len(n) ** np.arange(d - 1, -1, -1))
+        keep = np.argsort(-side, kind="stable")[:kept]
+        pairs = int(np.count_nonzero(side > 0))
+        members = np.array([tuples[keep], mirror[keep]])
+        del mirror, side, keep   # before W is built
+    omega = np.sqrt(omega_squared(spec, [2.0 * np.pi * t / L
+                                         for t in members.transpose(2, 0, 1)]))
+    tuples = members[0].copy()   # frees the mirrors with members
+    del members
     # perms(t) = d! / prod(run lengths!): a sorted entry equal to the one
     # before it is the run's c-th element and adds a factor c
     run = np.ones(len(tuples))
@@ -449,29 +488,34 @@ def _axis_orbits(spec: LatticeSpec, r_max: int) -> tuple[np.ndarray, np.ndarray]
     for b in range(1, d):
         run = np.where(tuples[:, b] == tuples[:, b - 1], run + 1.0, 1.0)
         div *= run
-    perms = math.factorial(d) / div
-    omega = np.sqrt(omega_squared(spec, [2.0 * np.pi * t / L for t in tuples.T]))
+    weight = math.factorial(d) / div * fold[tuples].prod(axis=1) / (d * spec.n_sites)
     # phases reduced mod L first, as the FFT twiddles are, so cos(2 pi k / L)
     # is read from one L-entry table at k = t_b r mod L
     table = np.cos(2.0 * np.pi / L * np.arange(L))
+    r = _signal_columns(r_max)
     W = np.empty((len(tuples), r_max + 1))
-    k = np.empty(W.shape, dtype=int)   # above W, so freeing it leaves no hole
-    for b, t in enumerate(tuples.T):
-        np.remainder(np.multiply.outer(t, np.arange(r_max + 1), out=k), L, out=k)
-        if b:
-            W += table[k]
-        else:
-            np.take(table, k, out=W, mode="clip")   # unbuffered; k < L
-    W *= (perms * fold[tuples].prod(axis=1) / (d * spec.n_sites))[:, None]
-    return omega, W
+    slab = max(1, _BLOCK_BYTES // (16 * (r_max + 1)))
+    k = np.empty((min(slab, len(W)), r_max + 1), dtype=int)
+    term = np.empty(k.shape)
+    for first in range(0, len(W), slab):
+        rows = W[first:first + slab]
+        ks = k[:len(rows)]
+        for b, t in enumerate(tuples[first:first + slab].T):
+            np.remainder(np.multiply.outer(t, r, out=ks), L, out=ks)
+            if b:
+                rows += np.take(table, ks, out=term[:len(rows)], mode="clip")
+            else:
+                np.take(table, ks, out=rows, mode="clip")   # unbuffered; k < L
+    W *= weight[:, None]
+    return omega, W, pairs
 
 
-def _block_shape(steps: int, orbits: int) -> tuple[int, int]:
-    """(rows, tile): steps per block and orbits per tile of the signal's
-    block loop, whose four rows x tile arrays (32 B per orbit and row) fit
-    _BLOCK_BYTES."""
+def _block_shape(steps: int, columns: int) -> tuple[int, int]:
+    """(rows, tile): steps per block and columns (cos(omega t) terms) per
+    tile of the signal's block loop, whose four rows x tile arrays (32 B
+    per column and row) fit _BLOCK_BYTES."""
     rows = max(1, min(steps, _BLOCK_ROWS))
-    return rows, min(orbits, _BLOCK_BYTES // (32 * rows))
+    return rows, min(columns, _BLOCK_BYTES // (32 * rows))
 
 
 def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
@@ -479,17 +523,20 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
     """The block loop behind ``axis_signal`` and ``measure_light_cone``:
     the signal c(t_i, r) as a time-major (steps, r_max + 1) array, and the
     table of max |c| over each _MAXIMA_ROWS steps, one row per
-    _MAXIMA_ROWS steps and one column per distance.
+    _MAXIMA_ROWS steps; both have their columns in ``_signal_columns``
+    order.
 
-    The sum runs over tiles of the orbits of ``_axis_orbits``. A tile's
-    step table C, S = cos, sin(j dt omega), j < B, serves every block of B
-    steps: block rows are cos(t_0 omega) C - sin(t_0 omega) S from the
-    block's own base angle (no recurrence, so no drift), then one product
-    with the tile's rows of W into the block's rows of the signal, which
-    the first tile writes and the others add to. On the last tile each
-    block is final, and its |c| is folded into the table while the block is
-    still in cache. Refuses a scan whose phase steps*|dt|*omega_max leaves
-    the float range.
+    The sum runs over tiles of the rows of ``_axis_orbits``' W. A tile's
+    step table C, S = cos, sin(j dt omega), j < B, of its orbits (and
+    mirrors) serves every block of B steps: block entries a = cos(t omega)
+    are cos(t_0 omega) C - sin(t_0 omega) S from the block's own base
+    angle (no recurrence, so no drift), then one product with the tile's
+    rows of W. Folded, a pair's a + a' meets the even-r columns and a - a'
+    the odd-r ones (a' = 0 for a self-mirrored orbit): two products of
+    half the width. The first tile writes the block's rows of the signal
+    and the others add to them. On the last tile each block is final, and
+    its |c| is folded into the table while the block is still in cache.
+    Refuses a scan whose phase steps*|dt|*omega_max leaves the float range.
     """
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
@@ -497,32 +544,46 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
         raise LatticeError("r_max must lie in 0..L-1")
     _check_orbits(spec, r_max)
     _check_work(float(steps) * (r_max + 1), "the time signal")
-    omega, W = _axis_orbits(spec, r_max)
+    omega, W, pairs = _axis_orbits(spec, r_max)
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
                   omega.max(), steps * abs(dt))
-    rows, tile = _block_shape(steps, len(omega))
+    rows, tile = _block_shape(steps, omega.size)
+    width, even = tile // len(omega), r_max // 2 + 1   # W rows per tile, even-r columns
     arrays = np.empty(4 * rows * tile)
     maxima = np.zeros((-(-steps // _MAXIMA_ROWS), r_max + 1))
     part = np.empty((rows, r_max + 1))   # a later tile's product, then |block|
     out = np.empty((steps, r_max + 1))
-    for first in range(0, len(omega), tile):
-        w, Wt = omega[first:first + tile], W[first:first + tile]
-        C, S, block, work = arrays[:4 * rows * len(w)].reshape(4, rows, len(w))
-        angle = np.multiply.outer(np.arange(rows) * dt, w, out=block)
+    for first in range(0, len(W), width):
+        w, Wt = omega[:, None, first:first + width], W[first:first + width]
+        C, S, block, work = arrays[:4 * rows * w.size].reshape(4, len(w), rows, -1)
+        angle = np.multiply(np.arange(rows)[:, None] * dt, w, out=block)
         np.cos(angle, out=C)
         np.sin(angle, out=S)
+        own = max(0, pairs - first)   # self-mirrored from this column on: no mirror term
+        C[1:, :, own:] = S[1:, :, own:] = 0.0
+        group = max(1, _BLOCK_BYTES // (128 * w.size))   # cos, sin(t_0 omega): 1/16 each
         for start in range(0, steps, rows):
-            b = min(rows, steps - start)
-            base = start * dt * w
-            np.multiply(C[:b], np.cos(base), out=block[:b])
-            np.multiply(S[:b], np.sin(base), out=work[:b])
-            np.subtract(block[:b], work[:b], out=block[:b])
+            b, g = min(rows, steps - start), start // rows % group
+            if not g:
+                base = np.multiply.outer(
+                    np.arange(start, min(steps, start + group * rows), rows) * dt, w)
+                cos0, sin0 = np.cos(base), np.sin(base, out=base)
+            # all B rows: in a last, short block the rows past the scan go unused
+            np.multiply(C, cos0[g], out=block)
+            np.multiply(S, sin0[g], out=work)
+            np.subtract(block, work, out=block)
             sigma = out[start:start + b]
-            if first:
-                sigma += np.matmul(block[:b], Wt, out=part[:b])
+            product = part[:b] if first else sigma
+            if pairs:   # a - a' into work[0], a + a' into block[0]
+                np.subtract(block[0], block[1], out=work[0])
+                np.add(block[0], block[1], out=block[0])
+                np.matmul(block[0, :b], Wt[:, :even], out=product[:, :even])
+                np.matmul(work[0, :b], Wt[:, even:], out=product[:, even:])
             else:
-                np.matmul(block[:b], Wt, out=sigma)
-            if first + tile >= len(omega):
+                np.matmul(block[0, :b], Wt, out=product)
+            if first:
+                sigma += product
+            if first + width >= len(W):
                 top = maxima[start // _MAXIMA_ROWS]
                 np.maximum(top, np.abs(sigma, out=part[:b]).max(axis=0), out=top)
     return out, maxima
@@ -533,8 +594,14 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
     as a (steps, r_max + 1) array stored time-major. This is
     sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
-    distance r along axis 0. Built block by block (``_signal_blocks``)."""
-    return _signal_blocks(spec, dt, steps, r_max)[0]
+    distance r along axis 0. Built by ``_signal_blocks``, whose columns go
+    into r order one block of rows at a time."""
+    signal = _signal_blocks(spec, dt, steps, r_max)[0]
+    column = np.argsort(_signal_columns(r_max))
+    for start in range(0, steps, _BLOCK_ROWS):
+        rows = signal[start:start + _BLOCK_ROWS]
+        rows[:] = rows[:, column]
+    return signal
 
 
 def _commutator_norm(sigma: np.ndarray) -> np.ndarray:
@@ -571,8 +638,9 @@ def _block_windows(signal: np.ndarray, blocks: np.ndarray, cols: np.ndarray):
 def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
                 threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Peak norm and arrival step (-1 for none) of each distance r >= 1 of a
-    time-major signal, read only in the blocks of _MAXIMA_ROWS steps whose
-    max |sigma| in ``maxima`` can hold them.
+    time-major signal with columns in ``_signal_columns`` order, read only
+    in the blocks of _MAXIMA_ROWS steps whose max |sigma| in ``maxima`` can
+    hold them.
 
     2|sin(x/2)| increases with |x| on |x| <= 1 < pi, so the peak and the
     arrival lie on entries at or above a cut _below the largest |sigma| and
@@ -582,8 +650,8 @@ def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
     that reaches its cut, or else one of the _WINDOW entries from there; on a
     miss the walk goes on along the column, window by window.
     """
-    steps, cols = len(signal), np.arange(1, signal.shape[1])
-    maxima = maxima[:, 1:]
+    steps, cols = len(signal), np.argsort(_signal_columns(signal.shape[1] - 1))[1:]
+    maxima = maxima[:, cols]
     blocks, at = np.nonzero(maxima >= _below(maxima.max(axis=0)))
     peaks = np.zeros(len(cols))
     for part, _, windows in _block_windows(signal, blocks, cols[at]):

@@ -691,7 +691,7 @@ class TestLightconeCommand:
         assert main(["lightcone", "--d", "3", "--L", "100000", "--t-max", "1"]) == 2
         assert_one_error_line(
             capsys.readouterr(),
-            "the orbit weight matrix needs 1.04e+18 array entries")
+            "the orbit weight matrix needs 5.21e+17 array entries")
 
     def test_automatic_dt_refuses_long_axis_before_reading_it(
             self, monkeypatch, capsys):

@@ -3,6 +3,7 @@ import math
 import re
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -787,6 +788,48 @@ class TestAxisSignal:
                                    ifftn_axis_signal(spec, 0.37, 70, 6),
                                    rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("d,L,r_max,steps", [
+        (1, 100, 99, 150), (1, 102, 100, 150), (1, 101, 100, 150),
+        (2, 64, 63, 70), (2, 98, 96, 70), (2, 99, 60, 70),
+        (3, 48, 47, 30), (3, 50, 48, 30), (3, 49, 48, 30)])
+    def test_folded_orbits_match_per_step_ifftn(self, d, L, r_max, steps):
+        # signals 48 or more columns wide fold at L = 0 and 2 mod 4, with
+        # even and odd r_max; an odd L has no mirror pairs
+        spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
+        assert (lattice._axis_orbits(spec, r_max)[2] > 0) == (L % 2 == 0)
+        np.testing.assert_allclose(axis_signal(spec, 0.37, steps, r_max),
+                                   ifftn_axis_signal(spec, 0.37, steps, r_max),
+                                   rtol=0, atol=1e-12)
+
+    def test_folded_tiles_with_self_mirrored_orbits_last_match_per_step_ifftn(self):
+        # 2D L=128 folds 2,145 orbits into 1,056 pairs and 33 self-mirrored
+        # rows: nine tiles of 128 rows, the self-mirrored ones all in the last
+        spec = LatticeSpec(d=2, L=128, lam=(1.0, 0.3), m=0.8)
+        omega, W, pairs = lattice._axis_orbits(spec, 63)
+        rows, tile = lattice._block_shape(150, omega.size)
+        last = (len(W) - 1) // (tile // 2) * (tile // 2)
+        assert (len(W), pairs, rows, tile) == (1089, 1056, 64, 256) and last < pairs
+        np.testing.assert_allclose(axis_signal(spec, 0.37, 150, 63),
+                                   ifftn_axis_signal(spec, 0.37, 150, 63),
+                                   rtol=0, atol=1e-12)
+
+    @given(d=st.integers(1, 3), nu=st.integers(1, 2), extra=st.integers(0, 4),
+           lam=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2),
+           m=st.floats(0.1, 10.0), dt=st.floats(-6.0, 6.0),
+           steps=st.integers(0, 9), r_max=st.integers(0, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_folded_small_specs_match_per_step_ifftn(self, d, nu, extra, lam, m, dt,
+                                                      steps, r_max):
+        # with the width rule lowered to one column every even L folds, down
+        # to r_max = 0, where the odd-r product has no columns
+        spec = LatticeSpec(d=d, L=2 * nu + 2 + extra, lam=tuple(lam[:nu]), m=m)
+        r_max = min(r_max, spec.L - 1)
+        with mock.patch.object(lattice, "_FOLD_COLUMNS", 1):
+            assert (lattice._axis_orbits(spec, r_max)[2] > 0) == (spec.L % 2 == 0)
+            signal = axis_signal(spec, dt, steps, r_max)
+        np.testing.assert_allclose(signal, ifftn_axis_signal(spec, dt, steps, r_max),
+                                   rtol=0, atol=1e-12)
+
     def test_blocks_keep_full_height_at_every_orbit_count(self):
         # the height was _BLOCK_BYTES // (32 * orbits): one row above 4,096
         # orbits. Now only the orbit tile narrows: a block is full height
@@ -804,8 +847,9 @@ class TestAxisSignal:
             rows, tile = lattice._block_shape(steps, orbits)
             heights = [min(rows, steps - start) for start in range(0, steps, rows)]
             assert set(heights[:-1]) == {lattice._BLOCK_ROWS} and tile < orbits
-        # the 201 orbits of 1D L=400 stay one tile
-        assert lattice._block_shape(11001, 201) == (lattice._BLOCK_ROWS, 201)
+        # the 101 rows of W at 1D L=400, r_max=190, two columns each (the
+        # orbit and its mirror), stay one tile
+        assert lattice._block_shape(11001, 202) == (lattice._BLOCK_ROWS, 202)
 
     def test_bessel_oracle_nearest_neighbor_chain(self):
         # infinite chain: c(t, r) = J_2r(2 t sqrt(lam/m)); at L = 400 the
@@ -842,54 +886,142 @@ class TestAxisSignal:
                                        rtol=0, atol=1e-14)
 
     def test_signal_is_stored_time_major(self):
-        spec = LatticeSpec(d=1, L=40, lam=(1.0,), m=1.0)
-        signal = axis_signal(spec, 0.1, 50, 10)
-        assert signal.shape == (50, 11)
-        assert signal.flags.c_contiguous
+        # the block loop's signal and axis_signal's hold the same columns,
+        # in _signal_columns order and in r order, unfolded and folded
+        for L, r_max in ((40, 10), (120, 59)):
+            spec = LatticeSpec(d=1, L=L, lam=(1.0,), m=1.0)
+            signal = axis_signal(spec, 0.1, 150, r_max)
+            blocks = lattice._signal_blocks(spec, 0.1, 150, r_max)[0]
+            assert signal.shape == blocks.shape == (150, r_max + 1)
+            assert signal.flags.c_contiguous and blocks.flags.c_contiguous
+            np.testing.assert_array_equal(blocks, signal[:, lattice._signal_columns(r_max)])
 
     @pytest.mark.parametrize("d,L,steps", [(1, 40, 50), (1, 400, 600),
-                                           (2, 64, 513), (3, 32, 300)])
+                                           (2, 64, 513), (3, 32, 300), (2, 128, 300)])
     def test_block_maxima_are_the_plain_reduce(self, d, L, steps):
         # one block or many, one orbit tile (1D) or several that add into
-        # the block before its maximum is taken, and a short last block
+        # the block before its maximum is taken, a short last block, and
+        # folded orbits in one tile (1D L=400) or nine (2D L=128)
         spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
-        signal, maxima = lattice._signal_blocks(spec, 0.37, steps, L // 2 - 2)
-        np.testing.assert_array_equal(signal, axis_signal(spec, 0.37, steps, L // 2 - 2))
+        r_max = L // 2 - 2
+        signal, maxima = lattice._signal_blocks(spec, 0.37, steps, r_max)
+        np.testing.assert_array_equal(signal, axis_signal(spec, 0.37, steps, r_max)[
+            :, lattice._signal_columns(r_max)])
         np.testing.assert_array_equal(maxima, np.maximum.reduceat(
             np.abs(signal), np.arange(0, steps, lattice._MAXIMA_ROWS), axis=0))
 
-    @pytest.mark.parametrize("d,L,r_max", [(1, 400, 190), (1, 9, 8), (2, 64, 30),
-                                           (2, 10, 4), (3, 32, 14), (3, 64, 31),
-                                           (3, 7, 6)])
+    @staticmethod
+    def kept_orbits(L, d, r_max):
+        """The sorted index tuples with a row in W, in row order, and the
+        mirror reverse(L/2 - t) of each, from Python tuples: where the
+        orbits fold, the t that precede their mirror, then the t that are
+        their own; else every t."""
+        tuples = list(itertools.combinations_with_replacement(range(L // 2 + 1), d))
+        mirror = {t: tuple(sorted(L // 2 - n for n in t)) for t in tuples}
+        if L % 2 or r_max + 1 < lattice._FOLD_COLUMNS:
+            return tuples, []
+        pairs = [t for t in tuples if t < mirror[t]]
+        return pairs + [t for t in tuples if t == mirror[t]], [mirror[t] for t in pairs]
+
+    @pytest.mark.parametrize("d,L,r_max", [
+        (1, 400, 190), (1, 9, 8), (2, 64, 30), (2, 10, 4), (3, 32, 14), (3, 64, 31),
+        (3, 7, 6),
+        # folded: L = 0 and 2 mod 4, even and odd r_max
+        (1, 102, 101), (2, 64, 63), (2, 98, 60), (3, 48, 47), (3, 50, 48), (3, 64, 63)])
     def test_orbit_weights_take_one_cos_per_entry_bit_for_bit(self, d, L, r_max):
         # oracle: the cos of each entry's phase 2 pi (t_b r mod L) / L, as W
         # was built before the L-entry cos table, with the orbit size from
-        # exact integers: d! / prod(run lengths!) perms times fold(t)
+        # exact integers: d! / prod(run lengths!) perms times fold(t). A
+        # mirror dropped by the fold has its pair's size, and its weights
+        # are (-1)^r times the pair's row up to rounding: each cos(2 pi k / L)
+        # is within (2 pi + 1/2) eps of exact, since its phase rounds by at
+        # most 2 pi eps, so the d terms of the two rows differ by at most
+        # (4 pi + 1) d eps times the weight
         spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
-        tuples = np.array(list(itertools.combinations_with_replacement(
-            range(L // 2 + 1), d))).reshape(-1, d)
         r = np.arange(r_max + 1)
-        cos_r = sum(np.cos(2.0 * np.pi / L * (np.outer(t, r) % L)) for t in tuples.T)
-        mult = np.array([math.factorial(d)
-                         // math.prod(map(math.factorial, Counter(t).values()))
-                         * math.prod(1 if 2 * n % L == 0 else 2 for n in t)
-                         for t in tuples.tolist()], dtype=float)
-        W = lattice._axis_orbits(spec, r_max)[1]
-        assert np.array_equal(W, (mult / (d * spec.n_sites))[:, None] * cos_r)
+        np.testing.assert_array_equal(lattice._signal_columns(r_max),
+                                      np.concatenate([r[::2], r[1::2]]))
+        r = lattice._signal_columns(r_max)
+
+        def oracle(tuples):
+            tuples = np.array(tuples).reshape(-1, d)
+            cos_r = sum(np.cos(2.0 * np.pi / L * (np.outer(t, r) % L)) for t in tuples.T)
+            mult = np.array([math.factorial(d)
+                             // math.prod(map(math.factorial, Counter(t).values()))
+                             * math.prod(1 if 2 * n % L == 0 else 2 for n in t)
+                             for t in tuples.tolist()], dtype=float)
+            return mult, (mult / (d * spec.n_sites))[:, None] * cos_r
+
+        kept, mirrors = self.kept_orbits(L, d, r_max)
+        omega, W, pairs = lattice._axis_orbits(spec, r_max)
+        mult, rows = oracle(kept)
+        assert np.array_equal(W, rows)
+        assert pairs == len(mirrors) and (pairs > 0) == (r_max + 1 >= 48 and L % 2 == 0)
+        if pairs:
+            mirror_mult, mirror_rows = oracle(mirrors)
+            np.testing.assert_array_equal(mirror_mult, mult[:pairs])
+            sign = np.where(r % 2, -1.0, 1.0)
+            eps = np.finfo(float).eps
+            tol = (4 * math.pi + 1) * eps * mult[:pairs, None] / spec.n_sites
+            assert (np.abs(mirror_rows - sign * W[:pairs]) <= tol).all()
 
     @pytest.mark.parametrize("d,L,orbits", [(1, 400, 201), (2, 64, 561),
-                                            (3, 32, 969), (3, 7, 20)])
+                                            (3, 32, 969), (3, 7, 20), (1, 402, 202),
+                                            (1, 401, 201), (2, 66, 595), (3, 48, 2925),
+                                            (3, 50, 3276)])
     def test_orbits_cover_the_grid_once(self, d, L, orbits):
+        # every orbit has a row or is the mirror of one, with that row's
+        # size: counting each pair twice, the sizes repeat omega over the
+        # grid, unfolded (r_max = 3) and folded where L is even (r_max = 47+)
         spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=1.0)
-        omega, W = lattice._axis_orbits(spec, 3)
-        assert len(omega) == W.shape[0] == math.comb(L // 2 + d, d) == orbits
-        assert W[:, 0].sum() == pytest.approx(1.0, rel=0, abs=1e-14)
-        # the orbit sizes n_sites * W[:, 0] repeat each omega over the grid
-        sizes = np.rint(W[:, 0] * spec.n_sites).astype(int)
-        assert sizes.sum() == spec.n_sites
-        np.testing.assert_allclose(np.sort(np.repeat(omega, sizes)),
-                                   np.sort(normal_modes(spec).ravel()),
-                                   rtol=0, atol=1e-14)
+        for r_max in (3, min(L - 1, 63)):
+            omega, W, pairs = lattice._axis_orbits(spec, r_max)
+            assert len(W) + pairs == math.comb(L // 2 + d, d) == orbits
+            assert len(W) == len(omega[0]) == lattice._orbit_rows(L, d, r_max)
+            assert len(omega) == 1 + (pairs > 0)
+            assert (pairs > 0) == (L % 2 == 0 and r_max + 1 >= lattice._FOLD_COLUMNS)
+            sizes = np.rint(W[:, 0] * spec.n_sites).astype(int)
+            sizes = np.concatenate([sizes, sizes[:pairs]])
+            assert sizes.sum() == spec.n_sites
+            assert W[:, 0].sum() + W[:pairs, 0].sum() == pytest.approx(1.0, abs=1e-14)
+            np.testing.assert_allclose(
+                np.sort(np.repeat(np.concatenate([omega[0], omega[-1, :pairs]]), sizes)),
+                np.sort(normal_modes(spec).ravel()), rtol=0, atol=1e-14)
+
+    def test_row_count_is_closed_form(self):
+        # _orbit_rows, which the size check charges before any tuple is
+        # built, against the rows built and a count of the self-mirrored
+        # tuples; the orbits fold exactly where L is even and the signal is
+        # _FOLD_COLUMNS wide
+        assert lattice._FOLD_COLUMNS == 48
+        for d in (1, 2, 3):
+            for L in range(2, 43):
+                for r_max in (0, 46, 47, 60):
+                    spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
+                    omega, W, pairs = lattice._axis_orbits(spec, r_max)
+                    kept, mirrors = self.kept_orbits(L, d, r_max)
+                    assert len(W) == lattice._orbit_rows(L, d, r_max) == len(kept)
+                    assert (pairs > 0) == (L % 2 == 0 and r_max >= 47)
+                    if pairs:
+                        own = sum(tuple(sorted(L // 2 - n for n in t)) == t for t in kept)
+                        assert own == len(kept) - pairs == {
+                            1: int(L % 4 == 0), 2: L // 4 + 1,
+                            3: (L // 4 + 1) * int(L % 4 == 0)}[d]
+
+    def test_orbit_build_allocates_folded_weights_and_one_slab(self):
+        # W is built in slabs of rows: its int index array and gathered cos
+        # term take _BLOCK_BYTES together, not W's size each. The slack of
+        # 512 KB holds the 6,545 index tuples, their mirrors and per-orbit
+        # vectors
+        spec = LatticeSpec(d=3, L=64, lam=(1.0,), m=1.0)
+        tracemalloc.start()
+        try:
+            W = lattice._axis_orbits(spec, 63)[1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert W.shape == ((6545 + 17) // 2, 64)
+        assert peak <= W.nbytes + lattice._BLOCK_BYTES + 2 ** 19
 
     def test_rejects_bad_arguments(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
@@ -908,18 +1040,23 @@ class TestAxisSignal:
             axis_signal(spec, 0.1, 1, -1)
 
     def test_weight_matrix_capped_before_building(self, monkeypatch):
-        # C(L//2 + d, d) = C(19, 3) = 969 orbits times r_max + 1 = 15 entries
-        spec = LatticeSpec(d=3, L=32, lam=(1.0,), m=1.0)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 969 * 15)
-        assert axis_signal(spec, 1.0, 1, 14).shape == (1, 15)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 969 * 15 - 1)
-
+        # the cap charges the rows built times r_max + 1 entries
         def no_orbits(*args):
             raise AssertionError("orbits built before the size check")
 
-        monkeypatch.setattr(lattice, "_axis_orbits", no_orbits)
-        with pytest.raises(LatticeError, match="orbit weight matrix"):
-            axis_signal(spec, 1.0, 1, 14)
+        for L, r_max, rows in (
+                (32, 14, 969),                # C(L//2 + 3, 3) = C(19, 3), too narrow to fold
+                (49, 47, 2925),               # odd L: C(27, 3) and no mirror pairs
+                (64, 63, (6545 + 17) // 2)):  # C(35, 3) fold around 17 self-mirrored
+            spec = LatticeSpec(d=3, L=L, lam=(1.0,), m=1.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(lattice, "_WORK_ENTRY_CAP", rows * (r_max + 1))
+                assert axis_signal(spec, 1.0, 1, r_max).shape == (1, r_max + 1)
+                patch.setattr(lattice, "_WORK_ENTRY_CAP", rows * (r_max + 1) - 1)
+                patch.setattr(lattice, "_axis_orbits", no_orbits)
+                message = f"the orbit weight matrix needs {rows * (r_max + 1):.3g} array"
+                with pytest.raises(LatticeError, match=re.escape(message)):
+                    axis_signal(spec, 1.0, 1, r_max)
 
 
 class TestLightCone:
@@ -1131,14 +1268,16 @@ class TestLightConeRows:
     @staticmethod
     def scan_of(columns, threshold, monkeypatch):
         """Scan of a signal whose distances 1.. hold ``columns`` (steps 0.5
-        apart), with the block maxima of that signal taken by a plain reduce."""
+        apart), stored in ``_signal_columns`` order as the block loop stores
+        it, with the block maxima of that signal taken by a plain reduce."""
         columns = np.array(columns, dtype=float)
         signal = np.vstack([np.zeros(columns.shape[1]), columns]).T.copy()
 
         def signal_blocks(spec, dt, steps, r_max):
             assert signal.shape == (steps, r_max + 1)
+            stored = signal[:, lattice._signal_columns(r_max)]
             starts = np.arange(0, steps, lattice._MAXIMA_ROWS)
-            return signal.copy(), np.maximum.reduceat(np.abs(signal), starts, axis=0)
+            return stored, np.maximum.reduceat(np.abs(stored), starts, axis=0)
 
         monkeypatch.setattr(lattice, "_signal_blocks", signal_blocks)
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)

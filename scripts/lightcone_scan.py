@@ -11,7 +11,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from qram_bounds import lattice
-from qram_bounds.cli import _write_cone_csv
+from qram_bounds.cli import _cone_passes, _write_cone_csv
 
 CASES = [
     ("cone_1d_nn", lattice.LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0),
@@ -36,7 +36,8 @@ def main() -> None:
             "threshold": scan.threshold, "dt": scan.dt, "d": spec.d,
             "L": spec.L, "fitted": scan.fitted_velocity_lattice,
             "group_velocity": oracle, "bound": bound})
-        verdict = "OK" if scan.fitted_velocity_lattice < bound else "VIOLATION"
+        passes = _cone_passes(scan.fitted_velocity_lattice, bound)
+        verdict = "OK" if passes else "VIOLATION"
         print(f"{name}: fitted {scan.fitted_velocity_lattice:.4f} sites/s, "
               f"group velocity {oracle:.4f}, bound {bound:.4f} [{verdict}] "
               f"({time.time() - start:.1f}s) -> {path}")

@@ -253,6 +253,11 @@ def _write_cone_csv(path: str | Path, scan: lattice.LightConeScan,
               [(c.r, c.t_arrival, c.peak) for c in scan.rows])
 
 
+def _cone_passes(fitted: float, bound: float) -> bool:
+    """The light-cone verdict: a fitted velocity passes at or below the bound."""
+    return fitted <= bound
+
+
 def _cmd_lightcone(args) -> int:
     lam = tuple(_parse_item("--lam", float, x) for x in args.lam.split(","))
     spec = lattice.LatticeSpec(d=args.d, L=args.L, lam=lam, m=args.m)
@@ -279,7 +284,7 @@ def _cmd_lightcone(args) -> int:
     print(f"fit diagnostics:     intercept {scan.fit_intercept:.6g} sites, "
           f"rms residual {scan.fit_residual:.3g} sites, "
           f"{scan.n_no_arrival} of {len(scan.rows)} distances without arrival")
-    ok = fitted <= bound
+    ok = _cone_passes(fitted, bound)
     print("PASS: fitted velocity below bound" if ok
           else "FAIL: fitted velocity exceeds bound")
     return EXIT_OK if ok else EXIT_VERIFY

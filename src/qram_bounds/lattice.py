@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -313,8 +314,8 @@ def propagate_ode(spec: LatticeSpec, t: float, dt: float) -> np.ndarray:
 class WeylFunction:
     """Finite-support complex phase-space function defining a Weyl operator.
 
-    Keys are site indices (int for d = 1, tuples otherwise); Re couples to q,
-    Im couples to p.
+    Keys are site indices (int for d = 1, tuples otherwise; numpy ints too,
+    bools refused); Re couples to q, Im couples to p.
     """
     amplitudes: Mapping[int | tuple[int, ...], complex]
 
@@ -322,8 +323,11 @@ class WeylFunction:
         uq = np.zeros(spec.n_sites)
         up = np.zeros(spec.n_sites)
         for site, amp in self.amplitudes.items():
-            if isinstance(site, int):
-                site = (site,)
+            site = site if isinstance(site, tuple) else (site,)
+            if any(isinstance(s, (bool, np.bool_)) or not hasattr(type(s), "__index__")
+                   for s in site):
+                raise LatticeError(f"site {site!r} must hold integer indices")
+            site = tuple(map(operator.index, site))
             if len(site) != spec.d:
                 raise LatticeError(f"site {site} has wrong dimension")
             if not all(0 <= s < spec.L for s in site):

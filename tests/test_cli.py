@@ -7,6 +7,7 @@ import platform
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -681,13 +682,14 @@ class TestLightconeCommand:
 
     def test_automatic_dt_refuses_oversized_grid_before_building_it(
             self, monkeypatch, capsys):
-        # the automatic dt reads one axis of 10^5 points; neither the 10^15
-        # mode grid nor the orbits are built before the scan refuses
+        # neither the 10^15 mode grid nor the 10^5-point axis of the
+        # automatic dt is built before the scan refuses; the orbits (about
+        # 2e13 tuples) would come only after that axis
         def no_grid(*args):
-            raise AssertionError("mode grid or orbits built before the size check")
+            raise AssertionError("mode grid or axis built before the size check")
 
         monkeypatch.setattr(lattice, "normal_modes", no_grid)
-        monkeypatch.setattr(lattice, "_axis_orbits", no_grid)
+        monkeypatch.setattr(lattice, "omega_max", no_grid)
         assert main(["lightcone", "--d", "3", "--L", "100000", "--t-max", "1"]) == 2
         assert_one_error_line(
             capsys.readouterr(),
@@ -696,28 +698,30 @@ class TestLightconeCommand:
     def test_automatic_dt_refuses_long_axis_before_reading_it(
             self, monkeypatch, capsys):
         # d = 1, L = 10^9: the 5e8 + 1 orbits refuse the scan before
-        # omega_max reads the 10^9-point axis for the automatic dt
+        # omega_max reads the 10^9-point axis for the automatic dt, which
+        # comes before any orbit is built
         def no_axis(*args):
-            raise AssertionError("axis or orbits built before the size check")
+            raise AssertionError("axis built before the size check")
 
         monkeypatch.setattr(lattice, "omega_max", no_axis)
-        monkeypatch.setattr(lattice, "_axis_orbits", no_axis)
         assert main(["lightcone", "--L", "1000000000", "--r-max", "2",
                      "--t-max", "1"]) == 2
         assert_one_error_line(
             capsys.readouterr(),
             "the orbit weight matrix needs 1.5e+09 array entries")
 
-    def test_fit_r_min_beyond_r_max_exits_2(self, monkeypatch, capsys):
-        def no_scan(*args):
-            raise AssertionError("scan ran before the fit_r_min check")
-
-        monkeypatch.setattr(lattice, "_signal_blocks", no_scan)
-        assert main(["lightcone", "--L", "40", "--t-max", "4", "--r-max", "4",
-                     "--fit-r-min", "50", "--dt", "0.05"]) == 2
+    def test_fit_r_min_beyond_r_max_exits_2(self, capsys):
+        # refused before the scan, which would hold a 16.8 MB signal
+        tracemalloc.start()
+        try:
+            assert main(["lightcone", "--L", "400", "--t-max", "220", "--r-max", "190",
+                         "--fit-r-min", "250", "--dt", "0.02"]) == 2
+            assert tracemalloc.get_traced_memory()[1] <= 2 ** 20
+        finally:
+            tracemalloc.stop()
         captured = capsys.readouterr()
-        assert captured.err == ("error: fit_r_min = 50 leaves fewer than two "
-                                "distances to fit (r_max = 4)\n")
+        assert captured.err == ("error: fit_r_min = 250 leaves fewer than two "
+                                "distances to fit (r_max = 190)\n")
         assert captured.out == ""
 
     def test_prints_fit_diagnostics(self, capsys):

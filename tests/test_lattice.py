@@ -1,14 +1,14 @@
-import itertools
+import contextlib
 import math
 import re
 import tracemalloc
-from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lattice_oracles import (SIGNAL_CASES, full_grid_group_velocity,
+                             full_signal_rows, ifftn_axis_signal)
 from qram_bounds import lattice, verify
 from qram_bounds.lattice import (LatticeError, LatticeSpec, LRBoundParams,
                                  SymplecticPropagator, WeylFunction,
@@ -86,18 +86,6 @@ def fock_commutator_norm(lam, m, f_amp, g_amp, t, trunc):
     return np.linalg.norm(Wf_t @ (Wg @ vac) - Wg @ (Wf_t @ vac))
 
 
-def ifftn_axis_signal(spec, dt, steps, r_max):
-    """One full inverse FFT of cos(omega t) per time step t = i * dt,
-    keeping the on-axis entries r = 0..r_max."""
-    omega = normal_modes(spec)
-    ts = np.arange(steps) * dt
-    out = np.empty((steps, r_max + 1))
-    for i, t in enumerate(ts):
-        col = np.fft.ifftn(np.cos(omega * t)).real
-        out[i] = col[(slice(0, r_max + 1),) + (0,) * (spec.d - 1)]
-    return out
-
-
 def rk4_step_loop(spec, t, dt):
     """Classical RK4 on q_dot = p/m, p_dot = -K q, one right-hand side per
     stage and four stages per step, starting from the identity."""
@@ -119,41 +107,17 @@ def rk4_step_loop(spec, t, dt):
     return S
 
 
-def full_grid_group_velocity(spec):
-    """max |grad omega| over the whole cell-centered grid at once, without
-    the k -> 0 candidate."""
-    n_axis = {1: 20001, 2: 301, 3: 101}[spec.d]
-    k = (np.arange(n_axis) + 0.5) * np.pi / n_axis
-    grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
-    w2 = np.zeros((n_axis,) * spec.d)
-    for kb in grids:
-        for j, lam in enumerate(spec.lam, start=1):
-            w2 = w2 + 4.0 * lam * np.sin(j * kb / 2.0) ** 2
-    omega = np.sqrt(w2 / spec.m)
-    grad2 = np.zeros_like(omega)
-    for kb in grids:
-        comp = sum(lam * j * np.sin(j * kb)
-                   for j, lam in enumerate(spec.lam, start=1))
-        with np.errstate(divide="ignore", invalid="ignore"):  # 0 where omega is
-            grad2 = grad2 + np.where(omega > 0, comp / (spec.m * omega), 0.0) ** 2
-    return float(np.sqrt(grad2.max()))
-
-
-def full_signal_rows(spec, threshold, t_max, r_max, dt):
-    """Light-cone rows (r, t_arrival, peak) from the commutator norm
-    2|sin(sigma/2)| of every entry of the time signal: each distance's peak
-    is the maximum of its norms, its arrival the first time the norm
-    reaches threshold * peak."""
-    ts = np.arange(0.0, t_max + dt, dt)
-    ts = ts[ts <= t_max + 1e-12]
-    norm = 2.0 * np.abs(np.sin(lattice.axis_signal(spec, dt, len(ts), r_max) * 0.5))
-    rows = []
-    for r in range(1, r_max + 1):
-        peak = float(norm[:, r].max())
-        arrival = (None if peak < lattice._PEAK_NOISE_FLOOR
-                   else float(ts[np.argmax(norm[:, r] >= threshold * peak)]))
-        rows.append(lattice.ConeArrival(r=r, t_arrival=arrival, peak=peak))
-    return tuple(rows)
+def traced_peak(call, refusal=None):
+    """The traced memory peak of ``call()``, in bytes; with ``refusal``,
+    the call must raise a LatticeError that matches it."""
+    tracemalloc.start()
+    try:
+        with (pytest.raises(LatticeError, match=refusal) if refusal
+              else contextlib.nullcontext()):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # --- spec and modes ----------------------------------------------------------
@@ -341,27 +305,6 @@ class TestGroupVelocity:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(lattice, "longwave_speed", lambda spec: 0.0)
             assert max_group_velocity(spec) == full_grid_group_velocity(spec)
-
-    @pytest.mark.parametrize("d,lam,m,axis", [
-        (3, (1.0, 0.3), 1.1, (1, 2)),        # S is the maximum alone ...
-        (2, (0.0, 1.0, 0.0, 0.5), 0.8, (1, 2)),
-        (1, (1e-300,), 1.0, (20001, 20001)),  # ... or the whole axis, where
-        (3, (1e-300,), 1e10, (101, 101)),      # a replayed value leaves the
-        (2, (1e305,), 1e305, (301, 301)),     # normal float range
-    ])
-    def test_replay_runs_on_the_selected_axis_points(self, d, lam, m, axis, monkeypatch):
-        sizes = []
-        replay = lattice._grad2_max
-
-        def spy(spec, k):
-            sizes.append(len(k))
-            return replay(spec, k)
-
-        monkeypatch.setattr(lattice, "_grad2_max", spy)
-        monkeypatch.setattr(lattice, "longwave_speed", lambda spec: 0.0)
-        spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
-        assert max_group_velocity(spec) == full_grid_group_velocity(spec)
-        assert axis[0] <= sizes[0] <= axis[1]
 
     def test_bound_exceeds_measured_speed_by_factor_four_nn(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
@@ -656,6 +599,21 @@ class TestWeylCommutator:
             weyl_commutator_norm(spec, WeylFunction(amps),
                                  WeylFunction({(0,) * d: 1.0}), 0.0)
 
+    @pytest.mark.parametrize("d,site", [(1, True), (1, np.True_), (1, (0.5,)),
+                                        (2, (1, False)), (1, "0")])
+    def test_rejects_site_that_is_not_integer_indices(self, d, site):
+        # a bool was read as site 1 and a float raised a TypeError
+        spec = LatticeSpec(d=d, L=4, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match=r"^site .* must hold integer indices$"):
+            WeylFunction({site: 1.0}).vectors(spec)
+
+    @pytest.mark.parametrize("d,site,plain", [(1, np.int64(2), 2),
+                                              (2, (np.int64(2), np.uint8(3)), (2, 3))])
+    def test_accepts_numpy_integer_sites(self, d, site, plain):
+        spec = LatticeSpec(d=d, L=4, lam=(1.0,), m=1.0)
+        np.testing.assert_array_equal(WeylFunction({site: 1.0 + 2.0j}).vectors(spec),
+                                      WeylFunction({plain: 1.0 + 2.0j}).vectors(spec))
+
     @pytest.mark.parametrize("f_amp,g_amp,t", [
         ((1.0 + 0j, 0j), (0j, 1j), 0.0),
         ((1.0 + 0j, 0j), (1j, 0j), 0.0),
@@ -741,15 +699,15 @@ class TestBoundEnvelope:
 
 
 class TestAxisSignal:
-    @pytest.mark.parametrize("d,L,lam", [
-        (1, 16, (1.0,)), (1, 17, (1.0, 0.4)), (1, 400, (1.0,)),
-        (2, 9, (0.8,)), (2, 10, (1.0, 0.3)),
-        (3, 7, (1.1, 0.5)), (3, 8, (0.9,)),
-    ])
-    def test_matches_per_step_ifftn(self, d, L, lam):
-        spec = LatticeSpec(d=d, L=L, lam=lam, m=0.9)
-        np.testing.assert_allclose(axis_signal(spec, 0.13, 308, L - 1),
-                                   ifftn_axis_signal(spec, 0.13, 308, L - 1),
+    @pytest.mark.parametrize("case", SIGNAL_CASES, ids=lambda case: case.id)
+    def test_matches_per_step_ifftn(self, case):
+        # each row reaches the layout regime its id names (many blocks, orbit
+        # tiles, mirror pairs folded or not), and together they cover the
+        # orbits of each grid. The signal is stored time-major in r order
+        _, spec, dt, steps, r_max = case
+        signal = axis_signal(spec, dt, steps, r_max)
+        assert signal.shape == (steps, r_max + 1) and signal.flags.c_contiguous
+        np.testing.assert_allclose(signal, ifftn_axis_signal(spec, dt, steps, r_max),
                                    rtol=0, atol=1e-12)
 
     @given(d=st.integers(1, 3), nu=st.integers(1, 2), extra=st.integers(0, 4),
@@ -762,94 +720,6 @@ class TestAxisSignal:
         np.testing.assert_allclose(axis_signal(spec, dt, steps, spec.L - 1),
                                    ifftn_axis_signal(spec, dt, steps, spec.L - 1),
                                    rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("d,L,lam,steps", [(2, 64, (1.0, 0.3), 200),
-                                               (3, 32, (1.0,), 200)])
-    def test_many_blocks_match_per_step_ifftn(self, d, L, lam, steps):
-        # each block restarts from its own base angle and each orbit tile
-        # adds its share: steps far past one block, over 3 tiles at 2D L=64
-        # and 4 at 3D L=32, keep the oracle's accuracy
-        spec = LatticeSpec(d=d, L=L, lam=lam, m=0.8)
-        orbits = math.comb(L // 2 + d, d)
-        rows, tile = lattice._block_shape(steps, orbits)
-        assert steps > 3 * rows and orbits > tile
-        np.testing.assert_allclose(axis_signal(spec, 0.37, steps, L // 2),
-                                   ifftn_axis_signal(spec, 0.37, steps, L // 2),
-                                   rtol=0, atol=1e-12)
-
-    def test_above_4096_orbits_matches_per_step_ifftn(self):
-        # 6,545 orbits at 3D L=64, where a block was one row: now 26 tiles
-        # of two blocks, 64 rows and the last 6
-        spec = LatticeSpec(d=3, L=64, lam=(1.0, 0.3), m=0.8)
-        orbits = math.comb(32 + 3, 3)
-        rows, tile = lattice._block_shape(70, orbits)
-        assert orbits > 4096 and rows == lattice._BLOCK_ROWS and orbits > 25 * tile
-        np.testing.assert_allclose(axis_signal(spec, 0.37, 70, 6),
-                                   ifftn_axis_signal(spec, 0.37, 70, 6),
-                                   rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("d,L,r_max,steps", [
-        (1, 100, 99, 150), (1, 102, 100, 150), (1, 101, 100, 150),
-        (2, 64, 63, 70), (2, 98, 96, 70), (2, 99, 60, 70),
-        (3, 48, 47, 30), (3, 50, 48, 30), (3, 49, 48, 30)])
-    def test_folded_orbits_match_per_step_ifftn(self, d, L, r_max, steps):
-        # signals 48 or more columns wide fold at L = 0 and 2 mod 4, with
-        # even and odd r_max; an odd L has no mirror pairs
-        spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
-        assert (lattice._axis_orbits(spec, r_max)[2] > 0) == (L % 2 == 0)
-        np.testing.assert_allclose(axis_signal(spec, 0.37, steps, r_max),
-                                   ifftn_axis_signal(spec, 0.37, steps, r_max),
-                                   rtol=0, atol=1e-12)
-
-    def test_folded_tiles_with_self_mirrored_orbits_last_match_per_step_ifftn(self):
-        # 2D L=128 folds 2,145 orbits into 1,056 pairs and 33 self-mirrored
-        # rows: nine tiles of 128 rows, the self-mirrored ones all in the last
-        spec = LatticeSpec(d=2, L=128, lam=(1.0, 0.3), m=0.8)
-        omega, W, pairs = lattice._axis_orbits(spec, 63)
-        rows, tile = lattice._block_shape(150, omega.size)
-        last = (len(W) - 1) // (tile // 2) * (tile // 2)
-        assert (len(W), pairs, rows, tile) == (1089, 1056, 64, 256) and last < pairs
-        np.testing.assert_allclose(axis_signal(spec, 0.37, 150, 63),
-                                   ifftn_axis_signal(spec, 0.37, 150, 63),
-                                   rtol=0, atol=1e-12)
-
-    @given(d=st.integers(1, 3), nu=st.integers(1, 2), extra=st.integers(0, 4),
-           lam=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2),
-           m=st.floats(0.1, 10.0), dt=st.floats(-6.0, 6.0),
-           steps=st.integers(0, 9), r_max=st.integers(0, 9))
-    @settings(max_examples=40, deadline=None)
-    def test_folded_small_specs_match_per_step_ifftn(self, d, nu, extra, lam, m, dt,
-                                                      steps, r_max):
-        # with the width rule lowered to one column every even L folds, down
-        # to r_max = 0, where the odd-r product has no columns
-        spec = LatticeSpec(d=d, L=2 * nu + 2 + extra, lam=tuple(lam[:nu]), m=m)
-        r_max = min(r_max, spec.L - 1)
-        with mock.patch.object(lattice, "_FOLD_COLUMNS", 1):
-            assert (lattice._axis_orbits(spec, r_max)[2] > 0) == (spec.L % 2 == 0)
-            signal = axis_signal(spec, dt, steps, r_max)
-        np.testing.assert_allclose(signal, ifftn_axis_signal(spec, dt, steps, r_max),
-                                   rtol=0, atol=1e-12)
-
-    def test_blocks_keep_full_height_at_every_orbit_count(self):
-        # the height was _BLOCK_BYTES // (32 * orbits): one row above 4,096
-        # orbits. Now only the orbit tile narrows: a block is full height
-        # unless the scan is shorter, and a tile is as wide as the budget lets
-        budget = lattice._BLOCK_BYTES
-        for steps in (1, 63, 64, 65, 693):
-            for orbits in range(1, 50_001):
-                rows, tile = lattice._block_shape(steps, orbits)
-                assert rows == min(steps, lattice._BLOCK_ROWS)
-                assert 1 <= tile <= orbits and 32 * rows * tile <= budget
-                assert tile == orbits or 32 * rows * (tile + 1) > budget
-        # 3D L=64 and L=128 at the step counts of `lightcone --t-max 20` and
-        # `--t-max 40` with the automatic dt: only the last block is short
-        for orbits, steps in ((6545, 347), (45760, 693)):
-            rows, tile = lattice._block_shape(steps, orbits)
-            heights = [min(rows, steps - start) for start in range(0, steps, rows)]
-            assert set(heights[:-1]) == {lattice._BLOCK_ROWS} and tile < orbits
-        # the 101 rows of W at 1D L=400, r_max=190, two columns each (the
-        # orbit and its mirror), stay one tile
-        assert lattice._block_shape(11001, 202) == (lattice._BLOCK_ROWS, 202)
 
     def test_bessel_oracle_nearest_neighbor_chain(self):
         # infinite chain: c(t, r) = J_2r(2 t sqrt(lam/m)); at L = 400 the
@@ -885,143 +755,14 @@ class TestAxisSignal:
             np.testing.assert_allclose(signal[i], axis_signal(spec, t, 2, 5)[1],
                                        rtol=0, atol=1e-14)
 
-    def test_signal_is_stored_time_major(self):
-        # the block loop's signal and axis_signal's hold the same columns,
-        # in _signal_columns order and in r order, unfolded and folded
-        for L, r_max in ((40, 10), (120, 59)):
-            spec = LatticeSpec(d=1, L=L, lam=(1.0,), m=1.0)
-            signal = axis_signal(spec, 0.1, 150, r_max)
-            blocks = lattice._signal_blocks(spec, 0.1, 150, r_max)[0]
-            assert signal.shape == blocks.shape == (150, r_max + 1)
-            assert signal.flags.c_contiguous and blocks.flags.c_contiguous
-            np.testing.assert_array_equal(blocks, signal[:, lattice._signal_columns(r_max)])
-
-    @pytest.mark.parametrize("d,L,steps", [(1, 40, 50), (1, 400, 600),
-                                           (2, 64, 513), (3, 32, 300), (2, 128, 300)])
-    def test_block_maxima_are_the_plain_reduce(self, d, L, steps):
-        # one block or many, one orbit tile (1D) or several that add into
-        # the block before its maximum is taken, a short last block, and
-        # folded orbits in one tile (1D L=400) or nine (2D L=128)
-        spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
-        r_max = L // 2 - 2
-        signal, maxima = lattice._signal_blocks(spec, 0.37, steps, r_max)
-        np.testing.assert_array_equal(signal, axis_signal(spec, 0.37, steps, r_max)[
-            :, lattice._signal_columns(r_max)])
-        np.testing.assert_array_equal(maxima, np.maximum.reduceat(
-            np.abs(signal), np.arange(0, steps, lattice._MAXIMA_ROWS), axis=0))
-
-    @staticmethod
-    def kept_orbits(L, d, r_max):
-        """The sorted index tuples with a row in W, in row order, and the
-        mirror reverse(L/2 - t) of each, from Python tuples: where the
-        orbits fold, the t that precede their mirror, then the t that are
-        their own; else every t."""
-        tuples = list(itertools.combinations_with_replacement(range(L // 2 + 1), d))
-        mirror = {t: tuple(sorted(L // 2 - n for n in t)) for t in tuples}
-        if L % 2 or r_max + 1 < lattice._FOLD_COLUMNS:
-            return tuples, []
-        pairs = [t for t in tuples if t < mirror[t]]
-        return pairs + [t for t in tuples if t == mirror[t]], [mirror[t] for t in pairs]
-
-    @pytest.mark.parametrize("d,L,r_max", [
-        (1, 400, 190), (1, 9, 8), (2, 64, 30), (2, 10, 4), (3, 32, 14), (3, 64, 31),
-        (3, 7, 6),
-        # folded: L = 0 and 2 mod 4, even and odd r_max
-        (1, 102, 101), (2, 64, 63), (2, 98, 60), (3, 48, 47), (3, 50, 48), (3, 64, 63)])
-    def test_orbit_weights_take_one_cos_per_entry_bit_for_bit(self, d, L, r_max):
-        # oracle: the cos of each entry's phase 2 pi (t_b r mod L) / L, as W
-        # was built before the L-entry cos table, with the orbit size from
-        # exact integers: d! / prod(run lengths!) perms times fold(t). A
-        # mirror dropped by the fold has its pair's size, and its weights
-        # are (-1)^r times the pair's row up to rounding: each cos(2 pi k / L)
-        # is within (2 pi + 1/2) eps of exact, since its phase rounds by at
-        # most 2 pi eps, so the d terms of the two rows differ by at most
-        # (4 pi + 1) d eps times the weight
-        spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
-        r = np.arange(r_max + 1)
-        np.testing.assert_array_equal(lattice._signal_columns(r_max),
-                                      np.concatenate([r[::2], r[1::2]]))
-        r = lattice._signal_columns(r_max)
-
-        def oracle(tuples):
-            tuples = np.array(tuples).reshape(-1, d)
-            cos_r = sum(np.cos(2.0 * np.pi / L * (np.outer(t, r) % L)) for t in tuples.T)
-            mult = np.array([math.factorial(d)
-                             // math.prod(map(math.factorial, Counter(t).values()))
-                             * math.prod(1 if 2 * n % L == 0 else 2 for n in t)
-                             for t in tuples.tolist()], dtype=float)
-            return mult, (mult / (d * spec.n_sites))[:, None] * cos_r
-
-        kept, mirrors = self.kept_orbits(L, d, r_max)
-        omega, W, pairs = lattice._axis_orbits(spec, r_max)
-        mult, rows = oracle(kept)
-        assert np.array_equal(W, rows)
-        assert pairs == len(mirrors) and (pairs > 0) == (r_max + 1 >= 48 and L % 2 == 0)
-        if pairs:
-            mirror_mult, mirror_rows = oracle(mirrors)
-            np.testing.assert_array_equal(mirror_mult, mult[:pairs])
-            sign = np.where(r % 2, -1.0, 1.0)
-            eps = np.finfo(float).eps
-            tol = (4 * math.pi + 1) * eps * mult[:pairs, None] / spec.n_sites
-            assert (np.abs(mirror_rows - sign * W[:pairs]) <= tol).all()
-
-    @pytest.mark.parametrize("d,L,orbits", [(1, 400, 201), (2, 64, 561),
-                                            (3, 32, 969), (3, 7, 20), (1, 402, 202),
-                                            (1, 401, 201), (2, 66, 595), (3, 48, 2925),
-                                            (3, 50, 3276)])
-    def test_orbits_cover_the_grid_once(self, d, L, orbits):
-        # every orbit has a row or is the mirror of one, with that row's
-        # size: counting each pair twice, the sizes repeat omega over the
-        # grid, unfolded (r_max = 3) and folded where L is even (r_max = 47+)
-        spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=1.0)
-        for r_max in (3, min(L - 1, 63)):
-            omega, W, pairs = lattice._axis_orbits(spec, r_max)
-            assert len(W) + pairs == math.comb(L // 2 + d, d) == orbits
-            assert len(W) == len(omega[0]) == lattice._orbit_rows(L, d, r_max)
-            assert len(omega) == 1 + (pairs > 0)
-            assert (pairs > 0) == (L % 2 == 0 and r_max + 1 >= lattice._FOLD_COLUMNS)
-            sizes = np.rint(W[:, 0] * spec.n_sites).astype(int)
-            sizes = np.concatenate([sizes, sizes[:pairs]])
-            assert sizes.sum() == spec.n_sites
-            assert W[:, 0].sum() + W[:pairs, 0].sum() == pytest.approx(1.0, abs=1e-14)
-            np.testing.assert_allclose(
-                np.sort(np.repeat(np.concatenate([omega[0], omega[-1, :pairs]]), sizes)),
-                np.sort(normal_modes(spec).ravel()), rtol=0, atol=1e-14)
-
-    def test_row_count_is_closed_form(self):
-        # _orbit_rows, which the size check charges before any tuple is
-        # built, against the rows built and a count of the self-mirrored
-        # tuples; the orbits fold exactly where L is even and the signal is
-        # _FOLD_COLUMNS wide
-        assert lattice._FOLD_COLUMNS == 48
-        for d in (1, 2, 3):
-            for L in range(2, 43):
-                for r_max in (0, 46, 47, 60):
-                    spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
-                    omega, W, pairs = lattice._axis_orbits(spec, r_max)
-                    kept, mirrors = self.kept_orbits(L, d, r_max)
-                    assert len(W) == lattice._orbit_rows(L, d, r_max) == len(kept)
-                    assert (pairs > 0) == (L % 2 == 0 and r_max >= 47)
-                    if pairs:
-                        own = sum(tuple(sorted(L // 2 - n for n in t)) == t for t in kept)
-                        assert own == len(kept) - pairs == {
-                            1: int(L % 4 == 0), 2: L // 4 + 1,
-                            3: (L // 4 + 1) * int(L % 4 == 0)}[d]
-
     def test_orbit_build_allocates_folded_weights_and_one_slab(self):
-        # W is built in slabs of rows: its int index array and gathered cos
-        # term take _BLOCK_BYTES together, not W's size each. The slack of
-        # 512 KB holds the 6,545 index tuples, their mirrors and per-orbit
-        # vectors
+        # one step at 3D L=64, r_max = 63: the folded weights, (6,545 + 17) / 2
+        # rows of 64 columns, and 1 MB for the slab that builds them (its int
+        # index array and gathered cos term take 512 KB together), the 6,545
+        # index tuples, their mirrors, per-orbit vectors and the one-step scan
         spec = LatticeSpec(d=3, L=64, lam=(1.0,), m=1.0)
-        tracemalloc.start()
-        try:
-            W = lattice._axis_orbits(spec, 63)[1]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert W.shape == ((6545 + 17) // 2, 64)
-        assert peak <= W.nbytes + lattice._BLOCK_BYTES + 2 ** 19
+        peak = traced_peak(lambda: axis_signal(spec, 0.05, 1, 63))
+        assert peak <= (6545 + 17) // 2 * 64 * 8 + 2 ** 20
 
     def test_rejects_bad_arguments(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
@@ -1039,30 +780,17 @@ class TestAxisSignal:
         with pytest.raises(LatticeError, match="r_max"):
             axis_signal(spec, 0.1, 1, -1)
 
-    def test_weight_matrix_capped_before_building(self, monkeypatch):
-        # the cap charges the rows built times r_max + 1 entries
-        def no_orbits(*args):
-            raise AssertionError("orbits built before the size check")
-
-        for L, r_max, rows in (
-                (32, 14, 969),                # C(L//2 + 3, 3) = C(19, 3), too narrow to fold
-                (49, 47, 2925),               # odd L: C(27, 3) and no mirror pairs
-                (64, 63, (6545 + 17) // 2)):  # C(35, 3) fold around 17 self-mirrored
-            spec = LatticeSpec(d=3, L=L, lam=(1.0,), m=1.0)
-            with monkeypatch.context() as patch:
-                patch.setattr(lattice, "_WORK_ENTRY_CAP", rows * (r_max + 1))
-                assert axis_signal(spec, 1.0, 1, r_max).shape == (1, r_max + 1)
-                patch.setattr(lattice, "_WORK_ENTRY_CAP", rows * (r_max + 1) - 1)
-                patch.setattr(lattice, "_axis_orbits", no_orbits)
-                message = f"the orbit weight matrix needs {rows * (r_max + 1):.3g} array"
-                with pytest.raises(LatticeError, match=re.escape(message)):
-                    axis_signal(spec, 1.0, 1, r_max)
+    def test_weight_matrix_capped_before_building(self):
+        # 3D L=256, r_max = 127: the folded weights alone would take 187 MB
+        spec = LatticeSpec(d=3, L=256, lam=(1.0,), m=1.0)
+        message = re.escape("the orbit weight matrix needs 2.34e+07 array entries")
+        assert traced_peak(lambda: axis_signal(spec, 0.02, 2001, 127), message) <= 2 ** 16
 
 
 class TestLightCone:
-    def test_rejects_small_lattice(self, monkeypatch):
-        # the wrap-around margin L >= 2*nu + 2, checked before anything else
-        monkeypatch.setattr(lattice, "_signal_blocks", None)
+    def test_rejects_small_lattice(self):
+        # the wrap-around margin L >= 2*nu + 2, checked before anything else:
+        # threshold, t_max and r_max are out of range too
         for L, lam in ((4, (1.0, 1.0)), (3, (1.0,)), (2, (1.0,))):
             spec = LatticeSpec(d=1, L=L, lam=lam, m=1.0)
             with pytest.raises(LatticeError, match="L too small for range"):
@@ -1114,18 +842,14 @@ class TestLightCone:
         with pytest.raises(LatticeError, match="wrap-around"):
             measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=40)
 
-    @pytest.mark.parametrize("fit_r_min", [10, 50])
-    def test_fit_r_min_checked_against_r_max_before_the_scan(
-            self, fit_r_min, monkeypatch):
-        def no_scan(*args):
-            raise AssertionError("scan ran before the fit_r_min check")
-
-        monkeypatch.setattr(lattice, "_signal_blocks", no_scan)
-        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
-        with pytest.raises(LatticeError, match=f"fit_r_min = {fit_r_min} leaves "
-                                               "fewer than two distances"):
-            measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10,
-                               dt=0.05, fit_r_min=fit_r_min)
+    @pytest.mark.parametrize("fit_r_min", [190, 250])
+    def test_fit_r_min_checked_against_r_max_before_the_scan(self, fit_r_min):
+        # the scan would hold a 16.8 MB signal
+        spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
+        message = (f"fit_r_min = {fit_r_min} leaves fewer than two distances "
+                   r"to fit \(r_max = 190\)")
+        assert traced_peak(lambda: measure_light_cone(
+            spec, 1e-3, 220.0, 190, dt=0.02, fit_r_min=fit_r_min), message) <= 2 ** 16
 
     def test_fit_r_min_at_limit_fits_two_distances(self):
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
@@ -1157,58 +881,23 @@ class TestLightCone:
         with pytest.raises(LatticeError, match=message):
             measure_light_cone(spec, threshold=1e-3, r_max=10, **kwargs)
 
-    def test_work_cap_boundary(self, monkeypatch):
-        # t_max / dt + 2 = 42 steps at most, times r_max + 1 = 11 entries
-        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 42 * 11)
-        measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10, dt=0.125)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 42 * 11 - 1)
-        with pytest.raises(LatticeError, match="time signal needs"):
-            measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10,
-                               dt=0.125)
-
     def test_automatic_dt_checks_the_mode_grid_before_building_it(self, monkeypatch):
         # the automatic dt reads omega_max from one axis: the L^d mode grid is
-        # never built, and the orbit check refuses before that axis or any
-        # orbit is
+        # never built. At 3D L=256 (orbit weights of 187 MB) the orbit check
+        # refuses before that axis is read, and so before any orbit is built
         spec = LatticeSpec(d=3, L=40, lam=(1.0, 0.3), m=1.0)
         dt = 0.2 / normal_modes(spec).max()
 
         def no_grid(*args):
-            raise AssertionError("mode grid or orbits built before the size check")
+            raise AssertionError("mode grid or axis built before the size check")
 
         monkeypatch.setattr(lattice, "normal_modes", no_grid)
         scan = measure_light_cone(spec, threshold=1e-3, t_max=1.0, r_max=10)
         assert scan.dt == dt
         monkeypatch.setattr(lattice, "omega_max", no_grid)
-        monkeypatch.setattr(lattice, "_axis_orbits", no_grid)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", math.comb(23, 3) * 11 - 1)
-        with pytest.raises(LatticeError, match="orbit weight matrix needs 1.95e\\+04"):
-            measure_light_cone(spec, threshold=1e-3, t_max=1.0, r_max=10)
-
-    def test_fit_is_exact_under_power_of_two_time_scales(self):
-        # the closed-form fit scales the times by a power of two, which
-        # changes no rounding: times 2^k apart give the slope 2^-k apart,
-        # bit for bit, even where the unscaled squares would overflow
-        points = [(0.3, 1), (0.71, 2), (1.13, 3), (1.6, 4), (1.9, 5)]
-        slope, intercept, residual = lattice._fit_line(points)
-        t, r = np.array(points).T
-        assert (slope, intercept) == pytest.approx(tuple(np.polyfit(t, r, 1)), rel=1e-12)
-        for k in (-1000, -3, 7, 1000):
-            scaled = [(math.ldexp(ti, k), ri) for ti, ri in points]
-            assert lattice._fit_line(scaled) == (math.ldexp(slope, -k), intercept,
-                                                 residual)
-
-    @pytest.mark.parametrize("c", [0.0, 0.02, 20.0, 1e200])
-    def test_fit_of_arrivals_at_one_time_is_the_least_norm_line(self, c):
-        # every line through (c, mean r) fits; lstsq returns the least-norm one
-        points = [(c, r) for r in (1, 2, 3, 5)]
-        t, r = np.array(points).T
-        design = np.vstack([t, np.ones_like(t)]).T
-        slope, intercept = np.linalg.lstsq(design, r, rcond=None)[0]
-        fit = lattice._fit_line(points)
-        assert fit[:2] == pytest.approx((slope, intercept), rel=1e-12, abs=1e-300)
-        assert fit[2] == pytest.approx(math.sqrt(np.mean((r - r.mean()) ** 2)), rel=1e-12)
+        spec = LatticeSpec(d=3, L=256, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match="orbit weight matrix needs 2.34e\\+07"):
+            measure_light_cone(spec, threshold=1e-3, t_max=40.0, r_max=127)
 
     def test_fit_diagnostics(self):
         # at t_max = 2 the far distances never leave the noise floor
@@ -1265,179 +954,39 @@ class TestLightConeRows:
             return
         assert rows == full_signal_rows(spec, threshold, t_max, r_max, dt)
 
-    @staticmethod
-    def scan_of(columns, threshold, monkeypatch):
-        """Scan of a signal whose distances 1.. hold ``columns`` (steps 0.5
-        apart), stored in ``_signal_columns`` order as the block loop stores
-        it, with the block maxima of that signal taken by a plain reduce."""
-        columns = np.array(columns, dtype=float)
-        signal = np.vstack([np.zeros(columns.shape[1]), columns]).T.copy()
-
-        def signal_blocks(spec, dt, steps, r_max):
-            assert signal.shape == (steps, r_max + 1)
-            stored = signal[:, lattice._signal_columns(r_max)]
-            starts = np.arange(0, steps, lattice._MAXIMA_ROWS)
-            return stored, np.maximum.reduceat(np.abs(stored), starts, axis=0)
-
-        monkeypatch.setattr(lattice, "_signal_blocks", signal_blocks)
-        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
-        args = (spec, threshold, 0.5 * (columns.shape[1] - 1), len(columns), 0.5)
-        rows = measure_light_cone(*args).rows
-        assert rows == full_signal_rows(*args)
-        return rows
-
-    @staticmethod
-    def miss_and_hit(peak_sigma, threshold):
-        """(sigma_miss, sigma_hit): sigma_hit is the least float whose norm
-        reaches threshold * 2 sin(peak_sigma / 2), sigma_miss the float
-        below it."""
-        level = threshold * 2.0 * math.sin(peak_sigma / 2.0)
-        hit = 2.0 * math.asin(level / 2.0)
-        norm = lambda x: 2.0 * np.abs(np.sin(np.float64(x) * 0.5))
-        while norm(np.nextafter(hit, 0.0)) >= level:
-            hit = np.nextafter(hit, 0.0)
-        while norm(hit) < level:
-            hit = np.nextafter(hit, 1.0)
-        miss = np.nextafter(hit, 0.0)
-        assert norm(miss) < level <= norm(hit)
-        return miss, hit
-
-    @staticmethod
-    def spikes(steps, entries):
-        """A column of ``steps`` zeros but for {step: sigma} ``entries``."""
-        column = [0.0] * steps
-        for step, sigma in entries.items():
-            column[step] = sigma
-        return column
-
-    def test_tied_and_signed_peaks(self, monkeypatch):
-        top = 0.7
-        rows = self.scan_of([[0.1, top, -top, 0.2, 0.0, 0.0],
-                             [0.1, -top, np.nextafter(top, 0.0), top, 0.0, 0.0],
-                             [0.0, 0.3, top * (1 - 5e-13), -top * (1 - 5e-13), top, 0.0]],
-                            0.1, monkeypatch)
-        assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 3
-
-    def test_arrival_one_step_from_threshold(self, monkeypatch):
-        # a miss may precede the hit by any gap. At this threshold sigma_hit
-        # lies one float below 2 asin(threshold * peak / 2), so a cut at
-        # that value misses it
-        peak_sigma, threshold = 0.9, 0.850256191055818
-        miss, hit = self.miss_and_hit(peak_sigma, threshold)
-        level = threshold * 2.0 * math.sin(peak_sigma / 2.0)
-        assert hit < 2.0 * math.asin(level / 2.0)
-        gap = [0.01] * 20
-        rows = self.scan_of([[0.0, miss, hit, peak_sigma] + gap,
-                             [0.0, -miss, -miss, -hit, peak_sigma] + gap[1:],
-                             [miss] + gap + [hit, miss, peak_sigma, 0.0, 0.0][:3]],
-                            threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [1.0, 1.5, 10.5]
-
-    def test_peaks_tied_across_blocks(self, monkeypatch):
-        # every block whose maximum reaches the cut is read: the largest norm
-        # may sit in a later block than a near-tie, or in an earlier one
-        top, steps = 0.7, 600
-        near = top * (1 - 5e-13)
-        rows = self.scan_of([self.spikes(steps, {100: top, 300: -top, 520: near}),
-                             self.spikes(steps, {10: -near, 511: top, 512: -near}),
-                             self.spikes(steps, {255: np.nextafter(top, 0.0), 256: -top}),
-                             self.spikes(steps, {0: near, 599: top})],
-                            0.1, monkeypatch)
-        assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 4
-
-    def test_arrival_windows_across_block_ends(self, monkeypatch):
-        # the first entry past the cut on a block's last row (255): its
-        # window of 8 runs into the next block, to row 262; a hit at 263 is
-        # found by the walk. In the last, short block (512..599) the window
-        # stops at the signal's end
-        peak_sigma, threshold = 0.9, 0.850256191055818
-        miss, hit = self.miss_and_hit(peak_sigma, threshold)
-        steps = 600
-        rows = self.scan_of([self.spikes(steps, {255: hit, 400: peak_sigma}),
-                             self.spikes(steps, {255: miss, 257: -hit, 400: peak_sigma}),
-                             self.spikes(steps, {255: -miss, 262: hit, 400: peak_sigma}),
-                             self.spikes(steps, {255: miss, 263: hit, 400: peak_sigma}),
-                             self.spikes(steps, {595: miss, 599: peak_sigma}),
-                             self.spikes(steps, {599: -peak_sigma})],
-                            threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [127.5, 128.5, 131.0, 131.5,
-                                                   299.5, 299.5]
-
-    def test_miss_whose_next_entry_past_the_cut_lies_blocks_later(self, monkeypatch):
-        # the cut admits a miss in block 0; the next entry past it, a hit,
-        # is in block 2, and the peak in block 3
-        peak_sigma, threshold = 0.9, 0.850256191055818
-        miss, hit = self.miss_and_hit(peak_sigma, threshold)
-        steps = 900
-        rows = self.scan_of([self.spikes(steps, {10: miss, 700: hit, 800: peak_sigma}),
-                             self.spikes(steps, {10: miss, 14: miss, 520: -miss,
-                                                 700: -hit, 899: peak_sigma})],
-                            threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [350.0, 350.0]
-
-    def test_zero_subnormal_and_tiny_threshold_columns(self, monkeypatch):
-        # a zero or subnormal column has no arrival; a threshold of 1e-300
-        # puts threshold * peak below the normal range
-        rows = self.scan_of([[0.0] * 6, [5e-324, -3e-310, 0.0, 1e-320, 0.0, 0.0],
-                             [0.0, 3e-323, 1e-300, 0.5, -0.2, 0.1],
-                             [0.0, 0.0, 1e-305, 9e-301, 0.8, 0.1]],
-                            1e-300, monkeypatch)
-        assert [row.t_arrival for row in rows] == [None, None, 1.0, 1.5]
-        # threshold * peak = 3 * 2^-1074, and 2 asin of it rounds up to
-        # 4 * 2^-1074, while an entry 3 * 2^-1074 already has that norm
-        threshold = 1.5e-323 / (2.0 * math.sin(0.45))
-        rows = self.scan_of([[0.0, 1.5e-323, 0.9], [0.0, 1e-323, 0.9]],
-                            threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [0.5, 1.0]
-
-    def test_zero_and_subnormal_columns_over_many_blocks(self, monkeypatch):
-        # a zero or subnormal column reads every block and has no arrival;
-        # a level below the normal range is found blocks after a subnormal
-        steps = 700
-        rows = self.scan_of([[0.0] * steps,
-                             self.spikes(steps, {3: 5e-324, 300: -3e-310, 650: 1e-320}),
-                             self.spikes(steps, {1: 3e-323, 280: 1e-300, 600: 0.5}),
-                             self.spikes(steps, {255: 1e-305, 256: 9e-301, 699: -0.8})],
-                            1e-300, monkeypatch)
-        assert [row.t_arrival for row in rows] == [None, None, 140.0, 128.0]
-        assert [row.peak for row in rows][:2] == [0.0, 2.0 * math.sin(3e-310 / 2.0)]
+    @pytest.mark.parametrize("d,L,lam,m,dt,steps,r_max", [
+        (1, 40, (1.0, 0.3), 0.8, 0.37, 50, 18), (1, 400, (1.0, 0.3), 0.8, 0.37, 600, 198),
+        (2, 64, (1.0, 0.3), 0.8, 0.37, 513, 30), (3, 32, (1.0, 0.3), 0.8, 0.37, 300, 14),
+        (2, 128, (1.0, 0.3), 0.8, 0.37, 300, 62),
+        (1, 40, (1.0,), 1.0, 0.1, 150, 10), (1, 120, (1.0,), 1.0, 0.1, 150, 59)],
+        ids=["one-block", "folded-one-tile-short-last-block", "3-tiles-one-step-last-block",
+             "4-tiles", "folded-9-tiles", "unfolded-1d-L40", "folded-1d-L120"])
+    def test_block_and_tile_shapes(self, d, L, lam, m, dt, steps, r_max):
+        # one block or many, one orbit tile or several that add into a block
+        # before its maximum is read, unfolded and folded
+        spec = LatticeSpec(d=d, L=L, lam=lam, m=m)
+        t_max = (steps - 1) * dt
+        scan = measure_light_cone(spec, 1e-3, t_max, r_max, dt)
+        assert scan.rows == full_signal_rows(spec, 1e-3, t_max, r_max, dt)
 
     def test_scan_allocates_no_signal_sized_temporary(self):
         # the norm pass works in the signal itself and per-distance masks: a
         # second signal-sized array (16.8 MB here) or a 2D mask fails this
         spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
         steps = len(np.arange(0.0, 220.0 + 0.02, 0.02))
-        tracemalloc.start()
-        try:
-            measure_light_cone(spec, 1e-3, 220.0, 190, dt=0.02)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: measure_light_cone(spec, 1e-3, 220.0, 190, dt=0.02))
         assert peak <= steps * 191 * 8 + 2 ** 20
 
-    def test_3d_scan_allocates_signal_weights_and_one_block_budget(self, monkeypatch):
-        # 6,545 orbits in 26 tiles that share one _BLOCK_BYTES buffer: once
-        # omega and W are built (their own temporaries come first, so the
-        # peak restarts there), the scan adds the signal and that budget.
-        # The slack of 512 KB holds omega (52 KB), a tile's product, numpy's
-        # 64 KB ufunc buffer and Python's free list of the orbit tuples
-        build_orbits = lattice._axis_orbits
-
-        def orbits_then_reset_peak(*args):
-            built = build_orbits(*args)
-            tracemalloc.reset_peak()
-            return built
-
-        monkeypatch.setattr(lattice, "_axis_orbits", orbits_then_reset_peak)
+    def test_3d_scan_allocates_signal_weights_and_one_block_budget(self):
+        # 6,545 orbits in 26 tiles that share one 512 KB buffer: over the
+        # whole call the scan holds the signal, the weights W and that
+        # budget. The slack of 512 KB holds omega (52 KB), a tile's product,
+        # numpy's 64 KB ufunc buffer and Python's free list of the orbit
+        # tuples; building W, with its 512 KB slab, comes before the signal
         spec = LatticeSpec(d=3, L=64, lam=(1.0,), m=1.0)
         steps, r_max, orbits = 2000, 31, math.comb(32 + 3, 3)
-        tracemalloc.start()
-        try:
-            axis_signal(spec, 0.05, steps, r_max)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= (steps + orbits) * (r_max + 1) * 8 + lattice._BLOCK_BYTES + 2 ** 19
+        peak = traced_peak(lambda: axis_signal(spec, 0.05, steps, r_max))
+        assert peak <= (steps + orbits) * (r_max + 1) * 8 + 2 ** 19 + 2 ** 19
 
 
 class TestCausalityTail:

@@ -1,0 +1,437 @@
+"""Tests of the light-cone engine's intermediates: the one test file that
+names private attributes of ``qram_bounds.lattice`` (the guard below keeps
+it so). Each test checks one intermediate, such as W's bits, the tile rule,
+the block maxima, the reads behind the scan rows or ``_fit_line``, and goes
+when that intermediate goes.
+"""
+import itertools
+import math
+import re
+from collections import Counter
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lattice_oracles import (SIGNAL_CASES, full_grid_group_velocity,
+                             full_signal_rows, ifftn_axis_signal)
+from qram_bounds import lattice
+from qram_bounds.lattice import (LatticeError, LatticeSpec, axis_signal,
+                                 max_group_velocity, measure_light_cone)
+
+
+# a source names a private lattice attribute _x by a read lattice._x (also
+# qram_bounds.lattice._x, or that string as a patch target), by a patch
+# target (lattice, "_x", ...) of setattr, monkeypatch.setattr or
+# mock.patch.object, or by importing _x from the module
+PRIVATE_LATTICE_NAME = re.compile(r"""\blattice\.(_(?!_)\w*)|\blattice,\s*["'](_(?!_)\w*)"""
+                                  r"|\blattice\s+import\s+\(?[\w\s,]*?\b(_(?!_)\w*)")
+
+
+def private_lattice_names(source):
+    """The private attributes of ``qram_bounds.lattice`` that ``source`` names."""
+    return [next(filter(None, match.groups()))
+            for match in PRIVATE_LATTICE_NAME.finditer(source)]
+
+
+@pytest.mark.parametrize("path", sorted(Path(__file__).parent.glob("*.py")),
+                         ids=lambda path: path.name)
+def test_private_lattice_names_stay_in_this_file(path):
+    names = private_lattice_names(path.read_text())
+    assert bool(names) == (path.name == Path(__file__).name), names
+
+
+@pytest.mark.parametrize("source,names", [
+    ("lattice._x + qram_bounds.lattice._y + lattice.__name__", ["_x", "_y"]),
+    ("monkeypatch.setattr(lattice, '_x', 1)\nmock.patch.object(lattice, \"_y\", 1)",
+     ["_x", "_y"]),
+    ("monkeypatch.setattr('qram_bounds.lattice._x', 1)", ["_x"]),
+    ("from qram_bounds.lattice import (LatticeError,\n    _x)", ["_x"]),
+    ("lattice.axis_signal, setattr(lattice, 'omega_max', f), qram._route", [])])
+def test_guard_finds_every_form_of_private_name(source, names):
+    assert private_lattice_names(source) == names
+
+
+def reaches_regime(case):
+    """Whether the engine lays a ``SIGNAL_CASES`` row out in the regime
+    its id names."""
+    regime, spec, _, steps, r_max = case
+    omega, W, pairs = lattice._axis_orbits(spec, r_max)
+    rows, tile = lattice._block_shape(steps, omega.size)
+    width = tile // len(omega)              # rows of W per tile
+    last = (len(W) - 1) // width * width    # first row of the last tile
+    orbits = math.comb(spec.L // 2 + spec.d, spec.d)
+    return {
+        "many-blocks": steps > 3 * rows,
+        "multi-tile": steps > 3 * rows and last > 0,
+        "above-4096-orbits": (orbits > 4096 and rows == lattice._BLOCK_ROWS
+                              and orbits > 25 * tile),
+        "folded-L0mod4": pairs > 0 and spec.L % 4 == 0,
+        "folded-L2mod4": pairs > 0 and spec.L % 4 == 2,
+        "odd-L": pairs == 0 and spec.L % 2 == 1,
+        "unfolded": pairs == 0 and spec.L % 2 == 0,
+        # pairs and every self-mirrored row share the last of several tiles
+        "self-mirrored-last-tile": 0 < last < pairs < len(W),
+    }[regime]
+
+
+class TestOrbits:
+    @staticmethod
+    def kept_orbits(L, d, r_max):
+        """The sorted index tuples with a row in W, in row order, and the
+        mirror reverse(L/2 - t) of each, from Python tuples: where the
+        orbits fold, the t that precede their mirror, then the t that are
+        their own; else every t."""
+        tuples = list(itertools.combinations_with_replacement(range(L // 2 + 1), d))
+        mirror = {t: tuple(sorted(L // 2 - n for n in t)) for t in tuples}
+        if L % 2 or r_max + 1 < lattice._FOLD_COLUMNS:
+            return tuples, []
+        pairs = [t for t in tuples if t < mirror[t]]
+        return pairs + [t for t in tuples if t == mirror[t]], [mirror[t] for t in pairs]
+
+    @pytest.mark.parametrize("d,L,r_max", [
+        (1, 400, 190), (1, 9, 8), (2, 64, 30), (2, 10, 4), (3, 32, 14), (3, 64, 31),
+        (3, 7, 6),
+        # folded: L = 0 and 2 mod 4, even and odd r_max
+        (1, 102, 101), (2, 64, 63), (2, 98, 60), (3, 48, 47), (3, 50, 48), (3, 64, 63)])
+    def test_orbit_weights_take_one_cos_per_entry_bit_for_bit(self, d, L, r_max):
+        # oracle: the cos of each entry's phase 2 pi (t_b r mod L) / L, as W
+        # was built before the L-entry cos table, with the orbit size from
+        # exact integers: d! / prod(run lengths!) perms times fold(t). A
+        # mirror dropped by the fold has its pair's size, and its weights
+        # are (-1)^r times the pair's row up to rounding: each cos(2 pi k / L)
+        # is within (2 pi + 1/2) eps of exact, since its phase rounds by at
+        # most 2 pi eps, so the d terms of the two rows differ by at most
+        # (4 pi + 1) d eps times the weight
+        spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
+        r = np.arange(r_max + 1)
+        np.testing.assert_array_equal(lattice._signal_columns(r_max),
+                                      np.concatenate([r[::2], r[1::2]]))
+        r = lattice._signal_columns(r_max)
+
+        def oracle(tuples):
+            tuples = np.array(tuples).reshape(-1, d)
+            cos_r = sum(np.cos(2.0 * np.pi / L * (np.outer(t, r) % L)) for t in tuples.T)
+            mult = np.array([math.factorial(d)
+                             // math.prod(map(math.factorial, Counter(t).values()))
+                             * math.prod(1 if 2 * n % L == 0 else 2 for n in t)
+                             for t in tuples.tolist()], dtype=float)
+            return mult, (mult / (d * spec.n_sites))[:, None] * cos_r
+
+        kept, mirrors = self.kept_orbits(L, d, r_max)
+        omega, W, pairs = lattice._axis_orbits(spec, r_max)
+        mult, rows = oracle(kept)
+        assert np.array_equal(W, rows)
+        assert pairs == len(mirrors) and (pairs > 0) == (r_max + 1 >= 48 and L % 2 == 0)
+        if pairs:
+            mirror_mult, mirror_rows = oracle(mirrors)
+            np.testing.assert_array_equal(mirror_mult, mult[:pairs])
+            sign = np.where(r % 2, -1.0, 1.0)
+            eps = np.finfo(float).eps
+            tol = (4 * math.pi + 1) * eps * mult[:pairs, None] / spec.n_sites
+            assert (np.abs(mirror_rows - sign * W[:pairs]) <= tol).all()
+
+    def test_row_count_is_closed_form(self):
+        # _orbit_rows, which the size check charges before any tuple is
+        # built, against the rows built and a count of the self-mirrored
+        # tuples; the orbits fold exactly where L is even and the signal is
+        # _FOLD_COLUMNS wide
+        assert lattice._FOLD_COLUMNS == 48
+        for d in (1, 2, 3):
+            for L in range(2, 43):
+                for r_max in (0, 46, 47, 60):
+                    spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
+                    omega, W, pairs = lattice._axis_orbits(spec, r_max)
+                    kept, mirrors = self.kept_orbits(L, d, r_max)
+                    assert len(W) == lattice._orbit_rows(L, d, r_max) == len(kept)
+                    assert (pairs > 0) == (L % 2 == 0 and r_max >= 47)
+                    if pairs:
+                        own = sum(tuple(sorted(L // 2 - n for n in t)) == t for t in kept)
+                        assert own == len(kept) - pairs == {
+                            1: int(L % 4 == 0), 2: L // 4 + 1,
+                            3: (L // 4 + 1) * int(L % 4 == 0)}[d]
+
+    @pytest.mark.parametrize("case", SIGNAL_CASES, ids=lambda case: case.id)
+    def test_signal_case_reaches_its_regime(self, case):
+        assert reaches_regime(case)
+
+
+class TestBlockLoop:
+    def test_blocks_keep_full_height_at_every_orbit_count(self):
+        # the height was _BLOCK_BYTES // (32 * orbits): one row above 4,096
+        # orbits. Now only the orbit tile narrows: a block is full height
+        # unless the scan is shorter, and a tile is as wide as the budget lets
+        budget = lattice._BLOCK_BYTES
+        for steps in (1, 63, 64, 65, 693):
+            for orbits in range(1, 50_001):
+                rows, tile = lattice._block_shape(steps, orbits)
+                assert rows == min(steps, lattice._BLOCK_ROWS)
+                assert 1 <= tile <= orbits and 32 * rows * tile <= budget
+                assert tile == orbits or 32 * rows * (tile + 1) > budget
+        # 3D L=64 and L=128 at the step counts of `lightcone --t-max 20` and
+        # `--t-max 40` with the automatic dt: only the last block is short
+        for orbits, steps in ((6545, 347), (45760, 693)):
+            rows, tile = lattice._block_shape(steps, orbits)
+            heights = [min(rows, steps - start) for start in range(0, steps, rows)]
+            assert set(heights[:-1]) == {lattice._BLOCK_ROWS} and tile < orbits
+        # the 101 rows of W at 1D L=400, r_max=190, two columns each (the
+        # orbit and its mirror), stay one tile
+        assert lattice._block_shape(11001, 202) == (lattice._BLOCK_ROWS, 202)
+
+    @pytest.mark.parametrize("d,L,steps", [(1, 40, 50), (1, 400, 600),
+                                           (2, 64, 513), (3, 32, 300), (2, 128, 300)])
+    def test_block_maxima_are_the_plain_reduce(self, d, L, steps):
+        # one block or many, one orbit tile (1D) or several that add into
+        # the block before its maximum is taken, a short last block, and
+        # folded orbits in one tile (1D L=400) or nine (2D L=128). The
+        # block loop stores the signal time-major, its columns in
+        # _signal_columns order, which axis_signal puts in r order
+        spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
+        r_max = L // 2 - 2
+        signal, maxima = lattice._signal_blocks(spec, 0.37, steps, r_max)
+        assert signal.shape == (steps, r_max + 1) and signal.flags.c_contiguous
+        np.testing.assert_array_equal(signal, axis_signal(spec, 0.37, steps, r_max)[
+            :, lattice._signal_columns(r_max)])
+        np.testing.assert_array_equal(maxima, np.maximum.reduceat(
+            np.abs(signal), np.arange(0, steps, lattice._MAXIMA_ROWS), axis=0))
+
+    @given(d=st.integers(1, 3), nu=st.integers(1, 2), extra=st.integers(0, 4),
+           lam=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2),
+           m=st.floats(0.1, 10.0), dt=st.floats(-6.0, 6.0),
+           steps=st.integers(0, 9), r_max=st.integers(0, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_folded_small_specs_match_per_step_ifftn(self, d, nu, extra, lam, m, dt,
+                                                      steps, r_max):
+        # with the width rule lowered to one column every even L folds, down
+        # to r_max = 0, where the odd-r product has no columns
+        spec = LatticeSpec(d=d, L=2 * nu + 2 + extra, lam=tuple(lam[:nu]), m=m)
+        r_max = min(r_max, spec.L - 1)
+        with mock.patch.object(lattice, "_FOLD_COLUMNS", 1):
+            assert (lattice._axis_orbits(spec, r_max)[2] > 0) == (spec.L % 2 == 0)
+            signal = axis_signal(spec, dt, steps, r_max)
+        np.testing.assert_allclose(signal, ifftn_axis_signal(spec, dt, steps, r_max),
+                                   rtol=0, atol=1e-12)
+
+
+class TestWorkCaps:
+    def test_weight_matrix_cap_boundary(self, monkeypatch):
+        # the cap charges the rows built times r_max + 1 entries
+        def no_orbits(*args):
+            raise AssertionError("orbits built before the size check")
+
+        for L, r_max, rows in (
+                (32, 14, 969),                # C(L//2 + 3, 3) = C(19, 3), too narrow to fold
+                (49, 47, 2925),               # odd L: C(27, 3) and no mirror pairs
+                (64, 63, (6545 + 17) // 2)):  # C(35, 3) fold around 17 self-mirrored
+            spec = LatticeSpec(d=3, L=L, lam=(1.0,), m=1.0)
+            with monkeypatch.context() as patch:
+                patch.setattr(lattice, "_WORK_ENTRY_CAP", rows * (r_max + 1))
+                assert axis_signal(spec, 1.0, 1, r_max).shape == (1, r_max + 1)
+                patch.setattr(lattice, "_WORK_ENTRY_CAP", rows * (r_max + 1) - 1)
+                patch.setattr(lattice, "_axis_orbits", no_orbits)
+                message = f"the orbit weight matrix needs {rows * (r_max + 1):.3g} array"
+                with pytest.raises(LatticeError, match=re.escape(message)):
+                    axis_signal(spec, 1.0, 1, r_max)
+
+    def test_work_cap_boundary(self, monkeypatch):
+        # t_max / dt + 2 = 42 steps at most, times r_max + 1 = 11 entries
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 42 * 11)
+        measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10, dt=0.125)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 42 * 11 - 1)
+        with pytest.raises(LatticeError, match="time signal needs"):
+            measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10,
+                               dt=0.125)
+
+
+class TestConeReads:
+    """Rows read from fake signals through ``_signal_blocks``, against
+    ``full_signal_rows`` with ==."""
+
+    @staticmethod
+    def scan_of(columns, threshold, monkeypatch):
+        """Scan of a signal whose distances 1.. hold ``columns`` (steps 0.5
+        apart), stored in ``_signal_columns`` order as the block loop stores
+        it, with the block maxima of that signal taken by a plain reduce."""
+        columns = np.array(columns, dtype=float)
+        signal = np.vstack([np.zeros(columns.shape[1]), columns]).T.copy()
+
+        def signal_blocks(spec, dt, steps, r_max):
+            assert signal.shape == (steps, r_max + 1)
+            stored = signal[:, lattice._signal_columns(r_max)]
+            starts = np.arange(0, steps, lattice._MAXIMA_ROWS)
+            return stored, np.maximum.reduceat(np.abs(stored), starts, axis=0)
+
+        monkeypatch.setattr(lattice, "_signal_blocks", signal_blocks)
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        args = (spec, threshold, 0.5 * (columns.shape[1] - 1), len(columns), 0.5)
+        rows = measure_light_cone(*args).rows
+        assert rows == full_signal_rows(*args)
+        return rows
+
+    @staticmethod
+    def miss_and_hit(peak_sigma, threshold):
+        """(sigma_miss, sigma_hit): sigma_hit is the least float whose norm
+        reaches threshold * 2 sin(peak_sigma / 2), sigma_miss the float
+        below it."""
+        level = threshold * 2.0 * math.sin(peak_sigma / 2.0)
+        hit = 2.0 * math.asin(level / 2.0)
+        norm = lambda x: 2.0 * np.abs(np.sin(np.float64(x) * 0.5))
+        while norm(np.nextafter(hit, 0.0)) >= level:
+            hit = np.nextafter(hit, 0.0)
+        while norm(hit) < level:
+            hit = np.nextafter(hit, 1.0)
+        miss = np.nextafter(hit, 0.0)
+        assert norm(miss) < level <= norm(hit)
+        return miss, hit
+
+    @staticmethod
+    def spikes(steps, entries):
+        """A column of ``steps`` zeros but for {step: sigma} ``entries``."""
+        column = [0.0] * steps
+        for step, sigma in entries.items():
+            column[step] = sigma
+        return column
+
+    def test_tied_and_signed_peaks(self, monkeypatch):
+        top = 0.7
+        rows = self.scan_of([[0.1, top, -top, 0.2, 0.0, 0.0],
+                             [0.1, -top, np.nextafter(top, 0.0), top, 0.0, 0.0],
+                             [0.0, 0.3, top * (1 - 5e-13), -top * (1 - 5e-13), top, 0.0]],
+                            0.1, monkeypatch)
+        assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 3
+
+    def test_arrival_one_step_from_threshold(self, monkeypatch):
+        # a miss may precede the hit by any gap. At this threshold sigma_hit
+        # lies one float below 2 asin(threshold * peak / 2), so a cut at
+        # that value misses it
+        peak_sigma, threshold = 0.9, 0.850256191055818
+        miss, hit = self.miss_and_hit(peak_sigma, threshold)
+        level = threshold * 2.0 * math.sin(peak_sigma / 2.0)
+        assert hit < 2.0 * math.asin(level / 2.0)
+        gap = [0.01] * 20
+        rows = self.scan_of([[0.0, miss, hit, peak_sigma] + gap,
+                             [0.0, -miss, -miss, -hit, peak_sigma] + gap[1:],
+                             [miss] + gap + [hit, miss, peak_sigma, 0.0, 0.0][:3]],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [1.0, 1.5, 10.5]
+
+    def test_peaks_tied_across_blocks(self, monkeypatch):
+        # every block whose maximum reaches the cut is read: the largest norm
+        # may sit in a later block than a near-tie, or in an earlier one
+        top, steps = 0.7, 600
+        near = top * (1 - 5e-13)
+        rows = self.scan_of([self.spikes(steps, {100: top, 300: -top, 520: near}),
+                             self.spikes(steps, {10: -near, 511: top, 512: -near}),
+                             self.spikes(steps, {255: np.nextafter(top, 0.0), 256: -top}),
+                             self.spikes(steps, {0: near, 599: top})],
+                            0.1, monkeypatch)
+        assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 4
+
+    def test_arrival_windows_across_block_ends(self, monkeypatch):
+        # the first entry past the cut on a block's last row (255): its
+        # window of 8 runs into the next block, to row 262; a hit at 263 is
+        # found by the walk. In the last, short block (512..599) the window
+        # stops at the signal's end
+        peak_sigma, threshold = 0.9, 0.850256191055818
+        miss, hit = self.miss_and_hit(peak_sigma, threshold)
+        steps = 600
+        rows = self.scan_of([self.spikes(steps, {255: hit, 400: peak_sigma}),
+                             self.spikes(steps, {255: miss, 257: -hit, 400: peak_sigma}),
+                             self.spikes(steps, {255: -miss, 262: hit, 400: peak_sigma}),
+                             self.spikes(steps, {255: miss, 263: hit, 400: peak_sigma}),
+                             self.spikes(steps, {595: miss, 599: peak_sigma}),
+                             self.spikes(steps, {599: -peak_sigma})],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [127.5, 128.5, 131.0, 131.5,
+                                                   299.5, 299.5]
+
+    def test_miss_whose_next_entry_past_the_cut_lies_blocks_later(self, monkeypatch):
+        # the cut admits a miss in block 0; the next entry past it, a hit,
+        # is in block 2, and the peak in block 3
+        peak_sigma, threshold = 0.9, 0.850256191055818
+        miss, hit = self.miss_and_hit(peak_sigma, threshold)
+        steps = 900
+        rows = self.scan_of([self.spikes(steps, {10: miss, 700: hit, 800: peak_sigma}),
+                             self.spikes(steps, {10: miss, 14: miss, 520: -miss,
+                                                 700: -hit, 899: peak_sigma})],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [350.0, 350.0]
+
+    def test_zero_subnormal_and_tiny_threshold_columns(self, monkeypatch):
+        # a zero or subnormal column has no arrival; a threshold of 1e-300
+        # puts threshold * peak below the normal range
+        rows = self.scan_of([[0.0] * 6, [5e-324, -3e-310, 0.0, 1e-320, 0.0, 0.0],
+                             [0.0, 3e-323, 1e-300, 0.5, -0.2, 0.1],
+                             [0.0, 0.0, 1e-305, 9e-301, 0.8, 0.1]],
+                            1e-300, monkeypatch)
+        assert [row.t_arrival for row in rows] == [None, None, 1.0, 1.5]
+        # threshold * peak = 3 * 2^-1074, and 2 asin of it rounds up to
+        # 4 * 2^-1074, while an entry 3 * 2^-1074 already has that norm
+        threshold = 1.5e-323 / (2.0 * math.sin(0.45))
+        rows = self.scan_of([[0.0, 1.5e-323, 0.9], [0.0, 1e-323, 0.9]],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [0.5, 1.0]
+
+    def test_zero_and_subnormal_columns_over_many_blocks(self, monkeypatch):
+        # a zero or subnormal column reads every block and has no arrival;
+        # a level below the normal range is found blocks after a subnormal
+        steps = 700
+        rows = self.scan_of([[0.0] * steps,
+                             self.spikes(steps, {3: 5e-324, 300: -3e-310, 650: 1e-320}),
+                             self.spikes(steps, {1: 3e-323, 280: 1e-300, 600: 0.5}),
+                             self.spikes(steps, {255: 1e-305, 256: 9e-301, 699: -0.8})],
+                            1e-300, monkeypatch)
+        assert [row.t_arrival for row in rows] == [None, None, 140.0, 128.0]
+        assert [row.peak for row in rows][:2] == [0.0, 2.0 * math.sin(3e-310 / 2.0)]
+
+
+class TestFitLine:
+    def test_fit_is_exact_under_power_of_two_time_scales(self):
+        # the closed-form fit scales the times by a power of two, which
+        # changes no rounding: times 2^k apart give the slope 2^-k apart,
+        # bit for bit, even where the unscaled squares would overflow
+        points = [(0.3, 1), (0.71, 2), (1.13, 3), (1.6, 4), (1.9, 5)]
+        slope, intercept, residual = lattice._fit_line(points)
+        t, r = np.array(points).T
+        assert (slope, intercept) == pytest.approx(tuple(np.polyfit(t, r, 1)), rel=1e-12)
+        for k in (-1000, -3, 7, 1000):
+            scaled = [(math.ldexp(ti, k), ri) for ti, ri in points]
+            assert lattice._fit_line(scaled) == (math.ldexp(slope, -k), intercept,
+                                                 residual)
+
+    @pytest.mark.parametrize("c", [0.0, 0.02, 20.0, 1e200])
+    def test_fit_of_arrivals_at_one_time_is_the_least_norm_line(self, c):
+        # every line through (c, mean r) fits; lstsq returns the least-norm one
+        points = [(c, r) for r in (1, 2, 3, 5)]
+        t, r = np.array(points).T
+        design = np.vstack([t, np.ones_like(t)]).T
+        slope, intercept = np.linalg.lstsq(design, r, rcond=None)[0]
+        fit = lattice._fit_line(points)
+        assert fit[:2] == pytest.approx((slope, intercept), rel=1e-12, abs=1e-300)
+        assert fit[2] == pytest.approx(math.sqrt(np.mean((r - r.mean()) ** 2)), rel=1e-12)
+
+
+class TestGroupVelocityReplay:
+    @pytest.mark.parametrize("d,lam,m,axis", [
+        (3, (1.0, 0.3), 1.1, (1, 2)),        # S is the maximum alone ...
+        (2, (0.0, 1.0, 0.0, 0.5), 0.8, (1, 2)),
+        (1, (1e-300,), 1.0, (20001, 20001)),  # ... or the whole axis, where
+        (3, (1e-300,), 1e10, (101, 101)),      # a replayed value leaves the
+        (2, (1e305,), 1e305, (301, 301)),     # normal float range
+    ])
+    def test_replay_runs_on_the_selected_axis_points(self, d, lam, m, axis, monkeypatch):
+        sizes = []
+        replay = lattice._grad2_max
+
+        def spy(spec, k):
+            sizes.append(len(k))
+            return replay(spec, k)
+
+        monkeypatch.setattr(lattice, "_grad2_max", spy)
+        monkeypatch.setattr(lattice, "longwave_speed", lambda spec: 0.0)
+        spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
+        assert max_group_velocity(spec) == full_grid_group_velocity(spec)
+        assert axis[0] <= sizes[0] <= axis[1]

@@ -1,6 +1,8 @@
 import importlib.util
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from qram_bounds import lattice
+from qram_bounds.cli import main
 from test_cli import openblas_kernel_skip_reason
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -75,17 +79,40 @@ CONE_VELOCITIES = {
 }
 
 
-def test_lightcone_script_velocities_bit_for_bit(monkeypatch):
+def load_lightcone_script():
     module_spec = importlib.util.spec_from_file_location(
         "lightcone_scan", SCRIPTS / "lightcone_scan.py")
     script = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(script)
+    return script
+
+
+def test_lightcone_script_velocities_bit_for_bit(monkeypatch):
+    script = load_lightcone_script()
     written = {}   # the "#" line values main() hands to the CSV writer, by case
     monkeypatch.setattr(script, "_write_cone_csv", lambda path, scan, meta:
                         written.__setitem__(Path(path).stem, meta))
     script.main()
     assert {name: tuple(meta[key].hex() for key in ("fitted", "group_velocity", "bound"))
             for name, meta in written.items()} == CONE_VELOCITIES
+
+
+@pytest.mark.parametrize("bound", [math.nextafter(1.5, 0.0), 1.5, math.nextafter(1.5, 2.0)])
+def test_lightcone_script_and_command_share_one_verdict(bound, monkeypatch, capsys):
+    # at fitted == bound the command passed while the script said VIOLATION
+    scan = lattice.LightConeScan(rows=(), fitted_velocity_lattice=1.5, threshold=1e-3,
+                                 t_max=5.0, dt=0.02, fit_intercept=0.0,
+                                 fit_residual=0.0, n_no_arrival=0)
+    monkeypatch.setattr(lattice, "measure_light_cone", lambda spec, **kwargs: scan)
+    monkeypatch.setattr(lattice, "lr_speed", lambda d, lam, m: bound)
+    script = load_lightcone_script()
+    monkeypatch.setattr(script, "_write_cone_csv", lambda path, scan, meta: None)
+    script.main()
+    passes = 1.5 <= bound
+    assert set(re.findall(r"\[(\w+)\]", capsys.readouterr().out)) == {
+        "OK" if passes else "VIOLATION"}
+    assert main(["lightcone", "--L", "16", "--t-max", "5"]) == (0 if passes else 1)
+    assert ("PASS" if passes else "FAIL") in capsys.readouterr().out
 
 
 # runs scripts/lightcone_scan.py with the CSV writer swapped for one that
@@ -104,7 +131,7 @@ def record(path, scan, meta):
 script._write_cone_csv = record
 script.main()
 sys.path.insert(0, sys.argv[2])
-from test_lattice import full_signal_rows
+from lattice_oracles import full_signal_rows
 name, lattice_spec, kwargs = script.CASES[0]
 assert name == "cone_1d_nn" and lattice_spec.L == 400
 rows_equal = scans[name].rows == full_signal_rows(lattice_spec, **kwargs)

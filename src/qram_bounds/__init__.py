@@ -13,10 +13,10 @@ from .bounds import (BoundError, BoundResult, FixedPointError, capacity,
                      qft_velocity, qram_max_qubits, teleport_hybrid_max_qubits)
 from .lattice import (LatticeError, LatticeSpec, LightConeScan, LRBoundParams,
                       SymplecticPropagator, WeylFunction, axis_signal,
-                      coupling_matrix, dispersion, longwave_speed,
-                      lr_bound_envelope, lr_speed, max_group_velocity,
-                      measure_light_cone, normal_modes, omega_squared,
-                      propagate_ode, symplectic_form, weyl_commutator_norm)
+                      coupling_matrix, dispersion, lr_bound_envelope, lr_speed,
+                      max_group_velocity, measure_light_cone, normal_modes,
+                      omega_squared, propagate_ode, symplectic_form,
+                      weyl_commutator_norm)
 from .gates import (GateError, GaugeResult, bs_unitary, cswap_composite,
                     cswap_duration, cswap_exact, cz_unitary, gauge_equivalent,
                     swap_unitary, t_beamsplitter, t_cphase, t_swap)

@@ -125,7 +125,8 @@ def capped_velocity(params: HardwareParams, src: str | float) -> float:
     An explicit numeric source is the per-axis (1D-form) speed scale; the
     d-dimensional limit picks up the sqrt(d) enhancement, mirroring the
     closed forms for the lattice and continuum limits. The "group" source
-    is the actual maximal group velocity of the dispersion (no sqrt(d)).
+    is the maximal group velocity of the dispersion, a*sqrt(sum_j j^2
+    lam_j / m) in every d, and "qft" is sqrt(d) times it.
     """
     if src == "lieb_robinson":
         v = _lattice.physical_velocity(

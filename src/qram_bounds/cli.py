@@ -25,12 +25,14 @@ EXIT_VERIFY = 1
 EXIT_CONFIG = 2
 EXIT_RETRIEVAL = 3
 
-# Default operating point: micron spacing, millisecond stage time
-# (g1 = g2 = 2000*pi so tau0 = 1e-3 s), unit couplings.
-PRESET_PARAMS = HardwareParams(a=1e-6, delta_t=1e-3, g1=2000.0 * math.pi,
-                               g2=2000.0 * math.pi, lam=(1.0,), m=1.0, d=1)
-
 SOUND_SPEED = 6000.0  # m/s, typical solid
+
+# Default operating point: micron spacing, millisecond stage time
+# (g1 = g2 = 2000*pi so tau0 = 1e-3 s), and the coupling whose long-wave
+# speed a*sqrt(lam/m) is SOUND_SPEED.
+PRESET_PARAMS = HardwareParams(a=1e-6, delta_t=1e-3, g1=2000.0 * math.pi,
+                               g2=2000.0 * math.pi, lam=((SOUND_SPEED / 1e-6) ** 2,),
+                               m=1.0, d=1)
 
 AXIS_QUANTITY = {"velocity": "velocity", "v2": "velocity", "g": "coupling"}
 

@@ -31,7 +31,7 @@ from .params import checked_couplings, checked_phase
 _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
 _WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
-_BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile or k-grid slab
+_BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile or slab
 _BLOCK_ROWS = 64            # time steps per light-cone block
 _MAXIMA_ROWS = 4 * _BLOCK_ROWS  # time steps per row of a scan's max |sigma| table
 _ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
@@ -123,70 +123,19 @@ def second_moment(lam: Sequence[float]) -> float:
     return sum(l * j * j for j, l in enumerate(lam, start=1))
 
 
-def longwave_speed(spec: LatticeSpec) -> float:
-    """k -> 0 slope of omega along any direction, sqrt(sum_j lam_j j^2 / m)
-    in lattice units. The long-wavelength dispersion is isotropic, so this
-    is independent of d."""
-    return math.sqrt(second_moment(spec.lam) / spec.m)
-
-
-def _slope(spec: LatticeSpec, kb: np.ndarray) -> np.ndarray:
-    """sum_j lam_j j sin(j k_b) = (m/2) d(omega^2)/dk_b along one axis."""
-    comp = 0.0
-    for j, lam in enumerate(spec.lam, start=1):
-        comp = comp + lam * j * np.sin(j * kb)
-    return comp
-
-
-def _grad2_max(spec: LatticeSpec, k: np.ndarray) -> float:
-    """Largest |grad omega|^2 on the grid k^d, in slabs along axis 0 that
-    keep the working arrays within _BLOCK_BYTES each."""
-    grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)
-    rows = max(1, _BLOCK_BYTES // (8 * len(k) ** (spec.d - 1)))
-    grad2_max = 0.0
-    for start in range(0, len(k), rows):
-        slab = [grids[0][start:start + rows], *grids[1:]]
-        omega = np.sqrt(omega_squared(spec, slab))
-        grad2 = 0.0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            for kb in slab:
-                comp = _slope(spec, kb)
-                grad2 = grad2 + np.where(omega > 0, comp / (spec.m * omega), 0.0) ** 2
-        grad2_max = max(grad2_max, float(grad2.max()))
-    return grad2_max
-
-
 def max_group_velocity(spec: LatticeSpec) -> float:
-    """Maximum of |grad_k omega| over a dense wavevector grid, sites/s.
+    """Supremum of |grad_k omega| over the Brillouin zone, sites/s: the
+    long-wavelength speed sqrt(sum_j lam_j j^2 / m), whatever d.
 
-    The gradient is evaluated analytically from the closed-form dispersion;
-    the k -> 0 limit is added as an explicit candidate since the gradient
-    formula is 0/0 there.
-
-    |grad omega|^2 = sum_b f_b rho_b / sum_b f_b, with f_b = m omega_b^2 the
-    axis-b term of m omega^2 and rho_b = (comp_b / (m omega_b))^2, is an
-    f-weighted mean of per-axis values. Off S^d, S the axis points with
-    rho >= max rho (1 - delta), it falls short of max rho by at least
-    max rho delta f_min / (d f_max) = 1e-12 nu max rho, far above rounding;
-    so the grid's float operations replayed on S^d give its maximum bit for
-    bit. S is the whole axis where a replayed value could leave the normal
-    float range.
+    In 1D, omega omega' = (2/m) sum_j lam_j j s_j c_j with s_j, c_j =
+    sin, cos(j k / 2), and omega^2 = (4/m) sum_j lam_j s_j^2; for lam_j >= 0
+    Cauchy-Schwarz gives |d omega/dk| <= sqrt(sum_j lam_j j^2 c_j^2 / m).
+    In d dimensions omega^2 = sum_b G(k_b), G the per-axis term, so
+    |grad omega|^2 = sum_b G'(k_b)^2 / (4 sum_b G(k_b)); the 1D bound is
+    G'^2 <= 4 G sum_j lam_j j^2 / m on each axis, so the same bound holds.
+    Equality holds as k -> 0, so the bound is the supremum.
     """
-    n_axis = {1: 20001, 2: 301, 3: 101}[spec.d]
-    # cell-centered grid in (0, pi): avoids the k = 0 singular point while
-    # approaching any boundary suprema to O((pi/n)^2)
-    k = (np.arange(n_axis) + 0.5) * np.pi / n_axis
-    w2 = omega_squared(spec, [k])          # the axis tables omega_b^2 ...
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        rho = (_slope(spec, k) / (spec.m * np.sqrt(w2))) ** 2   # ... and rho_b
-        w2_lo, w2_hi, rho_hi = w2.min(), w2.max(), rho.max()
-        # f_min, omega_min^2, m omega_min, max rho, 1/(m omega_max), 1/max rho
-        scales = np.array([spec.m * w2_lo, w2_lo, spec.m * np.sqrt(w2_lo), rho_hi,
-                           1.0 / (spec.m * np.sqrt(spec.d * w2_hi)), 1.0 / rho_hi])
-        delta = (1e-12 * spec.d * spec.nu * w2_hi / w2_lo
-                 if (scales > 2.0 ** -1000).all() else math.inf)
-        keep = ~(rho < rho_hi * (1.0 - delta))
-    return max(math.sqrt(_grad2_max(spec, k[keep])), longwave_speed(spec))
+    return math.sqrt(second_moment(spec.lam) / spec.m)
 
 
 def physical_velocity(a: float, v: float, what: str) -> float:

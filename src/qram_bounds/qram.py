@@ -49,6 +49,11 @@ def _depth(N: int) -> int:
     return N.bit_length() - 1
 
 
+def _check_leaves(N: int) -> None:
+    if N > MAX_LEAVES:
+        raise QramError(f"leaf cap: N <= {MAX_LEAVES}, got {N}")
+
+
 # ---------------------------------------------------------------------------
 # register layout helpers
 
@@ -203,6 +208,7 @@ def read_database(path: str | Path) -> ClassicalDatabase:
 def random_database(N: int, seed: int) -> ClassicalDatabase:
     rng = np.random.default_rng(seed)
     _depth(N)
+    _check_leaves(N)   # before N bits are drawn
     return ClassicalDatabase(bits=tuple(int(b) for b in rng.integers(0, 2, N)))
 
 
@@ -280,8 +286,7 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
     """Run the cycles of schedule_initialization(n) and schedule_query(n) on
     basis addresses; every gate is monomial, so each stays one basis state:
     (bit rows, phases)."""
-    if db.N > MAX_LEAVES:
-        raise QramError(f"leaf cap: N <= {MAX_LEAVES}, got {db.N}")
+    _check_leaves(db.N)
     n = db.depth
     units = {"swap": gates.swap_unitary(g1), "route": gates.cswap_composite(g1, g2)}
     tables = {op: (gates.monomial(U), gates.monomial(U.conj().T))

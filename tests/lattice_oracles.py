@@ -1,8 +1,9 @@
 """Independent oracles for the lattice's light-cone scan and group velocity,
 and the table of signal cases the scan is checked on.
 
-They share none of the orbit sums, block loop, cut-based reads or axis
-replay of ``qram_bounds.lattice``. Each row of ``SIGNAL_CASES`` exists for
+They share none of the orbit sums, block loop or cut-based reads of
+``qram_bounds.lattice``, and the grid search shares nothing with its
+closed-form group velocity. Each row of ``SIGNAL_CASES`` exists for
 the regime of the engine's layout that its id names;
 ``tests/test_lattice_internals.py`` checks that it still reaches it.
 """
@@ -28,8 +29,9 @@ def ifftn_axis_signal(spec, dt, steps, r_max):
 
 
 def full_grid_group_velocity(spec):
-    """max |grad omega| over the whole cell-centered grid at once, without
-    the k -> 0 candidate."""
+    """max |grad omega| over the whole cell-centered grid at once: 20001,
+    301^2 or 101^3 points in (0, pi)^d, so the k -> 0 supremum is
+    approached, not reached."""
     n_axis = {1: 20001, 2: 301, 3: 101}[spec.d]
     k = (np.arange(n_axis) + 0.5) * np.pi / n_axis
     grids = np.meshgrid(*([k] * spec.d), indexing="ij", sparse=True)

@@ -53,6 +53,13 @@ BOUND_RECORD_GOLDEN = {
     '"a": 1e-06, "tau0": 0.001, "d": 2}',
 }
 
+# The ``record`` line of a plain ``qram-bounds bound``, at the preset.
+PLAIN_BOUND_RECORD_GOLDEN = (
+    'record {"max_qubits_total": 13017704583.920462, '
+    '"max_linear_extent": 13017704583.920462, "velocity_used": 24000.0, '
+    '"log_base": "natural", "depth_exponent": 2, "velocity_source": "lieb_robinson", '
+    '"a": 1e-06, "tau0": 0.001, "d": 1}')
+
 
 def assert_one_error_line(captured, message=""):
     """A refused input prints exactly one ``error:`` line and nothing else."""
@@ -241,9 +248,25 @@ class TestBoundCommand:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
 
-    def test_plain_bound_refuses_below_the_root_threshold(self, capsys):
-        # the preset's Lieb-Robinson velocity (4e-6 m/s) gives R = 0.004
-        assert main(["bound"]) == 2
+    def test_plain_bound_record_golden(self, capsys):
+        # the preset's coupling gives a long-wave speed of 6000 m/s and a
+        # Lieb-Robinson velocity four times that
+        assert main(["bound"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == PLAIN_BOUND_RECORD_GOLDEN
+
+    @pytest.mark.parametrize("source", ["group", "qft"])
+    @pytest.mark.parametrize("p,total", [(2, 2843118674.7381115), (0, 6000000.0)])
+    def test_preset_long_wave_sources_give_the_sound_speed(self, source, p, total, capsys):
+        assert main(["bound", "--velocity-source", source,
+                     "--depth-exponent", str(p)]) == 0
+        record = json.loads(
+            capsys.readouterr().out.splitlines()[-1].removeprefix("record "))
+        assert (record["velocity_used"], record["max_qubits_total"]) == (
+            cli.SOUND_SPEED, total)
+
+    def test_plain_bound_refuses_below_the_root_threshold(self, config_file, capsys):
+        # GOOD_CONFIG's Lieb-Robinson velocity (4e-6 m/s) gives R = 0.004
+        assert main(["bound", "--config", config_file]) == 2
         captured = capsys.readouterr()
         assert captured.err == ("error: no fixed point above 1 for N = 0.004*log^2(N): "
                                 "R is below the root threshold 1.847264025\n")
@@ -261,9 +284,9 @@ class TestBoundCommand:
         assert record["max_qubits_total"] == pytest.approx(9e22, rel=1e-12)
 
     @pytest.mark.parametrize("edits,argv,message", [
-        # p = 0 at the preset: R = 4e-6 m/s * 1e-3 s / 1e-6 m = 0.004 qubits
+        # p = 0 at GOOD_CONFIG: R = 4e-6 m/s * 1e-3 s / 1e-6 m = 0.004 qubits
         # printed "max qubits (total): 4.000000e-03" and exited 0
-        (None, ["--depth-exponent", "0"],
+        ({}, ["--depth-exponent", "0"],
          "no fixed point above 1 for N = 0.004*log^0(N)"),
         # v*tau0 = 2e-323 * 1e-3 underflows: R was 0, "nonpositive ratio R"
         ({"a = 1e-6": "a = 5e-324", "lambda = 1.0": "lambda = 5e-324",
@@ -273,13 +296,11 @@ class TestBoundCommand:
     ])
     def test_capacity_below_one_qubit_or_out_of_float_range_exits_2(
             self, edits, argv, message, tmp_path, capsys):
-        if edits is not None:
-            text = GOOD_CONFIG
-            for old, new in edits.items():
-                text = text.replace(old, new)
-            (tmp_path / "hw.cfg").write_text(text)
-            argv = ["--config", str(tmp_path / "hw.cfg"), *argv]
-        assert main(["bound", *argv]) == 2
+        text = GOOD_CONFIG
+        for old, new in edits.items():
+            text = text.replace(old, new)
+        (tmp_path / "hw.cfg").write_text(text)
+        assert main(["bound", "--config", str(tmp_path / "hw.cfg"), *argv]) == 2
         assert_one_error_line(capsys.readouterr(), message)
 
     def test_overflowing_depth_exponent_exits_2(self, capsys):
@@ -430,11 +451,12 @@ class TestSweepCommand:
         assert main(["sweep", "--preset", preset, "--out", str(out)]) == 0
         assert out.read_bytes() == (RESULTS / name).read_bytes()
 
-    def test_overflowing_capacity_exits_2(self, tmp_path, capsys):
+    def test_overflowing_capacity_exits_2(self, config_file, tmp_path, capsys):
         # g = 1e-300 puts the 1D extent near 4e301, whose cube overflows
         out = tmp_path / "x.csv"
         assert main(["sweep", "--axis", "g:1e-300:1e4:2:log", "--dims", "3",
-                     "--depth-exponent", "0", "--out", str(out)]) == 2
+                     "--depth-exponent", "0", "--config", config_file,
+                     "--out", str(out)]) == 2
         assert_one_error_line(capsys.readouterr(), "total capacity 4.35312e+301^3")
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
@@ -852,10 +874,13 @@ class TestQramsimCommand:
         out = capsys.readouterr().out
         assert re.search(r"^\s*2\s+1\s+1\s+1\.0", out, re.MULTILINE)
 
-    def test_oversized_database_exits_2(self, capsys):
-        assert main(["qramsim", "--random-db", "--N", "8192"]) == 2
+    # at N = 2^50 the bits were drawn before the cap check, and numpy's
+    # refusal of an 8 PiB array ended in a traceback with exit code 1
+    @pytest.mark.parametrize("N", [8192, 1 << 50])
+    def test_oversized_database_exits_2(self, N, capsys):
+        assert main(["qramsim", "--random-db", "--N", str(N)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: leaf cap: N <= 4096, got 8192\n"
+        assert captured.err == f"error: leaf cap: N <= 4096, got {N}\n"
         assert captured.out == ""
 
     def test_sixteen_leaves_retrieved(self, capsys):

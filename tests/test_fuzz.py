@@ -114,7 +114,6 @@ def test_lattice(data, d, L):
         return
     finite_or_refused(lattice.dispersion, spec, [draw(FLOATS)] * d)
     finite_or_refused(lattice.omega_max, spec)
-    finite_or_refused(lattice.longwave_speed, spec)
     finite_or_refused(lattice.lr_speed, spec.d, spec.lam, spec.m)
     v = finite_or_refused(lattice.max_group_velocity, spec)
     if v is not None:

@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_oracles import (SIGNAL_CASES, full_grid_group_velocity,
-                             full_signal_rows, ifftn_axis_signal)
+from lattice_oracles import SIGNAL_CASES, full_signal_rows, ifftn_axis_signal
 from qram_bounds import lattice
 from qram_bounds.lattice import (LatticeError, LatticeSpec, axis_signal,
-                                 max_group_velocity, measure_light_cone)
+                                 measure_light_cone)
 
 
 # a source names a private lattice attribute _x by a read lattice._x (also
@@ -412,26 +411,3 @@ class TestFitLine:
         fit = lattice._fit_line(points)
         assert fit[:2] == pytest.approx((slope, intercept), rel=1e-12, abs=1e-300)
         assert fit[2] == pytest.approx(math.sqrt(np.mean((r - r.mean()) ** 2)), rel=1e-12)
-
-
-class TestGroupVelocityReplay:
-    @pytest.mark.parametrize("d,lam,m,axis", [
-        (3, (1.0, 0.3), 1.1, (1, 2)),        # S is the maximum alone ...
-        (2, (0.0, 1.0, 0.0, 0.5), 0.8, (1, 2)),
-        (1, (1e-300,), 1.0, (20001, 20001)),  # ... or the whole axis, where
-        (3, (1e-300,), 1e10, (101, 101)),      # a replayed value leaves the
-        (2, (1e305,), 1e305, (301, 301)),     # normal float range
-    ])
-    def test_replay_runs_on_the_selected_axis_points(self, d, lam, m, axis, monkeypatch):
-        sizes = []
-        replay = lattice._grad2_max
-
-        def spy(spec, k):
-            sizes.append(len(k))
-            return replay(spec, k)
-
-        monkeypatch.setattr(lattice, "_grad2_max", spy)
-        monkeypatch.setattr(lattice, "longwave_speed", lambda spec: 0.0)
-        spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
-        assert max_group_velocity(spec) == full_grid_group_velocity(spec)
-        assert axis[0] <= sizes[0] <= axis[1]

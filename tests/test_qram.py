@@ -445,7 +445,7 @@ class TestSimulateQuery:
     def test_rejects_oversized_database(self):
         N = 2 * qram.MAX_LEAVES
         with pytest.raises(QramError, match=f"leaf cap: N <= 4096, got {N}"):
-            simulate_query(random_database(N, seed=1), basis(N, 0), G, G)
+            simulate_query(ClassicalDatabase(bits=(1,) * N), basis(N, 0), G, G)
 
     def test_dense_vector_beyond_register_cap_refused(self):
         result = simulate_query(random_database(16, seed=1), basis(16, 5), G, G)
@@ -702,6 +702,6 @@ class TestLargeTrees:
             raise AssertionError("gates built before the cap check")
 
         monkeypatch.setattr(gates, "swap_unitary", no_gates)
-        db = random_database(2 * qram.MAX_LEAVES, seed=2)
+        db = ClassicalDatabase(bits=(0, 1) * qram.MAX_LEAVES)
         with pytest.raises(QramError, match="leaf cap"):
             verify_retrieval(db)

@@ -32,12 +32,13 @@ _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
 _WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
 _BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile or slab
-_BLOCK_ROWS = 64            # time steps per light-cone block
-_MAXIMA_ROWS = 4 * _BLOCK_ROWS  # time steps per row of a scan's max |sigma| table
+_BLOCK_ROWS = 128           # time steps per light-cone block
+_MAXIMA_ROWS = 2 * _BLOCK_ROWS  # time steps per row of a scan's max |sigma| table
+_NODE_ERROR = 2.0 ** -56    # interpolation error bound per light-cone signal entry
 _ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
 _WINDOW = 8                 # entries per exact-norm check of a light-cone arrival
-_FOLD_COLUMNS = 48          # narrowest signal whose orbits fold into mirror pairs
-                            # (narrower, the fold costs more than it saves)
+_FOLD_COLUMNS = 48          # narrowest signal whose orbits fold into mirror pairs (it
+                            # breaks even near 65 columns in 1D, 33-41 in 2D, 17-25 in 3D)
 
 
 class LatticeError(ValueError):
@@ -463,12 +464,48 @@ def _axis_orbits(spec: LatticeSpec,
     return omega, W, pairs
 
 
-def _block_shape(steps: int, columns: int) -> tuple[int, int]:
-    """(rows, tile): steps per block and columns (cos(omega t) terms) per
-    tile of the signal's block loop, whose four rows x tile arrays (32 B
-    per column and row) fit _BLOCK_BYTES."""
-    rows = max(1, min(steps, _BLOCK_ROWS))
-    return rows, min(columns, _BLOCK_BYTES // (32 * rows))
+def _node_count(z: float, rows: int) -> int:
+    """Chebyshev nodes per block of ``rows`` steps whose phase omega * h
+    over half its span is at most z: the least n + 1 < rows with
+    4 sum_{k>n} (z/2)^k / k! <= _NODE_ERROR, else ``rows``. A signal entry
+    sums cos(omega t_c + omega h x), x in [-1, 1], with weights of absolute
+    sum <= 1; each term's Chebyshev coefficients are |c_k| <= 2 |J_k(omega h)|
+    <= 2 (z/2)^k / k! (A&S 9.1.44-45, 9.1.62), and interpolation at n + 1
+    first-kind nodes errs by at most 2 sum_{k>n} |c_k|. Terms past the float
+    range are inf; where the rule is met z/2 < n + 1 < rows, so past k = 2 rows
+    each term is under half the one before and the sum stops there."""
+    terms = itertools.accumulate(range(1, 2 * rows + 64),
+                                 lambda term, k: term * (z / 2.0) / k, initial=1.0)
+    tails = list(itertools.accumulate(reversed(list(terms))))[::-1]  # sum over k >= index
+    return next((n for n in range(1, rows) if 4.0 * tails[n] <= _NODE_ERROR), rows)
+
+
+def _interpolation(rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(u, I): ``count`` first-kind Chebyshev nodes u of a block of ``rows``
+    steps, in steps from its centre, and the (rows, count) barycentric matrix
+    I that takes values there to the rows (Berrut & Trefethen, SIAM Rev. 46,
+    501 (2004)). No row of a block of at most _BLOCK_ROWS lies on a node."""
+    half, angle = (rows - 1) / 2.0, (2 * np.arange(count) + 1) * np.pi / (2 * count)
+    u = half * np.cos(angle)
+    I = (np.where(np.arange(count) % 2, -1.0, 1.0) * np.sin(angle)
+         / np.subtract.outer(np.arange(rows) - half, u))
+    return u, I / I.sum(axis=1, keepdims=True)
+
+
+def _block_kinds(w_max: float, dt: float, steps: int) -> list[tuple]:
+    """(first step, end, rows, u, I) of the scan's blocks of _BLOCK_ROWS
+    steps, then of its shorter last block: each is computed at the times u,
+    in steps from its centre, and I takes them to its rows; where
+    ``_node_count`` reaches the rows, u are the rows and I is None."""
+    whole, kinds = steps - steps % _BLOCK_ROWS, []
+    for start, stop in ((0, whole), (whole, steps)):
+        if start < stop:
+            rows = min(stop - start, _BLOCK_ROWS)
+            count = _node_count(w_max * ((rows - 1) * abs(dt) / 2.0), rows)
+            kinds.append((start, stop, rows, *(
+                (np.arange(rows) - (rows - 1) / 2.0, None) if count == rows
+                else _interpolation(rows, count))))
+    return kinds
 
 
 def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
@@ -479,17 +516,19 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
     _MAXIMA_ROWS steps; both have their columns in ``_signal_columns``
     order.
 
-    The sum runs over tiles of the rows of ``_axis_orbits``' W. A tile's
-    step table C, S = cos, sin(j dt omega), j < B, of its orbits (and
-    mirrors) serves every block of B steps: block entries a = cos(t omega)
-    are cos(t_0 omega) C - sin(t_0 omega) S from the block's own base
-    angle (no recurrence, so no drift), then one product with the tile's
-    rows of W. Folded, a pair's a + a' meets the even-r columns and a - a'
-    the odd-r ones (a' = 0 for a self-mirrored orbit): two products of
-    half the width. The first tile writes the block's rows of the signal
-    and the others add to them. On the last tile each block is final, and
-    its |c| is folded into the table while the block is still in cache.
-    Refuses a scan whose phase steps*|dt|*omega_max leaves the float range.
+    Each block of ``_block_kinds`` is computed at its times u around its
+    centre t_c, and I takes those values to its rows. The sum runs over
+    tiles of the rows of ``_axis_orbits``' W. A tile's node table C, S =
+    cos, sin(u dt omega) of its orbits (and mirrors) serves every block of
+    a kind: node entries a = cos(t omega) are cos(t_c omega) C -
+    sin(t_c omega) S from the block's own base angle (no recurrence, so no
+    drift), then one product with the tile's rows of W. Folded, a pair's
+    a + a' meets the even-r columns and a - a' the odd-r ones (a' = 0 for a
+    self-mirrored orbit): two products of half the width. Until its last
+    tile a block's node values sum in its first len(u) rows of the signal;
+    on the last, I writes its rows, and its |c| is folded into the table
+    while the block is still in cache. Refuses a scan whose phase
+    steps*|dt|*omega_max leaves the float range.
     """
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
@@ -500,45 +539,52 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
     omega, W, pairs = _axis_orbits(spec, r_max)
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
                   omega.max(), steps * abs(dt))
-    rows, tile = _block_shape(steps, omega.size)
+    kinds = _block_kinds(float(omega.max()), dt, steps)
+    nodes = max([len(u) for *_, u, _ in kinds], default=1)
+    tile = min(omega.size, _BLOCK_BYTES // (32 * nodes))   # 4 arrays of nodes x tile
     width, even = tile // len(omega), r_max // 2 + 1   # W rows per tile, even-r columns
-    arrays = np.empty(4 * rows * tile)
+    arrays = np.empty(4 * nodes * tile)
     maxima = np.zeros((-(-steps // _MAXIMA_ROWS), r_max + 1))
-    part = np.empty((rows, r_max + 1))   # a later tile's product, then |block|
+    part = np.empty((min(steps, _BLOCK_ROWS), r_max + 1))   # a tile's product, then |block|
     out = np.empty((steps, r_max + 1))
     for first in range(0, len(W), width):
         w, Wt = omega[:, None, first:first + width], W[first:first + width]
-        C, S, block, work = arrays[:4 * rows * w.size].reshape(4, len(w), rows, -1)
-        angle = np.multiply(np.arange(rows)[:, None] * dt, w, out=block)
-        np.cos(angle, out=C)
-        np.sin(angle, out=S)
+        last = first + width >= len(W)
         own = max(0, pairs - first)   # self-mirrored from this column on: no mirror term
-        C[1:, :, own:] = S[1:, :, own:] = 0.0
-        group = max(1, _BLOCK_BYTES // (128 * w.size))   # cos, sin(t_0 omega): 1/16 each
-        for start in range(0, steps, rows):
-            b, g = min(rows, steps - start), start // rows % group
-            if not g:
-                base = np.multiply.outer(
-                    np.arange(start, min(steps, start + group * rows), rows) * dt, w)
-                cos0, sin0 = np.cos(base), np.sin(base, out=base)
-            # all B rows: in a last, short block the rows past the scan go unused
-            np.multiply(C, cos0[g], out=block)
-            np.multiply(S, sin0[g], out=work)
-            np.subtract(block, work, out=block)
-            sigma = out[start:start + b]
-            product = part[:b] if first else sigma
-            if pairs:   # a - a' into work[0], a + a' into block[0]
-                np.subtract(block[0], block[1], out=work[0])
-                np.add(block[0], block[1], out=block[0])
-                np.matmul(block[0, :b], Wt[:, :even], out=product[:, :even])
-                np.matmul(work[0, :b], Wt[:, even:], out=product[:, even:])
-            else:
-                np.matmul(block[0, :b], Wt, out=product)
-            if first:
-                sigma += product
-            if first + width >= len(W):
-                top = maxima[start // _MAXIMA_ROWS]
-                np.maximum(top, np.abs(sigma, out=part[:b]).max(axis=0), out=top)
+        group = max(1, _BLOCK_BYTES // (128 * w.size))   # cos, sin(t_c omega): 1/16 each
+        for start, stop, rows, u, I in kinds:
+            C, S, block, work = arrays[:4 * len(u) * w.size].reshape(4, len(w), len(u), -1)
+            angle = np.multiply(u[:, None] * dt, w, out=block)
+            np.cos(angle, out=C)
+            np.sin(angle, out=S)
+            C[1:, :, own:] = S[1:, :, own:] = 0.0
+            reads = last and I is not None   # I reads the sum over tiles from part
+            for at in range(start, stop, rows):
+                g = (at - start) // rows % group
+                if not g:
+                    starts = np.arange(at, min(stop, at + group * rows), rows)
+                    base = np.multiply.outer((starts + (rows - 1) / 2.0) * dt, w)
+                    cos0, sin0 = np.cos(base), np.sin(base, out=base)
+                np.multiply(C, cos0[g], out=block)
+                np.multiply(S, sin0[g], out=work)
+                np.subtract(block, work, out=block)
+                stored = out[at:at + len(u)]
+                product = part[:len(u)] if first or reads else stored
+                if pairs:   # a - a' into work[0], a + a' into block[0]
+                    np.subtract(block[0], block[1], out=work[0])
+                    np.add(block[0], block[1], out=block[0])
+                    np.matmul(block[0], Wt[:, :even], out=product[:, :even])
+                    np.matmul(work[0], Wt[:, even:], out=product[:, even:])
+                else:
+                    np.matmul(block[0], Wt, out=product)
+                if first:   # add the earlier tiles' share
+                    np.add(stored, product, out=product if reads else stored)
+                if last:
+                    sigma = out[at:at + rows]
+                    if reads:
+                        np.matmul(I, product, out=sigma)
+                    top = maxima[at // _MAXIMA_ROWS]
+                    np.maximum(top, np.abs(sigma, out=part[:rows]).max(axis=0), out=top)
     return out, maxima
 
 

@@ -202,6 +202,8 @@ def read_database(path: str | Path) -> ClassicalDatabase:
     text = "".join(Path(path).read_text().split())
     if not text or set(text) - {"0", "1"}:
         raise QramError(f"database file must contain only 0/1 characters: {path}")
+    _depth(len(text))
+    _check_leaves(len(text))   # before the bits are built
     return ClassicalDatabase(bits=tuple(int(c) for c in text))
 
 

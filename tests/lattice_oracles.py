@@ -82,7 +82,10 @@ class SignalCase(NamedTuple):
 # several orbit tiles adding their shares; above 4,096 orbits, where blocks
 # keep full height; mirror pairs folded (L = 0 or 2 mod 4), too narrow to
 # fold, or absent (odd L); self-mirrored orbits in a last tile shared with
-# pairs
+# pairs; blocks interpolated from Chebyshev nodes, with a shorter last block
+# interpolated too or computed row by row, or every block computed row by
+# row (coarse steps or short scans); interpolated and folded, at odd L, or
+# over three tiles or more
 SIGNAL_CASES = [SignalCase(regime, LatticeSpec(d, L, lam, m), dt, steps, r_max)
                 for regime, d, L, lam, m, dt, steps, r_max in (
     ("many-blocks", 1, 16, (1.0,), 0.9, 0.13, 308, 15),
@@ -95,7 +98,18 @@ SIGNAL_CASES = [SignalCase(regime, LatticeSpec(d, L, lam, m), dt, steps, r_max)
     ("multi-tile", 2, 64, (1.0, 0.3), 0.8, 0.37, 200, 32),
     ("multi-tile", 3, 32, (1.0,), 0.8, 0.37, 200, 16),
     ("above-4096-orbits", 3, 64, (1.0, 0.3), 0.8, 0.37, 70, 6),
-    ("self-mirrored-last-tile", 2, 128, (1.0, 0.3), 0.8, 0.37, 150, 63),
+    ("self-mirrored-last-tile", 2, 128, (1.0, 0.3), 0.8, 0.2, 150, 63),
+    ("interpolated-short-last", 1, 40, (1.0,), 1.0, 0.05, 300, 19),
+    ("direct-last", 2, 12, (1.0, 0.3), 0.8, 0.05, 259, 5),
+    # found by hypothesis: z = omega_max * 3 dt = 125, so all 7 rows are computed
+    ("direct-rows", 1, 6, (1.0, 1.0), 0.125, 6.0, 7, 5),
+    ("direct-rows", 2, 10, (1.0, 0.3), 0.8, 0.6, 300, 9),
+    ("folded-interpolated", 1, 100, (1.0, 0.3), 0.8, 0.05, 300, 49),
+    ("folded-interpolated", 2, 98, (1.0, 0.3), 0.8, 0.05, 300, 48),
+    ("odd-L-interpolated", 2, 33, (1.0, 0.3), 0.8, 0.05, 300, 16),
+    ("odd-L-interpolated", 3, 15, (1.0,), 1.0, 0.05, 300, 7),
+    ("multi-tile-interpolated", 2, 96, (1.0, 0.3), 0.8, 0.05, 300, 20),
+    ("multi-tile-interpolated", 2, 128, (1.0, 0.3), 0.8, 0.05, 300, 63),
     *((regime, d, L, (1.0, 0.3), 0.8, 0.37, steps, r_max)
       for regime, d, L, steps, r_max in (
         ("folded-L0mod4", 1, 100, 150, 99), ("folded-L2mod4", 1, 102, 150, 100),

@@ -883,6 +883,14 @@ class TestQramsimCommand:
         assert captured.err == f"error: leaf cap: N <= 4096, got {N}\n"
         assert captured.out == ""
 
+    def test_oversized_database_file_exits_2(self, tmp_path, capsys):
+        db = tmp_path / "db.txt"
+        db.write_text("1" * 8192)
+        assert main(["qramsim", "--db", str(db)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: leaf cap: N <= 4096, got 8192\n"
+        assert captured.out == ""
+
     def test_sixteen_leaves_retrieved(self, capsys):
         assert main(["qramsim", "--random-db", "--N", "16", "--seed", "3"]) == 0
         out = capsys.readouterr().out

@@ -726,6 +726,17 @@ class TestAxisSignal:
                                    ifftn_axis_signal(spec, dt, steps, spec.L - 1),
                                    rtol=0, atol=1e-12)
 
+    @given(d=st.integers(1, 3), L=st.integers(4, 9), lam=st.floats(0.05, 5.0),
+           m=st.floats(0.1, 10.0), dt=st.floats(-0.3, 0.3), steps=st.integers(100, 300))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_per_step_ifftn_across_blocks(self, d, L, lam, m, dt, steps):
+        # scans of up to two full blocks and a shorter last one, each
+        # interpolated from its nodes or computed row by row
+        spec = LatticeSpec(d=d, L=L, lam=(lam,), m=m)
+        np.testing.assert_allclose(axis_signal(spec, dt, steps, L - 1),
+                                   ifftn_axis_signal(spec, dt, steps, L - 1),
+                                   rtol=0, atol=1e-12)
+
     def test_bessel_oracle_nearest_neighbor_chain(self):
         # infinite chain: c(t, r) = J_2r(2 t sqrt(lam/m)); at L = 400 the
         # wrap-around images J_2(L-r) are far below double precision
@@ -739,7 +750,7 @@ class TestAxisSignal:
                                    rtol=0, atol=1e-12)
 
     def test_bessel_oracle_long_horizon_many_blocks(self):
-        # out to t = 220 in 18 blocks of 64 steps; the images J_2(L-r) have
+        # out to t = 220 in 9 blocks of 128 steps; the images J_2(L-r) have
         # order >= 560 at argument <= 440, still far below double precision
         special = pytest.importorskip("scipy.special")
         spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)

@@ -56,23 +56,31 @@ def test_guard_finds_every_form_of_private_name(source, names):
 def reaches_regime(case):
     """Whether the engine lays a ``SIGNAL_CASES`` row out in the regime
     its id names."""
-    regime, spec, _, steps, r_max = case
+    regime, spec, dt, steps, r_max = case
     omega, W, pairs = lattice._axis_orbits(spec, r_max)
-    rows, tile = lattice._block_shape(steps, omega.size)
+    kinds = lattice._block_kinds(float(omega.max()), dt, steps)
+    nodes = max(len(u) for *_, u, _ in kinds)
+    tile = min(omega.size, lattice._BLOCK_BYTES // (32 * nodes))
     width = tile // len(omega)              # rows of W per tile
     last = (len(W) - 1) // width * width    # first row of the last tile
     orbits = math.comb(spec.L // 2 + spec.d, spec.d)
+    interpolated = [I is not None for *_, I in kinds]
     return {
-        "many-blocks": steps > 3 * rows,
-        "multi-tile": steps > 3 * rows and last > 0,
-        "above-4096-orbits": (orbits > 4096 and rows == lattice._BLOCK_ROWS
-                              and orbits > 25 * tile),
+        "many-blocks": steps >= 2 * lattice._BLOCK_ROWS,
+        "multi-tile": steps > lattice._BLOCK_ROWS and last > 0,
+        "above-4096-orbits": orbits > 4096 and orbits > 25 * tile,
         "folded-L0mod4": pairs > 0 and spec.L % 4 == 0,
         "folded-L2mod4": pairs > 0 and spec.L % 4 == 2,
         "odd-L": pairs == 0 and spec.L % 2 == 1,
         "unfolded": pairs == 0 and spec.L % 2 == 0,
         # pairs and every self-mirrored row share the last of several tiles
         "self-mirrored-last-tile": 0 < last < pairs < len(W),
+        "interpolated-short-last": len(kinds) == 2 and all(interpolated),
+        "direct-last": interpolated == [True, False],
+        "direct-rows": not any(interpolated),
+        "folded-interpolated": pairs > 0 and all(interpolated),
+        "odd-L-interpolated": spec.L % 2 == 1 and all(interpolated),
+        "multi-tile-interpolated": last >= 2 * width and all(interpolated),
     }[regime]
 
 
@@ -158,33 +166,26 @@ class TestOrbits:
 
 
 class TestBlockLoop:
-    def test_blocks_keep_full_height_at_every_orbit_count(self):
-        # the height was _BLOCK_BYTES // (32 * orbits): one row above 4,096
-        # orbits. Now only the orbit tile narrows: a block is full height
-        # unless the scan is shorter, and a tile is as wide as the budget lets
-        budget = lattice._BLOCK_BYTES
-        for steps in (1, 63, 64, 65, 693):
-            for orbits in range(1, 50_001):
-                rows, tile = lattice._block_shape(steps, orbits)
-                assert rows == min(steps, lattice._BLOCK_ROWS)
-                assert 1 <= tile <= orbits and 32 * rows * tile <= budget
-                assert tile == orbits or 32 * rows * (tile + 1) > budget
-        # 3D L=64 and L=128 at the step counts of `lightcone --t-max 20` and
-        # `--t-max 40` with the automatic dt: only the last block is short
-        for orbits, steps in ((6545, 347), (45760, 693)):
-            rows, tile = lattice._block_shape(steps, orbits)
-            heights = [min(rows, steps - start) for start in range(0, steps, rows)]
-            assert set(heights[:-1]) == {lattice._BLOCK_ROWS} and tile < orbits
-        # the 101 rows of W at 1D L=400, r_max=190, two columns each (the
-        # orbit and its mirror), stay one tile
-        assert lattice._block_shape(11001, 202) == (lattice._BLOCK_ROWS, 202)
+    @pytest.mark.parametrize("steps", [0, 1, 127, 128, 129, 256, 300, 11001])
+    def test_blocks_cover_the_scan_once(self, steps):
+        # full blocks of _BLOCK_ROWS steps, then one shorter block, each
+        # inside one row of the block-maxima table
+        B = lattice._BLOCK_ROWS
+        assert lattice._MAXIMA_ROWS % B == 0
+        kinds = lattice._block_kinds(2.0, 0.02, steps)
+        blocks = [(at, min(rows, stop - at)) for start, stop, rows, *_ in kinds
+                  for at in range(start, stop, rows)]
+        assert blocks == [(at, min(B, steps - at)) for at in range(0, steps, B)]
+        assert [rows for _, _, rows, *_ in kinds] == sorted(
+            {rows for _, rows in blocks}, reverse=True)
 
     @pytest.mark.parametrize("d,L,steps", [(1, 40, 50), (1, 400, 600),
                                            (2, 64, 513), (3, 32, 300), (2, 128, 300)])
     def test_block_maxima_are_the_plain_reduce(self, d, L, steps):
-        # one block or many, one orbit tile (1D) or several that add into
-        # the block before its maximum is taken, a short last block, and
-        # folded orbits in one tile (1D L=400) or nine (2D L=128). The
+        # one block or many, one orbit tile (1D L=40) or several that add
+        # into the block before its maximum is taken, a short last block,
+        # and folded orbits in two tiles of interpolated blocks (1D L=400)
+        # or eighteen of blocks computed row by row (2D L=128). The
         # block loop stores the signal time-major, its columns in
         # _signal_columns order, which axis_signal puts in r order
         spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
@@ -212,6 +213,83 @@ class TestBlockLoop:
             signal = axis_signal(spec, dt, steps, r_max)
         np.testing.assert_allclose(signal, ifftn_axis_signal(spec, dt, steps, r_max),
                                    rtol=0, atol=1e-12)
+
+
+class TestNodes:
+    Z_GRID = [0.01, 0.1, 0.5, 1.0, 2.0, 2.54, 5.0, 10.0, 12.7, 20.0, 30.0, 40.0, 50.0]
+
+    @staticmethod
+    def series_tail(z, n):
+        """4 sum_{k>n} (z/2)^k / k!, the node rule's sum, from logs."""
+        return 4.0 * math.fsum(math.exp(k * math.log(z / 2.0) - math.lgamma(k + 1.0))
+                               for k in range(n + 1, n + 400))
+
+    @pytest.mark.parametrize("z", Z_GRID)
+    def test_node_rule_bounds_the_bessel_tail(self, z):
+        # the interpolation error of one cos(omega (t_c + h x)) is at most
+        # 4 sum_{k>n} |J_k(omega h)|, for every omega h up to z
+        special = pytest.importorskip("scipy.special")
+        count = lattice._node_count(z, lattice._BLOCK_ROWS)
+        assert count < lattice._BLOCK_ROWS
+        for omega_h in (z, 0.9 * z, 0.5 * z):
+            tail = 4.0 * np.abs(special.jv(np.arange(count, count + 400), omega_h)).sum()
+            assert tail <= lattice._NODE_ERROR
+
+    @pytest.mark.parametrize("z", Z_GRID)
+    def test_node_count_is_the_least_that_meets_the_rule(self, z):
+        count = lattice._node_count(z, lattice._BLOCK_ROWS)
+        assert self.series_tail(z, count - 1) <= lattice._NODE_ERROR * (1 + 1e-12)
+        if count > 1:
+            assert self.series_tail(z, count - 2) > lattice._NODE_ERROR * (1 - 1e-12)
+
+    def test_node_count_is_bounded_by_the_rows(self):
+        # where no fewer nodes than rows meet the rule the rows are computed
+        # themselves, whatever z: no term raises or warns. The 7-step scan
+        # of SIGNAL_CASES' first direct-rows row has z = 125
+        assert lattice._node_count(0.0, 1) == lattice._node_count(0.0, 128) == 1
+        for rows in (1, 2, 7, 128):
+            for z in (124.7, 1e3, 1e300, 1.7e308):
+                assert lattice._node_count(z, rows) == rows
+        assert lattice._node_count(60.0, 128) < 128 == lattice._node_count(70.0, 128)
+        w_max = lattice.omega_max(LatticeSpec(d=1, L=6, lam=(1.0, 1.0), m=0.125))
+        (start, stop, rows, u, I), = lattice._block_kinds(w_max, 6.0, 7)
+        assert (start, stop, rows, I) == (0, 7, 7, None)
+        np.testing.assert_array_equal(u, np.arange(7) - 3.0)
+
+    def test_interpolation_at_every_block_shape(self):
+        # every rows <= _BLOCK_ROWS and node count below it: no row lies on
+        # a node, each row of I sums to 1, and I takes the Chebyshev
+        # polynomial of the top degree to its rows, up to its Lebesgue constant
+        for rows in range(2, lattice._BLOCK_ROWS + 1):
+            half = (rows - 1) / 2.0
+            x = (np.arange(rows) - half) / half
+            for count in range(1, rows):
+                u, I = lattice._interpolation(rows, count)
+                assert I.shape == (rows, count) and np.isfinite(I).all()
+                assert (np.abs(u) < half).all() and (np.diff(u) < 0).all()
+                np.testing.assert_allclose(I.sum(axis=1), 1.0, rtol=0, atol=1e-13)
+                if count in (2, rows // 2, rows - 1):
+                    degree = count - 1
+                    T = np.cos(degree * np.arccos(np.clip(u / half, -1.0, 1.0)))
+                    lebesgue = np.abs(I).sum(axis=1).max()
+                    np.testing.assert_allclose(I @ T, np.cos(degree * np.arccos(x)),
+                                               rtol=0, atol=1e-14 * lebesgue * count)
+
+    @pytest.mark.parametrize("rows,z", [(128, 2.54), (128, 12.7), (128, 50.0),
+                                        (44, 1.0), (20, 0.01)])
+    def test_interpolated_block_meets_the_bound(self, rows, z):
+        # cos(omega (t_c + t)) at the block's nodes, taken to its rows by I,
+        # against the exact rows, at the largest omega the rule covers and
+        # at smaller ones; rounding adds a few ulps of the phase
+        (_, _, _, u, I), = lattice._block_kinds(z / ((rows - 1) / 2.0), 1.0, rows)
+        assert I is not None
+        t = np.arange(rows) - (rows - 1) / 2.0
+        for omega in (z, 0.7 * z, 0.3 * z):
+            omega /= (rows - 1) / 2.0
+            for phase in (0.0, 0.4, 1.9):
+                np.testing.assert_allclose(I @ np.cos(omega * u + phase),
+                                           np.cos(omega * t + phase), rtol=0,
+                                           atol=lattice._NODE_ERROR + 4e-16 * (z + 2.0))
 
 
 class TestWorkCaps:

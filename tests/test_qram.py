@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,6 +302,26 @@ class TestClassicalDatabase:
     def test_rejects_bad_length(self):
         with pytest.raises(QramError, match="power of two"):
             ClassicalDatabase((0, 1, 1))
+
+    def test_file_of_bad_length_refused_by_name(self, tmp_path):
+        path = tmp_path / "db.txt"
+        path.write_text("011\n")
+        with pytest.raises(QramError, match="^N must be a power of two >= 2, got 3$"):
+            read_database(path)
+
+    def test_oversized_file_refused_before_its_bits_are_built(self, tmp_path):
+        # 2^20 bits: the file's text takes about 2 B per leaf; the tuple of
+        # bits built before the leaf cap took about 17 B per leaf
+        N = 1 << 20
+        path = tmp_path / "db.txt"
+        path.write_text("01" * (N // 2) + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(QramError, match=f"^leaf cap: N <= 4096, got {N}$"):
+                read_database(path)
+            assert tracemalloc.get_traced_memory()[1] <= 3 * N
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("bits", [(0, 2), (1, 0, -1, 1), (0, 1, 1, 0, 1, 0, 0, 7),
                                       # int() would truncate these to bits

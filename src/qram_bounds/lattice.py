@@ -30,10 +30,10 @@ from .params import checked_couplings, checked_phase
 
 _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
-_WORK_ENTRY_CAP = 20_000_000  # largest float64 array a light-cone scan may build
-_BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile or slab
+_WORK_ENTRY_CAP = 20_000_000  # most entries of a light-cone signal or of its W,
+                              # which is built a tile at a time
+_BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile
 _BLOCK_ROWS = 128           # time steps per light-cone block
-_MAXIMA_ROWS = 2 * _BLOCK_ROWS  # time steps per row of a scan's max |sigma| table
 _NODE_ERROR = 2.0 ** -56    # interpolation error bound per light-cone signal entry
 _ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
 _WINDOW = 8                 # entries per exact-norm check of a light-cone arrival
@@ -396,14 +396,8 @@ def _check_orbits(spec: LatticeSpec, r_max: int) -> None:
                 "the orbit weight matrix")
 
 
-def _signal_columns(r_max: int) -> np.ndarray:
-    """The r of each column of the block loop's W and signal: even, then odd."""
-    r = np.arange(r_max + 1)
-    return np.concatenate([r[::2], r[1::2]])
-
-
-def _axis_orbits(spec: LatticeSpec,
-                 r_max: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _axis_orbits(spec: LatticeSpec, r_max: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Orbits of the wavevector grid under the reflections n -> L - n and
     all axis permutations, which fix omega: one per sorted index d-tuple t
     in 0..L//2, weighted at distance r by fold(t) perms(t) / (d L^d)
@@ -411,10 +405,12 @@ def _axis_orbits(spec: LatticeSpec,
     orbit's fold(t) perms(t) points. For even L the mirror
     t' = reverse(L/2 - t) has the same fold and perms and (-1)^r times the
     weights of t; folded (``_orbit_rows``), W keeps the lesser t of each
-    pair, then the self-mirrored t. Returns (omega, W, pairs): omega[0] of
-    W's rows and, folded, omega[1] of their mirrors; W, its columns in
-    ``_signal_columns`` order, built in slabs whose index and cos-term
-    arrays fit _BLOCK_BYTES; and the number of leading rows with a mirror.
+    pair, then the self-mirrored t, and its columns hold the even distances,
+    then the odd ones. Returns (omega, tuples, weight, cosines, pairs):
+    omega[0] of W's rows and, folded, omega[1] of their mirrors; the t and
+    fold(t) perms(t) / (d L^d) of each row; cos(2 pi n r / L) for each index
+    n the t hold and each of W's columns r, from which ``_weight_rows``
+    builds W a tile at a time; and the number of leading rows with a mirror.
     """
     L, d = spec.L, spec.d
     n = np.arange(L // 2 + 1)
@@ -430,7 +426,7 @@ def _axis_orbits(spec: LatticeSpec,
         keep = np.argsort(-side, kind="stable")[:kept]
         pairs = int(np.count_nonzero(side > 0))
         members = np.array([tuples[keep], mirror[keep]])
-        del mirror, side, keep   # before W is built
+        del mirror, side, keep
     omega = np.sqrt(omega_squared(spec, [2.0 * np.pi * t / L
                                          for t in members.transpose(2, 0, 1)]))
     tuples = members[0].copy()   # frees the mirrors with members
@@ -443,25 +439,27 @@ def _axis_orbits(spec: LatticeSpec,
         run = np.where(tuples[:, b] == tuples[:, b - 1], run + 1.0, 1.0)
         div *= run
     weight = math.factorial(d) / div * fold[tuples].prod(axis=1) / (d * spec.n_sites)
+    r = np.arange(r_max + 1)
+    if pairs:
+        r = np.concatenate([r[::2], r[1::2]])
     # phases reduced mod L first, as the FFT twiddles are, so cos(2 pi k / L)
-    # is read from one L-entry table at k = t_b r mod L
+    # is read from one L-entry table at k = n r mod L
     table = np.cos(2.0 * np.pi / L * np.arange(L))
-    r = _signal_columns(r_max)
-    W = np.empty((len(tuples), r_max + 1))
-    slab = max(1, _BLOCK_BYTES // (16 * (r_max + 1)))
-    k = np.empty((min(slab, len(W)), r_max + 1), dtype=int)
-    term = np.empty(k.shape)
-    for first in range(0, len(W), slab):
-        rows = W[first:first + slab]
-        ks = k[:len(rows)]
-        for b, t in enumerate(tuples[first:first + slab].T):
-            np.remainder(np.multiply.outer(t, r, out=ks), L, out=ks)
-            if b:
-                rows += np.take(table, ks, out=term[:len(rows)], mode="clip")
-            else:
-                np.take(table, ks, out=rows, mode="clip")   # unbuffered; k < L
-    W *= weight[:, None]
-    return omega, W, pairs
+    cosines = table[np.remainder(np.multiply.outer(np.arange(tuples.max() + 1), r), L)]
+    return omega, tuples, weight, cosines, pairs
+
+
+def _weight_rows(cosines: np.ndarray, tuples: np.ndarray, weight: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """Rows of W for the orbits ``tuples`` of weights ``weight``, in the
+    first rows of ``out``: weight sum_b cos(2 pi t_b r / L), the sum taken
+    over the rows t_b of ``_axis_orbits``' cosines in axis order."""
+    rows = np.take(cosines, tuples[:, 0], axis=0, out=out[:len(tuples)],
+                   mode="clip")   # unbuffered; every t_b has a row
+    for t in tuples[:, 1:].T:
+        rows += np.take(cosines, t, axis=0)
+    rows *= weight[:, None]
+    return rows
 
 
 def _node_count(z: float, rows: int) -> int:
@@ -512,23 +510,23 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
                    r_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The block loop behind ``axis_signal`` and ``measure_light_cone``:
     the signal c(t_i, r) as a time-major (steps, r_max + 1) array, and the
-    table of max |c| over each _MAXIMA_ROWS steps, one row per
-    _MAXIMA_ROWS steps; both have their columns in ``_signal_columns``
-    order.
+    table of max |c| over each block of _BLOCK_ROWS steps, one row per
+    block; both in r order.
 
     Each block of ``_block_kinds`` is computed at its times u around its
     centre t_c, and I takes those values to its rows. The sum runs over
-    tiles of the rows of ``_axis_orbits``' W. A tile's node table C, S =
-    cos, sin(u dt omega) of its orbits (and mirrors) serves every block of
-    a kind: node entries a = cos(t omega) are cos(t_c omega) C -
-    sin(t_c omega) S from the block's own base angle (no recurrence, so no
-    drift), then one product with the tile's rows of W. Folded, a pair's
-    a + a' meets the even-r columns and a - a' the odd-r ones (a' = 0 for a
-    self-mirrored orbit): two products of half the width. Until its last
-    tile a block's node values sum in its first len(u) rows of the signal;
-    on the last, I writes its rows, and its |c| is folded into the table
-    while the block is still in cache. Refuses a scan whose phase
-    steps*|dt|*omega_max leaves the float range.
+    tiles of the rows of W, each built by ``_weight_rows`` when its turn
+    comes. A tile's node table C, S = cos, sin(u dt omega) of its orbits
+    (and mirrors) serves every block of a kind: node entries a =
+    cos(t omega) are cos(t_c omega) C - sin(t_c omega) S from the block's
+    own base angle (no recurrence, so no drift), then one product with the
+    tile's rows of W. Folded, W holds the even distances, then the odd
+    ones: a pair's a + a' meets the even-r columns and a - a' the odd-r ones
+    (a' = 0 for a self-mirrored orbit), two products of half the width that
+    write alternate columns. Until its last tile a block's node values sum
+    in its first len(u) rows of the signal; on the last, I writes its rows,
+    and its max |c| goes into the table while the block is still in cache.
+    Refuses a scan whose phase steps*|dt|*omega_max leaves the float range.
     """
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
@@ -536,22 +534,26 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
         raise LatticeError("r_max must lie in 0..L-1")
     _check_orbits(spec, r_max)
     _check_work(float(steps) * (r_max + 1), "the time signal")
-    omega, W, pairs = _axis_orbits(spec, r_max)
+    omega, tuples, weight, cosines, pairs = _axis_orbits(spec, r_max)
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
                   omega.max(), steps * abs(dt))
     kinds = _block_kinds(float(omega.max()), dt, steps)
     nodes = max([len(u) for *_, u, _ in kinds], default=1)
-    tile = min(omega.size, _BLOCK_BYTES // (32 * nodes))   # 4 arrays of nodes x tile
-    width, even = tile // len(omega), r_max // 2 + 1   # W rows per tile, even-r columns
-    arrays = np.empty(4 * nodes * tile)
-    maxima = np.zeros((-(-steps // _MAXIMA_ROWS), r_max + 1))
+    # rows of W per tile: its 4 node arrays (32 bytes per orbit or mirror and
+    # node) fit _BLOCK_BYTES, and so do its W and each term that builds it
+    width = min(len(tuples), _BLOCK_BYTES // (32 * nodes * len(omega)),
+                _BLOCK_BYTES // (8 * (r_max + 1)))
+    even = r_max // 2 + 1   # even-r columns
+    W = np.empty((width, r_max + 1))
+    arrays = np.empty(4 * nodes * len(omega) * width)
+    maxima = np.empty((-(-steps // _BLOCK_ROWS), r_max + 1))
     part = np.empty((min(steps, _BLOCK_ROWS), r_max + 1))   # a tile's product, then |block|
     out = np.empty((steps, r_max + 1))
-    for first in range(0, len(W), width):
-        w, Wt = omega[:, None, first:first + width], W[first:first + width]
-        last = first + width >= len(W)
+    for first in range(0, len(tuples), width):
+        tile = slice(first, first + width)
+        w, Wt = omega[:, None, tile], _weight_rows(cosines, tuples[tile], weight[tile], W)
+        last = first + width >= len(tuples)
         own = max(0, pairs - first)   # self-mirrored from this column on: no mirror term
-        group = max(1, _BLOCK_BYTES // (128 * w.size))   # cos, sin(t_c omega): 1/16 each
         for start, stop, rows, u, I in kinds:
             C, S, block, work = arrays[:4 * len(u) * w.size].reshape(4, len(w), len(u), -1)
             angle = np.multiply(u[:, None] * dt, w, out=block)
@@ -560,21 +562,17 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
             C[1:, :, own:] = S[1:, :, own:] = 0.0
             reads = last and I is not None   # I reads the sum over tiles from part
             for at in range(start, stop, rows):
-                g = (at - start) // rows % group
-                if not g:
-                    starts = np.arange(at, min(stop, at + group * rows), rows)
-                    base = np.multiply.outer((starts + (rows - 1) / 2.0) * dt, w)
-                    cos0, sin0 = np.cos(base), np.sin(base, out=base)
-                np.multiply(C, cos0[g], out=block)
-                np.multiply(S, sin0[g], out=work)
+                base = np.multiply((at + (rows - 1) / 2.0) * dt, w)
+                np.multiply(C, np.cos(base), out=block)
+                np.multiply(S, np.sin(base, out=base), out=work)
                 np.subtract(block, work, out=block)
                 stored = out[at:at + len(u)]
                 product = part[:len(u)] if first or reads else stored
                 if pairs:   # a - a' into work[0], a + a' into block[0]
                     np.subtract(block[0], block[1], out=work[0])
                     np.add(block[0], block[1], out=block[0])
-                    np.matmul(block[0], Wt[:, :even], out=product[:, :even])
-                    np.matmul(work[0], Wt[:, even:], out=product[:, even:])
+                    np.matmul(block[0], Wt[:, :even], out=product[:, 0::2])
+                    np.matmul(work[0], Wt[:, even:], out=product[:, 1::2])
                 else:
                     np.matmul(block[0], Wt, out=product)
                 if first:   # add the earlier tiles' share
@@ -583,8 +581,8 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
                     sigma = out[at:at + rows]
                     if reads:
                         np.matmul(I, product, out=sigma)
-                    top = maxima[at // _MAXIMA_ROWS]
-                    np.maximum(top, np.abs(sigma, out=part[:rows]).max(axis=0), out=top)
+                    top = maxima[at // _BLOCK_ROWS]
+                    np.abs(sigma, out=part[:rows]).max(axis=0, out=top)
     return out, maxima
 
 
@@ -593,14 +591,8 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
     as a (steps, r_max + 1) array stored time-major. This is
     sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
-    distance r along axis 0. Built by ``_signal_blocks``, whose columns go
-    into r order one block of rows at a time."""
-    signal = _signal_blocks(spec, dt, steps, r_max)[0]
-    column = np.argsort(_signal_columns(r_max))
-    for start in range(0, steps, _BLOCK_ROWS):
-        rows = signal[start:start + _BLOCK_ROWS]
-        rows[:] = rows[:, column]
-    return signal
+    distance r along axis 0. Built by ``_signal_blocks``."""
+    return _signal_blocks(spec, dt, steps, r_max)[0]
 
 
 def _commutator_norm(sigma: np.ndarray) -> np.ndarray:
@@ -621,13 +613,13 @@ def _below(x: float) -> float:
 
 def _block_windows(signal: np.ndarray, blocks: np.ndarray, cols: np.ndarray):
     """Yield (part, starts, windows) for each group ``part`` of the pairs:
-    row k of windows holds the _MAXIMA_ROWS entries of column cols[k] from
+    row k of windows holds the _BLOCK_ROWS entries of column cols[k] from
     starts[k], the first step of block blocks[k], moved back where the
     signal ends sooner. A group's windows take _BLOCK_BYTES / 16 at most,
     little beside the signal they are read from."""
-    width = min(_MAXIMA_ROWS, len(signal))
+    width = min(_BLOCK_ROWS, len(signal))
     view = np.lib.stride_tricks.sliding_window_view(signal, width, axis=0)
-    starts = np.minimum(blocks * _MAXIMA_ROWS, len(signal) - width)
+    starts = np.minimum(blocks * _BLOCK_ROWS, len(signal) - width)
     group = _BLOCK_BYTES // (128 * width)
     for first in range(0, len(cols), group):
         part = slice(first, first + group)
@@ -637,9 +629,8 @@ def _block_windows(signal: np.ndarray, blocks: np.ndarray, cols: np.ndarray):
 def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
                 threshold: float) -> tuple[np.ndarray, np.ndarray]:
     """Peak norm and arrival step (-1 for none) of each distance r >= 1 of a
-    time-major signal with columns in ``_signal_columns`` order, read only
-    in the blocks of _MAXIMA_ROWS steps whose max |sigma| in ``maxima`` can
-    hold them.
+    time-major signal, read only in the blocks of _BLOCK_ROWS steps whose
+    max |sigma| in ``maxima`` can hold them.
 
     2|sin(x/2)| increases with |x| on |x| <= 1 < pi, so the peak and the
     arrival lie on entries at or above a cut _below the largest |sigma| and
@@ -649,11 +640,10 @@ def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
     that reaches its cut, or else one of the _WINDOW entries from there; on a
     miss the walk goes on along the column, window by window.
     """
-    steps, cols = len(signal), np.argsort(_signal_columns(signal.shape[1] - 1))[1:]
-    maxima = maxima[:, cols]
+    signal, maxima = signal[:, 1:], maxima[:, 1:]   # column r - 1 holds distance r
     blocks, at = np.nonzero(maxima >= _below(maxima.max(axis=0)))
-    peaks = np.zeros(len(cols))
-    for part, _, windows in _block_windows(signal, blocks, cols[at]):
+    peaks = np.zeros(signal.shape[1])
+    for part, _, windows in _block_windows(signal, blocks, at):
         np.maximum.at(peaks, at[part], _commutator_norm(windows).max(axis=1))
 
     live = np.flatnonzero(peaks >= _PEAK_NOISE_FLOOR)
@@ -661,15 +651,15 @@ def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
     cut = _below(2.0 * np.arcsin(level / 2.0))
     first = np.empty(len(live), dtype=int)   # no earlier entry reaches level
     for part, starts, windows in _block_windows(
-            signal, np.argmax(maxima[:, live] >= cut, axis=0), cols[live]):
+            signal, np.argmax(maxima[:, live] >= cut, axis=0), live):
         np.abs(windows, out=windows)
         first[part] = starts + np.argmax(windows >= cut[part, None], axis=1)
-    near = np.minimum(first[:, None] + np.arange(_WINDOW), steps - 1)
-    hit = _commutator_norm(signal[near, cols[live, None]]) >= level[:, None]
-    arrivals = np.full(len(cols), -1)
+    near = np.minimum(first[:, None] + np.arange(_WINDOW), len(signal) - 1)
+    hit = _commutator_norm(signal[near, live[:, None]]) >= level[:, None]
+    arrivals = np.full(signal.shape[1], -1)
     arrivals[live] = first + np.argmax(hit, axis=1)
     for k in np.flatnonzero(~hit.any(axis=1)):
-        column = np.abs(signal[:, cols[live[k]]])
+        column = np.abs(signal[:, live[k]])
         mask = column >= cut[k]
         i = first[k]
         while not (found := _commutator_norm(column[i:i + _WINDOW]) >= level[k]).any():
@@ -700,6 +690,8 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
         raise LatticeError("r_max must be >= 1")
     if r_max > spec.L // 2 - spec.nu:
         raise LatticeError("r_max too large for lattice (wrap-around)")
+    if fit_r_min < 1:
+        raise LatticeError(f"fit_r_min must be >= 1, got {fit_r_min}")
     if fit_r_min > r_max - 1:
         raise LatticeError(f"fit_r_min = {fit_r_min} leaves fewer than two "
                            f"distances to fit (r_max = {r_max})")

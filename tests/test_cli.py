@@ -733,18 +733,23 @@ class TestLightconeCommand:
             "the orbit weight matrix needs 1.5e+09 array entries")
 
     def test_fit_r_min_beyond_r_max_exits_2(self, capsys):
-        # refused before the scan, which would hold a 16.8 MB signal
-        tracemalloc.start()
-        try:
-            assert main(["lightcone", "--L", "400", "--t-max", "220", "--r-max", "190",
-                         "--fit-r-min", "250", "--dt", "0.02"]) == 2
-            assert tracemalloc.get_traced_memory()[1] <= 2 ** 20
-        finally:
-            tracemalloc.stop()
-        captured = capsys.readouterr()
-        assert captured.err == ("error: fit_r_min = 250 leaves fewer than two "
-                                "distances to fit (r_max = 190)\n")
-        assert captured.out == ""
+        # refused before the scan, which would hold a 16.8 MB signal; so is a
+        # fit_r_min below 1, which would fit the distances of fit_r_min = 1
+        for fit_r_min, error in (
+                ("250", "fit_r_min = 250 leaves fewer than two distances to fit "
+                        "(r_max = 190)"),
+                ("0", "fit_r_min must be >= 1, got 0"),
+                ("-5", "fit_r_min must be >= 1, got -5")):
+            tracemalloc.start()
+            try:
+                assert main(["lightcone", "--L", "400", "--t-max", "220", "--r-max", "190",
+                             "--fit-r-min", fit_r_min, "--dt", "0.02"]) == 2
+                assert tracemalloc.get_traced_memory()[1] <= 2 ** 20
+            finally:
+                tracemalloc.stop()
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {error}\n"
+            assert captured.out == ""
 
     def test_prints_fit_diagnostics(self, capsys):
         assert main(["lightcone", "--L", "64", "--r-max", "20", "--t-max", "6",

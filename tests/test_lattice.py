@@ -771,14 +771,15 @@ class TestAxisSignal:
             np.testing.assert_allclose(signal[i], axis_signal(spec, t, 2, 5)[1],
                                        rtol=0, atol=1e-14)
 
-    def test_orbit_build_allocates_folded_weights_and_one_slab(self):
-        # one step at 3D L=64, r_max = 63: the folded weights, (6,545 + 17) / 2
-        # rows of 64 columns, and 1 MB for the slab that builds them (its int
-        # index array and gathered cos term take 512 KB together), the 6,545
-        # index tuples, their mirrors, per-orbit vectors and the one-step scan
+    def test_orbit_build_allocates_less_than_the_folded_weights(self):
+        # one step at 3D L=64, r_max = 63: W is built 1,024 rows at a time
+        # (512 KB, and as much for the term each further axis adds), so the
+        # whole call, with the 6,545 index tuples, their mirrors and
+        # per-orbit vectors, stays below the bytes of the folded weights
+        # alone, (6,545 + 17) / 2 rows of 64 columns
         spec = LatticeSpec(d=3, L=64, lam=(1.0,), m=1.0)
         peak = traced_peak(lambda: axis_signal(spec, 0.05, 1, 63))
-        assert peak <= (6545 + 17) // 2 * 64 * 8 + 2 ** 20
+        assert peak <= (6545 + 17) // 2 * 64 * 8
 
     def test_rejects_bad_arguments(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
@@ -858,11 +859,13 @@ class TestLightCone:
         with pytest.raises(LatticeError, match="wrap-around"):
             measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=40)
 
-    @pytest.mark.parametrize("fit_r_min", [190, 250])
+    @pytest.mark.parametrize("fit_r_min", [190, 250, 0, -5])
     def test_fit_r_min_checked_against_r_max_before_the_scan(self, fit_r_min):
-        # the scan would hold a 16.8 MB signal
+        # the scan would hold a 16.8 MB signal; below 1, fit_r_min would fit
+        # the same distances as fit_r_min = 1, so it is refused by name too
         spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
-        message = (f"fit_r_min = {fit_r_min} leaves fewer than two distances "
+        message = (f"fit_r_min must be >= 1, got {fit_r_min}" if fit_r_min < 1
+                   else f"fit_r_min = {fit_r_min} leaves fewer than two distances "
                    r"to fit \(r_max = 190\)")
         assert traced_peak(lambda: measure_light_cone(
             spec, 1e-3, 220.0, 190, dt=0.02, fit_r_min=fit_r_min), message) <= 2 ** 16
@@ -993,16 +996,18 @@ class TestLightConeRows:
         peak = traced_peak(lambda: measure_light_cone(spec, 1e-3, 220.0, 190, dt=0.02))
         assert peak <= steps * 191 * 8 + 2 ** 20
 
-    def test_3d_scan_allocates_signal_weights_and_one_block_budget(self):
-        # 6,545 orbits in 26 tiles that share one 512 KB buffer: over the
-        # whole call the scan holds the signal, the weights W and that
-        # budget. The slack of 512 KB holds omega (52 KB), a tile's product,
-        # numpy's 64 KB ufunc buffer and Python's free list of the orbit
-        # tuples; building W, with its 512 KB slab, comes before the signal
+    def test_3d_scan_allocates_signal_orbit_vectors_and_block_budgets(self):
+        # 6,545 orbits in 17 tiles of 409 rows: over the whole call the scan
+        # holds the signal, the orbit vectors (index tuples, omega and
+        # weights, 5 x 8 bytes per orbit) and two 512 KB budgets: one for
+        # the node arrays that every tile shares, one for a tile's W (102 KB
+        # here), the term each further axis adds to it, a tile's product and
+        # numpy's 64 KB ufunc buffer. W is never whole: its 1.68 MB, held
+        # through the scan, fails this bound
         spec = LatticeSpec(d=3, L=64, lam=(1.0,), m=1.0)
         steps, r_max, orbits = 2000, 31, math.comb(32 + 3, 3)
         peak = traced_peak(lambda: axis_signal(spec, 0.05, steps, r_max))
-        assert peak <= (steps + orbits) * (r_max + 1) * 8 + 2 ** 19 + 2 ** 19
+        assert peak <= steps * (r_max + 1) * 8 + orbits * 5 * 8 + 2 ** 19 + 2 ** 19
 
 
 class TestCausalityTail:

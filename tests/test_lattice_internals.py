@@ -57,24 +57,25 @@ def reaches_regime(case):
     """Whether the engine lays a ``SIGNAL_CASES`` row out in the regime
     its id names."""
     regime, spec, dt, steps, r_max = case
-    omega, W, pairs = lattice._axis_orbits(spec, r_max)
+    omega, tuples, *_, pairs = lattice._axis_orbits(spec, r_max)
     kinds = lattice._block_kinds(float(omega.max()), dt, steps)
     nodes = max(len(u) for *_, u, _ in kinds)
-    tile = min(omega.size, lattice._BLOCK_BYTES // (32 * nodes))
-    width = tile // len(omega)              # rows of W per tile
-    last = (len(W) - 1) // width * width    # first row of the last tile
+    # rows of W per tile: its node arrays and its W each fit the block budget
+    width = min(len(tuples), lattice._BLOCK_BYTES // (32 * nodes * len(omega)),
+                lattice._BLOCK_BYTES // (8 * (r_max + 1)))
+    last = (len(tuples) - 1) // width * width   # first row of the last tile
     orbits = math.comb(spec.L // 2 + spec.d, spec.d)
     interpolated = [I is not None for *_, I in kinds]
     return {
         "many-blocks": steps >= 2 * lattice._BLOCK_ROWS,
         "multi-tile": steps > lattice._BLOCK_ROWS and last > 0,
-        "above-4096-orbits": orbits > 4096 and orbits > 25 * tile,
+        "above-4096-orbits": orbits > 4096 and orbits > 25 * width,
         "folded-L0mod4": pairs > 0 and spec.L % 4 == 0,
         "folded-L2mod4": pairs > 0 and spec.L % 4 == 2,
         "odd-L": pairs == 0 and spec.L % 2 == 1,
         "unfolded": pairs == 0 and spec.L % 2 == 0,
         # pairs and every self-mirrored row share the last of several tiles
-        "self-mirrored-last-tile": 0 < last < pairs < len(W),
+        "self-mirrored-last-tile": 0 < last < pairs < len(tuples),
         "interpolated-short-last": len(kinds) == 2 and all(interpolated),
         "direct-last": interpolated == [True, False],
         "direct-rows": not any(interpolated),
@@ -111,12 +112,16 @@ class TestOrbits:
         # are (-1)^r times the pair's row up to rounding: each cos(2 pi k / L)
         # is within (2 pi + 1/2) eps of exact, since its phase rounds by at
         # most 2 pi eps, so the d terms of the two rows differ by at most
-        # (4 pi + 1) d eps times the weight
+        # (4 pi + 1) d eps times the weight. W's rows are built a tile at a
+        # time: in tiles of 7 rows and in one tile, into a reused buffer
         spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
+        kept, mirrors = self.kept_orbits(L, d, r_max)
+        omega, tuples, weight, cosines, pairs = lattice._axis_orbits(spec, r_max)
+        assert tuples.tolist() == [list(t) for t in kept]
+        assert pairs == len(mirrors) and (pairs > 0) == (r_max + 1 >= 48 and L % 2 == 0)
         r = np.arange(r_max + 1)
-        np.testing.assert_array_equal(lattice._signal_columns(r_max),
-                                      np.concatenate([r[::2], r[1::2]]))
-        r = lattice._signal_columns(r_max)
+        if pairs:   # folded, W holds the even distances, then the odd ones
+            r = np.concatenate([r[::2], r[1::2]])
 
         def oracle(tuples):
             tuples = np.array(tuples).reshape(-1, d)
@@ -127,18 +132,21 @@ class TestOrbits:
                              for t in tuples.tolist()], dtype=float)
             return mult, (mult / (d * spec.n_sites))[:, None] * cos_r
 
-        kept, mirrors = self.kept_orbits(L, d, r_max)
-        omega, W, pairs = lattice._axis_orbits(spec, r_max)
         mult, rows = oracle(kept)
-        assert np.array_equal(W, rows)
-        assert pairs == len(mirrors) and (pairs > 0) == (r_max + 1 >= 48 and L % 2 == 0)
+        assert np.array_equal(weight, mult / (d * spec.n_sites))
+        for width in (7, len(tuples)):
+            W = np.empty((width, r_max + 1))
+            for first in range(0, len(tuples), width):
+                tile = slice(first, first + width)
+                assert np.array_equal(
+                    lattice._weight_rows(cosines, tuples[tile], weight[tile], W), rows[tile])
         if pairs:
             mirror_mult, mirror_rows = oracle(mirrors)
             np.testing.assert_array_equal(mirror_mult, mult[:pairs])
             sign = np.where(r % 2, -1.0, 1.0)
             eps = np.finfo(float).eps
             tol = (4 * math.pi + 1) * eps * mult[:pairs, None] / spec.n_sites
-            assert (np.abs(mirror_rows - sign * W[:pairs]) <= tol).all()
+            assert (np.abs(mirror_rows - sign * rows[:pairs]) <= tol).all()
 
     def test_row_count_is_closed_form(self):
         # _orbit_rows, which the size check charges before any tuple is
@@ -150,9 +158,9 @@ class TestOrbits:
             for L in range(2, 43):
                 for r_max in (0, 46, 47, 60):
                     spec = LatticeSpec(d=d, L=L, lam=(1.0,), m=1.0)
-                    omega, W, pairs = lattice._axis_orbits(spec, r_max)
+                    omega, tuples, *_, pairs = lattice._axis_orbits(spec, r_max)
                     kept, mirrors = self.kept_orbits(L, d, r_max)
-                    assert len(W) == lattice._orbit_rows(L, d, r_max) == len(kept)
+                    assert len(tuples) == lattice._orbit_rows(L, d, r_max) == len(kept)
                     assert (pairs > 0) == (L % 2 == 0 and r_max >= 47)
                     if pairs:
                         own = sum(tuple(sorted(L // 2 - n for n in t)) == t for t in kept)
@@ -169,9 +177,8 @@ class TestBlockLoop:
     @pytest.mark.parametrize("steps", [0, 1, 127, 128, 129, 256, 300, 11001])
     def test_blocks_cover_the_scan_once(self, steps):
         # full blocks of _BLOCK_ROWS steps, then one shorter block, each
-        # inside one row of the block-maxima table
+        # one row of the block-maxima table
         B = lattice._BLOCK_ROWS
-        assert lattice._MAXIMA_ROWS % B == 0
         kinds = lattice._block_kinds(2.0, 0.02, steps)
         blocks = [(at, min(rows, stop - at)) for start, stop, rows, *_ in kinds
                   for at in range(start, stop, rows)]
@@ -186,16 +193,17 @@ class TestBlockLoop:
         # into the block before its maximum is taken, a short last block,
         # and folded orbits in two tiles of interpolated blocks (1D L=400)
         # or eighteen of blocks computed row by row (2D L=128). The
-        # block loop stores the signal time-major, its columns in
-        # _signal_columns order, which axis_signal puts in r order
+        # block loop stores the signal time-major in r order, as
+        # axis_signal returns it, with one row of maxima per block
         spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
         r_max = L // 2 - 2
         signal, maxima = lattice._signal_blocks(spec, 0.37, steps, r_max)
         assert signal.shape == (steps, r_max + 1) and signal.flags.c_contiguous
-        np.testing.assert_array_equal(signal, axis_signal(spec, 0.37, steps, r_max)[
-            :, lattice._signal_columns(r_max)])
-        np.testing.assert_array_equal(maxima, np.maximum.reduceat(
-            np.abs(signal), np.arange(0, steps, lattice._MAXIMA_ROWS), axis=0))
+        np.testing.assert_array_equal(signal, axis_signal(spec, 0.37, steps, r_max))
+        B = lattice._BLOCK_ROWS
+        assert maxima.shape == (-(-steps // B), r_max + 1)
+        for k, top in enumerate(maxima):
+            np.testing.assert_array_equal(top, np.abs(signal[k * B:(k + 1) * B]).max(axis=0))
 
     @given(d=st.integers(1, 3), nu=st.integers(1, 2), extra=st.integers(0, 4),
            lam=st.lists(st.floats(0.05, 5.0), min_size=2, max_size=2),
@@ -209,7 +217,7 @@ class TestBlockLoop:
         spec = LatticeSpec(d=d, L=2 * nu + 2 + extra, lam=tuple(lam[:nu]), m=m)
         r_max = min(r_max, spec.L - 1)
         with mock.patch.object(lattice, "_FOLD_COLUMNS", 1):
-            assert (lattice._axis_orbits(spec, r_max)[2] > 0) == (spec.L % 2 == 0)
+            assert (lattice._axis_orbits(spec, r_max)[-1] > 0) == (spec.L % 2 == 0)
             signal = axis_signal(spec, dt, steps, r_max)
         np.testing.assert_allclose(signal, ifftn_axis_signal(spec, dt, steps, r_max),
                                    rtol=0, atol=1e-12)
@@ -330,16 +338,15 @@ class TestConeReads:
     @staticmethod
     def scan_of(columns, threshold, monkeypatch):
         """Scan of a signal whose distances 1.. hold ``columns`` (steps 0.5
-        apart), stored in ``_signal_columns`` order as the block loop stores
-        it, with the block maxima of that signal taken by a plain reduce."""
+        apart), stored time-major in r order as the block loop stores it,
+        with the block maxima of that signal taken by a plain reduce."""
         columns = np.array(columns, dtype=float)
         signal = np.vstack([np.zeros(columns.shape[1]), columns]).T.copy()
 
         def signal_blocks(spec, dt, steps, r_max):
             assert signal.shape == (steps, r_max + 1)
-            stored = signal[:, lattice._signal_columns(r_max)]
-            starts = np.arange(0, steps, lattice._MAXIMA_ROWS)
-            return stored, np.maximum.reduceat(np.abs(stored), starts, axis=0)
+            starts = np.arange(0, steps, lattice._BLOCK_ROWS)
+            return signal, np.maximum.reduceat(np.abs(signal), starts, axis=0)
 
         monkeypatch.setattr(lattice, "_signal_blocks", signal_blocks)
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
@@ -427,7 +434,7 @@ class TestConeReads:
 
     def test_miss_whose_next_entry_past_the_cut_lies_blocks_later(self, monkeypatch):
         # the cut admits a miss in block 0; the next entry past it, a hit,
-        # is in block 2, and the peak in block 3
+        # is in block 5, and the peak in block 6
         peak_sigma, threshold = 0.9, 0.850256191055818
         miss, hit = self.miss_and_hit(peak_sigma, threshold)
         steps = 900

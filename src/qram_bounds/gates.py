@@ -54,11 +54,10 @@ _NUM = np.array([[0, 0], [0, 1]], dtype=complex)
 
 _EXCHANGE = np.kron(_SP, _SP.conj().T) + np.kron(_SP.conj().T, _SP)
 
-
-def _expm_herm(H: np.ndarray, scale: float) -> np.ndarray:
-    """exp(-1j * scale * H) for Hermitian H."""
-    w, V = np.linalg.eigh(H)
-    return (V * np.exp(-1j * scale * w)) @ V.conj().T
+# eigenbasis of the exchange generator and diagonal of n x n, built once
+_EXCHANGE_W, _EXCHANGE_V = np.linalg.eigh(_EXCHANGE)
+_EXCHANGE_VH = _EXCHANGE_V.conj().T
+_NUM_NUM = np.diag(np.kron(_NUM, _NUM))
 
 
 def bs_unitary(g1: float, t: float) -> np.ndarray:
@@ -68,13 +67,13 @@ def bs_unitary(g1: float, t: float) -> np.ndarray:
     t = pi/(2 g1), 50/50 at t = pi/(4 g1). The transfer carries -i phases.
     """
     phase = checked_phase(GateError, "g1*t of the beam splitter", _coupling("g1", g1), t)
-    return _expm_herm(_EXCHANGE, phase)
+    return (_EXCHANGE_V * np.exp(-1j * phase * _EXCHANGE_W)) @ _EXCHANGE_VH
 
 
 def cz_unitary(g2: float, t: float) -> np.ndarray:
     """Controlled phase exp(-i t g2 n x n); diag(1, 1, 1, -1) at t = pi/g2."""
     phase = checked_phase(GateError, "g2*t of the controlled phase", _coupling("g2", g2), t)
-    return np.diag(np.exp(-1j * phase * np.diag(np.kron(_NUM, _NUM))))
+    return np.diag(np.exp(-1j * phase * _NUM_NUM))
 
 
 def swap_unitary(g1: float) -> np.ndarray:
@@ -94,8 +93,9 @@ def cswap_composite(g1: float, g2: float) -> np.ndarray:
     the inverse beam splitter, so the composite acts as the controlled-SWAP
     on populations, up to a diagonal phase gauge.
     """
-    BS = np.kron(np.eye(2), bs_unitary(g1, t_beamsplitter(g1)))   # on (a, b)
-    CZ = np.kron(cz_unitary(g2, t_cphase(g2)), np.eye(2))   # on (ctrl, a)
+    BS = np.zeros((8, 8), dtype=complex)   # on (a, b), one block per ctrl value
+    BS[:4, :4] = BS[4:, 4:] = bs_unitary(g1, t_beamsplitter(g1))
+    CZ = np.diag(np.repeat(np.diag(cz_unitary(g2, t_cphase(g2))), 2))   # on (ctrl, a)
     return BS.conj().T @ CZ @ BS
 
 

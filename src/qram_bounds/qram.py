@@ -68,6 +68,9 @@ def _bus_mode(n: int) -> int:
 # ---------------------------------------------------------------------------
 # schedules
 
+PHASES = ("init", "descend", "copy", "ascend", "uncompute")
+
+
 class Cycle(NamedTuple):
     """One clock cycle of a schedule; ``op`` names what it runs:
 
@@ -79,7 +82,7 @@ class Cycle(NamedTuple):
     - "bus": the bus moves through level ``level``;
     - "copy": classically controlled bit flip of the bus at the addressed leaf.
     """
-    phase: str   # "init" | "descend" | "copy" | "ascend" | "uncompute"
+    phase: str   # one of PHASES
     op: str
     level: int = 0
     ctrl: int = 0
@@ -126,6 +129,10 @@ class Schedule:
         return sum(1 for c in self.cycles if c.op == "swap")
 
     def phase_cycle_count(self, *phases: str) -> int:
+        unknown = [p for p in phases if p not in PHASES]
+        if unknown:
+            raise QramError(f"unknown schedule phase {unknown[0]!r}; "
+                            f"expected one of {', '.join(PHASES)}")
         return sum(1 for c in self.cycles if c.phase in phases)
 
     def wall_time(self, g1: float, g2: float) -> float:
@@ -234,6 +241,25 @@ def classical_trace_read(db: ClassicalDatabase, address: int) -> int:
     return db.bits[pos]
 
 
+def _trace_reads(db: ClassicalDatabase, addresses: np.ndarray) -> list[int]:
+    """classical_trace_read of every address at once: the same walk, level by
+    level, with one router array per address (router (level, pos) at column
+    2^level - 1 + pos)."""
+    n = db.depth
+    rows = np.arange(len(addresses))
+    routers = np.zeros((len(addresses), db.N - 1), dtype=np.uint8)
+
+    def walk(levels: int) -> np.ndarray:
+        pos = np.zeros(len(addresses), dtype=np.intp)
+        for level in range(levels):
+            pos = 2 * pos + routers[rows, (1 << level) - 1 + pos]
+        return pos
+
+    for k in range(n):                   # initialization: route k times, drop
+        routers[rows, (1 << k) - 1 + walk(k)] = (addresses >> (n - 1 - k)) & 1
+    return np.asarray(db.bits)[walk(n)].tolist()   # bus descent
+
+
 # ---------------------------------------------------------------------------
 # monomial simulation
 
@@ -290,9 +316,11 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
     (bit rows, phases)."""
     _check_leaves(db.N)
     n = db.depth
-    units = {"swap": gates.swap_unitary(g1), "route": gates.cswap_composite(g1, g2)}
-    tables = {op: (gates.monomial(U), gates.monomial(U.conj().T))
-              for op, U in units.items()}
+    tables = {}   # op: (forward, adjoint) (perm, phases) tables
+    for op, U in (("swap", gates.swap_unitary(g1)), ("route", gates.cswap_composite(g1, g2))):
+        perm, phases = gates.monomial(U)   # adjoint: U^dag|perm[j]> = conj(phases[j])|j>
+        inverse = np.argsort(perm)
+        tables[op] = ((perm, phases), (inverse, phases[inverse].conj()))
     bits = np.zeros((len(addresses), _bus_mode(n) + 1), dtype=np.uint8)
     bits[:, :n] = (addresses[:, None] >> np.arange(n)[::-1]) & 1
     phase = np.ones(len(addresses), dtype=complex)
@@ -315,11 +343,15 @@ def _read_out(db: ClassicalDatabase, bits: np.ndarray, key: np.ndarray, expected
     return tuple(rows), ideal, routers_zero
 
 
-def _score(alpha, amplitudes, ideal, routers_zero) -> tuple[float, float]:
-    """(fidelity, routers_restored) of the rows with input amplitudes
-    ``alpha`` and output amplitudes ``amplitudes``, by linearity."""
-    return (float(abs(np.vdot(alpha[ideal], amplitudes[ideal])) ** 2),
-            float(np.sum((np.abs(amplitudes) ** 2)[routers_zero])))
+def _score(alpha, amplitudes, ideal, routers_zero) -> tuple[np.ndarray, np.ndarray]:
+    """(fidelities, routers_restored), one per row of the (k, rows) batches
+    of input amplitudes ``alpha`` and output amplitudes ``amplitudes``, by
+    linearity; each row's bits do not depend on the batch, as ``compress``
+    keeps rows contiguous where a boolean index would not."""
+    overlaps = np.einsum("ij,ij->i", alpha.compress(ideal, axis=1).conj(),
+                         amplitudes.compress(ideal, axis=1))
+    weights = (np.abs(amplitudes) ** 2).compress(routers_zero, axis=1)
+    return np.abs(overlaps) ** 2, np.sum(weights, axis=1)
 
 
 def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
@@ -329,17 +361,21 @@ def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
     address_state = np.asarray(address_state, dtype=complex)
     if address_state.shape != (db.N,):
         raise QramError(f"address state must have length {db.N}")
+    bad = np.flatnonzero(~np.isfinite(address_state))
+    if len(bad):
+        raise QramError(f"address state amplitude {bad[0]} is not finite: "
+                        f"{address_state[bad[0]]}")
     if abs(np.linalg.norm(address_state) - 1.0) > 1e-12:
         raise QramError("address state must be normalized")
     support = np.flatnonzero(address_state)
     bits, phase = _route(db, support, g1, g2)
     alpha = address_state[support]
-    oracle = [classical_trace_read(db, x) for x in support.tolist()]
-    rows, ideal, routers_zero = _read_out(db, bits, support, oracle)
+    rows, ideal, routers_zero = _read_out(db, bits, support, _trace_reads(db, support))
     amplitudes = alpha * phase
     heavy = (np.abs(amplitudes) ** 2 >= 1e-12).tolist()
+    fidelity, restored = _score(alpha[None], amplitudes[None], ideal, routers_zero)
     return QueryResult(bits, amplitudes, tuple(itertools.compress(rows, heavy)),
-                       *_score(alpha, amplitudes, ideal, routers_zero))
+                       float(fidelity[0]), float(restored[0]))
 
 
 @dataclass(frozen=True)
@@ -359,10 +395,13 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     """Exhaustive correctness harness: every basis address plus random
     superpositions (from the same route map, by linearity), checked
     against the classical-trace semantics."""
+    if n_superpositions < 0:
+        raise QramError(f"n_superpositions must be >= 0, got {n_superpositions}")
+    if seed < 0:
+        raise QramError(f"seed must be >= 0, got {seed}")
     inputs = np.arange(db.N)
     bits, phase = _route(db, inputs, g1, g2)
-    oracle = [classical_trace_read(db, x) for x in range(db.N)]
-    rows, ideal, routers_zero = _read_out(db, bits, inputs, oracle)
+    rows, ideal, routers_zero = _read_out(db, bits, inputs, _trace_reads(db, inputs))
     overlaps = [row.fidelity * abs(p) ** 2 for row, p in zip(rows, phase.tolist())]
     failures = []
     for row, overlap in zip(rows, overlaps):
@@ -371,11 +410,14 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
         if overlap < 1.0 - 1e-9:
             failures.append(f"address {row.address}: fidelity {overlap:.12f}")
     min_fid = min([1.0, *overlaps, *(row.fidelity for row in rows)])
-    rng = np.random.default_rng(seed)
-    for i in range(n_superpositions):
-        alpha = rng.standard_normal(db.N) + 1j * rng.standard_normal(db.N)
-        alpha /= np.linalg.norm(alpha)
-        fidelity, restored = _score(alpha, alpha * phase, ideal, routers_zero)
+    # (real, imaginary) of each superposition drawn in turn, as one stream;
+    # each row normalised by its own norm, whose bits axis=1 would change
+    drawn = np.random.default_rng(seed).standard_normal((n_superpositions, 2, db.N))
+    alpha = drawn[:, 0] + 1j * drawn[:, 1]
+    alpha /= np.array([np.linalg.norm(row) for row in alpha])[:, None]
+    fidelities, restorations = _score(alpha, alpha * phase, ideal, routers_zero)
+    for i, (fidelity, restored) in enumerate(zip(fidelities.tolist(),
+                                                 restorations.tolist())):
         min_fid = min(min_fid, fidelity)
         if fidelity < 1.0 - 1e-9:
             failures.append(f"superposition {i}: fidelity {fidelity:.12f}")

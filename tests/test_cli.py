@@ -944,8 +944,8 @@ class TestQramsimCommand:
         db = tmp_path / "db.txt"
         db.write_text("0110")
         # corrupt the reference walker; the simulated reads now disagree
-        monkeypatch.setattr(qram, "classical_trace_read",
-                            lambda database, x: 1 - database.bits[x])
+        monkeypatch.setattr(qram, "_trace_reads", lambda database, addresses: [
+            1 - database.bits[x] for x in addresses.tolist()])
         assert main(["qramsim", "--db", str(db)]) == 3
         assert "MISMATCH" in capsys.readouterr().out
 

@@ -35,6 +35,49 @@ def interferometer(g1, g2, cz_modes, closing_inverse):
     return (bs.conj().T if closing_inverse else bs) @ cz @ bs
 
 
+# per-call reference: the exchange generator diagonalised and the identity
+# Kronecker-multiplied in every call
+SP = np.array([[0, 0], [1, 0]], dtype=complex)
+NUM = np.array([[0, 0], [0, 1]], dtype=complex)
+
+
+def reference_bs(g1, t):
+    w, V = np.linalg.eigh(np.kron(SP, SP.conj().T) + np.kron(SP.conj().T, SP))
+    return (V * np.exp(-1j * (g1 * t) * w)) @ V.conj().T
+
+
+def reference_cz(g2, t):
+    return np.diag(np.exp(-1j * (g2 * t) * np.diag(np.kron(NUM, NUM))))
+
+
+def reference_cswap(g1, g2):
+    BS = np.kron(np.eye(2), reference_bs(g1, t_beamsplitter(g1)))
+    CZ = np.kron(reference_cz(g2, t_cphase(g2)), np.eye(2))
+    return BS.conj().T @ CZ @ BS
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+BIT_COUPLINGS = [(math.pi, math.pi), (1.3, 0.7), (3e4, 7e2), (1e-3, 1e6), (1e6, 1e-3),
+                 (4.4e307, 4.4e307), (2e-308, 2e-308), (4.4e307, 2e-308),
+                 (2e-308, 4.4e307),
+                 *(tuple(g) for g in
+                   10.0 ** np.random.default_rng(5).uniform(-300, 300, (20, 2)))]
+
+
+class TestGateBits:
+    @pytest.mark.parametrize("g1,g2", BIT_COUPLINGS)
+    def test_gates_equal_per_call_reference_bit_for_bit(self, g1, g2):
+        assert same_bits(swap_unitary(g1), reference_bs(g1, t_swap(g1)))
+        for t in (t_beamsplitter(g1), 0.37 / g1):
+            assert same_bits(bs_unitary(g1, t), reference_bs(g1, t))
+        for t in (t_cphase(g2), 0.61 / g2):
+            assert same_bits(cz_unitary(g2, t), reference_cz(g2, t))
+        assert same_bits(cswap_composite(g1, g2), reference_cswap(g1, g2))
+
+
 # basis order on two modes: |00>, |01>, |10>, |11>
 class TestBeamSplitter:
     def test_identity_at_zero(self):

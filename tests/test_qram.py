@@ -217,6 +217,19 @@ class TestSchedules:
             assert q.phase_cycle_count("uncompute") == \
                 schedule_initialization(n).cycle_count
 
+    def test_phase_counts_partition_the_cycles(self):
+        for n in (1, 3, 6):
+            for sched in (schedule_initialization(n), schedule_query(n)):
+                assert sched.phase_cycle_count(*qram.PHASES) == sched.cycle_count
+
+    @pytest.mark.parametrize("phases,name", [(("decend",), "decend"),
+                                             (("descend", "Copy"), "Copy"),
+                                             (("",), "")])
+    def test_phase_cycle_count_refuses_unknown_phase(self, phases, name):
+        with pytest.raises(QramError, match=f"^unknown schedule phase '{name}'; "
+                           "expected one of init, descend, copy, ascend, uncompute$"):
+            schedule_query(3).phase_cycle_count(*phases)
+
     def test_initialization_depth_is_quadratic(self):
         for n in (1, 4, 9):
             assert schedule_initialization(n).cycle_count == n * (n + 1) // 2
@@ -352,6 +365,47 @@ class TestClassicalTrace:
         for x in range(8):
             assert qram.classical_trace_read(db, x) == db.bits[x]
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_vectorised_walker_agrees_at_every_address(self, n):
+        db = random_database(1 << n, seed=n + 20)
+        assert qram._trace_reads(db, np.arange(db.N)) == [
+            qram.classical_trace_read(db, x) for x in range(db.N)]
+
+    def test_vectorised_walker_reads_addresses_in_given_order(self):
+        db = random_database(64, seed=3)
+        addresses = np.array([63, 0, 17, 17, 5])
+        assert qram._trace_reads(db, addresses) == [
+            qram.classical_trace_read(db, x) for x in addresses.tolist()]
+
+    def test_vectorised_walker_runs_no_gate_or_schedule(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran part of the simulator")
+
+        for owner, name in ((qram, "_run_cycles"), (qram, "_route"),
+                            (gates, "monomial"), (qram, "schedule_initialization"),
+                            (qram, "schedule_query"), (qram, "Schedule")):
+            monkeypatch.setattr(owner, name, refuse)
+        db = random_database(32, seed=6)
+        assert qram._trace_reads(db, np.arange(32)) == list(db.bits)
+
+    def test_harness_and_query_walk_all_addresses_at_once(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("scalar walker called")
+
+        calls = []
+        reads = qram._trace_reads
+
+        def spy(db, addresses):
+            calls.append(addresses.tolist())
+            return reads(db, addresses)
+
+        monkeypatch.setattr(qram, "classical_trace_read", refuse)
+        monkeypatch.setattr(qram, "_trace_reads", spy)
+        db = random_database(8, seed=2)
+        assert verify_retrieval(db).passed
+        assert simulate_query(db, basis(8, 6), G, G).table[0].read == db.bits[6]
+        assert calls == [list(range(8)), [6]]
+
     @pytest.mark.parametrize("N,address", [(2, -1), (2, 2), (8, 8), (8, -8)])
     def test_rejects_address_out_of_range(self, N, address):
         with pytest.raises(QramError, match="^address out of range$"):
@@ -479,6 +533,19 @@ class TestSimulateQuery:
         with pytest.raises(QramError, match="normalized"):
             simulate_query(db, np.array([0.5, 0.5]), G, G)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(np.nan, 0.0),
+                                       complex(0.0, np.nan), complex(1.0, np.inf)])
+    @pytest.mark.parametrize("index", [0, 3])
+    def test_rejects_non_finite_amplitude_by_name(self, index, value):
+        # a NaN alone has a NaN norm, which no tolerance comparison refuses
+        db = ClassicalDatabase((0, 1, 1, 0))
+        for rest in (0.0, 0.5):
+            state = np.full(4, rest, dtype=complex)
+            state[index] = value
+            with pytest.raises(QramError, match=f"^address state amplitude {index} "
+                               "is not finite: "):
+                simulate_query(db, state, G, G)
+
     def test_rejects_wrong_length(self):
         db = ClassicalDatabase((0, 1, 1, 0))
         with pytest.raises(QramError, match="length"):
@@ -494,6 +561,18 @@ class TestVerifyRetrieval:
     def test_eight_leaves_random(self):
         report = verify_retrieval(random_database(8, seed=42))
         assert report.passed
+
+    def test_zero_superpositions_check_basis_states_only(self):
+        report = verify_retrieval(random_database(8, seed=1), n_superpositions=0)
+        assert report.passed and len(report.rows) == 8
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_superpositions": -1}, "n_superpositions must be >= 0, got -1"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"seed": -7, "n_superpositions": 0}, "seed must be >= 0, got -7")])
+    def test_refuses_negative_count_and_seed_by_name(self, kwargs, message):
+        with pytest.raises(QramError, match=f"^{message}$"):
+            verify_retrieval(random_database(4, seed=1), **kwargs)
 
     def test_constant_database_reads_one_everywhere(self):
         report = verify_retrieval(ClassicalDatabase((1, 1, 1, 1)))
@@ -571,6 +650,31 @@ class TestExecutedSchedule:
             for perm, phases in (forward, adjoint):
                 assert perm[0] == 0 and phases[0] == 1.0
 
+    @pytest.mark.parametrize("g1,g2", COUPLINGS + [
+        (1e-3, 1e6), (1e6, 1e-3), (4.4e307, 4.4e307), (2e-308, 2e-308),
+        (4.4e307, 2e-308), (2e-308, 4.4e307),
+        *(tuple(g) for g in 10.0 ** np.random.default_rng(1).uniform(-300, 300, (20, 2)))])
+    def test_tables_equal_monomial_of_each_gate_and_adjoint(self, g1, g2,
+                                                            monkeypatch):
+        # the adjoint tables come from inverting the forward ones
+        received = []
+        run = qram._run_cycles
+
+        def spy(bits, phase, n, cycles, tables, stored):
+            received.append(tables)
+            run(bits, phase, n, cycles, tables, stored)
+
+        monkeypatch.setattr(qram, "_run_cycles", spy)
+        qram._route(random_database(4, seed=1), np.arange(4), g1, g2)
+        tables = received[0]
+        reference = gate_tables(g1, g2)
+        assert tables.keys() == reference.keys()
+        for op in tables:
+            for (perm, phases), (ref_perm, ref_phases) in zip(tables[op], reference[op]):
+                assert perm.dtype == ref_perm.dtype and phases.dtype == ref_phases.dtype
+                assert perm.tobytes() == ref_perm.tobytes()
+                assert phases.tobytes() == ref_phases.tobytes()
+
     @pytest.mark.parametrize("g1,g2", COUPLINGS)
     @pytest.mark.parametrize("N", [16, 64, 1024])
     def test_on_path_gates_match_all_gates(self, N, g1, g2):
@@ -623,13 +727,14 @@ class TestExecutedSchedule:
 
 
 def spy_scores(monkeypatch):
-    """Record (alpha, fidelity) of every superposition ``_score`` scores."""
+    """Record (alpha, fidelity) of every superposition ``_score`` scores,
+    one per row of each batch."""
     scored = []
     score = qram._score
 
     def spy(alpha, amplitudes, ideal, routers_zero):
         result = score(alpha, amplitudes, ideal, routers_zero)
-        scored.append((alpha.copy(), result[0]))
+        scored.extend(zip(alpha.copy(), result[0].tolist()))
         return result
 
     monkeypatch.setattr(qram, "_score", spy)
@@ -638,7 +743,7 @@ def spy_scores(monkeypatch):
 
 class TestReadOut:
     @pytest.mark.parametrize("g1,g2", COUPLINGS)
-    @pytest.mark.parametrize("N", [8, 64])
+    @pytest.mark.parametrize("N", [2, 8, 64, 1024])
     def test_superpositions_scored_as_simulate_query_routes_them(
             self, N, g1, g2, monkeypatch):
         scored = spy_scores(monkeypatch)
@@ -647,10 +752,27 @@ class TestReadOut:
         rng = np.random.default_rng(11)
         superpositions = scored[:]   # simulate_query below scores as well
         assert len(superpositions) == 5
-        for alpha, fidelity in superpositions:
+        for alpha, fidelity in superpositions:   # one batch, drawn as a loop
             drawn = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-            np.testing.assert_array_equal(alpha, drawn / np.linalg.norm(drawn))
+            assert alpha.tobytes() == (drawn / np.linalg.norm(drawn)).tobytes()
             assert simulate_query(db, alpha, g1, g2).fidelity == fidelity
+
+    @pytest.mark.parametrize("k,N", [(1, 2), (10, 8), (3, 64), (7, 1024)])
+    def test_batch_scores_equal_vdot_loop_and_each_row_alone(self, k, N):
+        rng = np.random.default_rng(k * N)
+        alpha = rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N))
+        alpha /= np.linalg.norm(alpha, axis=1, keepdims=True)
+        amplitudes = alpha * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))
+        ideal, routers_zero = rng.random(N) < 0.8, rng.random(N) < 0.9
+        fidelities, restored = qram._score(alpha, amplitudes, ideal, routers_zero)
+        assert fidelities.shape == restored.shape == (k,)
+        for i in range(k):
+            overlap = np.vdot(alpha[i, ideal], amplitudes[i, ideal])
+            assert abs(fidelities[i] - abs(overlap) ** 2) <= 1e-14
+            weight = np.sum(np.abs(amplitudes[i, routers_zero]) ** 2)
+            assert abs(restored[i] - weight) <= 1e-14
+            alone = qram._score(alpha[i][None], amplitudes[i][None], ideal, routers_zero)
+            assert (alone[0][0], alone[1][0]) == (fidelities[i], restored[i])
 
     def test_misrouted_superpositions_scored_as_simulate_query_routes_them(
             self, monkeypatch):

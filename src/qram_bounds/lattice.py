@@ -36,7 +36,6 @@ _BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile
 _BLOCK_ROWS = 128           # time steps per light-cone block
 _NODE_ERROR = 2.0 ** -56    # interpolation error bound per light-cone signal entry
 _ODE_STEP_CAP = 10**6       # most RK4 steps; beyond it T^steps drifts past 1e-6
-_WINDOW = 8                 # entries per exact-norm check of a light-cone arrival
 _FOLD_COLUMNS = 48          # narrowest signal whose orbits fold into mirror pairs (it
                             # breaks even near 65 columns in 1D, 33-41 in 2D, 17-25 in 3D)
 
@@ -482,108 +481,97 @@ def _interpolation(rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """(u, I): ``count`` first-kind Chebyshev nodes u of a block of ``rows``
     steps, in steps from its centre, and the (rows, count) barycentric matrix
     I that takes values there to the rows (Berrut & Trefethen, SIAM Rev. 46,
-    501 (2004)). No row of a block of at most _BLOCK_ROWS lies on a node."""
-    half, angle = (rows - 1) / 2.0, (2 * np.arange(count) + 1) * np.pi / (2 * count)
+    501 (2004)). No row of a block of at most _BLOCK_ROWS lies on a node.
+    Where the count reaches the rows, u are the rows and I is the identity,
+    whose product returns its input bit for bit."""
+    half = (rows - 1) / 2.0
+    if count == rows:
+        return np.arange(rows) - half, np.eye(rows)
+    angle = (2 * np.arange(count) + 1) * np.pi / (2 * count)
     u = half * np.cos(angle)
     I = (np.where(np.arange(count) % 2, -1.0, 1.0) * np.sin(angle)
          / np.subtract.outer(np.arange(rows) - half, u))
     return u, I / I.sum(axis=1, keepdims=True)
 
 
-def _block_kinds(w_max: float, dt: float, steps: int) -> list[tuple]:
-    """(first step, end, rows, u, I) of the scan's blocks of _BLOCK_ROWS
-    steps, then of its shorter last block: each is computed at the times u,
-    in steps from its centre, and I takes them to its rows; where
-    ``_node_count`` reaches the rows, u are the rows and I is None."""
-    whole, kinds = steps - steps % _BLOCK_ROWS, []
-    for start, stop in ((0, whole), (whole, steps)):
-        if start < stop:
-            rows = min(stop - start, _BLOCK_ROWS)
-            count = _node_count(w_max * ((rows - 1) * abs(dt) / 2.0), rows)
-            kinds.append((start, stop, rows, *(
-                (np.arange(rows) - (rows - 1) / 2.0, None) if count == rows
-                else _interpolation(rows, count))))
-    return kinds
-
-
 def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
                    r_max: int) -> tuple[np.ndarray, np.ndarray]:
     """The block loop behind ``axis_signal`` and ``measure_light_cone``:
     the signal c(t_i, r) as a time-major (steps, r_max + 1) array, and the
-    table of max |c| over each block of _BLOCK_ROWS steps, one row per
-    block; both in r order.
+    table of max |c| over each block, one row per block; both in r order.
 
-    Each block of ``_block_kinds`` is computed at its times u around its
-    centre t_c, and I takes those values to its rows. The sum runs over
+    Every block has rows = min(steps, _BLOCK_ROWS) steps, the last cut short
+    where the steps end, and is computed at the same times u around its
+    centre t_c; I takes those values to its rows, through I[:n] for a last
+    block of n steps (the error bound holds at every row). The sum runs over
     tiles of the rows of W, each built by ``_weight_rows`` when its turn
-    comes. A tile's node table C, S = cos, sin(u dt omega) of its orbits
-    (and mirrors) serves every block of a kind: node entries a =
-    cos(t omega) are cos(t_c omega) C - sin(t_c omega) S from the block's
-    own base angle (no recurrence, so no drift), then one product with the
-    tile's rows of W. Folded, W holds the even distances, then the odd
-    ones: a pair's a + a' meets the even-r columns and a - a' the odd-r ones
-    (a' = 0 for a self-mirrored orbit), two products of half the width that
-    write alternate columns. Until its last tile a block's node values sum
-    in its first len(u) rows of the signal; on the last, I writes its rows,
-    and its max |c| goes into the table while the block is still in cache.
-    Refuses a scan whose phase steps*|dt|*omega_max leaves the float range.
+    comes. A tile's node table C, S = cos, sin(u dt omega) of its orbits (and
+    mirrors) serves every block: node entries a = cos(t omega) are
+    cos(t_c omega) C - sin(t_c omega) S from the block's own base angle (no
+    recurrence, so no drift), then one product with the tile's rows of W.
+    Folded, W holds the even distances, then the odd ones: a pair's a + a'
+    meets the even-r columns and a - a' the odd-r ones (a' = 0 for a
+    self-mirrored orbit), two products of half the width that write
+    alternate columns. Until its last tile a block's node values sum in its
+    first len(u) rows of the signal array, which runs to the last block's
+    end; on the last, I writes its rows, and its max |c| goes into the table
+    while the block is still in cache. The time-signal cap charges the whole
+    array, and the phase check runs to its end.
     """
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
     if not 0 <= r_max < spec.L:
         raise LatticeError("r_max must lie in 0..L-1")
+    rows = min(steps, _BLOCK_ROWS) or 1   # every block's steps; one node row if no steps
+    starts = range(0, steps, _BLOCK_ROWS)
     _check_orbits(spec, r_max)
-    _check_work(float(steps) * (r_max + 1), "the time signal")
+    _check_work(float(len(starts) * rows) * (r_max + 1), "the time signal")
     omega, tuples, weight, cosines, pairs = _axis_orbits(spec, r_max)
+    w_max = float(omega.max())
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
-                  omega.max(), steps * abs(dt))
-    kinds = _block_kinds(float(omega.max()), dt, steps)
-    nodes = max([len(u) for *_, u, _ in kinds], default=1)
+                  w_max, len(starts) * rows * abs(dt))
+    u, I = _interpolation(rows, _node_count(w_max * ((rows - 1) * abs(dt) / 2.0), rows))
     # rows of W per tile: its 4 node arrays (32 bytes per orbit or mirror and
     # node) fit _BLOCK_BYTES, and so do its W and each term that builds it
-    width = min(len(tuples), _BLOCK_BYTES // (32 * nodes * len(omega)),
+    width = min(len(tuples), _BLOCK_BYTES // (32 * len(u) * len(omega)),
                 _BLOCK_BYTES // (8 * (r_max + 1)))
     even = r_max // 2 + 1   # even-r columns
     W = np.empty((width, r_max + 1))
-    arrays = np.empty(4 * nodes * len(omega) * width)
-    maxima = np.empty((-(-steps // _BLOCK_ROWS), r_max + 1))
-    part = np.empty((min(steps, _BLOCK_ROWS), r_max + 1))   # a tile's product, then |block|
-    out = np.empty((steps, r_max + 1))
+    arrays = np.empty(4 * len(u) * len(omega) * width)
+    maxima = np.empty((len(starts), r_max + 1))
+    part = np.empty((rows, r_max + 1))   # a tile's product, then |block|
+    out = np.empty((len(starts) * rows, r_max + 1))
     for first in range(0, len(tuples), width):
         tile = slice(first, first + width)
         w, Wt = omega[:, None, tile], _weight_rows(cosines, tuples[tile], weight[tile], W)
         last = first + width >= len(tuples)
         own = max(0, pairs - first)   # self-mirrored from this column on: no mirror term
-        for start, stop, rows, u, I in kinds:
-            C, S, block, work = arrays[:4 * len(u) * w.size].reshape(4, len(w), len(u), -1)
-            angle = np.multiply(u[:, None] * dt, w, out=block)
-            np.cos(angle, out=C)
-            np.sin(angle, out=S)
-            C[1:, :, own:] = S[1:, :, own:] = 0.0
-            reads = last and I is not None   # I reads the sum over tiles from part
-            for at in range(start, stop, rows):
-                base = np.multiply((at + (rows - 1) / 2.0) * dt, w)
-                np.multiply(C, np.cos(base), out=block)
-                np.multiply(S, np.sin(base, out=base), out=work)
-                np.subtract(block, work, out=block)
-                stored = out[at:at + len(u)]
-                product = part[:len(u)] if first or reads else stored
-                if pairs:   # a - a' into work[0], a + a' into block[0]
-                    np.subtract(block[0], block[1], out=work[0])
-                    np.add(block[0], block[1], out=block[0])
-                    np.matmul(block[0], Wt[:, :even], out=product[:, 0::2])
-                    np.matmul(work[0], Wt[:, even:], out=product[:, 1::2])
-                else:
-                    np.matmul(block[0], Wt, out=product)
-                if first:   # add the earlier tiles' share
-                    np.add(stored, product, out=product if reads else stored)
-                if last:
-                    sigma = out[at:at + rows]
-                    if reads:
-                        np.matmul(I, product, out=sigma)
-                    top = maxima[at // _BLOCK_ROWS]
-                    np.abs(sigma, out=part[:rows]).max(axis=0, out=top)
-    return out, maxima
+        C, S, block, work = arrays[:4 * len(u) * w.size].reshape(4, len(w), len(u), -1)
+        angle = np.multiply(u[:, None] * dt, w, out=block)
+        np.cos(angle, out=C)
+        np.sin(angle, out=S)
+        C[1:, :, own:] = S[1:, :, own:] = 0.0
+        for k, at in enumerate(starts):
+            base = np.multiply((at + (rows - 1) / 2.0) * dt, w)
+            np.multiply(C, np.cos(base), out=block)
+            np.multiply(S, np.sin(base, out=base), out=work)
+            np.subtract(block, work, out=block)
+            stored = out[at:at + len(u)]
+            product = part[:len(u)] if first or last else stored
+            if pairs:   # a - a' into work[0], a + a' into block[0]
+                np.subtract(block[0], block[1], out=work[0])
+                np.add(block[0], block[1], out=block[0])
+                np.matmul(block[0], Wt[:, :even], out=product[:, 0::2])
+                np.matmul(work[0], Wt[:, even:], out=product[:, 1::2])
+            else:
+                np.matmul(block[0], Wt, out=product)
+            if first:   # add the earlier tiles' share
+                np.add(stored, product, out=product if last else stored)
+            if last:   # I reads the sum over tiles from part
+                sigma = out[at:min(at + rows, steps)]
+                np.matmul(I[:len(sigma)], product, out=sigma)
+                np.abs(sigma, out=part[:len(sigma)]).max(axis=0, out=maxima[k])
+    return out[:steps], maxima
 
 
 def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndarray:
@@ -591,7 +579,8 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
     as a (steps, r_max + 1) array stored time-major. This is
     sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
-    distance r along axis 0. Built by ``_signal_blocks``."""
+    distance r along axis 0. Built by ``_signal_blocks``: the first
+    ``steps`` rows of an array that runs to the last block's end."""
     return _signal_blocks(spec, dt, steps, r_max)[0]
 
 
@@ -634,11 +623,12 @@ def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
 
     2|sin(x/2)| increases with |x| on |x| <= 1 < pi, so the peak and the
     arrival lie on entries at or above a cut _below the largest |sigma| and
-    _below 2 asin(level/2), and only those need the exact norm. The peak is
-    the largest norm in the blocks that reach its cut (an entry under the cut
-    has a smaller norm). The arrival is the first entry in the first block
-    that reaches its cut, or else one of the _WINDOW entries from there; on a
-    miss the walk goes on along the column, window by window.
+    _below 2 asin(level/2), and only the blocks whose maxima reach the cut
+    need the exact norm. The peak is the largest norm in the blocks that
+    reach its cut (an entry under the cut has a smaller norm). The arrival
+    is the first entry whose norm reaches the level in the first block that
+    reaches its cut, or else in the next such block, and so on: the entries
+    between them lie under the cut, and the peak's block holds a hit.
     """
     signal, maxima = signal[:, 1:], maxima[:, 1:]   # column r - 1 holds distance r
     blocks, at = np.nonzero(maxima >= _below(maxima.max(axis=0)))
@@ -648,23 +638,19 @@ def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
 
     live = np.flatnonzero(peaks >= _PEAK_NOISE_FLOOR)
     level = threshold * peaks[live]
-    cut = _below(2.0 * np.arcsin(level / 2.0))
-    first = np.empty(len(live), dtype=int)   # no earlier entry reaches level
-    for part, starts, windows in _block_windows(
-            signal, np.argmax(maxima[:, live] >= cut, axis=0), live):
-        np.abs(windows, out=windows)
-        first[part] = starts + np.argmax(windows >= cut[part, None], axis=1)
-    near = np.minimum(first[:, None] + np.arange(_WINDOW), len(signal) - 1)
-    hit = _commutator_norm(signal[near, live[:, None]]) >= level[:, None]
+    reach = maxima[:, live] >= _below(2.0 * np.arcsin(level / 2.0))
     arrivals = np.full(signal.shape[1], -1)
-    arrivals[live] = first + np.argmax(hit, axis=1)
-    for k in np.flatnonzero(~hit.any(axis=1)):
-        column = np.abs(signal[:, live[k]])
-        mask = column >= cut[k]
-        i = first[k]
-        while not (found := _commutator_norm(column[i:i + _WINDOW]) >= level[k]).any():
-            i += _WINDOW + int(np.argmax(mask[i + _WINDOW:]))
-        arrivals[live[k]] = i + int(np.argmax(found))
+    left = np.arange(len(live))   # the live distances not yet arrived
+    while len(left):
+        blocks = np.argmax(reach[:, left], axis=0)   # the first unread block that reaches
+        reach[blocks, left] = False
+        hit = np.empty(len(left), dtype=bool)
+        for part, starts, windows in _block_windows(signal, blocks, live[left]):
+            found = _commutator_norm(windows) >= level[left[part], None]
+            hit[part] = found.any(axis=1)
+            # a miss is written over in a later round
+            arrivals[live[left[part]]] = starts + np.argmax(found, axis=1)
+        left = left[~hit]
     return peaks, arrivals
 
 

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -43,7 +44,18 @@ class QramError(ValueError):
     pass
 
 
+def _index(what: str, value: object, least: float = -math.inf) -> int:
+    """``value`` as an int through ``operator.index``, refused by name where
+    it is a bool, has no integer meaning (8.0 included) or lies below ``least``."""
+    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+        raise QramError(f"{what} must be an integer, got {value!r}")
+    if (value := operator.index(value)) < least:
+        raise QramError(f"{what} must be >= {least}, got {value}")
+    return value
+
+
 def _depth(N: int) -> int:
+    N = _index("N", N)
     if N < 2 or N & (N - 1):
         raise QramError(f"N must be a power of two >= 2, got {N}")
     return N.bit_length() - 1
@@ -215,9 +227,10 @@ def read_database(path: str | Path) -> ClassicalDatabase:
 
 
 def random_database(N: int, seed: int) -> ClassicalDatabase:
-    rng = np.random.default_rng(seed)
+    N, seed = _index("N", N), _index("seed", seed, least=0)
     _depth(N)
     _check_leaves(N)   # before N bits are drawn
+    rng = np.random.default_rng(seed)
     return ClassicalDatabase(bits=tuple(int(b) for b in rng.integers(0, 2, N)))
 
 
@@ -395,10 +408,8 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     """Exhaustive correctness harness: every basis address plus random
     superpositions (from the same route map, by linearity), checked
     against the classical-trace semantics."""
-    if n_superpositions < 0:
-        raise QramError(f"n_superpositions must be >= 0, got {n_superpositions}")
-    if seed < 0:
-        raise QramError(f"seed must be >= 0, got {seed}")
+    n_superpositions = _index("n_superpositions", n_superpositions, least=0)
+    seed = _index("seed", seed, least=0)
     inputs = np.arange(db.N)
     bits, phase = _route(db, inputs, g1, g2)
     rows, ideal, routers_zero = _read_out(db, bits, inputs, _trace_reads(db, inputs))

@@ -82,10 +82,10 @@ class SignalCase(NamedTuple):
 # several orbit tiles adding their shares; above 4,096 orbits, where blocks
 # keep full height; mirror pairs folded (L = 0 or 2 mod 4), too narrow to
 # fold, or absent (odd L); self-mirrored orbits in a last tile shared with
-# pairs; blocks interpolated from Chebyshev nodes, with a shorter last block
-# interpolated too or computed row by row, or every block computed row by
-# row (coarse steps or short scans); interpolated and folded, at odd L, or
-# over three tiles or more
+# pairs; blocks interpolated from Chebyshev nodes, with a last block shorter
+# than the node count (its node sums run past the last step), or every block
+# computed row by row (coarse steps or short scans), with a short last block
+# too; interpolated and folded, at odd L, or over three tiles or more
 SIGNAL_CASES = [SignalCase(regime, LatticeSpec(d, L, lam, m), dt, steps, r_max)
                 for regime, d, L, lam, m, dt, steps, r_max in (
     ("many-blocks", 1, 16, (1.0,), 0.9, 0.13, 308, 15),
@@ -99,8 +99,10 @@ SIGNAL_CASES = [SignalCase(regime, LatticeSpec(d, L, lam, m), dt, steps, r_max)
     ("multi-tile", 3, 32, (1.0,), 0.8, 0.37, 200, 16),
     ("above-4096-orbits", 3, 64, (1.0, 0.3), 0.8, 0.37, 70, 6),
     ("self-mirrored-last-tile", 2, 128, (1.0, 0.3), 0.8, 0.2, 150, 63),
-    ("interpolated-short-last", 1, 40, (1.0,), 1.0, 0.05, 300, 19),
-    ("direct-last", 2, 12, (1.0, 0.3), 0.8, 0.05, 259, 5),
+    # 2 * 128 + 1 and 3 * 128 + 3 steps at dt = 0.02, 21 and 25 nodes per block
+    ("short-last", 1, 40, (1.0,), 1.0, 0.02, 257, 19),
+    ("short-last", 2, 12, (1.0, 0.3), 0.8, 0.02, 387, 5),
+    ("direct-short", 2, 8, (1.0, 0.3), 0.8, 0.6, 259, 3),
     # found by hypothesis: z = omega_max * 3 dt = 125, so all 7 rows are computed
     ("direct-rows", 1, 6, (1.0, 1.0), 0.125, 6.0, 7, 5),
     ("direct-rows", 2, 10, (1.0, 0.3), 0.8, 0.6, 300, 9),

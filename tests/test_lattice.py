@@ -730,8 +730,8 @@ class TestAxisSignal:
            m=st.floats(0.1, 10.0), dt=st.floats(-0.3, 0.3), steps=st.integers(100, 300))
     @settings(max_examples=25, deadline=None)
     def test_matches_per_step_ifftn_across_blocks(self, d, L, lam, m, dt, steps):
-        # scans of up to two full blocks and a shorter last one, each
-        # interpolated from its nodes or computed row by row
+        # scans of up to two full blocks and a shorter last one, all
+        # interpolated from the same nodes or all computed row by row
         spec = LatticeSpec(d=d, L=L, lam=(lam,), m=m)
         np.testing.assert_allclose(axis_signal(spec, dt, steps, L - 1),
                                    ifftn_axis_signal(spec, dt, steps, L - 1),

@@ -58,14 +58,15 @@ def reaches_regime(case):
     its id names."""
     regime, spec, dt, steps, r_max = case
     omega, tuples, *_, pairs = lattice._axis_orbits(spec, r_max)
-    kinds = lattice._block_kinds(float(omega.max()), dt, steps)
-    nodes = max(len(u) for *_, u, _ in kinds)
+    rows = min(steps, lattice._BLOCK_ROWS)   # every block's
+    nodes = lattice._node_count(float(omega.max()) * ((rows - 1) * abs(dt) / 2.0), rows)
     # rows of W per tile: its node arrays and its W each fit the block budget
     width = min(len(tuples), lattice._BLOCK_BYTES // (32 * nodes * len(omega)),
                 lattice._BLOCK_BYTES // (8 * (r_max + 1)))
     last = (len(tuples) - 1) // width * width   # first row of the last tile
     orbits = math.comb(spec.L // 2 + spec.d, spec.d)
-    interpolated = [I is not None for *_, I in kinds]
+    interpolated = nodes < rows
+    short = steps % rows   # steps of a short last block
     return {
         "many-blocks": steps >= 2 * lattice._BLOCK_ROWS,
         "multi-tile": steps > lattice._BLOCK_ROWS and last > 0,
@@ -76,12 +77,13 @@ def reaches_regime(case):
         "unfolded": pairs == 0 and spec.L % 2 == 0,
         # pairs and every self-mirrored row share the last of several tiles
         "self-mirrored-last-tile": 0 < last < pairs < len(tuples),
-        "interpolated-short-last": len(kinds) == 2 and all(interpolated),
-        "direct-last": interpolated == [True, False],
-        "direct-rows": not any(interpolated),
-        "folded-interpolated": pairs > 0 and all(interpolated),
-        "odd-L-interpolated": spec.L % 2 == 1 and all(interpolated),
-        "multi-tile-interpolated": last >= 2 * width and all(interpolated),
+        # the last block's node sums run past the last step
+        "short-last": interpolated and 0 < short < nodes,
+        "direct-short": not interpolated and short > 0,
+        "direct-rows": not interpolated,
+        "folded-interpolated": pairs > 0 and interpolated,
+        "odd-L-interpolated": spec.L % 2 == 1 and interpolated,
+        "multi-tile-interpolated": last >= 2 * width and interpolated,
     }[regime]
 
 
@@ -176,15 +178,18 @@ class TestOrbits:
 class TestBlockLoop:
     @pytest.mark.parametrize("steps", [0, 1, 127, 128, 129, 256, 300, 11001])
     def test_blocks_cover_the_scan_once(self, steps):
-        # full blocks of _BLOCK_ROWS steps, then one shorter block, each
-        # one row of the block-maxima table
+        # blocks of min(steps, _BLOCK_ROWS) steps, the last cut short where
+        # the steps end, each one row of the block-maxima table. The signal
+        # is the first steps rows of an array that runs to the last block's
+        # end, where a short block's node sums have room
+        spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
         B = lattice._BLOCK_ROWS
-        kinds = lattice._block_kinds(2.0, 0.02, steps)
-        blocks = [(at, min(rows, stop - at)) for start, stop, rows, *_ in kinds
-                  for at in range(start, stop, rows)]
-        assert blocks == [(at, min(B, steps - at)) for at in range(0, steps, B)]
-        assert [rows for _, _, rows, *_ in kinds] == sorted(
-            {rows for _, rows in blocks}, reverse=True)
+        signal, maxima = lattice._signal_blocks(spec, 0.02, steps, 3)
+        blocks = -(-steps // B)
+        assert signal.shape == (steps, 4) and maxima.shape == (blocks, 4)
+        assert len(signal.base) == blocks * min(steps, B)
+        for k, top in enumerate(maxima):
+            np.testing.assert_array_equal(top, np.abs(signal[k * B:(k + 1) * B]).max(axis=0))
 
     @pytest.mark.parametrize("d,L,steps", [(1, 40, 50), (1, 400, 600),
                                            (2, 64, 513), (3, 32, 300), (2, 128, 300)])
@@ -192,7 +197,8 @@ class TestBlockLoop:
         # one block or many, one orbit tile (1D L=40) or several that add
         # into the block before its maximum is taken, a short last block,
         # and folded orbits in two tiles of interpolated blocks (1D L=400)
-        # or eighteen of blocks computed row by row (2D L=128). The
+        # or eighteen of blocks computed row by row, through the identity
+        # (2D L=128). The
         # block loop stores the signal time-major in r order, as
         # axis_signal returns it, with one row of maxima per block
         spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
@@ -259,10 +265,16 @@ class TestNodes:
             for z in (124.7, 1e3, 1e300, 1.7e308):
                 assert lattice._node_count(z, rows) == rows
         assert lattice._node_count(60.0, 128) < 128 == lattice._node_count(70.0, 128)
+        # there u are the rows and I the identity, whose product, of the
+        # whole block or of a short last one, gives its input bit for bit
         w_max = lattice.omega_max(LatticeSpec(d=1, L=6, lam=(1.0, 1.0), m=0.125))
-        (start, stop, rows, u, I), = lattice._block_kinds(w_max, 6.0, 7)
-        assert (start, stop, rows, I) == (0, 7, 7, None)
+        u, I = lattice._interpolation(7, lattice._node_count(w_max * 3.0 * 6.0, 7))
         np.testing.assert_array_equal(u, np.arange(7) - 3.0)
+        np.testing.assert_array_equal(I, np.eye(7))
+        values = np.random.default_rng(0).standard_normal((128, 191))
+        u, I = lattice._interpolation(128, 128)
+        for n in (1, 3, 127, 128):
+            assert np.array_equal(I[:n] @ values, values[:n])
 
     def test_interpolation_at_every_block_shape(self):
         # every rows <= _BLOCK_ROWS and node count below it: no row lies on
@@ -288,16 +300,30 @@ class TestNodes:
     def test_interpolated_block_meets_the_bound(self, rows, z):
         # cos(omega (t_c + t)) at the block's nodes, taken to its rows by I,
         # against the exact rows, at the largest omega the rule covers and
-        # at smaller ones; rounding adds a few ulps of the phase
-        (_, _, _, u, I), = lattice._block_kinds(z / ((rows - 1) / 2.0), 1.0, rows)
-        assert I is not None
+        # at smaller ones; rounding adds a few ulps of the phase. A short
+        # last block of n steps reads I[:n], for every n up to the rows
+        u, I = lattice._interpolation(rows, lattice._node_count(z, rows))
+        assert len(u) < rows
         t = np.arange(rows) - (rows - 1) / 2.0
         for omega in (z, 0.7 * z, 0.3 * z):
             omega /= (rows - 1) / 2.0
             for phase in (0.0, 0.4, 1.9):
-                np.testing.assert_allclose(I @ np.cos(omega * u + phase),
-                                           np.cos(omega * t + phase), rtol=0,
-                                           atol=lattice._NODE_ERROR + 4e-16 * (z + 2.0))
+                nodes, exact = np.cos(omega * u + phase), np.cos(omega * t + phase)
+                for n in range(1, rows + 1):
+                    np.testing.assert_allclose(I[:n] @ nodes, exact[:n], rtol=0,
+                                               atol=lattice._NODE_ERROR + 4e-16 * (z + 2.0))
+
+    @pytest.mark.parametrize("dt,steps", [(0.05, 300), (0.02, 257), (0.6, 259), (0.02, 0)])
+    def test_nodes_and_interpolation_built_once_per_scan(self, dt, steps):
+        # one node count and one (u, I) serve every tile and every block,
+        # the short last one too: 2D L=128 at r_max 63 takes several tiles
+        spec = LatticeSpec(d=2, L=128, lam=(1.0, 0.3), m=0.8)
+        with mock.patch.object(lattice, "_node_count", wraps=lattice._node_count) as count, \
+                mock.patch.object(lattice, "_interpolation",
+                                  wraps=lattice._interpolation) as interpolation:
+            signal, maxima = lattice._signal_blocks(spec, dt, steps, 63)
+        assert count.call_count == interpolation.call_count == 1
+        assert signal.shape == (steps, 64) and len(maxima) == -(-steps // 128)
 
 
 class TestWorkCaps:
@@ -319,6 +345,19 @@ class TestWorkCaps:
                 message = f"the orbit weight matrix needs {rows * (r_max + 1):.3g} array"
                 with pytest.raises(LatticeError, match=re.escape(message)):
                     axis_signal(spec, 1.0, 1, r_max)
+
+    @pytest.mark.parametrize("steps,charged", [(100, 100), (128, 128), (129, 256),
+                                               (300, 384)])
+    def test_time_signal_cap_charges_the_last_block_end(self, steps, charged, monkeypatch):
+        # the signal array runs to the end of the last block of
+        # min(steps, _BLOCK_ROWS) steps, and the cap charges those rows
+        spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", charged * 4)
+        assert axis_signal(spec, 0.02, steps, 3).shape == (steps, 4)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", charged * 4 - 1)
+        with pytest.raises(LatticeError, match=re.escape(
+                f"the time signal needs {charged * 4:.3g} array entries")):
+            axis_signal(spec, 0.02, steps, 3)
 
     def test_work_cap_boundary(self, monkeypatch):
         # t_max / dt + 2 = 42 steps at most, times r_max + 1 = 11 entries
@@ -415,10 +454,10 @@ class TestConeReads:
         assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 4
 
     def test_arrival_windows_across_block_ends(self, monkeypatch):
-        # the first entry past the cut on a block's last row (255): its
-        # window of 8 runs into the next block, to row 262; a hit at 263 is
-        # found by the walk. In the last, short block (512..599) the window
-        # stops at the signal's end
+        # the first entry past the cut on a block's last row (255) is a
+        # hit, or a miss whose hit lies in the next block (257, 262, 263).
+        # The last, short block (512..599) is read in a window moved back
+        # to end at the signal's end
         peak_sigma, threshold = 0.9, 0.850256191055818
         miss, hit = self.miss_and_hit(peak_sigma, threshold)
         steps = 600

@@ -352,6 +352,20 @@ class TestClassicalDatabase:
     def test_random_database_deterministic(self):
         assert random_database(8, seed=3).bits == random_database(8, seed=3).bits
 
+    @pytest.mark.parametrize("N,seed,message", [
+        (8, -1, "seed must be >= 0, got -1"),
+        (8.0, 1, "N must be an integer, got 8.0"),
+        (True, 1, "N must be an integer, got True"),
+        (8, 1.5, "seed must be an integer, got 1.5"),
+        (8, np.True_, f"seed must be an integer, got {np.True_!r}")])
+    def test_random_database_refuses_seed_and_size_by_name(self, N, seed, message):
+        with pytest.raises(QramError, match=f"^{re.escape(message)}$"):
+            random_database(N, seed)
+
+    def test_random_database_takes_numpy_integers(self):
+        db = random_database(np.int64(8), np.uint8(3))
+        assert db.bits == random_database(8, 3).bits and db.N == 8
+
 
 class TestClassicalTrace:
     @pytest.mark.parametrize("N", [2, 4, 8, 16])
@@ -573,6 +587,20 @@ class TestVerifyRetrieval:
     def test_refuses_negative_count_and_seed_by_name(self, kwargs, message):
         with pytest.raises(QramError, match=f"^{message}$"):
             verify_retrieval(random_database(4, seed=1), **kwargs)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"n_superpositions": 2.5}, "n_superpositions must be an integer, got 2.5"),
+        ({"n_superpositions": True}, "n_superpositions must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": "7"}, "seed must be an integer, got '7'")])
+    def test_refuses_count_and_seed_that_are_not_integers_by_name(self, kwargs, message):
+        with pytest.raises(QramError, match=f"^{re.escape(message)}$"):
+            verify_retrieval(random_database(4, seed=1), **kwargs)
+
+    def test_takes_numpy_integer_count_and_seed(self):
+        db = random_database(8, seed=4)
+        report = verify_retrieval(db, n_superpositions=np.int64(3), seed=np.uint16(11))
+        assert report == verify_retrieval(db, n_superpositions=3, seed=11)
 
     def test_constant_database_reads_one_everywhere(self):
         report = verify_retrieval(ClassicalDatabase((1, 1, 1, 1)))

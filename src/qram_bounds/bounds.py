@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, replace
 
 from . import lattice as _lattice
-from .params import Conventions, HardwareParams, density, tau0
+from .params import Conventions, HardwareParams, checked_index, density, tau0
 
 SOLVER_STEPS = 10 ** 6  # iteration cap of fixed_point_solve
 
@@ -83,8 +83,10 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural") -> float:
     """
     if not math.isfinite(R):
         raise BoundError(f"non-finite ratio R = {R}")
-    if p < 0:
+    if (p := checked_index(BoundError, "depth exponent p", p)) < 0:
         raise BoundError("negative depth exponent")
+    if log_base not in ("natural", "2"):
+        raise BoundError(f"unknown log base {log_base!r} (use 'natural' or '2')")
     base = math.e if log_base == "natural" else 2.0
     logf = math.log if log_base == "natural" else math.log2
     try:
@@ -150,7 +152,10 @@ def capacity(v: float, tau: float, a: float, d: int,
              conventions: Conventions) -> tuple[float, float]:
     """(extent N, total N^d) qubits from N / log^p(N) = R = v*tau/a; refuses by
     name an R outside the float range, an R with no fixed point above one
-    qubit (FixedPointError, at every p) and an overflowing total."""
+    qubit (FixedPointError, at every p), an overflowing total and a d
+    outside 1..3."""
+    if (d := checked_index(BoundError, "dimension d", d)) not in (1, 2, 3):
+        raise BoundError(f"dimension d must be 1, 2 or 3, got {d}")
     R = v * tau / a
     if not 0.0 < R < math.inf:
         raise BoundError(f"ratio R = v*tau0/a leaves the float range at "

@@ -18,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, lattice, qram, verify
-from .params import Conventions, HardwareParams, ParamsError, load_config, tau0
+from .params import (Conventions, HardwareParams, ParamsError, checked_index,
+                     load_config, tau0)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -300,8 +301,7 @@ def print_retrieval_table(rows) -> None:
 
 
 def _cmd_qramsim(args) -> int:
-    if args.seed < 0:
-        raise qram.QramError(f"seed must be >= 0, got {args.seed}")
+    checked_index(qram.QramError, "seed", args.seed, 0)
     if args.db is not None:
         db = qram.read_database(args.db)
     elif args.random_db:

@@ -4,7 +4,8 @@ phases) form of monomial gates, and phase-gauge comparison of unitaries.
 
 All modes are two-level. Generators: excitation exchange
 (sigma+ sigma- + h.c., strength g1) for beam splitter/SWAP, number-number
-coupling (strength g2) for the controlled phase.
+coupling (strength g2) for the controlled phase; both unitaries are written
+in closed form.
 """
 from __future__ import annotations
 
@@ -48,32 +49,26 @@ def t_cphase(g2: float) -> float:
     return math.pi / _coupling("g2", g2)
 
 
-# two-level operators
-_SP = np.array([[0, 0], [1, 0]], dtype=complex)   # |1><0|
-_NUM = np.array([[0, 0], [0, 1]], dtype=complex)
-
-_EXCHANGE = np.kron(_SP, _SP.conj().T) + np.kron(_SP.conj().T, _SP)
-
-# eigenbasis of the exchange generator and diagonal of n x n, built once
-_EXCHANGE_W, _EXCHANGE_V = np.linalg.eigh(_EXCHANGE)
-_EXCHANGE_VH = _EXCHANGE_V.conj().T
-_NUM_NUM = np.diag(np.kron(_NUM, _NUM))
-
-
 def bs_unitary(g1: float, t: float) -> np.ndarray:
-    """Beam splitter exp(-i t g1 (s+ s- + s- s+)) on two two-level modes.
+    """Beam splitter exp(-i t g1 (s+ s- + s- s+)) on two two-level modes:
+    the identity on |00> and |11>, and [[cos, -i sin], [-i sin, cos]] of
+    g1 t on (|01>, |10>).
 
     Transfer probability |<01|U|10>|^2 = sin^2(g1 t): full transfer at
     t = pi/(2 g1), 50/50 at t = pi/(4 g1). The transfer carries -i phases.
     """
     phase = checked_phase(GateError, "g1*t of the beam splitter", _coupling("g1", g1), t)
-    return (_EXCHANGE_V * np.exp(-1j * phase * _EXCHANGE_W)) @ _EXCHANGE_VH
+    c, s = math.cos(phase), complex(0.0, -math.sin(phase))
+    return np.array([[1, 0, 0, 0], [0, c, s, 0], [0, s, c, 0], [0, 0, 0, 1]],
+                    dtype=complex)
 
 
 def cz_unitary(g2: float, t: float) -> np.ndarray:
-    """Controlled phase exp(-i t g2 n x n); diag(1, 1, 1, -1) at t = pi/g2."""
+    """Controlled phase exp(-i t g2 n x n) = diag(1, 1, 1, exp(-i g2 t));
+    diag(1, 1, 1, -1) at t = pi/g2."""
     phase = checked_phase(GateError, "g2*t of the controlled phase", _coupling("g2", g2), t)
-    return np.diag(np.exp(-1j * phase * _NUM_NUM))
+    # 0.0 - phase is +0.0 at phase +-0.0, so that entry is 1 + 0j, not 1 - 0j
+    return np.diag([1, 1, 1, np.exp(complex(0.0, 0.0 - phase))])
 
 
 def swap_unitary(g1: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .params import checked_couplings, checked_phase
+from .params import checked_couplings, checked_index, checked_phase
 
 _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
@@ -373,9 +373,10 @@ class LightConeScan:
     n_no_arrival: int      # distances whose peak stayed below the noise floor
 
 
-def _check_work(entries: float, what: str) -> None:
+def _check_work(entries: int | float, what: str) -> None:
+    """Refuse ``entries`` (an int, or inf) above the cap, printed in full."""
     if not entries <= _WORK_ENTRY_CAP:
-        raise LatticeError(f"{what} needs {entries:.3g} array entries, "
+        raise LatticeError(f"{what} needs {entries} array entries, "
                            f"above the cap of {_WORK_ENTRY_CAP}")
 
 
@@ -391,7 +392,7 @@ def _orbit_rows(L: int, d: int, r_max: int) -> int:
 
 
 def _check_orbits(spec: LatticeSpec, r_max: int) -> None:
-    _check_work(float(_orbit_rows(spec.L, spec.d, r_max)) * (r_max + 1),
+    _check_work(_orbit_rows(spec.L, spec.d, r_max) * (r_max + 1),
                 "the orbit weight matrix")
 
 
@@ -518,18 +519,20 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
     while the block is still in cache. The time-signal cap charges the whole
     array, and the phase check runs to its end.
     """
+    steps = checked_index(LatticeError, "steps", steps)
+    r_max = checked_index(LatticeError, "r_max", r_max)
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
     if not 0 <= r_max < spec.L:
         raise LatticeError("r_max must lie in 0..L-1")
     rows = min(steps, _BLOCK_ROWS) or 1   # every block's steps; one node row if no steps
-    starts = range(0, steps, _BLOCK_ROWS)
+    blocks = -(-steps // _BLOCK_ROWS)
     _check_orbits(spec, r_max)
-    _check_work(float(len(starts) * rows) * (r_max + 1), "the time signal")
+    _check_work(blocks * rows * (r_max + 1), "the time signal")
     omega, tuples, weight, cosines, pairs = _axis_orbits(spec, r_max)
     w_max = float(omega.max())
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
-                  w_max, len(starts) * rows * abs(dt))
+                  w_max, blocks * rows * abs(dt))
     u, I = _interpolation(rows, _node_count(w_max * ((rows - 1) * abs(dt) / 2.0), rows))
     # rows of W per tile: its 4 node arrays (32 bytes per orbit or mirror and
     # node) fit _BLOCK_BYTES, and so do its W and each term that builds it
@@ -538,9 +541,9 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
     even = r_max // 2 + 1   # even-r columns
     W = np.empty((width, r_max + 1))
     arrays = np.empty(4 * len(u) * len(omega) * width)
-    maxima = np.empty((len(starts), r_max + 1))
+    maxima = np.empty((blocks, r_max + 1))
     part = np.empty((rows, r_max + 1))   # a tile's product, then |block|
-    out = np.empty((len(starts) * rows, r_max + 1))
+    out = np.empty((blocks * rows, r_max + 1))
     for first in range(0, len(tuples), width):
         tile = slice(first, first + width)
         w, Wt = omega[:, None, tile], _weight_rows(cosines, tuples[tile], weight[tile], W)
@@ -551,7 +554,7 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
         np.cos(angle, out=C)
         np.sin(angle, out=S)
         C[1:, :, own:] = S[1:, :, own:] = 0.0
-        for k, at in enumerate(starts):
+        for k, at in enumerate(range(0, steps, _BLOCK_ROWS)):
             base = np.multiply((at + (rows - 1) / 2.0) * dt, w)
             np.multiply(C, np.cos(base), out=block)
             np.multiply(S, np.sin(base, out=base), out=work)
@@ -654,6 +657,22 @@ def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
     return peaks, arrivals
 
 
+def _grid_steps(t_max: float, dt: float) -> int:
+    """The points of the grid np.arange(0, t_max + dt, dt) at or below
+    t_max + 1e-12, counted without building it. numpy gives the grid
+    ceil((t_max + dt) / dt) points t_i = i * dt (bitwise), which rise with
+    i, so only its last few can pass the cut; past 2^53 points, where i * dt
+    no longer rises at every step, all are counted. A grid past the float
+    range is refused by the time signal's cap."""
+    span = (t_max + dt) / dt
+    if math.isinf(span):
+        _check_work(span, "the time signal")
+    steps = math.ceil(span)
+    while 0 < steps <= 2 ** 53 and (steps - 1) * dt > t_max + 1e-12:
+        steps -= 1
+    return steps
+
+
 def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
                        r_max: int, dt: float | None = None,
                        fit_r_min: int = 1) -> LightConeScan:
@@ -672,11 +691,11 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
         raise LatticeError("L too small for range")
     if not 0.0 < threshold < 1.0:
         raise LatticeError("threshold must lie in (0, 1)")
-    if r_max < 1:
+    if (r_max := checked_index(LatticeError, "r_max", r_max)) < 1:
         raise LatticeError("r_max must be >= 1")
     if r_max > spec.L // 2 - spec.nu:
         raise LatticeError("r_max too large for lattice (wrap-around)")
-    if fit_r_min < 1:
+    if (fit_r_min := checked_index(LatticeError, "fit_r_min", fit_r_min)) < 1:
         raise LatticeError(f"fit_r_min must be >= 1, got {fit_r_min}")
     if fit_r_min > r_max - 1:
         raise LatticeError(f"fit_r_min = {fit_r_min} leaves fewer than two "
@@ -693,9 +712,7 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
         dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
     if math.isinf(t_max + dt):
         raise LatticeError(f"t_max + dt = {t_max!r} + {dt!r} overflows a float")
-    _check_work((t_max / dt + 2.0) * (r_max + 1), "the time signal")
-    # the grid np.arange(0, t_max + dt, dt) up to t_max, whose t_i is i * dt bitwise
-    steps = int(np.count_nonzero(np.arange(0.0, t_max + dt, dt) <= t_max + 1e-12))
+    steps = _grid_steps(t_max, dt)
     peaks, arrivals = _cone_reads(*_signal_blocks(spec, dt, steps, r_max), threshold)
     rows = [ConeArrival(r=r, t_arrival=None if i < 0 else i * dt, peak=peak)
             for r, peak, i in zip(range(1, r_max + 1), peaks.tolist(), arrivals.tolist())]

@@ -6,8 +6,11 @@ Lattice-unit values appear only where explicitly labeled.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 SPEED_OF_LIGHT = 3.0e8  # m/s
 
@@ -72,8 +75,10 @@ class Conventions:
             base = "2"
         else:
             raise ParamsError(f"unknown log base {self.log_base!r} (use 'natural' or '2')")
-        if not (isinstance(self.depth_exponent, int) and self.depth_exponent >= 0):
-            raise ParamsError("depth exponent must be an integer >= 0")
+        try:
+            p = checked_index(ParamsError, "depth exponent", self.depth_exponent, 0)
+        except ParamsError:
+            raise ParamsError("depth exponent must be an integer >= 0") from None
         src = self.velocity_source
         if isinstance(src, str):
             if src not in ("lieb_robinson", "qft", "group", "teleport-hybrid"):
@@ -85,6 +90,7 @@ class Conventions:
             if src <= 0:
                 raise ParamsError("nonpositive explicit velocity")
         object.__setattr__(self, "log_base", base)
+        object.__setattr__(self, "depth_exponent", p)
         object.__setattr__(self, "velocity_source", src)
 
 
@@ -142,6 +148,21 @@ def checked_phase(error: type[ValueError], what: str, w: float, t: float) -> flo
     if not math.isfinite(phase):
         raise error(f"phase {what} = {float(w)!r}*{float(t)!r} leaves the float range")
     return phase
+
+
+def checked_index(error: type[ValueError], what: str, value: object,
+                  least: int | None = None) -> int:
+    """``value`` as a Python int through ``operator.index``, refused by
+    ``error`` naming ``what`` where it is a bool, has no integer meaning
+    (2.0 included) or lies below ``least``. A plain int, which every
+    internal caller passes, costs one type test."""
+    if type(value) is not int:
+        if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
+            raise error(f"{what} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if least is not None and value < least:
+        raise error(f"{what} must be >= {least}, got {value}")
+    return value
 
 
 # Configuration files are flat "key = value" text; `lambda` is a

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -36,26 +35,18 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gates
+from .params import checked_index
 
 MAX_LEAVES = 1 << 12  # leaf cap of the simulator
+MAX_DEPTH = 128       # depth cap of the schedules, n^2 + 3n + 1 cycles at most
 
 
 class QramError(ValueError):
     pass
 
 
-def _index(what: str, value: object, least: float = -math.inf) -> int:
-    """``value`` as an int through ``operator.index``, refused by name where
-    it is a bool, has no integer meaning (8.0 included) or lies below ``least``."""
-    if isinstance(value, (bool, np.bool_)) or not hasattr(type(value), "__index__"):
-        raise QramError(f"{what} must be an integer, got {value!r}")
-    if (value := operator.index(value)) < least:
-        raise QramError(f"{what} must be >= {least}, got {value}")
-    return value
-
-
 def _depth(N: int) -> int:
-    N = _index("N", N)
+    N = checked_index(QramError, "N", N)
     if N < 2 or N & (N - 1):
         raise QramError(f"N must be a power of two >= 2, got {N}")
     return N.bit_length() - 1
@@ -164,19 +155,27 @@ def _init_cycles(n: int, phase: str = "init") -> list[Cycle]:
     return cycles
 
 
+def _schedule_depth(n: int) -> int:
+    """The tree depth ``n`` as an int in 1..MAX_DEPTH, refused by name."""
+    n = checked_index(QramError, "n", n)
+    if n < 1:
+        raise QramError("empty tree")
+    if n > MAX_DEPTH:
+        raise QramError(f"depth cap: n <= {MAX_DEPTH}, got {n}")
+    return n
+
+
 def schedule_initialization(n: int) -> Schedule:
     """Load n address qubits into the routers: step k swaps address k in and
     routes it k-1 times, for n(n-1)/2 routing cycles and n swap cycles."""
-    if n < 1:
-        raise QramError("empty tree")
+    n = _schedule_depth(n)
     return Schedule(n=n, cycles=tuple(_init_cycles(n)))
 
 
 def schedule_query(n: int) -> Schedule:
     """Bus round trip (n routing stages down, data copy, n stages up)
     followed by address uncomputation mirroring initialization in reverse."""
-    if n < 1:
-        raise QramError("empty tree")
+    n = _schedule_depth(n)
     cycles = [Cycle("descend", "bus", level) for level in range(n)]
     cycles.append(Cycle("copy", "copy"))
     cycles.extend(Cycle("ascend", "bus", level) for level in reversed(range(n)))
@@ -227,7 +226,7 @@ def read_database(path: str | Path) -> ClassicalDatabase:
 
 
 def random_database(N: int, seed: int) -> ClassicalDatabase:
-    N, seed = _index("N", N), _index("seed", seed, least=0)
+    N, seed = checked_index(QramError, "N", N), checked_index(QramError, "seed", seed, 0)
     _depth(N)
     _check_leaves(N)   # before N bits are drawn
     rng = np.random.default_rng(seed)
@@ -238,7 +237,7 @@ def classical_trace_read(db: ClassicalDatabase, address: int) -> int:
     """Reference semantics: set the routers level by level from the address
     bits, then walk the bus down the tree following each router's state
     (0 = left, 1 = right) and read the addressed bit."""
-    n = db.depth
+    n, address = db.depth, checked_index(QramError, "address", address)
     if not 0 <= address < db.N:
         raise QramError("address out of range")
     bits = [(address >> (n - 1 - k)) & 1 for k in range(n)]
@@ -408,8 +407,8 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     """Exhaustive correctness harness: every basis address plus random
     superpositions (from the same route map, by linearity), checked
     against the classical-trace semantics."""
-    n_superpositions = _index("n_superpositions", n_superpositions, least=0)
-    seed = _index("seed", seed, least=0)
+    n_superpositions = checked_index(QramError, "n_superpositions", n_superpositions, 0)
+    seed = checked_index(QramError, "seed", seed, 0)
     inputs = np.arange(db.N)
     bits, phase = _route(db, inputs, g1, g2)
     rows, ideal, routers_zero = _read_out(db, bits, inputs, _trace_reads(db, inputs))

@@ -290,6 +290,13 @@ class TestFixedPointSolve:
                 fixed_point_solve(R, 0)
         assert fixed_point_solve(1.0 + 2.0 ** -52, 0) == 1.0 + 2.0 ** -52
 
+    @pytest.mark.parametrize("log_base", ["ten", "e", "two", "Natural", 2])
+    def test_refuses_unknown_log_base_by_name(self, log_base):
+        # only the spellings that Conventions stores; "ten" once solved in base 2
+        with pytest.raises(BoundError, match=re.escape(
+                f"unknown log base {log_base!r} (use 'natural' or '2')")):
+            fixed_point_solve(100.0, 2, log_base)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(BoundError):
             fixed_point_solve(-1.0, 1)

@@ -715,7 +715,7 @@ class TestLightconeCommand:
         assert main(["lightcone", "--d", "3", "--L", "100000", "--t-max", "1"]) == 2
         assert_one_error_line(
             capsys.readouterr(),
-            "the orbit weight matrix needs 5.21e+17 array entries")
+            "the orbit weight matrix needs 520895836250050000 array entries")
 
     def test_automatic_dt_refuses_long_axis_before_reading_it(
             self, monkeypatch, capsys):
@@ -730,7 +730,16 @@ class TestLightconeCommand:
                      "--t-max", "1"]) == 2
         assert_one_error_line(
             capsys.readouterr(),
-            "the orbit weight matrix needs 1.5e+09 array entries")
+            "the orbit weight matrix needs 1500000003 array entries")
+
+    def test_time_signal_refusal_prints_the_charged_count(self, capsys):
+        # 104,709 steps run to the end of block 819: 104,832 rows times 191
+        # distances, refused by the one count of the block loop; it once
+        # passed a first check and printed "2e+07" from the second
+        assert main(["lightcone", "--L", "400", "--r-max", "190", "--dt", "0.02",
+                     "--t-max", "2094.16"]) == 2
+        assert_one_error_line(capsys.readouterr(), "the time signal needs 20022912 "
+                              "array entries, above the cap of 20000000\n")
 
     def test_fit_r_min_beyond_r_max_exits_2(self, capsys):
         # refused before the scan, which would hold a 16.8 MB signal; so is a
@@ -1022,6 +1031,32 @@ class TestParserBuiltOnce:
         args = parse(["bound"])
         assert args.func is cli._cmd_bound and not hasattr(args, "axis")
         assert (args.velocity, args.velocity_source) == (None, "lieb_robinson")
+
+
+class TestNoEigensolver:
+    def test_commands_but_verify_run_without_an_eigensolver(self, tmp_path):
+        # the router gates are closed forms: importing the package, and each
+        # command but verify, calls no numpy eigensolver
+        child = f"""
+import numpy.linalg
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy eigensolver called")
+for name in ("eigh", "eigvalsh", "eig"):
+    setattr(numpy.linalg, name, refuse)
+from qram_bounds import cli
+for argv in (["bound"],
+             ["sweep", "--preset", "fig3", "--out", {str(tmp_path / "fig3.csv")!r}],
+             ["lightcone", "--L", "64", "--r-max", "10", "--t-max", "5", "--dt", "0.1"],
+             ["qramsim", "--random-db", "--N", "8"]):
+    assert cli.main(argv) == 0, argv
+"""
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+            src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                             text=True, timeout=120, env=env)
+        assert run.returncode == 0, run.stderr
+        assert "PASS: all addresses retrieved" in run.stdout
 
 
 class TestRefusalLines:

@@ -7,11 +7,25 @@ Each float argument is drawn from the edge alphabet 0, -1, +-inf, nan,
 surfaces as a FloatingPointError, which is not a refusal; underflow rounds
 to a finite value and is allowed. Sizes stay small (L <= 8, N = 4 leaves)
 so that the whole module runs in a few seconds.
+
+Integer arguments meet the alphabet True, 2.0, 2.5, -1, 0, np.int64(2) and
+2**40: each call refuses a bool or a float, and otherwise returns finite
+numbers or raises a ValueError whose message names the argument or the
+range it left. The large value runs in
+a child process whose address space is capped at 1 GiB, so that a call
+that would build something of that size fails there by MemoryError.
 """
 import dataclasses
+import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qram_bounds import bounds, gates, lattice, params, qram
@@ -163,3 +177,78 @@ def test_qram(data, n):
     db = qram.random_database(4, seed=1)
     finite_or_refused(qram.verify_retrieval, db, g1, g2, 2)
     finite_or_refused(qram.simulate_query, db, np.eye(4)[2], g1, g2)
+
+
+SMALL_INTS = [True, 2.0, 2.5, -1, 0, np.int64(2)]
+LARGE_INT = 2 ** 40
+CONE_SPEC = lattice.LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
+SCHEDULE_REFUSAL = r"^(n must be an integer|empty tree$|depth cap: n <= )"
+
+# argument: (call of the drawn value, pattern of its refusals)
+INT_ARGUMENTS = {
+    "schedule_initialization n": (qram.schedule_initialization, SCHEDULE_REFUSAL),
+    "schedule_query n": (qram.schedule_query, SCHEDULE_REFUSAL),
+    "classical_trace_read address": (
+        lambda v: qram.classical_trace_read(qram.random_database(8, seed=1), v),
+        r"^address (must be an integer|out of range$)"),
+    "random_database seed": (lambda v: qram.random_database(8, seed=v), r"^seed must be"),
+    "capacity d": (lambda v: bounds.capacity(1e3, 1.0, 1e-6, v, params.Conventions()),
+                   r"^dimension d must be"),
+    "fixed_point_solve p": (lambda v: bounds.fixed_point_solve(100.0, v),
+                            rf"^(depth exponent p must be|negative depth exponent$|"
+                            rf"fixed point of N = 100\*log\^{LARGE_INT}\(N\) overflows)"),
+    "Conventions depth_exponent": (
+        lambda v: json.loads(json.dumps(dataclasses.asdict(params.Conventions(
+            depth_exponent=v)))),
+        r"^depth exponent must be an integer >= 0$"),
+    "axis_signal steps": (lambda v: lattice.axis_signal(CONE_SPEC, 0.1, v, 3),
+                          r"^(steps must be|dt must be finite and steps >= 0$|"
+                          r"the time signal needs \d+ array entries)"),
+    "axis_signal r_max": (lambda v: lattice.axis_signal(CONE_SPEC, 0.1, 3, v),
+                          r"^r_max must"),
+    "measure_light_cone r_max": (
+        lambda v: lattice.measure_light_cone(CONE_SPEC, 0.1, 6.0, v, 0.1),
+        r"^r_max (must|too large)"),
+    "measure_light_cone fit_r_min": (
+        lambda v: lattice.measure_light_cone(CONE_SPEC, 0.1, 6.0, 7, 0.1, v),
+        r"^fit_r_min (must be|= \d+ leaves)"),
+}
+
+
+def finite_or_refused_by_name(argument: str, value) -> None:
+    """The call of ``argument`` at ``value`` returns finite numbers or raises
+    a ValueError that matches the argument's refusal pattern; a bool or a
+    float is always refused."""
+    call, pattern = INT_ARGUMENTS[argument]
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        try:
+            out = call(value)
+        except ValueError as exc:
+            assert re.search(pattern, str(exc)), (argument, value, exc)
+            return
+    assert not isinstance(value, (bool, float)), (argument, value)
+    assert_finite(out)
+
+
+@pytest.mark.parametrize("value", SMALL_INTS, ids=repr)
+@pytest.mark.parametrize("argument", INT_ARGUMENTS)
+def test_integer_arguments(argument, value):
+    finite_or_refused_by_name(argument, value)
+
+
+def test_large_integer_arguments_refused_before_building():
+    child = f"""
+import resource, sys
+sys.path.insert(0, {str(Path(__file__).parent)!r})
+import test_fuzz
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+for argument in test_fuzz.INT_ARGUMENTS:
+    test_fuzz.finite_or_refused_by_name(argument, test_fuzz.LARGE_INT)
+print("done")
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", child], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "done\n"

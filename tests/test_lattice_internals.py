@@ -342,7 +342,7 @@ class TestWorkCaps:
                 assert axis_signal(spec, 1.0, 1, r_max).shape == (1, r_max + 1)
                 patch.setattr(lattice, "_WORK_ENTRY_CAP", rows * (r_max + 1) - 1)
                 patch.setattr(lattice, "_axis_orbits", no_orbits)
-                message = f"the orbit weight matrix needs {rows * (r_max + 1):.3g} array"
+                message = f"the orbit weight matrix needs {rows * (r_max + 1)} array"
                 with pytest.raises(LatticeError, match=re.escape(message)):
                     axis_signal(spec, 1.0, 1, r_max)
 
@@ -356,16 +356,38 @@ class TestWorkCaps:
         assert axis_signal(spec, 0.02, steps, 3).shape == (steps, 4)
         monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", charged * 4 - 1)
         with pytest.raises(LatticeError, match=re.escape(
-                f"the time signal needs {charged * 4:.3g} array entries")):
+                f"the time signal needs {charged * 4} array entries")):
             axis_signal(spec, 0.02, steps, 3)
 
+    @given(k=st.integers(1, 20_000), dt=st.floats(1e-4, 10.0),
+           nudge=st.sampled_from([0.0, 1e-16, -1e-16, 1e-13, -1e-13, 1e-9, 0.5]))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_grid_steps_count_the_arange_grid(self, k, dt, nudge):
+        # t_max at, just off and between multiples of dt, where the 1e-12
+        # cut decides the last step
+        t_max = k * dt * (1.0 + nudge)
+        grid = np.arange(0.0, t_max + dt, dt)
+        assert lattice._grid_steps(t_max, dt) == np.count_nonzero(grid <= t_max + 1e-12)
+
+    def test_time_signal_refused_once_before_the_orbits(self, monkeypatch):
+        # the scan's own grid count goes to the block loop's one check
+        def no_orbits(*args):
+            raise AssertionError("orbits built before the size check")
+
+        monkeypatch.setattr(lattice, "_axis_orbits", no_orbits)
+        spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
+        with pytest.raises(LatticeError, match="^the time signal needs 20022912 array "
+                           "entries, above the cap of 20000000$"):
+            measure_light_cone(spec, threshold=1e-3, t_max=2094.16, r_max=190, dt=0.02)
+
     def test_work_cap_boundary(self, monkeypatch):
-        # t_max / dt + 2 = 42 steps at most, times r_max + 1 = 11 entries
+        # t = 0, 0.125, .., 5: 41 steps in one block, times r_max + 1 = 11
+        # entries, charged once, by the block loop's own count
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 42 * 11)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 41 * 11)
         measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10, dt=0.125)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 42 * 11 - 1)
-        with pytest.raises(LatticeError, match="time signal needs"):
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 41 * 11 - 1)
+        with pytest.raises(LatticeError, match="time signal needs 451 array entries"):
             measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10,
                                dt=0.125)
 

@@ -2,12 +2,13 @@ import math
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from qram_bounds.lattice import LatticeError, LatticeSpec
 from qram_bounds.params import (Conventions, HardwareParams, ParamsError,
-                                density, load_config, tau0)
+                                checked_index, density, load_config, tau0)
 
 
 def make_params(**overrides):
@@ -284,6 +285,27 @@ class TestConstructionBoundary:
         conv = replace(Conventions(), velocity_source=6000)
         assert conv.velocity_source == 6000.0
         assert type(conv.velocity_source) is float
+
+
+class TestCheckedIndex:
+    @pytest.mark.parametrize("value", [7, np.int64(7), np.uint8(7)])
+    def test_returns_a_python_int(self, value):
+        out = checked_index(ParamsError, "k", value, 0)
+        assert out == 7 and type(out) is int
+
+    @pytest.mark.parametrize("value,message", [
+        (True, "k must be an integer, got True"),
+        (np.True_, f"k must be an integer, got {np.True_!r}"),
+        (2.0, "k must be an integer, got 2.0"),
+        ("2", "k must be an integer, got '2'"),
+        (None, "k must be an integer, got None"),
+        (-1, "k must be >= 0, got -1")])
+    def test_refuses_by_name_with_the_given_error(self, value, message):
+        with pytest.raises(LatticeError, match=f"^{re.escape(message)}$"):
+            checked_index(LatticeError, "k", value, 0)
+
+    def test_no_lower_bound_by_default(self):
+        assert checked_index(ParamsError, "k", -2 ** 70) == -2 ** 70
 
 
 class TestConfigFile:

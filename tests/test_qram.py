@@ -240,6 +240,18 @@ class TestSchedules:
         with pytest.raises(QramError, match="empty tree"):
             schedule_initialization(0)
 
+    @pytest.mark.parametrize("schedule", [schedule_initialization, schedule_query])
+    def test_depth_cap_refuses_before_building(self, schedule, monkeypatch):
+        # the deepest tree admitted has n^2 + 3n + 1 cycles; 10^9 once ran the
+        # machine out of memory, and no cycle is built before the refusal
+        assert qram.MAX_DEPTH >= 110
+        assert schedule(qram.MAX_DEPTH).n == qram.MAX_DEPTH
+        monkeypatch.setattr(qram, "_init_cycles", None)
+        for n in (qram.MAX_DEPTH + 1, 10 ** 9):
+            with pytest.raises(QramError, match=re.escape(
+                    f"depth cap: n <= {qram.MAX_DEPTH}, got {n}")):
+                schedule(n)
+
 
 class TestTotalTime:
     def test_single_level_exact(self):

@@ -30,8 +30,7 @@ from .params import checked_couplings, checked_index, checked_phase
 
 _DENSE_SITE_CAP = 512       # largest n_sites for materializing S(t)
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
-_WORK_ENTRY_CAP = 20_000_000  # most entries of a light-cone signal or of its W,
-                              # which is built a tile at a time
+_WORK_ENTRY_CAP = 20_000_000  # most entries of node rows, a time signal or a tile-built W
 _BLOCK_BYTES = 1 << 19      # working-array budget per light-cone tile
 _BLOCK_ROWS = 128           # time steps per light-cone block
 _NODE_ERROR = 2.0 ** -56    # interpolation error bound per light-cone signal entry
@@ -376,7 +375,7 @@ class LightConeScan:
 def _check_work(entries: int | float, what: str) -> None:
     """Refuse ``entries`` (an int, or inf) above the cap, printed in full."""
     if not entries <= _WORK_ENTRY_CAP:
-        raise LatticeError(f"{what} needs {entries} array entries, "
+        raise LatticeError(f"{what} {entries} array entries, "
                            f"above the cap of {_WORK_ENTRY_CAP}")
 
 
@@ -393,7 +392,7 @@ def _orbit_rows(L: int, d: int, r_max: int) -> int:
 
 def _check_orbits(spec: LatticeSpec, r_max: int) -> None:
     _check_work(_orbit_rows(spec.L, spec.d, r_max) * (r_max + 1),
-                "the orbit weight matrix")
+                "the orbit weight matrix needs")
 
 
 def _axis_orbits(spec: LatticeSpec, r_max: int
@@ -496,44 +495,38 @@ def _interpolation(rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
-                   r_max: int) -> tuple[np.ndarray, np.ndarray]:
-    """The block loop behind ``axis_signal`` and ``measure_light_cone``:
-    the signal c(t_i, r) as a time-major (steps, r_max + 1) array, and the
-    table of max |c| over each block, one row per block; both in r order.
+                   r_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The block loop behind ``axis_signal`` and ``measure_light_cone``, on
+    arguments they checked: (nodes, I, maxima), the signal c(t_i, r) as
+    (blocks, n + 1, r_max + 1) node rows, its (rows, n + 1) barycentric I
+    and the max |c| of each block, one row per block; all in r order.
 
     Every block has rows = min(steps, _BLOCK_ROWS) steps, the last cut short
-    where the steps end, and is computed at the same times u around its
-    centre t_c; I takes those values to its rows, through I[:n] for a last
-    block of n steps (the error bound holds at every row). The sum runs over
-    tiles of the rows of W, each built by ``_weight_rows`` when its turn
-    comes. A tile's node table C, S = cos, sin(u dt omega) of its orbits (and
-    mirrors) serves every block: node entries a = cos(t omega) are
-    cos(t_c omega) C - sin(t_c omega) S from the block's own base angle (no
-    recurrence, so no drift), then one product with the tile's rows of W.
-    Folded, W holds the even distances, then the odd ones: a pair's a + a'
-    meets the even-r columns and a - a' the odd-r ones (a' = 0 for a
-    self-mirrored orbit), two products of half the width that write
-    alternate columns. Until its last tile a block's node values sum in its
-    first len(u) rows of the signal array, which runs to the last block's
-    end; on the last, I writes its rows, and its max |c| goes into the table
-    while the block is still in cache. The time-signal cap charges the whole
-    array, and the phase check runs to its end.
+    where the steps end, and is computed at the same n + 1 times u around
+    its centre t_c: I[:k] @ nodes[b] gives the k steps of block b (the error
+    bound holds at every row). The sum runs over tiles of the rows of W,
+    each built by ``_weight_rows`` when its turn comes. A tile's node table
+    C, S = cos, sin(u dt omega) of its orbits (and mirrors) serves every
+    block: node entries a = cos(t omega) are cos(t_c omega) C -
+    sin(t_c omega) S from the block's own base angle (no recurrence, so no
+    drift), then one product with the tile's rows of W. Folded, W holds the
+    even distances, then the odd ones: a pair's a + a' meets the even-r
+    columns and a - a' the odd-r ones (a' = 0 for a self-mirrored orbit),
+    two products of half the width that write alternate columns. The tiles'
+    shares sum in the block's node rows, which I then expands into a reused
+    buffer for its max |c|. The node count, from ``omega_max``, lets the
+    node-entry cap and the phase check refuse before any orbit is built.
     """
-    steps = checked_index(LatticeError, "steps", steps)
-    r_max = checked_index(LatticeError, "r_max", r_max)
-    if not math.isfinite(dt) or steps < 0:
-        raise LatticeError("dt must be finite and steps >= 0")
-    if not 0 <= r_max < spec.L:
-        raise LatticeError("r_max must lie in 0..L-1")
     rows = min(steps, _BLOCK_ROWS) or 1   # every block's steps; one node row if no steps
     blocks = -(-steps // _BLOCK_ROWS)
     _check_orbits(spec, r_max)
-    _check_work(blocks * rows * (r_max + 1), "the time signal")
-    omega, tuples, weight, cosines, pairs = _axis_orbits(spec, r_max)
-    w_max = float(omega.max())
+    w_max = omega_max(spec)
+    count = _node_count(w_max * ((rows - 1) * abs(dt) / 2.0), rows)
+    _check_work(blocks * count * (r_max + 1), "the light-cone node rows need")
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
                   w_max, blocks * rows * abs(dt))
-    u, I = _interpolation(rows, _node_count(w_max * ((rows - 1) * abs(dt) / 2.0), rows))
+    u, I = _interpolation(rows, count)
+    omega, tuples, weight, cosines, pairs = _axis_orbits(spec, r_max)
     # rows of W per tile: its 4 node arrays (32 bytes per orbit or mirror and
     # node) fit _BLOCK_BYTES, and so do its W and each term that builds it
     width = min(len(tuples), _BLOCK_BYTES // (32 * len(u) * len(omega)),
@@ -541,9 +534,9 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
     even = r_max // 2 + 1   # even-r columns
     W = np.empty((width, r_max + 1))
     arrays = np.empty(4 * len(u) * len(omega) * width)
+    nodes = np.empty((blocks, len(u), r_max + 1))
     maxima = np.empty((blocks, r_max + 1))
-    part = np.empty((rows, r_max + 1))   # a tile's product, then |block|
-    out = np.empty((blocks * rows, r_max + 1))
+    part = np.empty((rows, r_max + 1))   # a tile's product, then a block's steps
     for first in range(0, len(tuples), width):
         tile = slice(first, first + width)
         w, Wt = omega[:, None, tile], _weight_rows(cosines, tuples[tile], weight[tile], W)
@@ -559,8 +552,7 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
             np.multiply(C, np.cos(base), out=block)
             np.multiply(S, np.sin(base, out=base), out=work)
             np.subtract(block, work, out=block)
-            stored = out[at:at + len(u)]
-            product = part[:len(u)] if first or last else stored
+            product = part[:len(u)] if first else nodes[k]
             if pairs:   # a - a' into work[0], a + a' into block[0]
                 np.subtract(block[0], block[1], out=work[0])
                 np.add(block[0], block[1], out=block[0])
@@ -569,12 +561,12 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
             else:
                 np.matmul(block[0], Wt, out=product)
             if first:   # add the earlier tiles' share
-                np.add(stored, product, out=product if last else stored)
-            if last:   # I reads the sum over tiles from part
-                sigma = out[at:min(at + rows, steps)]
-                np.matmul(I[:len(sigma)], product, out=sigma)
-                np.abs(sigma, out=part[:len(sigma)]).max(axis=0, out=maxima[k])
-    return out[:steps], maxima
+                np.add(nodes[k], product, out=nodes[k])
+            if last:
+                sigma = part[:min(rows, steps - at)]
+                np.matmul(I[:len(sigma)], nodes[k], out=sigma)
+                np.abs(sigma, out=sigma).max(axis=0, out=maxima[k])
+    return nodes, I, maxima
 
 
 def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndarray:
@@ -582,19 +574,23 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
     as a (steps, r_max + 1) array stored time-major. This is
     sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
-    distance r along axis 0. Built by ``_signal_blocks``: the first
-    ``steps`` rows of an array that runs to the last block's end."""
-    return _signal_blocks(spec, dt, steps, r_max)[0]
-
-
-def _commutator_norm(sigma: np.ndarray) -> np.ndarray:
-    """2|sin(sigma/2)|, the Weyl commutator norm of symplectic-form values,
-    in one new array. sin is odd, so |sigma| gives the same bits as sigma."""
-    norm = np.multiply(sigma, 0.5)
-    np.sin(norm, out=norm)
-    np.abs(norm, out=norm)
-    norm *= 2.0
-    return norm
+    distance r along axis 0. Each block is expanded from ``_signal_blocks``'
+    node rows by the product that takes its maxima; the time-signal cap
+    charges whole blocks of min(steps, _BLOCK_ROWS) steps."""
+    steps = checked_index(LatticeError, "steps", steps)
+    r_max = checked_index(LatticeError, "r_max", r_max)
+    if not math.isfinite(dt) or steps < 0:
+        raise LatticeError("dt must be finite and steps >= 0")
+    if not 0 <= r_max < spec.L:
+        raise LatticeError("r_max must lie in 0..L-1")
+    _check_work(-(-steps // _BLOCK_ROWS) * min(steps, _BLOCK_ROWS) * (r_max + 1),
+                "the time signal needs")
+    nodes, I, _ = _signal_blocks(spec, dt, steps, r_max)
+    out = np.empty((steps, r_max + 1))
+    for k, at in enumerate(range(0, steps, _BLOCK_ROWS)):
+        sigma = out[at:at + _BLOCK_ROWS]
+        np.matmul(I[:len(sigma)], nodes[k], out=sigma)
+    return out
 
 
 def _below(x: float) -> float:
@@ -603,26 +599,31 @@ def _below(x: float) -> float:
     return x * (1.0 - 1e-12) - 1e-290
 
 
-def _block_windows(signal: np.ndarray, blocks: np.ndarray, cols: np.ndarray):
-    """Yield (part, starts, windows) for each group ``part`` of the pairs:
-    row k of windows holds the _BLOCK_ROWS entries of column cols[k] from
-    starts[k], the first step of block blocks[k], moved back where the
-    signal ends sooner. A group's windows take _BLOCK_BYTES / 16 at most,
-    little beside the signal they are read from."""
-    width = min(_BLOCK_ROWS, len(signal))
-    view = np.lib.stride_tricks.sliding_window_view(signal, width, axis=0)
-    starts = np.minimum(blocks * _BLOCK_ROWS, len(signal) - width)
-    group = _BLOCK_BYTES // (128 * width)
-    for first in range(0, len(cols), group):
-        part = slice(first, first + group)
-        yield part, starts[part], view[starts[part], cols[part]]
+def _block_norms(nodes: np.ndarray, I: np.ndarray, steps: int,
+                 blocks: np.ndarray, cols: np.ndarray):
+    """Yield (pairs, norms) until each (block, column) pair is read: row k of
+    norms is the commutator norm 2|sin(sigma/2)| over the steps of block
+    blocks[pairs[k]] in column cols[pairs[k]]. Pairs of distinct columns
+    are packed into one node-row matrix, each in its own column, that I[:n]
+    takes to n steps as the block loop takes a block: the same product, so
+    the same bits under any one BLAS kernel. The last block's pairs go apart."""
+    packed, sigma = np.zeros(nodes.shape[1:]), np.empty((len(I), nodes.shape[2]))
+    last = blocks == len(nodes) - 1
+    for part, n in ((np.flatnonzero(~last), len(I)),
+                    (np.flatnonzero(last), steps - (len(nodes) - 1) * _BLOCK_ROWS)):
+        while len(part):
+            _, first = np.unique(cols[part], return_index=True)
+            pairs, part = part[first], np.delete(part, first)
+            packed[:, cols[pairs]] = nodes[blocks[pairs], :, cols[pairs]].T
+            np.matmul(I[:n], packed, out=sigma[:n])
+            yield pairs, 2.0 * np.abs(np.sin(0.5 * sigma[:n, cols[pairs]].T))
 
 
-def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
-                threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Peak norm and arrival step (-1 for none) of each distance r >= 1 of a
-    time-major signal, read only in the blocks of _BLOCK_ROWS steps whose
-    max |sigma| in ``maxima`` can hold them.
+def _cone_reads(steps: int, threshold: float, nodes: np.ndarray, I: np.ndarray,
+                maxima: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Peak norm and arrival step (-1 for none) of each distance r >= 1 over
+    ``steps`` steps of ``_signal_blocks``' output, read by ``_block_norms``
+    only in the blocks whose max |sigma| in ``maxima`` can hold them.
 
     2|sin(x/2)| increases with |x| on |x| <= 1 < pi, so the peak and the
     arrival lie on entries at or above a cut _below the largest |sigma| and
@@ -633,28 +634,27 @@ def _cone_reads(signal: np.ndarray, maxima: np.ndarray,
     reaches its cut, or else in the next such block, and so on: the entries
     between them lie under the cut, and the peak's block holds a hit.
     """
-    signal, maxima = signal[:, 1:], maxima[:, 1:]   # column r - 1 holds distance r
     blocks, at = np.nonzero(maxima >= _below(maxima.max(axis=0)))
-    peaks = np.zeros(signal.shape[1])
-    for part, _, windows in _block_windows(signal, blocks, at):
-        np.maximum.at(peaks, at[part], _commutator_norm(windows).max(axis=1))
+    peaks = np.zeros(maxima.shape[1])
+    for part, norms in _block_norms(nodes, I, steps, blocks, at):
+        np.maximum.at(peaks, at[part], norms.max(axis=1))
 
     live = np.flatnonzero(peaks >= _PEAK_NOISE_FLOOR)
     level = threshold * peaks[live]
     reach = maxima[:, live] >= _below(2.0 * np.arcsin(level / 2.0))
-    arrivals = np.full(signal.shape[1], -1)
+    arrivals = np.full(maxima.shape[1], -1)
     left = np.arange(len(live))   # the live distances not yet arrived
     while len(left):
         blocks = np.argmax(reach[:, left], axis=0)   # the first unread block that reaches
         reach[blocks, left] = False
         hit = np.empty(len(left), dtype=bool)
-        for part, starts, windows in _block_windows(signal, blocks, live[left]):
-            found = _commutator_norm(windows) >= level[left[part], None]
+        for part, norms in _block_norms(nodes, I, steps, blocks, live[left]):
+            found = norms >= level[left[part], None]
             hit[part] = found.any(axis=1)
             # a miss is written over in a later round
-            arrivals[live[left[part]]] = starts + np.argmax(found, axis=1)
+            arrivals[live[left[part]]] = blocks[part] * _BLOCK_ROWS + np.argmax(found, axis=1)
         left = left[~hit]
-    return peaks, arrivals
+    return peaks[1:], arrivals[1:]   # distance 0 is read with the others, then dropped
 
 
 def _grid_steps(t_max: float, dt: float) -> int:
@@ -663,10 +663,10 @@ def _grid_steps(t_max: float, dt: float) -> int:
     ceil((t_max + dt) / dt) points t_i = i * dt (bitwise), which rise with
     i, so only its last few can pass the cut; past 2^53 points, where i * dt
     no longer rises at every step, all are counted. A grid past the float
-    range is refused by the time signal's cap."""
+    range is refused by the node-entry cap."""
     span = (t_max + dt) / dt
     if math.isinf(span):
-        _check_work(span, "the time signal")
+        _check_work(span, "the light-cone node rows need")
     steps = math.ceil(span)
     while 0 < steps <= 2 ** 53 and (steps - 1) * dt > t_max + 1e-12:
         steps -= 1
@@ -685,7 +685,8 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     ``threshold`` times that distance's own peak (relative to the per-r peak,
     so the 1/sqrt(r) amplitude decay of spreading waves does not skew the
     velocity). The fitted velocity is the least-squares slope of r against
-    arrival time over r >= fit_r_min.
+    arrival time over r >= fit_r_min. The scan holds the signal's node rows
+    (``_signal_blocks``), never the signal, and its cap charges their entries.
     """
     if spec.L < 2 * spec.nu + 2:
         raise LatticeError("L too small for range")
@@ -713,7 +714,8 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     if math.isinf(t_max + dt):
         raise LatticeError(f"t_max + dt = {t_max!r} + {dt!r} overflows a float")
     steps = _grid_steps(t_max, dt)
-    peaks, arrivals = _cone_reads(*_signal_blocks(spec, dt, steps, r_max), threshold)
+    peaks, arrivals = _cone_reads(steps, threshold,
+                                  *_signal_blocks(spec, dt, steps, r_max))
     rows = [ConeArrival(r=r, t_arrival=None if i < 0 else i * dt, peak=peak)
             for r, peak, i in zip(range(1, r_max + 1), peaks.tolist(), arrivals.tolist())]
 

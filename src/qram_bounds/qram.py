@@ -39,6 +39,7 @@ from .params import checked_index
 
 MAX_LEAVES = 1 << 12  # leaf cap of the simulator
 MAX_DEPTH = 128       # depth cap of the schedules, n^2 + 3n + 1 cycles at most
+MAX_DRAWS = 1 << 20   # normals drawn for verify_retrieval's superpositions, 2N each
 
 
 class QramError(ValueError):
@@ -408,6 +409,8 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     superpositions (from the same route map, by linearity), checked
     against the classical-trace semantics."""
     n_superpositions = checked_index(QramError, "n_superpositions", n_superpositions, 0)
+    if (draws := n_superpositions * 2 * db.N) > MAX_DRAWS:
+        raise QramError(f"draw cap: n_superpositions*2*N <= {MAX_DRAWS}, got {draws}")
     seed = checked_index(QramError, "seed", seed, 0)
     inputs = np.arange(db.N)
     bits, phase = _route(db, inputs, g1, g2)

@@ -643,7 +643,8 @@ class TestLightconeCommand:
         (["--dt", "-0.1"], "dt must be finite and positive"),
         (["--dt", "nan"], "dt must be finite and positive"),
         (["--t-max", "nan"], "t_max must be finite"),
-        (["--t-max", "1e9", "--dt", "1e-3"], "the time signal needs .* above the cap"),
+        (["--t-max", "1e9", "--dt", "1e-3"], "the light-cone node rows need .* above "
+                                             "the cap"),
         # printed RuntimeWarnings and "PASS: fitted velocity below bound"
         (["--t-max", "1e308", "--dt", "4e307"], r"phase omega_max\*steps\*\|dt\| "
                                                 "of the time signal = .* leaves"),
@@ -733,17 +734,18 @@ class TestLightconeCommand:
             "the orbit weight matrix needs 1500000003 array entries")
 
     def test_time_signal_refusal_prints_the_charged_count(self, capsys):
-        # 104,709 steps run to the end of block 819: 104,832 rows times 191
-        # distances, refused by the one count of the block loop; it once
-        # passed a first check and printed "2e+07" from the second
+        # a time signal of 638,209 steps is held as 4,987 blocks of 21 node
+        # rows, times 191 distances, refused by the one count of the block
+        # loop; it once passed a first check and printed "2e+07" from the
+        # second
         assert main(["lightcone", "--L", "400", "--r-max", "190", "--dt", "0.02",
-                     "--t-max", "2094.16"]) == 2
-        assert_one_error_line(capsys.readouterr(), "the time signal needs 20022912 "
-                              "array entries, above the cap of 20000000\n")
+                     "--t-max", "12764.16"]) == 2
+        assert_one_error_line(capsys.readouterr(), "the light-cone node rows need "
+                              "20002857 array entries, above the cap of 20000000\n")
 
     def test_fit_r_min_beyond_r_max_exits_2(self, capsys):
-        # refused before the scan, which would hold a 16.8 MB signal; so is a
-        # fit_r_min below 1, which would fit the distances of fit_r_min = 1
+        # refused before the scan, which would hold 2.76 MB of node rows; so
+        # is a fit_r_min below 1, which would fit the distances of fit_r_min = 1
         for fit_r_min, error in (
                 ("250", "fit_r_min = 250 leaves fewer than two distances to fit "
                         "(r_max = 190)"),

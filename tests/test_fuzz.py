@@ -192,6 +192,9 @@ INT_ARGUMENTS = {
         lambda v: qram.classical_trace_read(qram.random_database(8, seed=1), v),
         r"^address (must be an integer|out of range$)"),
     "random_database seed": (lambda v: qram.random_database(8, seed=v), r"^seed must be"),
+    "verify_retrieval n_superpositions": (
+        lambda v: qram.verify_retrieval(qram.random_database(8, seed=1), n_superpositions=v),
+        r"^(n_superpositions must be|draw cap: n_superpositions\*2\*N <= )"),
     "capacity d": (lambda v: bounds.capacity(1e3, 1.0, 1e-6, v, params.Conventions()),
                    r"^dimension d must be"),
     "fixed_point_solve p": (lambda v: bounds.fixed_point_solve(100.0, v),

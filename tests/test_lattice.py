@@ -861,8 +861,8 @@ class TestLightCone:
 
     @pytest.mark.parametrize("fit_r_min", [190, 250, 0, -5])
     def test_fit_r_min_checked_against_r_max_before_the_scan(self, fit_r_min):
-        # the scan would hold a 16.8 MB signal; below 1, fit_r_min would fit
-        # the same distances as fit_r_min = 1, so it is refused by name too
+        # the scan would hold 2.76 MB of node rows; below 1, fit_r_min would
+        # fit the same distances as fit_r_min = 1, so it is refused by name too
         spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
         message = (f"fit_r_min must be >= 1, got {fit_r_min}" if fit_r_min < 1
                    else f"fit_r_min = {fit_r_min} leaves fewer than two distances "
@@ -888,8 +888,8 @@ class TestLightCone:
         (dict(t_max=5.0, dt=math.inf), "dt must be finite and positive"),
         (dict(t_max=math.nan, dt=0.1), "t_max must be finite"),
         (dict(t_max=math.inf, dt=None), "t_max must be finite"),
-        (dict(t_max=1e9, dt=1e-3), "time signal needs .* above the cap"),
-        (dict(t_max=1.0, dt=5e-324), "time signal needs .* above the cap"),
+        (dict(t_max=1e9, dt=1e-3), "light-cone node rows need .* above the cap"),
+        (dict(t_max=1.0, dt=5e-324), "light-cone node rows need inf array entries"),
         (dict(t_max=1e308, dt=4e307), r"phase omega_max\*steps\*\|dt\| of the "
                                       "time signal = .* leaves the float range"),
         (dict(t_max=1.7e308, dt=1e308), r"t_max \+ dt = 1\.7e\+308 \+ 1e\+308 "
@@ -990,12 +990,19 @@ class TestLightConeRows:
         assert scan.rows == full_signal_rows(spec, 1e-3, t_max, r_max, dt)
 
     def test_scan_allocates_no_signal_sized_temporary(self):
-        # the norm pass works in the signal itself and per-distance masks: a
-        # second signal-sized array (16.8 MB here) or a 2D mask fails this
+        # the scan keeps 86 blocks of 21 node rows (2.76 MB) and reads the
+        # blocks it needs one product at a time: the 16.8 MB signal, or any
+        # array of its steps, fails this
         spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
-        steps = len(np.arange(0.0, 220.0 + 0.02, 0.02))
         peak = traced_peak(lambda: measure_light_cone(spec, 1e-3, 220.0, 190, dt=0.02))
-        assert peak <= steps * 191 * 8 + 2 ** 20
+        assert peak <= 86 * 21 * 191 * 8 + 2 ** 20
+
+    def test_2d_scan_allocates_no_signal_sized_temporary(self):
+        # 20,001 steps at 2D L=64: 157 blocks of 24 node rows (0.93 MB)
+        # beside the tile arrays, where the signal would take 4.96 MB
+        spec = LatticeSpec(d=2, L=64, lam=(1.0,), m=1.0)
+        peak = traced_peak(lambda: measure_light_cone(spec, 0.1, 400.0, 30, dt=0.02))
+        assert peak <= 157 * 24 * 31 * 8 + 2 ** 20
 
     def test_3d_scan_allocates_signal_orbit_vectors_and_block_budgets(self):
         # 6,545 orbits in 17 tiles of 409 rows: over the whole call the scan

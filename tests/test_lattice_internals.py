@@ -179,17 +179,20 @@ class TestBlockLoop:
     @pytest.mark.parametrize("steps", [0, 1, 127, 128, 129, 256, 300, 11001])
     def test_blocks_cover_the_scan_once(self, steps):
         # blocks of min(steps, _BLOCK_ROWS) steps, the last cut short where
-        # the steps end, each one row of the block-maxima table. The signal
-        # is the first steps rows of an array that runs to the last block's
-        # end, where a short block's node sums have room
+        # the steps end, each with its own node rows and one row of the
+        # block-maxima table. A short last block keeps all its node rows,
+        # more than its one step at 129; I[:n] takes them to its n steps
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
         B = lattice._BLOCK_ROWS
-        signal, maxima = lattice._signal_blocks(spec, 0.02, steps, 3)
-        blocks = -(-steps // B)
-        assert signal.shape == (steps, 4) and maxima.shape == (blocks, 4)
-        assert len(signal.base) == blocks * min(steps, B)
+        nodes, I, maxima = lattice._signal_blocks(spec, 0.02, steps, 3)
+        blocks, rows = -(-steps // B), min(steps, B) or 1
+        assert nodes.shape == (blocks, I.shape[1], 4) and nodes.flags.c_contiguous
+        assert len(I) == rows and maxima.shape == (blocks, 4)
+        signal = axis_signal(spec, 0.02, steps, 3)
         for k, top in enumerate(maxima):
-            np.testing.assert_array_equal(top, np.abs(signal[k * B:(k + 1) * B]).max(axis=0))
+            block = signal[k * B:(k + 1) * B]
+            np.testing.assert_array_equal(I[:len(block)] @ nodes[k], block)
+            np.testing.assert_array_equal(top, np.abs(block).max(axis=0))
 
     @pytest.mark.parametrize("d,L,steps", [(1, 40, 50), (1, 400, 600),
                                            (2, 64, 513), (3, 32, 300), (2, 128, 300)])
@@ -199,15 +202,15 @@ class TestBlockLoop:
         # and folded orbits in two tiles of interpolated blocks (1D L=400)
         # or eighteen of blocks computed row by row, through the identity
         # (2D L=128). The
-        # block loop stores the signal time-major in r order, as
-        # axis_signal returns it, with one row of maxima per block
+        # block loop keeps node rows in r order, which axis_signal expands
+        # time-major, with one row of maxima per block
         spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
         r_max = L // 2 - 2
-        signal, maxima = lattice._signal_blocks(spec, 0.37, steps, r_max)
+        nodes, I, maxima = lattice._signal_blocks(spec, 0.37, steps, r_max)
+        signal = axis_signal(spec, 0.37, steps, r_max)
         assert signal.shape == (steps, r_max + 1) and signal.flags.c_contiguous
-        np.testing.assert_array_equal(signal, axis_signal(spec, 0.37, steps, r_max))
         B = lattice._BLOCK_ROWS
-        assert maxima.shape == (-(-steps // B), r_max + 1)
+        assert maxima.shape == (-(-steps // B), r_max + 1) == (len(nodes), r_max + 1)
         for k, top in enumerate(maxima):
             np.testing.assert_array_equal(top, np.abs(signal[k * B:(k + 1) * B]).max(axis=0))
 
@@ -321,9 +324,9 @@ class TestNodes:
         with mock.patch.object(lattice, "_node_count", wraps=lattice._node_count) as count, \
                 mock.patch.object(lattice, "_interpolation",
                                   wraps=lattice._interpolation) as interpolation:
-            signal, maxima = lattice._signal_blocks(spec, dt, steps, 63)
+            nodes, I, maxima = lattice._signal_blocks(spec, dt, steps, 63)
         assert count.call_count == interpolation.call_count == 1
-        assert signal.shape == (steps, 64) and len(maxima) == -(-steps // 128)
+        assert nodes.shape[::2] == (len(maxima), 64) and len(maxima) == -(-steps // 128)
 
 
 class TestWorkCaps:
@@ -349,8 +352,9 @@ class TestWorkCaps:
     @pytest.mark.parametrize("steps,charged", [(100, 100), (128, 128), (129, 256),
                                                (300, 384)])
     def test_time_signal_cap_charges_the_last_block_end(self, steps, charged, monkeypatch):
-        # the signal array runs to the end of the last block of
-        # min(steps, _BLOCK_ROWS) steps, and the cap charges those rows
+        # axis_signal charges its signal in whole blocks of
+        # min(steps, _BLOCK_ROWS) steps, to the last block's end; the node
+        # rows it is expanded from are fewer
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
         monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", charged * 4)
         assert axis_signal(spec, 0.02, steps, 3).shape == (steps, 4)
@@ -370,44 +374,69 @@ class TestWorkCaps:
         assert lattice._grid_steps(t_max, dt) == np.count_nonzero(grid <= t_max + 1e-12)
 
     def test_time_signal_refused_once_before_the_orbits(self, monkeypatch):
-        # the scan's own grid count goes to the block loop's one check
+        # the scan's own grid count goes to the block loop's one check, which
+        # charges the time signal's node rows: 4,987 blocks (638,209 steps)
+        # of 21 node rows times 191 distances
         def no_orbits(*args):
             raise AssertionError("orbits built before the size check")
 
         monkeypatch.setattr(lattice, "_axis_orbits", no_orbits)
         spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
-        with pytest.raises(LatticeError, match="^the time signal needs 20022912 array "
-                           "entries, above the cap of 20000000$"):
-            measure_light_cone(spec, threshold=1e-3, t_max=2094.16, r_max=190, dt=0.02)
+        with pytest.raises(LatticeError, match="^the light-cone node rows need 20002857 "
+                           "array entries, above the cap of 20000000$"):
+            measure_light_cone(spec, threshold=1e-3, t_max=12764.16, r_max=190, dt=0.02)
+
+    def test_scan_whose_signal_passes_the_cap_runs_on_its_node_rows(self, monkeypatch):
+        # 1,001 steps in 8 blocks of 21 node rows, times r_max + 1 = 11: the
+        # scan fits a cap that its signal passes (11,264 entries in whole
+        # blocks, as axis_signal charges it), and reads the same rows
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        expected = full_signal_rows(spec, 1e-3, 20.0, 10, 0.02)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 8 * 21 * 11)
+        assert measure_light_cone(spec, 1e-3, 20.0, 10, 0.02).rows == expected
+        with pytest.raises(LatticeError, match="the time signal needs 11264 array"):
+            axis_signal(spec, 0.02, 1001, 10)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 8 * 21 * 11 - 1)
+        with pytest.raises(LatticeError, match="light-cone node rows need 1848 array"):
+            measure_light_cone(spec, 1e-3, 20.0, 10, 0.02)
 
     def test_work_cap_boundary(self, monkeypatch):
-        # t = 0, 0.125, .., 5: 41 steps in one block, times r_max + 1 = 11
-        # entries, charged once, by the block loop's own count
-        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 41 * 11)
+        # t = 0, 0.125, .., 5: 41 steps in one block of 28 node rows, times
+        # r_max + 1 = 11 entries, charged once, by the block loop's own
+        # count; the 21 orbits of L = 40 take fewer
+        spec = LatticeSpec(d=1, L=40, lam=(1.0,), m=1.0)
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 28 * 11)
         measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10, dt=0.125)
-        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 41 * 11 - 1)
-        with pytest.raises(LatticeError, match="time signal needs 451 array entries"):
+        monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 28 * 11 - 1)
+        with pytest.raises(LatticeError, match="light-cone node rows need 308 array entries"):
             measure_light_cone(spec, threshold=1e-3, t_max=5.0, r_max=10,
                                dt=0.125)
 
 
 class TestConeReads:
-    """Rows read from fake signals through ``_signal_blocks``, against
+    """Rows read from fake node rows through ``_signal_blocks``, against
     ``full_signal_rows`` with ==."""
 
     @staticmethod
     def scan_of(columns, threshold, monkeypatch):
         """Scan of a signal whose distances 1.. hold ``columns`` (steps 0.5
-        apart), stored time-major in r order as the block loop stores it,
-        with the block maxima of that signal taken by a plain reduce."""
+        apart), as node rows where their count reaches the rows (coarse dt):
+        each block holds its own steps in r order and I is the identity. A
+        short last block's rows past the steps hold sigma = 1.5, above every
+        column's peak, which a read of them would return. The block maxima
+        of the signal are taken by a plain reduce."""
         columns = np.array(columns, dtype=float)
         signal = np.vstack([np.zeros(columns.shape[1]), columns]).T.copy()
 
         def signal_blocks(spec, dt, steps, r_max):
             assert signal.shape == (steps, r_max + 1)
-            starts = np.arange(0, steps, lattice._BLOCK_ROWS)
-            return signal, np.maximum.reduceat(np.abs(signal), starts, axis=0)
+            B = lattice._BLOCK_ROWS
+            rows, blocks = min(steps, B), -(-steps // B)
+            nodes = np.full((blocks * rows, r_max + 1), 1.5)
+            nodes[:steps] = signal
+            starts = np.arange(0, steps, B)
+            return (nodes.reshape(blocks, rows, r_max + 1), np.eye(rows),
+                    np.maximum.reduceat(np.abs(signal), starts, axis=0))
 
         monkeypatch.setattr(lattice, "_signal_blocks", signal_blocks)
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
@@ -478,8 +507,7 @@ class TestConeReads:
     def test_arrival_windows_across_block_ends(self, monkeypatch):
         # the first entry past the cut on a block's last row (255) is a
         # hit, or a miss whose hit lies in the next block (257, 262, 263).
-        # The last, short block (512..599) is read in a window moved back
-        # to end at the signal's end
+        # The last, short block (512..599) is read in its own 88 steps
         peak_sigma, threshold = 0.9, 0.850256191055818
         miss, hit = self.miss_and_hit(peak_sigma, threshold)
         steps = 600
@@ -492,6 +520,22 @@ class TestConeReads:
                             threshold, monkeypatch)
         assert [row.t_arrival for row in rows] == [127.5, 128.5, 131.0, 131.5,
                                                    299.5, 299.5]
+
+    def test_arrival_in_a_short_last_block(self, monkeypatch):
+        # steps 256..299 form the last block, 44 of its 128 rows: the
+        # arrival lies there, directly or after a miss in block 0, and so
+        # does the peak, while the rows past step 299 are never read
+        peak_sigma, threshold = 0.9, 0.850256191055818
+        miss, hit = self.miss_and_hit(peak_sigma, threshold)
+        steps = 300
+        rows = self.scan_of([self.spikes(steps, {290: hit, 299: peak_sigma}),
+                             self.spikes(steps, {10: miss, 256: -hit, 257: -peak_sigma}),
+                             self.spikes(steps, {299: -peak_sigma}),
+                             self.spikes(steps, {297: 1e-6, 299: 0.5})],
+                            threshold, monkeypatch)
+        assert [row.t_arrival for row in rows] == [145.0, 128.0, 149.5, 149.5]
+        assert [row.peak for row in rows] == [2.0 * math.sin(0.45)] * 3 + [
+            2.0 * math.sin(0.25)]
 
     def test_miss_whose_next_entry_past_the_cut_lies_blocks_later(self, monkeypatch):
         # the cut admits a miss in block 0; the next entry past it, a hit,

@@ -609,6 +609,19 @@ class TestVerifyRetrieval:
         with pytest.raises(QramError, match=f"^{re.escape(message)}$"):
             verify_retrieval(random_database(4, seed=1), **kwargs)
 
+    def test_draw_cap_refuses_before_drawing(self, monkeypatch):
+        # n_superpositions * 2 * N normals: 10 superpositions of N = 8 take
+        # 160, refused one superposition later before anything is routed
+        db = random_database(8, seed=1)
+        monkeypatch.setattr(qram, "MAX_DRAWS", 160)
+        assert verify_retrieval(db, n_superpositions=10).passed
+        monkeypatch.setattr(qram, "_route", None)
+        with pytest.raises(QramError, match=r"^draw cap: n_superpositions\*2\*N <= 160, "
+                           "got 176$"):
+            verify_retrieval(db, n_superpositions=11)
+        with pytest.raises(QramError, match=f"got {2 ** 44}$"):
+            verify_retrieval(db, n_superpositions=2 ** 40)
+
     def test_takes_numpy_integer_count_and_seed(self):
         db = random_database(8, seed=4)
         report = verify_retrieval(db, n_superpositions=np.int64(3), seed=np.uint16(11))

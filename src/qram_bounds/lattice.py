@@ -18,6 +18,7 @@ reduce to the symplectic form of the evolved phase-space coefficient vectors:
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -118,8 +119,9 @@ def dispersion(spec: LatticeSpec, k: float | Sequence[float]) -> float:
 
 
 def second_moment(lam: Sequence[float]) -> float:
-    """sum_j lam_j * j^2, the coupling weight of the long-wavelength limit."""
-    return sum(l * j * j for j, l in enumerate(lam, start=1))
+    """sum_j lam_j * j^2, the coupling weight of the long-wavelength limit,
+    added left to right (as ``sum`` did before Python 3.12 compensated it)."""
+    return functools.reduce(operator.add, (l * j * j for j, l in enumerate(lam, start=1)), 0)
 
 
 def max_group_velocity(spec: LatticeSpec) -> float:
@@ -324,8 +326,9 @@ def lr_speed(d: int, lam: Sequence[float], m: float) -> float:
     """Commutator-growth speed limit 4 * sqrt(d * sum_j lam_j / m), lattice
     units (Nachtergaele, Raz, Schlein & Sims, CMP 286, 1073 (2009)). Where
     d * sum_j lam_j / m overflows the roots are taken apart; a speed past
-    the float range is refused."""
-    v = 4.0 * math.sqrt(d * sum(lam) / m)
+    the float range is refused. The couplings are added left to right, as in
+    ``second_moment``."""
+    v = 4.0 * math.sqrt(d * functools.reduce(operator.add, lam, 0) / m)
     if math.isinf(v):
         v = 4.0 * math.sqrt(d) * math.hypot(*map(math.sqrt, lam)) / math.sqrt(m)
     if math.isinf(v):
@@ -575,8 +578,9 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     as a (steps, r_max + 1) array stored time-major. This is
     sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
     distance r along axis 0. Each block is expanded from ``_signal_blocks``'
-    node rows by the product that takes its maxima; the time-signal cap
-    charges whole blocks of min(steps, _BLOCK_ROWS) steps."""
+    node rows by the product that takes its maxima; where the nodes are the
+    steps (I the identity) the node rows are returned as they are. The
+    time-signal cap charges whole blocks of min(steps, _BLOCK_ROWS) steps."""
     steps = checked_index(LatticeError, "steps", steps)
     r_max = checked_index(LatticeError, "r_max", r_max)
     if not math.isfinite(dt) or steps < 0:
@@ -586,6 +590,8 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     _check_work(-(-steps // _BLOCK_ROWS) * min(steps, _BLOCK_ROWS) * (r_max + 1),
                 "the time signal needs")
     nodes, I, _ = _signal_blocks(spec, dt, steps, r_max)
+    if len(I) == I.shape[1]:   # I is the identity: the node rows are the steps
+        return nodes.reshape(-1, r_max + 1)[:steps]
     out = np.empty((steps, r_max + 1))
     for k, at in enumerate(range(0, steps, _BLOCK_ROWS)):
         sigma = out[at:at + _BLOCK_ROWS]
@@ -632,7 +638,9 @@ def _cone_reads(steps: int, threshold: float, nodes: np.ndarray, I: np.ndarray,
     reach its cut (an entry under the cut has a smaller norm). The arrival
     is the first entry whose norm reaches the level in the first block that
     reaches its cut, or else in the next such block, and so on: the entries
-    between them lie under the cut, and the peak's block holds a hit.
+    between them lie under the cut, and the peak's block holds a hit, so a
+    distance left with no unread block that reaches its cut is refused as a
+    defect rather than read again.
     """
     blocks, at = np.nonzero(maxima >= _below(maxima.max(axis=0)))
     peaks = np.zeros(maxima.shape[1])
@@ -645,7 +653,11 @@ def _cone_reads(steps: int, threshold: float, nodes: np.ndarray, I: np.ndarray,
     arrivals = np.full(maxima.shape[1], -1)
     left = np.arange(len(live))   # the live distances not yet arrived
     while len(left):
-        blocks = np.argmax(reach[:, left], axis=0)   # the first unread block that reaches
+        unread = reach[:, left]
+        if not (found := unread.any(axis=0)).all():   # the maxima and reads disagree
+            raise LatticeError(f"light-cone read: distance {live[left[~found][0]]} has "
+                               "no unread block whose maximum reaches its cut")
+        blocks = np.argmax(unread, axis=0)   # the first unread block that reaches
         reach[blocks, left] = False
         hit = np.empty(len(left), dtype=bool)
         for part, norms in _block_norms(nodes, I, steps, blocks, live[left]):

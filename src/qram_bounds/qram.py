@@ -26,8 +26,10 @@ phase 1), and the bus is one mode whose position moves with no phase.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -100,60 +102,62 @@ def _op_duration(op: str, g1: float, g2: float) -> float:
     return gates.cswap_duration(g1, g2)
 
 
-def _gate_modes(n: int, cycle: Cycle) -> np.ndarray:
-    """Modes of each gate of a swap or route cycle, one row per gate:
-    (address, router) of a swap; (ctrl, left, right) of each controlled-SWAP
-    of a route, one per level-``ctrl`` router."""
-    if cycle.op == "swap":
-        return np.array([[cycle.ctrl, _router_mode(n, cycle.level, 0)]])
-    p = np.arange(1 << cycle.ctrl)
-    block = 1 << (cycle.level - cycle.ctrl)
-    left = _router_mode(n, cycle.level, p * block)
-    return np.stack([_router_mode(n, cycle.ctrl, p), left, left + block // 2],
-                    axis=1)
-
-
 @dataclass(frozen=True)
 class Schedule:
+    """The cycles of a depth-``n`` schedule as four columns, one entry per
+    cycle in cycle order: each cycle's phase, op, level and ctrl."""
     n: int
-    cycles: tuple[Cycle, ...]
+    phases: tuple[str, ...]
+    ops: tuple[str, ...]
+    levels: tuple[int, ...]
+    ctrls: tuple[int, ...]
+
+    @property
+    def cycles(self) -> tuple[Cycle, ...]:
+        """The columns read as one ``Cycle`` per clock cycle."""
+        return tuple(map(Cycle, self.phases, self.ops, self.levels, self.ctrls))
 
     @property
     def cycle_count(self) -> int:
-        return len(self.cycles)
+        return len(self.ops)
 
     @property
     def cswap_count(self) -> int:
         """Routing operations, one counted per cycle per the active-path
         accounting (off-path companions share the cycle as identities)."""
-        return sum(1 for c in self.cycles if c.op in ("route", "bus"))
+        return self.ops.count("route") + self.ops.count("bus")
 
     @property
     def swap_count(self) -> int:
-        return sum(1 for c in self.cycles if c.op == "swap")
+        return self.ops.count("swap")
 
     def phase_cycle_count(self, *phases: str) -> int:
         unknown = [p for p in phases if p not in PHASES]
         if unknown:
             raise QramError(f"unknown schedule phase {unknown[0]!r}; "
                             f"expected one of {', '.join(PHASES)}")
-        return sum(1 for c in self.cycles if c.phase in phases)
+        return sum(map(self.phases.count, set(phases)))
 
     def wall_time(self, g1: float, g2: float) -> float:
-        """Sum of cycle durations in cycle order; each op's duration is
+        """Sum of cycle durations, added left to right in cycle order (as
+        ``sum`` did before Python 3.12 compensated it); each op's duration is
         computed once."""
-        durations = {op: _op_duration(op, g1, g2)
-                     for op in dict.fromkeys(c.op for c in self.cycles)}
-        total = sum(durations[c.op] for c in self.cycles)
+        durations = {op: _op_duration(op, g1, g2) for op in dict.fromkeys(self.ops)}
+        total = functools.reduce(operator.add, map(durations.__getitem__, self.ops))
         return gates.checked_duration(f"wall time of the depth-{self.n} schedule", total, g1, g2)
 
 
-def _init_cycles(n: int, phase: str = "init") -> list[Cycle]:
-    cycles: list[Cycle] = []
-    for level in range(n):   # swap address level + 1 in, route it level times
-        cycles.append(Cycle(phase, "swap", level, level))
-        cycles.extend(Cycle(phase, "route", level, j) for j in range(level))
-    return cycles
+def _init_columns(n: int) -> tuple[tuple[str, ...], tuple[int, ...], tuple[int, ...]]:
+    """(ops, levels, ctrls) of initialization: per level, swap address
+    level + 1 in, then route it ``level`` times under ctrl 0..level-1. The
+    pieces are lists: CPython 3.11 keeps every freed 20-item tuple (up to
+    2,000, 368 KB) on a free list it never takes them from."""
+    ops, levels, ctrls = [], [], []
+    for level in range(n):
+        ops += ["swap"] + ["route"] * level
+        levels += [level] * (level + 1)
+        ctrls += [level, *range(level)]
+    return tuple(ops), tuple(levels), tuple(ctrls)
 
 
 def _schedule_depth(n: int) -> int:
@@ -170,18 +174,21 @@ def schedule_initialization(n: int) -> Schedule:
     """Load n address qubits into the routers: step k swaps address k in and
     routes it k-1 times, for n(n-1)/2 routing cycles and n swap cycles."""
     n = _schedule_depth(n)
-    return Schedule(n=n, cycles=tuple(_init_cycles(n)))
+    ops, levels, ctrls = _init_columns(n)
+    return Schedule(n, ("init",) * len(ops), ops, levels, ctrls)
 
 
 def schedule_query(n: int) -> Schedule:
     """Bus round trip (n routing stages down, data copy, n stages up)
     followed by address uncomputation mirroring initialization in reverse."""
     n = _schedule_depth(n)
-    cycles = [Cycle("descend", "bus", level) for level in range(n)]
-    cycles.append(Cycle("copy", "copy"))
-    cycles.extend(Cycle("ascend", "bus", level) for level in reversed(range(n)))
-    cycles.extend(reversed(_init_cycles(n, phase="uncompute")))
-    return Schedule(n=n, cycles=tuple(cycles))
+    ops, levels, ctrls = _init_columns(n)
+    repeat = itertools.repeat   # one display per column, no 20-item pieces
+    return Schedule(n, (*repeat("descend", n), "copy", *repeat("ascend", n),
+                        *repeat("uncompute", len(ops))),
+                    (*repeat("bus", n), "copy", *repeat("bus", n), *reversed(ops)),
+                    (*range(n), 0, *reversed(range(n)), *reversed(levels)),
+                    (*repeat(0, 2 * n + 1), *reversed(ctrls)))
 
 
 def total_time(init: Schedule, query: Schedule, g1: float, g2: float) -> float:
@@ -293,33 +300,44 @@ class QueryResult:
     routers_restored: float           # weight of the routers-all-zero sector
 
 
-def _run_cycles(bits: np.ndarray, phase: np.ndarray, n: int, cycles, tables,
+def _run_cycles(bits: np.ndarray, phase: np.ndarray, schedule: Schedule, tables,
                 stored: np.ndarray) -> None:
-    """Run the cycles of a depth-``n`` tree in place on every row: each gate
-    whose control is on the row's path (``tables[op]`` is (forward, adjoint),
-    the adjoint for uncompute cycles), and the bus as a position that moves a
-    level a cycle."""
+    """Run the cycles of ``schedule`` in place on every row: each gate whose
+    control is on the row's path (``tables[op]`` is (forward, adjoint), the
+    adjoint for uncompute cycles), and the bus as a position that moves a
+    level a cycle. A swap acts on two fixed columns, (address ``ctrl``, the
+    leftmost level-``level`` router); a route on the (control, left, right)
+    routers of the row's level-``ctrl`` router at its walked position."""
+    n = schedule.n
     rows = np.arange(len(bits))
     pos = np.zeros(len(bits), dtype=np.intp)   # bus position within its level
-    for cycle in cycles:
-        op = cycle.op
+    for stage, op, level, ctrl in zip(schedule.phases, schedule.ops,
+                                      schedule.levels, schedule.ctrls):
         if op == "bus":
-            pos = (2 * pos + bits[rows, _router_mode(n, cycle.level, pos)]
-                   if cycle.phase == "descend" else pos >> 1)
-        elif op == "copy":
+            pos = (2 * pos + bits[rows, _router_mode(n, level, pos)]
+                   if stage == "descend" else pos >> 1)
+            continue
+        if op == "copy":
             bits[stored[pos] == 1, _bus_mode(n)] ^= 1
-        else:
-            modes = _gate_modes(n, cycle)
-            if op == "route":   # walk to the on-path control
-                at = np.zeros(len(bits), dtype=np.intp)
-                for level in range(cycle.ctrl):
-                    at = 2 * at + bits[rows, _router_mode(n, level, at)]
-                modes = modes[at]
-            perm, phases = tables[op][cycle.phase == "uncompute"]
-            shifts = np.arange(modes.shape[-1])[::-1]
-            local = (bits[rows[:, None], modes] << shifts).sum(axis=1)
-            phase *= phases[local]
-            bits[rows[:, None], modes] = (perm[local][:, None] >> shifts) & 1
+            continue
+        if op == "swap":
+            keys = ((slice(None), ctrl), (slice(None), _router_mode(n, level, 0)))
+        else:   # walk to the on-path control
+            at = np.zeros(len(bits), dtype=np.intp)
+            for up in range(ctrl):
+                at = 2 * at + bits[rows, _router_mode(n, up, at)]
+            left = _router_mode(n, level, at << (level - ctrl))
+            keys = ((rows, _router_mode(n, ctrl, at)), (rows, left),
+                    (rows, left + (1 << (level - ctrl - 1))))
+        perm, phases = tables[op][stage == "uncompute"]
+        local = bits[keys[0]].astype(np.intp)
+        for key in keys[1:]:
+            local = 2 * local + bits[key]
+        phase *= phases[local]
+        local = perm[local]
+        for key in reversed(keys):
+            bits[key] = local & 1
+            local >>= 1
 
 
 def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
@@ -338,7 +356,7 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
     bits[:, :n] = (addresses[:, None] >> np.arange(n)[::-1]) & 1
     phase = np.ones(len(addresses), dtype=complex)
     for schedule in (schedule_initialization(n), schedule_query(n)):
-        _run_cycles(bits, phase, n, schedule.cycles, tables, np.asarray(db.bits))
+        _run_cycles(bits, phase, schedule, tables, np.asarray(db.bits))
     return bits, phase
 
 

@@ -298,7 +298,10 @@ class TestGroupVelocity:
         # within 1e-3 below it and rounds at most 4 ulps above it
         spec = LatticeSpec(d=d, L=8, lam=lam, m=m)
         v = max_group_velocity(spec)
-        assert v == math.sqrt(sum(l * j * j for j, l in enumerate(lam, start=1)) / m)
+        weight = 0
+        for j, l in enumerate(lam, start=1):   # left to right, as sum() before 3.12
+            weight += l * j * j
+        assert v == math.sqrt(weight / m)
         assert v * (1.0 - 1e-3) <= full_grid_group_velocity(spec) <= v + 4 * math.ulp(v)
 
     @pytest.mark.parametrize("d,lam,m,v", [
@@ -310,6 +313,18 @@ class TestGroupVelocity:
     ])
     def test_no_grid_rounding_above_the_supremum(self, d, lam, m, v):
         assert max_group_velocity(LatticeSpec(d=d, L=8, lam=lam, m=m)) == v
+
+    def test_coupling_sums_keep_their_bits_on_every_python(self, monkeypatch):
+        # Python 3.12 made sum() of floats compensated: under 3.12 these sums
+        # give 0x1.0399999999999p+5 and 0x1.1b448dc97500dp+4. The couplings
+        # are added left to right, whose bits are those of sum() in 3.11
+        def refuse(*args):
+            raise AssertionError("a coupling sum went through sum()")
+
+        monkeypatch.setattr(lattice, "sum", refuse, raising=False)
+        lam = (1.89, 2.24, 2.4)
+        assert lattice.second_moment(lam).hex() == "0x1.039999999999ap+5"
+        assert lr_speed(3, lam, 1.0).hex() == "0x1.1b448dc97500cp+4"
 
     def test_bound_exceeds_measured_speed_by_factor_four_nn(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)

@@ -7,6 +7,7 @@ when that intermediate goes.
 import itertools
 import math
 import re
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -251,6 +252,28 @@ class TestNodes:
         for omega_h in (z, 0.9 * z, 0.5 * z):
             tail = 4.0 * np.abs(special.jv(np.arange(count, count + 400), omega_h)).sum()
             assert tail <= lattice._NODE_ERROR
+
+    def test_identity_interpolation_returns_the_node_rows(self):
+        # at dt = 1 every block's 128 steps are its nodes and I is the
+        # identity: axis_signal returns the node rows (16.8 MB; the block
+        # loop's tile arrays add 1.4 MB), not a second array beside them
+        # (33.9 MB traced), equal to the blocks expanded through I
+        spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
+        steps, r_max, B = 11001, 190, lattice._BLOCK_ROWS
+        nodes, I, _ = lattice._signal_blocks(spec, 1.0, steps, r_max)
+        assert I.shape == (B, B) and np.array_equal(I, np.eye(B))
+        expanded = np.vstack([I @ block for block in nodes])[:steps]
+        budget = nodes.nbytes + 2 ** 21
+        del nodes
+        tracemalloc.start()
+        try:
+            signal = axis_signal(spec, 1.0, steps, r_max)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget
+        assert signal.shape == (steps, r_max + 1) and signal.flags.c_contiguous
+        assert np.array_equal(signal, expanded)
 
     @pytest.mark.parametrize("z", Z_GRID)
     def test_node_count_is_the_least_that_meets_the_rule(self, z):
@@ -548,6 +571,30 @@ class TestConeReads:
                                                  700: -hit, 899: peak_sigma})],
                             threshold, monkeypatch)
         assert [row.t_arrival for row in rows] == [350.0, 350.0]
+
+    def test_maxima_below_every_read_are_refused(self, monkeypatch):
+        # doctored maxima: every block claims 1e-3 at distance 1, so all are
+        # read for the peak, 2 sin(0.45) at step 200, and none reaches the
+        # arrival cut. The arrival loop must refuse, not read block 0 again;
+        # a bounded spy turns a loop that spins into a failure
+        B = lattice._BLOCK_ROWS
+        nodes = np.zeros((2, B, 2))
+        nodes[1, 200 - B, 1] = 0.9
+        maxima = np.full((2, 2), 1e-3)
+        reads = []
+        block_norms = lattice._block_norms
+
+        def bounded(*args):
+            for read in block_norms(*args):
+                reads.append(read)
+                assert len(reads) <= 8, "the arrival loop spins"
+                yield read
+
+        monkeypatch.setattr(lattice, "_block_norms", bounded)
+        with pytest.raises(LatticeError, match="^light-cone read: distance 1 has no "
+                           "unread block whose maximum reaches its cut$"):
+            lattice._cone_reads(2 * B, 0.5, nodes, np.eye(B), maxima)
+        assert len(reads) == 2   # the two blocks, read once for the peak
 
     def test_zero_subnormal_and_tiny_threshold_columns(self, monkeypatch):
         # a zero or subnormal column has no arrival; a threshold of 1e-300

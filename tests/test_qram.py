@@ -1,11 +1,12 @@
 import math
 import re
+from collections import Counter
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from dense_oracle import apply_unitary, dense_state
+from dense_oracle import apply_unitary, dense_state, gate_modes
 from qram_bounds import gates, qram
 from qram_bounds.cli import main
 from qram_bounds.gates import GateError, t_cphase, t_swap, t_beamsplitter
@@ -94,7 +95,7 @@ def dense_apply_cycles(state, n, cycles, n_modes, swap_u, cswap_u):
     unitary on its modes."""
     for cycle in cycles:
         U = cswap_u if cycle.op == "route" else swap_u
-        for modes in qram._gate_modes(n, cycle):
+        for modes in gate_modes(n, cycle):
             state = apply_unitary(state, U, modes, n_modes)
     return state
 
@@ -158,7 +159,7 @@ def all_gates_route(db, g1, g2):
     cycles = schedule_initialization(n).cycles
     for order, adjoint in ((cycles, False), (cycles[::-1], True)):
         for cycle in order:
-            modes = qram._gate_modes(n, cycle)
+            modes = gate_modes(n, cycle)
             perm, phases = tables[cycle.op][adjoint]
             shifts = np.arange(modes.shape[1])[::-1]
             local = (bits[:, modes] << shifts).sum(axis=2)
@@ -170,6 +171,29 @@ def all_gates_route(db, g1, g2):
                 leaf = 2 * leaf + bits[rows, n + (1 << level) - 1 + leaf]
             bits[np.asarray(db.bits)[leaf] == 1, -1] ^= 1
     return bits, phase
+
+
+def enumerated_cycles(n):
+    """(initialization, query) of a depth-``n`` tree, one ``Cycle`` appended
+    per clock cycle: address k swaps into level k - 1 and is routed under the
+    level-0..k-2 routers; the bus goes down, the bit is copied, the bus comes
+    back up, and initialization runs backwards as uncompute."""
+    init = []
+    for k in range(1, n + 1):
+        init.append(qram.Cycle("init", "swap", k - 1, k - 1))
+        for j in range(k - 1):
+            init.append(qram.Cycle("init", "route", k - 1, j))
+    query = [qram.Cycle("descend", "bus", level) for level in range(n)]
+    query.append(qram.Cycle("copy", "copy"))
+    query += [qram.Cycle("ascend", "bus", level) for level in range(n - 1, -1, -1)]
+    query += [cycle._replace(phase="uncompute") for cycle in reversed(init)]
+    return init, query
+
+
+def head(schedule, k):
+    """The schedule of the first ``k`` cycles of ``schedule``."""
+    return qram.Schedule(schedule.n, schedule.phases[:k], schedule.ops[:k],
+                         schedule.levels[:k], schedule.ctrls[:k])
 
 
 def basis(N, x):
@@ -197,18 +221,35 @@ class TestSchedules:
                 for cycle in sched.cycles:
                     if cycle.op not in ("swap", "route"):
                         continue   # the bus ops move a position, not modes
-                    touched = np.ravel(qram._gate_modes(n, cycle)).tolist()
+                    touched = np.ravel(gate_modes(n, cycle)).tolist()
                     assert len(touched) == len(set(touched))
 
     def test_gate_modes_of_depth_3_initialization(self):
         # register [A1 A2 A3 | R(0,0)=3 R(1,0..1)=4,5 R(2,0..3)=6..9 | bus=10];
         # a swap is (address, router), a route (ctrl, left, right) per gate
         cycles = schedule_initialization(3).cycles
-        assert [(c.op, qram._gate_modes(3, c).tolist()) for c in cycles] == [
+        assert [(c.op, gate_modes(3, c).tolist()) for c in cycles] == [
             ("swap", [[0, 3]]),
             ("swap", [[1, 4]]), ("route", [[3, 4, 5]]),
             ("swap", [[2, 6]]), ("route", [[3, 6, 8]]),
             ("route", [[4, 6, 7], [5, 8, 9]])]
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["initialization", "query"])
+    def test_columns_match_per_cycle_enumeration(self, which):
+        schedule = (schedule_initialization, schedule_query)[which]
+        for n in range(1, qram.MAX_DEPTH + 1):
+            sched = schedule(n)
+            expected = enumerated_cycles(n)[which]
+            assert sched.cycles == tuple(expected)
+            columns = (sched.phases, sched.ops, sched.levels, sched.ctrls)
+            assert all(type(column) is tuple for column in columns)
+            assert all(type(x) is int for x in sched.levels + sched.ctrls)
+            ops, phases = Counter(c.op for c in expected), Counter(c.phase for c in expected)
+            assert sched.cycle_count == len(expected)
+            assert (sched.swap_count, sched.cswap_count) == (
+                ops["swap"], ops["route"] + ops["bus"])
+            assert [sched.phase_cycle_count(p, p) for p in qram.PHASES] == [
+                phases[p] for p in qram.PHASES]
 
     def test_query_core_is_linear_in_depth(self):
         for n in (1, 2, 5, 9):
@@ -246,7 +287,7 @@ class TestSchedules:
         # machine out of memory, and no cycle is built before the refusal
         assert qram.MAX_DEPTH >= 110
         assert schedule(qram.MAX_DEPTH).n == qram.MAX_DEPTH
-        monkeypatch.setattr(qram, "_init_cycles", None)
+        monkeypatch.setattr(qram, "_init_columns", None)
         for n in (qram.MAX_DEPTH + 1, 10 ** 9):
             with pytest.raises(QramError, match=re.escape(
                     f"depth cap: n <= {qram.MAX_DEPTH}, got {n}")):
@@ -265,7 +306,7 @@ class TestTotalTime:
         # 2n swaps, one copy at swap duration
         g1, g2 = 2.0, 3.0
         t_cswap = 2 * t_beamsplitter(g1) + t_cphase(g2)
-        for n in (1, 2, 5, 8):
+        for n in range(1, 65):
             expected = ((n * (n - 1) / 2 + 2 * n) * t_cswap
                         + 2 * n * t_swap(g1)
                         + (n * (n - 1) / 2) * t_cswap + t_swap(g1))
@@ -460,14 +501,14 @@ class TestDataCopy:
         table = np.zeros((N, n + N), dtype=np.uint8)
         table[:, n:n + n_routers] = (configs[:, None]
                                      >> np.arange(n_routers)[::-1]) & 1
-        bus_cycles = schedule_query(n).cycles[:2 * n + 1]
-        assert {c.phase for c in bus_cycles} == {"descend", "copy", "ascend"}
+        bus = head(schedule_query(n), 2 * n + 1)
+        assert {c.phase for c in bus.cycles} == {"descend", "copy", "ascend"}
         state = np.zeros(N * (1 << n_routers) * 2, dtype=complex)
         state.reshape(N, -1, 2)[0, configs, 0] = 1.0
         for code in range(1 << N):
             bits = tuple((code >> (N - 1 - i)) & 1 for i in range(N))
             out, phase = table.copy(), np.ones(N, dtype=complex)
-            qram._run_cycles(out, phase, n, bus_cycles, {}, np.array(bits))
+            qram._run_cycles(out, phase, bus, {}, np.array(bits))
             walked = brute_force_data_copy(state, bits).reshape(N, -1, 2)
             assert np.array_equal(out[:, -1],
                                   walked[0, configs, 1].real.astype(np.uint8))
@@ -654,16 +695,16 @@ class TestDenseOracle:
         # the phase each address carries after initialization alone
         n = N.bit_length() - 1
         swap_u, cswap_u = gates.swap_unitary(g1), gates.cswap_composite(g1, g2)
-        cycles = schedule_initialization(n).cycles
+        init = schedule_initialization(n)
         bits = np.zeros((N, n + N), dtype=np.uint8)
         bits[:, :n] = (np.arange(N)[:, None] >> np.arange(n)[::-1]) & 1
         phase = np.ones(N, dtype=complex)
-        qram._run_cycles(bits, phase, n, cycles, gate_tables(g1, g2), np.zeros(N))
+        qram._run_cycles(bits, phase, init, gate_tables(g1, g2), np.zeros(N))
         place = 1 << np.arange(n + N)[::-1]
         for x in range(N):
             state = np.zeros(1 << (n + N), dtype=complex)
             state.reshape(N, -1)[x, 0] = 1.0
-            dense = dense_apply_cycles(state, n, cycles, n + N, swap_u, cswap_u)
+            dense = dense_apply_cycles(state, n, init.cycles, n + N, swap_u, cswap_u)
             sparse = np.zeros_like(dense)
             sparse[bits[x] @ place] = phase[x]
             assert np.abs(sparse - dense).max() <= 1e-12
@@ -682,16 +723,13 @@ class TestExecutedSchedule:
         received = []
         run = qram._run_cycles
 
-        def spy(bits, phase, depth, cycles, tables, stored):
-            assert depth == n
-            received.append(tuple(cycles))
-            run(bits, phase, depth, cycles, tables, stored)
+        def spy(bits, phase, schedule, tables, stored):
+            received.append(schedule)
+            run(bits, phase, schedule, tables, stored)
 
         monkeypatch.setattr(qram, "_run_cycles", spy)
         qram._route(random_database(1 << n, seed=n), np.arange(1 << n), G, G)
-        init, query = schedule_initialization(n), schedule_query(n)
-        assert received == [init.cycles, query.cycles]
-        assert sum(map(len, received)) == init.cycle_count + query.cycle_count
+        assert received == [schedule_initialization(n), schedule_query(n)]
 
     @pytest.mark.parametrize("g1,g2", COUPLINGS + [
         (1e-3, 1e-3), (1e-3, 1e6), (1e6, 1e-3), (1e6, 1e6),
@@ -713,9 +751,9 @@ class TestExecutedSchedule:
         received = []
         run = qram._run_cycles
 
-        def spy(bits, phase, n, cycles, tables, stored):
+        def spy(bits, phase, schedule, tables, stored):
             received.append(tables)
-            run(bits, phase, n, cycles, tables, stored)
+            run(bits, phase, schedule, tables, stored)
 
         monkeypatch.setattr(qram, "_run_cycles", spy)
         qram._route(random_database(4, seed=1), np.arange(4), g1, g2)
@@ -767,9 +805,9 @@ class TestExecutedSchedule:
                                                    capsys):
         run = qram._run_cycles
 
-        def forward_only(bits, phase, n, cycles, tables, stored):
+        def forward_only(bits, phase, schedule, tables, stored):
             tables = {op: (fwd, fwd) for op, (fwd, _) in tables.items()}
-            run(bits, phase, n, cycles, tables, stored)
+            run(bits, phase, schedule, tables, stored)
 
         monkeypatch.setattr(qram, "_run_cycles", forward_only)
         assert not verify_retrieval(ClassicalDatabase((0, 1, 1, 0))).passed
@@ -876,10 +914,13 @@ class TestReadOut:
 class TestWallTime:
     @pytest.mark.parametrize("g1,g2", [(G, G), (1.3, 0.7), (3e4, 7e2)])
     def test_equals_per_cycle_sum(self, g1, g2):
+        # added one cycle at a time, left to right: the bits of sum() before
+        # Python 3.12, whose sum() of floats is compensated
         for n in range(1, 21):
             for sched in (schedule_initialization(n), schedule_query(n)):
-                per_cycle = sum(qram._op_duration(c.op, g1, g2)
-                                for c in sched.cycles)
+                per_cycle = 0.0
+                for cycle in sched.cycles:
+                    per_cycle += qram._op_duration(cycle.op, g1, g2)
                 assert sched.wall_time(g1, g2) == per_cycle
 
 

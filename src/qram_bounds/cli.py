@@ -190,11 +190,28 @@ def _load_params(args) -> HardwareParams:
     return PRESET_PARAMS
 
 
+def _refuse_ignored(args, mode: str, *dests: str) -> None:
+    """Refuse the flags among ``dests`` that were given (an ungiven one is
+    None), naming each, as ``mode`` ignores them."""
+    given = [f"--{dest.replace('_', '-')}" for dest in dests
+             if getattr(args, dest) is not None]
+    if given:
+        raise ParamsError(f"{mode} ignores {', '.join(given)}")
+
+
 def _cmd_bound(args) -> int:
+    if args.kind == "naive":   # p = 1 at c_max
+        _refuse_ignored(args, "--kind naive", "velocity", "velocity_source",
+                        "depth_exponent")
+    elif args.kind == "teleport":   # its velocity source is teleport-hybrid
+        _refuse_ignored(args, "--kind teleport", "velocity", "velocity_source")
+    elif args.velocity is not None:
+        _refuse_ignored(args, "--velocity", "velocity_source")
     params = _load_params(args)
     source = args.velocity_source if args.velocity is None else args.velocity
-    conv = Conventions(log_base=args.log_base, depth_exponent=args.depth_exponent,
-                       velocity_source=source)
+    given = {"depth_exponent": args.depth_exponent, "velocity_source": source}
+    conv = Conventions(log_base=args.log_base,   # a flag not given takes its default
+                       **{k: v for k, v in given.items() if v is not None})
     if args.kind == "naive":
         n_max = bounds.naive_max_qubits(params.a, params.delta_t,
                                         params.c_max, conv.log_base)
@@ -210,6 +227,7 @@ def _cmd_bound(args) -> int:
 
 def _cmd_sweep(args) -> int:
     if args.preset is not None:
+        _refuse_ignored(args, "--preset", "axis", "dims", "config")
         preset = fig3_grid if args.preset == "fig3" else fig4_grid
         grid = preset(args.depth_exponent, args.log_base)
     else:
@@ -220,7 +238,8 @@ def _cmd_sweep(args) -> int:
             fixed=_load_params(args),
             conventions=Conventions(log_base=args.log_base,
                                     depth_exponent=args.depth_exponent),
-            dims=tuple(_parse_item("--dims", int, x) for x in args.dims.split(",")))
+            dims=tuple(_parse_item("--dims", int, x)
+                       for x in ("1" if args.dims is None else args.dims).split(",")))
     n = run_sweep(grid, args.out)
     print(f"wrote {n} rows to {args.out}")
     return EXIT_OK
@@ -303,6 +322,8 @@ def print_retrieval_table(rows) -> None:
 def _cmd_qramsim(args) -> int:
     checked_index(qram.QramError, "seed", args.seed, 0)
     if args.db is not None:
+        if args.random_db:
+            raise qram.QramError("--db and --random-db both give the database")
         db = qram.read_database(args.db)
     elif args.random_db:
         if args.N is None:
@@ -350,23 +371,23 @@ def build_parser() -> argparse.ArgumentParser:
     def add_conventions(p, default_p=2):
         p.add_argument("--log-base", default="natural", choices=("natural", "2"))
         p.add_argument("--depth-exponent", type=int, default=default_p,
-                       help="p in T ~ tau0 log^p N")
+                       help="p in T ~ tau0 log^p N (default 2)")
 
     p = sub.add_parser("bound", help="evaluate a single capacity bound")
     p.add_argument("--kind", choices=("naive", "qram", "teleport"), default="qram")
     p.add_argument("--config", help="hardware config file (key = value)")
     p.add_argument("--velocity", type=float,
                    help="explicit per-axis velocity in m/s")
-    p.add_argument("--velocity-source", default="lieb_robinson",
+    p.add_argument("--velocity-source", help="default lieb_robinson",
                    choices=("lieb_robinson", "qft", "group"))
-    add_conventions(p)
+    add_conventions(p, default_p=None)   # None: --kind naive refuses it
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("sweep", help="write a capacity-bound CSV over a grid")
     p.add_argument("--preset", choices=("fig3", "fig4"))
     p.add_argument("--axis", action="append",
                    help="name:lo:hi:points:lin|log (velocity, g, or v2)")
-    p.add_argument("--dims", default="1", help="comma list of dimensions")
+    p.add_argument("--dims", help="comma list of dimensions, default 1")
     p.add_argument("--config", help="hardware config for custom sweeps")
     p.add_argument("--out", required=True)
     add_conventions(p)

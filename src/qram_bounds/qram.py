@@ -224,13 +224,23 @@ class ClassicalDatabase:
 
 
 def read_database(path: str | Path) -> ClassicalDatabase:
-    """Load a database from a text file of '0'/'1' characters."""
-    text = "".join(Path(path).read_text().split())
-    if not text or set(text) - {"0", "1"}:
-        raise QramError(f"database file must contain only 0/1 characters: {path}")
-    _depth(len(text))
-    _check_leaves(len(text))   # before the bits are built
-    return ClassicalDatabase(bits=tuple(int(c) for c in text))
+    """Load a database from a text file of '0'/'1' characters, read in fixed
+    chunks: at most MAX_LEAVES bits are kept and the rest only counted, so a
+    file above the leaf cap is refused without being held whole."""
+    refusal = QramError(f"database file must contain only 0/1 characters: {path}")
+    kept, count = "", 0
+    with open(path) as file:
+        for chunk in iter(functools.partial(file.read, 1 << 16), ""):
+            text = "".join(chunk.split())
+            if set(text) - {"0", "1"}:
+                raise refusal
+            kept += text[:MAX_LEAVES - len(kept)]
+            count += len(text)
+    if not count:
+        raise refusal
+    _depth(count)
+    _check_leaves(count)   # before the bits are built
+    return ClassicalDatabase(bits=tuple(map(int, kept)))
 
 
 def random_database(N: int, seed: int) -> ClassicalDatabase:
@@ -259,25 +269,6 @@ def classical_trace_read(db: ClassicalDatabase, address: int) -> int:
     for level in range(n):
         pos = 2 * pos + routers[(level, pos)]
     return db.bits[pos]
-
-
-def _trace_reads(db: ClassicalDatabase, addresses: np.ndarray) -> list[int]:
-    """classical_trace_read of every address at once: the same walk, level by
-    level, with one router array per address (router (level, pos) at column
-    2^level - 1 + pos)."""
-    n = db.depth
-    rows = np.arange(len(addresses))
-    routers = np.zeros((len(addresses), db.N - 1), dtype=np.uint8)
-
-    def walk(levels: int) -> np.ndarray:
-        pos = np.zeros(len(addresses), dtype=np.intp)
-        for level in range(levels):
-            pos = 2 * pos + routers[rows, (1 << level) - 1 + pos]
-        return pos
-
-    for k in range(n):                   # initialization: route k times, drop
-        routers[rows, (1 << k) - 1 + walk(k)] = (addresses >> (n - 1 - k)) & 1
-    return np.asarray(db.bits)[walk(n)].tolist()   # bus descent
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +351,18 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
     return bits, phase
 
 
-def _read_out(db: ClassicalDatabase, bits: np.ndarray, key: np.ndarray, expected):
-    """One pass over the rows ``bits`` routed from the input addresses ``key``
-    (``expected``: their oracle reads): the table rows, and per row the ideal
-    flag (routers zero, address kept, bus = stored bit) and routers-zero flag."""
+def _read_out(db: ClassicalDatabase, bits: np.ndarray, key: np.ndarray):
+    """One pass over the rows ``bits`` routed from the input addresses ``key``:
+    the table rows, each expecting the bit stored at its address, and per row
+    the ideal flag (routers zero, address kept, bus = stored bit) and
+    routers-zero flag."""
     n = db.depth
+    expected = np.asarray(db.bits)[key]
     routers_zero = ~bits[:, n:_bus_mode(n)].any(axis=1)
     bus = bits[:, _bus_mode(n)]
     kept = bits[:, :n] @ (1 << np.arange(n)[::-1]) == key
-    ideal = routers_zero & kept & (bus == np.asarray(db.bits)[key])
-    rows = map(RetrievalRow, key.tolist(), expected, bus.tolist(),
+    ideal = routers_zero & kept & (bus == expected)
+    rows = map(RetrievalRow, key.tolist(), expected.tolist(), bus.tolist(),
                ideal.astype(float).tolist())
     return tuple(rows), ideal, routers_zero
 
@@ -401,7 +394,7 @@ def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
     support = np.flatnonzero(address_state)
     bits, phase = _route(db, support, g1, g2)
     alpha = address_state[support]
-    rows, ideal, routers_zero = _read_out(db, bits, support, _trace_reads(db, support))
+    rows, ideal, routers_zero = _read_out(db, bits, support)
     amplitudes = alpha * phase
     heavy = (np.abs(amplitudes) ** 2 >= 1e-12).tolist()
     fidelity, restored = _score(alpha[None], amplitudes[None], ideal, routers_zero)
@@ -424,15 +417,15 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
                      g2: float = math.pi, n_superpositions: int = 10,
                      seed: int = 7) -> RetrievalReport:
     """Exhaustive correctness harness: every basis address plus random
-    superpositions (from the same route map, by linearity), checked
-    against the classical-trace semantics."""
+    superpositions (from the same route map, by linearity), each basis read
+    checked against the bit stored at its address."""
     n_superpositions = checked_index(QramError, "n_superpositions", n_superpositions, 0)
     if (draws := n_superpositions * 2 * db.N) > MAX_DRAWS:
         raise QramError(f"draw cap: n_superpositions*2*N <= {MAX_DRAWS}, got {draws}")
     seed = checked_index(QramError, "seed", seed, 0)
     inputs = np.arange(db.N)
     bits, phase = _route(db, inputs, g1, g2)
-    rows, ideal, routers_zero = _read_out(db, bits, inputs, _trace_reads(db, inputs))
+    rows, ideal, routers_zero = _read_out(db, bits, inputs)
     overlaps = [row.fidelity * abs(p) ** 2 for row, p in zip(rows, phase.tolist())]
     failures = []
     for row, overlap in zip(rows, overlaps):

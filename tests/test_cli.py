@@ -103,6 +103,26 @@ class TestBoundCommand:
         path_out = capsys.readouterr()
         assert "teleport-hybrid defined for d=2" in path_out.err
 
+    @pytest.mark.parametrize("argv,message", [
+        (["--kind", "naive", "--velocity", "5", "--velocity-source", "qft",
+          "--depth-exponent", "7"],
+         "--kind naive ignores --velocity, --velocity-source, --depth-exponent"),
+        (["--kind", "naive", "--depth-exponent", "2"], "--kind naive ignores --depth-exponent"),
+        (["--kind", "naive", "--velocity-source", "lieb_robinson"],
+         "--kind naive ignores --velocity-source"),
+        (["--kind", "teleport", "--velocity", "6000"], "--kind teleport ignores --velocity"),
+        (["--kind", "teleport", "--velocity-source", "qft", "--depth-exponent", "0"],
+         "--kind teleport ignores --velocity-source"),
+        (["--velocity", "6000", "--velocity-source", "group"],
+         "--velocity ignores --velocity-source")])
+    def test_flags_the_kind_ignores_exit_2(self, argv, message, tmp_path, capsys):
+        # the naive bound is p = 1 at c_max, the teleport bound's velocity
+        # source is teleport-hybrid; a valid 2D config leaves no other refusal
+        path = tmp_path / "hw2d.cfg"
+        path.write_text(GOOD_CONFIG.replace("d = 1", "d = 2"))
+        assert main(["bound", "--config", str(path), *argv]) == 2
+        assert_one_error_line(capsys.readouterr(), f"{message}\n")
+
     def test_missing_config_exits_2(self, capsys):
         assert main(["bound", "--config", "/nonexistent.cfg"]) == 2
         assert "config not found" in capsys.readouterr().err
@@ -323,6 +343,17 @@ class TestBoundCommand:
 
 
 class TestSweepCommand:
+    @pytest.mark.parametrize("argv,message", [
+        (["--axis", "velocity:1:10:3:log", "--dims", "7", "--config", "/nonexistent"],
+         "--preset ignores --axis, --dims, --config"),
+        (["--dims", "1,2,3"], "--preset ignores --dims"),
+        (["--config", "/nonexistent"], "--preset ignores --config")])
+    def test_flags_a_preset_ignores_exit_2(self, argv, message, tmp_path, capsys):
+        out = tmp_path / "fig3.csv"
+        assert main(["sweep", "--preset", "fig3", *argv, "--out", str(out)]) == 2
+        assert_one_error_line(capsys.readouterr(), f"{message}\n")
+        assert not out.exists()
+
     def test_fig3_preset_monotone_columns(self, tmp_path, capsys):
         out = tmp_path / "fig3.csv"
         assert main(["sweep", "--preset", "fig3", "--out", str(out)]) == 0
@@ -951,14 +982,30 @@ class TestQramsimCommand:
         assert_one_error_line(capsys.readouterr(),
                               "address must be 'all' or an integer, got 'abc'")
 
+    def test_file_and_random_database_together_exit_2(self, tmp_path, capsys):
+        db = tmp_path / "db8.txt"
+        db.write_text("01101001")
+        assert main(["qramsim", "--db", str(db), "--random-db", "--N", "8",
+                     "--seed", "3"]) == 2
+        assert_one_error_line(capsys.readouterr(),
+                              "--db and --random-db both give the database\n")
+
     def test_retrieval_mismatch_exits_3(self, tmp_path, capsys, monkeypatch):
         db = tmp_path / "db.txt"
         db.write_text("0110")
-        # corrupt the reference walker; the simulated reads now disagree
-        monkeypatch.setattr(qram, "_trace_reads", lambda database, addresses: [
-            1 - database.bits[x] for x in addresses.tolist()])
+        # corrupt the executor: the routed bus of address 2 comes back flipped
+        route = qram._route
+
+        def flip_one_bus(*args):
+            bits, phase = route(*args)
+            bits[2, -1] ^= 1
+            return bits, phase
+
+        monkeypatch.setattr(qram, "_route", flip_one_bus)
         assert main(["qramsim", "--db", str(db)]) == 3
-        assert "MISMATCH" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "      2        1    0 0.000000000000\n" in out
+        assert "MISMATCH address 2: read 0 != oracle\n" in out
 
 
 QRAMSIM_HEADER = "address expected read fidelity\n"
@@ -1028,11 +1075,11 @@ class TestParserBuiltOnce:
         assert header == "v2,max_qubits_d1" and len(rows) == 4
         parse = cli.build_parser().parse_args
         args = parse(["sweep", "--out", str(second)])
-        assert (args.axis, args.dims, args.preset) == (None, "1", None)
-        assert args.func is cli._cmd_sweep
+        assert (args.axis, args.dims, args.preset, args.config) == (None,) * 4
+        assert args.func is cli._cmd_sweep and args.depth_exponent == 2
         args = parse(["bound"])
         assert args.func is cli._cmd_bound and not hasattr(args, "axis")
-        assert (args.velocity, args.velocity_source) == (None, "lieb_robinson")
+        assert (args.velocity, args.velocity_source, args.depth_exponent) == (None,) * 3
 
 
 class TestNoEigensolver:

@@ -444,6 +444,35 @@ class TestClassicalTrace:
         assert [row.expected for row in rows] == [
             qram.classical_trace_read(db, x) for x in range(db.N)]
 
+    def test_vectorised_walker_runs_no_gate_or_schedule(self, monkeypatch):
+        # the walk the harness's expected column is checked against shares
+        # no gate, schedule or executor with the simulator
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle ran part of the simulator")
+
+        for owner, name in ((qram, "_run_cycles"), (qram, "_route"),
+                            (qram, "_read_out"), (gates, "monomial"),
+                            (qram, "schedule_initialization"),
+                            (qram, "schedule_query"), (qram, "Schedule")):
+            monkeypatch.setattr(owner, name, refuse)
+        db = random_database(32, seed=6)
+        assert [qram.classical_trace_read(db, x) for x in range(32)] == list(db.bits)
+
+    def test_harness_and_query_walk_all_addresses_at_once(self, monkeypatch):
+        # one read-out pass per call, over every address routed
+        calls = []
+        read_out = qram._read_out
+
+        def spy(db, bits, key):
+            calls.append(key.tolist())
+            return read_out(db, bits, key)
+
+        monkeypatch.setattr(qram, "_read_out", spy)
+        db = random_database(8, seed=2)
+        assert verify_retrieval(db).passed
+        assert simulate_query(db, basis(8, 6), G, G).table[0].read == db.bits[6]
+        assert calls == [list(range(8)), [6]]
+
     def test_harness_and_query_call_no_walker(self, monkeypatch):
         def refuse(*args):
             raise AssertionError("walker called")

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, lattice, qram, verify
-from .params import (Conventions, HardwareParams, ParamsError, checked_index,
-                     load_config, tau0)
+from .params import (Conventions, HardwareParams, ParamsError, load_config,
+                     tau0)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -320,15 +320,15 @@ def print_retrieval_table(rows) -> None:
 
 
 def _cmd_qramsim(args) -> int:
-    checked_index(qram.QramError, "seed", args.seed, 0)
     if args.db is not None:
         if args.random_db:
             raise qram.QramError("--db and --random-db both give the database")
+        _refuse_ignored(args, "--db", "seed")   # only --random-db draws
         db = qram.read_database(args.db)
     elif args.random_db:
         if args.N is None:
             raise qram.QramError("--random-db needs --N")
-        db = qram.random_database(args.N, seed=args.seed)
+        db = qram.random_database(args.N, seed=7 if args.seed is None else args.seed)
     else:
         raise qram.QramError("need --db or --random-db with --N")
     if args.N is not None and db.N != args.N:
@@ -349,7 +349,7 @@ def _cmd_qramsim(args) -> int:
         ok = row.read == row.expected and result.fidelity >= 1.0 - 1e-9
         return EXIT_OK if ok else EXIT_RETRIEVAL
 
-    report = qram.verify_retrieval(db, g1=args.g1, g2=args.g2, seed=args.seed)
+    report = qram.verify_retrieval(db, g1=args.g1, g2=args.g2)
     print_retrieval_table(report.rows)
     print(f"min fidelity: {report.min_fidelity:.12f}")
     if report.failures:
@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", help="text file of 0/1 characters, length N")
     p.add_argument("--N", type=int, help="database size for --random-db")
     p.add_argument("--random-db", action="store_true")
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=int, help="--random-db seed, default 7")
     p.add_argument("--address", default="all", help="'all' or a basis address")
     p.add_argument("--g1", type=float, default=math.pi)
     p.add_argument("--g2", type=float, default=math.pi)

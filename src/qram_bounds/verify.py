@@ -249,7 +249,7 @@ def qram_suite() -> list[Check]:
     for N, db in ((2, qram.ClassicalDatabase((0, 1))),
                   (4, qram.ClassicalDatabase((0, 1, 1, 0))),
                   (8, qram.random_database(8, seed=42))):
-        report = qram.verify_retrieval(db, n_superpositions=4)
+        report = qram.verify_retrieval(db)
         checks.append((f"retrieval N={N}", report.passed,
                        f"min fidelity {report.min_fidelity:.12f}"))
     return checks

@@ -977,6 +977,18 @@ class TestQramsimCommand:
         assert main(["qramsim", "--random-db", "--N", "8", "--seed", "-1"]) == 2
         assert_one_error_line(capsys.readouterr(), "seed must be >= 0, got -1")
 
+    @pytest.mark.parametrize("address", [[], ["--address", "2"]])
+    def test_seed_with_database_file_exits_2(self, address, tmp_path, capsys):
+        # only --random-db draws: with --db the seed would change nothing
+        db = tmp_path / "db.txt"
+        db.write_text("0110")
+        assert main(["qramsim", "--db", str(db), "--seed", "1", *address]) == 2
+        assert_one_error_line(capsys.readouterr(), "--db ignores --seed\n")
+
+    def test_random_database_seed_defaults_to_7(self, capsys):
+        assert main(["qramsim", "--random-db", "--N", "8"]) == 0
+        assert capsys.readouterr().out == QRAMSIM_GOLDEN[8]
+
     def test_non_integer_address_exits_2(self, capsys):
         assert main(["qramsim", "--random-db", "--N", "8", "--address", "abc"]) == 2
         assert_one_error_line(capsys.readouterr(),

@@ -175,7 +175,7 @@ def test_qram(data, n):
     finite_or_refused(qram.total_time, qram.schedule_initialization(n),
                       qram.schedule_query(n), g1, g2)
     db = qram.random_database(4, seed=1)
-    finite_or_refused(qram.verify_retrieval, db, g1, g2, 2)
+    finite_or_refused(qram.verify_retrieval, db, g1, g2)
     finite_or_refused(qram.simulate_query, db, np.eye(4)[2], g1, g2)
 
 
@@ -192,9 +192,6 @@ INT_ARGUMENTS = {
         lambda v: qram.classical_trace_read(qram.random_database(8, seed=1), v),
         r"^address (must be an integer|out of range$)"),
     "random_database seed": (lambda v: qram.random_database(8, seed=v), r"^seed must be"),
-    "verify_retrieval n_superpositions": (
-        lambda v: qram.verify_retrieval(qram.random_database(8, seed=1), n_superpositions=v),
-        r"^(n_superpositions must be|draw cap: n_superpositions\*2\*N <= )"),
     "capacity d": (lambda v: bounds.capacity(1e3, 1.0, 1e-6, v, params.Conventions()),
                    r"^dimension d must be"),
     "fixed_point_solve p": (lambda v: bounds.fixed_point_solve(100.0, v),

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from dense_oracle import apply_unitary, dense_state, gate_modes
 from qram_bounds import gates, qram
@@ -200,6 +201,20 @@ def basis(N, x):
     v = np.zeros(N, dtype=complex)
     v[x] = 1.0
     return v
+
+
+def shift_phases(monkeypatch, shifts):
+    """Corrupt the executor: address x comes out of the route map with its
+    phase turned by shifts[x] radians, and nothing else changes."""
+    route = qram._route
+
+    def shifted(db, addresses, g1, g2):
+        bits, phase = route(db, addresses, g1, g2)
+        for x, angle in shifts.items():
+            phase[addresses == x] *= np.exp(1j * angle)
+        return bits, phase
+
+    monkeypatch.setattr(qram, "_route", shifted)
 
 
 class TestSchedules:
@@ -645,44 +660,28 @@ class TestVerifyRetrieval:
         report = verify_retrieval(random_database(8, seed=42))
         assert report.passed
 
-    def test_zero_superpositions_check_basis_states_only(self):
-        report = verify_retrieval(random_database(8, seed=1), n_superpositions=0)
-        assert report.passed and len(report.rows) == 8
+    @pytest.mark.parametrize("N,delta", [(8, 7e-5), (1024, 1e-4), (4096, 1e-3)])
+    def test_phase_error_at_one_address_fails(self, N, delta, monkeypatch):
+        # each basis row scores |p|^2 = 1 whatever its phase; the error shows
+        # only in superpositions, and the tolerance 1e-9 on their worst case,
+        # 1 - sin^2(delta/2), catches delta above 2*sqrt(1e-9) = 6.3e-5 rad
+        shift_phases(monkeypatch, {1: delta})
+        report = verify_retrieval(random_database(N, 7))
+        worst = math.cos(delta / 2) ** 2
+        assert report.failures == (f"phase spread {delta:.6g} rad: worst "
+                                   f"superposition fidelity {worst:.12f}",)
+        assert report.min_fidelity == pytest.approx(worst, abs=1e-15)
+        assert [row.fidelity for row in report.rows] == [1.0] * N
 
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"n_superpositions": -1}, "n_superpositions must be >= 0, got -1"),
-        ({"seed": -1}, "seed must be >= 0, got -1"),
-        ({"seed": -7, "n_superpositions": 0}, "seed must be >= 0, got -7")])
-    def test_refuses_negative_count_and_seed_by_name(self, kwargs, message):
-        with pytest.raises(QramError, match=f"^{message}$"):
-            verify_retrieval(random_database(4, seed=1), **kwargs)
-
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"n_superpositions": 2.5}, "n_superpositions must be an integer, got 2.5"),
-        ({"n_superpositions": True}, "n_superpositions must be an integer, got True"),
-        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
-        ({"seed": "7"}, "seed must be an integer, got '7'")])
-    def test_refuses_count_and_seed_that_are_not_integers_by_name(self, kwargs, message):
-        with pytest.raises(QramError, match=f"^{re.escape(message)}$"):
-            verify_retrieval(random_database(4, seed=1), **kwargs)
-
-    def test_draw_cap_refuses_before_drawing(self, monkeypatch):
-        # n_superpositions * 2 * N normals: 10 superpositions of N = 8 take
-        # 160, refused one superposition later before anything is routed
-        db = random_database(8, seed=1)
-        monkeypatch.setattr(qram, "MAX_DRAWS", 160)
-        assert verify_retrieval(db, n_superpositions=10).passed
-        monkeypatch.setattr(qram, "_route", None)
-        with pytest.raises(QramError, match=r"^draw cap: n_superpositions\*2\*N <= 160, "
-                           "got 176$"):
-            verify_retrieval(db, n_superpositions=11)
-        with pytest.raises(QramError, match=f"got {2 ** 44}$"):
-            verify_retrieval(db, n_superpositions=2 ** 40)
-
-    def test_takes_numpy_integer_count_and_seed(self):
-        db = random_database(8, seed=4)
-        report = verify_retrieval(db, n_superpositions=np.int64(3), seed=np.uint16(11))
-        assert report == verify_retrieval(db, n_superpositions=3, seed=11)
+    @pytest.mark.parametrize("g1,g2", COUPLINGS)
+    @pytest.mark.parametrize("N,delta", [(8, 6e-5), (1024, 0.0), (4096, 0.0)])
+    def test_phase_error_below_tolerance_passes(self, N, delta, g1, g2, monkeypatch):
+        shift_phases(monkeypatch, {1: delta})
+        report = verify_retrieval(random_database(N, 7), g1, g2)
+        assert report.passed
+        assert report.min_fidelity == pytest.approx(math.cos(delta / 2) ** 2, abs=1e-15)
+        if delta == 0.0:   # every phase equals address 0's: the arc is 0.0
+            assert report.min_fidelity == 1.0
 
     def test_constant_database_reads_one_everywhere(self):
         report = verify_retrieval(ClassicalDatabase((1, 1, 1, 1)))
@@ -833,58 +832,60 @@ class TestExecutedSchedule:
         assert "MISMATCH" in capsys.readouterr().out
 
 
-def spy_scores(monkeypatch):
-    """Record (alpha, fidelity) of every superposition ``_score`` scores,
-    one per row of each batch."""
-    scored = []
-    score = qram._score
-
-    def spy(alpha, amplitudes, ideal, routers_zero):
-        result = score(alpha, amplitudes, ideal, routers_zero)
-        scored.extend(zip(alpha.copy(), result[0].tolist()))
-        return result
-
-    monkeypatch.setattr(qram, "_score", spy)
-    return scored
-
-
 class TestReadOut:
     @pytest.mark.parametrize("g1,g2", COUPLINGS)
     @pytest.mark.parametrize("N", [2, 8, 64, 1024])
     def test_superpositions_scored_as_simulate_query_routes_them(
             self, N, g1, g2, monkeypatch):
-        scored = spy_scores(monkeypatch)
+        # the reported minimum is the score simulate_query gives equal weight
+        # on the two addresses at the ends of the arc; the shifts span less
+        # than a half turn, so the arc runs from the lowest to the highest
+        rng = np.random.default_rng(N)
+        addresses = rng.choice(N, size=min(N, 3), replace=False).tolist()
+        shifts = dict(zip(addresses, rng.uniform(-1.2, 1.2, len(addresses)).tolist()))
+        shift_phases(monkeypatch, shifts)
         db = random_database(N, seed=N + 9)
-        assert verify_retrieval(db, g1, g2, n_superpositions=5, seed=11).passed
-        rng = np.random.default_rng(11)
-        superpositions = scored[:]   # simulate_query below scores as well
-        assert len(superpositions) == 5
-        for alpha, fidelity in superpositions:   # one batch, drawn as a loop
-            drawn = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-            assert alpha.tobytes() == (drawn / np.linalg.norm(drawn)).tobytes()
-            assert simulate_query(db, alpha, g1, g2).fidelity == fidelity
+        report = verify_retrieval(db, g1, g2)
+        assert not report.passed and report.failures[0].startswith("phase spread")
+        angles = np.zeros(N)
+        angles[addresses] = list(shifts.values())
+        ends = (basis(N, angles.argmin()) + basis(N, angles.argmax())) / math.sqrt(2.0)
+        assert abs(simulate_query(db, ends, g1, g2).fidelity
+                   - report.min_fidelity) <= 1e-15
 
-    @pytest.mark.parametrize("k,N", [(1, 2), (10, 8), (3, 64), (7, 1024)])
-    def test_batch_scores_equal_vdot_loop_and_each_row_alone(self, k, N):
-        rng = np.random.default_rng(k * N)
-        alpha = rng.standard_normal((k, N)) + 1j * rng.standard_normal((k, N))
-        alpha /= np.linalg.norm(alpha, axis=1, keepdims=True)
-        amplitudes = alpha * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, N))
-        ideal, routers_zero = rng.random(N) < 0.8, rng.random(N) < 0.9
-        fidelities, restored = qram._score(alpha, amplitudes, ideal, routers_zero)
-        assert fidelities.shape == restored.shape == (k,)
-        for i in range(k):
-            overlap = np.vdot(alpha[i, ideal], amplitudes[i, ideal])
-            assert abs(fidelities[i] - abs(overlap) ** 2) <= 1e-14
-            weight = np.sum(np.abs(amplitudes[i, routers_zero]) ** 2)
-            assert abs(restored[i] - weight) <= 1e-14
-            alone = qram._score(alpha[i][None], amplitudes[i][None], ideal, routers_zero)
-            assert (alone[0][0], alone[1][0]) == (fidelities[i], restored[i])
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_phases_spread_past_a_half_turn_score_zero(self, N, monkeypatch):
+        # three phases a third of a turn apart hold 0 in their convex hull
+        third = 2 * math.pi / 3
+        shift_phases(monkeypatch, {1: third, N - 1: -third})
+        db = random_database(N, seed=N)
+        report = verify_retrieval(db)
+        assert report.min_fidelity == 0.0
+        assert report.failures == ("phase spread 4.18879 rad: worst superposition "
+                                   "fidelity 0.000000000000",)
+        state = (basis(N, 0) + basis(N, 1) + basis(N, N - 1)) / math.sqrt(3.0)
+        assert simulate_query(db, state, G, G).fidelity <= 1e-15
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(data=st.data(), N=st.sampled_from([8, 64]))
+    def test_no_superposition_scores_below_the_minimum(self, data, N):
+        angle = st.floats(-math.pi, math.pi)
+        shifts = data.draw(st.dictionaries(st.integers(0, N - 1), angle, max_size=4))
+        alpha = np.array(data.draw(st.lists(st.complex_numbers(max_magnitude=1.0),
+                                            min_size=N, max_size=N)))
+        assume(np.linalg.norm(alpha) > 1e-3)
+        alpha /= np.linalg.norm(alpha)
+        db = random_database(N, seed=N)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            shift_phases(monkeypatch, shifts)
+            floor = verify_retrieval(db, 1.3, 0.7).min_fidelity
+            assert simulate_query(db, alpha, 1.3, 0.7).fidelity >= floor - 1e-12
 
     def test_misrouted_superpositions_scored_as_simulate_query_routes_them(
             self, monkeypatch):
-        # a route map that sends address 1 to 0 loses that branch: the scores
-        # fall below 1, and still agree
+        # a route map that sends address 1 to 0 loses that branch: the worst
+        # superposition is address 1 alone, which scores 0, and the failures
+        # are that address's own lines
         route = qram._route
 
         def misroute(db, addresses, g1, g2):
@@ -893,16 +894,14 @@ class TestReadOut:
             return bits, phase
 
         monkeypatch.setattr(qram, "_route", misroute)
-        scored = spy_scores(monkeypatch)
         db = random_database(8, seed=4)
-        report = verify_retrieval(db, 1.3, 0.7, n_superpositions=4)
-        superpositions = scored[:]
-        assert [f for f in report.failures if f.startswith("superposition")] == [
-            f"superposition {i}: fidelity {fid:.12f}"
-            for i, (_, fid) in enumerate(superpositions)]
-        for alpha, fidelity in superpositions:
-            assert fidelity < 1.0 - 1e-3
-            assert simulate_query(db, alpha, 1.3, 0.7).fidelity == fidelity
+        report = verify_retrieval(db, 1.3, 0.7)
+        assert report.min_fidelity == 0.0
+        assert all(f.startswith("address 1: ") for f in report.failures)
+        assert simulate_query(db, basis(8, 1), 1.3, 0.7).fidelity == 0.0
+        uniform = np.full(8, 1 / math.sqrt(8.0))
+        assert simulate_query(db, uniform, 1.3, 0.7).fidelity == pytest.approx(
+            (7 / 8) ** 2, abs=1e-15)
 
     @pytest.mark.parametrize("N", [2, 8, 64])
     def test_verify_routes_once_and_reads_once(self, N, monkeypatch):

@@ -185,61 +185,38 @@ def _print_bound(result: bounds.BoundResult) -> None:
 
 
 def _load_params(args) -> HardwareParams:
-    if args.config is not None:
-        return load_config(args.config)
-    return PRESET_PARAMS
-
-
-def _refuse_ignored(args, mode: str, *dests: str) -> None:
-    """Refuse the flags among ``dests`` that were given (an ungiven one is
-    None), naming each, as ``mode`` ignores them."""
-    given = [f"--{dest.replace('_', '-')}" for dest in dests
-             if getattr(args, dest) is not None]
-    if given:
-        raise ParamsError(f"{mode} ignores {', '.join(given)}")
+    return PRESET_PARAMS if args.config is None else load_config(args.config)
 
 
 def _cmd_bound(args) -> int:
-    if args.kind == "naive":   # p = 1 at c_max
-        _refuse_ignored(args, "--kind naive", "velocity", "velocity_source",
-                        "depth_exponent")
-    elif args.kind == "teleport":   # its velocity source is teleport-hybrid
-        _refuse_ignored(args, "--kind teleport", "velocity", "velocity_source")
-    elif args.velocity is not None:
-        _refuse_ignored(args, "--velocity", "velocity_source")
     params = _load_params(args)
-    source = args.velocity_source if args.velocity is None else args.velocity
-    given = {"depth_exponent": args.depth_exponent, "velocity_source": source}
-    conv = Conventions(log_base=args.log_base,   # a flag not given takes its default
-                       **{k: v for k, v in given.items() if v is not None})
-    if args.kind == "naive":
+    if args.kind == "naive":   # p = 1 at c_max
         n_max = bounds.naive_max_qubits(params.a, params.delta_t,
-                                        params.c_max, conv.log_base)
+                                        params.c_max, args.log_base)
         print(f"naive causality bound: N <= {n_max:.6e} "
               f"(a={params.a:g} m, delta_t={params.delta_t:g} s, "
-              f"c={params.c_max:g} m/s, log_base={conv.log_base})")
+              f"c={params.c_max:g} m/s, log_base={args.log_base})")
         return EXIT_OK
     bound = (bounds.teleport_hybrid_max_qubits if args.kind == "teleport"
              else bounds.qram_max_qubits)
-    _print_bound(bound(params, conv))
+    # the --velocity row reads the velocity itself; the teleport row reads no source
+    source = vars(args).get("velocity", getattr(args, "velocity_source", "teleport-hybrid"))
+    _print_bound(bound(params, Conventions(args.log_base, args.depth_exponent, source)))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
-    if args.preset is not None:
-        _refuse_ignored(args, "--preset", "axis", "dims", "config")
+    if "preset" in args:
         preset = fig3_grid if args.preset == "fig3" else fig4_grid
         grid = preset(args.depth_exponent, args.log_base)
     else:
-        if not args.axis:
+        if args.axis is None:
             raise ParamsError("custom sweep needs --axis")
         grid = SweepGrid(
             axes=tuple(_parse_axis(a) for a in args.axis),
             fixed=_load_params(args),
-            conventions=Conventions(log_base=args.log_base,
-                                    depth_exponent=args.depth_exponent),
-            dims=tuple(_parse_item("--dims", int, x)
-                       for x in ("1" if args.dims is None else args.dims).split(",")))
+            conventions=Conventions(args.log_base, args.depth_exponent),
+            dims=tuple(_parse_item("--dims", int, x) for x in args.dims.split(",")))
     n = run_sweep(grid, args.out)
     print(f"wrote {n} rows to {args.out}")
     return EXIT_OK
@@ -320,19 +297,12 @@ def print_retrieval_table(rows) -> None:
 
 
 def _cmd_qramsim(args) -> int:
-    if args.db is not None:
-        if args.random_db:
-            raise qram.QramError("--db and --random-db both give the database")
-        _refuse_ignored(args, "--db", "seed")   # only --random-db draws
+    if "db" in args:
         db = qram.read_database(args.db)
-    elif args.random_db:
-        if args.N is None:
-            raise qram.QramError("--random-db needs --N")
-        db = qram.random_database(args.N, seed=7 if args.seed is None else args.seed)
+    elif args.N is None:
+        raise qram.QramError("--random-db needs --N")
     else:
-        raise qram.QramError("need --db or --random-db with --N")
-    if args.N is not None and db.N != args.N:
-        raise qram.QramError(f"database length {db.N} != N={args.N}")
+        db = qram.random_database(args.N, seed=args.seed)
     if args.address != "all":
         try:
             address = int(args.address)
@@ -343,13 +313,13 @@ def _cmd_qramsim(args) -> int:
             raise qram.QramError(f"address {address} out of range for N={db.N}")
         basis = np.zeros(db.N, dtype=complex)
         basis[address] = 1.0
-        result = qram.simulate_query(db, basis, args.g1, args.g2)
+        result = qram.simulate_query(db, basis)
         row = result.table[0]
         print_retrieval_table([row])
-        ok = row.read == row.expected and result.fidelity >= 1.0 - 1e-9
+        ok = row.read == row.expected and result.fidelity >= 1.0 - qram.FIDELITY_TOL
         return EXIT_OK if ok else EXIT_RETRIEVAL
 
-    report = qram.verify_retrieval(db, g1=args.g1, g2=args.g2)
+    report = qram.verify_retrieval(db)
     print_retrieval_table(report.rows)
     print(f"min fidelity: {report.min_fidelity:.12f}")
     if report.failures:
@@ -360,30 +330,62 @@ def _cmd_qramsim(args) -> int:
     return EXIT_OK
 
 
+# The value a flag takes when it is not given; any other flag takes None.
+DEFAULTS = {"kind": "qram", "velocity_source": "lieb_robinson", "log_base": "natural",
+            "depth_exponent": 2, "dims": "1", "d": 1, "L": 400, "m": 1.0, "a": 1.0,
+            "threshold": 1e-3, "t_max": 220.0, "fit_r_min": 1, "lam": "1.0", "seed": 7,
+            "address": "all"}
+# The flags each mode reads. A command runs its first mode whose flag is given
+# (with the value named, as "--kind naive"), else the mode named after it.
+MODES = {
+    "bound": {"--kind naive": "kind config log_base",
+              "--kind teleport": "kind config log_base depth_exponent",
+              "--velocity": "kind config velocity log_base depth_exponent",
+              "bound": "kind config velocity_source log_base depth_exponent"},
+    "sweep": {"--preset": "preset out log_base depth_exponent",
+              "sweep": "axis dims config out log_base depth_exponent"},
+    "lightcone": {"lightcone": "d L m a threshold t_max r_max dt fit_r_min lam out"},
+    "qramsim": {"--db": "db address", "--random-db": "random_db N seed address"},
+    "verify": {"verify": ""},
+}
+
+
+def _mode(command: str, given: dict) -> str:
+    """The mode of ``command`` that the ``given`` flags pick."""
+    if {"db", "random_db"} <= given.keys():
+        raise qram.QramError("--db and --random-db both give the database")
+    for mode in MODES[command]:
+        dest, _, value = mode[2:].replace("-", "_").partition(" ")
+        if mode == command or dest in given and value in ("", given[dest]):
+            return mode
+    raise qram.QramError("need --db or --random-db with --N")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; its namespaces hold only the flags given."""
     parser = argparse.ArgumentParser(
         prog="qram-bounds",
         description="Causality capacity bounds for bucket-brigade quantum "
                     "RAM, with constructive lattice and gate-level checks.")
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = functools.partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
-    def add_conventions(p, default_p=2):
-        p.add_argument("--log-base", default="natural", choices=("natural", "2"))
-        p.add_argument("--depth-exponent", type=int, default=default_p,
-                       help="p in T ~ tau0 log^p N (default 2)")
+    def add_conventions(p):
+        p.add_argument("--log-base", choices=("natural", "2"))
+        p.add_argument("--depth-exponent", type=int, help="p in T ~ tau0 log^p N (default 2)")
 
-    p = sub.add_parser("bound", help="evaluate a single capacity bound")
-    p.add_argument("--kind", choices=("naive", "qram", "teleport"), default="qram")
+    p = add_parser("bound", help="evaluate a single capacity bound")
+    p.add_argument("--kind", choices=("naive", "qram", "teleport"))
     p.add_argument("--config", help="hardware config file (key = value)")
     p.add_argument("--velocity", type=float,
                    help="explicit per-axis velocity in m/s")
     p.add_argument("--velocity-source", help="default lieb_robinson",
                    choices=("lieb_robinson", "qft", "group"))
-    add_conventions(p, default_p=None)   # None: --kind naive refuses it
+    add_conventions(p)
     p.set_defaults(func=_cmd_bound)
 
-    p = sub.add_parser("sweep", help="write a capacity-bound CSV over a grid")
+    p = add_parser("sweep", help="write a capacity-bound CSV over a grid")
     p.add_argument("--preset", choices=("fig3", "fig4"))
     p.add_argument("--axis", action="append",
                    help="name:lo:hi:points:lin|log (velocity, g, or v2)")
@@ -393,42 +395,45 @@ def build_parser() -> argparse.ArgumentParser:
     add_conventions(p)
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("lightcone", help="measure an empirical light cone")
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--L", type=int, default=400)
-    p.add_argument("--lam", default="1.0", help="comma list of couplings")
-    p.add_argument("--m", type=float, default=1.0)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--threshold", type=float, default=1e-3)
-    p.add_argument("--t-max", type=float, default=220.0)
-    p.add_argument("--r-max", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--fit-r-min", type=int, default=1)
+    p = add_parser("lightcone", help="measure an empirical light cone")
+    for flag, kind in (("--d", int), ("--L", int), ("--m", float), ("--a", float),
+                       ("--threshold", float), ("--t-max", float), ("--r-max", int),
+                       ("--dt", float), ("--fit-r-min", int)):
+        p.add_argument(flag, type=kind)
+    p.add_argument("--lam", help="comma list of couplings")
     p.add_argument("--out", help="CSV path for (r, t_arrival, peak) rows")
     p.set_defaults(func=_cmd_lightcone)
 
-    p = sub.add_parser("qramsim", help="simulate retrieval on a database")
-    p.add_argument("--db", help="text file of 0/1 characters, length N")
+    p = add_parser("qramsim", help="simulate retrieval on a database")
+    p.add_argument("--db", help="text file of 0/1 characters, length 2^n")
     p.add_argument("--N", type=int, help="database size for --random-db")
     p.add_argument("--random-db", action="store_true")
     p.add_argument("--seed", type=int, help="--random-db seed, default 7")
-    p.add_argument("--address", default="all", help="'all' or a basis address")
-    p.add_argument("--g1", type=float, default=math.pi)
-    p.add_argument("--g2", type=float, default=math.pi)
+    p.add_argument("--address", help="'all' or a basis address")
     p.set_defaults(func=_cmd_qramsim)
 
-    p = sub.add_parser("verify", help="run all module property suites")
+    p = add_parser("verify", help="run all module property suites")
     p.set_defaults(func=lambda args: verify.run_verify())
+    for p in sub.choices.values():   # a refusal names its flags in this order
+        p.set_defaults(flags=[action.dest for action in p._actions])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one subcommand. Every refusal of its input, whether a library
-    error (all subclass ValueError) or an unreadable or unwritable file,
-    ends here as one ``error:`` line and exit code 2."""
-    args = build_parser().parse_args(argv)
+    """Run one subcommand in the mode its flags pick. Every refusal of its
+    input ends here as one ``error:`` line and exit code 2: a flag that mode
+    ignores, a library error (each subclasses ValueError), or an unreadable
+    or unwritable file."""
+    given = vars(build_parser().parse_args(argv))
+    command, func, flags = given.pop("command"), given.pop("func"), given.pop("flags")
     try:
-        return args.func(args)
+        mode = _mode(command, given)
+        row = MODES[command][mode].split()
+        ignored = [f"--{dest.replace('_', '-')}" for dest in flags
+                   if dest in given and dest not in row]
+        if ignored:
+            raise ParamsError(f"{mode} ignores {', '.join(ignored)}")
+        return func(argparse.Namespace(**{dest: DEFAULTS.get(dest) for dest in row} | given))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -41,6 +41,7 @@ from .params import checked_index
 
 MAX_LEAVES = 1 << 12  # leaf cap of the simulator
 MAX_DEPTH = 128       # depth cap of the schedules, n^2 + 3n + 1 cycles at most
+FIDELITY_TOL = 1e-9   # a read passes at fidelity >= 1 - FIDELITY_TOL
 
 
 class QramError(ValueError):
@@ -367,7 +368,7 @@ def _read_out(db: ClassicalDatabase, bits: np.ndarray, key: np.ndarray):
 
 
 def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
-                   g1: float, g2: float) -> QueryResult:
+                   g1: float = math.pi, g2: float = math.pi) -> QueryResult:
     """Route the addresses in ``address_state``; superpose their outputs.
     The table keeps the rows of weight >= 1e-12."""
     address_state = np.asarray(address_state, dtype=complex)
@@ -418,7 +419,7 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
     for row, overlap in zip(rows, overlaps):
         if row.read != row.expected:
             failures.append(f"address {row.address}: read {row.read} != oracle")
-        if overlap < 1.0 - 1e-9:
+        if overlap < 1.0 - FIDELITY_TOL:
             failures.append(f"address {row.address}: fidelity {overlap:.12f}")
     min_fid = min([1.0, *overlaps, *(row.fidelity for row in rows)])
     if ideal.all():   # a row that is not ideal already fails, and scores 0
@@ -426,7 +427,7 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
         spread = 2 * math.pi - np.diff(angles, append=angles[0] + 2 * math.pi).max()
         worst = math.cos(spread / 2) ** 2 if spread < math.pi else 0.0
         min_fid = min(min_fid, worst)
-        if worst < 1.0 - 1e-9:
+        if worst < 1.0 - FIDELITY_TOL:
             failures.append(f"phase spread {spread:.6g} rad: "
                             f"worst superposition fidelity {worst:.12f}")
     return RetrievalReport(rows=rows, min_fidelity=min_fid,

@@ -1,3 +1,6 @@
+import argparse
+import copy
+import functools
 import hashlib
 import itertools
 import json
@@ -5,6 +8,7 @@ import math
 import os
 import platform
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -945,34 +949,6 @@ class TestQramsimCommand:
         assert len(re.findall(r"^\s*\d+\s+[01]\s+[01]\s+1\.0+$", out,
                               re.MULTILINE)) == 16
 
-    @pytest.mark.parametrize("args,message", [
-        (["--g1", "0"], "nonpositive coupling g1=0.0"),
-        (["--g1=-2"], "nonpositive coupling g1=-2.0"),
-        (["--g2=-1"], "nonpositive coupling g2=-1.0"),
-        (["--g1", "nan"], "non-finite coupling g1=nan"),
-        (["--g2", "inf"], "non-finite coupling g2=inf"),
-        (["--address", "1", "--g1=-inf"], "non-finite coupling g1=-inf"),
-    ])
-    def test_bad_coupling_exits_2(self, args, message, capsys):
-        assert main(["qramsim", "--random-db", "--N", "4", *args]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n"
-        assert captured.out == ""
-
-    @pytest.mark.parametrize("args,named", [
-        (["--g1", "1e308", "--g2", "1e308"], "g1=1e+308"),
-        (["--g1", "5e307"], "g1=5e+307"),
-        (["--g1", "1e-320"], "g1=1e-320"),
-        (["--g2", "1e-320"], "g2=1e-320"),
-    ])
-    def test_coupling_whose_durations_overflow_exits_2(self, args, named, capsys):
-        # 4*g overflowed to a zero beam-splitter time (exit 3 with MISMATCH
-        # lines), and pi/g to an infinite one (a RuntimeWarning)
-        assert main(["qramsim", "--random-db", "--N", "8", *args]) == 2
-        name = named.split("=")[0]
-        assert capsys.readouterr().err == (f"error: coupling {named} out of range: "
-                                           f"4*{name} or pi/{name} overflows\n")
-
     def test_negative_seed_exits_2(self, capsys):
         assert main(["qramsim", "--random-db", "--N", "8", "--seed", "-1"]) == 2
         assert_one_error_line(capsys.readouterr(), "seed must be >= 0, got -1")
@@ -984,6 +960,23 @@ class TestQramsimCommand:
         db.write_text("0110")
         assert main(["qramsim", "--db", str(db), "--seed", "1", *address]) == 2
         assert_one_error_line(capsys.readouterr(), "--db ignores --seed\n")
+
+    @pytest.mark.parametrize("N", ["4", "8"])
+    def test_size_with_database_file_exits_2(self, N, tmp_path, capsys):
+        # the file's length is the size: --N had one accepted value
+        db = tmp_path / "db.txt"
+        db.write_text("0110")
+        assert main(["qramsim", "--db", str(db), "--N", N]) == 2
+        assert_one_error_line(capsys.readouterr(), "--db ignores --N\n")
+
+    @pytest.mark.parametrize("flag", ["--g1", "--g2"])
+    def test_couplings_are_not_flags(self, flag, capsys):
+        # each router gate is exact at its scheduled duration at any coupling,
+        # so the couplings set only the time, which qramsim does not print
+        with pytest.raises(SystemExit) as exc:
+            main(["qramsim", "--random-db", "--N", "8", flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_random_database_seed_defaults_to_7(self, capsys):
         assert main(["qramsim", "--random-db", "--N", "8"]) == 0
@@ -1053,22 +1046,28 @@ QRAMSIM_SHA256 = {
 
 class TestQramsimGolden:
     """The qramsim contract, pinned byte for byte: stdout and exit code of
-    random databases at seed 7, independent of the couplings."""
+    random databases at seed 7. The route map does not depend on the
+    couplings, so qramsim takes none; the same bytes come out with the
+    read-out run at other couplings."""
+
+    @staticmethod
+    def run_at(g1, g2, N, monkeypatch):
+        """qramsim at seed 7, its read-out run through the library at the
+        couplings (g1, g2) in place of the defaults."""
+        monkeypatch.setattr(cli.qram, "verify_retrieval", functools.partial(
+            cli.qram.verify_retrieval, g1=g1, g2=g2))
+        return main(["qramsim", "--random-db", "--N", str(N), "--seed", "7"])
 
     @pytest.mark.parametrize("g1,g2", [(math.pi, math.pi), (1.3, 0.7)])
     @pytest.mark.parametrize("N", sorted(QRAMSIM_GOLDEN))
-    def test_small_trees_print_golden_table(self, N, g1, g2, capsys):
-        argv = ["qramsim", "--random-db", "--N", str(N), "--seed", "7",
-                "--g1", repr(g1), "--g2", repr(g2)]
-        assert main(argv) == 0
+    def test_small_trees_print_golden_table(self, N, g1, g2, monkeypatch, capsys):
+        assert self.run_at(g1, g2, N, monkeypatch) == 0
         assert capsys.readouterr().out == QRAMSIM_GOLDEN[N]
 
     @pytest.mark.parametrize("g1,g2", [(math.pi, math.pi), (1.3, 0.7)])
     @pytest.mark.parametrize("N", sorted(QRAMSIM_SHA256))
-    def test_large_trees_print_golden_digest(self, N, g1, g2, capsys):
-        argv = ["qramsim", "--random-db", "--N", str(N), "--seed", "7",
-                "--g1", repr(g1), "--g2", repr(g2)]
-        assert main(argv) == 0
+    def test_large_trees_print_golden_digest(self, N, g1, g2, monkeypatch, capsys):
+        assert self.run_at(g1, g2, N, monkeypatch) == 0
         out = capsys.readouterr().out
         assert hashlib.sha256(out.encode()).hexdigest() == QRAMSIM_SHA256[N]
 
@@ -1076,6 +1075,7 @@ class TestQramsimGolden:
 class TestParserBuiltOnce:
     def test_second_run_inherits_nothing(self, tmp_path, capsys):
         assert cli.build_parser() is cli.build_parser()
+        modes = copy.deepcopy((cli.MODES, cli.DEFAULTS))
         first, second = tmp_path / "first.csv", tmp_path / "second.csv"
         assert main(["sweep", "--axis", "g:1e-3:1:3:log", "--axis",
                      "velocity:1e2:1e3:2:log", "--dims", "1,2",
@@ -1085,13 +1085,19 @@ class TestParserBuiltOnce:
                      "--out", str(second)]) == 0
         header, *rows = second.read_text().splitlines()[1:]
         assert header == "v2,max_qubits_d1" and len(rows) == 4
+        # the namespace holds only the flags given; the table, which no run
+        # writes into, gives the rest
+        assert (cli.MODES, cli.DEFAULTS) == modes
         parse = cli.build_parser().parse_args
-        args = parse(["sweep", "--out", str(second)])
-        assert (args.axis, args.dims, args.preset, args.config) == (None,) * 4
-        assert args.func is cli._cmd_sweep and args.depth_exponent == 2
-        args = parse(["bound"])
-        assert args.func is cli._cmd_bound and not hasattr(args, "axis")
-        assert (args.velocity, args.velocity_source, args.depth_exponent) == (None,) * 3
+        args = vars(parse(["sweep", "--out", str(second)]))
+        assert args.keys() == {"command", "func", "flags", "out"}
+        assert args["func"] is cli._cmd_sweep
+        args = vars(parse(["bound"]))
+        assert args.keys() == {"command", "func", "flags"}
+        assert args["func"] is cli._cmd_bound
+        assert "dims" in cli.MODES["sweep"]["sweep"] and cli.DEFAULTS["dims"] == "1"
+        assert cli.DEFAULTS["velocity_source"] == "lieb_robinson"
+        assert cli.DEFAULTS["depth_exponent"] == 2
 
 
 class TestNoEigensolver:
@@ -1229,26 +1235,87 @@ BAD_NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e308", "1e-300", "abc", ""]
 FUZZ_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                          suppress_health_check=[HealthCheck.function_scoped_fixture])
 
+# (valid, bad) values of every flag of every command, for the argv fuzz and
+# the flag-effect tests; "{tmp}" is the test's directory, and None gives a
+# flag bare. Sizes stay below the caps: L <= 40, N <= 16, at most 5 sweep
+# points per axis.
+CONVENTION_POOLS = {"log_base": (["natural", "2"], ["10"]),
+                    "depth_exponent": (["0", "1", "2", "8"], ["-1", "200", "1000", "1e308"])}
+FLAG_POOLS = {
+    "bound": {
+        "kind": (["naive", "qram", "teleport"], ["bogus"]),
+        "config": (["{tmp}/hw.cfg", "{tmp}/hw2d.cfg", "{tmp}/hw2d_range.cfg",
+                    "{tmp}/hw2d_wide.cfg"], ["{tmp}/tiny_g.cfg", "{tmp}/missing.cfg"]),
+        "velocity": (["6000", "1", "2.5"], BAD_NUMBERS),
+        "velocity_source": (["lieb_robinson", "qft", "group"], ["warp"]),
+        **CONVENTION_POOLS},
+    "sweep": {
+        "preset": (["fig3", "fig4"], ["fig5"]),
+        "axis": (["velocity:1e2:1e3:3:log", "v2:1e2:1e4:4:lin"],
+                 ["", "velocity", "velocity:1:2:3", "g:1:2:3:log:extra"]),
+        "dims": (["1", "1,2,3", "3"], ["0", "4", "x", ""]),
+        "config": (["{tmp}/hw.cfg", "{tmp}/hw2d_wide.cfg"],
+                   ["{tmp}/tiny_g.cfg", "{tmp}/missing.cfg"]),
+        "out": (["{tmp}/out/s.csv", "{tmp}/out/t.csv"], ["{tmp}/missing/s.csv"]),
+        **CONVENTION_POOLS},
+    "lightcone": {
+        "d": (["1", "2", "3"], ["0", "4"]),
+        "L": (["16", "40"], ["0", "-1", "4", "abc"]),
+        "lam": (["1.0", "1,0.5"], ["0", "-1", "nan", "inf", "x", ""]),
+        "m": (["1", "2.5"], BAD_NUMBERS), "a": (["1", "1e-6"], BAD_NUMBERS),
+        "threshold": (["1e-3", "0.1"], BAD_NUMBERS), "t_max": (["2", "4"], BAD_NUMBERS),
+        "r_max": (["1", "4", "8"], ["0", "-1", "100", "abc"]),
+        "dt": (["0.05", "0.1"], BAD_NUMBERS), "fit_r_min": (["1", "3"], ["0", "50"]),
+        "out": (["{tmp}/out/c.csv", "{tmp}/out/d.csv"], ["{tmp}/missing/c.csv"])},
+    "qramsim": {
+        "db": (["{tmp}/db4.txt", "{tmp}/db8.txt"],
+               [f"{{tmp}}/{n}.txt" for n in ("db16", "db3", "db0", "missing")]),
+        "N": (["2", "4", "8"], ["0", "-1", "1", "3", "16", "abc"]),
+        "random_db": ([None], [None]),
+        "seed": (["0", "7"], ["-1", "abc"]),
+        "address": (["all", "0", "3"], ["-1", "100", "x"])},
+    "verify": {},
+}
 
-def pick(rnd, valid, bad=BAD_NUMBERS):
+
+def pick(rnd, valid, bad):
     """A valid value nine times in ten, so that most runs get past the first
     check and into the library, else a bad one."""
     return rnd.choice(valid if rnd.random() < 0.9 else bad)
 
 
-def flags(rnd, **pools):
-    """``--flag=value`` for each flag, left out one time in four; a pool is
-    ``valid`` or ``(valid, bad)``."""
-    return [f"--{flag.replace('_', '-')}=" + pick(rnd, *(
-                pool if isinstance(pool, tuple) else (pool,)))
-            for flag, pool in pools.items() if rnd.random() < 0.75]
+def flag_arg(dest, value, tmp):
+    """``--dest=value`` with "{tmp}" filled in, or ``--dest`` for None."""
+    flag = f"--{dest.replace('_', '-')}"
+    return flag if value is None else f"{flag}={value.format(tmp=tmp)}"
+
+
+def flags(rnd, tmp, pools, rate=0.75):
+    """A value from each pool, each flag given at ``rate``."""
+    return [flag_arg(dest, pick(rnd, *pool), tmp)
+            for dest, pool in pools.items() if rnd.random() < rate]
+
+
+@pytest.fixture
+def paths(tmp_path):
+    """The files that the pools name, and an empty ``out`` directory."""
+    (tmp_path / "hw.cfg").write_text(GOOD_CONFIG)
+    (tmp_path / "hw2d.cfg").write_text(GOOD_CONFIG.replace("d = 1", "d = 2"))
+    (tmp_path / "hw2d_range.cfg").write_text(CONFIG_2D_TWO_RANGE)
+    (tmp_path / "hw2d_wide.cfg").write_text(CONFIG_2D_TWO_RANGE.replace("a = 1e-6", "a = 2e-6"))
+    (tmp_path / "tiny_g.cfg").write_text(
+        GOOD_CONFIG.replace("g1 = 6283.185307179586", "g1 = 5e-324"))
+    for name, bits in (("db4", "0110"), ("db8", "01101001"),
+                       ("db16", "0110" * 4), ("db3", "012"), ("db0", "")):
+        (tmp_path / f"{name}.txt").write_text(bits)
+    (tmp_path / "out").mkdir()
+    return tmp_path
 
 
 class TestArgvFuzz:
     """Whatever the argv, main returns an exit code in {0, 1, 2, 3} or argparse
     exits with 2; no other exception escapes, and a refusal is one
-    ``error:`` line. Sizes stay below the caps: L <= 40, N <= 16, at most 5
-    sweep points per axis."""
+    ``error:`` line."""
 
     def run(self, argv, capsys):
         capsys.readouterr()   # drop what earlier examples printed
@@ -1262,29 +1329,10 @@ class TestArgvFuzz:
         if code == 2:
             assert_one_error_line(captured)
 
-    @pytest.fixture
-    def paths(self, tmp_path):
-        (tmp_path / "hw.cfg").write_text(GOOD_CONFIG)
-        (tmp_path / "hw2d.cfg").write_text(GOOD_CONFIG.replace("d = 1", "d = 2"))
-        (tmp_path / "tiny_g.cfg").write_text(
-            GOOD_CONFIG.replace("g1 = 6283.185307179586", "g1 = 5e-324"))
-        for name, bits in (("db4", "0110"), ("db8", "01101001"),
-                           ("db16", "0110" * 4), ("db3", "012"), ("db0", "")):
-            (tmp_path / f"{name}.txt").write_text(bits)
-        return tmp_path
-
     @given(rnd=st.randoms(use_true_random=False))
     @FUZZ_SETTINGS
     def test_bound(self, rnd, paths, capsys):
-        argv = ["bound", *flags(
-            rnd, kind=(["naive", "qram", "teleport"], ["bogus"]),
-            velocity=["6000", "1", "2.5"],
-            velocity_source=(["lieb_robinson", "qft", "group"], ["warp"]),
-            depth_exponent=(["0", "1", "2", "8"], ["-1", "200", "1000", "1e308"]),
-            log_base=(["natural", "2"], ["10"]),
-            config=([str(paths / "hw.cfg"), str(paths / "hw2d.cfg")],
-                    [str(paths / "tiny_g.cfg"), str(paths / "missing.cfg")]))]
-        self.run(argv, capsys)
+        self.run(["bound", *flags(rnd, paths, FLAG_POOLS["bound"])], capsys)
 
     @given(rnd=st.randoms(use_true_random=False))
     @FUZZ_SETTINGS
@@ -1302,58 +1350,131 @@ class TestArgvFuzz:
                 value = rnd.choice(bad_lam if key == "lambda" else bad)
             lines.append(f"{key} = {value}")
         (paths / "fuzz.cfg").write_text("\n".join(lines) + "\n")
-        argv = ["bound", "--config=" + str(paths / "fuzz.cfg"), *flags(
-            rnd, kind=["naive", "qram", "teleport"],
-            velocity_source=["lieb_robinson", "qft", "group"],
-            depth_exponent=["0", "1", "2"], log_base=["natural", "2"])]
+        pools = {dest: FLAG_POOLS["bound"][dest]
+                 for dest in ("kind", "velocity_source", "depth_exponent", "log_base")}
+        argv = ["bound", "--config=" + str(paths / "fuzz.cfg"), *flags(rnd, paths, pools)]
         self.run(argv, capsys)
 
     @given(rnd=st.randoms(use_true_random=False))
     @FUZZ_SETTINGS
     def test_sweep(self, rnd, paths, capsys):
-        argv = ["sweep", "--out=" + rnd.choice([str(paths / "s.csv"),
-                                                str(paths / "missing" / "s.csv")])]
+        pools = dict(FLAG_POOLS["sweep"])
+        argv = ["sweep", flag_arg("out", pick(rnd, *pools.pop("out")), paths),
+                *flags(rnd, paths, {"preset": pools.pop("preset")}, rate=0.2)]
+        valid_axes, bad_axes = pools.pop("axis")
         for _ in range(rnd.choice([0, 1, 1, 2])):
             axis = ":".join([pick(rnd, ["velocity", "g", "v2"], ["mass"]),
-                             pick(rnd, ["1e-300", "1e-3", "1"]),
-                             pick(rnd, ["100", "1e4", "1e308"]),
+                             pick(rnd, ["1e-300", "1e-3", "1"], BAD_NUMBERS),
+                             pick(rnd, ["100", "1e4", "1e308"], BAD_NUMBERS),
                              pick(rnd, ["2", "5"], ["-1", "0", "1", "x"]),
                              pick(rnd, ["lin", "log"], ["cubic"])])
-            argv.append("--axis=" + pick(rnd, [axis], [
-                "", "velocity", "velocity:1:2:3", "g:1:2:3:log:extra"]))
-        argv += flags(rnd, dims=(["1", "1,2,3", "3"], ["0", "4", "x", ""]),
-                      depth_exponent=(["0", "2"], ["-1", "200"]),
-                      log_base=(["natural", "2"], ["10"]),
-                      config=([str(paths / "hw.cfg")],
-                              [str(paths / "tiny_g.cfg"),
-                               str(paths / "missing.cfg")]))
-        self.run(argv, capsys)
+            argv.append("--axis=" + pick(rnd, [axis, *valid_axes], bad_axes))
+        self.run(argv + flags(rnd, paths, pools), capsys)
 
     @given(rnd=st.randoms(use_true_random=False))
     @FUZZ_SETTINGS
     def test_lightcone(self, rnd, paths, capsys):
         # L and t_max are always given, so that no run takes the default
         # t_max = 220 on a 3D lattice
-        argv = ["lightcone", "--L=" + pick(rnd, ["16", "40"], ["0", "-1", "4", "abc"]),
-                "--t-max=" + pick(rnd, ["2", "4"])]
-        argv += flags(
-            rnd, d=(["1", "2", "3"], ["0", "4"]),
-            lam=(["1.0", "1,0.5"], ["0", "-1", "nan", "inf", "x", ""]),
-            m=["1", "2.5"], a=["1", "1e-6"], threshold=["1e-3", "0.1"],
-            dt=["0.05", "0.1"], r_max=(["1", "4"], ["0", "-1", "100", "abc"]),
-            fit_r_min=(["1", "3"], ["0", "50"]),
-            out=[str(paths / "c.csv"), str(paths / "missing" / "c.csv")])
-        self.run(argv, capsys)
+        pools = dict(FLAG_POOLS["lightcone"])
+        argv = ["lightcone", flag_arg("L", pick(rnd, *pools.pop("L")), paths),
+                flag_arg("t_max", rnd.choice(pools.pop("t_max")[0]), paths)]
+        self.run(argv + flags(rnd, paths, pools), capsys)
 
     @given(rnd=st.randoms(use_true_random=False))
     @FUZZ_SETTINGS
     def test_qramsim(self, rnd, paths, capsys):
-        argv = ["qramsim"] + (["--random-db"] if rnd.random() < 0.5 else [])
-        argv += flags(
-            rnd, N=(["2", "4", "8"], ["0", "-1", "1", "3", "16", "abc"]),
-            db=([str(paths / "db4.txt"), str(paths / "db8.txt")],
-                [str(paths / f"{n}.txt") for n in ("db16", "db3", "db0", "missing")]),
-            address=(["all", "0", "3"], ["-1", "100", "x"]),
-            g1=["3.14", "1.3"], g2=["3.14", "0.7"],
-            seed=(["0", "7"], ["-1", "abc"]))
-        self.run(argv, capsys)
+        self.run(["qramsim", *flags(rnd, paths, FLAG_POOLS["qramsim"])], capsys)
+
+
+# Each mode's argv at a small size; the flag-effect tests append one flag.
+MODE_ARGV = {
+    "--kind naive": ["bound", "--kind=naive"],
+    "--kind teleport": ["bound", "--kind=teleport", "--config={tmp}/hw2d.cfg"],
+    "--velocity": ["bound", "--velocity=6000"],
+    "bound": ["bound"],
+    "--preset": ["sweep", "--preset=fig3", "--out={tmp}/out/s.csv"],
+    "sweep": ["sweep", "--axis=g:1e-3:1:2:lin", "--out={tmp}/out/s.csv"],
+    "lightcone": ["lightcone", "--L=40", "--t-max=4", "--dt=0.1"],
+    "--db": ["qramsim", "--db={tmp}/db8.txt"],
+    "--random-db": ["qramsim", "--random-db", "--N=8"],
+    "verify": ["verify"],
+}
+
+
+class TestEveryFlagChangesWhatRuns:
+    """Each flag that a mode reads changes what it prints or writes, and
+    every other flag is refused by name: a flag that changed nothing would
+    let a reader think they had set a convention they had not."""
+
+    def outcome(self, argv, tmp, capsys):
+        """(exit code, stdout, files written to ``out``) of ``main(argv)``."""
+        for path in (tmp / "out").iterdir():
+            path.unlink()
+        capsys.readouterr()
+        code = main([arg.format(tmp=tmp) for arg in argv])
+        written = sorted((path.name, path.read_bytes()) for path in (tmp / "out").iterdir())
+        return code, capsys.readouterr(), written
+
+    def test_every_mode_and_flag_is_covered(self, paths):
+        assert MODE_ARGV.keys() == {m for modes in cli.MODES.values() for m in modes}
+        for mode, argv in MODE_ARGV.items():
+            args = vars(cli.build_parser().parse_args([a.format(tmp=paths) for a in argv]))
+            assert set(args["flags"]) - {"help"} == FLAG_POOLS[argv[0]].keys()
+            assert cli._mode(argv[0], args) == mode
+
+    @pytest.mark.parametrize("mode", list(MODE_ARGV))
+    def test_each_flag_the_mode_reads_changes_its_output(self, mode, paths, capsys):
+        argv = MODE_ARGV[mode]
+        for dest in cli.MODES[argv[0]][mode].split():
+            if dest in ("kind", "random_db"):   # picks the mode: see MODE_ARGV
+                continue
+            outputs = set()
+            for value in FLAG_POOLS[argv[0]][dest][0]:
+                code, captured, written = self.outcome(
+                    argv + [flag_arg(dest, value, paths)], paths, capsys)
+                if code != 2:
+                    outputs.add((captured.out, tuple(written)))
+            assert len(outputs) >= 2, f"{mode}: --{dest} changed nothing"
+
+    @pytest.mark.parametrize("mode", list(MODE_ARGV))
+    def test_each_flag_the_mode_ignores_is_refused(self, mode, paths, capsys):
+        command = MODE_ARGV[mode][0]
+        modes = list(cli.MODES[command])
+        # a flag that picks an earlier mode runs that mode instead
+        earlier = {m.partition(" ")[0][2:].replace("-", "_")
+                   for m in modes[:modes.index(mode)]}
+        for dest, (values, _) in FLAG_POOLS[command].items():
+            if dest in cli.MODES[command][mode].split() or dest in earlier:
+                continue
+            code, captured, _ = self.outcome(
+                MODE_ARGV[mode] + [flag_arg(dest, values[0], paths)], paths, capsys)
+            flag = f"--{dest.replace('_', '-')}"
+            message = ("--db and --random-db both give the database"
+                       if dest == "random_db" else f"{mode} ignores {flag}")
+            assert code == 2
+            assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+class TestDocumentedCommands:
+    def test_readme_command_lines_exit_0(self, tmp_path, monkeypatch, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Command line")[1].split("```sh\n")[1].split("```")[0]
+        (tmp_path / "hw.cfg").write_text(CONFIG_2D_TWO_RANGE)
+        (tmp_path / "hw2d.cfg").write_text(GOOD_CONFIG.replace("d = 1", "d = 2"))
+        (tmp_path / "db.txt").write_text("0110")
+        monkeypatch.chdir(tmp_path)   # the out paths are relative
+        lines = block.splitlines()
+        assert lines and all(line.startswith("qram-bounds ") for line in lines)
+        for line in lines:
+            assert main(shlex.split(line, comments=True)[1:]) == 0, line
+
+    def test_help_states_the_defaults_of_the_table(self):
+        parser = cli.build_parser()
+        (sub,) = [action for action in parser._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+        stated = [(action.dest, re.search(r"default (\w+)", action.help)[1])
+                  for p in sub.choices.values() for action in p._actions
+                  if "default " in (action.help or "")]
+        assert len(stated) == 5
+        assert all(str(cli.DEFAULTS[dest]) == default for dest, default in stated)

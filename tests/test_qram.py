@@ -688,6 +688,27 @@ class TestVerifyRetrieval:
         assert report.passed
         assert all(row.read == 1 for row in report.rows)
 
+    @pytest.mark.parametrize("g1,g2,message", [
+        (0.0, G, "nonpositive coupling g1=0.0"),
+        (-2.0, G, "nonpositive coupling g1=-2.0"),
+        (G, -1.0, "nonpositive coupling g2=-1.0"),
+        (math.nan, G, "non-finite coupling g1=nan"),
+        (G, math.inf, "non-finite coupling g2=inf"),
+        (-math.inf, G, "non-finite coupling g1=-inf"),
+        # 4*g overflowed to a zero beam-splitter time, and pi/g to an
+        # infinite one
+        (1e308, 1e308, "coupling g1=1e+308 out of range: 4*g1 or pi/g1 overflows"),
+        (5e307, G, "coupling g1=5e+307 out of range: 4*g1 or pi/g1 overflows"),
+        (1e-320, G, "coupling g1=1e-320 out of range: 4*g1 or pi/g1 overflows"),
+        (G, 1e-320, "coupling g2=1e-320 out of range: 4*g2 or pi/g2 overflows"),
+    ])
+    def test_bad_coupling_refused_by_name(self, g1, g2, message):
+        db = random_database(8, seed=7)
+        with pytest.raises(GateError, match=f"^{re.escape(message)}$"):
+            verify_retrieval(db, g1, g2)
+        with pytest.raises(GateError, match=f"^{re.escape(message)}$"):
+            simulate_query(db, np.eye(8)[1], g1, g2)
+
 
 class TestDenseOracle:
     @pytest.mark.parametrize("g1,g2", [(G, G), (1.3, 0.7), (3e4, 7e2)])

@@ -10,7 +10,7 @@ from .params import (Conventions, HardwareParams, ParamsError, density,
                      load_config, tau0)
 from .bounds import (BoundError, BoundResult, FixedPointError, capacity,
                      coarse_grain, fixed_point_solve, naive_max_qubits,
-                     qft_velocity, qram_max_qubits, teleport_hybrid_max_qubits)
+                     qft_velocity, qram_max_qubits)
 from .lattice import (LatticeError, LatticeSpec, LightConeScan, LRBoundParams,
                       SymplecticPropagator, WeylFunction, axis_signal,
                       coupling_matrix, dispersion, lr_bound_envelope, lr_speed,

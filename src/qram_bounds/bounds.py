@@ -8,7 +8,7 @@ the spacing a.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import lattice as _lattice
 from .params import Conventions, HardwareParams, checked_index, density, tau0
@@ -128,7 +128,8 @@ def capped_velocity(params: HardwareParams, src: str | float) -> float:
     d-dimensional limit picks up the sqrt(d) enhancement, mirroring the
     closed forms for the lattice and continuum limits. The "group" source
     is the maximal group velocity of the dispersion, a*sqrt(sum_j j^2
-    lam_j / m) in every d, and "qft" is sqrt(d) times it.
+    lam_j / m) in every d, and "qft" is sqrt(d) times it. "teleport-hybrid",
+    routing hops teleported at the speed cap, is c_max and refused off d = 2.
     """
     if src == "lieb_robinson":
         v = _lattice.physical_velocity(
@@ -142,6 +143,8 @@ def capped_velocity(params: HardwareParams, src: str | float) -> float:
         v = _lattice.physical_velocity(
             params.a, _lattice.max_group_velocity(spec), "group velocity")
     elif src == "teleport-hybrid":
+        if params.d != 2:
+            raise BoundError("teleport-hybrid defined for d=2")
         v = params.c_max
     else:
         v = math.sqrt(params.d) * float(src)
@@ -181,13 +184,3 @@ def qram_max_qubits(params: HardwareParams, conventions: Conventions) -> BoundRe
         inputs_digest=params,
     )
 
-
-def teleport_hybrid_max_qubits(params: HardwareParams,
-                               conventions: Conventions) -> BoundResult:
-    """2D capacity bound when routing hops run at the absolute speed cap
-    (teleportation-based routing) while only a vanishing fraction of the
-    distance is covered at sound speed."""
-    if params.d != 2:
-        raise BoundError("teleport-hybrid defined for d=2")
-    return qram_max_qubits(params, replace(conventions,
-                                           velocity_source="teleport-hybrid"))

@@ -12,7 +12,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -143,25 +143,25 @@ def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
     return len(rows)
 
 
-def fig3_grid(depth_exponent: int = 2, log_base: str = "natural") -> SweepGrid:
+def fig3_grid() -> SweepGrid:
     """Velocity axis up to the sound-speed scale, one capacity column per
     dimension, micron spacing and millisecond stage time."""
     return SweepGrid(
         axes=(AxisSpec("velocity", 1e2, SOUND_SPEED, 50, log=True),),
         fixed=PRESET_PARAMS,
-        conventions=Conventions(log_base=log_base, depth_exponent=depth_exponent),
+        conventions=Conventions(),
         dims=(1, 2, 3),
     )
 
 
-def fig4_grid(depth_exponent: int = 2, log_base: str = "natural") -> SweepGrid:
+def fig4_grid() -> SweepGrid:
     """Coupling axis vs squared-speed-limit axis at millimeter spacing,
     1D capacity heat map."""
     return SweepGrid(
         axes=(AxisSpec("g", 1e-4, 1.0, 40, log=True),
               AxisSpec("v2", 1e2, SOUND_SPEED ** 2, 40, log=True)),
         fixed=replace(PRESET_PARAMS, a=1e-3),
-        conventions=Conventions(log_base=log_base, depth_exponent=depth_exponent),
+        conventions=Conventions(),
         dims=(1,),
     )
 
@@ -197,18 +197,17 @@ def _cmd_bound(args) -> int:
               f"(a={params.a:g} m, delta_t={params.delta_t:g} s, "
               f"c={params.c_max:g} m/s, log_base={args.log_base})")
         return EXIT_OK
-    bound = (bounds.teleport_hybrid_max_qubits if args.kind == "teleport"
-             else bounds.qram_max_qubits)
-    # the --velocity row reads the velocity itself; the teleport row reads no source
+    # the --velocity row's source is its velocity, the teleport row's teleport-hybrid
     source = vars(args).get("velocity", getattr(args, "velocity_source", "teleport-hybrid"))
-    _print_bound(bound(params, Conventions(args.log_base, args.depth_exponent, source)))
+    _print_bound(bounds.qram_max_qubits(
+        params, Conventions(args.log_base, args.depth_exponent, source)))
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     if "preset" in args:
         preset = fig3_grid if args.preset == "fig3" else fig4_grid
-        grid = preset(args.depth_exponent, args.log_base)
+        grid = replace(preset(), conventions=Conventions(args.log_base, args.depth_exponent))
     else:
         if args.axis is None:
             raise ParamsError("custom sweep needs --axis")
@@ -330,11 +329,11 @@ def _cmd_qramsim(args) -> int:
     return EXIT_OK
 
 
-# The value a flag takes when it is not given; any other flag takes None.
-DEFAULTS = {"kind": "qram", "velocity_source": "lieb_robinson", "log_base": "natural",
-            "depth_exponent": 2, "dims": "1", "d": 1, "L": 400, "m": 1.0, "a": 1.0,
-            "threshold": 1e-3, "t_max": 220.0, "fit_r_min": 1, "lam": "1.0", "seed": 7,
-            "address": "all"}
+# The value a flag takes when it is not given, as --help states it; the convention
+# flags take the defaults of Conventions(). Any other flag takes None.
+DEFAULTS = {"kind": "qram", **asdict(Conventions()), "dims": "1", "d": 1, "L": 400,
+            "m": 1.0, "a": 1.0, "threshold": 1e-3, "t_max": 220.0, "fit_r_min": 1,
+            "lam": "1.0", "seed": 7, "address": "all"}
 # The flags each mode reads. A command runs its first mode whose flag is given
 # (with the value named, as "--kind naive"), else the mode named after it.
 MODES = {
@@ -373,14 +372,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_conventions(p):
         p.add_argument("--log-base", choices=("natural", "2"))
-        p.add_argument("--depth-exponent", type=int, help="p in T ~ tau0 log^p N (default 2)")
+        p.add_argument("--depth-exponent", type=int,
+                       help=f"p in T ~ tau0 log^p N (default {DEFAULTS['depth_exponent']})")
 
     p = add_parser("bound", help="evaluate a single capacity bound")
     p.add_argument("--kind", choices=("naive", "qram", "teleport"))
     p.add_argument("--config", help="hardware config file (key = value)")
     p.add_argument("--velocity", type=float,
                    help="explicit per-axis velocity in m/s")
-    p.add_argument("--velocity-source", help="default lieb_robinson",
+    p.add_argument("--velocity-source", help=f"default {DEFAULTS['velocity_source']}",
                    choices=("lieb_robinson", "qft", "group"))
     add_conventions(p)
     p.set_defaults(func=_cmd_bound)

@@ -58,12 +58,14 @@ class Conventions:
     The source texts mix conventions (depth exponent 1 with natural log for
     the naive estimate, exponent 2 for the gate-level schedule), so nothing
     is baked in: every result records the conventions that produced it.
+    The field defaults are the one copy of the convention defaults; the preset
+    sweep grids and ``cli.DEFAULTS`` (so ``--help``) read them from here.
     """
     log_base: str = "natural"          # "natural" | "2"
     depth_exponent: int = 2            # p in T ~ tau0 * log^p(N), p >= 0
     velocity_source: str | float = "lieb_robinson"
-    # "lieb_robinson" | "qft" | "group" | explicit value in m/s
-    # (the teleport-hybrid path stamps "teleport-hybrid" on its results)
+    # "lieb_robinson" | "qft" | "group" | explicit value in m/s, or the
+    # teleport bound's "teleport-hybrid": c_max, refused off d = 2 where read
 
     def __post_init__(self):
         """Refuse unknown or out-of-range conventions; spell the log base

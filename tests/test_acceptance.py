@@ -6,7 +6,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from qram_bounds import bounds, cli, gates, lattice, qram
 from qram_bounds.params import Conventions, HardwareParams, density
@@ -209,13 +208,13 @@ def test_criterion_11_figure_scale_reproduction(tmp_path):
     in_bracket = all(1e6 <= v <= 1e10 for v in one_d)
 
     out = tmp_path / "fig3.csv"
-    cli.run_sweep(cli.fig3_grid(depth_exponent=2), out)
+    cli.run_sweep(cli.fig3_grid(), out)
     data = np.genfromtxt(str(out), delimiter=",", skip_header=2)
     columns_ordered = bool(np.all(data[:, 1] <= data[:, 2])
                            and np.all(data[:, 2] <= data[:, 3]))
 
-    tele = bounds.teleport_hybrid_max_qubits(
-        make_params(d=2), Conventions(depth_exponent=0)).max_qubits_total
+    tele = bounds.qram_max_qubits(make_params(d=2), Conventions(
+        depth_exponent=0, velocity_source="teleport-hybrid")).max_qubits_total
     tele_ok = 1e19 <= tele <= 1e23
 
     out4 = tmp_path / "fig4.csv"

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qram_bounds import bounds, lattice
+from qram_bounds import bounds, cli, lattice
 from qram_bounds.bounds import (BoundError, FixedPointError, capacity, coarse_grain,
                                 fixed_point_solve, naive_max_qubits, qft_velocity,
-                                qram_max_qubits, teleport_hybrid_max_qubits)
+                                qram_max_qubits)
 from qram_bounds.lattice import lr_speed, physical_velocity
 from qram_bounds.params import Conventions, HardwareParams, ParamsError, density
 
@@ -447,24 +447,42 @@ class TestQramMaxQubits:
                     assert grid[(v, g, inv_a)] <= grid[(v, g, inv_as[i + 1])]
 
 
+def teleport(**conventions):
+    """The conventions of the teleport bound: routing hops at the speed cap."""
+    return Conventions(velocity_source="teleport-hybrid", **conventions)
+
+
 class TestTeleportHybrid:
+    """The teleport bound is ``qram_max_qubits`` at the teleport-hybrid
+    source, which every path refuses outside d = 2. At d = 2 the values are
+    pinned bit for bit to those of the former teleport-only entry point."""
+
     def test_light_speed_2d_p0(self):
-        r = teleport_hybrid_max_qubits(make_params(d=2),
-                                       Conventions(depth_exponent=0))
-        assert r.max_linear_extent == pytest.approx(3e11, rel=1e-12)
-        assert r.max_qubits_total == pytest.approx(9e22, rel=1e-12)
+        r = qram_max_qubits(make_params(d=2), teleport(depth_exponent=0))
+        assert (r.max_linear_extent, r.max_qubits_total) == (3e11, 9e22)
         assert r.conventions.velocity_source == "teleport-hybrid"
         assert r.velocity_used == r.inputs_digest.c_max
 
     def test_p2_matches_scan_oracle(self):
-        r = teleport_hybrid_max_qubits(make_params(d=2),
-                                       Conventions(depth_exponent=2))
+        r = qram_max_qubits(make_params(d=2), teleport(depth_exponent=2))
         assert r.max_linear_extent == pytest.approx(
             scan_largest_root(3e11, 2), rel=1e-8)
+        assert (r.max_linear_extent, r.max_qubits_total) == (
+            335609955822222.7, 1.1263404244699426e+29)
+        r = qram_max_qubits(make_params(d=2), teleport(log_base="2", depth_exponent=2))
+        assert (r.max_linear_extent, r.max_qubits_total) == (
+            731448656360415.9, 5.350171368914577e+29)
 
-    def test_rejects_other_dimensions(self):
-        with pytest.raises(BoundError, match="teleport-hybrid defined for d=2"):
-            teleport_hybrid_max_qubits(make_params(d=1), Conventions())
+    def test_rejects_other_dimensions(self, tmp_path):
+        for d in (1, 3):
+            with pytest.raises(BoundError, match="^teleport-hybrid defined for d=2$"):
+                qram_max_qubits(make_params(d=d), teleport())
+        grid = cli.SweepGrid(axes=(cli.AxisSpec("g", 1e2, 1e3, 3),),
+                             fixed=make_params(), conventions=teleport(), dims=(1, 2))
+        out = tmp_path / "sweep.csv"
+        with pytest.raises(BoundError, match="^teleport-hybrid defined for d=2$"):
+            cli.run_sweep(grid, out)
+        assert not out.exists()
 
 
 class TestCrossModuleConsistency:

@@ -12,14 +12,14 @@ import shlex
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qram_bounds import bounds, cli, lattice, qram, verify
+from qram_bounds import bounds, cli, lattice, qram
 from qram_bounds.cli import AxisSpec, SweepGrid, fig3_grid, fig4_grid, main, run_sweep
 from qram_bounds.params import Conventions, HardwareParams, ParamsError
 
@@ -374,7 +374,7 @@ class TestSweepCommand:
     def test_fig3_spot_check_against_api(self, tmp_path):
         from qram_bounds import bounds
         out = tmp_path / "fig3.csv"
-        run_sweep(fig3_grid(depth_exponent=2), out)
+        run_sweep(fig3_grid(), out)
         data = np.genfromtxt(str(out), delimiter=",", skip_header=2)
         row = data[-1]
         r = bounds.qram_max_qubits(
@@ -590,7 +590,8 @@ def sweep_grids(draw):
     conventions = Conventions(
         log_base=draw(st.sampled_from(["natural", "2"])),
         depth_exponent=draw(st.integers(0, 3)),
-        velocity_source=draw(st.sampled_from(["lieb_robinson", "qft", "group"])))
+        velocity_source=draw(st.sampled_from(["lieb_robinson", "qft", "group",
+                                              "teleport-hybrid"])))
     dims = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3,
                          unique=True))
     if draw(st.integers(0, 3)) == 0:   # d = 4 is refused by its record
@@ -1041,6 +1042,7 @@ QRAMSIM_GOLDEN = {   # stdout of `qramsim --random-db --N N --seed 7`
 QRAMSIM_SHA256 = {
     64: "04206e6ada865c555020990f7490bceb34e8fdb59e916cb1f6c2be8a34cf2751",
     1024: "d495dee78c09f0385f8a981e165e4bdca1a227eb80eb740f062a7c9adf305bc5",
+    4096: "77d94d3de520197178bd2f4b582fd708fa96af19ec85d186e9c4ace37dd2d29a",  # MAX_LEAVES
 }
 
 
@@ -1478,3 +1480,7 @@ class TestDocumentedCommands:
                   if "default " in (action.help or "")]
         assert len(stated) == 5
         assert all(str(cli.DEFAULTS[dest]) == default for dest, default in stated)
+        # the convention defaults have one copy: Conventions()
+        assert asdict(Conventions()) == {dest: cli.DEFAULTS[dest] for dest in
+                                         ("log_base", "depth_exponent", "velocity_source")}
+        assert fig3_grid().conventions == fig4_grid().conventions == Conventions()

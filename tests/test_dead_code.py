@@ -1,8 +1,8 @@
 """Dead-code guard over the program source: every private name defined at
 module level in ``src/qram_bounds`` is used somewhere in ``src/`` or
-``scripts/``, and every name a ``src/`` module imports is used in it. The
-package's ``__init__.py`` is exempt from the second check, as its imports
-are the public names it exports.
+``scripts/``, and every name that a module of ``src/``, ``scripts/`` or
+``tests/`` imports is used in it. The package's ``__init__.py`` is exempt
+from the second check, as its imports are the public names it exports.
 """
 import ast
 import functools
@@ -13,7 +13,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = sorted((ROOT / "src" / "qram_bounds").glob("*.py"))
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py")) + SCRIPTS
+IMPORTERS = ([p for p in PACKAGE if p.name != "__init__.py"] + SCRIPTS
+             + sorted((ROOT / "tests").glob("*.py")))
 
 
 def private_definitions(tree):
@@ -62,8 +65,7 @@ def test_private_names_are_used(path):
     assert [name for name in private_definitions(parse(path)) if not read[name]] == []
 
 
-@pytest.mark.parametrize("path", [p for p in PACKAGE if p.name != "__init__.py"],
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", IMPORTERS, ids=lambda path: path.name)
 def test_imports_are_used(path):
     assert unused_imports(parse(path)) == []
 

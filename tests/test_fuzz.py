@@ -89,7 +89,8 @@ def test_params(data, d):
 
 @given(data=st.data(), d=st.sampled_from([1, 2, 3]),
        p=st.sampled_from([0, 1, 2, 3]), log_base=st.sampled_from(["natural", "2"]),
-       source=st.one_of(st.sampled_from(["lieb_robinson", "qft", "group"]), FLOATS))
+       source=st.one_of(st.sampled_from(["lieb_robinson", "qft", "group",
+                                         "teleport-hybrid"]), FLOATS))
 @FUZZ
 def test_bounds(data, d, p, log_base, source):
     draw = data.draw
@@ -104,8 +105,6 @@ def test_bounds(data, d, p, log_base, source):
     lieb_robinson_speeds(hw)
     finite_or_refused(bounds.coarse_grain, hw)
     finite_or_refused(bounds.qram_max_qubits, hw, conv)
-    if d == 2:
-        finite_or_refused(bounds.teleport_hybrid_max_qubits, hw, conv)
 
 
 @given(d=st.sampled_from([1, 2, 3]), lam=LAMS, m=FLOATS, a=FLOATS,

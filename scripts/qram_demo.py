@@ -16,7 +16,7 @@ def main() -> None:
     db = qram.random_database(8, seed=42)
     print(f"database: {''.join(str(b) for b in db.bits)}")
     report = qram.verify_retrieval(db)
-    print_retrieval_table(report.rows)
+    print_retrieval_table(report)
     print(f"min fidelity (incl. superpositions): {report.min_fidelity:.12f}")
     print(f"all checks passed: {report.passed}")
 

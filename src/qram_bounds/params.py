@@ -180,8 +180,12 @@ def load_config(path: str | Path) -> HardwareParams:
     path = Path(path)
     if not path.exists():
         raise ParamsError(f"config not found: {path}")
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        raise ParamsError(f"config is not text: {path}") from None
     raw: dict[str, str] = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -229,7 +229,7 @@ def read_database(path: str | Path) -> ClassicalDatabase:
     file above the leaf cap is refused without being held whole."""
     refusal = QramError(f"database file must contain only 0/1 characters: {path}")
     kept, count = "", 0
-    with open(path) as file:
+    with open(path, errors="replace") as file:   # a byte that is not text reads as U+FFFD
         for chunk in iter(functools.partial(file.read, 1 << 16), ""):
             text = "".join(chunk.split())
             if set(text) - {"0", "1"}:
@@ -275,18 +275,9 @@ def classical_trace_read(db: ClassicalDatabase, address: int) -> int:
 # monomial simulation
 
 @dataclass(frozen=True)
-class RetrievalRow:
-    address: int
-    expected: int
-    read: int
-    fidelity: float
-
-
-@dataclass(frozen=True)
 class QueryResult:
     bits: np.ndarray                  # output basis states (addresses, routers, bus)
     amplitudes: np.ndarray            # one per row of bits
-    table: tuple[RetrievalRow, ...]
     fidelity: float                   # vs sum_x alpha_x |x>|0_routers>|D_x>
     routers_restored: float           # weight of the routers-all-zero sector
 
@@ -353,24 +344,21 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
 
 def _read_out(db: ClassicalDatabase, bits: np.ndarray, key: np.ndarray):
     """One pass over the rows ``bits`` routed from the input addresses ``key``:
-    the table rows, each expecting the bit stored at its address, and per row
-    the ideal flag (routers zero, address kept, bus = stored bit) and
-    routers-zero flag."""
+    per row the bit stored at its address, the bus bit it read (a copy: a
+    view would keep the whole bit table alive), its ideal flag (routers
+    zero, address kept, bus = stored bit) and its routers-zero flag."""
     n = db.depth
     expected = np.asarray(db.bits)[key]
     routers_zero = ~bits[:, n:_bus_mode(n)].any(axis=1)
-    bus = bits[:, _bus_mode(n)]
+    read = bits[:, _bus_mode(n)].copy()
     kept = bits[:, :n] @ (1 << np.arange(n)[::-1]) == key
-    ideal = routers_zero & kept & (bus == expected)
-    rows = map(RetrievalRow, key.tolist(), expected.tolist(), bus.tolist(),
-               ideal.astype(float).tolist())
-    return tuple(rows), ideal, routers_zero
+    ideal = routers_zero & kept & (read == expected)
+    return expected, read, ideal, routers_zero
 
 
 def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
                    g1: float = math.pi, g2: float = math.pi) -> QueryResult:
-    """Route the addresses in ``address_state``; superpose their outputs.
-    The table keeps the rows of weight >= 1e-12."""
+    """Route the addresses in ``address_state``; superpose their outputs."""
     address_state = np.asarray(address_state, dtype=complex)
     if address_state.shape != (db.N,):
         raise QramError(f"address state must have length {db.N}")
@@ -383,18 +371,22 @@ def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
     support = np.flatnonzero(address_state)
     bits, phase = _route(db, support, g1, g2)
     alpha = address_state[support]
-    rows, ideal, routers_zero = _read_out(db, bits, support)
+    _, _, ideal, routers_zero = _read_out(db, bits, support)
     amplitudes = alpha * phase
-    heavy = (np.abs(amplitudes) ** 2 >= 1e-12).tolist()
     fidelity = abs(np.vdot(alpha[ideal], amplitudes[ideal])) ** 2
     restored = np.sum(np.abs(amplitudes[routers_zero]) ** 2)
-    return QueryResult(bits, amplitudes, tuple(itertools.compress(rows, heavy)),
-                       float(fidelity), float(restored))
+    return QueryResult(bits, amplitudes, float(fidelity), float(restored))
 
 
 @dataclass(frozen=True)
 class RetrievalReport:
-    rows: tuple[RetrievalRow, ...]
+    """The checked addresses as four columns of one length, in address
+    order: the address, the bit stored there, the bit the bus read, and the
+    fidelity (1.0 where the row is ideal, else 0.0)."""
+    addresses: np.ndarray
+    expected: np.ndarray
+    read: np.ndarray
+    fidelity: np.ndarray
     min_fidelity: float
     failures: tuple[str, ...]
 
@@ -404,24 +396,29 @@ class RetrievalReport:
 
 
 def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
-                     g2: float = math.pi) -> RetrievalReport:
-    """Exhaustive correctness harness: every basis address, each read checked
-    against the bit stored at its address, and the worst superposition of
-    them all, from the same route map by linearity. Input α scores
-    |Σ_ideal |α_x|²·p_x|²: the minimum over all α is 0 if any row is not
-    ideal, else cos²(Δ/2), where Δ is the shortest arc that holds every
-    phase p_x/p_0, and 0 once Δ >= π."""
-    inputs = np.arange(db.N)
+                     g2: float = math.pi, address: int | None = None) -> RetrievalReport:
+    """Exhaustive correctness harness: every basis address (or the one
+    ``address``), each read checked against the bit stored at its address,
+    and the worst superposition of them all, from the same route map by
+    linearity. Input α scores |Σ_ideal |α_x|²·p_x|²: the minimum over all α
+    is 0 if any row is not ideal, else cos²(Δ/2), where Δ is the shortest
+    arc that holds every phase p_x/p_0, and 0 once Δ >= π."""
+    if address is not None:
+        address = checked_index(QramError, "address", address)
+        if not 0 <= address < db.N:
+            raise QramError(f"address {address} out of range for N={db.N}")
+    inputs = np.arange(db.N) if address is None else np.array([address])
     bits, phase = _route(db, inputs, g1, g2)
-    rows, ideal, _ = _read_out(db, bits, inputs)
-    overlaps = [row.fidelity * abs(p) ** 2 for row, p in zip(rows, phase.tolist())]
+    expected, read, ideal, _ = _read_out(db, bits, inputs)
+    fidelity = ideal.astype(float)
+    overlap = fidelity * np.abs(phase) ** 2
     failures = []
-    for row, overlap in zip(rows, overlaps):
-        if row.read != row.expected:
-            failures.append(f"address {row.address}: read {row.read} != oracle")
-        if overlap < 1.0 - FIDELITY_TOL:
-            failures.append(f"address {row.address}: fidelity {overlap:.12f}")
-    min_fid = min([1.0, *overlaps, *(row.fidelity for row in rows)])
+    min_fid = min(1.0, float(overlap.min()))
+    if min_fid < 1.0 - FIDELITY_TOL:   # every failing row, a wrong read included, scores low
+        for i in np.flatnonzero(overlap < 1.0 - FIDELITY_TOL).tolist():
+            if read[i] != expected[i]:
+                failures.append(f"address {inputs[i]}: read {read[i]} != oracle")
+            failures.append(f"address {inputs[i]}: fidelity {overlap[i]:.12f}")
     if ideal.all():   # a row that is not ideal already fails, and scores 0
         angles = np.sort(np.angle(phase / phase[0]))
         spread = 2 * math.pi - np.diff(angles, append=angles[0] + 2 * math.pi).max()
@@ -430,5 +427,4 @@ def verify_retrieval(db: ClassicalDatabase, g1: float = math.pi,
         if worst < 1.0 - FIDELITY_TOL:
             failures.append(f"phase spread {spread:.6g} rad: "
                             f"worst superposition fidelity {worst:.12f}")
-    return RetrievalReport(rows=rows, min_fidelity=min_fid,
-                           failures=tuple(failures))
+    return RetrievalReport(inputs, expected, read, fidelity, min_fid, tuple(failures))

@@ -174,7 +174,7 @@ def test_criterion_09_qram_functional_correctness():
             basis = np.zeros(N, dtype=complex)
             basis[x] = 1.0
             result = qram.simulate_query(db, basis, math.pi, math.pi)
-            ok = ok and result.table[0].read == db.bits[x]
+            ok = ok and result.bits[0, -1] == db.bits[x]
             ok = ok and result.routers_restored >= 1.0 - 1e-9
     elapsed = time.perf_counter() - start
     ok = ok and min_fid >= 1.0 - 1e-9 and elapsed < 30.0

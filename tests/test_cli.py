@@ -131,6 +131,12 @@ class TestBoundCommand:
         assert main(["bound", "--config", "/nonexistent.cfg"]) == 2
         assert "config not found" in capsys.readouterr().err
 
+    def test_config_that_is_not_text_exits_2_naming_it(self, tmp_path, capsys):
+        path = tmp_path / "binary.cfg"
+        path.write_bytes(GOOD_CONFIG.encode() + b"\xff\n")
+        assert main(["bound", "--config", str(path)]) == 2
+        assert_one_error_line(capsys.readouterr(), f"config is not text: {path}\n")
+
     def test_invalid_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(GOOD_CONFIG.replace("a = 1e-6", "a = 0"))
@@ -935,6 +941,41 @@ class TestQramsimCommand:
         assert captured.err == f"error: leaf cap: N <= 4096, got {N}\n"
         assert captured.out == ""
 
+    def test_database_that_is_not_text_exits_2_naming_it(self, tmp_path, capsys):
+        db = tmp_path / "db.txt"
+        db.write_bytes(b"\xff0101")
+        assert main(["qramsim", "--db", str(db)]) == 2
+        assert_one_error_line(
+            capsys.readouterr(),
+            f"database file must contain only 0/1 characters: {db}\n")
+
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_one_address_prints_its_line_of_the_full_table(self, N, monkeypatch,
+                                                          capsys):
+        # both modes are one verify_retrieval verdict: --address k prints the
+        # header and address k's line of the all-address run, and a bus
+        # flipped at address k fails both modes with the same row
+        argv = ["qramsim", "--random-db", "--N", str(N), "--seed", "7"]
+        assert main(argv) == 0
+        header, *lines = capsys.readouterr().out.splitlines(keepends=True)
+        for k in range(N):
+            assert main([*argv, "--address", str(k)]) == 0
+            assert capsys.readouterr().out == header + lines[k]
+        route = qram._route
+        for k in range(N):
+            def flip(db, addresses, g1, g2, k=k):
+                bits, phase = route(db, addresses, g1, g2)
+                bits[addresses == k, -1] ^= 1
+                return bits, phase
+
+            with monkeypatch.context() as patch:
+                patch.setattr(qram, "_route", flip)
+                assert main(argv) == 3
+                row = capsys.readouterr().out.splitlines(keepends=True)[1 + k]
+                assert row.split()[3] == "0.000000000000"
+                assert main([*argv, "--address", str(k)]) == 3
+                assert capsys.readouterr().out == header + row
+
     def test_oversized_database_file_exits_2(self, tmp_path, capsys):
         db = tmp_path / "db.txt"
         db.write_text("1" * 8192)
@@ -1247,7 +1288,8 @@ FLAG_POOLS = {
     "bound": {
         "kind": (["naive", "qram", "teleport"], ["bogus"]),
         "config": (["{tmp}/hw.cfg", "{tmp}/hw2d.cfg", "{tmp}/hw2d_range.cfg",
-                    "{tmp}/hw2d_wide.cfg"], ["{tmp}/tiny_g.cfg", "{tmp}/missing.cfg"]),
+                    "{tmp}/hw2d_wide.cfg"],
+                   ["{tmp}/tiny_g.cfg", "{tmp}/missing.cfg", "{tmp}/binary.cfg"]),
         "velocity": (["6000", "1", "2.5"], BAD_NUMBERS),
         "velocity_source": (["lieb_robinson", "qft", "group"], ["warp"]),
         **CONVENTION_POOLS},
@@ -1257,7 +1299,7 @@ FLAG_POOLS = {
                  ["", "velocity", "velocity:1:2:3", "g:1:2:3:log:extra"]),
         "dims": (["1", "1,2,3", "3"], ["0", "4", "x", ""]),
         "config": (["{tmp}/hw.cfg", "{tmp}/hw2d_wide.cfg"],
-                   ["{tmp}/tiny_g.cfg", "{tmp}/missing.cfg"]),
+                   ["{tmp}/tiny_g.cfg", "{tmp}/missing.cfg", "{tmp}/binary.cfg"]),
         "out": (["{tmp}/out/s.csv", "{tmp}/out/t.csv"], ["{tmp}/missing/s.csv"]),
         **CONVENTION_POOLS},
     "lightcone": {
@@ -1271,7 +1313,7 @@ FLAG_POOLS = {
         "out": (["{tmp}/out/c.csv", "{tmp}/out/d.csv"], ["{tmp}/missing/c.csv"])},
     "qramsim": {
         "db": (["{tmp}/db4.txt", "{tmp}/db8.txt"],
-               [f"{{tmp}}/{n}.txt" for n in ("db16", "db3", "db0", "missing")]),
+               [f"{{tmp}}/{n}.txt" for n in ("db16", "db3", "db0", "dbff", "missing")]),
         "N": (["2", "4", "8"], ["0", "-1", "1", "3", "16", "abc"]),
         "random_db": ([None], [None]),
         "seed": (["0", "7"], ["-1", "abc"]),
@@ -1310,6 +1352,8 @@ def paths(tmp_path):
     for name, bits in (("db4", "0110"), ("db8", "01101001"),
                        ("db16", "0110" * 4), ("db3", "012"), ("db0", "")):
         (tmp_path / f"{name}.txt").write_text(bits)
+    (tmp_path / "dbff.txt").write_bytes(b"\xff0101")
+    (tmp_path / "binary.cfg").write_bytes(GOOD_CONFIG.encode() + b"\xff\n")
     (tmp_path / "out").mkdir()
     return tmp_path
 

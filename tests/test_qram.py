@@ -203,6 +203,13 @@ def basis(N, x):
     return v
 
 
+def routed_rows(db, result):
+    """(address register, bus) of each output row of a ``QueryResult``."""
+    n = db.depth
+    address = result.bits[:, :n] @ (1 << np.arange(n)[::-1])
+    return list(zip(address.tolist(), result.bits[:, -1].tolist()))
+
+
 def shift_phases(monkeypatch, shifts):
     """Corrupt the executor: address x comes out of the route map with its
     phase turned by shifts[x] radians, and nothing else changes."""
@@ -454,9 +461,9 @@ class TestClassicalTrace:
         # the harness reads all addresses at once, expecting the stored bits;
         # the router-by-router walk reads the same bit at every address
         db = random_database(1 << n, seed=n + 20)
-        rows = verify_retrieval(db).rows
-        assert [row.address for row in rows] == list(range(db.N))
-        assert [row.expected for row in rows] == [
+        report = verify_retrieval(db)
+        assert report.addresses.tolist() == list(range(db.N))
+        assert report.expected.tolist() == [
             qram.classical_trace_read(db, x) for x in range(db.N)]
 
     def test_vectorised_walker_runs_no_gate_or_schedule(self, monkeypatch):
@@ -485,7 +492,7 @@ class TestClassicalTrace:
         monkeypatch.setattr(qram, "_read_out", spy)
         db = random_database(8, seed=2)
         assert verify_retrieval(db).passed
-        assert simulate_query(db, basis(8, 6), G, G).table[0].read == db.bits[6]
+        assert routed_rows(db, simulate_query(db, basis(8, 6), G, G)) == [(6, db.bits[6])]
         assert calls == [list(range(8)), [6]]
 
     def test_harness_and_query_call_no_walker(self, monkeypatch):
@@ -496,13 +503,12 @@ class TestClassicalTrace:
         db = random_database(32, seed=6)
         report = verify_retrieval(db)
         assert report.passed
-        assert [row.expected for row in report.rows] == list(db.bits)
+        assert report.expected.tolist() == list(db.bits)
         state = np.zeros(32, dtype=complex)
         state[[5, 17, 30]] = 1 / math.sqrt(3)
         result = simulate_query(db, state, G, G)
         assert result.fidelity == pytest.approx(1.0, abs=1e-12)
-        assert [(row.address, row.expected) for row in result.table] == [
-            (x, db.bits[x]) for x in (5, 17, 30)]
+        assert routed_rows(db, result) == [(x, db.bits[x]) for x in (5, 17, 30)]
 
     @pytest.mark.parametrize("N,address", [(2, -1), (2, 2), (8, 8), (8, -8)])
     def test_rejects_address_out_of_range(self, N, address):
@@ -551,14 +557,13 @@ class TestSimulateQuery:
     def test_basis_address_reads_one(self):
         db = ClassicalDatabase((0, 1, 1, 0))
         result = simulate_query(db, basis(4, 2), G, G)
-        row = result.table[0]
-        assert (row.address, row.read) == (2, 1)
-        assert row.fidelity == pytest.approx(1.0, abs=1e-9)
+        assert routed_rows(db, result) == [(2, 1)]
+        assert result.fidelity == pytest.approx(1.0, abs=1e-9)
 
     def test_basis_address_reads_zero(self):
         db = ClassicalDatabase((0, 1, 1, 0))
         result = simulate_query(db, basis(4, 0), G, G)
-        assert result.table[0].read == 0
+        assert routed_rows(db, result) == [(0, 0)]
 
     def test_bell_address_superposition(self):
         db = ClassicalDatabase((0, 1, 1, 0))
@@ -574,7 +579,7 @@ class TestSimulateQuery:
         db = random_database(N, seed=N + 40)
         for x in range(N):
             result = simulate_query(db, basis(N, x), G, G)
-            assert result.table[0].read == trace_oracle(db.bits, x)
+            assert routed_rows(db, result) == [(x, trace_oracle(db.bits, x))]
             assert result.fidelity >= 1.0 - 1e-9
 
     def test_linearity_of_superposition_query(self):
@@ -621,8 +626,9 @@ class TestSimulateQuery:
             simulate_query(ClassicalDatabase(bits=(1,) * N), basis(N, 0), G, G)
 
     def test_dense_vector_beyond_register_cap_refused(self):
-        result = simulate_query(random_database(16, seed=1), basis(16, 5), G, G)
-        assert result.table[0].read == result.table[0].expected
+        db = random_database(16, seed=1)
+        result = simulate_query(db, basis(16, 5), G, G)
+        assert routed_rows(db, result) == [(5, db.bits[5])]
         with pytest.raises(ValueError, match="mode cap"):
             dense_state(result)
 
@@ -671,7 +677,7 @@ class TestVerifyRetrieval:
         assert report.failures == (f"phase spread {delta:.6g} rad: worst "
                                    f"superposition fidelity {worst:.12f}",)
         assert report.min_fidelity == pytest.approx(worst, abs=1e-15)
-        assert [row.fidelity for row in report.rows] == [1.0] * N
+        assert report.fidelity.tolist() == [1.0] * N
 
     @pytest.mark.parametrize("g1,g2", COUPLINGS)
     @pytest.mark.parametrize("N,delta", [(8, 6e-5), (1024, 0.0), (4096, 0.0)])
@@ -683,10 +689,30 @@ class TestVerifyRetrieval:
         if delta == 0.0:   # every phase equals address 0's: the arc is 0.0
             assert report.min_fidelity == 1.0
 
+    @pytest.mark.parametrize("address,message", [
+        (-1, "address -1 out of range for N=8"),
+        (8, "address 8 out of range for N=8"),
+        (True, "address must be an integer, got True"),
+        (2.0, "address must be an integer, got 2.0"),
+    ])
+    def test_address_refused_by_name(self, address, message):
+        with pytest.raises(QramError, match=f"^{re.escape(message)}$"):
+            verify_retrieval(random_database(8, seed=7), address=address)
+
+    @pytest.mark.parametrize("N", [8, 64])
+    def test_one_address_is_its_row_of_the_full_report(self, N):
+        db = random_database(N, seed=7)
+        full = verify_retrieval(db)
+        for k in (*range(N), np.int64(N - 1)):
+            one = verify_retrieval(db, address=k)
+            assert one.passed and one.min_fidelity == 1.0
+            for column in ("addresses", "expected", "read", "fidelity"):
+                assert getattr(one, column).tolist() == [getattr(full, column)[k]]
+
     def test_constant_database_reads_one_everywhere(self):
         report = verify_retrieval(ClassicalDatabase((1, 1, 1, 1)))
         assert report.passed
-        assert all(row.read == 1 for row in report.rows)
+        assert report.read.tolist() == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("g1,g2,message", [
         (0.0, G, "nonpositive coupling g1=0.0"),
@@ -825,13 +851,13 @@ class TestExecutedSchedule:
         monkeypatch.setattr(qram, "_route", misroute)
         db = random_database(8, seed=4)
         report = verify_retrieval(db)
-        assert [row.address for row in report.rows] == list(range(8))
-        assert report.rows[1].fidelity == 0.0
+        assert report.addresses.tolist() == list(range(8))
+        assert report.fidelity[1] == 0.0
         assert "address 1: fidelity 0.000000000000" in report.failures
         assert type(report.min_fidelity) is float and report.min_fidelity == 0.0
-        result = simulate_query(db, basis(8, 1), G, G)
-        assert [row.address for row in result.table] == [1]
-        assert result.table[0].fidelity == 0.0 and result.fidelity == 0.0
+        one = verify_retrieval(db, address=1)
+        assert one.addresses.tolist() == [1] and one.fidelity.tolist() == [0.0]
+        assert simulate_query(db, basis(8, 1), G, G).fidelity == 0.0
         assert main(["qramsim", "--random-db", "--N", "8", "--seed", "4",
                      "--address", "1"]) == 3
         row = capsys.readouterr().out.splitlines()[1].split()
@@ -965,8 +991,8 @@ class TestLargeTrees:
         db = random_database(1024, seed=3)
         report = verify_retrieval(db, g1=1.3, g2=0.7)
         assert report.passed, report.failures[:3]
-        assert [row.address for row in report.rows] == list(range(1024))
-        assert all(row.read == db.bits[row.address] for row in report.rows)
+        assert report.addresses.tolist() == list(range(1024))
+        assert report.read.tolist() == list(db.bits)
         assert type(report.min_fidelity) is float
         assert report.min_fidelity >= 1.0 - 1e-9
 

@@ -1,47 +1,39 @@
 #!/usr/bin/env python3
 """Measure empirical light cones and compare with the commutator bound.
 
-Runs the three standard cases (1D nearest-neighbor, 1D two-range, 2D axis)
-and writes per-distance arrival CSVs under results/.
+Runs ``qram-bounds lightcone`` on the three standard cases (1D
+nearest-neighbour, 1D two-range, 2D axis), each with ``--out
+results/<name>.csv``: a ``#`` line of the inputs and velocities (threshold
+t_max dt d L lam m fitted group_velocity bound), then one
+(r, t_arrival, commutator_peak) row per distance. Each run's command line
+goes before its stdout. Exits with the worst exit code of the runs: 1 if a
+fitted velocity exceeds its bound.
 """
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from qram_bounds import lattice
-from qram_bounds.cli import _cone_passes, _write_cone_csv
+from qram_bounds.cli import main as cli_main
 
-CASES = [
-    ("cone_1d_nn", lattice.LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0),
-     dict(threshold=1e-3, t_max=220.0, r_max=190, dt=0.02)),
-    ("cone_1d_two_range", lattice.LatticeSpec(d=1, L=400, lam=(1.0, 1.0), m=1.0),
-     dict(threshold=1e-3, t_max=110.0, r_max=190, dt=0.02)),
-    ("cone_2d_axis", lattice.LatticeSpec(d=2, L=64, lam=(1.0,), m=1.0),
-     dict(threshold=0.1, t_max=45.0, r_max=30, dt=0.02)),
-]
+RESULTS = Path(__file__).resolve().parents[1] / "results"
+# the lightcone argv behind each results/<name>.csv, but for its --out
+CASES = {name: ["lightcone", *flags.split(), "--m", "1.0", "--dt", "0.02"] for name, flags in (
+    ("cone_1d_nn", "--d 1 --L 400 --lam 1.0 --threshold 1e-3 --t-max 220 --r-max 190"),
+    ("cone_1d_two_range", "--d 1 --L 400 --lam 1.0,1.0 --threshold 1e-3 --t-max 110 --r-max 190"),
+    ("cone_2d_axis", "--d 2 --L 64 --lam 1.0 --threshold 0.1 --t-max 45 --r-max 30"),
+)}
 
 
-def main() -> None:
-    out_dir = Path(__file__).resolve().parents[1] / "results"
-    out_dir.mkdir(exist_ok=True)
-    for name, spec, kwargs in CASES:
-        start = time.time()
-        scan = lattice.measure_light_cone(spec, **kwargs)
-        oracle = lattice.max_group_velocity(spec)
-        bound = lattice.lr_speed(spec.d, spec.lam, spec.m)
-        path = out_dir / f"{name}.csv"
-        _write_cone_csv(path, scan, {
-            "threshold": scan.threshold, "dt": scan.dt, "d": spec.d,
-            "L": spec.L, "fitted": scan.fitted_velocity_lattice,
-            "group_velocity": oracle, "bound": bound})
-        passes = _cone_passes(scan.fitted_velocity_lattice, bound)
-        verdict = "OK" if passes else "VIOLATION"
-        print(f"{name}: fitted {scan.fitted_velocity_lattice:.4f} sites/s, "
-              f"group velocity {oracle:.4f}, bound {bound:.4f} [{verdict}] "
-              f"({time.time() - start:.1f}s) -> {path}")
+def main() -> int:
+    RESULTS.mkdir(exist_ok=True)
+    codes = []
+    for name, argv in CASES.items():
+        argv = [*argv, "--out", str(RESULTS / f"{name}.csv")]
+        print("qram-bounds", *argv)
+        codes.append(cli_main(argv))
+    return max(codes)
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

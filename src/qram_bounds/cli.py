@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, lattice, qram, verify
-from .params import (Conventions, HardwareParams, ParamsError, load_config,
-                     tau0)
+from .params import (Conventions, HardwareParams, ParamsError, checked_index,
+                     load_config, tau0)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -63,9 +63,12 @@ class SweepGrid:
     def __post_init__(self):
         if not 1 <= len(self.axes) <= 2:
             raise ParamsError("sweep needs 1 or 2 axes")
+        if not self.dims:
+            raise ParamsError("sweep needs at least one dimension")
         total = 1
         for ax in self.axes:
-            if ax.points < 2:
+            points = checked_index(ParamsError, f"points of sweep axis {ax.name!r}", ax.points)
+            if points < 2:
                 raise ParamsError("points >= 2 per axis")
             if not (math.isfinite(ax.lo) and math.isfinite(ax.hi)):
                 raise ParamsError(f"non-finite range for sweep axis {ax.name!r}")
@@ -73,7 +76,7 @@ class SweepGrid:
                 raise ParamsError("axis range must satisfy 0 < lo < hi")
             if ax.name not in AXIS_QUANTITY:
                 raise ParamsError(f"unknown sweep axis {ax.name!r}")
-            total *= ax.points
+            total *= points
         if total > 10 ** 6:
             raise ParamsError("sweep grid exceeds 10^6 points")
         if len(self.axes) == 2:
@@ -243,19 +246,6 @@ def _parse_axis(text: str) -> AxisSpec:
                     log=scale == "log")
 
 
-def _write_cone_csv(path: str | Path, scan: lattice.LightConeScan,
-                    meta: dict) -> None:
-    """The light-cone CSV: the caller's ``#`` meta line, then one
-    (r, t_arrival, commutator_peak) row per distance of the scan."""
-    write_csv(path, meta, ("r", "t_arrival", "commutator_peak"),
-              [(c.r, c.t_arrival, c.peak) for c in scan.rows])
-
-
-def _cone_passes(fitted: float, bound: float) -> bool:
-    """The light-cone verdict: a fitted velocity passes at or below the bound."""
-    return fitted <= bound
-
-
 def _cmd_lightcone(args) -> int:
     lam = tuple(_parse_item("--lam", float, x) for x in args.lam.split(","))
     spec = lattice.LatticeSpec(d=args.d, L=args.L, lam=lam, m=args.m)
@@ -273,16 +263,19 @@ def _cmd_lightcone(args) -> int:
     gv_m_s = lattice.physical_velocity(args.a, gv, "group velocity")
     bound = lattice.lr_speed(spec.d, spec.lam, spec.m)
     if args.out:
-        _write_cone_csv(args.out, scan, {
-            "threshold": scan.threshold, "t_max": scan.t_max, "dt": scan.dt,
-            "d": spec.d, "L": spec.L, "lam": args.lam, "m": spec.m})
+        write_csv(args.out, {
+            "threshold": scan.threshold, "t_max": scan.t_max, "dt": scan.dt, "d": spec.d,
+            "L": spec.L, "lam": ",".join(map(repr, spec.lam)), "m": spec.m,
+            "fitted": fitted, "group_velocity": gv, "bound": bound},
+            ("r", "t_arrival", "commutator_peak"),
+            [(c.r, c.t_arrival, c.peak) for c in scan.rows])
     print(f"fitted velocity:     {fitted:.6g} sites/s ({fitted_m_s:.6g} m/s)")
     print(f"group velocity max:  {gv:.6g} sites/s ({gv_m_s:.6g} m/s)")
     print(f"commutator bound:    {bound:.6g} sites/s")
     print(f"fit diagnostics:     intercept {scan.fit_intercept:.6g} sites, "
           f"rms residual {scan.fit_residual:.3g} sites, "
           f"{scan.n_no_arrival} of {len(scan.rows)} distances without arrival")
-    ok = _cone_passes(fitted, bound)
+    ok = fitted <= bound   # a fit at the bound passes
     print("PASS: fitted velocity below bound" if ok
           else "FAIL: fitted velocity exceeds bound")
     return EXIT_OK if ok else EXIT_VERIFY

@@ -8,6 +8,7 @@ import math
 import os
 import platform
 import re
+import runpy
 import shlex
 import subprocess
 import sys
@@ -406,6 +407,22 @@ class TestSweepCommand:
         with pytest.raises(ParamsError, match="points >= 2"):
             SweepGrid(axes=(AxisSpec("velocity", 1.0, 2.0, 1),),
                       fixed=cli.PRESET_PARAMS, conventions=Conventions())
+
+    @pytest.mark.parametrize("points", [3.0, "3", None, True])
+    def test_non_integer_points_rejected(self, points, tmp_path):
+        # 3.0 once passed the check and failed inside np.geomspace
+        with pytest.raises(ParamsError, match=re.escape(
+                f"points of sweep axis 'velocity' must be an integer, got {points!r}")):
+            run_sweep(SweepGrid(axes=(AxisSpec("velocity", 1.0, 10.0, points),),
+                                fixed=cli.PRESET_PARAMS, conventions=Conventions()),
+                      tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_no_dimension_rejected(self):
+        # it once wrote a CSV with "dims=" and no capacity column
+        with pytest.raises(ParamsError, match="sweep needs at least one dimension"):
+            SweepGrid(axes=(AxisSpec("velocity", 1.0, 10.0, 3),),
+                      fixed=cli.PRESET_PARAMS, conventions=Conventions(), dims=())
 
     def test_grid_size_cap(self):
         with pytest.raises(ParamsError, match="10\\^6"):
@@ -812,26 +829,22 @@ class TestLightconeCommand:
                          r"without arrival", capsys.readouterr().out)
         assert line and float(line.group(2)) >= 0.0 and int(line.group(3)) > 0
 
-    @pytest.mark.parametrize("name,args", [
-        ("cone_1d_nn", ["--L", "400", "--lam", "1.0", "--threshold", "1e-3",
-                        "--t-max", "220", "--r-max", "190"]),
-        ("cone_1d_two_range", ["--L", "400", "--lam", "1.0,1.0",
-                               "--threshold", "1e-3", "--t-max", "110",
-                               "--r-max", "190"]),
-        ("cone_2d_axis", ["--d", "2", "--L", "64", "--lam", "1.0",
-                          "--threshold", "0.1", "--t-max", "45",
-                          "--r-max", "30"]),
-    ])
+    @pytest.mark.parametrize("name,args", runpy.run_path(
+        str(RESULTS.parent / "scripts" / "lightcone_scan.py"))["CASES"].items())
     def test_regenerates_committed_cone_rows(self, name, args, tmp_path):
+        # the "#" line included: the script's argv is the whole record
         out = tmp_path / f"{name}.csv"
-        assert main(["lightcone", *args, "--dt", "0.02", "--out", str(out)]) == 0
+        assert main([*args, "--out", str(out)]) == 0
+        assert out.read_bytes() == (RESULTS / f"{name}.csv").read_bytes()
 
-        def data_rows(path):
-            return [line for line in path.read_bytes().split(b"\n")
-                    if not line.startswith(b"#")]
-
-        committed = Path(__file__).resolve().parents[1] / "results" / f"{name}.csv"
-        assert data_rows(out) == data_rows(committed)
+    def test_out_meta_spells_the_parsed_couplings(self, tmp_path):
+        # the raw "--lam" text once went into the "#" line, spaces included
+        out = tmp_path / "cone.csv"
+        assert main(["lightcone", "--lam", " 1, 0.25", "--L", "64", "--t-max", "20",
+                     "--r-max", "20", "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[0] == (
+            "# threshold=0.001 t_max=20 dt=0.1 d=1 L=64 lam=1.0,0.25 m=1 "
+            "fitted=1.95407 group_velocity=1.41421 bound=4.47214")
 
 
 LIGHTCONE_GOLDEN = {   # stdout of `lightcone` with these arguments

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from qram_bounds import lattice
+from qram_bounds import cli, lattice
 from qram_bounds.cli import main
 from test_cli import openblas_kernel_skip_reason
 
@@ -67,8 +67,9 @@ def test_script_regenerates_committed_results(script, written, tmp_path):
 
 
 # float.hex of the (fitted, group_velocity, bound) velocities, in sites/s,
-# that scripts/lightcone_scan.py writes at :g into the "#" line of each
-# results/cone_*.csv; the files alone pin them only to 1e-6 relative
+# that the lightcone runs of scripts/lightcone_scan.py write at :g into the
+# "#" line of each results/cone_*.csv; the files alone pin them only to 1e-6
+# relative
 CONE_VELOCITIES = {
     "cone_1d_nn": ("0x1.0b4e76e0453c3p+0", "0x1.0000000000000p+0",
                    "0x1.0000000000000p+2"),
@@ -89,10 +90,10 @@ def load_lightcone_script():
 
 def test_lightcone_script_velocities_bit_for_bit(monkeypatch):
     script = load_lightcone_script()
-    written = {}   # the "#" line values main() hands to the CSV writer, by case
-    monkeypatch.setattr(script, "_write_cone_csv", lambda path, scan, meta:
+    written = {}   # the "#" line values each run hands to the CSV writer, by case
+    monkeypatch.setattr(cli, "write_csv", lambda path, meta, header, rows:
                         written.__setitem__(Path(path).stem, meta))
-    script.main()
+    assert script.main() == 0
     assert {name: tuple(meta[key].hex() for key in ("fitted", "group_velocity", "bound"))
             for name, meta in written.items()} == CONE_VELOCITIES
 
@@ -105,36 +106,42 @@ def test_lightcone_script_and_command_share_one_verdict(bound, monkeypatch, caps
                                  fit_residual=0.0, n_no_arrival=0)
     monkeypatch.setattr(lattice, "measure_light_cone", lambda spec, **kwargs: scan)
     monkeypatch.setattr(lattice, "lr_speed", lambda d, lam, m: bound)
-    script = load_lightcone_script()
-    monkeypatch.setattr(script, "_write_cone_csv", lambda path, scan, meta: None)
-    script.main()
+    monkeypatch.setattr(cli, "write_csv", lambda path, meta, header, rows: None)
     passes = 1.5 <= bound
-    assert set(re.findall(r"\[(\w+)\]", capsys.readouterr().out)) == {
-        "OK" if passes else "VIOLATION"}
+    assert load_lightcone_script().main() == (0 if passes else 1)
+    assert re.findall(r"^(PASS|FAIL):", capsys.readouterr().out, re.M) == [
+        "PASS" if passes else "FAIL"] * 3
     assert main(["lightcone", "--L", "16", "--t-max", "5"]) == (0 if passes else 1)
     assert ("PASS" if passes else "FAIL") in capsys.readouterr().out
 
 
 # runs scripts/lightcone_scan.py with the CSV writer swapped for one that
-# keeps the "#" line velocities and the scans, then prints as JSON the
-# velocities' float.hex and whether the 1D nearest-neighbour scan's rows equal
-# full_signal_rows, the norm of its whole signal
+# keeps the "#" line velocities and with the scan wrapped to keep its inputs
+# and result, then prints as JSON the velocities' float.hex and whether the
+# 1D nearest-neighbour scan's rows equal full_signal_rows, the norm of its
+# whole signal
 HEX_VELOCITIES_CHILD = """
 import importlib.util, json, sys
+from pathlib import Path
 spec = importlib.util.spec_from_file_location("lightcone_scan", sys.argv[1])
 script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
-written, scans = {}, {}
-def record(path, scan, meta):
-    written[path.stem] = [meta[key].hex() for key in ("fitted", "group_velocity", "bound")]
-    scans[path.stem] = scan
-script._write_cone_csv = record
-script.main()
+from qram_bounds import cli, lattice
+written, scans = {}, []
+def record(path, meta, header, rows):
+    written[Path(path).stem] = [meta[key].hex() for key in ("fitted", "group_velocity", "bound")]
+cli.write_csv = record
+measure = lattice.measure_light_cone
+def keep(lattice_spec, fit_r_min, **kwargs):
+    scans.append((lattice_spec, kwargs, measure(lattice_spec, fit_r_min=fit_r_min, **kwargs)))
+    return scans[-1][2]
+lattice.measure_light_cone = keep
+assert script.main() == 0
 sys.path.insert(0, sys.argv[2])
 from lattice_oracles import full_signal_rows
-name, lattice_spec, kwargs = script.CASES[0]
-assert name == "cone_1d_nn" and lattice_spec.L == 400
-rows_equal = scans[name].rows == full_signal_rows(lattice_spec, **kwargs)
+lattice_spec, kwargs, scan = scans[0]
+assert next(iter(written)) == "cone_1d_nn" and lattice_spec.L == 400
+rows_equal = scan.rows == full_signal_rows(lattice_spec, **kwargs)
 print(json.dumps({"velocities": written, "rows_equal": rows_equal}))
 """
 

@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
+import numbers
 import sys
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -47,8 +47,8 @@ class AxisSpec:
     log: bool = True
 
     def values(self) -> list[float]:
-        """Grid points as Python floats, so that an overflow in the bound
-        raises instead of passing on a numpy inf."""
+        """Grid points as Python floats: the values that the CSV prints and
+        that the scalar path of a refused or slow cell takes."""
         space = np.geomspace if self.log else np.linspace
         return space(self.lo, self.hi, self.points).tolist()
 
@@ -70,6 +70,10 @@ class SweepGrid:
             points = checked_index(ParamsError, f"points of sweep axis {ax.name!r}", ax.points)
             if points < 2:
                 raise ParamsError("points >= 2 per axis")
+            if not (all(isinstance(x, numbers.Real) and not isinstance(x, bool)
+                        for x in (ax.lo, ax.hi)) and isinstance(ax.log, (bool, np.bool_))):
+                raise ParamsError(f"sweep axis {ax.name!r} needs real lo and hi and a bool "
+                                  f"log, got lo={ax.lo!r}, hi={ax.hi!r}, log={ax.log!r}")
             if not (math.isfinite(ax.lo) and math.isfinite(ax.hi)):
                 raise ParamsError(f"non-finite range for sweep axis {ax.name!r}")
             if ax.lo <= 0 or ax.hi <= ax.lo:
@@ -117,30 +121,55 @@ def write_csv(path: str | Path, meta: dict, header, rows) -> None:
 
 def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
     """Evaluate the grid and write a CSV with a conventions comment line;
-    returns the number of data rows. Each cell is one ``bounds.capacity``
-    call. A dimension's record and named-source velocity, and the last
-    coupling's tau0, are made when a cell first needs them, so that a cell
-    meets the refusals of ``bounds.qram_max_qubits`` in the same order:
-    dimension, tau0, velocity, capacity."""
+    returns the number of data rows. Each dimension is one column over the
+    grid points (in ``itertools.product`` order), solved as one array by
+    ``bounds.fixed_point_columns``. A cell that a stage refuses or that the
+    array does not finish goes, in (point, dimension) order, through the scalar
+    chain of ``bounds.qram_max_qubits``: it gives the value or the refusal."""
     fixed, conv = grid.fixed, grid.conventions
     axis_cols = [ax.name for ax in grid.axes]
     meta = _conventions_record(conv, fixed, velocity_swept=any(
         AXIS_QUANTITY[name] == "velocity" for name in axis_cols))
     meta["dims"] = ",".join(str(d) for d in grid.dims)
-    record = functools.cache(lambda d: replace(fixed, d=d))
-    stage = functools.lru_cache(maxsize=1)(tau0)  # memory stays flat on a long g axis
-    named = functools.cache(lambda d: bounds.capped_velocity(record(d), conv.velocity_source))
-    rows = []
-    for point in itertools.product(*(ax.values() for ax in grid.axes)):
-        values = dict(zip(axis_cols, point))
-        g1, g2 = values.get("g", fixed.g1), values.get("g", fixed.g2)
-        v = math.sqrt(values["v2"]) if "v2" in values else values.get("velocity")
-        cells = []
+    points = [c.ravel() for c in np.meshgrid(*(ax.values() for ax in grid.axes),
+                                              indexing="ij")]
+    values = dict(zip(axis_cols, points))
+
+    def per_cell(i: int, d: int) -> float:
+        point = {name: col[i].item() for name, col in values.items()}
+        params = replace(fixed, d=d)
+        tau = tau0(point.get("g", fixed.g1), point.get("g", fixed.g2))
+        src = (math.sqrt(point["v2"]) if "v2" in point
+               else point.get("velocity", conv.velocity_source))
+        return bounds.capacity(bounds.capped_velocity(params, src), tau, params.a, d, conv)[1]
+
+    def tau_or_nan(g: float) -> float:
+        try:
+            return tau0(g, g)
+        except ParamsError:
+            return math.nan
+
+    tau = np.full(len(points[0]), tau0(fixed.g1, fixed.g2))
+    if "g" in values:   # tau0 once per distinct coupling
+        g, where = np.unique(values["g"], return_inverse=True)
+        tau = np.array([tau_or_nan(x) for x in g.tolist()])[where]
+    speed = np.sqrt(values["v2"]) if "v2" in values else values.get("velocity")
+    columns = []
+    with np.errstate(all="ignore"):   # a refused cell is NaN or inf, and goes to per_cell
         for d in grid.dims:
-            params, tau = record(d), stage(g1, g2)
-            speed = named(d) if v is None else bounds.capped_velocity(params, v)
-            cells.append(bounds.capacity(speed, tau, params.a, d, conv)[1])
-        rows.append((*point, *cells))
+            try:
+                params = replace(fixed, d=d)
+                v = (bounds.capped_velocity(params, conv.velocity_source) if speed is None
+                     else np.minimum(math.sqrt(d) * speed, fixed.c_max))
+            except ValueError:   # the record or the named velocity: the whole column
+                columns.append(np.full_like(tau, math.nan))
+                continue
+            columns.append(bounds.fixed_point_columns(
+                v * tau / fixed.a, conv.depth_exponent, conv.log_base) ** d)
+    totals = np.column_stack(columns)
+    for i, j in zip(*np.nonzero(~np.isfinite(totals))):
+        totals[i, j] = per_cell(i, grid.dims[j])
+    rows = np.column_stack([*points, totals]).tolist()
     write_csv(out_path, meta,
               axis_cols + [f"max_qubits_d{d}" for d in grid.dims], rows)
     return len(rows)

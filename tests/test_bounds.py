@@ -307,6 +307,48 @@ class TestFixedPointSolve:
             fixed_point_solve(1.0, -2)
 
 
+@st.composite
+def column_ratios(draw, p, log_base):
+    """R for ``fixed_point_columns``: jittered strata above the root
+    threshold (R/threshold - 1 from 1e-12 up to 1e15, so some cells take
+    more than COLUMN_STEPS steps), and edges that ``fixed_point_solve``
+    refuses or meets only at a tangency."""
+    threshold = root_threshold(p, log_base) if p else 1.0
+    strata = st.sampled_from([(-12.0, -3.0), (-3.0, 0.0), (0.0, 15.0)])
+    above = strata.flatmap(lambda s: st.floats(*s)).map(lambda x: threshold * (1 + 10.0 ** x))
+    edges = st.sampled_from([threshold, threshold * (1 - 1e-12), threshold / 2, 1.0, 0.0,
+                             -1.0, 5e-324, 1e308, math.inf, math.nan])
+    return np.array(draw(st.lists(st.one_of(above, above, above, edges),
+                                  min_size=1, max_size=40)))
+
+
+class TestFixedPointColumns:
+    @given(p=st.sampled_from([0, 1, 2, 3, 200, 1000]),
+           log_base=st.sampled_from(["natural", "2"]), data=st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_agrees_with_the_scalar_solve_cut_at_column_steps(self, p, log_base, data):
+        # a cell is NaN exactly where the scalar solve, given COLUMN_STEPS
+        # steps, refuses R or has not converged; elsewhere both stopped where
+        # the relative change fell to 1e-12, so each lies within
+        # 1e-12 * lam / (1 - lam) of the root, lam = p / ln N being the
+        # contraction of N <- R log^p N there, and they differ by at most twice that
+        R = data.draw(column_ratios(p, log_base))
+        columns = bounds.fixed_point_columns(R, p, log_base)
+        steps, bounds.SOLVER_STEPS = bounds.SOLVER_STEPS, bounds.COLUMN_STEPS
+        try:
+            for r, got in zip(R.tolist(), columns.tolist()):
+                try:
+                    want = fixed_point_solve(r, p, log_base)
+                except BoundError:
+                    assert math.isnan(got), r
+                    continue
+                lam = p / math.log(want)   # 1 at a tangency, where both stop at once
+                bound = 2e-12 * lam / (1 - lam) if lam < 1 else 0.0
+                assert abs(got - want) <= (bound + 4 * sys.float_info.epsilon) * want, r
+        finally:
+            bounds.SOLVER_STEPS = steps
+
+
 class TestNaiveMaxQubits:
     def test_light_speed_micron_chain(self):
         assert naive_max_qubits(1e-6, 1e-3, 3e8) == pytest.approx(8.9e12, rel=0.02)

@@ -492,6 +492,17 @@ class TestSweepCommand:
             SweepGrid(axes=(AxisSpec("velocity", lo, hi, 3),),
                       fixed=cli.PRESET_PARAMS, conventions=Conventions())
 
+    @pytest.mark.parametrize("lo,log", [("1", True), (True, True), (1.0, "yes")])
+    def test_non_numeric_axis_range_or_scale_rejected(self, lo, log, tmp_path):
+        # "1" once raised a bare TypeError from math.isfinite; True and "yes" passed
+        with pytest.raises(ParamsError, match=re.escape(
+                "sweep axis 'velocity' needs real lo and hi and a bool log, "
+                f"got lo={lo!r}, hi=10.0, log={log!r}")):
+            run_sweep(SweepGrid(axes=(AxisSpec("velocity", lo, 10.0, 3, log=log),),
+                                fixed=cli.PRESET_PARAMS, conventions=Conventions()),
+                      tmp_path / "x.csv")
+        assert not (tmp_path / "x.csv").exists()
+
     @pytest.mark.parametrize("axis", ["velocity:1:inf:3:log",
                                       "velocity:1:nan:3:log", "g:nan:1:3:lin"])
     def test_non_finite_axis_range_exits_2(self, axis, tmp_path, capsys):
@@ -633,26 +644,63 @@ class TestSweepAgainstPerCellPath:
         expected = sweep_outcome(per_cell_sweep, grid, tmp_path / "oracle.csv")
         assert sweep_outcome(run_sweep, grid, tmp_path / "sweep.csv") == expected
 
-    @pytest.mark.parametrize("preset", [fig3_grid, fig4_grid])
-    def test_one_record_per_dimension_and_one_capacity_call_per_cell(
-            self, preset, tmp_path, monkeypatch):
-        grid = preset()
-        built, calls = [], []
-        check_record, capacity = HardwareParams.__post_init__, bounds.capacity
+    @pytest.mark.parametrize("log_base", ["natural", "2"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_near_threshold_grid_gives_the_per_cell_bytes(self, p, log_base, tmp_path):
+        grid = near_threshold_grid(p, log_base)
+        expected = sweep_outcome(per_cell_sweep, grid, tmp_path / "oracle.csv")
+        assert expected[0] == 0
+        assert sweep_outcome(run_sweep, grid, tmp_path / "sweep.csv") == expected
+
+    @pytest.mark.parametrize("make_grid,hands_off", [
+        (fig3_grid, False), (fig4_grid, False),
+        (lambda: near_threshold_grid(1, "natural"), True)])
+    def test_one_record_per_dimension_and_one_solve_per_column(
+            self, make_grid, hands_off, tmp_path, monkeypatch):
+        # only the cells that the array leaves unfinished (none on the
+        # presets) meet the scalar chain, each with its own record
+        grid = make_grid()
+        built, capacities, solves, handed = [], [], [], []
+        check_record = HardwareParams.__post_init__
+        capacity, solve, columns = (bounds.capacity, bounds.fixed_point_solve,
+                                    bounds.fixed_point_columns)
 
         def counted_check(record):
             built.append(record.d)
             check_record(record)
 
-        def counted_capacity(*args):
-            calls.append(args)
-            return capacity(*args)
+        def counted(calls, function):
+            def wrapper(*args):
+                calls.append(args)
+                return function(*args)
+            return wrapper
+
+        def counted_columns(*args):
+            extents = columns(*args)
+            handed.append(int(np.isnan(extents).sum()))
+            return extents
 
         monkeypatch.setattr(HardwareParams, "__post_init__", counted_check)
-        monkeypatch.setattr(bounds, "capacity", counted_capacity)
+        monkeypatch.setattr(bounds, "capacity", counted(capacities, capacity))
+        monkeypatch.setattr(bounds, "fixed_point_solve", counted(solves, solve))
+        monkeypatch.setattr(bounds, "fixed_point_columns", counted_columns)
         rows = run_sweep(grid, tmp_path / "sweep.csv")
-        assert len(built) <= len(grid.dims)
-        assert len(calls) == rows * len(grid.dims)
+        assert rows == math.prod(ax.points for ax in grid.axes)
+        assert len(handed) == len(grid.dims)
+        assert len(built) == len(grid.dims) + sum(handed)
+        assert len(capacities) == len(solves) == sum(handed)
+        assert (sum(handed) > 0) == hands_off
+
+
+def near_threshold_grid(p, log_base, points=200):
+    """A velocity axis whose R = v*tau0/a (tau0 = 1 s, a = 1 m) runs from
+    the root threshold times 1 + 1e-9 up to twice the threshold, so that the
+    slowest cells of the d = 1 column are handed to the scalar solver."""
+    threshold = (math.e / p) ** p * (math.log(2.0) ** p if log_base == "2" else 1.0)
+    return SweepGrid(
+        axes=(AxisSpec("velocity", threshold * (1 + 1e-9), 2 * threshold, points, log=False),),
+        fixed=replace(cli.PRESET_PARAMS, a=1.0, g1=2 * math.pi, g2=2 * math.pi),
+        conventions=Conventions(log_base, p), dims=(1, 2, 3))
 
 
 class TestLightconeCommand:

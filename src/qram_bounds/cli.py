@@ -109,13 +109,11 @@ def write_csv(path: str | Path, meta: dict, header, rows) -> None:
     """Write one ``# key=value ...`` comment line built from ``meta``, the
     column header, and the rows. Floats print as ``:g`` in the comment and
     as ``.10g`` in the rows; a None cell prints empty."""
-    def cell(value, spec):
-        if value is None:
-            return ""
-        return format(value, spec) if isinstance(value, float) else str(value)
-    lines = ["# " + " ".join(f"{k}={cell(v, 'g')}" for k, v in meta.items()),
-             ",".join(header)]
-    lines += [",".join(cell(v, ".10g") for v in row) for row in rows]
+    comment = " ".join(f"{k}={'' if v is None else format(v, 'g') if isinstance(v, float) else v}"
+                       for k, v in meta.items())
+    lines = [f"# {comment}", ",".join(header)]
+    lines += [",".join(["" if v is None else format(v, ".10g") if isinstance(v, float)
+                        else str(v) for v in row]) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -1,6 +1,6 @@
 """Primitive router gates (beam splitter, controlled phase) with their
-physical time scales, the controlled-SWAP composite, the (permutation,
-phases) form of monomial gates, and phase-gauge comparison of unitaries.
+physical time scales, the controlled-SWAP composite, and the (permutation,
+phases) form of monomial gates.
 
 All modes are two-level. Generators: excitation exchange
 (sigma+ sigma- + h.c., strength g1) for beam splitter/SWAP, number-number
@@ -10,13 +10,10 @@ in closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .params import checked_phase
-
-GAUGE_ROUNDS = 50  # alternating phase alignments in gauge_equivalent
 
 
 class GateError(ValueError):
@@ -76,17 +73,13 @@ def swap_unitary(g1: float) -> np.ndarray:
     return bs_unitary(g1, t_swap(g1))
 
 
-def cswap_exact() -> np.ndarray:
-    """Textbook controlled-SWAP permutation on (ctrl, a, b): |101> <-> |110>."""
-    return np.eye(8, dtype=complex)[[0, 1, 2, 3, 4, 6, 5, 7]]
-
-
 def cswap_composite(g1: float, g2: float) -> np.ndarray:
     """Controlled SWAP on (ctrl, a, b) from beam splitter + CZ + beam splitter.
 
     The interferometer encloses a controlled phase on arm a and closes with
-    the inverse beam splitter, so the composite acts as the controlled-SWAP
-    on populations, up to a diagonal phase gauge.
+    the inverse beam splitter, so the composite is monomial: the
+    controlled-SWAP permutation |101> <-> |110>, with unit phases on the
+    ctrl = 0 block.
     """
     BS = np.zeros((8, 8), dtype=complex)   # on (a, b), one block per ctrl value
     BS[:4, :4] = BS[4:, 4:] = bs_unitary(g1, t_beamsplitter(g1))
@@ -124,41 +117,3 @@ def cswap_duration(g1: float, g2: float) -> float:
     """2 t_bs + t_cz [s]."""
     return checked_duration("controlled-SWAP duration",
                             2.0 * t_beamsplitter(g1) + t_cphase(g2), g1, g2)
-
-
-@dataclass(frozen=True)
-class GaugeResult:
-    equivalent: bool
-    fidelity: float
-
-
-def gauge_equivalent(U: np.ndarray, V: np.ndarray) -> GaugeResult:
-    """Compare unitaries up to diagonal phase gauges.
-
-    Maximizes |Tr(D1 U D2 V^dag)| / dim over unit-modulus diagonal D1, D2 by
-    alternating exact phase alignment; each half-step is optimal given the
-    other, so the fidelity increases monotonically. Stops after GAUGE_ROUNDS
-    rounds or when the gain stalls below 1e-12.
-    """
-    if U.shape != V.shape or U.ndim != 2 or U.shape[0] != U.shape[1]:
-        raise GateError("gauge comparison needs equal square matrices")
-    dim = U.shape[0]
-
-    def align(diag: np.ndarray) -> np.ndarray:
-        mags = np.abs(diag)
-        out = np.ones(dim, dtype=complex)
-        np.divide(np.conj(diag), mags, out=out, where=mags > 0)
-        return out
-
-    d2 = np.ones(dim, dtype=complex)
-    fidelity = -1.0
-    for _ in range(GAUGE_ROUNDS):
-        d1 = align(np.diag((U * d2[None, :]) @ V.conj().T))
-        diag2 = np.diag(V.conj().T @ (d1[:, None] * U))
-        d2 = align(diag2)
-        new_fidelity = float(np.abs(np.sum(d2 * diag2))) / dim
-        if new_fidelity - fidelity < 1e-12:
-            fidelity = new_fidelity
-            break
-        fidelity = new_fidelity
-    return GaugeResult(equivalent=fidelity >= 1.0 - 1e-9, fidelity=fidelity)

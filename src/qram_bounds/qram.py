@@ -32,7 +32,6 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -77,23 +76,6 @@ def _bus_mode(n: int) -> int:
 PHASES = ("init", "descend", "copy", "ascend", "uncompute")
 
 
-class Cycle(NamedTuple):
-    """One clock cycle of a schedule; ``op`` names what it runs:
-
-    - "swap": address qubit ``ctrl`` moves into the leftmost level-``level``
-      router;
-    - "route": the whole level-``ctrl`` router layer shuffles the payload
-      within level ``level`` in parallel (one controlled-SWAP per subtree, on
-      disjoint modes; only the active-path gate does work on any branch);
-    - "bus": the bus moves through level ``level``;
-    - "copy": classically controlled bit flip of the bus at the addressed leaf.
-    """
-    phase: str   # one of PHASES
-    op: str
-    level: int = 0
-    ctrl: int = 0
-
-
 def _op_duration(op: str, g1: float, g2: float) -> float:
     """A swap or the data copy takes a full transfer; a routing stage or a
     bus step takes one controlled-SWAP."""
@@ -105,17 +87,22 @@ def _op_duration(op: str, g1: float, g2: float) -> float:
 @dataclass(frozen=True)
 class Schedule:
     """The cycles of a depth-``n`` schedule as four columns, one entry per
-    cycle in cycle order: each cycle's phase, op, level and ctrl."""
+    cycle in cycle order: each cycle's phase (one of PHASES), op, level and
+    ctrl. The op names what the cycle runs:
+
+    - "swap": address qubit ``ctrl`` moves into the leftmost level-``level``
+      router;
+    - "route": the whole level-``ctrl`` router layer shuffles the payload
+      within level ``level`` in parallel (one controlled-SWAP per subtree, on
+      disjoint modes; only the active-path gate does work on any branch);
+    - "bus": the bus moves through level ``level``;
+    - "copy": classically controlled bit flip of the bus at the addressed leaf.
+    """
     n: int
     phases: tuple[str, ...]
     ops: tuple[str, ...]
     levels: tuple[int, ...]
     ctrls: tuple[int, ...]
-
-    @property
-    def cycles(self) -> tuple[Cycle, ...]:
-        """The columns read as one ``Cycle`` per clock cycle."""
-        return tuple(map(Cycle, self.phases, self.ops, self.levels, self.ctrls))
 
     @property
     def cycle_count(self) -> int:
@@ -201,7 +188,7 @@ def total_time(init: Schedule, query: Schedule, g1: float, g2: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# classical database and reference semantics
+# classical database
 
 @dataclass(frozen=True)
 class ClassicalDatabase:
@@ -251,36 +238,8 @@ def random_database(N: int, seed: int) -> ClassicalDatabase:
     return ClassicalDatabase(bits=tuple(int(b) for b in rng.integers(0, 2, N)))
 
 
-def classical_trace_read(db: ClassicalDatabase, address: int) -> int:
-    """Reference semantics: set the routers level by level from the address
-    bits, then walk the bus down the tree following each router's state
-    (0 = left, 1 = right) and read the addressed bit."""
-    n, address = db.depth, checked_index(QramError, "address", address)
-    if not 0 <= address < db.N:
-        raise QramError("address out of range")
-    bits = [(address >> (n - 1 - k)) & 1 for k in range(n)]
-    routers: dict[tuple[int, int], int] = {}
-    for k in range(1, n + 1):           # initialization: route k-1 times, drop
-        pos = 0
-        for level in range(k - 1):
-            pos = 2 * pos + routers[(level, pos)]
-        routers[(k - 1, pos)] = bits[k - 1]
-    pos = 0                              # bus descent
-    for level in range(n):
-        pos = 2 * pos + routers[(level, pos)]
-    return db.bits[pos]
-
-
 # ---------------------------------------------------------------------------
 # monomial simulation
-
-@dataclass(frozen=True)
-class QueryResult:
-    bits: np.ndarray                  # output basis states (addresses, routers, bus)
-    amplitudes: np.ndarray            # one per row of bits
-    fidelity: float                   # vs sum_x alpha_x |x>|0_routers>|D_x>
-    routers_restored: float           # weight of the routers-all-zero sector
-
 
 def _run_cycles(bits: np.ndarray, phase: np.ndarray, schedule: Schedule, tables,
                 stored: np.ndarray) -> None:
@@ -354,28 +313,6 @@ def _read_out(db: ClassicalDatabase, bits: np.ndarray, key: np.ndarray):
     kept = bits[:, :n] @ (1 << np.arange(n)[::-1]) == key
     ideal = routers_zero & kept & (read == expected)
     return expected, read, ideal, routers_zero
-
-
-def simulate_query(db: ClassicalDatabase, address_state: np.ndarray,
-                   g1: float = math.pi, g2: float = math.pi) -> QueryResult:
-    """Route the addresses in ``address_state``; superpose their outputs."""
-    address_state = np.asarray(address_state, dtype=complex)
-    if address_state.shape != (db.N,):
-        raise QramError(f"address state must have length {db.N}")
-    bad = np.flatnonzero(~np.isfinite(address_state))
-    if len(bad):
-        raise QramError(f"address state amplitude {bad[0]} is not finite: "
-                        f"{address_state[bad[0]]}")
-    if abs(np.linalg.norm(address_state) - 1.0) > 1e-12:
-        raise QramError("address state must be normalized")
-    support = np.flatnonzero(address_state)
-    bits, phase = _route(db, support, g1, g2)
-    alpha = address_state[support]
-    _, _, ideal, routers_zero = _read_out(db, bits, support)
-    amplitudes = alpha * phase
-    fidelity = abs(np.vdot(alpha[ideal], amplitudes[ideal])) ** 2
-    restored = np.sum(np.abs(amplitudes[routers_zero]) ** 2)
-    return QueryResult(bits, amplitudes, float(fidelity), float(restored))
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ timing and returns a process exit code.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import tempfile
 import time
@@ -53,6 +54,25 @@ def params_suite() -> list[Check]:
     return checks
 
 
+def _largest_root(R: float, p: int, log_base: str) -> float:
+    """The largest N with N = R log^p N: R itself at p = 0; otherwise a
+    bisection, in log N, between the tangency point e^p, where N - R log^p N
+    is negative for an R above the root threshold, and the first doubling
+    of max(R, e^p) where it is positive, down to adjacent floats."""
+    if p == 0:
+        return R
+    log = math.log if log_base == "natural" else math.log2
+    lo, hi = math.exp(p), max(R, math.exp(p))
+    while hi - R * log(hi) ** p <= 0.0:
+        hi *= 2.0
+    while lo < (mid := math.sqrt(lo * hi)) < hi:
+        if mid - R * log(mid) ** p < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def bounds_suite() -> list[Check]:
     checks: list[Check] = []
     v1 = lattice.lr_speed(1, (1.0,), 1.0)
@@ -72,9 +92,10 @@ def bounds_suite() -> list[Check]:
     naive = bounds.naive_max_qubits(1e-6, 1e-3, 3e8)
     checks.append(("naive bound scale", abs(naive / 8.9e12 - 1.0) < 0.02, f"{naive:.4e}"))
     # discrete <-> continuum: fitted k->0 slope along the diagonal vs
-    # sqrt(coarse-grained stiffness / density), at unit spacing
+    # sqrt(coarse-grained stiffness / density), at unit spacing; the same
+    # slope is sqrt(d) times the group velocity, its k->0 supremum
     ok = True
-    worst = 0.0
+    worst = worst_group = 0.0
     for d in (1, 2, 3):
         for lam in ((1.0,), (1.0, 0.5), (0.3, 1.1, 0.7)):
             p = _params(d=d, lam=lam, m=1.3)
@@ -84,7 +105,28 @@ def bounds_suite() -> list[Check]:
             v_qft = bounds.qft_velocity(bounds.coarse_grain(p), density(p))
             worst = max(worst, abs(v_qft / slope - 1.0))
             ok = ok and abs(v_qft / slope - 1.0) < 1e-9
+            group = math.sqrt(d) * lattice.max_group_velocity(spec)
+            worst_group = max(worst_group, abs(group / slope - 1.0))
     checks.append(("continuum velocity matches k->0 slope", ok, f"worst {worst:.2e}"))
+    checks.append(("group velocity matches k->0 slope", worst_group < 1e-9,
+                   f"worst {worst_group:.2e} (tol 1e-9)"))
+    # every printed capacity against the largest root, found apart from the
+    # solvers: one point, the sweeps' column solve, and the bound
+    worst = 0.0
+    tau, a = tau0(2e3, 2e3), 1e-6
+    for p, base in itertools.product((0, 1, 2), ("natural", "2")):
+        conv = Conventions(depth_exponent=p, log_base=base, velocity_source=3e3)
+        results = [bounds.qram_max_qubits(_params(d=d, a=a, g=2e3), conv) for d in (1, 2, 3)]
+        R = np.array([result.velocity_used for result in results]) * tau / a
+        columns = bounds.fixed_point_columns(R, p, base)
+        for d, result, r, column in zip((1, 2, 3), results, R.tolist(), columns.tolist()):
+            root = _largest_root(r, p, base)
+            extent, total = bounds.capacity(result.velocity_used, tau, a, d, conv)
+            ratios = (extent / root, column / root, result.max_linear_extent / root,
+                      total / root ** d, result.max_qubits_total / root ** d)
+            worst = max(worst, *(abs(x - 1.0) for x in ratios))
+    checks.append(("capacity is the largest root", worst < 1e-9,
+                   f"worst {worst:.2e} (tol 1e-9)"))
     # monotonicity along each grid axis (larger v, tau0, or 1/a never shrinks N);
     # tau0 grows as g shrinks, so the g axis runs downward
     mono_ok = True
@@ -106,9 +148,21 @@ def bounds_suite() -> list[Check]:
     return checks
 
 
+# (spec, dt, steps, r_max): folded orbits (wide signal, even L) with an
+# interpolated last block cut short; odd L with every row computed (I the
+# identity); 2D and 3D sums over transverse orbits, unfolded and interpolated
+DENSE_CASES = (
+    (lattice.LatticeSpec(d=1, L=64, lam=(1.0, 0.3), m=0.8), 0.05, 150, 50),
+    (lattice.LatticeSpec(d=1, L=31, lam=(1.0,), m=1.0), 0.7, 40, 30),
+    (lattice.LatticeSpec(d=2, L=6, lam=(1.0, 0.3), m=0.8), 0.1, 150, 5),
+    (lattice.LatticeSpec(d=3, L=4, lam=(0.9,), m=1.1), 0.1, 150, 3),
+)
+DENSE_TOL = 1e-12   # they agree to 7e-15..1.4e-14 under the Haswell, Prescott and
+                    # Nehalem OpenBLAS kernels; a 1e-4 fault in the scan reads 1e-4
+
+
 def lattice_suite() -> list[Check]:
     checks: list[Check] = []
-    rng = np.random.default_rng(20240801)
     # dispersion vs coupling-matrix eigenfrequencies, as omega^2: eigvalsh is good to
     # a few eps*||K|| under any BLAS kernel, and sqrt would blow that up at omega = 0
     spec = lattice.LatticeSpec(d=1, L=16, lam=(1.0, 0.4), m=1.2)
@@ -118,35 +172,18 @@ def lattice_suite() -> list[Check]:
     err = float(np.abs(np.linalg.eigvalsh(K) / spec.m - disp2).max())
     tol = 64 * np.finfo(float).eps * np.linalg.norm(K, 2) / spec.m
     checks.append(("dispersion matches eigenfrequencies", err < tol, f"{err:.2e}"))
-    # symplectic form preservation and group property
-    sympl_ok, group_ok = True, True
-    worst_s, worst_g = 0.0, 0.0
-    for d, nu in ((1, 1), (1, 2), (2, 1), (2, 2)):
-        lam = tuple(rng.uniform(0.2, 1.5, nu))
-        sp = lattice.LatticeSpec(d=d, L=8, lam=lam, m=float(rng.uniform(0.5, 2.0)))
-        n = sp.n_sites
-        t1, t2 = 0.7, 0.4
-        P1, P2, P12 = (lattice.SymplecticPropagator(sp, t) for t in (t1, t2, t1 + t2))
-        # rows of u and v are the draws of 25 (u, v) pairs, in order
-        u, v = rng.standard_normal((25, 2, 2 * n)).transpose(1, 0, 2)
-        su, sv = P1.apply(u), P1.apply(v)
-        s0 = lattice.symplectic_form(u[:, :n], u[:, n:], v[:, :n], v[:, n:])
-        s1 = lattice.symplectic_form(su[:, :n], su[:, n:], sv[:, :n], sv[:, n:])
-        worst_s = max(worst_s, float(np.abs(s1 - s0).max()))
-        sympl_ok = sympl_ok and bool(
-            (np.abs(s1 - s0) < 1e-10 * np.maximum(1.0, np.abs(s0))).all())
-        diff = float(np.abs(P12.apply(u) - P1.apply(P2.apply(u))).max())
-        worst_g = max(worst_g, diff)
-        group_ok = group_ok and diff < 1e-9
-    checks.append(("symplectic form preserved", sympl_ok, f"worst {worst_s:.2e}"))
-    checks.append(("group property S(t+s)=S(t)S(s)", group_ok, f"worst {worst_g:.2e}"))
-    # spectral vs RK4 propagator
-    sp8 = lattice.LatticeSpec(d=1, L=8, lam=(1.0,), m=1.0)
-    w_max = lattice.omega_max(sp8)
-    t = 10.0 / w_max
-    diff = np.abs(lattice.SymplecticPropagator(sp8, t).matrix()
-                  - lattice.propagate_ode(sp8, t, 0.01 / w_max)).max()
-    checks.append(("spectral vs RK4 propagator", diff < 1e-6, f"{diff:.2e}"))
+    # the scan's signal against the textbook normal-mode solution, on cases
+    # that reach each layout of the engine
+    worst = 0.0
+    for spec, dt, steps, r_max in DENSE_CASES:
+        w2, V = np.linalg.eigh(lattice.coupling_matrix(spec) / spec.m)
+        omega = np.sqrt(np.maximum(w2, 0.0))   # the zero mode may come out -eps
+        on_axis = V[np.arange(r_max + 1) * spec.L ** (spec.d - 1)] * V[0]
+        dense = np.cos(np.outer(np.arange(steps) * dt, omega)) @ on_axis.T
+        scan = lattice.axis_signal(spec, dt, steps, r_max)
+        worst = max(worst, float(np.abs(scan - dense).max()))
+    checks.append(("scan signal matches dense cos(t sqrt(K/m))", worst < DENSE_TOL,
+                   f"worst {worst:.2e} (tol {DENSE_TOL:g})"))
     # causality tail outside the bound cone
     sp = lattice.LatticeSpec(d=1, L=200, lam=(1.0,), m=1.0)
     ts = np.array([1.0, 5.0, 10.0])   # rows 1, 5, 10 of a dt = 1 grid
@@ -155,23 +192,6 @@ def lattice_suite() -> list[Check]:
     worst_tail = float(norm[mask].max())
     checks.append(("commutator tail outside cone < 1e-6", worst_tail < 1e-6,
                    f"{worst_tail:.2e}"))
-    # envelope domination along a ray: calibrate the prefactor at the first
-    # point outside the signal front, then the measured tail (which drops
-    # super-exponentially) must stay under the envelope's exp(-mu m dr)
-    # decay; compare only above the double-precision noise floor
-    f = lattice.WeylFunction({0: 1.0})
-    t_ray = 1.0
-    dists = list(range(2, 14))
-    meas = [lattice.weyl_commutator_norm(
-        sp, f, lattice.WeylFunction({r: 1j}), t_ray) for r in dists]
-    bare = [lattice.lr_bound_envelope(sp, lattice.LRBoundParams(1.0, 1.0), r, t_ray)
-            for r in dists]
-    resolvable = [(m, b) for m, b in zip(meas, bare) if m >= 1e-13]
-    C = resolvable[0][0] / resolvable[0][1]
-    dom_ok = (len(resolvable) >= 4
-              and all(m <= C * b * (1.0 + 1e-9) for m, b in resolvable))
-    checks.append(("envelope dominates along ray", dom_ok,
-                   f"{len(resolvable)} resolvable points"))
     # quick light cone
     scan = lattice.measure_light_cone(sp, threshold=1e-3, t_max=100.0, r_max=90, dt=0.05)
     gv = lattice.max_group_velocity(sp)
@@ -180,6 +200,9 @@ def lattice_suite() -> list[Check]:
     checks.append(("light cone velocity", ok,
                    f"fitted {scan.fitted_velocity_lattice:.4f}"))
     return checks
+
+
+CSWAP_PERMUTATION = [0, 1, 2, 3, 4, 6, 5, 7]   # |101> <-> |110> on (ctrl, a, b)
 
 
 def gates_suite() -> list[Check]:
@@ -206,16 +229,11 @@ def gates_suite() -> list[Check]:
     add = np.abs(gates.bs_unitary(g1, t1) @ gates.bs_unitary(g1, t2)
                  - gates.bs_unitary(g1, t1 + t2)).max()
     checks.append(("bs duration additivity", add < 1e-10, f"{add:.2e}"))
-    comp = gates.cswap_composite(g1, g2)
-    res = gates.gauge_equivalent(comp, gates.cswap_exact())
-    checks.append(("composite ~ controlled-SWAP", res.equivalent,
-                   f"fidelity {res.fidelity:.12f}"))
-    ctrl0 = comp[:4, :4]
-    res0 = gates.gauge_equivalent(ctrl0, np.eye(4, dtype=complex))
-    swap_pop = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-    res1 = gates.gauge_equivalent(comp[4:, 4:], swap_pop)
-    checks.append(("ctrl=0 block ~ identity", res0.equivalent, ""))
-    checks.append(("ctrl=1 block ~ swap", res1.equivalent, ""))
+    perm, phases = gates.monomial(gates.cswap_composite(g1, g2))
+    checks.append(("composite is the controlled-SWAP permutation",
+                   perm.tolist() == CSWAP_PERMUTATION, f"{perm.tolist()}"))
+    err = float(np.abs(phases[:4] - 1.0).max())
+    checks.append(("ctrl=0 block has unit phases", err < 1e-12, f"{err:.2e} (tol 1e-12)"))
     dur_ok = (gates.t_swap(2.0) == math.pi / 4.0
               and gates.t_beamsplitter(2.0) == math.pi / 8.0
               and gates.t_cphase(4.0) == math.pi / 4.0
@@ -266,11 +284,19 @@ SUITES = (
 
 def run_verify() -> int:
     """Run every suite; print one line per suite with timing; return 0 if
-    everything passed, 1 otherwise."""
+    everything passed, 1 otherwise. A suite that raises a library error
+    (each subclasses ValueError) fails on one line that names it: verify
+    takes no input, so the build is at fault."""
     failed = False
     for name, suite in SUITES:
         start = time.perf_counter()
-        checks = suite()
+        try:
+            checks = suite()
+        except ValueError as exc:
+            print(f"FAIL {name}: raised {type(exc).__name__}: {exc} "
+                  f"({time.perf_counter() - start:.2f}s)")
+            failed = True
+            continue
         elapsed = time.perf_counter() - start
         bad = [c for c in checks if not c[1]]
         status = "PASS" if not bad else "FAIL"

@@ -3,7 +3,9 @@ module level in ``src/qram_bounds`` is used somewhere in ``src/`` or
 ``scripts/``, every public one is exported by the package's ``__init__.py``
 or used in ``src/`` or ``scripts/``, and every name that a module of ``src/``, ``scripts/`` or
 ``tests/`` imports is used in it. The package's ``__init__.py`` is exempt
-from the last check, as its imports are the public names it exports.
+from the last check, as its imports are the public names it exports. Names
+that only the tests need, moved to the tests' oracle modules or deleted,
+stay out of ``src/``.
 """
 import ast
 import functools
@@ -19,6 +21,14 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + SCRIPTS
 IMPORTERS = ([p for p in PACKAGE if p.name != "__init__.py"] + SCRIPTS
              + sorted((ROOT / "tests").glob("*.py")))
+# oracles of the tests (tests/lattice_oracles.py, tests/dense_oracle.py) and
+# the comparisons, envelopes and caps that no committed output depends on
+TEST_ONLY_NAMES = {
+    "normal_modes", "SymplecticPropagator", "propagate_ode", "WeylFunction",
+    "symplectic_form", "weyl_commutator_norm", "LRBoundParams", "lr_bound_envelope",
+    "_DENSE_SITE_CAP", "_ODE_STEP_CAP", "gauge_equivalent", "GaugeResult",
+    "GAUGE_ROUNDS", "cswap_exact", "simulate_query", "classical_trace_read",
+    "QueryResult", "Cycle", "cycles"}
 
 
 def definitions(tree):
@@ -87,6 +97,15 @@ def test_public_names_are_exported_or_used(path):
     read, exported = source_uses(), exports(parse(PACKAGE_INIT))
     assert [name for name in public_definitions(parse(path))
             if name not in exported and not read[name]] == []
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_test_only_names_stay_out_of_src(path):
+    tree = parse(path)
+    named = set(definitions(tree)) | set(uses(tree)) | {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    assert sorted(named & TEST_ONLY_NAMES) == []
 
 
 @pytest.mark.parametrize("path", IMPORTERS, ids=lambda path: path.name)

@@ -1,5 +1,6 @@
-"""Float fuzz over the library: every public call returns only finite
-numbers or raises a ValueError subclass that names the refused input.
+"""Float fuzz over the library, and over the oracles in ``tests/`` that
+keep their refusals: every public call returns only finite numbers or
+raises a ValueError subclass that names the refused input.
 
 Each float argument is drawn from the edge alphabet 0, -1, +-inf, nan,
 1e308 and 5e-324, or from ordinary values in [0.1, 10]. Calls run under
@@ -28,6 +29,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_oracle
+import lattice_oracles
 from qram_bounds import bounds, gates, lattice, params, qram
 
 EDGES = [0.0, -1.0, math.inf, -math.inf, math.nan, 1e308, 5e-324]
@@ -131,20 +134,20 @@ def test_lattice(data, d, L):
     v = finite_or_refused(lattice.max_group_velocity, spec)
     if v is not None:
         finite_or_refused(lattice.physical_velocity, draw(FLOATS), v, "group velocity")
-    bp = finite_or_refused(lattice.LRBoundParams, draw(FLOATS), draw(FLOATS))
+    bp = finite_or_refused(lattice_oracles.LRBoundParams, draw(FLOATS), draw(FLOATS))
     if bp is not None:
-        finite_or_refused(lattice.lr_bound_envelope, spec, bp, draw(FLOATS),
+        finite_or_refused(lattice_oracles.lr_bound_envelope, spec, bp, draw(FLOATS),
                           draw(FLOATS))
     t = draw(FLOATS)
     probe = np.zeros(2 * spec.n_sites)
     probe[draw(st.sampled_from([0, spec.n_sites]))] = 1.0
-    prop = finite_or_refused(lattice.SymplecticPropagator, spec, t)
+    prop = finite_or_refused(lattice_oracles.SymplecticPropagator, spec, t)
     if prop is not None:
         finite_or_refused(prop.apply, probe)
         finite_or_refused(prop.apply_observable, probe)
-    f = lattice.WeylFunction({(0,) * d: 1.0})
-    g = lattice.WeylFunction({(1,) + (0,) * (d - 1): 1j})
-    finite_or_refused(lattice.weyl_commutator_norm, spec, f, g, t)
+    f = lattice_oracles.WeylFunction({(0,) * d: 1.0})
+    g = lattice_oracles.WeylFunction({(1,) + (0,) * (d - 1): 1j})
+    finite_or_refused(lattice_oracles.weyl_commutator_norm, spec, f, g, t)
     finite_or_refused(lattice.axis_signal, spec, draw(FLOATS),
                       draw(st.sampled_from([0, 1, 3])), 1)
     if L == 8 and spec.nu == 1:
@@ -175,7 +178,7 @@ def test_qram(data, n):
                       qram.schedule_query(n), g1, g2)
     db = qram.random_database(4, seed=1)
     finite_or_refused(qram.verify_retrieval, db, g1, g2)
-    finite_or_refused(qram.simulate_query, db, np.eye(4)[2], g1, g2)
+    finite_or_refused(dense_oracle.simulate_query, db, np.eye(4)[2], g1, g2)
 
 
 SMALL_INTS = [True, 2.0, 2.5, -1, 0, np.int64(2)]
@@ -188,7 +191,7 @@ INT_ARGUMENTS = {
     "schedule_initialization n": (qram.schedule_initialization, SCHEDULE_REFUSAL),
     "schedule_query n": (qram.schedule_query, SCHEDULE_REFUSAL),
     "classical_trace_read address": (
-        lambda v: qram.classical_trace_read(qram.random_database(8, seed=1), v),
+        lambda v: dense_oracle.classical_trace_read(qram.random_database(8, seed=1), v),
         r"^address (must be an integer|out of range$)"),
     "random_database seed": (lambda v: qram.random_database(8, seed=v), r"^seed must be"),
     "capacity d": (lambda v: bounds.capacity(1e3, 1.0, 1e-6, v, params.Conventions()),

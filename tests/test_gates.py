@@ -8,17 +8,19 @@ from hypothesis import given, settings, strategies as st
 from dense_oracle import apply_unitary
 from qram_bounds import gates, qram
 from qram_bounds.gates import (GateError, bs_unitary, cswap_composite,
-                               cswap_duration, cswap_exact, cz_unitary,
-                               gauge_equivalent, swap_unitary, t_beamsplitter,
-                               t_cphase, t_swap)
+                               cswap_duration, cz_unitary, swap_unitary,
+                               t_beamsplitter, t_cphase, t_swap)
 
 RNG = np.random.default_rng(11)
+CSWAP = [0, 1, 2, 3, 4, 6, 5, 7]   # textbook controlled-SWAP on (ctrl, a, b): |101> <-> |110>
 
 
-def random_unitary(dim, rng=RNG):
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+def assert_controlled_swap(U):
+    """U is monomial with the textbook controlled-SWAP permutation, and the
+    identity on ctrl = 0, phases included."""
+    perm, phases = gates.monomial(U)
+    assert perm.tolist() == CSWAP
+    np.testing.assert_allclose(phases[:4], 1.0, rtol=0, atol=1e-12)
 
 
 def embed(U, modes, n_modes=3):
@@ -174,7 +176,7 @@ class TestBeamSplitter:
     def test_extreme_couplings_in_range_keep_the_composite(self, g):
         assert math.isfinite(t_beamsplitter(g)) and t_beamsplitter(g) > 0
         assert math.isfinite(t_cphase(g))
-        assert gauge_equivalent(cswap_composite(g, g), cswap_exact()).equivalent
+        assert_controlled_swap(cswap_composite(g, g))
 
 
 class TestControlledPhase:
@@ -207,9 +209,7 @@ class TestControlledSwapComposite:
 
     def test_superposed_control_fredkin_fidelity(self):
         g1, g2 = 1.3, 0.7
-        res = gauge_equivalent(cswap_composite(g1, g2), cswap_exact())
-        assert res.equivalent
-        assert res.fidelity >= 1.0 - 1e-9
+        assert_controlled_swap(cswap_composite(g1, g2))
         # and the specific interferometer input stays normalized/entangled
         psi = np.zeros(8, dtype=complex)
         psi[0b010] = psi[0b110] = 1.0 / math.sqrt(2.0)
@@ -219,24 +219,22 @@ class TestControlledSwapComposite:
         assert probs[0b101] == pytest.approx(0.5, abs=1e-12)
 
     def test_same_orientation_closing_splitter_fails(self):
-        res = gauge_equivalent(interferometer(1.3, 0.7, (0, 1), False),
-                               cswap_exact())
-        assert not res.equivalent
-        assert res.fidelity < 0.9
+        # the same orientation swaps a and b under ctrl = 0 instead
+        perm, _ = gates.monomial(interferometer(1.3, 0.7, (0, 1), False))
+        assert perm.tolist() == [0, 2, 1, 3, 4, 5, 6, 7] != CSWAP
 
     def test_either_interferometer_arm_works(self):
         np.testing.assert_allclose(interferometer(1.3, 0.7, (0, 1), True),
                                    cswap_composite(1.3, 0.7), atol=1e-12)
         for arm in ((0, 1), (0, 2)):
-            res = gauge_equivalent(interferometer(1.3, 0.7, arm, True),
-                                   cswap_exact())
-            assert res.equivalent
+            assert_controlled_swap(interferometer(1.3, 0.7, arm, True))
 
     def test_restricted_blocks(self):
         U = cswap_composite(2.0, 1.0)
-        assert gauge_equivalent(U[:4, :4], np.eye(4, dtype=complex)).equivalent
-        swap_pop = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-        assert gauge_equivalent(U[4:, 4:], swap_pop).equivalent
+        perm, phases = gates.monomial(U[:4, :4])
+        assert perm.tolist() == [0, 1, 2, 3]
+        np.testing.assert_allclose(phases, 1.0, rtol=0, atol=1e-12)
+        assert gates.monomial(U[4:, 4:])[0].tolist() == [0, 2, 1, 3]
 
     def test_unitary(self):
         U = cswap_composite(1.3, 0.7)
@@ -265,50 +263,14 @@ class TestDurations:
         # every op a schedule holds: the address swap, the routing stage,
         # the bus step and the data copy
         g1, g2 = 1.7, 0.6
-        ops = {c.op for n in (1, 2) for c in (*qram.schedule_initialization(n).cycles,
-                                              *qram.schedule_query(n).cycles)}
+        ops = {op for n in (1, 2) for schedule in (qram.schedule_initialization(n),
+                                                   qram.schedule_query(n))
+               for op in schedule.ops}
         assert ops == {"swap", "route", "bus", "copy"}
         assert qram._op_duration("swap", g1, g2) == t_swap(g1)
         assert qram._op_duration("route", g1, g2) == cswap_duration(g1, g2)
         assert qram._op_duration("bus", g1, g2) == cswap_duration(g1, g2)
         assert qram._op_duration("copy", g1, g2) == t_swap(g1)
-
-
-class TestGaugeEquivalent:
-    def test_self_equivalence(self):
-        U = random_unitary(8)
-        res = gauge_equivalent(U, U)
-        assert res.equivalent and res.fidelity == pytest.approx(1.0, abs=1e-12)
-
-    @given(theta=st.floats(0.0, 2.0 * math.pi))
-    @settings(max_examples=25, deadline=None)
-    def test_global_phase_absorbed(self, theta):
-        U = random_unitary(4)
-        res = gauge_equivalent(U, np.exp(1j * theta) * U)
-        assert res.fidelity >= 1.0 - 1e-9
-
-    def test_diagonal_gauges_absorbed(self):
-        U = random_unitary(8)
-        rng = np.random.default_rng(5)
-        d1 = np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
-        d2 = np.exp(1j * rng.uniform(0, 2 * math.pi, 8))
-        res = gauge_equivalent((d1[:, None] * U) * d2[None, :], U)
-        assert res.equivalent
-
-    def test_full_transfer_is_swap_up_to_gauge(self):
-        g1 = 1.0
-        swap_pop = np.eye(4, dtype=complex)[[0, 2, 1, 3]]
-        res = gauge_equivalent(bs_unitary(g1, t_swap(g1)), swap_pop)
-        assert res.equivalent
-
-    def test_distinguishes_genuinely_different_gates(self):
-        res = gauge_equivalent(np.eye(4, dtype=complex),
-                               np.eye(4, dtype=complex)[[0, 2, 1, 3]])
-        assert not res.equivalent
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(GateError):
-            gauge_equivalent(np.eye(4, dtype=complex), np.eye(8, dtype=complex))
 
 
 class TestApplyGate:
@@ -359,7 +321,7 @@ class TestMonomial:
             np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
 
     def test_exact_cswap_is_its_permutation(self):
-        perm, phases = gates.monomial(cswap_exact())
+        perm, phases = gates.monomial(np.eye(8, dtype=complex)[CSWAP])
         assert perm.tolist() == [0, 1, 2, 3, 4, 6, 5, 7]
         assert np.array_equal(phases, np.ones(8))
 

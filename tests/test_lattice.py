@@ -7,41 +7,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_oracles import (SIGNAL_CASES, full_grid_group_velocity,
-                             full_signal_rows, ifftn_axis_signal)
+from lattice_oracles import (SIGNAL_CASES, LRBoundParams, SymplecticPropagator,
+                             WeylFunction, bond_coupling_matrix, full_grid_group_velocity,
+                             full_signal_rows, ifftn_axis_signal, lr_bound_envelope,
+                             normal_modes, propagate_ode, symplectic_form,
+                             weyl_commutator_norm)
 from qram_bounds import lattice, verify
-from qram_bounds.lattice import (LatticeError, LatticeSpec, LRBoundParams,
-                                 SymplecticPropagator, WeylFunction,
-                                 axis_signal, dispersion, lr_bound_envelope,
-                                 lr_speed, max_group_velocity,
-                                 measure_light_cone, normal_modes, omega_max,
-                                 physical_velocity, propagate_ode,
-                                 symplectic_form, weyl_commutator_norm)
+from qram_bounds.lattice import (LatticeError, LatticeSpec, axis_signal,
+                                 coupling_matrix, dispersion, lr_speed,
+                                 max_group_velocity, measure_light_cone, omega_max,
+                                 physical_velocity)
 
 RNG = np.random.default_rng(20240808)
 
 
 # --- independent oracles ----------------------------------------------------
-
-def bond_coupling_matrix(spec):
-    """Assemble K bond by bond, symmetrically: an independent construction
-    of the force matrix from the Hamiltonian's (u_r - u_{r+j e})^2 terms."""
-    n = spec.n_sites
-    shape = spec.shape
-    K = np.zeros((n, n))
-    for idx in np.ndindex(shape):
-        r = int(np.ravel_multi_index(idx, shape))
-        for axis in range(spec.d):
-            for j, lam in enumerate(spec.lam, start=1):
-                nb = list(idx)
-                nb[axis] = (nb[axis] + j) % spec.L
-                s = int(np.ravel_multi_index(tuple(nb), shape))
-                K[r, r] += lam
-                K[s, s] += lam
-                K[r, s] -= lam
-                K[s, r] -= lam
-    return K
-
 
 def squared_eigenfrequency_oracle(spec):
     """Ascending omega^2 = eigvalsh(K)/m of the bond-built K, and the scale
@@ -222,6 +202,17 @@ class TestDispersion:
         disp2 = np.sort([dispersion(spec, k) ** 2 for k in ks])
         w2, scale = squared_eigenfrequency_oracle(spec)
         assert np.abs(disp2 - w2).max() < 64 * scale
+
+    @pytest.mark.parametrize("d,L", [(1, 1), (1, 2), (1, 3), (1, 16), (1, 31),
+                                     (2, 2), (2, 5), (2, 8), (3, 3), (3, 4)])
+    @pytest.mark.parametrize("lam", [(1.0,), (0.3, 1.1, 0.7), (0.1, 0.2, 0.7, 1e-3, 3.3)])
+    def test_coupling_matrix_is_the_bond_loop_bit_for_bit(self, d, L, lam):
+        # the circulant's stencil adds each site's bonds in the loop's order,
+        # wrap-around bonds at L <= 2j included
+        spec = LatticeSpec(d=d, L=L, lam=lam, m=1.3)
+        K = coupling_matrix(spec)
+        assert K.shape == (spec.n_sites, spec.n_sites)
+        np.testing.assert_array_equal(K, bond_coupling_matrix(spec))
 
     def test_symmetric_in_k(self):
         spec = LatticeSpec(d=1, L=16, lam=(1.0, 0.4), m=1.2)
@@ -520,7 +511,7 @@ class TestOdePropagator:
     def test_propagator_class_rejects_non_finite_time(self, t):
         spec = LatticeSpec(d=1, L=4, lam=(1.0,), m=1.0)
         with pytest.raises(LatticeError, match="time must be finite"):
-            lattice.SymplecticPropagator(spec, t)
+            SymplecticPropagator(spec, t)
 
     def test_step_count_is_not_a_loop(self, monkeypatch):
         # 10^12 RK4 steps are refused at once, before anything is built:
@@ -556,21 +547,27 @@ class TestOdePropagator:
 
 
 class TestVerifyLatticeSuite:
-    def test_batched_apply_calls_and_verdicts(self, monkeypatch):
-        """The suite's symplectic and group-law checks make one batched call
-        per action: 5 per lattice on 4 lattices, never one per vector."""
-        shapes = []
-        apply = lattice.SymplecticPropagator.apply
+    def test_dense_check_calls_and_verdicts(self, monkeypatch):
+        """The suite's dense check diagonalizes each case's K once and scans
+        its signal once; every check passes on a correct build."""
+        calls = []
+        eigh, signal = np.linalg.eigh, lattice.axis_signal
 
-        def counted(self, u):
-            shapes.append(np.shape(u))
-            return apply(self, u)
+        def counted_eigh(a):
+            calls.append(("eigh", a.shape))
+            return eigh(a)
 
-        monkeypatch.setattr(lattice.SymplecticPropagator, "apply", counted)
+        def counted_signal(spec, dt, steps, r_max):
+            calls.append(("axis_signal", spec.n_sites))
+            return signal(spec, dt, steps, r_max)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        monkeypatch.setattr(lattice, "axis_signal", counted_signal)
         checks = verify.lattice_suite()
-        assert len(shapes) == 20
-        assert all(len(shape) == 2 and shape[0] == 25 for shape in shapes)
-        assert len(checks) == 7
+        sizes = [spec.n_sites for spec, *_ in verify.DENSE_CASES]
+        assert calls[:2 * len(sizes)] == [
+            call for n in sizes for call in (("eigh", (n, n)), ("axis_signal", n))]
+        assert len(checks) == 4
         assert [name for name, ok, _ in checks if not ok] == []
 
 
@@ -916,8 +913,8 @@ class TestLightCone:
             measure_light_cone(spec, threshold=1e-3, r_max=10, **kwargs)
 
     def test_automatic_dt_checks_the_mode_grid_before_building_it(self, monkeypatch):
-        # the automatic dt reads omega_max from one axis: the L^d mode grid is
-        # never built. At 3D L=256 (orbit weights of 187 MB) the orbit check
+        # the automatic dt reads omega_max from one axis, the L^d mode grid's
+        # maximum. At 3D L=256 (orbit weights of 187 MB) the orbit check
         # refuses before that axis is read, and so before any orbit is built
         spec = LatticeSpec(d=3, L=40, lam=(1.0, 0.3), m=1.0)
         dt = 0.2 / normal_modes(spec).max()
@@ -925,7 +922,6 @@ class TestLightCone:
         def no_grid(*args):
             raise AssertionError("mode grid or axis built before the size check")
 
-        monkeypatch.setattr(lattice, "normal_modes", no_grid)
         scan = measure_light_cone(spec, threshold=1e-3, t_max=1.0, r_max=10)
         assert scan.dt == dt
         monkeypatch.setattr(lattice, "omega_max", no_grid)

@@ -1,6 +1,6 @@
-"""Tests of the light-cone engine's intermediates: the one test file that
-names private attributes of ``qram_bounds.lattice`` (the guard below keeps
-it so). Each test checks one intermediate, such as W's bits, the tile rule,
+"""Tests of the light-cone engine's intermediates: with the fault catalogue
+``tests/test_faults.py``, which corrupts them, the one test file that names
+private attributes of ``qram_bounds.lattice`` (the guard below keeps it so). Each test checks one intermediate, such as W's bits, the tile rule,
 the block maxima, the reads behind the scan rows or ``_fit_line``, and goes
 when that intermediate goes.
 """
@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_oracles import SIGNAL_CASES, full_signal_rows, ifftn_axis_signal
-from qram_bounds import lattice
+from qram_bounds import lattice, verify
 from qram_bounds.lattice import (LatticeError, LatticeSpec, axis_signal,
                                  measure_light_cone)
 
@@ -40,7 +40,7 @@ def private_lattice_names(source):
                          ids=lambda path: path.name)
 def test_private_lattice_names_stay_in_this_file(path):
     names = private_lattice_names(path.read_text())
-    assert bool(names) == (path.name == Path(__file__).name), names
+    assert bool(names) == (path.name in (Path(__file__).name, "test_faults.py")), names
 
 
 @pytest.mark.parametrize("source,names", [
@@ -86,6 +86,15 @@ def reaches_regime(case):
         "odd-L-interpolated": spec.L % 2 == 1 and interpolated,
         "multi-tile-interpolated": last >= 2 * width and interpolated,
     }[regime]
+
+
+def test_verify_dense_cases_reach_the_engine_layouts():
+    # verify's dense check covers folded and unfolded orbits, blocks built
+    # from nodes and row by row, odd L, a short last block and d = 1, 2, 3
+    regimes = {"folded-interpolated", "direct-rows", "odd-L", "unfolded", "short-last"}
+    assert {regime for regime in regimes for case in verify.DENSE_CASES
+            if reaches_regime((regime, *case))} == regimes
+    assert sorted(spec.d for spec, *_ in verify.DENSE_CASES) == [1, 1, 2, 3]
 
 
 class TestOrbits:

@@ -7,14 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from dense_oracle import apply_unitary, dense_state, gate_modes
+import dense_oracle
+from dense_oracle import (Cycle, apply_unitary, classical_trace_read, cycles,
+                          dense_state, gate_modes, simulate_query)
 from qram_bounds import gates, qram
 from qram_bounds.cli import main
 from qram_bounds.gates import GateError, t_cphase, t_swap, t_beamsplitter
 from qram_bounds.qram import (ClassicalDatabase, QramError,
                               random_database, read_database,
                               schedule_initialization, schedule_query,
-                              simulate_query, total_time, verify_retrieval)
+                              total_time, verify_retrieval)
 
 G = math.pi
 COUPLINGS = [(G, G), (1.3, 0.7), (3e4, 7e2)]
@@ -133,10 +135,10 @@ def dense_query(db, alpha, g1, g2):
     n_modes = n + db.N
     state = np.zeros(1 << n_modes, dtype=complex)
     state.reshape(db.N, -1)[:, 0] = alpha
-    cycles = schedule_initialization(n).cycles
-    state = dense_apply_cycles(state, n, cycles, n_modes, swap_u, cswap_u)
+    init = cycles(schedule_initialization(n))
+    state = dense_apply_cycles(state, n, init, n_modes, swap_u, cswap_u)
     state = dense_data_copy(state, db.bits, n)
-    return dense_apply_cycles(state, n, reversed(cycles), n_modes,
+    return dense_apply_cycles(state, n, reversed(init), n_modes,
                               swap_u.conj().T, cswap_u.conj().T)
 
 
@@ -157,8 +159,8 @@ def all_gates_route(db, g1, g2):
     bits = np.zeros((N, n + N), dtype=np.uint8)
     bits[:, :n] = (rows[:, None] >> np.arange(n)[::-1]) & 1
     phase = np.ones(N, dtype=complex)
-    cycles = schedule_initialization(n).cycles
-    for order, adjoint in ((cycles, False), (cycles[::-1], True)):
+    init = cycles(schedule_initialization(n))
+    for order, adjoint in ((init, False), (init[::-1], True)):
         for cycle in order:
             modes = gate_modes(n, cycle)
             perm, phases = tables[cycle.op][adjoint]
@@ -181,12 +183,12 @@ def enumerated_cycles(n):
     back up, and initialization runs backwards as uncompute."""
     init = []
     for k in range(1, n + 1):
-        init.append(qram.Cycle("init", "swap", k - 1, k - 1))
+        init.append(Cycle("init", "swap", k - 1, k - 1))
         for j in range(k - 1):
-            init.append(qram.Cycle("init", "route", k - 1, j))
-    query = [qram.Cycle("descend", "bus", level) for level in range(n)]
-    query.append(qram.Cycle("copy", "copy"))
-    query += [qram.Cycle("ascend", "bus", level) for level in range(n - 1, -1, -1)]
+            init.append(Cycle("init", "route", k - 1, j))
+    query = [Cycle("descend", "bus", level) for level in range(n)]
+    query.append(Cycle("copy", "copy"))
+    query += [Cycle("ascend", "bus", level) for level in range(n - 1, -1, -1)]
     query += [cycle._replace(phase="uncompute") for cycle in reversed(init)]
     return init, query
 
@@ -240,7 +242,7 @@ class TestSchedules:
     def test_cycle_ops_act_on_disjoint_modes(self):
         for n in (2, 3, 5):
             for sched in (schedule_initialization(n), schedule_query(n)):
-                for cycle in sched.cycles:
+                for cycle in cycles(sched):
                     if cycle.op not in ("swap", "route"):
                         continue   # the bus ops move a position, not modes
                     touched = np.ravel(gate_modes(n, cycle)).tolist()
@@ -249,8 +251,8 @@ class TestSchedules:
     def test_gate_modes_of_depth_3_initialization(self):
         # register [A1 A2 A3 | R(0,0)=3 R(1,0..1)=4,5 R(2,0..3)=6..9 | bus=10];
         # a swap is (address, router), a route (ctrl, left, right) per gate
-        cycles = schedule_initialization(3).cycles
-        assert [(c.op, gate_modes(3, c).tolist()) for c in cycles] == [
+        init = cycles(schedule_initialization(3))
+        assert [(c.op, gate_modes(3, c).tolist()) for c in init] == [
             ("swap", [[0, 3]]),
             ("swap", [[1, 4]]), ("route", [[3, 4, 5]]),
             ("swap", [[2, 6]]), ("route", [[3, 6, 8]]),
@@ -262,7 +264,7 @@ class TestSchedules:
         for n in range(1, qram.MAX_DEPTH + 1):
             sched = schedule(n)
             expected = enumerated_cycles(n)[which]
-            assert sched.cycles == tuple(expected)
+            assert cycles(sched) == tuple(expected)
             columns = (sched.phases, sched.ops, sched.levels, sched.ctrls)
             assert all(type(column) is tuple for column in columns)
             assert all(type(x) is int for x in sched.levels + sched.ctrls)
@@ -449,12 +451,12 @@ class TestClassicalTrace:
     def test_product_walker_agrees_with_independent_walker(self, N):
         db = random_database(N, seed=N)
         for x in range(N):
-            assert qram.classical_trace_read(db, x) == trace_oracle(db.bits, x)
+            assert classical_trace_read(db, x) == trace_oracle(db.bits, x)
 
     def test_reads_addressed_bit(self):
         db = ClassicalDatabase((0, 1, 1, 0, 1, 0, 0, 1))
         for x in range(8):
-            assert qram.classical_trace_read(db, x) == db.bits[x]
+            assert classical_trace_read(db, x) == db.bits[x]
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_vectorised_walker_agrees_at_every_address(self, n):
@@ -464,7 +466,7 @@ class TestClassicalTrace:
         report = verify_retrieval(db)
         assert report.addresses.tolist() == list(range(db.N))
         assert report.expected.tolist() == [
-            qram.classical_trace_read(db, x) for x in range(db.N)]
+            classical_trace_read(db, x) for x in range(db.N)]
 
     def test_vectorised_walker_runs_no_gate_or_schedule(self, monkeypatch):
         # the walk the harness's expected column is checked against shares
@@ -478,7 +480,7 @@ class TestClassicalTrace:
                             (qram, "schedule_query"), (qram, "Schedule")):
             monkeypatch.setattr(owner, name, refuse)
         db = random_database(32, seed=6)
-        assert [qram.classical_trace_read(db, x) for x in range(32)] == list(db.bits)
+        assert [classical_trace_read(db, x) for x in range(32)] == list(db.bits)
 
     def test_harness_and_query_walk_all_addresses_at_once(self, monkeypatch):
         # one read-out pass per call, over every address routed
@@ -499,7 +501,7 @@ class TestClassicalTrace:
         def refuse(*args):
             raise AssertionError("walker called")
 
-        monkeypatch.setattr(qram, "classical_trace_read", refuse)
+        monkeypatch.setattr(dense_oracle, "classical_trace_read", refuse)
         db = random_database(32, seed=6)
         report = verify_retrieval(db)
         assert report.passed
@@ -513,7 +515,7 @@ class TestClassicalTrace:
     @pytest.mark.parametrize("N,address", [(2, -1), (2, 2), (8, 8), (8, -8)])
     def test_rejects_address_out_of_range(self, N, address):
         with pytest.raises(QramError, match="^address out of range$"):
-            qram.classical_trace_read(random_database(N, seed=1), address)
+            classical_trace_read(random_database(N, seed=1), address)
 
 
 class TestDataCopy:
@@ -539,7 +541,7 @@ class TestDataCopy:
         table[:, n:n + n_routers] = (configs[:, None]
                                      >> np.arange(n_routers)[::-1]) & 1
         bus = head(schedule_query(n), 2 * n + 1)
-        assert {c.phase for c in bus.cycles} == {"descend", "copy", "ascend"}
+        assert {c.phase for c in cycles(bus)} == {"descend", "copy", "ascend"}
         state = np.zeros(N * (1 << n_routers) * 2, dtype=complex)
         state.reshape(N, -1, 2)[0, configs, 0] = 1.0
         for code in range(1 << N):
@@ -766,7 +768,7 @@ class TestDenseOracle:
         for x in range(N):
             state = np.zeros(1 << (n + N), dtype=complex)
             state.reshape(N, -1)[x, 0] = 1.0
-            dense = dense_apply_cycles(state, n, init.cycles, n + N, swap_u, cswap_u)
+            dense = dense_apply_cycles(state, n, cycles(init), n + N, swap_u, cswap_u)
             sparse = np.zeros_like(dense)
             sparse[bits[x] @ place] = phase[x]
             assert np.abs(sparse - dense).max() <= 1e-12
@@ -981,7 +983,7 @@ class TestWallTime:
         for n in range(1, 21):
             for sched in (schedule_initialization(n), schedule_query(n)):
                 per_cycle = 0.0
-                for cycle in sched.cycles:
+                for cycle in cycles(sched):
                     per_cycle += qram._op_duration(cycle.op, g1, g2)
                 assert sched.wall_time(g1, g2) == per_cycle
 

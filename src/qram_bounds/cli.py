@@ -105,15 +105,17 @@ def _conventions_record(conv: Conventions, params: HardwareParams,
     return record
 
 
-def write_csv(path: str | Path, meta: dict, header, rows) -> None:
+def write_csv(path: str | Path, meta: dict, columns: dict[str, np.ndarray]) -> None:
     """Write one ``# key=value ...`` comment line built from ``meta``, the
-    column header, and the rows. Floats print as ``:g`` in the comment and
-    as ``.10g`` in the rows; a None cell prints empty."""
+    header of the column names, and one row per entry of the 1-D columns,
+    in the dict's order. Floats print as ``:g`` in the comment; a float
+    column prints as ``.10g``, NaN empty, and an integer column in full."""
     comment = " ".join(f"{k}={'' if v is None else format(v, 'g') if isinstance(v, float) else v}"
                        for k, v in meta.items())
-    lines = [f"# {comment}", ",".join(header)]
-    lines += [",".join(["" if v is None else format(v, ".10g") if isinstance(v, float)
-                        else str(v) for v in row]) for row in rows]
+    cells = [["" if v != v else format(v, ".10g") for v in col.tolist()]
+             if col.dtype.kind == "f" else list(map(str, col.tolist()))
+             for col in columns.values()]
+    lines = [f"# {comment}", ",".join(columns), *map(",".join, zip(*cells))]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -167,10 +169,9 @@ def run_sweep(grid: SweepGrid, out_path: str | Path) -> int:
     totals = np.column_stack(columns)
     for i, j in zip(*np.nonzero(~np.isfinite(totals))):
         totals[i, j] = per_cell(i, grid.dims[j])
-    rows = np.column_stack([*points, totals]).tolist()
-    write_csv(out_path, meta,
-              axis_cols + [f"max_qubits_d{d}" for d in grid.dims], rows)
-    return len(rows)
+    write_csv(out_path, meta, values | {f"max_qubits_d{d}": column
+                                        for d, column in zip(grid.dims, totals.T)})
+    return len(totals)
 
 
 def fig3_grid() -> SweepGrid:
@@ -291,17 +292,16 @@ def _cmd_lightcone(args) -> int:
     bound = lattice.lr_speed(spec.d, spec.lam, spec.m)
     if args.out:
         write_csv(args.out, {
-            "threshold": scan.threshold, "t_max": scan.t_max, "dt": scan.dt, "d": spec.d,
+            "threshold": args.threshold, "t_max": args.t_max, "dt": scan.dt, "d": spec.d,
             "L": spec.L, "lam": ",".join(map(repr, spec.lam)), "m": spec.m,
             "fitted": fitted, "group_velocity": gv, "bound": bound},
-            ("r", "t_arrival", "commutator_peak"),
-            [(c.r, c.t_arrival, c.peak) for c in scan.rows])
+            {"r": scan.r, "t_arrival": scan.t_arrival, "commutator_peak": scan.peak})
     print(f"fitted velocity:     {fitted:.6g} sites/s ({fitted_m_s:.6g} m/s)")
     print(f"group velocity max:  {gv:.6g} sites/s ({gv_m_s:.6g} m/s)")
     print(f"commutator bound:    {bound:.6g} sites/s")
     print(f"fit diagnostics:     intercept {scan.fit_intercept:.6g} sites, "
           f"rms residual {scan.fit_residual:.3g} sites, "
-          f"{scan.n_no_arrival} of {len(scan.rows)} distances without arrival")
+          f"{np.isnan(scan.t_arrival).sum()} of {len(scan.r)} distances without arrival")
     ok = fitted <= bound   # a fit at the bound passes
     print("PASS: fitted velocity below bound" if ok
           else "FAIL: fitted velocity exceeds bound")

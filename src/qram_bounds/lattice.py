@@ -171,22 +171,15 @@ def lr_speed(d: int, lam: Sequence[float], m: float) -> float:
 
 
 @dataclass(frozen=True)
-class ConeArrival:
-    r: int                   # distance along the first axis, lattice units
-    t_arrival: float | None  # None when no signal reached threshold
-    peak: float              # max commutator norm over the scanned times
-
-
-@dataclass(frozen=True)
 class LightConeScan:
-    rows: tuple[ConeArrival, ...]
+    """A scan's distances as three columns of one length, in r order, and its fit."""
+    r: np.ndarray          # distances 1..r_max along the first axis, lattice units
+    t_arrival: np.ndarray  # NaN where the peak stayed below the noise floor
+    peak: np.ndarray       # max commutator norm over the scanned times
     fitted_velocity_lattice: float  # sites/s
-    threshold: float
-    t_max: float
     dt: float
     fit_intercept: float   # sites, r = v t + intercept
     fit_residual: float    # RMS of r - (v t + intercept) over fitted points, sites
-    n_no_arrival: int      # distances whose peak stayed below the noise floor
 
 
 def _check_work(entries: int | float, what: str) -> None:
@@ -542,16 +535,14 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     steps = _grid_steps(t_max, dt)
     peaks, arrivals = _cone_reads(steps, threshold,
                                   *_signal_blocks(spec, dt, steps, r_max))
-    rows = [ConeArrival(r=r, t_arrival=None if i < 0 else i * dt, peak=peak)
-            for r, peak, i in zip(range(1, r_max + 1), peaks.tolist(), arrivals.tolist())]
-
+    r = np.arange(1, r_max + 1)
+    t_arrival = np.where(arrivals < 0, np.nan, arrivals * dt)
+    fit = (arrivals >= 0) & (r >= fit_r_min)
     slope, intercept, residual = _fit_line(
-        [(row.t_arrival, row.r) for row in rows
-         if row.t_arrival is not None and row.r >= fit_r_min])
-    return LightConeScan(rows=tuple(rows), fitted_velocity_lattice=slope,
-                         threshold=threshold, t_max=t_max, dt=dt,
-                         fit_intercept=intercept, fit_residual=residual,
-                         n_no_arrival=sum(row.t_arrival is None for row in rows))
+        list(zip(t_arrival[fit].tolist(), r[fit].tolist())))
+    return LightConeScan(r=r, t_arrival=t_arrival, peak=peaks,
+                         fitted_velocity_lattice=slope, dt=dt,
+                         fit_intercept=intercept, fit_residual=residual)
 
 
 def _fit_line(points: list[tuple[float, int]]) -> tuple[float, float, float]:

@@ -1,8 +1,9 @@
 """Self-contained property suites behind the `verify` CLI subcommand.
 
 Each suite re-checks its module's invariants with fixed seeds and reports
-(name, ok, detail) triples; run_verify prints one line per suite with
-timing and returns a process exit code.
+(name, ok, detail) triples, each detail a measured value and its tolerance
+if any; run_verify prints one line per suite with timing, and the detail of
+each failed check, and returns a process exit code.
 """
 from __future__ import annotations
 
@@ -30,8 +31,8 @@ def _params(d: int = 1, lam=(1.0,), m: float = 1.0, a: float = 1.0,
 def params_suite() -> list[Check]:
     checks: list[Check] = []
     p = _params()
-    checks.append(("log base 'e' read as natural",
-                   Conventions(log_base="e").log_base == "natural", ""))
+    base = Conventions(log_base="e").log_base
+    checks.append(("log base 'e' read as natural", base == "natural", f"log_base {base!r}"))
     with tempfile.TemporaryDirectory() as tmp:
         config = Path(tmp) / "hw.cfg"
         config.write_text("a = 1\ndelta_t = 1\ng1 = 1\ng2 = 1\nlambda = 1, 2\n"
@@ -44,13 +45,14 @@ def params_suite() -> list[Check]:
                 checks.append((name, False, "no error raised"))
             except ParamsError as exc:
                 checks.append((name, named in str(exc), str(exc)))
-    checks.append(("tau0 value", abs(tau0(math.pi, math.pi) - 2.0) < 1e-15, ""))
-    checks.append(("tau0 symmetric",
-                   tau0(2.0, 5.0) == tau0(5.0, 2.0), ""))
-    checks.append(("tau0 decreasing",
-                   tau0(2.0, 1.0) < tau0(1.0, 1.0), ""))
-    checks.append(("density m/a^d",
-                   abs(density(_params(d=3, a=1e-6)) - 1e18) < 1e6, ""))
+    err = abs(tau0(math.pi, math.pi) - 2.0)
+    checks.append(("tau0 value", err < 1e-15, f"|tau0 - 2| {err:.2e} (tol 1e-15)"))
+    x, y = tau0(2.0, 5.0), tau0(5.0, 2.0)
+    checks.append(("tau0 symmetric", x == y, f"{x!r} vs {y!r}"))
+    x, y = tau0(2.0, 1.0), tau0(1.0, 1.0)
+    checks.append(("tau0 decreasing", x < y, f"{x!r} < {y!r}"))
+    err = abs(density(_params(d=3, a=1e-6)) - 1e18)
+    checks.append(("density m/a^d", err < 1e6, f"|rho - 1e18| {err:.2e} (tol 1e6)"))
     return checks
 
 
@@ -76,21 +78,25 @@ def _largest_root(R: float, p: int, log_base: str) -> float:
 def bounds_suite() -> list[Check]:
     checks: list[Check] = []
     v1 = lattice.lr_speed(1, (1.0,), 1.0)
-    checks.append(("lr velocity 1d", abs(v1 - 4.0) < 1e-12, f"{v1}"))
+    err = abs(v1 - 4.0)
+    checks.append(("lr velocity 1d", err < 1e-12, f"|v - 4| {err:.2e} (tol 1e-12)"))
     for d in (2, 3):
-        ratio = lattice.lr_speed(d, (1.0,), 1.0) / v1
-        checks.append((f"lr sqrt(d) scaling d={d}",
-                       abs(ratio - math.sqrt(d)) < 1e-12 * math.sqrt(d), f"{ratio}"))
         q1 = bounds.qft_velocity(bounds.coarse_grain(_params(d=1)), 1.0)
         qd = bounds.qft_velocity(bounds.coarse_grain(_params(d=d)), 1.0)
-        checks.append((f"qft sqrt(d) scaling d={d}",
-                       abs(qd / q1 - math.sqrt(d)) < 1e-12 * math.sqrt(d), ""))
+        tol = 1e-12 * math.sqrt(d)
+        for kind, ratio in (("lr", lattice.lr_speed(d, (1.0,), 1.0) / v1), ("qft", qd / q1)):
+            err = abs(ratio - math.sqrt(d))
+            checks.append((f"{kind} sqrt(d) scaling d={d}", err < tol,
+                           f"|ratio - sqrt(d)| {err:.2e} (tol {tol:.2e})"))
     for R, p in ((10.0, 0), (3e11, 1), (6e6, 2), (1e4, 1)):
         N = bounds.fixed_point_solve(R, p)
         resid = abs(N - R * math.log(N) ** p) / N
-        checks.append((f"solver residual R={R:g} p={p}", resid < 1e-10, f"{resid:.2e}"))
+        checks.append((f"solver residual R={R:g} p={p}", resid < 1e-10,
+                       f"{resid:.2e} (tol 1e-10)"))
     naive = bounds.naive_max_qubits(1e-6, 1e-3, 3e8)
-    checks.append(("naive bound scale", abs(naive / 8.9e12 - 1.0) < 0.02, f"{naive:.4e}"))
+    err = abs(naive / 8.9e12 - 1.0)
+    checks.append(("naive bound scale", err < 0.02,
+                   f"{naive:.4e}, {err:.2e} off 8.9e12 (tol 0.02)"))
     # discrete <-> continuum: fitted k->0 slope along the diagonal vs
     # sqrt(coarse-grained stiffness / density), at unit spacing; the same
     # slope is sqrt(d) times the group velocity, its k->0 supremum
@@ -107,7 +113,8 @@ def bounds_suite() -> list[Check]:
             ok = ok and abs(v_qft / slope - 1.0) < 1e-9
             group = math.sqrt(d) * lattice.max_group_velocity(spec)
             worst_group = max(worst_group, abs(group / slope - 1.0))
-    checks.append(("continuum velocity matches k->0 slope", ok, f"worst {worst:.2e}"))
+    checks.append(("continuum velocity matches k->0 slope", ok,
+                   f"worst {worst:.2e} (tol 1e-9)"))
     checks.append(("group velocity matches k->0 slope", worst_group < 1e-9,
                    f"worst {worst_group:.2e} (tol 1e-9)"))
     # every printed capacity against the largest root, found apart from the
@@ -129,7 +136,7 @@ def bounds_suite() -> list[Check]:
                    f"worst {worst:.2e} (tol 1e-9)"))
     # monotonicity along each grid axis (larger v, tau0, or 1/a never shrinks N);
     # tau0 grows as g shrinks, so the g axis runs downward
-    mono_ok = True
+    mono_ok, least = True, math.inf
     conv = Conventions(depth_exponent=2)
     base = dict(v=(1e3, 3e3, 6e3), g=(4e3, 2e3, 1e3), inv_a=(1e5, 1e6, 1e7))
     for axis, xs in base.items():
@@ -140,11 +147,13 @@ def bounds_suite() -> list[Check]:
                                        replace(conv, velocity_source=pt["v"]))
             vals.append(r.max_qubits_total)
         mono_ok = mono_ok and vals == sorted(vals)
-    checks.append(("bound monotone in v, tau0, 1/a", mono_ok, ""))
+        least = min(least, *(y / x for x, y in zip(vals, vals[1:])))
+    checks.append(("bound monotone in v, tau0, 1/a", mono_ok,
+                   f"least ratio of successive totals {least:.4g} (>= 1)"))
     fast = bounds.qram_max_qubits(
         _params(a=1e-6), Conventions(depth_exponent=0, velocity_source=1e12))
-    checks.append(("velocity capped at c_max",
-                   fast.velocity_used <= fast.inputs_digest.c_max, ""))
+    v, c_max = fast.velocity_used, fast.inputs_digest.c_max
+    checks.append(("velocity capped at c_max", v <= c_max, f"{v:g} m/s (cap {c_max:g})"))
     return checks
 
 
@@ -171,7 +180,8 @@ def lattice_suite() -> list[Check]:
     disp2 = np.sort([lattice.dispersion(spec, k) ** 2 for k in k_grid])
     err = float(np.abs(np.linalg.eigvalsh(K) / spec.m - disp2).max())
     tol = 64 * np.finfo(float).eps * np.linalg.norm(K, 2) / spec.m
-    checks.append(("dispersion matches eigenfrequencies", err < tol, f"{err:.2e}"))
+    checks.append(("dispersion matches eigenfrequencies", err < tol,
+                   f"{err:.2e} (tol {tol:.2e})"))
     # the scan's signal against the textbook normal-mode solution, on cases
     # that reach each layout of the engine
     worst = 0.0
@@ -191,14 +201,15 @@ def lattice_suite() -> list[Check]:
     mask = np.arange(91.0)[None, :] - 4.0 * ts[:, None] >= 5.0
     worst_tail = float(norm[mask].max())
     checks.append(("commutator tail outside cone < 1e-6", worst_tail < 1e-6,
-                   f"{worst_tail:.2e}"))
+                   f"{worst_tail:.2e} (tol 1e-6)"))
     # quick light cone
     scan = lattice.measure_light_cone(sp, threshold=1e-3, t_max=100.0, r_max=90, dt=0.05)
     gv = lattice.max_group_velocity(sp)
     ok = (abs(scan.fitted_velocity_lattice / gv - 1.0) < 0.10
           and scan.fitted_velocity_lattice < 4.0)
     checks.append(("light cone velocity", ok,
-                   f"fitted {scan.fitted_velocity_lattice:.4f}"))
+                   f"fitted {scan.fitted_velocity_lattice:.4f}, group {gv:.4f} "
+                   "(tol 10%), bound 4"))
     return checks
 
 
@@ -212,58 +223,55 @@ def gates_suite() -> list[Check]:
                     ("cz", gates.cz_unitary(g2, 0.21)),
                     ("cswap", gates.cswap_composite(g1, g2))):
         err = float(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max())
-        checks.append((f"{name} unitary", err < 1e-10, f"{err:.2e}"))
-    probs_ok = True
-    for t in np.linspace(0.0, 2.0 * math.pi / g1, 20):
-        U = gates.bs_unitary(g1, float(t))
-        p = abs(U[1, 2]) ** 2
-        probs_ok = probs_ok and abs(p - math.sin(g1 * t) ** 2) < 1e-9
-    checks.append(("bs transfer sin^2(g t)", probs_ok, ""))
-    U = gates.bs_unitary(g1, gates.t_swap(g1))
-    checks.append(("full transfer at t_sw", abs(abs(U[1, 2]) ** 2 - 1.0) < 1e-12, ""))
-    U = gates.bs_unitary(g1, gates.t_beamsplitter(g1))
-    checks.append(("half transfer at t_bs", abs(abs(U[1, 2]) ** 2 - 0.5) < 1e-12, ""))
-    cz = gates.cz_unitary(g2, gates.t_cphase(g2))
-    checks.append(("cz phase -1 on |11>", abs(cz[3, 3] + 1.0) < 1e-10, ""))
+        checks.append((f"{name} unitary", err < 1e-10, f"{err:.2e} (tol 1e-10)"))
+    worst = float(np.max([abs(abs(gates.bs_unitary(g1, t)[1, 2]) ** 2 - math.sin(g1 * t) ** 2)
+                          for t in np.linspace(0.0, 2.0 * math.pi / g1, 20).tolist()]))
+    checks.append(("bs transfer sin^2(g t)", worst < 1e-9, f"worst {worst:.2e} (tol 1e-9)"))
+    for name, t, share in (("full transfer at t_sw", gates.t_swap(g1), 1.0),
+                           ("half transfer at t_bs", gates.t_beamsplitter(g1), 0.5)):
+        err = abs(abs(gates.bs_unitary(g1, t)[1, 2]) ** 2 - share)
+        checks.append((name, err < 1e-12, f"{err:.2e} (tol 1e-12)"))
+    err = abs(gates.cz_unitary(g2, gates.t_cphase(g2))[3, 3] + 1.0)
+    checks.append(("cz phase -1 on |11>", err < 1e-10, f"{err:.2e} (tol 1e-10)"))
     t1, t2 = 0.31, 0.47
     add = np.abs(gates.bs_unitary(g1, t1) @ gates.bs_unitary(g1, t2)
                  - gates.bs_unitary(g1, t1 + t2)).max()
-    checks.append(("bs duration additivity", add < 1e-10, f"{add:.2e}"))
+    checks.append(("bs duration additivity", add < 1e-10, f"{add:.2e} (tol 1e-10)"))
     perm, phases = gates.monomial(gates.cswap_composite(g1, g2))
     checks.append(("composite is the controlled-SWAP permutation",
                    perm.tolist() == CSWAP_PERMUTATION, f"{perm.tolist()}"))
     err = float(np.abs(phases[:4] - 1.0).max())
     checks.append(("ctrl=0 block has unit phases", err < 1e-12, f"{err:.2e} (tol 1e-12)"))
-    dur_ok = (gates.t_swap(2.0) == math.pi / 4.0
-              and gates.t_beamsplitter(2.0) == math.pi / 8.0
-              and gates.t_cphase(4.0) == math.pi / 4.0
-              and gates.cswap_duration(2.0, 4.0) == 2 * math.pi / 8.0 + math.pi / 4.0)
-    checks.append(("gate durations exact", dur_ok, ""))
+    durations = ((gates.t_swap(2.0), math.pi / 4.0),
+                 (gates.t_beamsplitter(2.0), math.pi / 8.0),
+                 (gates.t_cphase(4.0), math.pi / 4.0),
+                 (gates.cswap_duration(2.0, 4.0), 2 * math.pi / 8.0 + math.pi / 4.0))
+    exact = sum(got == want for got, want in durations)
+    checks.append(("gate durations exact", exact == len(durations),
+                   f"{exact} of {len(durations)} exact"))
     return checks
 
 
 def qram_suite() -> list[Check]:
     checks: list[Check] = []
-    counts_ok = True
-    for n in range(1, 13):
-        sched = qram.schedule_initialization(n)
-        counts_ok = counts_ok and (sched.cswap_count == n * (n - 1) // 2
-                                   and sched.swap_count == n)
-    checks.append(("init gate counts n(n-1)/2 + n", counts_ok, ""))
-    q = qram.schedule_query(3)
-    checks.append(("query core cycles 2n+1",
-                   q.phase_cycle_count("descend", "copy", "ascend") == 7, ""))
+    off = [n for n in range(1, 13)
+           if (sched := qram.schedule_initialization(n)).cswap_count != n * (n - 1) // 2
+           or sched.swap_count != n]
+    checks.append(("init gate counts n(n-1)/2 + n", not off, f"n = 1..12, off at {off}"))
+    core = qram.schedule_query(3).phase_cycle_count("descend", "copy", "ascend")
+    checks.append(("query core cycles 2n+1", core == 7, f"{core} at n = 3 (want 7)"))
     g = math.pi
     total = qram.total_time(qram.schedule_initialization(1),
                             qram.schedule_query(1), g, g)
-    checks.append(("total time n=1 exact", abs(total - 4.5) < 1e-12, f"{total}"))
+    err = abs(total - 4.5)
+    checks.append(("total time n=1 exact", err < 1e-12, f"|T - 4.5| {err:.2e} (tol 1e-12)"))
     t0 = tau0(g, g)
     shape = [qram.total_time(qram.schedule_initialization(n),
                              qram.schedule_query(n), g, g) / (t0 * n * n)
              for n in (19, 20)]
     checks.append(("timing shape converges",
                    abs(shape[1] / shape[0] - 1.0) < 0.05,
-                   f"ratio {shape[1] / shape[0]:.4f}"))
+                   f"ratio {shape[1] / shape[0]:.4f} (tol 0.05 of 1)"))
     for N, db in ((2, qram.ClassicalDatabase((0, 1))),
                   (4, qram.ClassicalDatabase((0, 1, 1, 0))),
                   (8, qram.random_database(8, seed=42))):

@@ -25,7 +25,7 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from qram_bounds import lattice
-from qram_bounds.lattice import (ConeArrival, LatticeError, LatticeSpec, axis_signal,
+from qram_bounds.lattice import (LatticeError, LatticeSpec, axis_signal,
                                  lr_speed, omega_squared)
 from qram_bounds.params import checked_phase
 
@@ -67,20 +67,28 @@ def full_grid_group_velocity(spec):
 
 
 def full_signal_rows(spec, threshold, t_max, r_max, dt):
-    """Light-cone rows (r, t_arrival, peak) from the commutator norm
+    """Light-cone columns (r, t_arrival, peak) from the commutator norm
     2|sin(sigma/2)| of every entry of the time signal: each distance's peak
     is the maximum of its norms, its arrival the first time the norm
-    reaches threshold * peak. A peak below 1e-12 is no signal."""
+    reaches threshold * peak. A peak below 1e-12 is no signal, its arrival
+    NaN."""
     ts = np.arange(0.0, t_max + dt, dt)
     ts = ts[ts <= t_max + 1e-12]
     norm = 2.0 * np.abs(np.sin(axis_signal(spec, dt, len(ts), r_max) * 0.5))
-    rows = []
+    arrivals, peaks = [], []
     for r in range(1, r_max + 1):
         peak = float(norm[:, r].max())
-        arrival = (None if peak < 1e-12
-                   else float(ts[np.argmax(norm[:, r] >= threshold * peak)]))
-        rows.append(ConeArrival(r=r, t_arrival=arrival, peak=peak))
-    return tuple(rows)
+        arrivals.append(math.nan if peak < 1e-12
+                        else float(ts[np.argmax(norm[:, r] >= threshold * peak)]))
+        peaks.append(peak)
+    return np.arange(1, r_max + 1), np.array(arrivals), np.array(peaks)
+
+
+def assert_cone_columns(scan, columns):
+    """The scan's r, t_arrival and peak equal ``columns`` in shape, dtype and
+    every entry, NaN matching NaN."""
+    for got, expected in zip((scan.r, scan.t_arrival, scan.peak), columns, strict=True):
+        np.testing.assert_array_equal(got, expected, strict=True)
 
 
 def bond_coupling_matrix(spec):

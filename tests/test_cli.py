@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qram_bounds import bounds, cli, lattice, qram
+from qram_bounds import bounds, cli, lattice, qram, verify
 from qram_bounds.cli import AxisSpec, SweepGrid, fig3_grid, fig4_grid, main, run_sweep
 from qram_bounds.params import Conventions, HardwareParams, ParamsError
 
@@ -80,7 +80,36 @@ def config_file(tmp_path):
     return str(path)
 
 
+# The abstract's headline claims (PAPER.md) against `bound` at a = 1 um and
+# tau0 = 1 ms, natural log: the argv after `bound --config <d-dimensional
+# GOOD_CONFIG>`, d, the max_qubits_total printed today, the decades the
+# abstract claims for d, and whether the value's nearest power of ten (log10
+# rounded) is one of them. README's "Headline numbers" shows the same table.
+HEADLINE_TABLE = [
+    (["--velocity", "6000", "--depth-exponent", "0"], 1, 6000000.0, (7,), True),
+    (["--velocity", "6000", "--depth-exponent", "2"], 1, 2843118674.7381115, (7,), False),
+    (["--velocity", "6000", "--depth-exponent", "0"], 2, 72000000000000.02,
+     tuple(range(15, 21)), False),
+    (["--velocity", "6000", "--depth-exponent", "2"], 2, 1.732949537219892e+19,
+     tuple(range(15, 21)), True),
+    (["--velocity", "6000", "--depth-exponent", "0"], 3, 1.1223689233046325e+21, (24,), False),
+    (["--velocity", "6000", "--depth-exponent", "2"], 3, 1.4073095488822354e+29, (24,), False),
+    (["--kind", "teleport", "--depth-exponent", "0"], 2, 9e+22, tuple(range(15, 21)), False),
+    (["--kind", "teleport", "--depth-exponent", "2"], 2, 1.1263404244699426e+29,
+     tuple(range(15, 21)), False),
+]
+
+
 class TestBoundCommand:
+    def test_headline_table(self, tmp_path, capsys):
+        for argv, d, total, decades, in_decade in HEADLINE_TABLE:
+            path = tmp_path / f"hw{d}d.cfg"
+            path.write_text(GOOD_CONFIG.replace("d = 1", f"d = {d}"))
+            assert main(["bound", "--config", str(path), *argv]) == 0
+            record = json.loads(capsys.readouterr().out.splitlines()[-1].removeprefix("record "))
+            assert (record["d"], record["max_qubits_total"]) == (d, total)
+            assert (round(math.log10(total)) in decades) is in_decade
+
     def test_naive_preset_reproduces_headline_number(self, capsys):
         assert main(["bound", "--kind", "naive"]) == 0
         out = capsys.readouterr().out
@@ -574,8 +603,19 @@ def per_cell_sweep(grid, out_path):
                 conv = replace(conv, velocity_source=math.sqrt(values["v2"]))
             cells.append(bounds.qram_max_qubits(params, conv).max_qubits_total)
         rows.append((*point, *cells))
-    cli.write_csv(out_path, meta,
-                  axis_cols + [f"max_qubits_d{d}" for d in grid.dims], rows)
+    header = axis_cols + [f"max_qubits_d{d}" for d in grid.dims]
+    cli.write_csv(out_path, meta, dict(zip(header, map(np.array, zip(*rows)))))
+
+
+def test_write_csv_prints_columns(tmp_path):
+    # a float column prints as .10g with NaN empty, an int column in full,
+    # and the header follows the dict's order
+    path = tmp_path / "c.csv"
+    cli.write_csv(path, {"threshold": 0.5, "d": 3}, {
+        "peak": np.array([1 / 3, 2e-300]), "r": np.array([12345678901234, -2]),
+        "t_arrival": np.array([np.nan, 123456.789012345])})
+    assert path.read_text() == ("# threshold=0.5 d=3\npeak,r,t_arrival\n"
+                                "0.3333333333,12345678901234,\n2e-300,-2,123456.789\n")
 
 
 def sweep_outcome(sweep, grid, path):
@@ -1316,6 +1356,11 @@ class TestVerifyCommand:
             "PASS gates: 11/11 checks (T)",
             "PASS qram: 7/7 checks (T)",
         ]
+
+    def test_every_check_states_its_value(self):
+        # a PASS line prints only counts; a failing check prints its detail
+        assert [f"{name}.{check}" for name, suite in verify.SUITES
+                for check, _, detail in suite() if not detail] == []
 
     def test_corrupted_dispersion_names_lattice_suite(self, capsys, monkeypatch):
         true_dispersion = lattice.dispersion

@@ -21,14 +21,15 @@ SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
 SOURCES = sorted((ROOT / "src").rglob("*.py")) + SCRIPTS
 IMPORTERS = ([p for p in PACKAGE if p.name != "__init__.py"] + SCRIPTS
              + sorted((ROOT / "tests").glob("*.py")))
-# oracles of the tests (tests/lattice_oracles.py, tests/dense_oracle.py) and
-# the comparisons, envelopes and caps that no committed output depends on
+# oracles of the tests (tests/lattice_oracles.py, tests/dense_oracle.py), the
+# comparisons, envelopes and caps that no committed output depends on, and
+# the per-distance row type that the light-cone scan's columns replace
 TEST_ONLY_NAMES = {
     "normal_modes", "SymplecticPropagator", "propagate_ode", "WeylFunction",
     "symplectic_form", "weyl_commutator_norm", "LRBoundParams", "lr_bound_envelope",
     "_DENSE_SITE_CAP", "_ODE_STEP_CAP", "gauge_equivalent", "GaugeResult",
     "GAUGE_ROUNDS", "cswap_exact", "simulate_query", "classical_trace_read",
-    "QueryResult", "Cycle", "cycles"}
+    "QueryResult", "Cycle", "cycles", "ConeArrival"}
 
 
 def definitions(tree):

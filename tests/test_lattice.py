@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lattice_oracles import (SIGNAL_CASES, LRBoundParams, SymplecticPropagator,
-                             WeylFunction, bond_coupling_matrix, full_grid_group_velocity,
-                             full_signal_rows, ifftn_axis_signal, lr_bound_envelope,
-                             normal_modes, propagate_ode, symplectic_form,
-                             weyl_commutator_norm)
+                             WeylFunction, assert_cone_columns, bond_coupling_matrix,
+                             full_grid_group_velocity, full_signal_rows, ifftn_axis_signal,
+                             lr_bound_envelope, normal_modes, propagate_ode,
+                             symplectic_form, weyl_commutator_norm)
 from qram_bounds import lattice, verify
 from qram_bounds.lattice import (LatticeError, LatticeSpec, axis_signal,
                                  coupling_matrix, dispersion, lr_speed,
@@ -855,11 +855,11 @@ class TestLightCone:
     def test_rows_shape_and_peaks(self):
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
         scan = measure_light_cone(spec, threshold=1e-2, t_max=30.0, r_max=20)
-        assert len(scan.rows) == 20
-        assert all(row.peak > 0 for row in scan.rows)
-        arrivals = [row.t_arrival for row in scan.rows]
-        assert all(a is not None for a in arrivals)
-        assert arrivals == sorted(arrivals)
+        np.testing.assert_array_equal(scan.r, np.arange(1, 21))
+        assert len(scan.t_arrival) == len(scan.peak) == 20
+        assert (scan.peak > 0).all()
+        assert not np.isnan(scan.t_arrival).any()
+        assert (np.diff(scan.t_arrival) >= 0).all()
 
     def test_no_arrival_reported_for_decoupled_lattice(self):
         spec = LatticeSpec(d=1, L=64, lam=(1e-30,), m=1.0)
@@ -935,11 +935,10 @@ class TestLightCone:
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
         scan = measure_light_cone(spec, threshold=1e-3, t_max=2.0, r_max=20,
                                   dt=0.01)
-        missing = [row.r for row in scan.rows if row.t_arrival is None]
-        assert missing and missing[-1] == 20
-        assert scan.n_no_arrival == len(missing)
-        t = np.array([row.t_arrival for row in scan.rows if row.t_arrival is not None])
-        r = np.array([row.r for row in scan.rows if row.t_arrival is not None])
+        arrived = ~np.isnan(scan.t_arrival)
+        missing = scan.r[~arrived]
+        assert len(missing) and missing[-1] == 20
+        t, r = scan.t_arrival[arrived], scan.r[arrived]
         slope, intercept = np.polyfit(t, r, 1)
         assert scan.fitted_velocity_lattice == pytest.approx(slope, rel=1e-9)
         assert scan.fit_intercept == pytest.approx(intercept, rel=1e-9, abs=1e-9)
@@ -956,8 +955,8 @@ class TestLightCone:
 
 
 class TestLightConeRows:
-    """Rows of ``measure_light_cone`` against ``full_signal_rows``, which
-    takes the commutator norm of every signal entry, compared with ==."""
+    """Columns of ``measure_light_cone`` against ``full_signal_rows``, which
+    takes the commutator norm of every signal entry, compared entry by entry."""
 
     @pytest.mark.parametrize("d,L,lam,m,threshold,t_max,r_max,dt", [
         (1, 400, (1.0,), 1.0, 1e-3, 220.0, 190, 0.02),
@@ -968,7 +967,7 @@ class TestLightConeRows:
     def test_committed_scans(self, d, L, lam, m, threshold, t_max, r_max, dt):
         spec = LatticeSpec(d=d, L=L, lam=lam, m=m)
         scan = measure_light_cone(spec, threshold, t_max, r_max, dt)
-        assert scan.rows == full_signal_rows(spec, threshold, t_max, r_max, dt)
+        assert_cone_columns(scan, full_signal_rows(spec, threshold, t_max, r_max, dt))
 
     @given(d=st.integers(1, 3), nu=st.integers(1, 3), extra=st.integers(0, 12),
            lam=st.lists(st.floats(0.05, 5.0), min_size=3, max_size=3),
@@ -979,11 +978,11 @@ class TestLightConeRows:
         spec = LatticeSpec(d=d, L=2 * nu + 4 + extra, lam=tuple(lam[:nu]), m=m)
         r_max = spec.L // 2 - nu
         try:
-            rows = measure_light_cone(spec, threshold, t_max, r_max, dt).rows
+            scan = measure_light_cone(spec, threshold, t_max, r_max, dt)
         except LatticeError as exc:  # too few arrivals to fit
             assert "not enough arrivals" in str(exc)
             return
-        assert rows == full_signal_rows(spec, threshold, t_max, r_max, dt)
+        assert_cone_columns(scan, full_signal_rows(spec, threshold, t_max, r_max, dt))
 
     @pytest.mark.parametrize("d,L,lam,m,dt,steps,r_max", [
         (1, 40, (1.0, 0.3), 0.8, 0.37, 50, 18), (1, 400, (1.0, 0.3), 0.8, 0.37, 600, 198),
@@ -998,7 +997,7 @@ class TestLightConeRows:
         spec = LatticeSpec(d=d, L=L, lam=lam, m=m)
         t_max = (steps - 1) * dt
         scan = measure_light_cone(spec, 1e-3, t_max, r_max, dt)
-        assert scan.rows == full_signal_rows(spec, 1e-3, t_max, r_max, dt)
+        assert_cone_columns(scan, full_signal_rows(spec, 1e-3, t_max, r_max, dt))
 
     def test_scan_allocates_no_signal_sized_temporary(self):
         # the scan keeps 86 blocks of 21 node rows (2.76 MB) and reads the

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lattice_oracles import SIGNAL_CASES, full_signal_rows, ifftn_axis_signal
+from lattice_oracles import (SIGNAL_CASES, assert_cone_columns, full_signal_rows,
+                             ifftn_axis_signal)
 from qram_bounds import lattice, verify
 from qram_bounds.lattice import (LatticeError, LatticeSpec, axis_signal,
                                  measure_light_cone)
@@ -425,7 +426,7 @@ class TestWorkCaps:
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
         expected = full_signal_rows(spec, 1e-3, 20.0, 10, 0.02)
         monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 8 * 21 * 11)
-        assert measure_light_cone(spec, 1e-3, 20.0, 10, 0.02).rows == expected
+        assert_cone_columns(measure_light_cone(spec, 1e-3, 20.0, 10, 0.02), expected)
         with pytest.raises(LatticeError, match="the time signal needs 11264 array"):
             axis_signal(spec, 0.02, 1001, 10)
         monkeypatch.setattr(lattice, "_WORK_ENTRY_CAP", 8 * 21 * 11 - 1)
@@ -446,8 +447,8 @@ class TestWorkCaps:
 
 
 class TestConeReads:
-    """Rows read from fake node rows through ``_signal_blocks``, against
-    ``full_signal_rows`` with ==."""
+    """Columns read from fake node rows through ``_signal_blocks``, against
+    ``full_signal_rows`` entry by entry."""
 
     @staticmethod
     def scan_of(columns, threshold, monkeypatch):
@@ -473,9 +474,9 @@ class TestConeReads:
         monkeypatch.setattr(lattice, "_signal_blocks", signal_blocks)
         spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
         args = (spec, threshold, 0.5 * (columns.shape[1] - 1), len(columns), 0.5)
-        rows = measure_light_cone(*args).rows
-        assert rows == full_signal_rows(*args)
-        return rows
+        scan = measure_light_cone(*args)
+        assert_cone_columns(scan, full_signal_rows(*args))
+        return scan
 
     @staticmethod
     def miss_and_hit(peak_sigma, threshold):
@@ -503,11 +504,11 @@ class TestConeReads:
 
     def test_tied_and_signed_peaks(self, monkeypatch):
         top = 0.7
-        rows = self.scan_of([[0.1, top, -top, 0.2, 0.0, 0.0],
+        scan = self.scan_of([[0.1, top, -top, 0.2, 0.0, 0.0],
                              [0.1, -top, np.nextafter(top, 0.0), top, 0.0, 0.0],
                              [0.0, 0.3, top * (1 - 5e-13), -top * (1 - 5e-13), top, 0.0]],
                             0.1, monkeypatch)
-        assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 3
+        assert scan.peak.tolist() == [2.0 * math.sin(top / 2.0)] * 3
 
     def test_arrival_one_step_from_threshold(self, monkeypatch):
         # a miss may precede the hit by any gap. At this threshold sigma_hit
@@ -518,23 +519,23 @@ class TestConeReads:
         level = threshold * 2.0 * math.sin(peak_sigma / 2.0)
         assert hit < 2.0 * math.asin(level / 2.0)
         gap = [0.01] * 20
-        rows = self.scan_of([[0.0, miss, hit, peak_sigma] + gap,
+        scan = self.scan_of([[0.0, miss, hit, peak_sigma] + gap,
                              [0.0, -miss, -miss, -hit, peak_sigma] + gap[1:],
                              [miss] + gap + [hit, miss, peak_sigma, 0.0, 0.0][:3]],
                             threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [1.0, 1.5, 10.5]
+        assert scan.t_arrival.tolist() == [1.0, 1.5, 10.5]
 
     def test_peaks_tied_across_blocks(self, monkeypatch):
         # every block whose maximum reaches the cut is read: the largest norm
         # may sit in a later block than a near-tie, or in an earlier one
         top, steps = 0.7, 600
         near = top * (1 - 5e-13)
-        rows = self.scan_of([self.spikes(steps, {100: top, 300: -top, 520: near}),
+        scan = self.scan_of([self.spikes(steps, {100: top, 300: -top, 520: near}),
                              self.spikes(steps, {10: -near, 511: top, 512: -near}),
                              self.spikes(steps, {255: np.nextafter(top, 0.0), 256: -top}),
                              self.spikes(steps, {0: near, 599: top})],
                             0.1, monkeypatch)
-        assert [row.peak for row in rows] == [2.0 * math.sin(top / 2.0)] * 4
+        assert scan.peak.tolist() == [2.0 * math.sin(top / 2.0)] * 4
 
     def test_arrival_windows_across_block_ends(self, monkeypatch):
         # the first entry past the cut on a block's last row (255) is a
@@ -543,15 +544,14 @@ class TestConeReads:
         peak_sigma, threshold = 0.9, 0.850256191055818
         miss, hit = self.miss_and_hit(peak_sigma, threshold)
         steps = 600
-        rows = self.scan_of([self.spikes(steps, {255: hit, 400: peak_sigma}),
+        scan = self.scan_of([self.spikes(steps, {255: hit, 400: peak_sigma}),
                              self.spikes(steps, {255: miss, 257: -hit, 400: peak_sigma}),
                              self.spikes(steps, {255: -miss, 262: hit, 400: peak_sigma}),
                              self.spikes(steps, {255: miss, 263: hit, 400: peak_sigma}),
                              self.spikes(steps, {595: miss, 599: peak_sigma}),
                              self.spikes(steps, {599: -peak_sigma})],
                             threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [127.5, 128.5, 131.0, 131.5,
-                                                   299.5, 299.5]
+        assert scan.t_arrival.tolist() == [127.5, 128.5, 131.0, 131.5, 299.5, 299.5]
 
     def test_arrival_in_a_short_last_block(self, monkeypatch):
         # steps 256..299 form the last block, 44 of its 128 rows: the
@@ -560,13 +560,13 @@ class TestConeReads:
         peak_sigma, threshold = 0.9, 0.850256191055818
         miss, hit = self.miss_and_hit(peak_sigma, threshold)
         steps = 300
-        rows = self.scan_of([self.spikes(steps, {290: hit, 299: peak_sigma}),
+        scan = self.scan_of([self.spikes(steps, {290: hit, 299: peak_sigma}),
                              self.spikes(steps, {10: miss, 256: -hit, 257: -peak_sigma}),
                              self.spikes(steps, {299: -peak_sigma}),
                              self.spikes(steps, {297: 1e-6, 299: 0.5})],
                             threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [145.0, 128.0, 149.5, 149.5]
-        assert [row.peak for row in rows] == [2.0 * math.sin(0.45)] * 3 + [
+        assert scan.t_arrival.tolist() == [145.0, 128.0, 149.5, 149.5]
+        assert scan.peak.tolist() == [2.0 * math.sin(0.45)] * 3 + [
             2.0 * math.sin(0.25)]
 
     def test_miss_whose_next_entry_past_the_cut_lies_blocks_later(self, monkeypatch):
@@ -575,11 +575,11 @@ class TestConeReads:
         peak_sigma, threshold = 0.9, 0.850256191055818
         miss, hit = self.miss_and_hit(peak_sigma, threshold)
         steps = 900
-        rows = self.scan_of([self.spikes(steps, {10: miss, 700: hit, 800: peak_sigma}),
+        scan = self.scan_of([self.spikes(steps, {10: miss, 700: hit, 800: peak_sigma}),
                              self.spikes(steps, {10: miss, 14: miss, 520: -miss,
                                                  700: -hit, 899: peak_sigma})],
                             threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [350.0, 350.0]
+        assert scan.t_arrival.tolist() == [350.0, 350.0]
 
     def test_maxima_below_every_read_are_refused(self, monkeypatch):
         # doctored maxima: every block claims 1e-3 at distance 1, so all are
@@ -608,29 +608,29 @@ class TestConeReads:
     def test_zero_subnormal_and_tiny_threshold_columns(self, monkeypatch):
         # a zero or subnormal column has no arrival; a threshold of 1e-300
         # puts threshold * peak below the normal range
-        rows = self.scan_of([[0.0] * 6, [5e-324, -3e-310, 0.0, 1e-320, 0.0, 0.0],
+        scan = self.scan_of([[0.0] * 6, [5e-324, -3e-310, 0.0, 1e-320, 0.0, 0.0],
                              [0.0, 3e-323, 1e-300, 0.5, -0.2, 0.1],
                              [0.0, 0.0, 1e-305, 9e-301, 0.8, 0.1]],
                             1e-300, monkeypatch)
-        assert [row.t_arrival for row in rows] == [None, None, 1.0, 1.5]
+        np.testing.assert_array_equal(scan.t_arrival, [np.nan, np.nan, 1.0, 1.5])
         # threshold * peak = 3 * 2^-1074, and 2 asin of it rounds up to
         # 4 * 2^-1074, while an entry 3 * 2^-1074 already has that norm
         threshold = 1.5e-323 / (2.0 * math.sin(0.45))
-        rows = self.scan_of([[0.0, 1.5e-323, 0.9], [0.0, 1e-323, 0.9]],
+        scan = self.scan_of([[0.0, 1.5e-323, 0.9], [0.0, 1e-323, 0.9]],
                             threshold, monkeypatch)
-        assert [row.t_arrival for row in rows] == [0.5, 1.0]
+        assert scan.t_arrival.tolist() == [0.5, 1.0]
 
     def test_zero_and_subnormal_columns_over_many_blocks(self, monkeypatch):
         # a zero or subnormal column reads every block and has no arrival;
         # a level below the normal range is found blocks after a subnormal
         steps = 700
-        rows = self.scan_of([[0.0] * steps,
+        scan = self.scan_of([[0.0] * steps,
                              self.spikes(steps, {3: 5e-324, 300: -3e-310, 650: 1e-320}),
                              self.spikes(steps, {1: 3e-323, 280: 1e-300, 600: 0.5}),
                              self.spikes(steps, {255: 1e-305, 256: 9e-301, 699: -0.8})],
                             1e-300, monkeypatch)
-        assert [row.t_arrival for row in rows] == [None, None, 140.0, 128.0]
-        assert [row.peak for row in rows][:2] == [0.0, 2.0 * math.sin(3e-310 / 2.0)]
+        np.testing.assert_array_equal(scan.t_arrival, [np.nan, np.nan, 140.0, 128.0])
+        assert scan.peak[:2].tolist() == [0.0, 2.0 * math.sin(3e-310 / 2.0)]
 
 
 class TestFitLine:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qram_bounds import cli, lattice
@@ -91,7 +92,7 @@ def load_lightcone_script():
 def test_lightcone_script_velocities_bit_for_bit(monkeypatch):
     script = load_lightcone_script()
     written = {}   # the "#" line values each run hands to the CSV writer, by case
-    monkeypatch.setattr(cli, "write_csv", lambda path, meta, header, rows:
+    monkeypatch.setattr(cli, "write_csv", lambda path, meta, columns:
                         written.__setitem__(Path(path).stem, meta))
     assert script.main() == 0
     assert {name: tuple(meta[key].hex() for key in ("fitted", "group_velocity", "bound"))
@@ -101,12 +102,13 @@ def test_lightcone_script_velocities_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("bound", [math.nextafter(1.5, 0.0), 1.5, math.nextafter(1.5, 2.0)])
 def test_lightcone_script_and_command_share_one_verdict(bound, monkeypatch, capsys):
     # at fitted == bound the command passed while the script said VIOLATION
-    scan = lattice.LightConeScan(rows=(), fitted_velocity_lattice=1.5, threshold=1e-3,
-                                 t_max=5.0, dt=0.02, fit_intercept=0.0,
-                                 fit_residual=0.0, n_no_arrival=0)
+    empty = np.empty(0)
+    scan = lattice.LightConeScan(r=empty.astype(int), t_arrival=empty, peak=empty,
+                                 fitted_velocity_lattice=1.5, dt=0.02,
+                                 fit_intercept=0.0, fit_residual=0.0)
     monkeypatch.setattr(lattice, "measure_light_cone", lambda spec, **kwargs: scan)
     monkeypatch.setattr(lattice, "lr_speed", lambda d, lam, m: bound)
-    monkeypatch.setattr(cli, "write_csv", lambda path, meta, header, rows: None)
+    monkeypatch.setattr(cli, "write_csv", lambda path, meta, columns: None)
     passes = 1.5 <= bound
     assert load_lightcone_script().main() == (0 if passes else 1)
     assert re.findall(r"^(PASS|FAIL):", capsys.readouterr().out, re.M) == [
@@ -118,17 +120,18 @@ def test_lightcone_script_and_command_share_one_verdict(bound, monkeypatch, caps
 # runs scripts/lightcone_scan.py with the CSV writer swapped for one that
 # keeps the "#" line velocities and with the scan wrapped to keep its inputs
 # and result, then prints as JSON the velocities' float.hex and whether the
-# 1D nearest-neighbour scan's rows equal full_signal_rows, the norm of its
+# 1D nearest-neighbour scan's columns equal full_signal_rows, the norm of its
 # whole signal
 HEX_VELOCITIES_CHILD = """
 import importlib.util, json, sys
 from pathlib import Path
+import numpy as np
 spec = importlib.util.spec_from_file_location("lightcone_scan", sys.argv[1])
 script = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(script)
 from qram_bounds import cli, lattice
 written, scans = {}, []
-def record(path, meta, header, rows):
+def record(path, meta, columns):
     written[Path(path).stem] = [meta[key].hex() for key in ("fitted", "group_velocity", "bound")]
 cli.write_csv = record
 measure = lattice.measure_light_cone
@@ -141,7 +144,8 @@ sys.path.insert(0, sys.argv[2])
 from lattice_oracles import full_signal_rows
 lattice_spec, kwargs, scan = scans[0]
 assert next(iter(written)) == "cone_1d_nn" and lattice_spec.L == 400
-rows_equal = scan.rows == full_signal_rows(lattice_spec, **kwargs)
+rows_equal = all(np.array_equal(got, expected, equal_nan=True) for got, expected in
+                 zip((scan.r, scan.t_arrival, scan.peak), full_signal_rows(lattice_spec, **kwargs)))
 print(json.dumps({"velocities": written, "rows_equal": rows_equal}))
 """
 

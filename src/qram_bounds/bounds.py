@@ -15,12 +15,10 @@ import numpy as np
 from . import lattice as _lattice
 from .params import Conventions, HardwareParams, checked_index, density, tau0
 
-SOLVER_STEPS = 10 ** 6  # iteration cap of fixed_point_solve
-# Steps after which fixed_point_columns hands a cell to fixed_point_solve. The preset
-# sweeps converge within 15. On 1,000-cell grids from the root threshold to twice it
-# (p = 1, 2, 3, both bases, 2-core x86 VM) 64 took 29-75 ms against 37-79 ms per
-# cell, 32 took 38-90 ms, and 128 or 256 were no faster beyond the run-to-run spread.
-COLUMN_STEPS = 64
+# Plain steps before fixed_point_solve finishes in closed form and fixed_point_columns hands
+# a cell to it; every committed or pinned solve stops within 15. The capacity benchmark's
+# 2,000 solver points take 7.9 ms, against 12.1 ms by plain steps alone (2-core x86 VM).
+COLUMN_STEPS = 16
 
 
 class BoundError(ValueError):
@@ -28,7 +26,7 @@ class BoundError(ValueError):
 
 
 class FixedPointError(BoundError):
-    """Fixed-point iteration failed to converge (pathological ratio R)."""
+    """R has no fixed point above 1, only a tangency, or one past the float range."""
 
 
 @dataclass(frozen=True)
@@ -74,64 +72,78 @@ def qft_velocity(lambda_d: float, rho: float) -> float:
 
 
 def fixed_point_solve(R: float, p: int, log_base: str = "natural") -> float:
-    """Largest fixed point of N = R * log(N)^p.
+    """Largest fixed point of N = R * log(N)^p, the capacity.
 
     Iterates N <- R * log(N)^p from N0 = max(R, base^2, e^p) until the
-    relative change drops below 1e-12; for p = 0 that is R itself. The
-    largest fixed point is the capacity. The tangency point e^p (in either
-    log base) lies between the two roots whenever they exist, so from N0
-    the iteration reaches the largest one whenever it lies strictly above
-    the tangency point. For p >= 1 a root exists exactly when R reaches
-    (e/p)^p, times (ln 2)^p in base 2, and a smaller R is refused before
-    iterating. Raises FixedPointError, at every p, when the iterate
-    leaves N > 1, overflows a float, or fails to converge within
-    SOLVER_STEPS steps: R * log^p has no fixed point above 1, or only a
-    tangency.
-    """
+    relative change drops below 1e-12 (for p = 0 that is R itself), or for
+    COLUMN_STEPS steps and then finishes in closed form. The tangency point
+    e^p (in either log base) lies between the two roots whenever they exist,
+    so from N0 both reach the largest. For p >= 1 a root exists exactly when
+    R reaches (e/p)^p, times (ln 2)^p in base 2: a smaller R is refused
+    before iterating, and R on it, where the roots meet at e^p in a double
+    root, as a tangency. Raises FixedPointError, at every p, when the
+    iterate leaves N > 1 or the root overflows a float."""
     if not math.isfinite(R):
         raise BoundError(f"non-finite ratio R = {R}")
     if (p := checked_index(BoundError, "depth exponent p", p)) < 0:
         raise BoundError("negative depth exponent")
     if log_base not in ("natural", "2"):
         raise BoundError(f"unknown log base {log_base!r} (use 'natural' or '2')")
-    base = math.e if log_base == "natural" else 2.0
-    logf = math.log if log_base == "natural" else math.log2
+    base, logf = (math.e, math.log) if log_base == "natural" else (2.0, math.log2)
     try:
         # the threshold is at most e, and ln e is 1.0 exactly: (e/p)^p in base e
-        if p >= 1 and R < math.e and R < (
+        if p >= 1 and R <= math.e and R <= (
                 threshold := (math.e / p) ** p * math.log(base) ** p):
-            raise FixedPointError(f"no fixed point above 1 for N = {R:g}*log^{p}(N): "
-                                  f"R is below the root threshold {threshold:.10g}")
-        N = max(R, base * base, math.exp(p))
-        for _ in range(SOLVER_STEPS):
-            new = R * logf(N) ** p
-            if new <= 1.0 or not math.isfinite(new):
-                raise FixedPointError(
-                    f"no fixed point above 1 for N = {R:g}*log^{p}(N)")
-            if abs(new - N) <= 1e-12 * new:
-                return new
-            N = new
+            if R < threshold or R <= 0.0:   # an underflowed threshold is no tangency
+                raise FixedPointError(f"no fixed point above 1 for N = {R:g}*log^{p}(N): "
+                                      f"R is below the root threshold {threshold:.10g}")
+        else:
+            N = max(R, base * base, math.exp(p))
+            for _ in range(COLUMN_STEPS):
+                new = R * logf(N) ** p
+                if new <= 1.0 or not math.isfinite(new):
+                    raise FixedPointError(
+                        f"no fixed point above 1 for N = {R:g}*log^{p}(N)")
+                if abs(new - N) <= 1e-12 * new:
+                    return new
+                N = new
+            if N > math.exp(p):   # else it fell to e^p: R is on the threshold to rounding
+                return _closed_form(R, p, logf, N)
     except OverflowError:
         raise FixedPointError(f"fixed point of N = {R:g}*log^{p}(N) "
                               "overflows a float") from None
-    raise FixedPointError(
-        f"no convergence after {SOLVER_STEPS} iterations for N = {R:g}*log^{p}(N)")
+    raise FixedPointError(f"N = {R:g}*log^{p}(N) has only a double root, at the tangency "
+                          f"point e^{p}: R is on the root threshold")
+
+
+def _closed_form(R: float, p: int, logf, N: float) -> float:
+    """exp(-p W_-1(z)), z = -ln(base) R^(-1/p) / p, from an iterate N > e^p: Halley on
+    w e^w = z from w = -ln(N)/p < -1 until a step is below 1e-6 |w + 1| (at most 64),
+    then a Newton step on N - R log^p N (Corless et al., Adv. Comput. Math. 5, 329)."""
+    z, w = -R ** (-1.0 / p) / (p * logf(math.e)), -math.log(N) / p
+    for _ in range(64):
+        f = w * (ew := math.exp(w)) - z
+        w -= (step := f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)))
+        if abs(step) <= -1e-6 * (w + 1.0):
+            break
+    q = R / (N := math.exp(-p * w)) * logf(N) ** p   # R log^p N / N, 1 at the root
+    return math.fsum((N, N * (q - 1.0) / (1.0 + q / w)))   # fsum refuses an overflow
 
 
 def fixed_point_columns(R: np.ndarray, p: int, log_base: str) -> np.ndarray:
     """``fixed_point_solve`` over a 1-D array R at once, for p and log_base as
     ``Conventions`` holds them: the same threshold, start, steps and stopping
-    rule, in numpy's log and power. NaN where the scalar solve refuses R or
-    has not converged after COLUMN_STEPS steps."""
+    rule, in numpy's log and power. NaN where the scalar solve refuses R
+    (below or on the threshold) or has not stopped after COLUMN_STEPS steps."""
     base, logf = (math.e, np.log) if log_base == "natural" else (2.0, np.log2)
     out = np.full(len(R), math.nan)
     try:
         start = max(base * base, math.exp(p))
     except OverflowError:
         return out
-    # at p = 0 this is 1, and the iteration refuses an R below it too
+    # at p = 0 this is 1, and the iteration refuses an R at or below it too
     threshold = min(math.e, (math.e / max(p, 1)) ** p * math.log(base) ** p)
-    todo = np.flatnonzero(~(R < threshold))
+    todo = np.flatnonzero(~(R <= threshold))
     r = R[todo]
     with np.errstate(all="ignore"):   # a NaN R or an iterate past the float range is refused
         N = np.maximum(r, start)

@@ -100,8 +100,7 @@ def bounds_suite() -> list[Check]:
     # discrete <-> continuum: fitted k->0 slope along the diagonal vs
     # sqrt(coarse-grained stiffness / density), at unit spacing; the same
     # slope is sqrt(d) times the group velocity, its k->0 supremum
-    ok = True
-    worst = worst_group = 0.0
+    errors = []   # np.max, unlike max, keeps a NaN error
     for d in (1, 2, 3):
         for lam in ((1.0,), (1.0, 0.5), (0.3, 1.1, 0.7)):
             p = _params(d=d, lam=lam, m=1.3)
@@ -109,17 +108,17 @@ def bounds_suite() -> list[Check]:
             q = 1e-7
             slope = lattice.dispersion(spec, (q,) * d) / q
             v_qft = bounds.qft_velocity(bounds.coarse_grain(p), density(p))
-            worst = max(worst, abs(v_qft / slope - 1.0))
-            ok = ok and abs(v_qft / slope - 1.0) < 1e-9
             group = math.sqrt(d) * lattice.max_group_velocity(spec)
-            worst_group = max(worst_group, abs(group / slope - 1.0))
-    checks.append(("continuum velocity matches k->0 slope", ok,
+            errors.append((abs(v_qft / slope - 1.0), abs(group / slope - 1.0)))
+    worst, worst_group = np.max(errors, axis=0).tolist()
+    checks.append(("continuum velocity matches k->0 slope", worst < 1e-9,
                    f"worst {worst:.2e} (tol 1e-9)"))
     checks.append(("group velocity matches k->0 slope", worst_group < 1e-9,
                    f"worst {worst_group:.2e} (tol 1e-9)"))
     # every printed capacity against the largest root, found apart from the
-    # solvers: one point, the sweeps' column solve, and the bound
-    worst = 0.0
+    # solvers: one point, the sweeps' column solve, and the bound; and R just
+    # above the root threshold, which the solve finishes in closed form
+    ratios = []
     tau, a = tau0(2e3, 2e3), 1e-6
     for p, base in itertools.product((0, 1, 2), ("natural", "2")):
         conv = Conventions(depth_exponent=p, log_base=base, velocity_source=3e3)
@@ -129,9 +128,12 @@ def bounds_suite() -> list[Check]:
         for d, result, r, column in zip((1, 2, 3), results, R.tolist(), columns.tolist()):
             root = _largest_root(r, p, base)
             extent, total = bounds.capacity(result.velocity_used, tau, a, d, conv)
-            ratios = (extent / root, column / root, result.max_linear_extent / root,
-                      total / root ** d, result.max_qubits_total / root ** d)
-            worst = max(worst, *(abs(x - 1.0) for x in ratios))
+            ratios += [extent / root, column / root, result.max_linear_extent / root,
+                       total / root ** d, result.max_qubits_total / root ** d]
+        if p:   # 1 + 1e-6 times the root threshold (e/p)^p, times (ln 2)^p in base 2
+            R = (math.e / p * (math.log(2.0) if base == "2" else 1.0)) ** p * (1 + 1e-6)
+            ratios.append(bounds.fixed_point_solve(R, p, base) / _largest_root(R, p, base))
+    worst = float(np.max(np.abs(np.subtract(ratios, 1.0))))
     checks.append(("capacity is the largest root", worst < 1e-9,
                    f"worst {worst:.2e} (tol 1e-9)"))
     # monotonicity along each grid axis (larger v, tau0, or 1/a never shrinks N);
@@ -184,14 +186,15 @@ def lattice_suite() -> list[Check]:
                    f"{err:.2e} (tol {tol:.2e})"))
     # the scan's signal against the textbook normal-mode solution, on cases
     # that reach each layout of the engine
-    worst = 0.0
+    errors = []
     for spec, dt, steps, r_max in DENSE_CASES:
         w2, V = np.linalg.eigh(lattice.coupling_matrix(spec) / spec.m)
         omega = np.sqrt(np.maximum(w2, 0.0))   # the zero mode may come out -eps
         on_axis = V[np.arange(r_max + 1) * spec.L ** (spec.d - 1)] * V[0]
         dense = np.cos(np.outer(np.arange(steps) * dt, omega)) @ on_axis.T
         scan = lattice.axis_signal(spec, dt, steps, r_max)
-        worst = max(worst, float(np.abs(scan - dense).max()))
+        errors.append(np.abs(scan - dense).max())
+    worst = float(np.max(errors))   # np.max, unlike max, keeps a NaN
     checks.append(("scan signal matches dense cos(t sqrt(K/m))", worst < DENSE_TOL,
                    f"worst {worst:.2e} (tol {DENSE_TOL:g})"))
     # causality tail outside the bound cone

@@ -210,12 +210,12 @@ class TestFixedPointSolve:
 
     def test_tangency_has_no_larger_root(self):
         # N = e*ln(N) only touches at N = e; the scan finds no crossing
-        # above it and the iteration reports the pathology
+        # above it and the solve refuses the tangency
         assert scan_largest_root(math.e * (1 + 1e-9), 1, log10_hi=2.0) is not None
         Ns = np.linspace(math.e * 1.0001, 100.0, 100000)
         f = Ns - math.e * np.log(Ns)
         assert f.min() > 0.0
-        with pytest.raises(FixedPointError):
+        with pytest.raises(FixedPointError, match="double root"):
             fixed_point_solve(math.e, 1)
 
     @pytest.mark.parametrize("R,p,small,large", [
@@ -243,9 +243,9 @@ class TestFixedPointSolve:
     def test_refuses_below_the_root_threshold_before_iterating(
             self, p, log_base, monkeypatch):
         # just below the threshold, p = 3 returned the tangency point e^3 =
-        # 20.0855 as a root, and p = 1 ran all SOLVER_STEPS (~0.4 s) first;
-        # with no steps allowed, only the refusal can name the threshold
-        monkeypatch.setattr(bounds, "SOLVER_STEPS", 0)
+        # 20.0855 as a root, and p = 1 ran 10^6 plain steps (~0.4 s) first;
+        # with no plain steps allowed, only the refusal can name the threshold
+        monkeypatch.setattr(bounds, "COLUMN_STEPS", 0)
         threshold = root_threshold(p, log_base)
         R = threshold * (1 - 1e-12)
         with pytest.raises(FixedPointError, match=re.escape(
@@ -256,10 +256,57 @@ class TestFixedPointSolve:
     @pytest.mark.parametrize("log_base", ["natural", "2"])
     @pytest.mark.parametrize("p", [1, 3, 8])
     def test_iterates_from_the_root_threshold_up(self, p, log_base, monkeypatch):
-        # the threshold itself is not refused: it reaches the iteration
-        monkeypatch.setattr(bounds, "SOLVER_STEPS", 0)
-        with pytest.raises(FixedPointError, match="^no convergence after 0 iterations"):
-            fixed_point_solve(root_threshold(p, log_base), p, log_base)
+        # the threshold itself is refused as a tangency; the next float above
+        # it reaches the iteration and, after one plain step, the closed form
+        threshold = root_threshold(p, log_base)
+        with pytest.raises(FixedPointError, match="double root"):
+            fixed_point_solve(threshold, p, log_base)
+        monkeypatch.setattr(bounds, "COLUMN_STEPS", 1)
+        N = fixed_point_solve(math.nextafter(threshold, math.inf), p, log_base)
+        assert N == pytest.approx(math.exp(p), rel=1e-7)
+
+    @pytest.mark.parametrize("log_base", ["natural", "2"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_refuses_the_threshold_as_a_tangency(self, p, log_base):
+        # one rule at every p: p = 1 ran 10^6 steps and raised "no
+        # convergence", p = 2 and 3 returned e^p; the column leaves the cell
+        # to the scalar solve, so that a sweep refuses it as the point does
+        threshold = root_threshold(p, log_base)
+        with pytest.raises(FixedPointError, match=re.escape(
+                f"N = {threshold:g}*log^{p}(N) has only a double root, at the "
+                f"tangency point e^{p}: R is on the root threshold")):
+            fixed_point_solve(threshold, p, log_base)
+        R = np.array([threshold, 1e6 * threshold])
+        columns = bounds.fixed_point_columns(R, p, log_base)
+        assert math.isnan(columns[0])
+        assert columns[1] == pytest.approx(fixed_point_solve(R[1], p, log_base), rel=1e-12)
+
+    @pytest.mark.parametrize("log_base", ["natural", "2"])
+    @pytest.mark.parametrize("p", range(1, 9))
+    def test_closed_form_matches_lambert_w_oracle(self, p, log_base, monkeypatch):
+        # after one plain step every solve finishes in closed form; against
+        # exp(-p W_-1(z)) at 50 digits, z = -ln(base) R^(-1/p) / p with R the
+        # float, it lies within 8 eps / (1 - lam), lam = p / ln N, which is
+        # the conditioning of the root in R
+        mpmath = pytest.importorskip("mpmath")
+        closed_forms = []
+        closed_form = bounds._closed_form
+        monkeypatch.setattr(bounds, "COLUMN_STEPS", 1)
+        monkeypatch.setattr(bounds, "_closed_form",
+                            lambda *args: closed_forms.append(args) or closed_form(*args))
+        threshold = root_threshold(p, log_base)
+        rng = np.random.default_rng(p)
+        strata = 30
+        with mpmath.workdps(50):
+            ln_base = mpmath.log(mpmath.e if log_base == "natural" else 2)
+            for x in (-12.0 + 27.0 * (np.arange(strata) + rng.random(strata)) / strata).tolist():
+                R = threshold * (1 + 10.0 ** x)
+                z = -ln_base * mpmath.mpf(R) ** (mpmath.mpf(-1) / p) / p
+                root = mpmath.exp(-p * mpmath.lambertw(z, -1).real)
+                lam = p / float(mpmath.log(root))
+                error = float(abs(fixed_point_solve(R, p, log_base) - root) / root)
+                assert error <= 8 * sys.float_info.epsilon / (1 - lam), (R, error)
+        assert len(closed_forms) == strata
 
     @given(p=st.integers(1, 8), x=st.floats(0.0, 1.0))
     @settings(max_examples=80, deadline=None)
@@ -312,7 +359,7 @@ def column_ratios(draw, p, log_base):
     """R for ``fixed_point_columns``: jittered strata above the root
     threshold (R/threshold - 1 from 1e-12 up to 1e15, so some cells take
     more than COLUMN_STEPS steps), and edges that ``fixed_point_solve``
-    refuses or meets only at a tangency."""
+    refuses, the threshold's tangency among them."""
     threshold = root_threshold(p, log_base) if p else 1.0
     strata = st.sampled_from([(-12.0, -3.0), (-3.0, 0.0), (0.0, 15.0)])
     above = strata.flatmap(lambda s: st.floats(*s)).map(lambda x: threshold * (1 + 10.0 ** x))
@@ -327,15 +374,19 @@ class TestFixedPointColumns:
            log_base=st.sampled_from(["natural", "2"]), data=st.data())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_agrees_with_the_scalar_solve_cut_at_column_steps(self, p, log_base, data):
-        # a cell is NaN exactly where the scalar solve, given COLUMN_STEPS
-        # steps, refuses R or has not converged; elsewhere both stopped where
-        # the relative change fell to 1e-12, so each lies within
+        # a cell is NaN exactly where the scalar solve, cut at COLUMN_STEPS
+        # plain steps (its closed form refused), refuses R; elsewhere both
+        # stopped where the relative change fell to 1e-12, so each lies within
         # 1e-12 * lam / (1 - lam) of the root, lam = p / ln N being the
         # contraction of N <- R log^p N there, and they differ by at most twice that
         R = data.draw(column_ratios(p, log_base))
         columns = bounds.fixed_point_columns(R, p, log_base)
-        steps, bounds.SOLVER_STEPS = bounds.SOLVER_STEPS, bounds.COLUMN_STEPS
-        try:
+
+        def cut(*args):
+            raise FixedPointError("cut at COLUMN_STEPS")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_closed_form", cut)
             for r, got in zip(R.tolist(), columns.tolist()):
                 try:
                     want = fixed_point_solve(r, p, log_base)
@@ -345,8 +396,6 @@ class TestFixedPointColumns:
                 lam = p / math.log(want)   # 1 at a tangency, where both stop at once
                 bound = 2e-12 * lam / (1 - lam) if lam < 1 else 0.0
                 assert abs(got - want) <= (bound + 4 * sys.float_info.epsilon) * want, r
-        finally:
-            bounds.SOLVER_STEPS = steps
 
 
 class TestNaiveMaxQubits:

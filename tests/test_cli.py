@@ -692,13 +692,26 @@ class TestSweepAgainstPerCellPath:
         assert expected[0] == 0
         assert sweep_outcome(run_sweep, grid, tmp_path / "sweep.csv") == expected
 
+    @pytest.mark.parametrize("log_base", ["natural", "2"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_threshold_refused_as_the_per_cell_path_refuses_it(self, p, log_base, tmp_path):
+        # R = v exactly on the root threshold: a tangency, refused by name
+        grid = near_threshold_grid(p, log_base, points=3, lo=1.0)
+        expected = sweep_outcome(per_cell_sweep, grid, tmp_path / "oracle.csv")
+        assert expected[0] == 2 and "double root" in expected[1]
+        assert sweep_outcome(run_sweep, grid, tmp_path / "sweep.csv") == expected
+
     @pytest.mark.parametrize("make_grid,hands_off", [
         (fig3_grid, False), (fig4_grid, False),
-        (lambda: near_threshold_grid(1, "natural"), True)])
+        (lambda: near_threshold_grid(1, "natural"), True),
+        (lambda: replace(fig3_grid(), conventions=Conventions("2")), False),
+        (lambda: replace(fig4_grid(), conventions=Conventions("2")), False)])
     def test_one_record_per_dimension_and_one_solve_per_column(
             self, make_grid, hands_off, tmp_path, monkeypatch):
-        # only the cells that the array leaves unfinished (none on the
-        # presets) meet the scalar chain, each with its own record
+        # only the cells that the array leaves unfinished meet the scalar
+        # chain, each with its own record. None on the presets, in either
+        # base: every committed cell stops within COLUMN_STEPS plain steps,
+        # so no committed byte depends on the scalar solve's closed form
         grid = make_grid()
         built, capacities, solves, handed = [], [], [], []
         check_record = HardwareParams.__post_init__
@@ -732,13 +745,14 @@ class TestSweepAgainstPerCellPath:
         assert (sum(handed) > 0) == hands_off
 
 
-def near_threshold_grid(p, log_base, points=200):
-    """A velocity axis whose R = v*tau0/a (tau0 = 1 s, a = 1 m) runs from
-    the root threshold times 1 + 1e-9 up to twice the threshold, so that the
-    slowest cells of the d = 1 column are handed to the scalar solver."""
+def near_threshold_grid(p, log_base, points=200, lo=1 + 1e-9):
+    """A log-spaced velocity axis whose R = v*tau0/a (tau0 = 1 s, a = 1 m)
+    runs from the root threshold times ``lo`` up to 1e6 times it, so that
+    the slowest cells of each column are handed to the scalar solver and
+    the others finish in the column."""
     threshold = (math.e / p) ** p * (math.log(2.0) ** p if log_base == "2" else 1.0)
     return SweepGrid(
-        axes=(AxisSpec("velocity", threshold * (1 + 1e-9), 2 * threshold, points, log=False),),
+        axes=(AxisSpec("velocity", threshold * lo, 1e6 * threshold, points, log=True),),
         fixed=replace(cli.PRESET_PARAMS, a=1.0, g1=2 * math.pi, g2=2 * math.pi),
         conventions=Conventions(log_base, p), dims=(1, 2, 3))
 
@@ -1361,6 +1375,27 @@ class TestVerifyCommand:
         # a PASS line prints only counts; a failing check prints its detail
         assert [f"{name}.{check}" for name, suite in verify.SUITES
                 for check, _, detail in suite() if not detail] == []
+
+    def test_nan_dense_signal_fails_the_lattice_suite(self, monkeypatch):
+        # max(worst, nan) kept the other cases' worst, and the check passed
+        axis_signal = lattice.axis_signal
+        monkeypatch.setattr(lattice, "axis_signal", lambda spec, *args: (
+            axis_signal(spec, *args) * (math.nan if spec.L == 31 else 1.0)))
+        checks = {name: (ok, detail) for name, ok, detail in verify.lattice_suite()}
+        assert checks["scan signal matches dense cos(t sqrt(K/m))"] == (
+            False, f"worst nan (tol {verify.DENSE_TOL:g})")
+
+    def test_nan_column_cell_fails_the_bounds_suite(self, monkeypatch):
+        columns = bounds.fixed_point_columns
+
+        def one_nan(*args):
+            extents = columns(*args)
+            extents[-1] = math.nan
+            return extents
+
+        monkeypatch.setattr(bounds, "fixed_point_columns", one_nan)
+        checks = {name: (ok, detail) for name, ok, detail in verify.bounds_suite()}
+        assert checks["capacity is the largest root"] == (False, "worst nan (tol 1e-9)")
 
     def test_corrupted_dispersion_names_lattice_suite(self, capsys, monkeypatch):
         true_dispersion = lattice.dispersion

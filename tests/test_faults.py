@@ -1,11 +1,13 @@
 """The fault catalogue: named faults, what each moves, and what catches it.
 
 Each row patches one function or constant of the library in process, names
-the committed output that the fault moves, and gives the exit code that
+the output that the fault moves, and gives the exit code that
 ``qram-bounds verify`` returns under it. Every row is run through both
 ``verify.run_verify`` and ``cli.main(["verify"])``, and its output is shown
-to move. A fault that moves no committed output gets no row: it shows a
-constant or a check that nothing printed depends on.
+to move. The outputs are committed ones, except a bound record near the
+root threshold: the solver's closed form, which no committed output reaches,
+prints there. A fault that moves no output gets no row: it shows a constant
+or a check that nothing printed depends on.
 
 Each row's ``caught_by`` names the Tier-1 tests that fail under it, the ids
 of a parametrized test folded into one, and its comment counts the failed
@@ -36,6 +38,9 @@ OUTPUTS = {
                                "--out", "{out}"],
     "results/fig3_velocity_sweep.csv": ["sweep", "--preset", "fig3", "--out", "{out}"],
     "bound record": ["bound"],
+    # R = v*tau0/a = 2.7182846, 1e-6 above the root threshold e at p = 1
+    "near-threshold bound record": ["bound", "--velocity", "0.0027182846",
+                                    "--depth-exponent", "1"],
     "qramsim reads": ["qramsim", "--random-db", "--N", "8", "--seed", "3"],
 }
 
@@ -278,15 +283,18 @@ FAULTS = [
           )),
     Fault("fixed_point_solve x (1 + 1e-3)",
           scaled(bounds, "fixed_point_solve", 1.0 + 1e-3), "bound record", EXIT_VERIFY,
-          caught_by=(  # 49 failed ids in 31 tests
+          caught_by=(  # 77 failed ids in 34 tests
               "test_bounds.py::TestFixedPointColumns::test_agrees_with_the_scalar_solve_cut_at_column_steps",
+              "test_bounds.py::TestFixedPointSolve::test_closed_form_matches_lambert_w_oracle",
               "test_bounds.py::TestFixedPointSolve::test_converges_just_above_the_root_threshold",
+              "test_bounds.py::TestFixedPointSolve::test_iterates_from_the_root_threshold_up",
               "test_bounds.py::TestFixedPointSolve::test_log2_base",
               "test_bounds.py::TestFixedPointSolve::test_matches_scan_from_threshold_to_1e15",
               "test_bounds.py::TestFixedPointSolve::test_naive_scale",
               "test_bounds.py::TestFixedPointSolve::test_p0_returns_ratio",
               "test_bounds.py::TestFixedPointSolve::test_pathological_small_ratio",
               "test_bounds.py::TestFixedPointSolve::test_quadratic_depth",
+              "test_bounds.py::TestFixedPointSolve::test_refuses_the_threshold_as_a_tangency",
               "test_bounds.py::TestFixedPointSolve::test_residual_property",
               "test_bounds.py::TestFixedPointSolve::test_root_above_the_tangency_point_found",
               "test_bounds.py::TestNaiveMaxQubits::test_sound_speed",
@@ -314,8 +322,9 @@ FAULTS = [
     Fault("fixed_point_columns x (1 + 1e-3)",
           scaled(bounds, "fixed_point_columns", 1.0 + 1e-3),
           "results/fig3_velocity_sweep.csv", EXIT_VERIFY,
-          caught_by=(  # 17 failed ids in 10 tests
+          caught_by=(  # 23 failed ids in 11 tests
               "test_bounds.py::TestFixedPointColumns::test_agrees_with_the_scalar_solve_cut_at_column_steps",
+              "test_bounds.py::TestFixedPointSolve::test_refuses_the_threshold_as_a_tangency",
               "test_cli.py::TestDocumentedCommands::test_readme_command_lines_exit_0",
               "test_cli.py::TestSweepAgainstPerCellPath::test_near_threshold_grid_gives_the_per_cell_bytes",
               "test_cli.py::TestSweepAgainstPerCellPath::test_same_csv_or_same_first_refusal",
@@ -325,6 +334,21 @@ FAULTS = [
               "test_cli.py::TestVerifyCommand::test_clean_build_exits_0",
               "test_cli.py::TestVerifyCommand::test_verdicts_independent_of_openblas_kernel",
               "test_scripts.py::test_script_regenerates_committed_results",
+          )),
+    Fault("closed-form root x (1 + 1e-3)",
+          scaled(bounds, "_closed_form", 1.0 + 1e-3), "near-threshold bound record",
+          EXIT_VERIFY,
+          caught_by=(  # 34 failed ids in 10 tests
+              "test_bounds.py::TestFixedPointSolve::test_closed_form_matches_lambert_w_oracle",
+              "test_bounds.py::TestFixedPointSolve::test_converges_just_above_the_root_threshold",
+              "test_bounds.py::TestFixedPointSolve::test_iterates_from_the_root_threshold_up",
+              "test_bounds.py::TestFixedPointSolve::test_matches_scan_from_threshold_to_1e15",
+              "test_bounds.py::TestFixedPointSolve::test_residual_property",
+              "test_bounds.py::TestFixedPointSolve::test_root_above_the_tangency_point_found",
+              "test_cli.py::TestDocumentedCommands::test_readme_command_lines_exit_0",
+              "test_cli.py::TestVerifyCommand::test_check_counts",
+              "test_cli.py::TestVerifyCommand::test_clean_build_exits_0",
+              "test_cli.py::TestVerifyCommand::test_verdicts_independent_of_openblas_kernel",
           )),
     Fault("max_group_velocity x 1.01", scaled(lattice, "max_group_velocity", 1.01),
           "results/cone_1d_nn.csv", EXIT_VERIFY,
@@ -380,7 +404,7 @@ FAULTS = [
           )),
     Fault("tau0 x 1.01", scaled(params, "tau0", 1.01),
           "results/fig3_velocity_sweep.csv", EXIT_VERIFY,
-          caught_by=(  # 33 failed ids in 25 tests
+          caught_by=(  # 39 failed ids in 26 tests
               "test_bounds.py::TestQramMaxQubits::test_explicit_velocity_p0",
               "test_bounds.py::TestQramMaxQubits::test_explicit_velocity_p2",
               "test_bounds.py::TestQramMaxQubits::test_three_dimensions_sqrt_d",
@@ -396,6 +420,7 @@ FAULTS = [
               "test_cli.py::TestBoundCommand::test_teleport_kind_runs_the_capacity_path_at_c_max",
               "test_cli.py::TestBoundCommand::test_two_range_2d_record_golden",
               "test_cli.py::TestDocumentedCommands::test_readme_command_lines_exit_0",
+              "test_cli.py::TestSweepAgainstPerCellPath::test_threshold_refused_as_the_per_cell_path_refuses_it",
               "test_cli.py::TestSweepCommand::test_overflowing_capacity_exits_2",
               "test_cli.py::TestSweepCommand::test_preset_regenerates_committed_csv",
               "test_cli.py::TestVerifyCommand::test_check_counts",

@@ -100,10 +100,14 @@ def fixed_point_solve(R: float, p: int, log_base: str = "natural") -> float:
         else:
             N = max(R, base * base, math.exp(p))
             for _ in range(COLUMN_STEPS):
-                new = R * logf(N) ** p
-                if new <= 1.0 or not math.isfinite(new):
-                    raise FixedPointError(
-                        f"no fixed point above 1 for N = {R:g}*log^{p}(N)")
+                try:
+                    new = R * logf(N) ** p
+                except OverflowError:   # log^p N alone
+                    new = _power_product(R, logf(N), p)
+                if new <= 1.0:
+                    raise FixedPointError(f"no fixed point above 1 for N = {R:g}*log^{p}(N)")
+                if math.isinf(new):   # iterates under the root rise to it: it overflows
+                    raise OverflowError
                 if abs(new - N) <= 1e-12 * new:
                     return new
                 N = new
@@ -126,8 +130,18 @@ def _closed_form(R: float, p: int, logf, N: float) -> float:
         w -= (step := f / (ew * (w + 1.0) - (w + 2.0) * f / (2.0 * w + 2.0)))
         if abs(step) <= -1e-6 * (w + 1.0):
             break
-    q = R / (N := math.exp(-p * w)) * logf(N) ** p   # R log^p N / N, 1 at the root
+    N = math.exp(-p * w)
+    try:
+        q = R / N * logf(N) ** p   # R log^p N / N, 1 at the root
+    except OverflowError:   # log^p N alone
+        q = _power_product(R, logf(N), p) / N
     return math.fsum((N, N * (q - 1.0) / (1.0 + q / w)))   # fsum refuses an overflow
+
+
+def _power_product(R: float, x: float, p: int) -> float:
+    """R * x^p where x^p alone overflows: mantissas and exponents apart."""
+    (f, e), (g, k) = math.frexp(R), math.frexp(x)
+    return math.ldexp(f * g ** p, e + p * k)
 
 
 def fixed_point_columns(R: np.ndarray, p: int, log_base: str) -> np.ndarray:

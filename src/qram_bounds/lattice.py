@@ -406,27 +406,19 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     return out
 
 
-def _below(x: float) -> float:
-    """A cut under x by more than the rounding of the commutator norm:
-    relative 1e-12, and 1e-290 absolute where floats are coarser."""
-    return x * (1.0 - 1e-12) - 1e-290
-
-
 def _block_norms(nodes: np.ndarray, I: np.ndarray, steps: int,
                  blocks: np.ndarray, cols: np.ndarray):
-    """Yield (pairs, norms) until each (block, column) pair is read: row k of
-    norms is the commutator norm 2|sin(sigma/2)| over the steps of block
-    blocks[pairs[k]] in column cols[pairs[k]]. Pairs of distinct columns
-    are packed into one node-row matrix, each in its own column, that I[:n]
-    takes to n steps as the block loop takes a block: the same product, so
-    the same bits under any one BLAS kernel. The last block's pairs go apart."""
+    """Yield (pairs, norms): row k of norms is the commutator norm
+    2|sin(sigma/2)| over the steps of block blocks[pairs[k]] in column
+    cols[pairs[k]], the columns distinct. The non-last blocks' pairs, then the
+    last block's, are packed into one node-row matrix, each in its own column,
+    that I[:n] takes to n steps as the block loop takes a block: one product
+    per part, the same product, so the same bits under any one BLAS kernel."""
     packed, sigma = np.zeros(nodes.shape[1:]), np.empty((len(I), nodes.shape[2]))
     last = blocks == len(nodes) - 1
-    for part, n in ((np.flatnonzero(~last), len(I)),
-                    (np.flatnonzero(last), steps - (len(nodes) - 1) * _BLOCK_ROWS)):
-        while len(part):
-            _, first = np.unique(cols[part], return_index=True)
-            pairs, part = part[first], np.delete(part, first)
+    for pairs, n in ((np.flatnonzero(~last), len(I)),
+                     (np.flatnonzero(last), steps - (len(nodes) - 1) * _BLOCK_ROWS)):
+        if len(pairs):
             packed[:, cols[pairs]] = nodes[blocks[pairs], :, cols[pairs]].T
             np.matmul(I[:n], packed, out=sigma[:n])
             yield pairs, 2.0 * np.abs(np.sin(0.5 * sigma[:n, cols[pairs]].T))
@@ -435,28 +427,23 @@ def _block_norms(nodes: np.ndarray, I: np.ndarray, steps: int,
 def _cone_reads(steps: int, threshold: float, nodes: np.ndarray, I: np.ndarray,
                 maxima: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Peak norm and arrival step (-1 for none) of each distance r >= 1 over
-    ``steps`` steps of ``_signal_blocks``' output, read by ``_block_norms``
-    only in the blocks whose max |sigma| in ``maxima`` can hold them.
+    ``steps`` steps of ``_signal_blocks``' output.
 
-    2|sin(x/2)| increases with |x| on |x| <= 1 < pi, so the peak and the
-    arrival lie on entries at or above a cut _below the largest |sigma| and
-    _below 2 asin(level/2), and only the blocks whose maxima reach the cut
-    need the exact norm. The peak is the largest norm in the blocks that
-    reach its cut (an entry under the cut has a smaller norm). The arrival
-    is the first entry whose norm reaches the level in the first block that
-    reaches its cut, or else in the next such block, and so on: the entries
-    between them lie under the cut, and the peak's block holds a hit, so a
+    2|sin(x/2)| increases with |x| on |x| <= 1 < pi, so the peak is the norm
+    of the largest |sigma| in ``maxima``, which the product that
+    ``_block_norms`` repeats gave. The arrival lies on an entry at or above a
+    cut under 2 asin(level/2) by more than the norm's rounding (relative
+    1e-12, and 1e-290 absolute where floats are coarser), so only blocks
+    whose maxima reach it are read, one per distance and round: the arrival
+    is the first entry whose norm reaches the level in the first such block,
+    or else in the next, and so on. The peak's block holds a hit, so a
     distance left with no unread block that reaches its cut is refused as a
     defect rather than read again.
     """
-    blocks, at = np.nonzero(maxima >= _below(maxima.max(axis=0)))
-    peaks = np.zeros(maxima.shape[1])
-    for part, norms in _block_norms(nodes, I, steps, blocks, at):
-        np.maximum.at(peaks, at[part], norms.max(axis=1))
-
+    peaks = 2.0 * np.abs(np.sin(0.5 * maxima.max(axis=0)))
     live = np.flatnonzero(peaks >= _PEAK_NOISE_FLOOR)
     level = threshold * peaks[live]
-    reach = maxima[:, live] >= _below(2.0 * np.arcsin(level / 2.0))
+    reach = maxima[:, live] >= 2.0 * np.arcsin(level / 2.0) * (1.0 - 1e-12) - 1e-290
     arrivals = np.full(maxima.shape[1], -1)
     left = np.arange(len(live))   # the live distances not yet arrived
     while len(left):
@@ -466,13 +453,11 @@ def _cone_reads(steps: int, threshold: float, nodes: np.ndarray, I: np.ndarray,
                                "no unread block whose maximum reaches its cut")
         blocks = np.argmax(unread, axis=0)   # the first unread block that reaches
         reach[blocks, left] = False
-        hit = np.empty(len(left), dtype=bool)
         for part, norms in _block_norms(nodes, I, steps, blocks, live[left]):
             found = norms >= level[left[part], None]
-            hit[part] = found.any(axis=1)
-            # a miss is written over in a later round
-            arrivals[live[left[part]]] = blocks[part] * _BLOCK_ROWS + np.argmax(found, axis=1)
-        left = left[~hit]
+            arrivals[live[left[part]]] = np.where(found.any(axis=1), blocks[part] * _BLOCK_ROWS
+                                                  + np.argmax(found, axis=1), -1)
+        left = left[arrivals[live[left]] < 0]
     return peaks[1:], arrivals[1:]   # distance 0 is read with the others, then dropped
 
 

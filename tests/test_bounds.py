@@ -325,6 +325,50 @@ class TestFixedPointSolve:
             fixed_point_solve(1.0, 200)
         with pytest.raises(FixedPointError, match="overflows a float"):
             fixed_point_solve(1.0, 1000)
+        # an iterate past the float range: the root lies beyond it
+        with pytest.raises(FixedPointError, match=re.escape(
+                "fixed point of N = 1e+300*log^3(N) overflows a float")):
+            fixed_point_solve(1e300, 3)
+
+    @pytest.mark.parametrize("steps", [bounds.COLUMN_STEPS, 1])
+    @pytest.mark.parametrize("log_base", ["natural", "2"])
+    @pytest.mark.parametrize("p", [120, 150, 200])
+    def test_root_whose_log_power_overflows_matches_lambert_w_oracle(
+            self, p, log_base, steps, monkeypatch):
+        # log^p N alone can overflow where R log^p N does not, as at
+        # R = e^-300, p = 150 (root 2.4006e294). Against exp(-p W_-1(z)) at
+        # 50 digits, at e^-300 and over R from the root threshold to 1e20,
+        # every root inside the float range is found and every root past it
+        # refused; with one plain step, the closed form's Newton step meets
+        # the overflow. The error bound is 8 eps / (1 - p / ln N), plus p eps / 2
+        # in base 2, where log2 N rounds apart from N and log^p N takes that
+        # rounding p times (up to 65 eps / (1 - p / ln N) seen here; ROADMAP
+        # item 2)
+        mpmath = pytest.importorskip("mpmath")
+        monkeypatch.setattr(bounds, "COLUMN_STEPS", steps)
+        rng = np.random.default_rng(p)
+        lo = math.log10(max(root_threshold(p, log_base), 5e-324)) + 1e-3
+        strata, eps = 40, sys.float_info.epsilon
+        tolerance = 8 * eps + (p * eps / 2 if log_base == "2" else 0.0)
+        overflowing = refused = 0
+        with mpmath.workdps(50):
+            ln_base = mpmath.log(mpmath.e if log_base == "natural" else 2)
+            top = mpmath.mpf(sys.float_info.max)
+            xs = lo + (20.0 - lo) * (np.arange(strata) + rng.random(strata)) / strata
+            for R in [10.0 ** x for x in xs.tolist()] + [math.exp(-300)]:
+                z = -ln_base * mpmath.mpf(R) ** (mpmath.mpf(-1) / p) / p
+                root = mpmath.exp(-p * mpmath.lambertw(z, -1).real)
+                if root > top * (1 + 1e-9):
+                    refused += 1
+                    with pytest.raises(FixedPointError, match=re.escape(
+                            f"fixed point of N = {R:g}*log^{p}(N) overflows a float")):
+                        fixed_point_solve(R, p, log_base)
+                elif root < top * (1 - 1e-9):
+                    overflowing += (mpmath.log(root) / ln_base) ** p > top
+                    lam = p / float(mpmath.log(root))
+                    error = float(abs(fixed_point_solve(R, p, log_base) - root) / root)
+                    assert error <= tolerance / (1 - lam), (R, error)
+        assert overflowing and refused
 
     def test_pathological_small_ratio(self):
         with pytest.raises(FixedPointError, match="no fixed point"):

@@ -581,15 +581,50 @@ class TestConeReads:
                             threshold, monkeypatch)
         assert scan.t_arrival.tolist() == [350.0, 350.0]
 
+    def test_peak_tied_across_two_blocks_reads_one_product_per_part(self, monkeypatch):
+        # each distance's largest |sigma| is tied across two blocks (at 3,
+        # two non-last ones), and its norm is the peak, taken from the
+        # maxima with no block read. An arrival round reads one block per
+        # distance, in at most two products: the non-last blocks', then the
+        # last block's. Round 1 reads block 0 everywhere (a hit at 1 and 3);
+        # round 2 reads block 1 at distance 2 and the last block at 4
+        peak_sigma, threshold = 0.9, 0.850256191055818
+        miss, hit = self.miss_and_hit(peak_sigma, threshold)
+        steps, last = 300, 2
+        rounds = []
+        block_norms = lattice._block_norms
+
+        def spy(nodes, I, steps, blocks, cols):
+            assert len(set(cols.tolist())) == len(cols)
+            rounds.append([])
+            for pairs, norms in block_norms(nodes, I, steps, blocks, cols):
+                rounds[-1].append(sorted(set((blocks[pairs] == last).tolist())))
+                yield pairs, norms
+
+        monkeypatch.setattr(lattice, "_block_norms", spy)
+        scan = self.scan_of([self.spikes(steps, {100: peak_sigma, 290: -peak_sigma}),
+                             self.spikes(steps, {10: miss, 130: peak_sigma,
+                                                 299: -peak_sigma}),
+                             self.spikes(steps, {5: -peak_sigma, 200: peak_sigma}),
+                             self.spikes(steps, {20: miss, 280: -hit, 290: peak_sigma,
+                                                 299: -peak_sigma})],
+                            threshold, monkeypatch)
+        assert scan.peak.tolist() == [2.0 * math.sin(0.45)] * 4
+        assert scan.t_arrival.tolist() == [50.0, 65.0, 2.5, 140.0]
+        assert rounds == [[[False]], [[False], [True]]]
+
     def test_maxima_below_every_read_are_refused(self, monkeypatch):
-        # doctored maxima: every block claims 1e-3 at distance 1, so all are
-        # read for the peak, 2 sin(0.45) at step 200, and none reaches the
-        # arrival cut. The arrival loop must refuse, not read block 0 again;
-        # a bounded spy turns a loop that spins into a failure
+        # doctored maxima: every block claims 1e-3 at distances 2 and 3,
+        # whose node rows are zero, so their peak 2 sin(5e-4) makes them
+        # live and no read reaches their arrival cut; distance 1, 0.9 at
+        # step 200 under its true maxima, arrives. The arrival loop must
+        # refuse, naming distance 2, not read block 0 again; a bounded spy
+        # turns a loop that spins into a failure
         B = lattice._BLOCK_ROWS
-        nodes = np.zeros((2, B, 2))
+        nodes = np.zeros((2, B, 4))
         nodes[1, 200 - B, 1] = 0.9
-        maxima = np.full((2, 2), 1e-3)
+        maxima = np.abs(nodes).max(axis=1)
+        maxima[:, 2:] = 1e-3
         reads = []
         block_norms = lattice._block_norms
 
@@ -600,10 +635,12 @@ class TestConeReads:
                 yield read
 
         monkeypatch.setattr(lattice, "_block_norms", bounded)
-        with pytest.raises(LatticeError, match="^light-cone read: distance 1 has no "
+        with pytest.raises(LatticeError, match="^light-cone read: distance 2 has no "
                            "unread block whose maximum reaches its cut$"):
             lattice._cone_reads(2 * B, 0.5, nodes, np.eye(B), maxima)
-        assert len(reads) == 2   # the two blocks, read once for the peak
+        # round 1: block 0 at distances 2 and 3, block 1 at 1; round 2:
+        # block 1 at 2 and 3. Each (block, distance) pair is read once
+        assert len(reads) == 3
 
     def test_zero_subnormal_and_tiny_threshold_columns(self, monkeypatch):
         # a zero or subnormal column has no arrival; a threshold of 1e-300

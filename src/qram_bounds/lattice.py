@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -200,11 +200,6 @@ def _orbit_rows(L: int, d: int, r_max: int) -> int:
     return (orbits + {1: 1 - h % 2, 2: h // 2 + 1, 3: (h // 2 + 1) * (1 - h % 2)}[d]) // 2
 
 
-def _check_orbits(spec: LatticeSpec, r_max: int) -> None:
-    _check_work(_orbit_rows(spec.L, spec.d, r_max) * (r_max + 1),
-                "the orbit weight matrix needs")
-
-
 def _axis_orbits(spec: LatticeSpec, r_max: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """Orbits of the wavevector grid under the reflections n -> L - n and
@@ -304,37 +299,54 @@ def _interpolation(rows: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     return u, I / I.sum(axis=1, keepdims=True)
 
 
-def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
-                   r_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The block loop behind ``axis_signal`` and ``measure_light_cone``, on
-    arguments they checked: (nodes, I, maxima), the signal c(t_i, r) as
-    (blocks, n + 1, r_max + 1) node rows, its (rows, n + 1) barycentric I
-    and the max |c| of each block, one row per block; all in r order.
+_Plan = NamedTuple("_Plan", [("dt", float), ("steps", int), ("rows", int),
+                             ("blocks", int), ("w_max", float), ("count", int)])
 
-    Every block has rows = min(steps, _BLOCK_ROWS) steps, the last cut short
-    where the steps end, and is computed at the same n + 1 times u around
-    its centre t_c: I[:k] @ nodes[b] gives the k steps of block b (the error
-    bound holds at every row). The sum runs over tiles of the rows of W,
-    each built by ``_weight_rows`` when its turn comes. A tile's node table
-    C, S = cos, sin(u dt omega) of its orbits (and mirrors) serves every
-    block: node entries a = cos(t omega) are cos(t_c omega) C -
-    sin(t_c omega) S from the block's own base angle (no recurrence, so no
-    drift), then one product with the tile's rows of W. Folded, W holds the
-    even distances, then the odd ones: a pair's a + a' meets the even-r
-    columns and a - a' the odd-r ones (a' = 0 for a self-mirrored orbit),
-    two products of half the width that write alternate columns. The tiles'
-    shares sum in the block's node rows, which I then expands into a reused
-    buffer for its max |c|. The node count, from ``omega_max``, lets the
-    node-entry cap and the phase check refuse before any orbit is built.
-    """
-    rows = min(steps, _BLOCK_ROWS) or 1   # every block's steps; one node row if no steps
-    blocks = -(-steps // _BLOCK_ROWS)
-    _check_orbits(spec, r_max)
+
+def _plan(spec: LatticeSpec, r_max: int, dt: float | None, steps=None, t_max=None) -> _Plan:
+    """The sizes of a scan of ``steps``, or of the grid to ``t_max`` (dt None:
+    0.2 / omega_max), fixed before any array is built: rows per block (one node
+    row if no steps), blocks, omega_max and Chebyshev nodes per block. Every
+    work refusal is made here, in order: the time signal (``steps`` given), the
+    orbit weights (bounding L for omega_max), the grid, the node rows, the phase."""
+    if steps is not None:
+        _check_work(-(-steps // _BLOCK_ROWS) * min(steps, _BLOCK_ROWS) * (r_max + 1),
+                    "the time signal needs")
+    _check_work(_orbit_rows(spec.L, spec.d, r_max) * (r_max + 1),
+                "the orbit weight matrix needs")
     w_max = omega_max(spec)
+    if dt is None:
+        dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
+    steps = _grid_steps(t_max, dt) if steps is None else steps
+    rows, blocks = min(steps, _BLOCK_ROWS) or 1, -(-steps // _BLOCK_ROWS)
     count = _node_count(w_max * ((rows - 1) * abs(dt) / 2.0), rows)
     _check_work(blocks * count * (r_max + 1), "the light-cone node rows need")
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
                   w_max, blocks * rows * abs(dt))
+    return _Plan(dt, steps, rows, blocks, w_max, count)
+
+
+def _signal_blocks(spec: LatticeSpec, plan: _Plan, r_max: int,
+                   signal: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """The block loop behind ``axis_signal`` and ``measure_light_cone``, sized
+    by ``plan``: (nodes, I, maxima), the signal c(t_i, r) as (blocks, n + 1,
+    r_max + 1) node rows, its (rows, n + 1) barycentric I and each block's
+    max |c|, all in r order; or, given ``signal`` (blocks * rows rows), node
+    rows at the head of each block's own steps there, expanded in place (no maxima).
+
+    Each block of rows steps (the last cut short) is computed at the n + 1
+    times u around its centre t_c, and I[:k] @ nodes[b] gives its first k
+    steps. The sum runs over tiles of W's rows, each built by ``_weight_rows``
+    in turn. A tile's table C, S = cos, sin(u dt omega) of its orbits (and
+    mirrors) serves every block: node entries a = cos(t omega) are
+    cos(t_c omega) C - sin(t_c omega) S from the block's own base angle (no
+    recurrence, so no drift), then one product with the tile's W. Folded, W
+    holds the even distances, then the odd ones: a pair's a + a' meets the
+    even-r columns and a - a' the odd-r ones (a' = 0 if self-mirrored), two
+    half-width products into alternate columns. The tiles' shares sum in the
+    block's node rows, which I expands after the last tile.
+    """
+    dt, steps, rows, blocks, _, count = plan
     u, I = _interpolation(rows, count)
     omega, tuples, weight, cosines, pairs = _axis_orbits(spec, r_max)
     # rows of W per tile: its 4 node arrays (32 bytes per orbit or mirror and
@@ -342,10 +354,10 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
     width = min(len(tuples), _BLOCK_BYTES // (32 * len(u) * len(omega)),
                 _BLOCK_BYTES // (8 * (r_max + 1)))
     even = r_max // 2 + 1   # even-r columns
-    W = np.empty((width, r_max + 1))
-    arrays = np.empty(4 * len(u) * len(omega) * width)
-    nodes = np.empty((blocks, len(u), r_max + 1))
-    maxima = np.empty((blocks, r_max + 1))
+    W, arrays = np.empty((width, r_max + 1)), np.empty(4 * len(u) * len(omega) * width)
+    maxima = np.empty((blocks, r_max + 1)) if signal is None else None
+    nodes = (np.empty((blocks, count, r_max + 1)) if signal is None
+             else signal.reshape(blocks, rows, r_max + 1)[:, :count])
     part = np.empty((rows, r_max + 1))   # a tile's product, then a block's steps
     for first in range(0, len(tuples), width):
         tile = slice(first, first + width)
@@ -372,10 +384,12 @@ def _signal_blocks(spec: LatticeSpec, dt: float, steps: int,
                 np.matmul(block[0], Wt, out=product)
             if first:   # add the earlier tiles' share
                 np.add(nodes[k], product, out=nodes[k])
-            if last:
-                sigma = part[:min(rows, steps - at)]
-                np.matmul(I[:len(sigma)], nodes[k], out=sigma)
-                np.abs(sigma, out=sigma).max(axis=0, out=maxima[k])
+            if last:   # numpy buffers the node rows that signal's steps overlap
+                n = min(rows, steps - at)
+                sigma = part[:n] if signal is None else signal[at:at + n]
+                np.matmul(I[:n], nodes[k], out=sigma)
+                if signal is None:
+                    np.abs(sigma, out=sigma).max(axis=0, out=maxima[k])
     return nodes, I, maxima
 
 
@@ -384,26 +398,18 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     the cos(omega t) circulant, t_i = i dt for i < steps and r = 0..r_max,
     as a (steps, r_max + 1) array stored time-major. This is
     sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
-    distance r along axis 0. Each block is expanded from ``_signal_blocks``'
-    node rows by the product that takes its maxima; where the nodes are the
-    steps (I the identity) the node rows are returned as they are. The
-    time-signal cap charges whole blocks of min(steps, _BLOCK_ROWS) steps."""
+    distance r along axis 0, charged to the cap in whole blocks. Each block's
+    node rows are built in its own steps and expanded there, once."""
     steps = checked_index(LatticeError, "steps", steps)
     r_max = checked_index(LatticeError, "r_max", r_max)
     if not math.isfinite(dt) or steps < 0:
         raise LatticeError("dt must be finite and steps >= 0")
     if not 0 <= r_max < spec.L:
         raise LatticeError("r_max must lie in 0..L-1")
-    _check_work(-(-steps // _BLOCK_ROWS) * min(steps, _BLOCK_ROWS) * (r_max + 1),
-                "the time signal needs")
-    nodes, I, _ = _signal_blocks(spec, dt, steps, r_max)
-    if len(I) == I.shape[1]:   # I is the identity: the node rows are the steps
-        return nodes.reshape(-1, r_max + 1)[:steps]
-    out = np.empty((steps, r_max + 1))
-    for k, at in enumerate(range(0, steps, _BLOCK_ROWS)):
-        sigma = out[at:at + _BLOCK_ROWS]
-        np.matmul(I[:len(sigma)], nodes[k], out=sigma)
-    return out
+    plan = _plan(spec, r_max, dt, steps)
+    signal = np.empty((plan.blocks * plan.rows, r_max + 1))
+    _signal_blocks(spec, plan, r_max, signal)
+    return signal[:steps]
 
 
 def _block_norms(nodes: np.ndarray, I: np.ndarray, steps: int,
@@ -466,10 +472,11 @@ def _grid_steps(t_max: float, dt: float) -> int:
     t_max + 1e-12, counted without building it. numpy gives the grid
     ceil((t_max + dt) / dt) points t_i = i * dt (bitwise), which rise with
     i, so only its last few can pass the cut; past 2^53 points, where i * dt
-    no longer rises at every step, all are counted. A grid past the float
-    range is refused by the node-entry cap."""
-    span = (t_max + dt) / dt
-    if math.isinf(span):
+    no longer rises at every step, all are counted. An overflowing t_max + dt
+    is refused, and a grid past the float range by the node-entry cap."""
+    if math.isinf(t_max + dt):
+        raise LatticeError(f"t_max + dt = {t_max!r} + {dt!r} overflows a float")
+    if math.isinf(span := (t_max + dt) / dt):
         _check_work(span, "the light-cone node rows need")
     steps = math.ceil(span)
     while 0 < steps <= 2 ** 53 and (steps - 1) * dt > t_max + 1e-12:
@@ -489,8 +496,8 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
     ``threshold`` times that distance's own peak (relative to the per-r peak,
     so the 1/sqrt(r) amplitude decay of spreading waves does not skew the
     velocity). The fitted velocity is the least-squares slope of r against
-    arrival time over r >= fit_r_min. The scan holds the signal's node rows
-    (``_signal_blocks``), never the signal, and its cap charges their entries.
+    arrival time over r >= fit_r_min. ``_plan`` sizes the scan and refuses
+    first; the scan holds the signal's node rows, never the signal.
     """
     if spec.L < 2 * spec.nu + 2:
         raise LatticeError("L too small for range")
@@ -511,22 +518,15 @@ def measure_light_cone(spec: LatticeSpec, threshold: float, t_max: float,
         raise LatticeError("t_max must be positive")
     if dt is not None and not (math.isfinite(dt) and dt > 0):
         raise LatticeError("dt must be finite and positive")
-    _check_orbits(spec, r_max)  # > L//2 orbits: bounds L before omega_max
-    if dt is None:
-        w_max = omega_max(spec)
-        dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
-    if math.isinf(t_max + dt):
-        raise LatticeError(f"t_max + dt = {t_max!r} + {dt!r} overflows a float")
-    steps = _grid_steps(t_max, dt)
-    peaks, arrivals = _cone_reads(steps, threshold,
-                                  *_signal_blocks(spec, dt, steps, r_max))
+    plan = _plan(spec, r_max, dt, t_max=t_max)
+    peaks, arrivals = _cone_reads(plan.steps, threshold, *_signal_blocks(spec, plan, r_max))
     r = np.arange(1, r_max + 1)
-    t_arrival = np.where(arrivals < 0, np.nan, arrivals * dt)
+    t_arrival = np.where(arrivals < 0, np.nan, arrivals * plan.dt)
     fit = (arrivals >= 0) & (r >= fit_r_min)
     slope, intercept, residual = _fit_line(
         list(zip(t_arrival[fit].tolist(), r[fit].tolist())))
     return LightConeScan(r=r, t_arrival=t_arrival, peak=peaks,
-                         fitted_velocity_lattice=slope, dt=dt,
+                         fitted_velocity_lattice=slope, dt=plan.dt,
                          fit_intercept=intercept, fit_residual=residual)
 
 

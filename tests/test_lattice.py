@@ -1014,6 +1014,16 @@ class TestLightConeRows:
         peak = traced_peak(lambda: measure_light_cone(spec, 0.1, 400.0, 30, dt=0.02))
         assert peak <= 157 * 24 * 31 * 8 + 2 ** 20
 
+    def test_interpolated_signal_holds_no_node_rows_beside_it(self):
+        # at dt = 0.5 each 128-step block has 119 nodes: they are built in
+        # the block's first steps of the returned signal and expanded there,
+        # so the call holds the 16.8 MB signal and the tile arrays, not a
+        # second array of node rows beside it (32.7 MB traced when it did)
+        spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
+        steps, r_max = 11001, 190
+        peak = traced_peak(lambda: axis_signal(spec, 0.5, steps, r_max))
+        assert peak <= steps * (r_max + 1) * 8 + 2 ** 21
+
     def test_3d_scan_allocates_signal_orbit_vectors_and_block_budgets(self):
         # 6,545 orbits in 17 tiles of 409 rows: over the whole call the scan
         # holds the signal, the orbit vectors (index tuples, omega and

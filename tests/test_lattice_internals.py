@@ -60,8 +60,8 @@ def reaches_regime(case):
     its id names."""
     regime, spec, dt, steps, r_max = case
     omega, tuples, *_, pairs = lattice._axis_orbits(spec, r_max)
-    rows = min(steps, lattice._BLOCK_ROWS)   # every block's
-    nodes = lattice._node_count(float(omega.max()) * ((rows - 1) * abs(dt) / 2.0), rows)
+    plan = lattice._plan(spec, r_max, dt, steps)
+    rows, nodes = plan.rows, plan.count   # every block's
     # rows of W per tile: its node arrays and its W each fit the block budget
     width = min(len(tuples), lattice._BLOCK_BYTES // (32 * nodes * len(omega)),
                 lattice._BLOCK_BYTES // (8 * (r_max + 1)))
@@ -195,13 +195,14 @@ class TestBlockLoop:
         # more than its one step at 129; I[:n] takes them to its n steps
         spec = LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
         B = lattice._BLOCK_ROWS
-        nodes, I, maxima = lattice._signal_blocks(spec, 0.02, steps, 3)
-        blocks, rows = -(-steps // B), min(steps, B) or 1
-        assert nodes.shape == (blocks, I.shape[1], 4) and nodes.flags.c_contiguous
-        assert len(I) == rows and maxima.shape == (blocks, 4)
+        plan = lattice._plan(spec, 3, 0.02, steps)
+        assert (plan.steps, plan.blocks, plan.rows) == (steps, -(-steps // B), min(steps, B) or 1)
+        nodes, I, maxima = lattice._signal_blocks(spec, plan, 3)
+        assert nodes.shape == (plan.blocks, plan.count, 4) and nodes.flags.c_contiguous
+        assert I.shape == (plan.rows, plan.count) and maxima.shape == (plan.blocks, 4)
         signal = axis_signal(spec, 0.02, steps, 3)
         for k, top in enumerate(maxima):
-            block = signal[k * B:(k + 1) * B]
+            block = signal[k * plan.rows:(k + 1) * plan.rows]
             np.testing.assert_array_equal(I[:len(block)] @ nodes[k], block)
             np.testing.assert_array_equal(top, np.abs(block).max(axis=0))
 
@@ -217,11 +218,12 @@ class TestBlockLoop:
         # time-major, with one row of maxima per block
         spec = LatticeSpec(d=d, L=L, lam=(1.0, 0.3), m=0.8)
         r_max = L // 2 - 2
-        nodes, I, maxima = lattice._signal_blocks(spec, 0.37, steps, r_max)
+        plan = lattice._plan(spec, r_max, 0.37, steps)
+        nodes, I, maxima = lattice._signal_blocks(spec, plan, r_max)
         signal = axis_signal(spec, 0.37, steps, r_max)
         assert signal.shape == (steps, r_max + 1) and signal.flags.c_contiguous
-        B = lattice._BLOCK_ROWS
-        assert maxima.shape == (-(-steps // B), r_max + 1) == (len(nodes), r_max + 1)
+        B = plan.rows
+        assert maxima.shape == (plan.blocks, r_max + 1) == (len(nodes), r_max + 1)
         for k, top in enumerate(maxima):
             np.testing.assert_array_equal(top, np.abs(signal[k * B:(k + 1) * B]).max(axis=0))
 
@@ -265,13 +267,16 @@ class TestNodes:
 
     def test_identity_interpolation_returns_the_node_rows(self):
         # at dt = 1 every block's 128 steps are its nodes and I is the
-        # identity: axis_signal returns the node rows (16.8 MB; the block
-        # loop's tile arrays add 1.4 MB), not a second array beside them
-        # (33.9 MB traced), equal to the blocks expanded through I
+        # identity: axis_signal builds the node rows in its own steps
+        # (16.8 MB; the block loop's tile arrays add 1.4 MB), with no second
+        # array beside them (33.9 MB traced with one), equal to the blocks
+        # expanded through I
         spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
-        steps, r_max, B = 11001, 190, lattice._BLOCK_ROWS
-        nodes, I, _ = lattice._signal_blocks(spec, 1.0, steps, r_max)
-        assert I.shape == (B, B) and np.array_equal(I, np.eye(B))
+        steps, r_max = 11001, 190
+        plan = lattice._plan(spec, r_max, 1.0, steps)
+        nodes, I, _ = lattice._signal_blocks(spec, plan, r_max)
+        assert plan.count == plan.rows == lattice._BLOCK_ROWS
+        assert np.array_equal(I, np.eye(plan.rows))
         expanded = np.vstack([I @ block for block in nodes])[:steps]
         budget = nodes.nbytes + 2 ** 21
         del nodes
@@ -357,9 +362,10 @@ class TestNodes:
         with mock.patch.object(lattice, "_node_count", wraps=lattice._node_count) as count, \
                 mock.patch.object(lattice, "_interpolation",
                                   wraps=lattice._interpolation) as interpolation:
-            nodes, I, maxima = lattice._signal_blocks(spec, dt, steps, 63)
+            plan = lattice._plan(spec, 63, dt, steps)
+            nodes, I, maxima = lattice._signal_blocks(spec, plan, 63)
         assert count.call_count == interpolation.call_count == 1
-        assert nodes.shape[::2] == (len(maxima), 64) and len(maxima) == -(-steps // 128)
+        assert nodes.shape == (plan.blocks, plan.count, 64) and len(maxima) == plan.blocks
 
 
 class TestWorkCaps:
@@ -433,6 +439,50 @@ class TestWorkCaps:
         with pytest.raises(LatticeError, match="light-cone node rows need 1848 array"):
             measure_light_cone(spec, 1e-3, 20.0, 10, 0.02)
 
+    @pytest.mark.parametrize("scan", [
+        lambda spec: measure_light_cone(spec, 1e-3, 20.0, 10),
+        lambda spec: measure_light_cone(spec, 1e-3, 20.0, 10, dt=0.02),
+        lambda spec: axis_signal(spec, 0.02, 1001, 10)],
+        ids=["automatic-dt", "given-dt", "axis-signal"])
+    def test_plan_reads_each_size_once_per_scan(self, scan):
+        # omega_max, the node count and (u, I) are read once, by the plan
+        # and the block loop, where the automatic dt once read omega_max twice
+        spec = LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0)
+        with mock.patch.object(lattice, "omega_max", wraps=lattice.omega_max) as w_max, \
+                mock.patch.object(lattice, "_node_count", wraps=lattice._node_count) as count, \
+                mock.patch.object(lattice, "_interpolation",
+                                  wraps=lattice._interpolation) as interpolation:
+            scan(spec)
+        assert w_max.call_count == count.call_count == interpolation.call_count == 1
+
+    @pytest.mark.parametrize("scan,message", [
+        # every input but the last would also be refused by a later check
+        (lambda: axis_signal(LatticeSpec(d=3, L=256, lam=(1.0,), m=1.0), 1.0, 10 ** 6, 127),
+         "the time signal needs 128008192 array entries"),
+        (lambda: measure_light_cone(LatticeSpec(d=3, L=256, lam=(1.0,), m=1.0),
+                                    1e-3, 1e9, 127, dt=1e-3),
+         "the orbit weight matrix needs 23437440 array entries"),
+        (lambda: measure_light_cone(LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0),
+                                    1e-3, 1.7e308, 10, dt=1e308),
+         r"t_max + dt = 1.7e+308 + 1e+308 overflows a float"),
+        (lambda: measure_light_cone(LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0),
+                                    1e-3, 1e308, 30, dt=1e302),
+         "the light-cone node rows need 31001984 array entries"),
+        (lambda: axis_signal(LatticeSpec(d=1, L=64, lam=(1.0,), m=1.0), 1e308, 3, 10),
+         "phase omega_max*steps*|dt| of the time signal = 2.0*inf")],
+        ids=["time-signal", "orbit-weights", "grid", "node-rows", "phase"])
+    def test_every_refusal_comes_before_orbits_and_nodes(self, scan, message, monkeypatch):
+        # the plan refuses in order: the time signal (axis_signal's only),
+        # the orbit weights, the grid, the node rows, the phase; nothing of
+        # the block loop is built first
+        def never(*args):
+            raise AssertionError("orbits or interpolation built before the plan refused")
+
+        monkeypatch.setattr(lattice, "_axis_orbits", never)
+        monkeypatch.setattr(lattice, "_interpolation", never)
+        with pytest.raises(LatticeError, match="^" + re.escape(message)):
+            scan()
+
     def test_work_cap_boundary(self, monkeypatch):
         # t = 0, 0.125, .., 5: 41 steps in one block of 28 node rows, times
         # r_max + 1 = 11 entries, charged once, by the block loop's own
@@ -461,14 +511,14 @@ class TestConeReads:
         columns = np.array(columns, dtype=float)
         signal = np.vstack([np.zeros(columns.shape[1]), columns]).T.copy()
 
-        def signal_blocks(spec, dt, steps, r_max):
-            assert signal.shape == (steps, r_max + 1)
-            B = lattice._BLOCK_ROWS
-            rows, blocks = min(steps, B), -(-steps // B)
-            nodes = np.full((blocks * rows, r_max + 1), 1.5)
-            nodes[:steps] = signal
-            starts = np.arange(0, steps, B)
-            return (nodes.reshape(blocks, rows, r_max + 1), np.eye(rows),
+        def signal_blocks(spec, plan, r_max, expanded=None):
+            assert signal.shape == (plan.steps, r_max + 1)
+            nodes = np.full((plan.blocks * plan.rows, r_max + 1), 1.5)
+            nodes[:plan.steps] = signal
+            if expanded is not None:   # axis_signal's, which full_signal_rows reads
+                expanded[:] = nodes
+            starts = np.arange(0, plan.steps, plan.rows)
+            return (nodes.reshape(plan.blocks, plan.rows, r_max + 1), np.eye(plan.rows),
                     np.maximum.reduceat(np.abs(signal), starts, axis=0))
 
         monkeypatch.setattr(lattice, "_signal_blocks", signal_blocks)

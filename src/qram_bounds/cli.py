@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, lattice, qram, verify
-from .params import (Conventions, HardwareParams, ParamsError, checked_index,
-                     load_config, tau0)
+from .params import (Conventions, HardwareParams, ParamsError, checked_cap,
+                     checked_index, load_config, tau0)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -81,8 +81,7 @@ class SweepGrid:
             if ax.name not in AXIS_QUANTITY:
                 raise ParamsError(f"unknown sweep axis {ax.name!r}")
             total *= points
-        if total > 10 ** 6:
-            raise ParamsError("sweep grid exceeds 10^6 points")
+        checked_cap(ParamsError, "the sweep grid needs", total, "points", 10 ** 6)
         if len(self.axes) == 2:
             a, b = self.axes
             if AXIS_QUANTITY[a.name] == AXIS_QUANTITY[b.name]:

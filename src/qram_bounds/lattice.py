@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .params import checked_couplings, checked_index, checked_phase
+from .params import checked_cap, checked_couplings, checked_index, checked_phase
 
 _PEAK_NOISE_FLOOR = 1e-12   # commutator peaks below this count as "no signal"
 _WORK_ENTRY_CAP = 20_000_000  # most entries of node rows, a time signal or a tile-built W
@@ -182,13 +182,6 @@ class LightConeScan:
     fit_residual: float    # RMS of r - (v t + intercept) over fitted points, sites
 
 
-def _check_work(entries: int | float, what: str) -> None:
-    """Refuse ``entries`` (an int, or inf) above the cap, printed in full."""
-    if not entries <= _WORK_ENTRY_CAP:
-        raise LatticeError(f"{what} {entries} array entries, "
-                           f"above the cap of {_WORK_ENTRY_CAP}")
-
-
 def _orbit_rows(L: int, d: int, r_max: int) -> int:
     """Rows of ``_axis_orbits``' W, in closed form: comb(L//2 + d, d)
     orbits, or where they fold (even L, signal _FOLD_COLUMNS wide) one per
@@ -310,17 +303,18 @@ def _plan(spec: LatticeSpec, r_max: int, dt: float | None, steps=None, t_max=Non
     work refusal is made here, in order: the time signal (``steps`` given), the
     orbit weights (bounding L for omega_max), the grid, the node rows, the phase."""
     if steps is not None:
-        _check_work(-(-steps // _BLOCK_ROWS) * min(steps, _BLOCK_ROWS) * (r_max + 1),
-                    "the time signal needs")
-    _check_work(_orbit_rows(spec.L, spec.d, r_max) * (r_max + 1),
-                "the orbit weight matrix needs")
+        checked_cap(LatticeError, "the time signal needs", -(-steps // _BLOCK_ROWS)
+                    * min(steps, _BLOCK_ROWS) * (r_max + 1), "array entries", _WORK_ENTRY_CAP)
+    checked_cap(LatticeError, "the orbit weight matrix needs", _orbit_rows(spec.L, spec.d, r_max)
+                * (r_max + 1), "array entries", _WORK_ENTRY_CAP)
     w_max = omega_max(spec)
     if dt is None:
         dt = 0.2 / w_max if w_max > 0 else t_max / 100.0
     steps = _grid_steps(t_max, dt) if steps is None else steps
     rows, blocks = min(steps, _BLOCK_ROWS) or 1, -(-steps // _BLOCK_ROWS)
     count = _node_count(w_max * ((rows - 1) * abs(dt) / 2.0), rows)
-    _check_work(blocks * count * (r_max + 1), "the light-cone node rows need")
+    checked_cap(LatticeError, "the light-cone node rows need", blocks * count * (r_max + 1),
+                "array entries", _WORK_ENTRY_CAP)
     checked_phase(LatticeError, "omega_max*steps*|dt| of the time signal",
                   w_max, blocks * rows * abs(dt))
     return _Plan(dt, steps, rows, blocks, w_max, count)
@@ -331,8 +325,8 @@ def _signal_blocks(spec: LatticeSpec, plan: _Plan, r_max: int,
     """The block loop behind ``axis_signal`` and ``measure_light_cone``, sized
     by ``plan``: (nodes, I, maxima), the signal c(t_i, r) as (blocks, n + 1,
     r_max + 1) node rows, its (rows, n + 1) barycentric I and each block's
-    max |c|, all in r order; or, given ``signal`` (blocks * rows rows), node
-    rows at the head of each block's own steps there, expanded in place (no maxima).
+    max |c|, all in r order; or, given ``signal``, node rows at the head of
+    each block's own steps there, expanded in place (no nodes or maxima).
 
     Each block of rows steps (the last cut short) is computed at the n + 1
     times u around its centre t_c, and I[:k] @ nodes[b] gives its first k
@@ -356,8 +350,7 @@ def _signal_blocks(spec: LatticeSpec, plan: _Plan, r_max: int,
     even = r_max // 2 + 1   # even-r columns
     W, arrays = np.empty((width, r_max + 1)), np.empty(4 * len(u) * len(omega) * width)
     maxima = np.empty((blocks, r_max + 1)) if signal is None else None
-    nodes = (np.empty((blocks, count, r_max + 1)) if signal is None
-             else signal.reshape(blocks, rows, r_max + 1)[:, :count])
+    nodes = np.empty((blocks, count, r_max + 1)) if signal is None else None
     part = np.empty((rows, r_max + 1))   # a tile's product, then a block's steps
     for first in range(0, len(tuples), width):
         tile = slice(first, first + width)
@@ -374,7 +367,8 @@ def _signal_blocks(spec: LatticeSpec, plan: _Plan, r_max: int,
             np.multiply(C, np.cos(base), out=block)
             np.multiply(S, np.sin(base, out=base), out=work)
             np.subtract(block, work, out=block)
-            product = part[:len(u)] if first else nodes[k]
+            node = nodes[k] if signal is None else signal[at:at + count]
+            product = part[:len(u)] if first else node
             if pairs:   # a - a' into work[0], a + a' into block[0]
                 np.subtract(block[0], block[1], out=work[0])
                 np.add(block[0], block[1], out=block[0])
@@ -383,11 +377,11 @@ def _signal_blocks(spec: LatticeSpec, plan: _Plan, r_max: int,
             else:
                 np.matmul(block[0], Wt, out=product)
             if first:   # add the earlier tiles' share
-                np.add(nodes[k], product, out=nodes[k])
+                np.add(node, product, out=node)
             if last:   # numpy buffers the node rows that signal's steps overlap
                 n = min(rows, steps - at)
                 sigma = part[:n] if signal is None else signal[at:at + n]
-                np.matmul(I[:n], nodes[k], out=sigma)
+                np.matmul(I[:n], node, out=sigma)
                 if signal is None:
                     np.abs(sigma, out=sigma).max(axis=0, out=maxima[k])
     return nodes, I, maxima
@@ -399,7 +393,8 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     as a (steps, r_max + 1) array stored time-major. This is
     sigma(f_t, g) for a unit q probe at the origin and a unit p probe at
     distance r along axis 0, charged to the cap in whole blocks. Each block's
-    node rows are built in its own steps and expanded there, once."""
+    node rows are built in its own steps and expanded there, once; the buffer
+    runs past the steps only by the last block's node rows."""
     steps = checked_index(LatticeError, "steps", steps)
     r_max = checked_index(LatticeError, "r_max", r_max)
     if not math.isfinite(dt) or steps < 0:
@@ -407,7 +402,7 @@ def axis_signal(spec: LatticeSpec, dt: float, steps: int, r_max: int) -> np.ndar
     if not 0 <= r_max < spec.L:
         raise LatticeError("r_max must lie in 0..L-1")
     plan = _plan(spec, r_max, dt, steps)
-    signal = np.empty((plan.blocks * plan.rows, r_max + 1))
+    signal = np.empty((max(steps, (plan.blocks - 1) * plan.rows + plan.count), r_max + 1))
     _signal_blocks(spec, plan, r_max, signal)
     return signal[:steps]
 
@@ -477,7 +472,8 @@ def _grid_steps(t_max: float, dt: float) -> int:
     if math.isinf(t_max + dt):
         raise LatticeError(f"t_max + dt = {t_max!r} + {dt!r} overflows a float")
     if math.isinf(span := (t_max + dt) / dt):
-        _check_work(span, "the light-cone node rows need")
+        checked_cap(LatticeError, "the light-cone node rows need", span, "array entries",
+                    _WORK_ENTRY_CAP)
     steps = math.ceil(span)
     while 0 < steps <= 2 ** 53 and (steps - 1) * dt > t_max + 1e-12:
         steps -= 1

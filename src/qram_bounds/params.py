@@ -152,6 +152,12 @@ def checked_phase(error: type[ValueError], what: str, w: float, t: float) -> flo
     return phase
 
 
+def checked_cap(error: type[ValueError], what: str, amount, unit: str, cap: int) -> None:
+    """The one refusal of every work cap: ``amount`` unless <= ``cap``, inf and NaN too."""
+    if not amount <= cap:
+        raise error(f"{what} {amount} {unit}, above the cap of {cap}")
+
+
 def checked_index(error: type[ValueError], what: str, value: object,
                   least: int | None = None) -> int:
     """``value`` as a Python int through ``operator.index``, refused by

@@ -20,7 +20,7 @@ disjoint subtrees at the same level share a cycle); wall time charges each
 cycle its slowest gate.
 
 Every router gate is monomial, so the simulator carries each basis address
-(N <= 2^12) as one bit row and one phase through every cycle of both
+(N <= MAX_LEAVES) as one bit row and one phase through every cycle of both
 schedules: only on-path gates act (an off-path gate fixes its |000> with
 phase 1), and the bus is one mode whose position moves with no phase.
 """
@@ -30,13 +30,14 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import gates
-from .params import checked_index
+from .params import checked_cap, checked_index
 
 MAX_LEAVES = 1 << 12  # leaf cap of the simulator
 MAX_DEPTH = 128       # depth cap of the schedules, n^2 + 3n + 1 cycles at most
@@ -47,16 +48,20 @@ class QramError(ValueError):
     pass
 
 
-def _depth(N: int) -> int:
+_Plan = NamedTuple("_Plan", [("N", int), ("n", int), ("cycles", int), ("width", int)])
+
+
+def _plan(N: int) -> _Plan:
+    """The sizes of a simulator run on N = 2^n leaves: the n^2 + 3n + 1
+    cycles of its two schedules and the n + 2^n columns of its bit table
+    (addresses, routers, bus). N is refused by name unless it is an
+    integer, then a power of two >= 2, then within MAX_LEAVES."""
     N = checked_index(QramError, "N", N)
     if N < 2 or N & (N - 1):
         raise QramError(f"N must be a power of two >= 2, got {N}")
-    return N.bit_length() - 1
-
-
-def _check_leaves(N: int) -> None:
-    if N > MAX_LEAVES:
-        raise QramError(f"leaf cap: N <= {MAX_LEAVES}, got {N}")
+    checked_cap(QramError, "the simulator needs", N, "leaves", MAX_LEAVES)
+    n = N.bit_length() - 1
+    return _Plan(N, n, n * n + 3 * n + 1, n + N)
 
 
 # ---------------------------------------------------------------------------
@@ -64,10 +69,6 @@ def _check_leaves(N: int) -> None:
 
 def _router_mode(n: int, level: int, pos: int) -> int:
     return n + (1 << level) - 1 + pos
-
-
-def _bus_mode(n: int) -> int:
-    return n + (1 << n) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +153,7 @@ def _schedule_depth(n: int) -> int:
     n = checked_index(QramError, "n", n)
     if n < 1:
         raise QramError("empty tree")
-    if n > MAX_DEPTH:
-        raise QramError(f"depth cap: n <= {MAX_DEPTH}, got {n}")
+    checked_cap(QramError, "the schedule needs", n, "levels", MAX_DEPTH)
     return n
 
 
@@ -193,21 +193,22 @@ def total_time(init: Schedule, query: Schedule, g1: float, g2: float) -> float:
 @dataclass(frozen=True)
 class ClassicalDatabase:
     bits: tuple[int, ...]
+    plan: _Plan = field(init=False, repr=False, compare=False)   # _plan(len(bits)), so valid
 
     def __post_init__(self):
         bits = tuple(self.bits)
-        _depth(len(bits))
+        object.__setattr__(self, "plan", _plan(len(bits)))
         if any(b not in (0, 1) for b in bits):  # before int() truncates 0.5 or 1.9
             raise QramError("database entries must be bits")
         object.__setattr__(self, "bits", tuple(map(int, bits)))
 
     @property
     def N(self) -> int:
-        return len(self.bits)
+        return self.plan.N
 
     @property
     def depth(self) -> int:
-        return _depth(len(self.bits))
+        return self.plan.n
 
 
 def read_database(path: str | Path) -> ClassicalDatabase:
@@ -225,15 +226,13 @@ def read_database(path: str | Path) -> ClassicalDatabase:
             count += len(text)
     if not count:
         raise refusal
-    _depth(count)
-    _check_leaves(count)   # before the bits are built
+    _plan(count)   # before the bits are built
     return ClassicalDatabase(bits=tuple(map(int, kept)))
 
 
 def random_database(N: int, seed: int) -> ClassicalDatabase:
     N, seed = checked_index(QramError, "N", N), checked_index(QramError, "seed", seed, 0)
-    _depth(N)
-    _check_leaves(N)   # before N bits are drawn
+    _plan(N)   # before N bits are drawn
     rng = np.random.default_rng(seed)
     return ClassicalDatabase(bits=tuple(int(b) for b in rng.integers(0, 2, N)))
 
@@ -259,7 +258,7 @@ def _run_cycles(bits: np.ndarray, phase: np.ndarray, schedule: Schedule, tables,
                    if stage == "descend" else pos >> 1)
             continue
         if op == "copy":
-            bits[stored[pos] == 1, _bus_mode(n)] ^= 1
+            bits[stored[pos] == 1, -1] ^= 1   # the bus is the last column
             continue
         if op == "swap":
             keys = ((slice(None), ctrl), (slice(None), _router_mode(n, level, 0)))
@@ -286,14 +285,13 @@ def _route(db: ClassicalDatabase, addresses: np.ndarray, g1: float,
     """Run the cycles of schedule_initialization(n) and schedule_query(n) on
     basis addresses; every gate is monomial, so each stays one basis state:
     (bit rows, phases)."""
-    _check_leaves(db.N)
-    n = db.depth
+    n = db.plan.n
     tables = {}   # op: (forward, adjoint) (perm, phases) tables
     for op, U in (("swap", gates.swap_unitary(g1)), ("route", gates.cswap_composite(g1, g2))):
         perm, phases = gates.monomial(U)   # adjoint: U^dag|perm[j]> = conj(phases[j])|j>
         inverse = np.argsort(perm)
         tables[op] = ((perm, phases), (inverse, phases[inverse].conj()))
-    bits = np.zeros((len(addresses), _bus_mode(n) + 1), dtype=np.uint8)
+    bits = np.zeros((len(addresses), db.plan.width), dtype=np.uint8)
     bits[:, :n] = (addresses[:, None] >> np.arange(n)[::-1]) & 1
     phase = np.ones(len(addresses), dtype=complex)
     for schedule in (schedule_initialization(n), schedule_query(n)):
@@ -306,10 +304,10 @@ def _read_out(db: ClassicalDatabase, bits: np.ndarray, key: np.ndarray):
     per row the bit stored at its address, the bus bit it read (a copy: a
     view would keep the whole bit table alive), its ideal flag (routers
     zero, address kept, bus = stored bit) and its routers-zero flag."""
-    n = db.depth
+    n = db.plan.n
     expected = np.asarray(db.bits)[key]
-    routers_zero = ~bits[:, n:_bus_mode(n)].any(axis=1)
-    read = bits[:, _bus_mode(n)].copy()
+    routers_zero = ~bits[:, n:-1].any(axis=1)
+    read = bits[:, -1].copy()
     kept = bits[:, :n] @ (1 << np.arange(n)[::-1]) == key
     ideal = routers_zero & kept & (read == expected)
     return expected, read, ideal, routers_zero

@@ -454,7 +454,8 @@ class TestSweepCommand:
                       fixed=cli.PRESET_PARAMS, conventions=Conventions(), dims=())
 
     def test_grid_size_cap(self):
-        with pytest.raises(ParamsError, match="10\\^6"):
+        with pytest.raises(ParamsError, match="^the sweep grid needs 1002001 points, "
+                           "above the cap of 1000000$"):
             SweepGrid(axes=(AxisSpec("velocity", 1.0, 2.0, 1001),
                             AxisSpec("g", 1.0, 2.0, 1001)),
                       fixed=cli.PRESET_PARAMS, conventions=Conventions())
@@ -1052,7 +1053,7 @@ class TestQramsimCommand:
     def test_oversized_database_exits_2(self, N, capsys):
         assert main(["qramsim", "--random-db", "--N", str(N)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == f"error: leaf cap: N <= 4096, got {N}\n"
+        assert captured.err == f"error: the simulator needs {N} leaves, above the cap of 4096\n"
         assert captured.out == ""
 
     def test_database_that_is_not_text_exits_2_naming_it(self, tmp_path, capsys):
@@ -1095,7 +1096,7 @@ class TestQramsimCommand:
         db.write_text("1" * 8192)
         assert main(["qramsim", "--db", str(db)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: leaf cap: N <= 4096, got 8192\n"
+        assert captured.err == "error: the simulator needs 8192 leaves, above the cap of 4096\n"
         assert captured.out == ""
 
     def test_sixteen_leaves_retrieved(self, capsys):
@@ -1312,6 +1313,43 @@ class TestRefusalLines:
         assert captured.err == f"error: {message}\n"
         assert captured.out == ""
         assert not (tmp_path / "s.csv").exists()
+
+
+class TestEveryWorkCap:
+    """One table of the work caps: each is refused in the one form that
+    ``params.checked_cap`` writes, by the CLI with exit 2 and one line that
+    writes nothing to ``--out``, or by the library with its named error."""
+
+    LINE = re.compile(r"error: .+ needs? \d+ [a-z ]+, above the cap of \d+\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["lightcone", "--L", "1000000000", "--r-max", "2", "--t-max", "1", "--out", "{out}"],
+        ["lightcone", "--L", "400", "--r-max", "190", "--dt", "0.02", "--t-max", "12764.16",
+         "--out", "{out}"],
+        ["qramsim", "--random-db", "--N", "8192"],
+        ["qramsim", "--db", "{tmp}/db.txt"],
+        ["sweep", "--axis", "velocity:1:2:1001:lin", "--axis", "g:1:2:1001:lin",
+         "--out", "{out}"],
+    ], ids=["orbit-weights", "node-rows", "random-db-leaves", "db-file-leaves",
+            "sweep-points"])
+    def test_cli_exits_2_with_one_cap_line(self, argv, tmp_path, capsys):
+        (tmp_path / "db.txt").write_text("1" * 8192)
+        out = tmp_path / "out.csv"
+        assert main([arg.format(tmp=tmp_path, out=out) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert_one_error_line(captured)
+        assert self.LINE.fullmatch(captured.err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("call,error", [
+        (lambda: lattice.axis_signal(lattice.LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0),
+                                     0.02, 10 ** 6, 190), lattice.LatticeError),
+        (lambda: qram.schedule_query(qram.MAX_DEPTH + 1), qram.QramError),
+    ], ids=["time-signal", "schedule-levels"])
+    def test_library_raises_its_named_error(self, call, error):
+        with pytest.raises(error) as refusal:
+            call()
+        assert self.LINE.fullmatch(f"error: {refusal.value}\n")
 
 
 def openblas_kernel_skip_reason(kernel):

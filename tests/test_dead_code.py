@@ -134,3 +134,17 @@ def test_guard_reads_the_package_exports():
     tree = ast.parse("from .qram import (QramError, verify_retrieval as check)\n"
                      "__version__ = '0'\n")
     assert exports(tree) == {"QramError", "check"}
+
+
+def test_cap_message_is_written_only_by_checked_cap():
+    # one message form for every work cap: a new cap calls
+    # params.checked_cap rather than writing a message of its own
+    params = ROOT / "src" / "qram_bounds" / "params.py"
+    checked_cap = next(node for node in parse(params).body
+                       if isinstance(node, ast.FunctionDef) and node.name == "checked_cap")
+    inside = {(params, number)
+              for number in range(checked_cap.lineno, checked_cap.end_lineno + 1)}
+    found = {(path, number) for path in sorted((ROOT / "src").rglob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), start=1)
+             if "above the cap" in line}
+    assert found and found <= inside

@@ -184,7 +184,8 @@ def test_qram(data, n):
 SMALL_INTS = [True, 2.0, 2.5, -1, 0, np.int64(2)]
 LARGE_INT = 2 ** 40
 CONE_SPEC = lattice.LatticeSpec(d=1, L=16, lam=(1.0,), m=1.0)
-SCHEDULE_REFUSAL = r"^(n must be an integer|empty tree$|depth cap: n <= )"
+SCHEDULE_REFUSAL = (r"^(n must be an integer|empty tree$|"
+                    r"the schedule needs \d+ levels, above the cap of 128$)")
 
 # argument: (call of the drawn value, pattern of its refusals)
 INT_ARGUMENTS = {

@@ -206,6 +206,20 @@ class TestBlockLoop:
             np.testing.assert_array_equal(I[:len(block)] @ nodes[k], block)
             np.testing.assert_array_equal(top, np.abs(block).max(axis=0))
 
+    @pytest.mark.parametrize("dt,steps", [(0.02, 0), (0.02, 1), (0.02, 128), (0.02, 129),
+                                          (0.02, 11001), (1.0, 129), (1.0, 300)])
+    def test_signal_buffer_runs_past_the_steps_by_the_last_node_rows(self, dt, steps):
+        # each block's node rows sit at the head of its own steps, so the
+        # buffer behind the returned view holds the steps, or the last
+        # block's node rows where they reach further: at 129 steps and
+        # dt = 0.02, 149 rows where whole blocks held 256
+        spec = LatticeSpec(d=1, L=400, lam=(1.0,), m=1.0)
+        plan = lattice._plan(spec, 190, dt, steps)
+        signal = axis_signal(spec, dt, steps, 190)
+        assert signal.base.shape == (max(steps, (plan.blocks - 1) * plan.rows + plan.count),
+                                     191)
+        assert signal.shape == (steps, 191) and signal.flags.c_contiguous
+
     @pytest.mark.parametrize("d,L,steps", [(1, 40, 50), (1, 400, 600),
                                            (2, 64, 513), (3, 32, 300), (2, 128, 300)])
     def test_block_maxima_are_the_plain_reduce(self, d, L, steps):
@@ -516,7 +530,7 @@ class TestConeReads:
             nodes = np.full((plan.blocks * plan.rows, r_max + 1), 1.5)
             nodes[:plan.steps] = signal
             if expanded is not None:   # axis_signal's, which full_signal_rows reads
-                expanded[:] = nodes
+                expanded[:] = nodes[:len(expanded)]
             starts = np.arange(0, plan.steps, plan.rows)
             return (nodes.reshape(plan.blocks, plan.rows, r_max + 1), np.eye(plan.rows),
                     np.maximum.reduceat(np.abs(signal), starts, axis=0))

@@ -314,7 +314,7 @@ class TestSchedules:
         monkeypatch.setattr(qram, "_init_columns", None)
         for n in (qram.MAX_DEPTH + 1, 10 ** 9):
             with pytest.raises(QramError, match=re.escape(
-                    f"depth cap: n <= {qram.MAX_DEPTH}, got {n}")):
+                    f"the schedule needs {n} levels, above the cap of {qram.MAX_DEPTH}")):
                 schedule(n)
 
 
@@ -409,7 +409,8 @@ class TestClassicalDatabase:
             path.write_text(text)
             tracemalloc.start()
             try:
-                with pytest.raises(QramError, match=f"^leaf cap: N <= 4096, got {N}$"):
+                with pytest.raises(QramError, match=f"^the simulator needs {N} leaves, "
+                                   "above the cap of 4096$"):
                     read_database(path)
                 assert tracemalloc.get_traced_memory()[1] <= 1 << 20
             finally:
@@ -444,6 +445,45 @@ class TestClassicalDatabase:
     def test_random_database_takes_numpy_integers(self):
         db = random_database(np.int64(8), np.uint8(3))
         assert db.bits == random_database(8, 3).bits and db.N == 8
+
+
+class TestPlan:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_fields_size_the_schedules_and_the_bit_table(self, n):
+        # cycles is the n^2 + 3n + 1 of both schedules, and width the
+        # columns of the bit table that _route returns
+        plan = qram._plan(1 << n)
+        assert plan == (1 << n, n, n * n + 3 * n + 1, n + (1 << n))
+        assert plan.cycles == (schedule_initialization(n).cycle_count
+                               + schedule_query(n).cycle_count)
+        bits, _ = qram._route(random_database(1 << n, seed=n), np.array([1]), G, G)
+        assert bits.shape == (1, plan.width)
+
+    @pytest.mark.parametrize("N,message", [
+        (8.0, "N must be an integer, got 8.0"),
+        (True, "N must be an integer, got True"),
+        (1, "N must be a power of two >= 2, got 1"),
+        (6144, "N must be a power of two >= 2, got 6144"),   # above the cap too
+        (8192, "the simulator needs 8192 leaves, above the cap of 4096")])
+    def test_refuses_a_run_in_order(self, N, message):
+        # the plan makes every refusal of a run: of a size, a seeded draw
+        # and a database of N bits alike
+        calls = [qram._plan, lambda N: random_database(N, 1)]
+        if type(N) is int:
+            calls.append(lambda N: ClassicalDatabase((0,) * N))
+        for call in calls:
+            with pytest.raises(QramError, match=f"^{re.escape(message)}$"):
+                call(N)
+
+    def test_database_carries_its_plan(self, monkeypatch):
+        # a built database is valid by construction: a run on it plans
+        # nothing again, and the plan stays out of its repr and equality
+        db = ClassicalDatabase((0, 1, 1, 0))
+        assert db.plan == qram._plan(4) and (db.N, db.depth) == (4, 2)
+        assert repr(db) == "ClassicalDatabase(bits=(0, 1, 1, 0))"
+        assert db == ClassicalDatabase((False, True, True, False))
+        monkeypatch.setattr(qram, "_plan", None)
+        assert verify_retrieval(db).passed
 
 
 class TestClassicalTrace:
@@ -624,7 +664,8 @@ class TestSimulateQuery:
 
     def test_rejects_oversized_database(self):
         N = 2 * qram.MAX_LEAVES
-        with pytest.raises(QramError, match=f"leaf cap: N <= 4096, got {N}"):
+        with pytest.raises(QramError, match=f"the simulator needs {N} leaves, "
+                           "above the cap of 4096"):
             simulate_query(ClassicalDatabase(bits=(1,) * N), basis(N, 0), G, G)
 
     def test_dense_vector_beyond_register_cap_refused(self):
@@ -999,14 +1040,13 @@ class TestLargeTrees:
         assert report.min_fidelity >= 1.0 - 1e-9
 
     def test_retrieval_at_the_leaf_cap_holds_one_table(self):
-        # the executor's (N, n + N) uint8 bit table is the one O(N^2) array;
+        # the executor's (N, width) uint8 bit table is the one O(N^2) array;
         # everything else verify_retrieval holds fits in 6 MiB
-        N, n = 4096, 12
-        db = random_database(N, 7)
+        db = random_database(qram.MAX_LEAVES, 7)
         tracemalloc.start()
         try:
             assert verify_retrieval(db).passed
-            assert tracemalloc.get_traced_memory()[1] <= N * (n + N) + (6 << 20)
+            assert tracemalloc.get_traced_memory()[1] <= db.N * db.plan.width + (6 << 20)
         finally:
             tracemalloc.stop()
 
@@ -1015,6 +1055,5 @@ class TestLargeTrees:
             raise AssertionError("gates built before the cap check")
 
         monkeypatch.setattr(gates, "swap_unitary", no_gates)
-        db = ClassicalDatabase(bits=(0, 1) * qram.MAX_LEAVES)
-        with pytest.raises(QramError, match="leaf cap"):
-            verify_retrieval(db)
+        with pytest.raises(QramError, match="the simulator needs 8192 leaves, above the cap"):
+            verify_retrieval(ClassicalDatabase(bits=(0, 1) * qram.MAX_LEAVES))
